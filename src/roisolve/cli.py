@@ -28,7 +28,7 @@ from .errors import (
     ShapeError,
     SingularSystemError,
 )
-from .forward import image_to_spectrum, observe_spatial
+from .forward import image_spectrum_block, observe_spatial
 from .frequency import SpectrumSelection
 from .grid import RoiSpec
 from .optics import OtfSpec, PsfKernel, build_otf, build_psf, passband_mask
@@ -443,8 +443,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
         sol = spatial.solve_system(system, method, clamp_negative=args.clamp)
         extra_manifest = {}
     elif domain == "frequency":
-        spectrum = image_to_spectrum(observed)
-        selection = SpectrumSelection.block(spectrum, 0, 0, k_rows + opts["ring"], l_cols + opts["ring"])
+        block = image_spectrum_block(observed, 0, 0, k_rows + opts["ring"], l_cols + opts["ring"])
+        selection = SpectrumSelection.from_block(block, 0, 0, observed.shape)
         system = frequency.build_system(
             (rows, cols), roi, selection, otf_spec=OtfSpec(rows, cols, opts["cutoff"])
         )

@@ -23,7 +23,7 @@ from .errors import (
     SingularSystemError,
 )
 from .grid import RoiSpec
-from .optics import OtfSpec, passband_mask
+from .optics import OtfSpec, in_passband
 from .spatial import TRUNCATION_RTOL, _truncated_lstsq
 
 # Imaginary residue allowed on recovered pixels, relative to their magnitude.
@@ -124,15 +124,37 @@ class SpectrumSelection:
         if k_rows < 1 or l_cols < 1:
             raise ParameterError("block dimensions must be >= 1")
         rows, cols = spectrum.shape
+        us = np.arange(start_row, start_row + k_rows) % rows
+        vs = np.arange(start_col, start_col + l_cols) % cols
+        return cls.from_block(spectrum[np.ix_(us, vs)], start_row, start_col, spectrum.shape)
+
+    @classmethod
+    def from_block(
+        cls,
+        entries: np.ndarray,
+        start_row: int,
+        start_col: int,
+        field_shape: tuple[int, int],
+    ) -> "SpectrumSelection":
+        """The block selection of already-evaluated K x L entries.
+
+        entries[i, j] is the spectrum value at ((start_row + i) mod rows,
+        (start_col + j) mod cols) of a field_shape spectrum; the result equals
+        block() on a full spectrum holding those values.
+        """
+        entries = np.asarray(entries)
+        if entries.ndim != 2 or entries.size == 0:
+            raise ShapeError(f"block entries must be a nonempty 2D array, got {entries.shape}")
+        rows, cols = int(field_shape[0]), int(field_shape[1])
+        k_rows, l_cols = entries.shape
         uu, vv = np.meshgrid(
-            (np.arange(start_row, start_row + k_rows)) % rows,
-            (np.arange(start_col, start_col + l_cols)) % cols,
+            np.arange(start_row, start_row + k_rows) % rows,
+            np.arange(start_col, start_col + l_cols) % cols,
             indexing="ij",
         )
-        indices = np.column_stack([uu.ravel(), vv.ravel()])
         return cls(
-            indices=indices,
-            entries=spectrum[indices[:, 0], indices[:, 1]].astype(np.complex128),
+            indices=np.column_stack([uu.ravel(), vv.ravel()]),
+            entries=entries.ravel().astype(np.complex128),
             block_origin=(start_row % rows, start_col % cols),
             block_shape=(k_rows, l_cols),
         )
@@ -212,8 +234,7 @@ def build_system(
             raise ShapeError(
                 f"transfer spec field {otf_spec.shape} does not match {rows}x{cols}"
             )
-        mask = passband_mask(otf_spec)
-        outside = ~mask[idx[:, 0], idx[:, 1]]
+        outside = ~in_passband(otf_spec, idx[:, 0], idx[:, 1])
         if outside.any():
             bad = idx[outside][0]
             raise SelectionError(

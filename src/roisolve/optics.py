@@ -57,6 +57,21 @@ def passband_mask(spec: OtfSpec) -> np.ndarray:
     return wrap_distance_grid(spec.field_rows, spec.field_cols) <= spec.cutoff_radius
 
 
+def in_passband(spec: OtfSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each (u, v) index, wrapped modulo the field, lies inside the passband.
+
+    Broadcasts u against v and evaluates only the indices asked for. The
+    wrap-around distance is computed with the same float operations as
+    wrap_distance_grid, so every index is classified exactly as passband_mask
+    classifies it, including entries that land on the cutoff radius.
+    """
+    u = np.asarray(u) % spec.field_rows
+    v = np.asarray(v) % spec.field_cols
+    du = np.minimum(u, spec.field_rows - u).astype(float)
+    dv = np.minimum(v, spec.field_cols - v).astype(float)
+    return np.sqrt(du**2 + dv**2) <= spec.cutoff_radius
+
+
 def build_otf(spec: OtfSpec) -> np.ndarray:
     """The transfer function grid, complex128, unshifted layout."""
     otf = np.where(passband_mask(spec), spec.passband_gain, 0.0)

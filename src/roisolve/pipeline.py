@@ -7,7 +7,9 @@ order and safe to parallelize externally.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -24,15 +26,17 @@ from .errors import (
 )
 from .forward import (
     NoiseSpec,
-    add_noise,
     image_to_spectrum,
+    noise_field,
     observe_spatial,
+    observe_spatial_at,
     observe_spectrum,
+    observe_spectrum_block,
     spectrum_to_image,
 )
 from .frequency import SpectrumSelection
 from .grid import RoiSpec, centered_roi, scatter_roi
-from .optics import OtfSpec, build_otf, build_psf
+from .optics import OtfSpec, PsfKernel, build_otf, build_psf
 
 DEFAULT_SEED = 12345
 DEFAULT_FIELD = (768, 768)
@@ -234,10 +238,209 @@ class ExperimentReport:
         return entries
 
 
+def _check_run_args(domain: str, trials: int, extra_ring: int) -> None:
+    if domain not in DOMAINS:
+        raise ParameterError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
+    if trials < 1:
+        raise ParameterError(f"trials_per_size must be >= 1, got {trials}")
+    if extra_ring < 0:
+        raise ParameterError(f"extra_ring must be >= 0, got {extra_ring}")
+
+
 def _default_solver(domain: str, extra_ring: int) -> str:
     if domain == "spatial":
         return "least_squares" if extra_ring > 0 else "direct"
     return "stacked_real_lsq" if extra_ring > 0 else "direct_complex"
+
+
+@dataclass(frozen=True)
+class _SizeSystem:
+    """The system of one centred square ROI, shared by every trial of that size.
+
+    Every trial of a size observes the same centred ROI, so the matrix and its
+    condition estimate depend only on (field, cutoff, size, ring); a trial
+    supplies just the right-hand side. spec is the passband the observations
+    go through; psf is the kernel (image domain only).
+    """
+
+    domain: str
+    system: spatial.SpatialSystem | frequency.FrequencySystem
+    spec: OtfSpec
+    psf: PsfKernel | None
+
+    def noiseless_rhs(self, pixels: np.ndarray) -> np.ndarray:
+        """Evaluate only the cells or spectrum entries the system reads."""
+        roi = self.system.roi
+        if self.domain == "spatial":
+            return observe_spatial_at(pixels, roi, self.spec, self.system.obs_cells)
+        block = self.system.selection.block_shape
+        return observe_spectrum_block(pixels, roi, self.spec, 0, 0, *block).ravel()
+
+    def clean_observer(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Full-field blurred image of an ideal frame, the route noisy trials take."""
+        if self.domain == "spatial":
+            return lambda ideal: observe_spatial(ideal, self.psf)
+        otf = build_otf(self.spec)
+        return lambda ideal: spectrum_to_image(observe_spectrum(ideal, otf))
+
+    def frame_rhs(self, frame: np.ndarray) -> np.ndarray:
+        """The right-hand side read off a full-field observed image."""
+        if self.domain == "spatial":
+            cells = self.system.obs_cells
+            return frame[cells[:, 0], cells[:, 1]]
+        block = self.system.selection.block_shape
+        return SpectrumSelection.block(image_to_spectrum(frame), 0, 0, *block).entries
+
+    def solve(self, rhs: np.ndarray, method: str):
+        """(the system with this right-hand side, its solution)."""
+        if self.domain == "spatial":
+            system = dataclasses.replace(self.system, rhs=rhs)
+            return system, spatial.solve_system(system, method)
+        selection = dataclasses.replace(self.system.selection, entries=rhs)
+        system = dataclasses.replace(self.system, rhs=rhs, selection=selection)
+        return system, frequency.solve_system(system, method)
+
+
+def _size_layout(
+    domain: str,
+    size: int,
+    rows: int,
+    cols: int,
+    cutoff_radius: float,
+    psf: PsfKernel | None,
+    extra_ring: int,
+) -> tuple[RoiSpec, OtfSpec]:
+    """The centred ROI of one size and the passband its observations go through.
+
+    In the transform domain the cutoff is raised to keep the selected block
+    (size + extra_ring per axis) inside the passband.
+    """
+    roi = centered_roi(rows, cols, size, size)
+    if domain == "spatial":
+        return roi, psf.spec
+    sel = size + extra_ring
+    return roi, OtfSpec(rows, cols, effective_cutoff(cutoff_radius, sel, sel))
+
+
+def _build_size_system(
+    domain: str,
+    roi: RoiSpec,
+    spec: OtfSpec,
+    psf: PsfKernel | None,
+    extra_ring: int,
+    estimate_condition: bool,
+) -> _SizeSystem:
+    rows, cols = spec.shape
+    if domain == "spatial":
+        extra = spatial.ring_cells(roi, rows, cols, extra_ring) if extra_ring > 0 else None
+        # build_system reads only the shape of this dark probe frame and its
+        # values at the observation cells, which each trial replaces
+        system = spatial.build_system(
+            psf, np.zeros(spec.shape), roi, extra_obs=extra, estimate_condition=estimate_condition
+        )
+        return _SizeSystem(domain, system, spec, psf)
+    sel = roi.k_rows + extra_ring
+    probe = SpectrumSelection.from_block(np.zeros((sel, sel)), 0, 0, spec.shape)
+    system = frequency.build_system(
+        spec.shape, roi, probe, otf_spec=spec, estimate_condition=estimate_condition
+    )
+    return _SizeSystem(domain, system, spec, None)
+
+
+def _failed_trial(domain: str, size: int, trial: int, seed: int, exc: RoiSolveError) -> TrialResult:
+    return TrialResult(
+        domain=domain,
+        roi_size=size,
+        trial=trial,
+        seed=seed,
+        ae=float("nan"),
+        ad=float("nan"),
+        condition=float("nan"),
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
+def _solved_trial(
+    sized: _SizeSystem,
+    method: str,
+    trial: int,
+    seed: int,
+    pixels: np.ndarray,
+    rhs: np.ndarray,
+) -> TrialResult:
+    """Solve one trial; a RoiSolveError is recorded in the row instead of metrics."""
+    size = sized.system.roi.k_rows
+    try:
+        system, sol = sized.solve(rhs, method)
+        return TrialResult(
+            domain=sized.domain,
+            roi_size=size,
+            trial=trial,
+            seed=seed,
+            ae=averaged_error(sol.pixels, pixels),
+            ad=averaged_difference(system.a_matrix, pixels, system.rhs),
+            condition=sol.condition,
+        )
+    except RoiSolveError as exc:
+        return _failed_trial(sized.domain, size, trial, seed, exc)
+
+
+def _run_size(
+    domain: str,
+    roi: RoiSpec,
+    spec: OtfSpec,
+    psf: PsfKernel | None,
+    extra_ring: int,
+    estimate_condition: bool,
+    method: str,
+    trials: int,
+    root_seed: int,
+    levels: list[float | None],
+) -> list[list[TrialResult]]:
+    """Every trial of one ROI size at each noise level (None: noiseless).
+
+    The system is built once for the size. Trials run outside and levels
+    inside: a noiseless level evaluates only what the system reads, and the
+    noisy levels of a trial share one full-field clean observation, its peak
+    and its unit-noise field, each level being clean + sigma * unit exactly as
+    add_noise forms it.
+    """
+    size = roi.k_rows
+    out: list[list[TrialResult]] = [[] for _ in levels]
+    try:
+        sized = _build_size_system(domain, roi, spec, psf, extra_ring, estimate_condition)
+    except RoiSolveError as exc:
+        sized, failure = None, exc
+    noisy = [i for i, level in enumerate(levels) if level is not None]
+    observe = sized.clean_observer() if sized is not None and noisy else None
+    for trial in range(trials):
+        seq = trial_seed_sequence(root_seed, size, trial)
+        rng = np.random.default_rng(seq)
+        seed_id = int(seq.generate_state(1)[0])
+        pixels = _draw_pixels(rng, size, size).ravel()
+        if sized is None:
+            for rows_out in out:
+                rows_out.append(_failed_trial(domain, size, trial, seed_id, failure))
+            continue
+        for i, level in enumerate(levels):
+            if level is None:
+                rhs = sized.noiseless_rhs(pixels)
+                out[i].append(_solved_trial(sized, method, trial, seed_id, pixels, rhs))
+        if not noisy:
+            continue
+        noise_seed = noise_stream_seed(root_seed, size, trial)
+        try:
+            clean = observe(scatter_roi(pixels, roi, *spec.shape))
+            peak, unit = noise_field(clean, noise_seed)
+        except RoiSolveError as exc:
+            for i in noisy:
+                out[i].append(_failed_trial(domain, size, trial, seed_id, exc))
+            continue
+        for i in noisy:
+            rhs = sized.frame_rhs(clean + NoiseSpec(levels[i], noise_seed).sigma(peak) * unit)
+            out[i].append(_solved_trial(sized, method, trial, seed_id, pixels, rhs))
+        del clean, unit  # one trial's full-field arrays alive at a time
+    return out
 
 
 def run_table_experiment(
@@ -268,15 +471,15 @@ def run_table_experiment(
     In the transform domain the cutoff is raised per size to keep the selected
     block inside the passband; the report records the effective value used.
 
+    Every trial of a size shares one system (matrix and condition estimate).
+    Noiseless trials evaluate only the observations the system reads; noisy
+    ones (finite noise_psnr_db) observe the full field, since the noise is
+    pinned to its peak.
+
     Trials that raise a solver error are recorded with the message instead of
     metrics; nothing is retried or resampled.
     """
-    if domain not in DOMAINS:
-        raise ParameterError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
-    if trials_per_size < 1:
-        raise ParameterError(f"trials_per_size must be >= 1, got {trials_per_size}")
-    if extra_ring < 0:
-        raise ParameterError(f"extra_ring must be >= 0, got {extra_ring}")
+    _check_run_args(domain, trials_per_size, extra_ring)
     rows, cols = int(field_shape[0]), int(field_shape[1])
     method = solver or _default_solver(domain, extra_ring)
     valid = spatial.SPATIAL_METHODS if domain == "spatial" else frequency.FREQUENCY_METHODS
@@ -300,86 +503,19 @@ def run_table_experiment(
     psf = None
     if domain == "spatial":
         psf = build_psf(OtfSpec(rows, cols, cutoff_radius), psf_crop)
-
-    otf_cache: dict[float, np.ndarray] = {}
+    # an infinite ratio adds no noise
+    level = None if noise_psnr_db is None or math.isinf(noise_psnr_db) else noise_psnr_db
     for size in sizes:
         if size < 1:
             raise ParameterError(f"ROI size must be >= 1, got {size}")
-        sel_rows = size + (extra_ring if domain == "frequency" else 0)
-        eff_cut = effective_cutoff(cutoff_radius, sel_rows, sel_rows)
+        roi, spec = _size_layout(domain, size, rows, cols, cutoff_radius, psf, extra_ring)
         if domain == "frequency":
-            report.effective_cutoffs[size] = eff_cut
-            if eff_cut not in otf_cache:
-                otf_cache[eff_cut] = build_otf(OtfSpec(rows, cols, eff_cut))
-        for trial in range(trials_per_size):
-            seq = trial_seed_sequence(root_seed, size, trial)
-            rng = np.random.default_rng(seq)
-            seed_id = int(seq.generate_state(1)[0])
-            pixels = _draw_pixels(rng, size, size)
-            roi = centered_roi(rows, cols, size, size)
-            ideal = scatter_roi(pixels.ravel(), roi, rows, cols)
-            try:
-                if domain == "spatial":
-                    obs = observe_spatial(ideal, psf)
-                    if noise_psnr_db is not None:
-                        obs = add_noise(
-                            obs,
-                            NoiseSpec(noise_psnr_db, noise_stream_seed(root_seed, size, trial)),
-                        )
-                    extra = (
-                        spatial.ring_cells(roi, rows, cols, extra_ring)
-                        if extra_ring > 0
-                        else None
-                    )
-                    system = spatial.build_system(
-                        psf, obs, roi, extra_obs=extra, estimate_condition=estimate_condition
-                    )
-                    sol = spatial.solve_system(system, method)
-                else:
-                    otf = otf_cache[eff_cut]
-                    spectrum = observe_spectrum(ideal, otf)
-                    if noise_psnr_db is not None:
-                        img = spectrum_to_image(spectrum)
-                        img = add_noise(
-                            img,
-                            NoiseSpec(noise_psnr_db, noise_stream_seed(root_seed, size, trial)),
-                        )
-                        spectrum = image_to_spectrum(img)
-                    selection = SpectrumSelection.block(spectrum, 0, 0, sel_rows, sel_rows)
-                    system = frequency.build_system(
-                        (rows, cols),
-                        roi,
-                        selection,
-                        otf_spec=OtfSpec(rows, cols, eff_cut),
-                        estimate_condition=estimate_condition,
-                    )
-                    sol = frequency.solve_system(system, method)
-                ae = averaged_error(sol.pixels, pixels.ravel())
-                ad = averaged_difference(system.a_matrix, pixels.ravel(), system.rhs)
-                report.trials.append(
-                    TrialResult(
-                        domain=domain,
-                        roi_size=size,
-                        trial=trial,
-                        seed=seed_id,
-                        ae=ae,
-                        ad=ad,
-                        condition=sol.condition,
-                    )
-                )
-            except RoiSolveError as exc:
-                report.trials.append(
-                    TrialResult(
-                        domain=domain,
-                        roi_size=size,
-                        trial=trial,
-                        seed=seed_id,
-                        ae=float("nan"),
-                        ad=float("nan"),
-                        condition=float("nan"),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+            report.effective_cutoffs[size] = spec.cutoff_radius
+        (trials,) = _run_size(
+            domain, roi, spec, psf, extra_ring, estimate_condition, method,
+            trials_per_size, root_seed, [level],
+        )
+        report.trials.extend(trials)
     return report
 
 
@@ -398,32 +534,21 @@ def ad_spot_check(
     how far A times the known ideal pixels sits from the measured right-hand
     side. No condition estimate and no solve, so this stays feasible for
     systems with thousands of unknowns (memory is the binding constraint; the
-    matrix itself is materialized).
+    matrix itself is materialized). The right-hand side comes from the same
+    passband-sparse evaluation as a noiseless table trial, independently of
+    the kernel or phase matrix the system is built from.
     """
     if domain not in DOMAINS:
         raise ParameterError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
     rows, cols = int(field_shape[0]), int(field_shape[1])
-    rng = np.random.default_rng(trial_seed_sequence(root_seed, size, trial))
-    pixels = _draw_pixels(rng, size, size)
-    roi = centered_roi(rows, cols, size, size)
-    ideal = scatter_roi(pixels.ravel(), roi, rows, cols)
+    psf = None
     if domain == "spatial":
         psf = build_psf(OtfSpec(rows, cols, cutoff_radius), psf_crop)
-        obs = observe_spatial(ideal, psf)
-        system = spatial.build_system(psf, obs, roi, estimate_condition=False)
-    else:
-        eff_cut = effective_cutoff(cutoff_radius, size, size)
-        otf = build_otf(OtfSpec(rows, cols, eff_cut))
-        spectrum = observe_spectrum(ideal, otf)
-        selection = SpectrumSelection.block(spectrum, 0, 0, size, size)
-        system = frequency.build_system(
-            (rows, cols),
-            roi,
-            selection,
-            otf_spec=OtfSpec(rows, cols, eff_cut),
-            estimate_condition=False,
-        )
-    return averaged_difference(system.a_matrix, pixels.ravel(), system.rhs)
+    roi, spec = _size_layout(domain, size, rows, cols, cutoff_radius, psf, 0)
+    sized = _build_size_system(domain, roi, spec, psf, 0, estimate_condition=False)
+    rng = np.random.default_rng(trial_seed_sequence(root_seed, size, trial))
+    pixels = _draw_pixels(rng, size, size).ravel()
+    return averaged_difference(sized.system.a_matrix, pixels, sized.noiseless_rhs(pixels))
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +632,7 @@ def scan_reconstruct(
             )
         eff_cut = effective_cutoff(psf.spec.cutoff_radius, k_rows, l_cols)
         spec_eff = OtfSpec(rows, cols, eff_cut, psf.spec.passband_gain)
-        sel_idx = np.column_stack(
-            [g.ravel() for g in np.meshgrid(np.arange(k_rows), np.arange(l_cols), indexing="ij")]
-        )
-        probe = SpectrumSelection(
-            indices=sel_idx, entries=np.zeros(k_rows * l_cols, dtype=np.complex128)
-        )
+        probe = SpectrumSelection.from_block(np.zeros((k_rows, l_cols)), 0, 0, (rows, cols))
         a = frequency.build_system(
             (rows, cols), roi0, probe, otf_spec=spec_eff, estimate_condition=False
         ).a_matrix
@@ -638,8 +758,10 @@ def noise_sweep(
     """Sweep the noise level and record recovery quality per domain.
 
     Runs the table experiment at one ROI size for each level of the grid plus
-    a noiseless baseline. The same trial draws (pixels and noise shape) are
-    reused across levels, so curves differ only by the noise amplitude. The
+    a noiseless baseline; every point equals run_table_experiment at that
+    level with estimate_condition=False. The same trial draws (pixels and
+    noise shape) are reused across levels, so curves differ only by the noise
+    amplitude, and each trial observes the full field once for all levels. The
     default ring-augmented least-squares setup keeps the noiseless baseline
     under the threshold so a crossing exists to report.
     """
@@ -648,6 +770,8 @@ def noise_sweep(
     levels = sorted(set(float(p) for p in psnr_grid))
     if any(not math.isfinite(p) for p in levels):
         raise ParameterError("psnr_grid must contain finite dB values")
+    for domain in domains:
+        _check_run_args(domain, trials_per_level, extra_ring)
     rows, cols = int(field_shape[0]), int(field_shape[1])
 
     pixel_means = []
@@ -668,18 +792,28 @@ def noise_sweep(
         threshold_ae=threshold,
     )
     for domain in domains:
-        for psnr in [math.inf] + levels:
-            table = run_table_experiment(
-                domain,
-                sizes=(roi_size,),
+        psf = None
+        if domain == "spatial":
+            psf = build_psf(OtfSpec(rows, cols, cutoff_radius), psf_crop)
+        roi, spec = _size_layout(domain, roi_size, rows, cols, cutoff_radius, psf, extra_ring)
+        method = _default_solver(domain, extra_ring)
+        per_level = _run_size(
+            domain, roi, spec, psf, extra_ring, False, method,
+            trials_per_level, root_seed, [None] + levels,
+        )
+        for psnr, trials in zip([math.inf] + levels, per_level):
+            table = ExperimentReport(
+                domain=domain,
+                field_rows=rows,
+                field_cols=cols,
+                base_cutoff=cutoff_radius,
+                psf_crop=psf_crop,
                 trials_per_size=trials_per_level,
                 root_seed=root_seed,
-                field_shape=field_shape,
-                cutoff_radius=cutoff_radius,
-                psf_crop=psf_crop,
+                solver=method,
                 extra_ring=extra_ring,
                 noise_psnr_db=None if math.isinf(psnr) else psnr,
-                estimate_condition=False,
+                trials=trials,
             )
             report.points.append(
                 SweepPoint(

@@ -3,19 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from roisolve.errors import DegenerateInputError, ParameterError, ShapeError
+from roisolve.errors import BoundsError, DegenerateInputError, ParameterError, ShapeError
 from roisolve.forward import (
     NoiseSpec,
     add_noise,
     extra_light_ratio,
+    image_spectrum_block,
     image_to_spectrum,
     measure_psnr_db,
+    noise_field,
     observe_spatial,
+    observe_spatial_at,
     observe_spectrum,
+    observe_spectrum_block,
     spectrum_to_image,
 )
 from roisolve.grid import RoiSpec, scatter_roi
-from roisolve.optics import OtfSpec, PsfKernel, build_otf, build_psf
+from roisolve.optics import OtfSpec, PsfKernel, build_otf, build_psf, passband_mask
+from roisolve.spatial import ring_cells
 
 
 def naive_norm_spectrum(image):
@@ -129,3 +134,93 @@ def test_extra_light_ratio(small_psf, rng):
     assert extra_light_ratio(lit, roi, small_psf) > 1.0
     with pytest.raises(DegenerateInputError):
         extra_light_ratio(np.zeros((48, 48)), roi, small_psf)
+
+
+def test_extra_light_ratio_rejects_specless_kernel(small_psf):
+    bare = PsfKernel(grid=small_psf.grid, spec=None)
+    with pytest.raises(ParameterError):
+        extra_light_ratio(np.zeros((48, 48)), RoiSpec(22, 22, 3, 3), bare)
+
+
+def test_add_noise_is_clean_plus_scaled_unit_field(rng):
+    obs = rng.uniform(0, 10, (20, 20))
+    peak, unit = noise_field(obs, seed=7)
+    assert peak == float(obs.max())
+    for psnr in (40.0, 120.0, 300.0):
+        noise = NoiseSpec(psnr, seed=7)
+        np.testing.assert_array_equal(add_noise(obs, noise), obs + noise.sigma(peak) * unit)
+    with pytest.raises(DegenerateInputError):
+        noise_field(np.zeros((4, 4)), seed=7)
+
+
+# Sparse evaluators against the full-FFT oracle: the paper's 768x768 field at
+# cutoff 6 and the small test field, tolerance 1e-12 of the oracle's peak.
+SPARSE_FIELDS = [((48, 48), 10.0, 47), ((768, 768), 6.0, 501)]
+
+
+def _roi_placements(rows, cols):
+    # centred, and in the corners where the observation ring is clipped
+    return [
+        RoiSpec(rows // 2 - 1, cols // 2 - 1, 3, 3),
+        RoiSpec(0, cols - 3, 3, 3),
+        RoiSpec(rows - 4, 1, 4, 2),
+    ]
+
+
+@pytest.mark.parametrize("shape, cutoff, crop", SPARSE_FIELDS)
+def test_observe_spatial_at_matches_full_field(shape, cutoff, crop, rng):
+    spec = OtfSpec(*shape, cutoff)
+    psf = build_psf(spec, crop)
+    for roi in _roi_placements(*shape):
+        pixels = rng.uniform(0, 256, roi.pixel_count)
+        full = observe_spatial(scatter_roi(pixels, roi, *shape), psf)
+        cells = np.vstack([roi.cells(), ring_cells(roi, *shape, width=2)])
+        got = observe_spatial_at(pixels, roi, spec, cells)
+        want = full[cells[:, 0], cells[:, 1]]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("shape, cutoff, crop", SPARSE_FIELDS)
+def test_observe_spectrum_block_matches_full_field(shape, cutoff, crop, rng):
+    rows, cols = shape
+    spec = OtfSpec(rows, cols, cutoff)
+    mask = passband_mask(spec)
+    r = int(cutoff)
+    # blocks straddling the cutoff, one wrapping past the zero frequency
+    blocks = [(0, 0, r + 2, 3), (r - 2, -3, 5, 6), (-2, cols - 4, r + 3, 7)]
+    for roi in _roi_placements(rows, cols):
+        pixels = rng.uniform(0, 256, roi.pixel_count)
+        full = observe_spectrum(scatter_roi(pixels, roi, rows, cols), build_otf(spec))
+        scale = np.abs(full).max()
+        for start_row, start_col, k, l in blocks:
+            got = observe_spectrum_block(pixels, roi, spec, start_row, start_col, k, l)
+            us = (start_row + np.arange(k)) % rows
+            vs = (start_col + np.arange(l)) % cols
+            inside = mask[np.ix_(us, vs)]
+            assert 0 < inside.sum() < inside.size
+            assert np.all(got[~inside] == 0)
+            assert np.abs(got - full[np.ix_(us, vs)]).max() <= 1e-12 * scale
+
+
+def test_image_spectrum_block_matches_full_transform(rng):
+    image = rng.uniform(-5, 5, (16, 12))
+    full = image_to_spectrum(image)
+    got = image_spectrum_block(image, -2, 5, 4, 9)
+    want = full[np.ix_(np.arange(-2, 2) % 16, np.arange(5, 14) % 12)]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(full).max()
+
+
+def test_sparse_evaluators_validate_inputs(small_spec):
+    roi = RoiSpec(20, 20, 2, 2)
+    with pytest.raises(ShapeError):
+        observe_spatial_at(np.ones(3), roi, small_spec, roi.cells())
+    with pytest.raises(ShapeError):
+        observe_spatial_at(np.ones(4), roi, small_spec, np.array([[0, 48]]))
+    with pytest.raises(ShapeError):
+        observe_spatial_at(np.ones(4), roi, small_spec, np.ones(4))
+    with pytest.raises(BoundsError):
+        observe_spectrum_block(np.ones(4), RoiSpec(47, 0, 2, 2), small_spec, 0, 0, 2, 2)
+    with pytest.raises(ParameterError):
+        observe_spectrum_block(np.ones(4), roi, small_spec, 0, 0, 0, 2)
+    with pytest.raises(ShapeError):
+        image_spectrum_block(np.ones(8), 0, 0, 2, 2)

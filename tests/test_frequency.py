@@ -125,6 +125,20 @@ def test_block_selection_wraps(rng):
     assert sel.indices.tolist() == [[7, 7], [7, 0], [0, 7], [0, 0]]
 
 
+def test_from_block_matches_block(rng):
+    spectrum = rng.normal(size=(8, 6)) + 1j * rng.normal(size=(8, 6))
+    want = SpectrumSelection.block(spectrum, -1, 4, 3, 4)
+    values = spectrum[np.ix_(np.arange(-1, 2) % 8, np.arange(4, 8) % 6)]
+    got = SpectrumSelection.from_block(values, -1, 4, (8, 6))
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.entries, want.entries)
+    assert (got.block_origin, got.block_shape) == (want.block_origin, want.block_shape)
+    with pytest.raises(ShapeError):
+        SpectrumSelection.from_block(np.ones(4), 0, 0, (8, 6))
+    with pytest.raises(ShapeError):
+        SpectrumSelection.from_block(np.ones((0, 3)), 0, 0, (8, 6))
+
+
 def test_from_indices_wraps(rng):
     spectrum = rng.normal(size=(6, 6)) + 0j
     sel = SpectrumSelection.from_indices(spectrum, np.array([[-1, 2], [7, -6]]))

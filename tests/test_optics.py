@@ -8,6 +8,7 @@ from roisolve.optics import (
     build_otf,
     build_psf,
     effective_psf_positive,
+    in_passband,
     passband_mask,
     wrap_distance_grid,
 )
@@ -131,3 +132,31 @@ def test_effective_positivity_counterexample():
     # a tighter disk on a small field rings negative within a 3x3 window
     psf = build_psf(OtfSpec(32, 32, 8.0), 31)
     assert not effective_psf_positive(psf, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, cutoff",
+    [(12, 12, 5.0), (9, 11, 3.5), (16, 12, 4.0), (48, 48, 10.0), (32, 20, 6.0), (768, 768, 6.0)],
+)
+def test_in_passband_classifies_like_the_mask(rows, cols, cutoff):
+    spec = OtfSpec(rows, cols, cutoff)
+    mask = passband_mask(spec)
+    u, v = np.indices((rows, cols))
+    np.testing.assert_array_equal(in_passband(spec, u, v), mask)
+    # negative and out-of-range indices classify as their residues
+    np.testing.assert_array_equal(in_passband(spec, u - rows, v + 3 * cols), mask)
+
+
+def test_in_passband_radius_and_wrapped_entries():
+    rows, cols = 16, 14
+    spec = OtfSpec(rows, cols, 5.0)
+    mask = passband_mask(spec)
+    # (3, 4) lands exactly on the radius and counts as inside
+    assert mask[3, 4] and in_passband(spec, 3, 4)
+    assert mask[rows - 3, 4] and in_passband(spec, rows - 3, 4)
+    assert mask[3, cols - 4] and in_passband(spec, -3, -4)
+    assert not mask[3, 5] and not in_passband(spec, 3, 5)
+    assert not mask[rows - 4, 4] and not in_passband(spec, rows - 4, 4)
+    got = in_passband(spec, np.array([[0], [3], [rows - 3]]), np.array([[4, 5, cols - 4]]))
+    assert got.shape == (3, 3)
+    np.testing.assert_array_equal(got, mask[np.ix_([0, 3, rows - 3], [4, 5, cols - 4])])

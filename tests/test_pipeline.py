@@ -433,8 +433,109 @@ def test_sweep_noiseless_point_matches_table_run(small_sweep):
     assert baseline.std_ae == table.std_ae(3)
 
 
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_sweep_every_point_matches_table_run(small_sweep, domain):
+    # the sweep hoists the system and the noise draw out of the level loop;
+    # each point must still equal a table run at its level, bit for bit
+    for point in small_sweep.points_for(domain):
+        table = run_table_experiment(
+            domain,
+            sizes=(3,),
+            trials_per_size=3,
+            root_seed=17,
+            extra_ring=2,
+            noise_psnr_db=None if math.isinf(point.psnr_db) else point.psnr_db,
+            estimate_condition=False,
+            **SMALL,
+        )
+        assert point.mean_ae == table.mean_ae(3)
+        assert point.std_ae == table.std_ae(3)
+        assert point.failed == table.failures(3) == 0
+
+
+def _count_full_ffts(monkeypatch):
+    calls = {"n": 0}
+    for name in ("fft2", "ifft2"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls["n"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("domain, per_level", [("spatial", 0), ("frequency", 1)])
+def test_sweep_full_field_ffts_per_level(monkeypatch, domain, per_level):
+    calls = _count_full_ffts(monkeypatch)
+    counts = []
+    for grid in ((40.0,), (40.0, 80.0, 120.0)):
+        calls["n"] = 0
+        noise_sweep(
+            roi_size=3, psnr_grid=grid, trials_per_level=2, root_seed=17,
+            domains=(domain,), **SMALL,
+        )
+        counts.append(calls["n"])
+    # two more levels, two trials each
+    assert counts[1] - counts[0] == per_level * 2 * 2
+
+
+def test_noiseless_table_reads_no_full_field(monkeypatch):
+    calls = _count_full_ffts(monkeypatch)
+    run_table_experiment("frequency", sizes=(2, 3), trials_per_size=2, root_seed=1, **SMALL)
+    assert calls["n"] == 0
+    # the image domain transforms once, to build the kernel
+    run_table_experiment("spatial", sizes=(2, 3), trials_per_size=2, root_seed=1, **SMALL)
+    assert calls["n"] == 1
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_table_builds_one_system_per_size(monkeypatch, domain):
+    import roisolve.frequency
+    import roisolve.spatial
+
+    module = roisolve.spatial if domain == "spatial" else roisolve.frequency
+    builds = []
+    original = module.build_system
+
+    def counted(*args, **kwargs):
+        builds.append(kwargs.get("estimate_condition"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "build_system", counted)
+    report = run_table_experiment(domain, sizes=(2, 3), trials_per_size=4, root_seed=2, **SMALL)
+    assert builds == [True, True]
+    assert all(t.error is None for t in report.trials)
+    for size in (2, 3):
+        conds = {t.condition for t in report.trials_for(size)}
+        assert len(conds) == 1
+
+
+def test_table_records_a_failed_system_build_per_trial():
+    # a 3-cell kernel window cannot couple the cells of a 3x3 region
+    report = run_table_experiment(
+        "spatial", sizes=(3,), trials_per_size=2, root_seed=8,
+        field_shape=(48, 48), cutoff_radius=10.0, psf_crop=3,
+    )
+    assert report.failures(3) == 2
+    for t in report.trials:
+        assert t.error.startswith("BoundsError")
+        assert t.seed == int(trial_seed_sequence(8, 3, t.trial).generate_state(1)[0])
+
+
 def test_sweep_validation():
     with pytest.raises(ParameterError):
         noise_sweep(roi_size=0, psnr_grid=(40.0,), trials_per_level=1, **SMALL)
     with pytest.raises(ParameterError):
         noise_sweep(psnr_grid=(40.0, math.inf), trials_per_level=1, **SMALL)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"domains": ("image",)}, {"trials_per_level": 0}, {"extra_ring": -1}],
+)
+def test_sweep_rejects_what_a_table_run_rejects(kwargs):
+    args = {"roi_size": 3, "psnr_grid": (40.0,), "trials_per_level": 1, **kwargs}
+    with pytest.raises(ParameterError):
+        noise_sweep(**args, **SMALL)
