@@ -29,8 +29,9 @@ from .forward import (
     observe_spectrum,
     spectrum_to_image,
 )
-from .frequency import FrequencySolution, FrequencySystem, SpectrumSelection
+from .frequency import SpectrumSelection
 from .grid import RoiSpec, assert_isolated, centered_roi, scatter_roi, vectorize_roi
+from .linear import LinearSystem, Solution
 from .optics import OtfSpec, PsfKernel, build_otf, build_psf, effective_psf_positive, passband_mask
 from .pipeline import (
     ExperimentReport,
@@ -45,7 +46,6 @@ from .pipeline import (
     run_table_experiment,
     scan_reconstruct,
 )
-from .spatial import SpatialSolution, SpatialSystem
 
 __version__ = "0.1.0"
 
@@ -54,9 +54,8 @@ __all__ = [
     "DegenerateInputError",
     "ExperimentReport",
     "FileFormatError",
-    "FrequencySolution",
-    "FrequencySystem",
     "InconsistentInputError",
+    "LinearSystem",
     "NoSignalError",
     "NoiseSpec",
     "NoiseSweepReport",
@@ -68,8 +67,7 @@ __all__ = [
     "SelectionError",
     "ShapeError",
     "SingularSystemError",
-    "SpatialSolution",
-    "SpatialSystem",
+    "Solution",
     "SpectrumSelection",
     "TrialResult",
     "add_noise",

@@ -31,6 +31,7 @@ from .errors import (
 from .forward import image_spectrum_block, observe_spatial
 from .frequency import SpectrumSelection
 from .grid import RoiSpec
+from .linear import CONDITION_LIMIT
 from .optics import OtfSpec, PsfKernel, build_otf, build_psf, passband_mask
 from .pipeline import (
     DEFAULT_CUTOFF,
@@ -140,14 +141,8 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-_SOLVER_ALIASES = {
-    "spatial": {"direct": "direct", "lsq": "least_squares", "truncated": "truncated"},
-    "frequency": {
-        "direct": "direct_complex",
-        "lsq": "stacked_real_lsq",
-        "truncated": "truncated",
-    },
-}
+# Generic solver spellings, as positions in each domain's METHODS.
+_SOLVER_ALIASES = {"direct": 0, "lsq": 1, "truncated": 2}
 
 
 def resolve_solver(domain: str, name: str | None) -> str | None:
@@ -155,9 +150,9 @@ def resolve_solver(domain: str, name: str | None) -> str | None:
 
     Domain-specific names pass through untouched so scripts can be explicit.
     """
-    if name is None:
-        return None
-    return _SOLVER_ALIASES.get(domain, {}).get(name, name)
+    if name not in _SOLVER_ALIASES or domain not in pipeline.DOMAINS:
+        return name
+    return pipeline.DOMAIN_MODULES[domain].METHODS[_SOLVER_ALIASES[name]]
 
 
 # ---------------------------------------------------------------------------
@@ -431,36 +426,25 @@ def cmd_recover(args: argparse.Namespace) -> int:
             spatial.ring_cells(roi, rows, cols, opts["ring"]) if opts["ring"] > 0 else None
         )
         system = spatial.build_system(psf, observed, roi, extra_obs=extra)
-        method = resolve_solver(domain, opts["solver"])
-        if method is None:
-            method = "least_squares" if opts["ring"] > 0 else "direct"
-            if system.condition_estimate > spatial.CONDITION_LIMIT:
-                _info(
-                    f"condition {system.condition_estimate:.3g} above "
-                    f"{spatial.CONDITION_LIMIT:g}; switching to the truncated solver"
-                )
-                method = "truncated"
-        sol = spatial.solve_system(system, method, clamp_negative=args.clamp)
-        extra_manifest = {}
     elif domain == "frequency":
         block = image_spectrum_block(observed, 0, 0, k_rows + opts["ring"], l_cols + opts["ring"])
         selection = SpectrumSelection.from_block(block, 0, 0, observed.shape)
         system = frequency.build_system(
             (rows, cols), roi, selection, otf_spec=OtfSpec(rows, cols, opts["cutoff"])
         )
-        method = resolve_solver(domain, opts["solver"])
-        if method is None:
-            method = "stacked_real_lsq" if opts["ring"] > 0 else "direct_complex"
-            if system.condition_estimate > spatial.CONDITION_LIMIT:
-                _info(
-                    f"condition {system.condition_estimate:.3g} above "
-                    f"{spatial.CONDITION_LIMIT:g}; switching to the truncated solver"
-                )
-                method = "truncated"
-        sol = frequency.solve_system(system, method, clamp_negative=args.clamp)
-        extra_manifest = {"imag_leakage": fileio.format_float(sol.imag_leakage)}
     else:
         raise ParameterError(f"unknown domain {domain!r}")
+    module = pipeline.DOMAIN_MODULES[domain]
+    method = resolve_solver(domain, opts["solver"])
+    if method is None:
+        method = module.METHODS[opts["ring"] > 0]
+        if system.condition_estimate > CONDITION_LIMIT:
+            _info(
+                f"condition {system.condition_estimate:.3g} above "
+                f"{CONDITION_LIMIT:g}; switching to the truncated solver"
+            )
+            method = module.METHODS[2]
+    sol = module.solve_system(system, method, clamp_negative=args.clamp)
 
     recovered = sol.pixels.reshape(roi.shape)
     fileio.write_raw_matrix(os.path.join(out, "recovered.raw"), recovered)
@@ -475,7 +459,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
         "negative_count": str(sol.negative_count),
         "min_pixel": fileio.format_float(sol.min_pixel),
     }
-    manifest.update(extra_manifest)
+    if domain == "frequency":
+        manifest["imag_leakage"] = fileio.format_float(sol.imag_leakage)
     fileio.write_manifest(os.path.join(out, "recover_manifest.txt"), manifest)
     print(f"recovered {roi.k_rows}x{roi.l_cols} ROI at ({roi.top}, {roi.left}) via {sol.method}")
     print(f"residual {sol.residual:.6g}, condition {sol.condition:.6g}")

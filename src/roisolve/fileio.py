@@ -36,6 +36,24 @@ def format_float(value) -> str:
     return format(v, ".17g")
 
 
+def _read_payload(fh: io.BufferedReader, expected: int, what: str) -> bytes:
+    """The payload after a header: exactly `expected` bytes up to end of file.
+
+    The size on disk is checked before reading, so a header promising more
+    than the file holds never drives a huge allocation.
+    """
+    offset = fh.tell()
+    held = os.fstat(fh.fileno()).st_size - offset
+    if held == expected:
+        payload = fh.read(expected + 1)
+        held = len(payload)
+    if held != expected:
+        raise FileFormatError(
+            f"{what} payload holds {held} bytes, header promises {expected}", offset=offset
+        )
+    return payload
+
+
 # ---------------------------------------------------------------------------
 # raw matrices
 
@@ -80,13 +98,7 @@ def read_raw_matrix(path: str) -> np.ndarray:
             dtype, itemsize = np.dtype("<c16"), 16
         else:
             raise FileFormatError(f"unknown raw kind {kind!r}", offset=0)
-        expected = rows * cols * itemsize
-        payload = fh.read(expected + 1)
-    if len(payload) != expected:
-        raise FileFormatError(
-            f"raw payload holds {len(payload)} bytes, header promises {expected}",
-            offset=len(header),
-        )
+        payload = _read_payload(fh, rows * cols * itemsize, "raw")
     data = np.frombuffer(payload, dtype=dtype).reshape(rows, cols)
     return data.astype(np.complex128) if kind == RAW_KIND_COMPLEX else data.astype(np.float64)
 
@@ -145,17 +157,12 @@ def read_pgm16(path: str) -> np.ndarray:
             maxval = int(_read_pgm_token(fh))
         except ValueError as exc:
             raise FileFormatError(f"PGM header token not an integer: {exc}", offset=fh.tell())
+        if rows < 0 or cols < 0:
+            raise FileFormatError(f"PGM dimensions negative: {cols}x{rows}", offset=fh.tell())
         if not (0 < maxval < 65536):
             raise FileFormatError(f"PGM maxval {maxval} out of range", offset=fh.tell())
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        expected = rows * cols * dtype.itemsize
-        offset = fh.tell()
-        payload = fh.read(expected + 1)
-    if len(payload) != expected:
-        raise FileFormatError(
-            f"PGM payload holds {len(payload)} bytes, header promises {expected}",
-            offset=offset,
-        )
+        payload = _read_payload(fh, rows * cols * dtype.itemsize, "PGM")
     return np.frombuffer(payload, dtype=dtype).reshape(rows, cols).astype(np.float64)
 
 
@@ -167,12 +174,14 @@ def sniff_raster(path: str) -> str:
 
 
 def read_raster(path: str) -> np.ndarray:
-    """Read either raster format; raw payloads must be real for images."""
+    """Read either raster format; raw payloads must be real and finite for images."""
     if sniff_raster(path) == "pgm":
         return read_pgm16(path)
     arr = read_raw_matrix(path)
     if np.iscomplexobj(arr):
         raise FileFormatError(f"{path} holds complex data, expected an image")
+    if not np.isfinite(arr).all():
+        raise FileFormatError(f"{path} holds NaN or Inf values, expected an image")
     return arr
 
 

@@ -12,8 +12,6 @@ import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import warnings
 
 from .errors import (
     InconsistentInputError,
@@ -23,13 +21,14 @@ from .errors import (
     SingularSystemError,
 )
 from .grid import RoiSpec
+from .linear import LinearSystem, Solution, fill_rows, solve
 from .optics import OtfSpec, in_passband
-from .spatial import TRUNCATION_RTOL, _truncated_lstsq
 
 # Imaginary residue allowed on recovered pixels, relative to their magnitude.
 IMAG_RTOL = 1e-9
 
-_FILL_CHUNK_ENTRIES = 10_000_000
+# LU, least squares, truncated: the order linear.solve reads them in.
+METHODS = ("direct_complex", "stacked_real_lsq", "truncated")
 
 
 def solve_two_point_1d(
@@ -181,31 +180,16 @@ def mirror_indices(indices: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.column_stack([(-idx[:, 0]) % rows, (-idx[:, 1]) % cols])
 
 
-@dataclass(frozen=True)
-class FrequencySystem:
-    """A built transform-domain system A x = y, complex A and y."""
-
-    a_matrix: np.ndarray
-    rhs: np.ndarray
-    roi: RoiSpec
-    field_rows: int
-    field_cols: int
-    selection: SpectrumSelection
-    condition_estimate: float
-
-    @property
-    def is_square(self) -> bool:
-        return self.a_matrix.shape[0] == self.a_matrix.shape[1]
-
-
 def build_system(
     field_shape: tuple[int, int],
     roi: RoiSpec,
     selection: SpectrumSelection,
     otf_spec: OtfSpec | None = None,
     estimate_condition: bool = True,
-) -> FrequencySystem:
+) -> LinearSystem:
     """Assemble the transform-domain system for an isolated ROI.
+
+    The system is complex; its obs_index holds the selection's (u, v) indices.
 
     Args:
         field_shape: (rows, cols) of the frame the spectrum was taken on.
@@ -242,103 +226,34 @@ def build_system(
                 f"(cutoff {otf_spec.cutoff_radius}); it carries no signal"
             )
     unknowns = roi.cells()
-    n_rows = selection.count
-    n_cols = unknowns.shape[0]
-    a = np.empty((n_rows, n_cols), dtype=np.complex128)
-    chunk = max(1, _FILL_CHUNK_ENTRIES // max(n_cols, 1))
-    for start in range(0, n_rows, chunk):
-        stop = min(start + chunk, n_rows)
+
+    def phase_rows(r: slice) -> np.ndarray:
         phase = (
-            unknowns[None, :, 0] * (idx[start:stop, None, 0] / rows)
-            + unknowns[None, :, 1] * (idx[start:stop, None, 1] / cols)
+            unknowns[None, :, 0] * (idx[r, None, 0] / rows)
+            + unknowns[None, :, 1] * (idx[r, None, 1] / cols)
         )
-        a[start:stop] = np.exp(-2j * np.pi * phase)
+        return np.exp(-2j * np.pi * phase)
+
+    a = fill_rows(selection.count, unknowns.shape[0], np.complex128, phase_rows)
     a /= rows * cols
     rhs = np.asarray(selection.entries, dtype=np.complex128)
     cond = float(np.linalg.cond(a)) if estimate_condition else float("nan")
-    return FrequencySystem(
-        a_matrix=a,
-        rhs=rhs,
-        roi=roi,
-        field_rows=rows,
-        field_cols=cols,
-        selection=selection,
-        condition_estimate=cond,
+    return LinearSystem(
+        a_matrix=a, rhs=rhs, roi=roi, obs_index=idx, condition_estimate=cond
     )
 
 
-@dataclass(frozen=True)
-class FrequencySolution:
-    """Solver output: real recovered pixels plus bookkeeping.
-
-    imag_leakage: largest imaginary part dropped when projecting the complex
-    solution to real pixels, relative to the solution magnitude (zero for the
-    stacked real solver, which never leaves the real line).
-    """
-
-    pixels: np.ndarray
-    residual: float
-    condition: float
-    method: str
-    imag_leakage: float
-    negative_count: int
-    min_pixel: float
-
-
-FREQUENCY_METHODS = ("direct_complex", "stacked_real_lsq", "truncated")
-
-
 def solve_system(
-    system: FrequencySystem,
+    system: LinearSystem,
     method: str = "direct_complex",
     clamp_negative: bool = False,
-) -> FrequencySolution:
+) -> Solution:
     """Solve a built transform-domain system and report the recovered ROI.
 
     Methods: "direct_complex" (LU on the complex matrix, square only),
     "stacked_real_lsq" (real least squares on [Re; Im] stacking, works for
     overdetermined selections), "truncated" (complex SVD with a singular value
-    floor).
+    floor). Pixels are the real part; Solution.imag_leakage reports the
+    imaginary part dropped.
     """
-    if method not in FREQUENCY_METHODS:
-        raise ParameterError(f"unknown method {method!r}, expected one of {FREQUENCY_METHODS}")
-    a = system.a_matrix
-    rhs = system.rhs
-    if method == "direct_complex":
-        if not system.is_square:
-            raise ShapeError(
-                f"direct_complex needs a square system, got {a.shape}; "
-                "use stacked_real_lsq for larger selections"
-            )
-        try:
-            z = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                f"direct solve failed: {exc}", condition=system.condition_estimate
-            ) from exc
-    elif method == "stacked_real_lsq":
-        a2 = np.vstack([a.real, a.imag])
-        y2 = np.concatenate([rhs.real, rhs.imag])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            z, _, _, _ = scipy.linalg.lstsq(a2, y2, lapack_driver="gelsd")
-        z = z.astype(np.complex128)
-    else:
-        z = _truncated_lstsq(a, rhs, TRUNCATION_RTOL)
-    scale = float(np.abs(z).max()) if z.size else 0.0
-    leakage = float(np.abs(z.imag).max() / scale) if scale > 0 else 0.0
-    x = z.real.copy()
-    negative_count = int(np.count_nonzero(x < 0))
-    min_pixel = float(x.min()) if x.size else 0.0
-    if clamp_negative:
-        x = np.maximum(x, 0.0)
-    residual = float(np.linalg.norm(a @ x - rhs)) / system.roi.pixel_count
-    return FrequencySolution(
-        pixels=x,
-        residual=residual,
-        condition=system.condition_estimate,
-        method=method,
-        imag_leakage=leakage,
-        negative_count=negative_count,
-        min_pixel=min_pixel,
-    )
+    return solve(system, method, METHODS, clamp_negative)

@@ -1,0 +1,154 @@
+"""The dense linear system both recovery domains solve.
+
+Image-domain and transform-domain recovery both end in one dense system
+A x = y over the ROI pixels; they differ only in how A's coefficients are
+generated (kernel entries in `spatial`, DFT phases in `frequency`). This
+module holds what they share: the system and solution types, the row-block
+fill loop of the generators, and the solver.
+"""
+
+from __future__ import annotations
+
+import warnings
+from collections.abc import Callable
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.linalg
+
+from .errors import ParameterError, ShapeError, SingularSystemError
+from .grid import RoiSpec
+
+# Above this condition estimate a plain solve is considered untrustworthy;
+# the CLI switches to the truncated solver when the caller did not pin one.
+CONDITION_LIMIT = 1e14
+
+# Relative singular-value floor of the truncated solver (1 / CONDITION_LIMIT).
+TRUNCATION_RTOL = 1e-14
+
+# Row-block size cap (in matrix entries) when filling large systems, keeps
+# the index scratch arrays small.
+_FILL_CHUNK_ENTRIES = 10_000_000
+
+
+def fill_rows(
+    n_rows: int, n_cols: int, dtype, block: Callable[[slice], np.ndarray]
+) -> np.ndarray:
+    """An n_rows x n_cols matrix filled in row blocks, a[rows] = block(rows)."""
+    a = np.empty((n_rows, n_cols), dtype=dtype)
+    chunk = max(1, _FILL_CHUNK_ENTRIES // max(n_cols, 1))
+    for start in range(0, n_rows, chunk):
+        rows = slice(start, min(start + chunk, n_rows))
+        a[rows] = block(rows)
+    return a
+
+
+@dataclass(frozen=True)
+class LinearSystem:
+    """A built system A x = y over the ROI pixels, real or complex.
+
+    Row i of A and y reads obs_index[i]: an absolute (row, col) image cell in
+    the image domain, a (u, v) spectrum index in the transform domain.
+    """
+
+    a_matrix: np.ndarray
+    rhs: np.ndarray
+    roi: RoiSpec
+    obs_index: np.ndarray
+    condition_estimate: float
+
+
+@dataclass(frozen=True)
+class Solution:
+    """Solver output: real recovered pixels plus bookkeeping.
+
+    pixels: row-major ROI values (clamped if requested).
+    residual: ||A x - y||_2 / (K*L) for the returned pixels.
+    imag_leakage: largest imaginary part dropped when projecting a complex
+        solution to real pixels, relative to the solution magnitude (0.0 for
+        a real system and for the least-squares solver, which stays real).
+    negative_count / min_pixel: nonnegativity report, taken before clamping.
+    """
+
+    pixels: np.ndarray
+    residual: float
+    condition: float
+    method: str
+    imag_leakage: float
+    negative_count: int
+    min_pixel: float
+
+
+def _truncated_lstsq(a: np.ndarray, rhs: np.ndarray, rtol: float) -> np.ndarray:
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > rtol * s[0] if s.size else np.zeros(0, dtype=bool)
+    if not keep.any():
+        raise SingularSystemError("every singular value fell below the truncation floor")
+    coeff = (u[:, keep].conj().T @ rhs) / s[keep]
+    return vt[keep].conj().T @ coeff
+
+
+def solve(
+    system: LinearSystem,
+    method: str,
+    methods: tuple[str, str, str],
+    clamp_negative: bool = False,
+) -> Solution:
+    """Solve a built system with one of a domain's method names.
+
+    methods names the domain's three solvers in this order: LU (square
+    systems only), least squares (gelsd; a complex A is stacked as [Re; Im]
+    so the solution stays real) and truncated SVD (singular values below
+    TRUNCATION_RTOL of the largest discarded).
+
+    Raises:
+        ParameterError: method is not in methods, or A or y holds NaN or Inf.
+        ShapeError: LU asked of a non-square system.
+        SingularSystemError: LU found the matrix singular, or every singular
+            value fell below the truncation floor.
+    """
+    if method not in methods:
+        raise ParameterError(f"unknown method {method!r}, expected one of {methods}")
+    a = system.a_matrix
+    rhs = system.rhs
+    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+        raise ParameterError("system matrix or right-hand side holds NaN or Inf")
+    kind = methods.index(method)
+    if kind == 0:
+        if a.shape[0] != a.shape[1]:
+            raise ShapeError(
+                f"{method} needs a square system, got {a.shape}; "
+                f"use {methods[1]} for extra observations"
+            )
+        try:
+            z = np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                f"direct solve failed: {exc}", condition=system.condition_estimate
+            ) from exc
+    elif kind == 1:
+        a_ls, y_ls = a, rhs
+        if np.iscomplexobj(a):
+            a_ls, y_ls = np.vstack([a.real, a.imag]), np.concatenate([rhs.real, rhs.imag])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            z, _, _, _ = scipy.linalg.lstsq(a_ls, y_ls, lapack_driver="gelsd")
+    else:
+        z = _truncated_lstsq(a, rhs, TRUNCATION_RTOL)
+    scale = float(np.abs(z).max()) if z.size else 0.0
+    leakage = float(np.abs(z.imag).max() / scale) if scale > 0 else 0.0
+    x = z.real.copy()
+    negative_count = int(np.count_nonzero(x < 0))
+    min_pixel = float(x.min()) if x.size else 0.0
+    if clamp_negative:
+        x = np.maximum(x, 0.0)
+    residual = float(np.linalg.norm(a @ x - rhs)) / system.roi.pixel_count
+    return Solution(
+        pixels=x,
+        residual=residual,
+        condition=system.condition_estimate,
+        method=method,
+        imag_leakage=leakage,
+        negative_count=negative_count,
+        min_pixel=min_pixel,
+    )

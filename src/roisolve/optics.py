@@ -102,6 +102,8 @@ class PsfKernel:
             raise ShapeError(f"kernel grid must be square, got {g.shape}")
         if g.shape[0] % 2 != 1:
             raise ParameterError(f"kernel crop size must be odd, got {g.shape[0]}")
+        if not np.isfinite(g).all():
+            raise ParameterError("kernel grid holds NaN or Inf")
 
     @property
     def crop_size(self) -> int:

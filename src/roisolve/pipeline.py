@@ -36,6 +36,7 @@ from .forward import (
 )
 from .frequency import SpectrumSelection
 from .grid import RoiSpec, centered_roi, scatter_roi
+from .linear import LinearSystem
 from .optics import OtfSpec, PsfKernel, build_otf, build_psf
 
 DEFAULT_SEED = 12345
@@ -43,7 +44,11 @@ DEFAULT_FIELD = (768, 768)
 DEFAULT_CUTOFF = 6.0
 DEFAULT_PSF_CROP = 501
 SIZES_DEFAULT = tuple(range(2, 21))
-DOMAINS = ("spatial", "frequency")
+# Each domain's coefficient generators, solve_system and METHODS. Callers look
+# solve_system up on the module at call time, so wrappers installed on the
+# module attribute see every call.
+DOMAIN_MODULES = {"spatial": spatial, "frequency": frequency}
+DOMAINS = tuple(DOMAIN_MODULES)
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +86,14 @@ def locate_roi(
     about one cell for a region that is genuinely isolated.
 
     Raises:
+        ParameterError: the image holds NaN or Inf.
         NoSignalError: the image has no positive values to localize.
     """
     arr = np.asarray(observed, dtype=float)
     if arr.ndim != 2:
         raise ShapeError(f"observed image must be 2D, got ndim={arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise ParameterError("observed image holds NaN or Inf; nothing can be located")
     rows, cols = arr.shape
     if k_rows > rows or l_cols > cols:
         raise BoundsError(f"{k_rows}x{l_cols} region cannot fit a {rows}x{cols} image")
@@ -247,12 +255,6 @@ def _check_run_args(domain: str, trials: int, extra_ring: int) -> None:
         raise ParameterError(f"extra_ring must be >= 0, got {extra_ring}")
 
 
-def _default_solver(domain: str, extra_ring: int) -> str:
-    if domain == "spatial":
-        return "least_squares" if extra_ring > 0 else "direct"
-    return "stacked_real_lsq" if extra_ring > 0 else "direct_complex"
-
-
 @dataclass(frozen=True)
 class _SizeSystem:
     """The system of one centred square ROI, shared by every trial of that size.
@@ -260,21 +262,23 @@ class _SizeSystem:
     Every trial of a size observes the same centred ROI, so the matrix and its
     condition estimate depend only on (field, cutoff, size, ring); a trial
     supplies just the right-hand side. spec is the passband the observations
-    go through; psf is the kernel (image domain only).
+    go through; psf is the kernel (image domain only); ring is the extra
+    observation ring width.
     """
 
     domain: str
-    system: spatial.SpatialSystem | frequency.FrequencySystem
+    system: LinearSystem
     spec: OtfSpec
     psf: PsfKernel | None
+    ring: int
 
     def noiseless_rhs(self, pixels: np.ndarray) -> np.ndarray:
         """Evaluate only the cells or spectrum entries the system reads."""
         roi = self.system.roi
         if self.domain == "spatial":
-            return observe_spatial_at(pixels, roi, self.spec, self.system.obs_cells)
-        block = self.system.selection.block_shape
-        return observe_spectrum_block(pixels, roi, self.spec, 0, 0, *block).ravel()
+            return observe_spatial_at(pixels, roi, self.spec, self.system.obs_index)
+        sel = roi.k_rows + self.ring
+        return observe_spectrum_block(pixels, roi, self.spec, 0, 0, sel, sel).ravel()
 
     def clean_observer(self) -> Callable[[np.ndarray], np.ndarray]:
         """Full-field blurred image of an ideal frame, the route noisy trials take."""
@@ -285,20 +289,14 @@ class _SizeSystem:
 
     def frame_rhs(self, frame: np.ndarray) -> np.ndarray:
         """The right-hand side read off a full-field observed image."""
-        if self.domain == "spatial":
-            cells = self.system.obs_cells
-            return frame[cells[:, 0], cells[:, 1]]
-        block = self.system.selection.block_shape
-        return SpectrumSelection.block(image_to_spectrum(frame), 0, 0, *block).entries
+        read = frame if self.domain == "spatial" else image_to_spectrum(frame)
+        idx = self.system.obs_index
+        return read[idx[:, 0], idx[:, 1]]
 
     def solve(self, rhs: np.ndarray, method: str):
         """(the system with this right-hand side, its solution)."""
-        if self.domain == "spatial":
-            system = dataclasses.replace(self.system, rhs=rhs)
-            return system, spatial.solve_system(system, method)
-        selection = dataclasses.replace(self.system.selection, entries=rhs)
-        system = dataclasses.replace(self.system, rhs=rhs, selection=selection)
-        return system, frequency.solve_system(system, method)
+        system = dataclasses.replace(self.system, rhs=rhs)
+        return system, DOMAIN_MODULES[self.domain].solve_system(system, method)
 
 
 def _size_layout(
@@ -338,13 +336,13 @@ def _build_size_system(
         system = spatial.build_system(
             psf, np.zeros(spec.shape), roi, extra_obs=extra, estimate_condition=estimate_condition
         )
-        return _SizeSystem(domain, system, spec, psf)
+        return _SizeSystem(domain, system, spec, psf, extra_ring)
     sel = roi.k_rows + extra_ring
     probe = SpectrumSelection.from_block(np.zeros((sel, sel)), 0, 0, spec.shape)
     system = frequency.build_system(
         spec.shape, roi, probe, otf_spec=spec, estimate_condition=estimate_condition
     )
-    return _SizeSystem(domain, system, spec, None)
+    return _SizeSystem(domain, system, spec, None, extra_ring)
 
 
 def _failed_trial(domain: str, size: int, trial: int, seed: int, exc: RoiSolveError) -> TrialResult:
@@ -481,8 +479,8 @@ def run_table_experiment(
     """
     _check_run_args(domain, trials_per_size, extra_ring)
     rows, cols = int(field_shape[0]), int(field_shape[1])
-    method = solver or _default_solver(domain, extra_ring)
-    valid = spatial.SPATIAL_METHODS if domain == "spatial" else frequency.FREQUENCY_METHODS
+    valid = DOMAIN_MODULES[domain].METHODS
+    method = solver or valid[extra_ring > 0]
     if method not in valid:
         raise ParameterError(
             f"unknown solver {method!r} for the {domain} domain, expected one of {valid}"
@@ -622,7 +620,11 @@ def scan_reconstruct(
 
     roi0 = RoiSpec(0, 0, k_rows, l_cols)
     if domain == "spatial":
-        a = spatial.system_matrix(psf, roi0, roi0.cells())
+        # build_system reads only the shape of this dark tile and its values,
+        # which each tile replaces
+        base = spatial.build_system(
+            psf, np.zeros((k_rows, l_cols)), roi0, estimate_condition=False
+        )
     else:
         if psf.spec is None or psf.spec.shape != arr.shape:
             have = "none" if psf.spec is None else f"{psf.spec.shape}"
@@ -633,9 +635,10 @@ def scan_reconstruct(
         eff_cut = effective_cutoff(psf.spec.cutoff_radius, k_rows, l_cols)
         spec_eff = OtfSpec(rows, cols, eff_cut, psf.spec.passband_gain)
         probe = SpectrumSelection.from_block(np.zeros((k_rows, l_cols)), 0, 0, (rows, cols))
-        a = frequency.build_system(
+        base = frequency.build_system(
             (rows, cols), roi0, probe, otf_spec=spec_eff, estimate_condition=False
-        ).a_matrix
+        )
+    a = base.a_matrix
 
     out = np.empty_like(arr)
     if solver is None:
@@ -648,30 +651,12 @@ def scan_reconstruct(
                 out[r0 : r0 + k_rows, c0 : c0 + l_cols] = z.real.reshape(k_rows, l_cols)
         return out
 
+    module = DOMAIN_MODULES[domain]
     for r0 in range(0, rows, k_rows):
         for c0 in range(0, cols, l_cols):
             x = arr[r0 : r0 + k_rows, c0 : c0 + l_cols].ravel()
-            y = a @ x
-            if domain == "spatial":
-                system = spatial.SpatialSystem(
-                    a_matrix=a,
-                    rhs=y,
-                    roi=roi0,
-                    obs_cells=roi0.cells(),
-                    condition_estimate=float("nan"),
-                )
-                z = spatial.solve_system(system, solver).pixels
-            else:
-                system = frequency.FrequencySystem(
-                    a_matrix=a,
-                    rhs=y,
-                    roi=roi0,
-                    field_rows=rows,
-                    field_cols=cols,
-                    selection=probe,
-                    condition_estimate=float("nan"),
-                )
-                z = frequency.solve_system(system, solver).pixels
+            system = dataclasses.replace(base, rhs=a @ x)
+            z = module.solve_system(system, solver).pixels
             out[r0 : r0 + k_rows, c0 : c0 + l_cols] = z.reshape(k_rows, l_cols)
     return out
 
@@ -796,7 +781,7 @@ def noise_sweep(
         if domain == "spatial":
             psf = build_psf(OtfSpec(rows, cols, cutoff_radius), psf_crop)
         roi, spec = _size_layout(domain, roi_size, rows, cols, cutoff_radius, psf, extra_ring)
-        method = _default_solver(domain, extra_ring)
+        method = DOMAIN_MODULES[domain].METHODS[extra_ring > 0]
         per_level = _run_size(
             domain, roi, spec, psf, extra_ring, False, method,
             trials_per_level, root_seed, [None] + levels,

@@ -8,26 +8,15 @@ offset (k - m, l - n). Solving that dense system undoes the blur.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.linalg
 
 from .errors import ParameterError, ShapeError, SingularSystemError
 from .grid import RoiSpec
+from .linear import LinearSystem, Solution, fill_rows, solve
 from .optics import PsfKernel
 
-# Above this condition estimate a plain solve is considered untrustworthy;
-# the CLI switches to the truncated solver when the caller did not pin one.
-CONDITION_LIMIT = 1e14
-
-# Relative singular-value floor of the truncated solver (1 / CONDITION_LIMIT).
-TRUNCATION_RTOL = 1e-14
-
-# Row-block size cap (in matrix entries) when filling large systems, keeps
-# the index scratch arrays small.
-_FILL_CHUNK_ENTRIES = 10_000_000
+# LU, least squares, truncated: the order linear.solve reads them in.
+METHODS = ("direct", "least_squares", "truncated")
 
 
 def solve_two_point_1d(
@@ -90,31 +79,15 @@ def system_matrix(psf: PsfKernel, roi: RoiSpec, obs_cells: np.ndarray) -> np.nda
     if obs_cells.ndim != 2 or obs_cells.shape[1] != 2:
         raise ShapeError(f"obs_cells must have shape (n, 2), got {obs_cells.shape}")
     unknowns = roi.cells()
-    n_rows = obs_cells.shape[0]
-    n_cols = unknowns.shape[0]
-    a = np.empty((n_rows, n_cols))
-    chunk = max(1, _FILL_CHUNK_ENTRIES // max(n_cols, 1))
-    for start in range(0, n_rows, chunk):
-        stop = min(start + chunk, n_rows)
-        du = unknowns[None, :, 0] - obs_cells[start:stop, None, 0]
-        dv = unknowns[None, :, 1] - obs_cells[start:stop, None, 1]
-        a[start:stop] = psf.values(du, dv)
-    return a
-
-
-@dataclass(frozen=True)
-class SpatialSystem:
-    """A built image-domain system A x = y ready for a solver."""
-
-    a_matrix: np.ndarray
-    rhs: np.ndarray
-    roi: RoiSpec
-    obs_cells: np.ndarray
-    condition_estimate: float
-
-    @property
-    def is_square(self) -> bool:
-        return self.a_matrix.shape[0] == self.a_matrix.shape[1]
+    return fill_rows(
+        obs_cells.shape[0],
+        unknowns.shape[0],
+        float,
+        lambda rows: psf.values(
+            unknowns[None, :, 0] - obs_cells[rows, None, 0],
+            unknowns[None, :, 1] - obs_cells[rows, None, 1],
+        ),
+    )
 
 
 def build_system(
@@ -123,7 +96,7 @@ def build_system(
     roi: RoiSpec,
     extra_obs: np.ndarray | None = None,
     estimate_condition: bool = True,
-) -> SpatialSystem:
+) -> LinearSystem:
     """Assemble the system for an isolated ROI of a blurred image.
 
     Args:
@@ -137,7 +110,8 @@ def build_system(
             very large systems and the estimate is reported as nan).
 
     Returns:
-        SpatialSystem with rows [ROI cells; extra_obs] in row-major order.
+        LinearSystem with rows [ROI cells; extra_obs] in row-major order; its
+        obs_index holds those cells.
     """
     observed = np.asarray(observed, dtype=float)
     if observed.ndim != 2:
@@ -158,83 +132,20 @@ def build_system(
     a = system_matrix(psf, roi, obs_cells)
     rhs = observed[obs_cells[:, 0], obs_cells[:, 1]].astype(float)
     cond = float(np.linalg.cond(a)) if estimate_condition else float("nan")
-    return SpatialSystem(
-        a_matrix=a, rhs=rhs, roi=roi, obs_cells=obs_cells, condition_estimate=cond
+    return LinearSystem(
+        a_matrix=a, rhs=rhs, roi=roi, obs_index=obs_cells, condition_estimate=cond
     )
 
 
-@dataclass(frozen=True)
-class SpatialSolution:
-    """Solver output: recovered pixels plus bookkeeping.
-
-    pixels: row-major ROI values (clamped if requested).
-    residual: ||A x - y||_2 / (K*L) for the returned pixels.
-    negative_count / min_pixel: nonnegativity report, taken before clamping.
-    """
-
-    pixels: np.ndarray
-    residual: float
-    condition: float
-    method: str
-    negative_count: int
-    min_pixel: float
-
-
-SPATIAL_METHODS = ("direct", "least_squares", "truncated")
-
-
-def _truncated_lstsq(a: np.ndarray, rhs: np.ndarray, rtol: float) -> np.ndarray:
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > rtol * s[0] if s.size else np.zeros(0, dtype=bool)
-    if not keep.any():
-        raise SingularSystemError("every singular value fell below the truncation floor")
-    coeff = (u[:, keep].conj().T @ rhs) / s[keep]
-    return vt[keep].conj().T @ coeff
-
-
 def solve_system(
-    system: SpatialSystem,
+    system: LinearSystem,
     method: str = "direct",
     clamp_negative: bool = False,
-) -> SpatialSolution:
+) -> Solution:
     """Solve a built system and report the recovered ROI.
 
     Methods: "direct" (LU, square systems only), "least_squares" (works for
     square and overdetermined), "truncated" (SVD with singular values below
-    TRUNCATION_RTOL of the largest discarded).
+    linear.TRUNCATION_RTOL of the largest discarded).
     """
-    if method not in SPATIAL_METHODS:
-        raise ParameterError(f"unknown method {method!r}, expected one of {SPATIAL_METHODS}")
-    a = system.a_matrix
-    rhs = system.rhs
-    if method == "direct":
-        if not system.is_square:
-            raise ShapeError(
-                f"direct solve needs a square system, got {a.shape}; "
-                "use least_squares for extra observation cells"
-            )
-        try:
-            x = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                f"direct solve failed: {exc}", condition=system.condition_estimate
-            ) from exc
-    elif method == "least_squares":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            x, _, _, _ = scipy.linalg.lstsq(a, rhs, lapack_driver="gelsd")
-    else:
-        x = _truncated_lstsq(a, rhs, TRUNCATION_RTOL)
-    negative_count = int(np.count_nonzero(x < 0))
-    min_pixel = float(x.min()) if x.size else 0.0
-    if clamp_negative:
-        x = np.maximum(x, 0.0)
-    residual = float(np.linalg.norm(a @ x - rhs)) / system.roi.pixel_count
-    return SpatialSolution(
-        pixels=x,
-        residual=residual,
-        condition=system.condition_estimate,
-        method=method,
-        negative_count=negative_count,
-        min_pixel=min_pixel,
-    )
+    return solve(system, method, METHODS, clamp_negative)

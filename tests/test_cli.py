@@ -338,6 +338,68 @@ def test_recover_dark_image_exits_5(tmp_path):
     assert rc == 5
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [b"10000000000 10000000000 real64\n", b"P5\n100000000000 100000000000\n65535\n"],
+)
+def test_recover_huge_header_exits_3(tmp_path, blob):
+    bad = tmp_path / "huge"
+    bad.write_bytes(blob)
+    rc = main(["recover", "--observed", str(bad), "--size", "2x2", "--out", str(tmp_path)])
+    assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "fill, cell, extra",
+    [
+        (np.nan, None, ["--roi", "10,10"]),
+        (np.nan, None, ["--roi", "10,10", "--ring", "2"]),
+        (0.0, np.inf, []),
+    ],
+)
+def test_recover_non_finite_frame_exits_3(tmp_path, fill, cell, extra):
+    frame = np.full((32, 32), fill)
+    if cell is not None:
+        frame[16, 16] = cell
+    path = tmp_path / "frame.raw"
+    write_raw_matrix(path, frame)
+    out = tmp_path / "rec"
+    rc = main(["recover", "--observed", str(path), "--size", "2x2", *extra, "--out", str(out)])
+    assert rc == 3
+    assert not (out / "recover_manifest.txt").exists()
+
+
+def test_recover_non_finite_kernel_file_exits_2(tmp_path, observed_file, small_psf):
+    path, roi, _ = observed_file
+    grid = small_psf.grid.copy()
+    grid[small_psf.half, small_psf.half] = np.nan
+    kernel_path = tmp_path / "kernel.raw"
+    write_raw_matrix(kernel_path, grid)
+    rc = main(
+        [
+            "recover", "--observed", str(path), "--size", "3x3",
+            "--roi", f"{roi.top},{roi.left}", "--psf", str(kernel_path),
+            "--out", str(tmp_path / "rec"),
+        ]
+    )
+    assert rc == 2
+
+
+def test_recover_config_domain_is_checked(tmp_path, observed_file):
+    # config values skip argparse's choices, so recover checks the domain itself
+    path, roi, _ = observed_file
+    config = tmp_path / "recover.cfg"
+    write_manifest(config, {"domain": "fourier", "solver": "lsq"})
+    rc = main(
+        [
+            "recover", "--observed", str(path), "--size", "3x3",
+            "--roi", f"{roi.top},{roi.left}", "--cutoff", "10",
+            "--config", str(config), "--out", str(tmp_path / "rec"),
+        ]
+    )
+    assert rc == 2
+
+
 # ---------------------------------------------------------------------------
 # scan
 

@@ -276,3 +276,31 @@ def test_spectrum_survives_raw_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(back, spectrum)
     assert conjugate_symmetry_error(back) == before
     assert math.isfinite(before) and before < 1e-12
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"10000000000 10000000000 real64\n", b"P5\n100000000000 100000000000\n65535\n"],
+)
+def test_header_promising_more_than_the_file_holds(tmp_path, header):
+    path = tmp_path / "huge"
+    path.write_bytes(header)
+    with pytest.raises(FileFormatError, match="payload"):
+        read_raster(path)
+
+
+def test_pgm_negative_dimensions_rejected(tmp_path):
+    path = tmp_path / "i.pgm"
+    path.write_bytes(b"P5\n-2 -3\n255\n" + b"\0" * 6)
+    with pytest.raises(FileFormatError, match="negative"):
+        read_pgm16(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_raster_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "n.raw"
+    image = np.ones((3, 3))
+    image[1, 2] = bad
+    write_raw_matrix(path, image)
+    with pytest.raises(FileFormatError, match="NaN or Inf"):
+        read_raster(path)

@@ -12,7 +12,6 @@ from roisolve.errors import (
 )
 from roisolve.forward import observe_spectrum
 from roisolve.frequency import (
-    FrequencySystem,
     SpectrumSelection,
     build_system,
     mirror_indices,
@@ -20,6 +19,7 @@ from roisolve.frequency import (
     solve_two_point_1d,
 )
 from roisolve.grid import RoiSpec, scatter_roi
+from roisolve.linear import LinearSystem
 from roisolve.optics import OtfSpec, build_otf
 
 
@@ -305,13 +305,11 @@ def test_truncated_and_singular(small_spec):
     probe = SpectrumSelection(
         indices=np.zeros((4, 2), dtype=int), entries=np.zeros(4, dtype=complex)
     )
-    system = FrequencySystem(
+    system = LinearSystem(
         a_matrix=np.zeros((4, 4), dtype=complex),
         rhs=np.zeros(4, dtype=complex),
         roi=roi,
-        field_rows=8,
-        field_cols=8,
-        selection=probe,
+        obs_index=probe.indices,
         condition_estimate=np.inf,
     )
     with pytest.raises(SingularSystemError):

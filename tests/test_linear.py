@@ -1,0 +1,70 @@
+"""The shared linear-system core: each domain's method vocabulary and the
+solver's input checks."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from roisolve import frequency, spatial
+from roisolve.errors import ParameterError
+from roisolve.forward import observe_spatial, observe_spectrum
+from roisolve.frequency import SpectrumSelection
+from roisolve.grid import RoiSpec, scatter_roi
+from roisolve.linear import Solution
+from roisolve.optics import build_otf
+from roisolve.pipeline import DOMAIN_MODULES as MODULES
+
+ROI = RoiSpec(22, 22, 2, 2)
+PIXELS = np.array([120.0, 30.0, 200.0, 80.0])
+
+
+def _built(domain, small_psf):
+    """A square 2x2 system of PIXELS, built by the domain's generator."""
+    ideal = scatter_roi(PIXELS, ROI, 48, 48)
+    if domain == "spatial":
+        return spatial.build_system(small_psf, observe_spatial(ideal, small_psf), ROI)
+    spec = small_psf.spec
+    spectrum = observe_spectrum(ideal, build_otf(spec))
+    selection = SpectrumSelection.block(spectrum, 0, 0, 2, 2)
+    return frequency.build_system(spec.shape, ROI, selection, otf_spec=spec)
+
+
+def test_method_vocabularies_in_solver_order():
+    # LU, least squares, truncated: the order the CLI's generic names index
+    assert spatial.METHODS == ("direct", "least_squares", "truncated")
+    assert frequency.METHODS == ("direct_complex", "stacked_real_lsq", "truncated")
+
+
+@pytest.mark.parametrize(
+    "domain, method", [(d, m) for d, module in MODULES.items() for m in module.METHODS]
+)
+def test_every_method_solves_and_echoes_its_name(domain, method, small_psf):
+    module = MODULES[domain]
+    sol = module.solve_system(_built(domain, small_psf), method)
+    assert isinstance(sol, Solution)
+    assert sol.method == method
+    assert np.abs(sol.pixels - PIXELS).max() <= 1e-6
+    if domain == "spatial" or method == module.METHODS[1]:
+        assert sol.imag_leakage == 0.0
+
+
+@pytest.mark.parametrize(
+    "domain, foreign", [("spatial", "direct_complex"), ("frequency", "least_squares")]
+)
+def test_domain_rejects_the_other_domains_methods(domain, foreign, small_psf):
+    with pytest.raises(ParameterError):
+        MODULES[domain].solve_system(_built(domain, small_psf), foreign)
+
+
+@pytest.mark.parametrize("domain", list(MODULES))
+@pytest.mark.parametrize("field", ["a_matrix", "rhs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_rejects_non_finite_systems(domain, field, bad, small_psf):
+    system = _built(domain, small_psf)
+    values = getattr(system, field).copy()
+    values.flat[1] = bad
+    system = dataclasses.replace(system, **{field: values})
+    for method in MODULES[domain].METHODS:
+        with pytest.raises(ParameterError, match="NaN or Inf"):
+            MODULES[domain].solve_system(system, method)

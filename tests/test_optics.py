@@ -110,6 +110,14 @@ def test_kernel_grid_shape_validation():
         PsfKernel(grid=np.ones((4, 4)), spec=None)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kernel_grid_must_be_finite(bad):
+    grid = np.ones((3, 3))
+    grid[1, 1] = bad
+    with pytest.raises(ParameterError, match="NaN or Inf"):
+        PsfKernel(grid=grid, spec=None)
+
+
 def test_psf_imaginary_residue_guard(small_spec, monkeypatch):
     # force an asymmetric "transfer function" through the builder
     import roisolve.optics as optics

@@ -539,3 +539,11 @@ def test_sweep_rejects_what_a_table_run_rejects(kwargs):
     args = {"roi_size": 3, "psnr_grid": (40.0,), "trials_per_level": 1, **kwargs}
     with pytest.raises(ParameterError):
         noise_sweep(**args, **SMALL)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_locate_rejects_non_finite(bad):
+    arr = np.ones((8, 8))
+    arr[3, 4] = bad
+    with pytest.raises(ParameterError, match="NaN or Inf"):
+        locate_roi(arr, 2, 2)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from roisolve.errors import ParameterError, ShapeError, SingularSystemError
 from roisolve.forward import observe_spatial
 from roisolve.grid import RoiSpec, scatter_roi
+from roisolve.linear import LinearSystem
 from roisolve.spatial import (
-    SpatialSystem,
     build_system,
     ring_cells,
     solve_system,
@@ -173,11 +173,11 @@ def test_unknown_method_rejected(small_psf):
 
 def test_singular_direct_and_truncated():
     roi = RoiSpec(0, 0, 2, 2)
-    system = SpatialSystem(
+    system = LinearSystem(
         a_matrix=np.zeros((4, 4)),
         rhs=np.zeros(4),
         roi=roi,
-        obs_cells=roi.cells(),
+        obs_index=roi.cells(),
         condition_estimate=np.inf,
     )
     with pytest.raises(SingularSystemError):
@@ -189,11 +189,11 @@ def test_singular_direct_and_truncated():
 def test_truncated_handles_rank_deficiency():
     roi = RoiSpec(0, 0, 1, 2)
     a = np.array([[1.0, 1.0], [2.0, 2.0]])  # rank one
-    system = SpatialSystem(
+    system = LinearSystem(
         a_matrix=a,
         rhs=np.array([2.0, 4.0]),
         roi=roi,
-        obs_cells=roi.cells(),
+        obs_index=roi.cells(),
         condition_estimate=np.inf,
     )
     sol = solve_system(system, "truncated")
@@ -216,11 +216,11 @@ def test_negative_report_and_clamp(small_psf, rng):
 def test_residual_normalization():
     roi = RoiSpec(0, 0, 2, 2)
     a = np.eye(4)
-    system = SpatialSystem(
+    system = LinearSystem(
         a_matrix=a,
         rhs=np.array([1.0, 0.0, 0.0, 0.0]),
         roi=roi,
-        obs_cells=roi.cells(),
+        obs_index=roi.cells(),
         condition_estimate=1.0,
     )
     sol = solve_system(system)
