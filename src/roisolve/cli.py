@@ -28,8 +28,7 @@ from .errors import (
     ShapeError,
     SingularSystemError,
 )
-from .forward import image_spectrum_block, observe_spatial
-from .frequency import SpectrumSelection
+from .forward import observe_spatial
 from .grid import RoiSpec
 from .linear import CONDITION_LIMIT
 from .optics import OtfSpec, PsfKernel, build_otf, build_psf, passband_mask
@@ -410,8 +409,12 @@ def cmd_recover(args: argparse.Namespace) -> int:
         roi = pipeline.locate_roi(observed, k_rows, l_cols)
         _info(f"located ROI at ({roi.top}, {roi.left})")
     domain = opts["domain"]
+    if domain not in pipeline.DOMAINS:
+        raise ParameterError(f"unknown domain {domain!r}, expected one of {pipeline.DOMAINS}")
     out = _ensure_outdir(opts["out"])
 
+    spec = OtfSpec(rows, cols, opts["cutoff"])
+    psf = None
     if domain == "spatial":
         if args.psf is not None:
             grid = fileio.read_raw_matrix(args.psf)
@@ -420,31 +423,23 @@ def cmd_recover(args: argparse.Namespace) -> int:
             psf = PsfKernel(grid=grid, spec=None)
         else:
             crop = _auto_crop(rows, cols, opts["psf_crop"])
-            psf = build_psf(OtfSpec(rows, cols, opts["cutoff"]), crop)
+            psf = build_psf(spec, crop)
             _info(f"built kernel from cutoff {opts['cutoff']:g} on the observed field")
-        extra = (
-            spatial.ring_cells(roi, rows, cols, opts["ring"]) if opts["ring"] > 0 else None
-        )
-        system = spatial.build_system(psf, observed, roi, extra_obs=extra)
-    elif domain == "frequency":
-        block = image_spectrum_block(observed, 0, 0, k_rows + opts["ring"], l_cols + opts["ring"])
-        selection = SpectrumSelection.from_block(block, 0, 0, observed.shape)
-        system = frequency.build_system(
-            (rows, cols), roi, selection, otf_spec=OtfSpec(rows, cols, opts["cutoff"])
-        )
-    else:
-        raise ParameterError(f"unknown domain {domain!r}")
+        spec = psf.spec
+    problem = pipeline.roi_problem(
+        domain, roi, (rows, cols), spec, psf, opts["ring"], estimate_condition=True
+    )
     module = pipeline.DOMAIN_MODULES[domain]
     method = resolve_solver(domain, opts["solver"])
     if method is None:
         method = module.METHODS[opts["ring"] > 0]
-        if system.condition_estimate > CONDITION_LIMIT:
+        if problem.system.condition_estimate > CONDITION_LIMIT:
             _info(
-                f"condition {system.condition_estimate:.3g} above "
+                f"condition {problem.system.condition_estimate:.3g} above "
                 f"{CONDITION_LIMIT:g}; switching to the truncated solver"
             )
             method = module.METHODS[2]
-    sol = module.solve_system(system, method, clamp_negative=args.clamp)
+    _, sol = problem.solve(problem.frame_rhs(observed), method, clamp_negative=args.clamp)
 
     recovered = sol.pixels.reshape(roi.shape)
     fileio.write_raw_matrix(os.path.join(out, "recovered.raw"), recovered)

@@ -62,7 +62,8 @@ class LinearSystem:
 class Solution:
     """Solver output: real recovered pixels plus bookkeeping.
 
-    pixels: row-major ROI values (clamped if requested).
+    pixels: row-major ROI values (clamped if requested), one column per
+        right-hand side for a block.
     residual: ||A x - y||_2 / (K*L) for the returned pixels.
     imag_leakage: largest imaginary part dropped when projecting a complex
         solution to real pixels, relative to the solution magnitude (0.0 for
@@ -84,7 +85,7 @@ def _truncated_lstsq(a: np.ndarray, rhs: np.ndarray, rtol: float) -> np.ndarray:
     keep = s > rtol * s[0] if s.size else np.zeros(0, dtype=bool)
     if not keep.any():
         raise SingularSystemError("every singular value fell below the truncation floor")
-    coeff = (u[:, keep].conj().T @ rhs) / s[keep]
+    coeff = (u[:, keep].conj().T @ rhs) / (s[keep] if rhs.ndim == 1 else s[keep, None])
     return vt[keep].conj().T @ coeff
 
 
@@ -95,6 +96,11 @@ def solve(
     clamp_negative: bool = False,
 ) -> Solution:
     """Solve a built system with one of a domain's method names.
+
+    The right-hand side is one vector (n,) or a block (n, t) of t vectors
+    sharing the matrix. For a block, pixels is (K*L, t), and residual,
+    imag_leakage, negative_count and min_pixel summarize the whole block
+    (residual takes the Frobenius norm).
 
     methods names the domain's three solvers in this order: LU (square
     systems only), least squares (gelsd; a complex A is stacked as [Re; Im]

@@ -13,7 +13,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.linalg
 
 from . import frequency, spatial
 from .errors import (
@@ -22,11 +21,10 @@ from .errors import (
     ParameterError,
     RoiSolveError,
     ShapeError,
-    SingularSystemError,
 )
 from .forward import (
     NoiseSpec,
-    image_to_spectrum,
+    image_spectrum_block,
     noise_field,
     observe_spatial,
     observe_spatial_at,
@@ -152,6 +150,24 @@ class TrialResult:
     error: str | None = None
 
 
+def _statistic(
+    trials: list[TrialResult], field_name: str, reduce: Callable[[np.ndarray], float]
+) -> float:
+    """reduce() over one field of the trials that did not fail; nan if all did."""
+    values = np.asarray([getattr(t, field_name) for t in trials if t.error is None], dtype=float)
+    return float(reduce(values)) if values.size else float("nan")
+
+
+def _failures(trials: list[TrialResult]) -> int:
+    return sum(1 for t in trials if t.error is not None)
+
+
+def _finite_mean(values: np.ndarray) -> float:
+    """Mean of the finite values: a skipped condition estimate is nan."""
+    finite = values[np.isfinite(values)]
+    return float(finite.mean()) if finite.size else float("nan")
+
+
 @dataclass
 class ExperimentReport:
     """One table run: every trial row plus enough metadata to rerun it."""
@@ -179,38 +195,27 @@ class ExperimentReport:
     def trials_for(self, size: int) -> list[TrialResult]:
         return [t for t in self.trials if t.roi_size == size]
 
-    def _ok_values(self, size: int, field_name: str) -> np.ndarray:
-        vals = [getattr(t, field_name) for t in self.trials_for(size) if t.error is None]
-        return np.asarray(vals, dtype=float)
-
     def mean_ae(self, size: int) -> float:
-        v = self._ok_values(size, "ae")
-        return float(v.mean()) if v.size else float("nan")
+        return _statistic(self.trials_for(size), "ae", np.mean)
 
     def std_ae(self, size: int) -> float:
-        v = self._ok_values(size, "ae")
-        return float(v.std()) if v.size else float("nan")
+        return _statistic(self.trials_for(size), "ae", np.std)
 
     def mean_ad(self, size: int) -> float:
-        v = self._ok_values(size, "ad")
-        return float(v.mean()) if v.size else float("nan")
+        return _statistic(self.trials_for(size), "ad", np.mean)
 
     def std_ad(self, size: int) -> float:
-        v = self._ok_values(size, "ad")
-        return float(v.std()) if v.size else float("nan")
+        return _statistic(self.trials_for(size), "ad", np.std)
 
     def max_ad(self, size: int) -> float:
-        v = self._ok_values(size, "ad")
-        return float(v.max()) if v.size else float("nan")
+        return _statistic(self.trials_for(size), "ad", np.max)
 
     def failures(self, size: int) -> int:
-        return sum(1 for t in self.trials_for(size) if t.error is not None)
+        return _failures(self.trials_for(size))
 
     def summary_rows(self) -> list[dict]:
         rows = []
         for size in self.sizes():
-            conds = self._ok_values(size, "condition")
-            finite = conds[np.isfinite(conds)]
             rows.append(
                 {
                     "roi_size": size,
@@ -221,7 +226,7 @@ class ExperimentReport:
                     "mean_ad": self.mean_ad(size),
                     "std_ad": self.std_ad(size),
                     "max_ad": self.max_ad(size),
-                    "mean_condition": float(finite.mean()) if finite.size else float("nan"),
+                    "mean_condition": _statistic(self.trials_for(size), "condition", _finite_mean),
                     "effective_cutoff": self.effective_cutoffs.get(size, self.base_cutoff),
                 }
             )
@@ -256,29 +261,33 @@ def _check_run_args(domain: str, trials: int, extra_ring: int) -> None:
 
 
 @dataclass(frozen=True)
-class _SizeSystem:
-    """The system of one centred square ROI, shared by every trial of that size.
+class RoiProblem:
+    """One ROI's system, built before any observation is read.
 
-    Every trial of a size observes the same centred ROI, so the matrix and its
-    condition estimate depend only on (field, cutoff, size, ring); a trial
-    supplies just the right-hand side. spec is the passband the observations
-    go through; psf is the kernel (image domain only); ring is the extra
-    observation ring width.
+    The matrix and its condition estimate depend only on (domain, field, ROI,
+    passband, kernel, ring); an observation supplies just the right-hand
+    side, so every table or sweep trial of a size, every scan tile and a
+    recover call share this one type. spec is the passband the observations
+    go through (None for a kernel loaded from a file); psf is the kernel
+    (image domain only); ring is the extra observation ring width.
     """
 
     domain: str
     system: LinearSystem
-    spec: OtfSpec
+    spec: OtfSpec | None
     psf: PsfKernel | None
     ring: int
+
+    def _block_shape(self) -> tuple[int, int]:
+        roi = self.system.roi
+        return roi.k_rows + self.ring, roi.l_cols + self.ring
 
     def noiseless_rhs(self, pixels: np.ndarray) -> np.ndarray:
         """Evaluate only the cells or spectrum entries the system reads."""
         roi = self.system.roi
         if self.domain == "spatial":
             return observe_spatial_at(pixels, roi, self.spec, self.system.obs_index)
-        sel = roi.k_rows + self.ring
-        return observe_spectrum_block(pixels, roi, self.spec, 0, 0, sel, sel).ravel()
+        return observe_spectrum_block(pixels, roi, self.spec, 0, 0, *self._block_shape()).ravel()
 
     def clean_observer(self) -> Callable[[np.ndarray], np.ndarray]:
         """Full-field blurred image of an ideal frame, the route noisy trials take."""
@@ -288,15 +297,24 @@ class _SizeSystem:
         return lambda ideal: spectrum_to_image(observe_spectrum(ideal, otf))
 
     def frame_rhs(self, frame: np.ndarray) -> np.ndarray:
-        """The right-hand side read off a full-field observed image."""
-        read = frame if self.domain == "spatial" else image_to_spectrum(frame)
-        idx = self.system.obs_index
-        return read[idx[:, 0], idx[:, 1]]
+        """The right-hand side read off a full-field observed image.
 
-    def solve(self, rhs: np.ndarray, method: str):
-        """(the system with this right-hand side, its solution)."""
+        The transform domain reads its spectrum block as a partial DFT of the
+        frame, never a full transform.
+        """
+        if self.domain == "spatial":
+            idx = self.system.obs_index
+            return frame[idx[:, 0], idx[:, 1]]
+        return image_spectrum_block(frame, 0, 0, *self._block_shape()).ravel()
+
+    def solve(self, rhs: np.ndarray, method: str, clamp_negative: bool = False):
+        """(the system with this right-hand side, its solution).
+
+        rhs is one vector or an (n, t) block of them; see linear.solve.
+        """
         system = dataclasses.replace(self.system, rhs=rhs)
-        return system, DOMAIN_MODULES[self.domain].solve_system(system, method)
+        module = DOMAIN_MODULES[self.domain]
+        return system, module.solve_system(system, method, clamp_negative=clamp_negative)
 
 
 def _size_layout(
@@ -320,29 +338,36 @@ def _size_layout(
     return roi, OtfSpec(rows, cols, effective_cutoff(cutoff_radius, sel, sel))
 
 
-def _build_size_system(
+def roi_problem(
     domain: str,
     roi: RoiSpec,
-    spec: OtfSpec,
+    field_shape: tuple[int, int],
+    spec: OtfSpec | None,
     psf: PsfKernel | None,
-    extra_ring: int,
+    ring: int,
     estimate_condition: bool,
-) -> _SizeSystem:
-    rows, cols = spec.shape
+) -> RoiProblem:
+    """Build the system of one ROI on a field_shape frame.
+
+    The image domain observes the ROI cells plus the cells within ring of
+    them, through psf. The transform domain reads the (K+ring) x (L+ring)
+    spectrum block at the origin, every entry of which must lie inside spec's
+    passband.
+    """
     if domain == "spatial":
-        extra = spatial.ring_cells(roi, rows, cols, extra_ring) if extra_ring > 0 else None
+        extra = spatial.ring_cells(roi, *field_shape, ring) if ring > 0 else None
         # build_system reads only the shape of this dark probe frame and its
-        # values at the observation cells, which each trial replaces
+        # values at the observation cells, which each observation replaces
         system = spatial.build_system(
-            psf, np.zeros(spec.shape), roi, extra_obs=extra, estimate_condition=estimate_condition
+            psf, np.zeros(field_shape), roi, extra_obs=extra, estimate_condition=estimate_condition
         )
-        return _SizeSystem(domain, system, spec, psf, extra_ring)
-    sel = roi.k_rows + extra_ring
-    probe = SpectrumSelection.from_block(np.zeros((sel, sel)), 0, 0, spec.shape)
-    system = frequency.build_system(
-        spec.shape, roi, probe, otf_spec=spec, estimate_condition=estimate_condition
-    )
-    return _SizeSystem(domain, system, spec, None, extra_ring)
+    else:
+        dark = np.zeros((roi.k_rows + ring, roi.l_cols + ring))
+        probe = SpectrumSelection.from_block(dark, 0, 0, field_shape)
+        system = frequency.build_system(
+            field_shape, roi, probe, otf_spec=spec, estimate_condition=estimate_condition
+        )
+    return RoiProblem(domain, system, spec, psf, ring)
 
 
 def _failed_trial(domain: str, size: int, trial: int, seed: int, exc: RoiSolveError) -> TrialResult:
@@ -359,7 +384,7 @@ def _failed_trial(domain: str, size: int, trial: int, seed: int, exc: RoiSolveEr
 
 
 def _solved_trial(
-    sized: _SizeSystem,
+    problem: RoiProblem,
     method: str,
     trial: int,
     seed: int,
@@ -367,11 +392,11 @@ def _solved_trial(
     rhs: np.ndarray,
 ) -> TrialResult:
     """Solve one trial; a RoiSolveError is recorded in the row instead of metrics."""
-    size = sized.system.roi.k_rows
+    size = problem.system.roi.k_rows
     try:
-        system, sol = sized.solve(rhs, method)
+        system, sol = problem.solve(rhs, method)
         return TrialResult(
-            domain=sized.domain,
+            domain=problem.domain,
             roi_size=size,
             trial=trial,
             seed=seed,
@@ -380,7 +405,7 @@ def _solved_trial(
             condition=sol.condition,
         )
     except RoiSolveError as exc:
-        return _failed_trial(sized.domain, size, trial, seed, exc)
+        return _failed_trial(problem.domain, size, trial, seed, exc)
 
 
 def _run_size(
@@ -406,24 +431,24 @@ def _run_size(
     size = roi.k_rows
     out: list[list[TrialResult]] = [[] for _ in levels]
     try:
-        sized = _build_size_system(domain, roi, spec, psf, extra_ring, estimate_condition)
+        problem = roi_problem(domain, roi, spec.shape, spec, psf, extra_ring, estimate_condition)
     except RoiSolveError as exc:
-        sized, failure = None, exc
+        problem, failure = None, exc
     noisy = [i for i, level in enumerate(levels) if level is not None]
-    observe = sized.clean_observer() if sized is not None and noisy else None
+    observe = problem.clean_observer() if problem is not None and noisy else None
     for trial in range(trials):
         seq = trial_seed_sequence(root_seed, size, trial)
         rng = np.random.default_rng(seq)
         seed_id = int(seq.generate_state(1)[0])
         pixels = _draw_pixels(rng, size, size).ravel()
-        if sized is None:
+        if problem is None:
             for rows_out in out:
                 rows_out.append(_failed_trial(domain, size, trial, seed_id, failure))
             continue
         for i, level in enumerate(levels):
             if level is None:
-                rhs = sized.noiseless_rhs(pixels)
-                out[i].append(_solved_trial(sized, method, trial, seed_id, pixels, rhs))
+                rhs = problem.noiseless_rhs(pixels)
+                out[i].append(_solved_trial(problem, method, trial, seed_id, pixels, rhs))
         if not noisy:
             continue
         noise_seed = noise_stream_seed(root_seed, size, trial)
@@ -435,8 +460,8 @@ def _run_size(
                 out[i].append(_failed_trial(domain, size, trial, seed_id, exc))
             continue
         for i in noisy:
-            rhs = sized.frame_rhs(clean + NoiseSpec(levels[i], noise_seed).sigma(peak) * unit)
-            out[i].append(_solved_trial(sized, method, trial, seed_id, pixels, rhs))
+            rhs = problem.frame_rhs(clean + NoiseSpec(levels[i], noise_seed).sigma(peak) * unit)
+            out[i].append(_solved_trial(problem, method, trial, seed_id, pixels, rhs))
         del clean, unit  # one trial's full-field arrays alive at a time
     return out
 
@@ -543,10 +568,10 @@ def ad_spot_check(
     if domain == "spatial":
         psf = build_psf(OtfSpec(rows, cols, cutoff_radius), psf_crop)
     roi, spec = _size_layout(domain, size, rows, cols, cutoff_radius, psf, 0)
-    sized = _build_size_system(domain, roi, spec, psf, 0, estimate_condition=False)
+    problem = roi_problem(domain, roi, spec.shape, spec, psf, 0, estimate_condition=False)
     rng = np.random.default_rng(trial_seed_sequence(root_seed, size, trial))
     pixels = _draw_pixels(rng, size, size).ravel()
-    return averaged_difference(sized.system.a_matrix, pixels, sized.noiseless_rhs(pixels))
+    return averaged_difference(problem.system.a_matrix, pixels, problem.noiseless_rhs(pixels))
 
 
 # ---------------------------------------------------------------------------
@@ -571,17 +596,6 @@ def make_test_sample(rows: int, cols: int, seed: int = 0) -> np.ndarray:
     return np.clip(img, 0.0, 255.9)
 
 
-def _lu_factor_checked(a: np.ndarray, what: str):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    if a.size and float(np.abs(np.diag(lu)).min()) == 0.0:
-        raise SingularSystemError(f"{what} tile system is exactly singular")
-    return lu, piv
-
-
 def scan_reconstruct(
     sample: np.ndarray,
     tile_shape: tuple[int, int],
@@ -595,14 +609,13 @@ def scan_reconstruct(
     isolated-ROI problem; the recoveries are stitched back at their original
     positions. Sample dimensions must be divisible by the tile dimensions.
 
-    In the image domain the per-tile observation depends only on offsets, so a
-    single factorization covers every tile. In the transform domain the tile
-    position enters the system only as a unit-modulus row scaling that cancels
-    between measurement and solve, so the origin-anchored system is reused the
-    same way; this path requires the kernel's field to match the sample shape.
-
-    Passing an explicit solver routes every tile through the full per-tile
-    solver instead of the shared factorization (slower, same systems).
+    In the image domain the per-tile observation depends only on offsets, so
+    the origin tile's system serves every tile. In the transform domain the
+    tile position enters the system only as a unit-modulus row scaling that
+    cancels between measurement and solve, so the origin-anchored system is
+    reused the same way; this path requires the kernel's field to match the
+    sample shape. Every tile is one right-hand-side column of a single solve
+    with solver, one of the domain's METHODS (None: METHODS[0], LU).
     """
     arr = np.asarray(sample, dtype=float)
     if arr.ndim != 2:
@@ -618,14 +631,8 @@ def scan_reconstruct(
     if domain not in DOMAINS:
         raise ParameterError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
 
-    roi0 = RoiSpec(0, 0, k_rows, l_cols)
-    if domain == "spatial":
-        # build_system reads only the shape of this dark tile and its values,
-        # which each tile replaces
-        base = spatial.build_system(
-            psf, np.zeros((k_rows, l_cols)), roi0, estimate_condition=False
-        )
-    else:
+    spec = psf.spec
+    if domain == "frequency":
         if psf.spec is None or psf.spec.shape != arr.shape:
             have = "none" if psf.spec is None else f"{psf.spec.shape}"
             raise ShapeError(
@@ -633,38 +640,26 @@ def scan_reconstruct(
                 f"{arr.shape}, got {have}"
             )
         eff_cut = effective_cutoff(psf.spec.cutoff_radius, k_rows, l_cols)
-        spec_eff = OtfSpec(rows, cols, eff_cut, psf.spec.passband_gain)
-        probe = SpectrumSelection.from_block(np.zeros((k_rows, l_cols)), 0, 0, (rows, cols))
-        base = frequency.build_system(
-            (rows, cols), roi0, probe, otf_spec=spec_eff, estimate_condition=False
-        )
-    a = base.a_matrix
-
-    out = np.empty_like(arr)
-    if solver is None:
-        lu_piv = _lu_factor_checked(a, domain)
-        for r0 in range(0, rows, k_rows):
-            for c0 in range(0, cols, l_cols):
-                x = arr[r0 : r0 + k_rows, c0 : c0 + l_cols].ravel()
-                y = a @ x
-                z = scipy.linalg.lu_solve(lu_piv, y)
-                out[r0 : r0 + k_rows, c0 : c0 + l_cols] = z.real.reshape(k_rows, l_cols)
-        return out
-
-    module = DOMAIN_MODULES[domain]
-    for r0 in range(0, rows, k_rows):
-        for c0 in range(0, cols, l_cols):
-            x = arr[r0 : r0 + k_rows, c0 : c0 + l_cols].ravel()
-            system = dataclasses.replace(base, rhs=a @ x)
-            z = module.solve_system(system, solver).pixels
-            out[r0 : r0 + k_rows, c0 : c0 + l_cols] = z.reshape(k_rows, l_cols)
-    return out
+        spec = OtfSpec(rows, cols, eff_cut, psf.spec.passband_gain)
+    problem = roi_problem(
+        domain, RoiSpec(0, 0, k_rows, l_cols), arr.shape, spec, psf, 0, estimate_condition=False
+    )
+    down, across = rows // k_rows, cols // l_cols
+    # column t holds tile (t // across, t % across), row-major within the tile
+    tiles = arr.reshape(down, k_rows, across, l_cols).transpose(1, 3, 0, 2)
+    method = solver or DOMAIN_MODULES[domain].METHODS[0]
+    _, sol = problem.solve(problem.system.a_matrix @ tiles.reshape(k_rows * l_cols, -1), method)
+    recovered = sol.pixels.reshape(k_rows, l_cols, down, across).transpose(2, 0, 3, 1)
+    return recovered.reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------
 # noise sweep
 
 DEFAULT_PSNR_GRID = (40.0, 80.0, 120.0, 160.0, 200.0, 240.0, 250.0, 280.0, 300.0, 320.0, 340.0)
+# From this level up sigma <= eps * peak: the noise lies below the float64
+# spacing at the peak, so such a point measures rounding, not noise.
+FLOAT_RESOLUTION_DB = 20.0 * math.log10(1.0 / np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -722,6 +717,15 @@ class NoiseSweepReport:
                     f"{domain}: acceptable from {crossing:g} dB up "
                     f"(peak/sigma amplitude ratio {ratio:.6g})"
                 )
+        unresolved = sorted(
+            {p.psnr_db for p in self.points if FLOAT_RESOLUTION_DB <= p.psnr_db < math.inf}
+        )
+        if unresolved:
+            lines.append(
+                f"float64 note: at {', '.join(f'{db:g}' for db in unresolved)} dB sigma is at "
+                f"or below eps * peak (from {FLOAT_RESOLUTION_DB:.2f} dB up), so those points "
+                "measure rounding, not noise"
+            )
         lines.append(
             "unit note: a raw amplitude ratio of 250 equals 47.96 dB; "
             "reading 250 as decibels instead means a ratio of 10^12.5"
@@ -755,6 +759,8 @@ def noise_sweep(
     levels = sorted(set(float(p) for p in psnr_grid))
     if any(not math.isfinite(p) for p in levels):
         raise ParameterError("psnr_grid must contain finite dB values")
+    if not domains or len(set(domains)) != len(domains):
+        raise ParameterError(f"domains must name at least one domain, each once; got {domains}")
     for domain in domains:
         _check_run_args(domain, trials_per_level, extra_ring)
     rows, cols = int(field_shape[0]), int(field_shape[1])
@@ -787,27 +793,14 @@ def noise_sweep(
             trials_per_level, root_seed, [None] + levels,
         )
         for psnr, trials in zip([math.inf] + levels, per_level):
-            table = ExperimentReport(
-                domain=domain,
-                field_rows=rows,
-                field_cols=cols,
-                base_cutoff=cutoff_radius,
-                psf_crop=psf_crop,
-                trials_per_size=trials_per_level,
-                root_seed=root_seed,
-                solver=method,
-                extra_ring=extra_ring,
-                noise_psnr_db=None if math.isinf(psnr) else psnr,
-                trials=trials,
-            )
             report.points.append(
                 SweepPoint(
                     domain=domain,
                     psnr_db=psnr,
                     amplitude_ratio=10.0 ** (psnr / 20.0) if math.isfinite(psnr) else math.inf,
-                    mean_ae=table.mean_ae(roi_size),
-                    std_ae=table.std_ae(roi_size),
-                    failed=table.failures(roi_size),
+                    mean_ae=_statistic(trials, "ae", np.mean),
+                    std_ae=_statistic(trials, "ae", np.std),
+                    failed=_failures(trials),
                 )
             )
     return report

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from roisolve import cli, frequency, spatial
+from roisolve import cli, frequency, pipeline, spatial
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -63,3 +63,20 @@ def test_traced_table_run_counts_its_solves(spans, tmp_path):
     assert tracer.counts["spatial.solve_system.calls.direct"] >= 1
     assert tracer.counts["spatial.build_system.matrix_entries"] == 16
     assert spatial.solve_system is original
+
+
+@pytest.mark.parametrize("domain", pipeline.DOMAINS)
+def test_traced_scan_counts_one_solve(spans, tmp_path, domain):
+    # every tile is one column of a single solve, made through the module
+    # attribute the tracer wraps
+    tracer = spans.Tracer()
+    with tracer.installed():
+        rc = cli.main(
+            [
+                "scan", "--sample", "24x24", "--tile", "3x3", "--domain", domain,
+                "--out", str(tmp_path),
+            ]
+        )
+    assert rc == 0
+    method = pipeline.DOMAIN_MODULES[domain].METHODS[0]
+    assert tracer.counts[f"{domain}.solve_system.calls.{method}"] == 1

@@ -310,6 +310,28 @@ def test_recover_frequency_domain(tmp_path, observed_file):
     assert "imag_leakage" in manifest
 
 
+@pytest.mark.parametrize(
+    "domain, ring, kernel_file",
+    [("spatial", 1, False), ("frequency", 1, False), ("spatial", 2, True)],
+)
+def test_recover_non_square_ringed(tmp_path, small_psf, domain, ring, kernel_file):
+    pixels = np.array([[120.0, 30.0, 200.0], [80.0, 250.0, 10.0]])
+    roi = RoiSpec(20, 22, 2, 3)
+    path = tmp_path / "observed.raw"
+    write_raw_matrix(path, observe_spatial(scatter_roi(pixels.ravel(), roi, 48, 48), small_psf))
+    argv = [
+        "recover", "--observed", str(path), "--size", "2x3", "--roi", "20,22",
+        "--domain", domain, "--ring", str(ring), "--cutoff", "10",
+        "--out", str(tmp_path / "rec"),
+    ]
+    if kernel_file:
+        write_raw_matrix(tmp_path / "kernel.raw", small_psf.grid)
+        argv += ["--psf", str(tmp_path / "kernel.raw")]
+    assert main(argv) == 0
+    recovered = read_raw_matrix(tmp_path / "rec" / "recovered.raw")
+    assert np.abs(recovered - pixels).max() <= 1e-9
+
+
 def test_recover_missing_file_exits_3(tmp_path):
     rc = main(
         [
@@ -474,6 +496,19 @@ def test_noise_command_outputs(tmp_path, capsys):
     assert "crossing_db_spatial" in manifest
     assert "crossing_db_frequency" in manifest
     assert "47.96" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("domains", ["", "spatial,spatial"])
+def test_noise_empty_or_repeated_domains_exit_2(tmp_path, domains):
+    out = tmp_path / "noise"
+    rc = main(
+        [
+            "noise", "--roi-size", "2", "--psnr", "80", "--trials", "1",
+            "--domains", domains, *SMALL_ARGS, "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert not (out / "noise_sweep.csv").exists()
 
 
 def test_noise_command_single_domain(tmp_path):

@@ -68,3 +68,21 @@ def test_solve_rejects_non_finite_systems(domain, field, bad, small_psf):
     for method in MODULES[domain].METHODS:
         with pytest.raises(ParameterError, match="NaN or Inf"):
             MODULES[domain].solve_system(system, method)
+
+
+@pytest.mark.parametrize(
+    "domain, method", [(d, m) for d, module in MODULES.items() for m in module.METHODS]
+)
+def test_block_rhs_solves_each_column_as_alone(domain, method, small_psf):
+    system = _built(domain, small_psf)
+    truth = np.column_stack([PIXELS, PIXELS[::-1], 0.5 * PIXELS + 3.0])
+    block = system.a_matrix @ truth
+    solve = MODULES[domain].solve_system
+    sol = solve(dataclasses.replace(system, rhs=block), method)
+    assert sol.pixels.shape == truth.shape
+    for j in range(truth.shape[1]):
+        alone = solve(dataclasses.replace(system, rhs=block[:, j]), method)
+        assert np.abs(sol.pixels[:, j] - alone.pixels).max() <= 1e-9
+    block[1, 2] = np.nan
+    with pytest.raises(ParameterError, match="NaN or Inf"):
+        solve(dataclasses.replace(system, rhs=block), method)

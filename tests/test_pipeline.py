@@ -15,6 +15,7 @@ from roisolve.forward import observe_spatial
 from roisolve.grid import RoiSpec, centered_roi, scatter_roi
 from roisolve.optics import OtfSpec, PsfKernel, build_psf
 from roisolve.pipeline import (
+    DOMAIN_MODULES,
     DOMAINS,
     ExperimentReport,
     TrialResult,
@@ -319,18 +320,15 @@ def test_scan_zero_sample_stays_zero(small_psf):
     assert np.all(rec == 0.0)
 
 
-def test_scan_explicit_solver_matches_shared_factorization(small_psf):
-    sample = make_test_sample(24, 24, seed=5)
-    fast = scan_reconstruct(sample, (4, 4), small_psf, domain="spatial")
-    slow = scan_reconstruct(sample, (4, 4), small_psf, domain="spatial", solver="direct")
-    np.testing.assert_allclose(slow, fast, atol=1e-9)
+@pytest.mark.parametrize(
+    "domain, solver", [(d, m) for d, module in DOMAIN_MODULES.items() for m in module.METHODS]
+)
+def test_scan_explicit_solver_matches_shared_factorization(small_psf, domain, solver):
     # the transform path needs the kernel field to match the sample
-    sample48 = make_test_sample(48, 48, seed=5)
-    fast_f = scan_reconstruct(sample48, (4, 4), small_psf, domain="frequency")
-    slow_f = scan_reconstruct(
-        sample48, (4, 4), small_psf, domain="frequency", solver="direct_complex"
-    )
-    np.testing.assert_allclose(slow_f, fast_f, atol=1e-9)
+    sample = make_test_sample(*((24, 24) if domain == "spatial" else (48, 48)), seed=5)
+    default = scan_reconstruct(sample, (4, 4), small_psf, domain=domain)
+    explicit = scan_reconstruct(sample, (4, 4), small_psf, domain=domain, solver=solver)
+    np.testing.assert_allclose(explicit, default, atol=1e-9)
 
 
 def test_scan_edit_one_tile_changes_only_that_tile(small_psf):
@@ -418,6 +416,15 @@ def test_sweep_interpretation_mentions_both_unit_readings(small_sweep):
     assert "dB" in text
 
 
+def test_sweep_names_levels_below_float_resolution():
+    sweep = noise_sweep(
+        roi_size=2, psnr_grid=(40.0, 320.0), trials_per_level=1, domains=("spatial",), **SMALL
+    )
+    (note,) = [line for line in sweep.interpretation_lines() if line.startswith("float64")]
+    assert "320" in note
+    assert "40" not in note
+
+
 def test_sweep_noiseless_point_matches_table_run(small_sweep):
     table = run_table_experiment(
         "spatial",
@@ -466,7 +473,7 @@ def _count_full_ffts(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("domain, per_level", [("spatial", 0), ("frequency", 1)])
+@pytest.mark.parametrize("domain, per_level", [("spatial", 0), ("frequency", 0)])
 def test_sweep_full_field_ffts_per_level(monkeypatch, domain, per_level):
     calls = _count_full_ffts(monkeypatch)
     counts = []
