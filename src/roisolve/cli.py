@@ -31,7 +31,7 @@ from .errors import (
 from .forward import observe_spatial
 from .grid import RoiSpec
 from .linear import CONDITION_LIMIT
-from .optics import OtfSpec, PsfKernel, build_otf, build_psf, passband_mask
+from .optics import OtfSpec, PsfKernel, build_otf, build_psf
 from .pipeline import (
     DEFAULT_CUTOFF,
     DEFAULT_FIELD,
@@ -182,7 +182,7 @@ def cmd_psf(args: argparse.Namespace) -> int:
     spec = OtfSpec(rows, cols, opts["cutoff"], opts["gain"])
     psf = build_psf(spec, crop)
     otf = build_otf(spec)
-    count = int(passband_mask(spec).sum())
+    count = int(np.count_nonzero(otf))
     out = _ensure_outdir(opts["out"])
     fileio.write_raw_matrix(os.path.join(out, "psf.raw"), psf.grid)
     fileio.write_pgm16(os.path.join(out, "psf.pgm"), psf.grid)
@@ -411,6 +411,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
     domain = opts["domain"]
     if domain not in pipeline.DOMAINS:
         raise ParameterError(f"unknown domain {domain!r}, expected one of {pipeline.DOMAINS}")
+    if domain == "frequency" and args.psf is not None:
+        raise ParameterError("--psf sets the image-domain kernel; the frequency domain does not read it")
     out = _ensure_outdir(opts["out"])
 
     spec = OtfSpec(rows, cols, opts["cutoff"])
@@ -530,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--observed", required=True, help="blurred image (raw or PGM)")
     p_rec.add_argument("--size", type=parse_dims, required=True, help="ROI dims KxL")
     p_rec.add_argument("--roi", type=parse_dims, help="ROI anchor top,left (default: locate)")
-    p_rec.add_argument("--psf", help="kernel raw file (default: build from --cutoff)")
+    p_rec.add_argument("--psf", help="image-domain kernel raw file (default: build from --cutoff)")
     p_rec.add_argument("--domain", choices=pipeline.DOMAINS, help="default spatial")
     p_rec.add_argument("--solver", help="override the solver")
     p_rec.add_argument("--ring", type=int, help="extra observation ring width (default 0)")

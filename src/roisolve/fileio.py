@@ -36,6 +36,19 @@ def format_float(value) -> str:
     return format(v, ".17g")
 
 
+def _check_dims(rows: int, cols: int, itemsize: int, what: str, offset: int) -> None:
+    """Refuse header dimensions no array can take.
+
+    A dimension must be non-negative, and even for an empty raster (one
+    dimension 0, so no payload) numpy refuses a dimension whose byte extent
+    overflows the address space.
+    """
+    if rows < 0 or cols < 0:
+        raise FileFormatError(f"{what} dimensions negative: {rows}x{cols}", offset=offset)
+    if max(rows, cols) * itemsize > np.iinfo(np.intp).max:
+        raise FileFormatError(f"{what} dimensions {rows}x{cols} exceed any array", offset=offset)
+
+
 def _read_payload(fh: io.BufferedReader, expected: int, what: str) -> bytes:
     """The payload after a header: exactly `expected` bytes up to end of file.
 
@@ -90,15 +103,14 @@ def read_raw_matrix(path: str) -> np.ndarray:
         except ValueError as exc:
             raise FileFormatError(f"raw header dimensions not integers: {exc}", offset=0)
         kind = parts[2]
-        if rows < 0 or cols < 0:
-            raise FileFormatError(f"raw header dimensions negative: {rows}x{cols}", offset=0)
         if kind == RAW_KIND_REAL:
-            dtype, itemsize = np.dtype("<f8"), 8
+            dtype = np.dtype("<f8")
         elif kind == RAW_KIND_COMPLEX:
-            dtype, itemsize = np.dtype("<c16"), 16
+            dtype = np.dtype("<c16")
         else:
             raise FileFormatError(f"unknown raw kind {kind!r}", offset=0)
-        payload = _read_payload(fh, rows * cols * itemsize, "raw")
+        _check_dims(rows, cols, dtype.itemsize, "raw header", 0)
+        payload = _read_payload(fh, rows * cols * dtype.itemsize, "raw")
     data = np.frombuffer(payload, dtype=dtype).reshape(rows, cols)
     return data.astype(np.complex128) if kind == RAW_KIND_COMPLEX else data.astype(np.float64)
 
@@ -157,11 +169,10 @@ def read_pgm16(path: str) -> np.ndarray:
             maxval = int(_read_pgm_token(fh))
         except ValueError as exc:
             raise FileFormatError(f"PGM header token not an integer: {exc}", offset=fh.tell())
-        if rows < 0 or cols < 0:
-            raise FileFormatError(f"PGM dimensions negative: {cols}x{rows}", offset=fh.tell())
         if not (0 < maxval < 65536):
             raise FileFormatError(f"PGM maxval {maxval} out of range", offset=fh.tell())
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+        _check_dims(rows, cols, dtype.itemsize, "PGM", fh.tell())
         payload = _read_payload(fh, rows * cols * dtype.itemsize, "PGM")
     return np.frombuffer(payload, dtype=dtype).reshape(rows, cols).astype(np.float64)
 

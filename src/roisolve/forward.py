@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, ShapeError
 from .grid import RoiSpec, scatter_roi, vectorize_roi
-from .optics import OtfSpec, PsfKernel, build_otf, in_passband
+from .optics import OtfSpec, PsfKernel, build_otf, in_passband, passband_box
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,7 @@ def observe_spatial_at(
         cells.min() < 0 or cells[:, 0].max() >= rows or cells[:, 1].max() >= cols
     ):
         raise ShapeError(f"cells fall outside the {rows}x{cols} field")
-    r = int(math.floor(spec.cutoff_radius))
-    freqs = np.arange(-r, r + 1)
-    gain = np.where(in_passband(spec, freqs[:, None], freqs[None, :]), spec.passband_gain, 0.0)
+    freqs, gain = passband_box(spec)
     spectrum = gain * _partial_transform(x, roi.top, roi.left, freqs, freqs, spec.shape)
     fr = _twiddles(cells[:, 0], freqs, rows, 1)
     fc = _twiddles(cells[:, 1], freqs, cols, 1)

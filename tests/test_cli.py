@@ -407,6 +407,24 @@ def test_recover_non_finite_kernel_file_exits_2(tmp_path, observed_file, small_p
     assert rc == 2
 
 
+def test_recover_frequency_refuses_kernel_file(tmp_path, observed_file, capsys):
+    # the transform domain reads the passband from --cutoff, never a kernel
+    path, roi, _ = observed_file
+    kernel_path = tmp_path / "kernel.raw"
+    write_raw_matrix(kernel_path, np.full((5, 5), 7.0))
+    out = tmp_path / "rec"
+    rc = main(
+        [
+            "recover", "--observed", str(path), "--size", "3x3",
+            "--roi", f"{roi.top},{roi.left}", "--domain", "frequency",
+            "--psf", str(kernel_path), "--cutoff", "10", "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert "--psf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_recover_config_domain_is_checked(tmp_path, observed_file):
     # config values skip argparse's choices, so recover checks the domain itself
     path, roi, _ = observed_file

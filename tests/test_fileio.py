@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roisolve.errors import FileFormatError, ParameterError, ShapeError
 from roisolve.fileio import (
@@ -304,3 +306,51 @@ def test_read_raster_rejects_non_finite(tmp_path, bad):
     write_raw_matrix(path, image)
     with pytest.raises(FileFormatError, match="NaN or Inf"):
         read_raster(path)
+
+
+# ---------------------------------------------------------------------------
+# arbitrary bytes
+
+_DIM = st.one_of(
+    st.sampled_from([0, 1, 2, -1, 2**31, 2**60, 2**63, 10**30]),
+    st.integers(-3, 12),
+    st.integers(-(10**30), 10**30),
+    st.sampled_from(["-0", "+4", "1_0", "0x10", "1e3", "nan", "", "١", "9" * 5000]),
+)
+
+
+@st.composite
+def _raster_bytes(draw):
+    """Raw and PGM files with plausible or hostile headers, or plain noise."""
+    shape = draw(st.sampled_from(["noise", "raw", "pgm"]))
+    if shape == "noise":
+        return draw(st.binary(max_size=64))
+    rows, cols = draw(_DIM), draw(_DIM)
+    if shape == "raw":
+        kind = draw(st.sampled_from([RAW_KIND_REAL, RAW_KIND_COMPLEX, "int8", ""]))
+        header = f"{rows} {cols} {kind}\n"
+        itemsize = 16 if kind == RAW_KIND_COMPLEX else 8
+    else:
+        maxval = draw(st.sampled_from(["255", "65535", "0", "65536", "-1", "x"]))
+        gap = draw(st.sampled_from([" ", "\n", "\t# note\n", ""]))
+        header = f"P5\n{cols}{gap} {rows}\n{maxval}\n"
+        itemsize = 2 if maxval == "65535" else 1
+    exact = rows * cols * itemsize if isinstance(rows, int) and isinstance(cols, int) else -1
+    if 0 <= exact <= 64 and draw(st.booleans()):
+        payload = draw(st.binary(min_size=exact, max_size=exact))
+    else:
+        payload = draw(st.binary(max_size=48))
+    return header.encode("utf-8") + payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=_raster_bytes())
+def test_read_raster_refuses_any_bytes_with_file_format_error(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("blob") / "frame"
+    path.write_bytes(blob)
+    try:
+        image = read_raster(str(path))
+    except FileFormatError:
+        return
+    assert image.ndim == 2 and image.dtype == np.float64
+    assert np.isfinite(image).all()

@@ -9,6 +9,7 @@ from roisolve.optics import (
     build_psf,
     effective_psf_positive,
     in_passband,
+    passband_box,
     passband_mask,
     wrap_distance_grid,
 )
@@ -105,6 +106,55 @@ def test_build_psf_crop_validation():
         build_psf(spec, 17)  # larger than an even field allows
 
 
+# (rows, cols, cutoff, crop): the paper's setup, the scan kernel, an odd
+# non-square field, and crops that span all (9x9) or all but one (16x12) of
+# the field's columns; crops above 32 span several batches of build_psf
+GRID_CASES = [
+    (768, 768, 6.0, 501),
+    (300, 300, 6.0, 299),
+    (97, 64, 5.0, 63),
+    (9, 9, 3.0, 9),
+    (16, 12, 4.0, 11),
+]
+
+
+@pytest.mark.parametrize("gain", [1.0, 0.5, -2.5])
+@pytest.mark.parametrize("rows, cols, cutoff, crop", GRID_CASES)
+def test_grids_equal_the_full_field_construction(rows, cols, cutoff, crop, gain):
+    spec = OtfSpec(rows, cols, cutoff, passband_gain=gain)
+    full_otf = np.where(passband_mask(spec), gain, 0.0)
+    otf = build_otf(spec)
+    assert otf.dtype == np.complex128
+    assert otf.tobytes() == full_otf.astype(np.complex128).tobytes()
+    centered = np.fft.fftshift(np.fft.ifft2(full_otf.astype(np.complex128)).real)
+    h = crop // 2
+    expected = centered[rows // 2 - h : rows // 2 + h + 1, cols // 2 - h : cols // 2 + h + 1]
+    psf = build_psf(spec, crop)
+    assert np.array_equal(psf.grid, expected)
+    assert psf.grid.flags.c_contiguous
+
+
+def test_passband_box_holds_the_disk():
+    spec = OtfSpec(16, 14, 5.0, passband_gain=-2.5)
+    freqs, gain = passband_box(spec)
+    np.testing.assert_array_equal(freqs, np.arange(-5, 6))
+    assert gain.shape == (11, 11)
+    mask = passband_mask(spec)
+    np.testing.assert_array_equal(gain != 0, mask[np.ix_(freqs % 16, freqs % 14)])
+    assert set(np.unique(gain)) == {0.0, -2.5}
+    assert np.count_nonzero(gain) == np.count_nonzero(mask)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, crop, error",
+    [(16, 16, 4, ParameterError), (16, 16, 0, ParameterError), (16, 16, 17, BoundsError),
+     (9, 9, 11, BoundsError), (16, 12, 13, BoundsError)],
+)
+def test_build_psf_crop_errors(rows, cols, crop, error):
+    with pytest.raises(error):
+        build_psf(OtfSpec(rows, cols, 4.0 if rows > 9 else 3.0), crop)
+
+
 def test_kernel_grid_shape_validation():
     with pytest.raises(ParameterError):
         PsfKernel(grid=np.ones((4, 4)), spec=None)
@@ -122,12 +172,16 @@ def test_psf_imaginary_residue_guard(small_spec, monkeypatch):
     # force an asymmetric "transfer function" through the builder
     import roisolve.optics as optics
 
-    def broken_otf(spec):
-        otf = build_otf(spec).copy()
-        otf[1, 2] += 0.5  # no conjugate partner: inverse goes complex
-        return otf
+    original = optics.passband_box
 
-    monkeypatch.setattr(optics, "build_otf", broken_otf)
+    def broken_box(spec):
+        freqs, gain = original(spec)
+        gain = gain.copy()
+        r = freqs.size // 2
+        gain[r + 1, r + 2] += 0.5  # no conjugate partner: inverse goes complex
+        return freqs, gain
+
+    monkeypatch.setattr(optics, "passband_box", broken_box)
     with pytest.raises(InconsistentInputError):
         optics.build_psf(small_spec, 47)
 
