@@ -81,13 +81,6 @@ def parse_complex(text: str) -> complex:
     return complex(text.strip().replace("i", "j").replace(" ", ""))
 
 
-def parse_roi4(text: str) -> RoiSpec:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"expected top,left,rows,cols, got {text!r}")
-    return RoiSpec(*parts)
-
-
 _PARSERS = {
     "int": int,
     "float": float,
@@ -413,36 +406,33 @@ def cmd_recover(args: argparse.Namespace) -> int:
         raise ParameterError(f"unknown domain {domain!r}, expected one of {pipeline.DOMAINS}")
     if domain == "frequency" and args.psf is not None:
         raise ParameterError("--psf sets the image-domain kernel; the frequency domain does not read it")
-    out = _ensure_outdir(opts["out"])
 
-    spec = OtfSpec(rows, cols, opts["cutoff"])
-    psf = None
+    blur = OtfSpec(rows, cols, opts["cutoff"])
     if domain == "spatial":
         if args.psf is not None:
             grid = fileio.read_raw_matrix(args.psf)
             if np.iscomplexobj(grid):
                 raise FileFormatError(f"{args.psf} holds complex data, expected a kernel")
-            psf = PsfKernel(grid=grid, spec=None)
+            blur = PsfKernel(grid=grid, spec=None)
         else:
             crop = _auto_crop(rows, cols, opts["psf_crop"])
-            psf = build_psf(spec, crop)
+            blur = build_psf(blur, crop)
             _info(f"built kernel from cutoff {opts['cutoff']:g} on the observed field")
-        spec = psf.spec
     problem = pipeline.roi_problem(
-        domain, roi, (rows, cols), spec, psf, opts["ring"], estimate_condition=True
+        domain, roi, (rows, cols), blur, opts["ring"], estimate_condition=True
     )
-    module = pipeline.DOMAIN_MODULES[domain]
     method = resolve_solver(domain, opts["solver"])
     if method is None:
-        method = module.METHODS[opts["ring"] > 0]
+        method = problem.module.METHODS[opts["ring"] > 0]
         if problem.system.condition_estimate > CONDITION_LIMIT:
             _info(
                 f"condition {problem.system.condition_estimate:.3g} above "
                 f"{CONDITION_LIMIT:g}; switching to the truncated solver"
             )
-            method = module.METHODS[2]
-    _, sol = problem.solve(problem.frame_rhs(observed), method, clamp_negative=args.clamp)
+            method = problem.module.METHODS[2]
+    sol = problem.solve(problem.frame_rhs(observed), method, clamp_negative=args.clamp)
 
+    out = _ensure_outdir(opts["out"])
     recovered = sol.pixels.reshape(roi.shape)
     fileio.write_raw_matrix(os.path.join(out, "recovered.raw"), recovered)
     fileio.write_pgm16(os.path.join(out, "recovered.pgm"), recovered)

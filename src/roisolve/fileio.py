@@ -172,7 +172,8 @@ def read_pgm16(path: str) -> np.ndarray:
         if not (0 < maxval < 65536):
             raise FileFormatError(f"PGM maxval {maxval} out of range", offset=fh.tell())
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        _check_dims(rows, cols, dtype.itemsize, "PGM", fh.tell())
+        # the counts come back as float64, so its itemsize bounds the extent
+        _check_dims(rows, cols, np.dtype(np.float64).itemsize, "PGM", fh.tell())
         payload = _read_payload(fh, rows * cols * dtype.itemsize, "PGM")
     return np.frombuffer(payload, dtype=dtype).reshape(rows, cols).astype(np.float64)
 

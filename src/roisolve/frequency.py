@@ -9,7 +9,8 @@ many in-passband entries as unknowns gives a solvable dense complex system.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,9 +21,18 @@ from .errors import (
     ShapeError,
     SingularSystemError,
 )
+from .forward import (
+    image_spectrum_block,
+    observe_spectrum,
+    observe_spectrum_block,
+    spectrum_to_image,
+)
 from .grid import RoiSpec
 from .linear import LinearSystem, Solution, fill_rows, solve
-from .optics import OtfSpec, in_passband
+from .optics import OtfSpec, build_otf, in_passband
+
+if TYPE_CHECKING:
+    from .pipeline import RoiProblem
 
 # Imaginary residue allowed on recovered pixels, relative to their magnitude.
 IMAG_RTOL = 1e-9
@@ -84,133 +94,54 @@ def solve_two_point_1d(
     return (float(x_a.real), float(x_b.real))
 
 
-@dataclass(frozen=True)
-class SpectrumSelection:
-    """A set of spectrum entries: (u, v) indices plus their complex values."""
-
-    indices: np.ndarray
-    entries: np.ndarray
-    block_origin: tuple[int, int] | None = field(default=None)
-    block_shape: tuple[int, int] | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices)
-        ent = np.asarray(self.entries)
-        if idx.ndim != 2 or idx.shape[1] != 2:
-            raise ShapeError(f"indices must have shape (n, 2), got {idx.shape}")
-        if ent.shape != (idx.shape[0],):
-            raise ShapeError(
-                f"entries length {ent.shape} does not match {idx.shape[0]} indices"
-            )
-
-    @property
-    def count(self) -> int:
-        return self.indices.shape[0]
-
-    @classmethod
-    def block(
-        cls,
-        spectrum: np.ndarray,
-        start_row: int,
-        start_col: int,
-        k_rows: int,
-        l_cols: int,
-    ) -> "SpectrumSelection":
-        """A contiguous K x L block of entries, row-major, wrapped modulo the grid."""
-        spectrum = np.asarray(spectrum)
-        if spectrum.ndim != 2:
-            raise ShapeError(f"spectrum must be 2D, got ndim={spectrum.ndim}")
-        if k_rows < 1 or l_cols < 1:
-            raise ParameterError("block dimensions must be >= 1")
-        rows, cols = spectrum.shape
-        us = np.arange(start_row, start_row + k_rows) % rows
-        vs = np.arange(start_col, start_col + l_cols) % cols
-        return cls.from_block(spectrum[np.ix_(us, vs)], start_row, start_col, spectrum.shape)
-
-    @classmethod
-    def from_block(
-        cls,
-        entries: np.ndarray,
-        start_row: int,
-        start_col: int,
-        field_shape: tuple[int, int],
-    ) -> "SpectrumSelection":
-        """The block selection of already-evaluated K x L entries.
-
-        entries[i, j] is the spectrum value at ((start_row + i) mod rows,
-        (start_col + j) mod cols) of a field_shape spectrum; the result equals
-        block() on a full spectrum holding those values.
-        """
-        entries = np.asarray(entries)
-        if entries.ndim != 2 or entries.size == 0:
-            raise ShapeError(f"block entries must be a nonempty 2D array, got {entries.shape}")
-        rows, cols = int(field_shape[0]), int(field_shape[1])
-        k_rows, l_cols = entries.shape
-        uu, vv = np.meshgrid(
-            np.arange(start_row, start_row + k_rows) % rows,
-            np.arange(start_col, start_col + l_cols) % cols,
-            indexing="ij",
-        )
-        return cls(
-            indices=np.column_stack([uu.ravel(), vv.ravel()]),
-            entries=entries.ravel().astype(np.complex128),
-            block_origin=(start_row % rows, start_col % cols),
-            block_shape=(k_rows, l_cols),
-        )
-
-    @classmethod
-    def from_indices(cls, spectrum: np.ndarray, indices: np.ndarray) -> "SpectrumSelection":
-        """Arbitrary entries picked by (u, v) index, wrapped modulo the grid."""
-        spectrum = np.asarray(spectrum)
-        if spectrum.ndim != 2:
-            raise ShapeError(f"spectrum must be 2D, got ndim={spectrum.ndim}")
-        idx = np.asarray(indices)
-        if idx.ndim != 2 or idx.shape[1] != 2:
-            raise ShapeError(f"indices must have shape (n, 2), got {idx.shape}")
-        idx = np.column_stack([idx[:, 0] % spectrum.shape[0], idx[:, 1] % spectrum.shape[1]])
-        return cls(
-            indices=idx,
-            entries=spectrum[idx[:, 0], idx[:, 1]].astype(np.complex128),
-        )
+def observation_index(roi: RoiSpec, field_shape: tuple[int, int], ring: int) -> np.ndarray:
+    """The spectrum entries an ROI's system reads: the (K+ring) x (L+ring)
+    block at the origin, row-major, wrapped modulo the field."""
+    rows, cols = int(field_shape[0]), int(field_shape[1])
+    uu, vv = np.meshgrid(
+        np.arange(roi.k_rows + ring) % rows, np.arange(roi.l_cols + ring) % cols, indexing="ij"
+    )
+    return np.column_stack([uu.ravel(), vv.ravel()])
 
 
-def mirror_indices(indices: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Conjugate-mirror partners (-u mod rows, -v mod cols) of a set of indices."""
-    idx = np.asarray(indices)
-    return np.column_stack([(-idx[:, 0]) % rows, (-idx[:, 1]) % cols])
+def _block_shape(problem: RoiProblem) -> tuple[int, int]:
+    roi = problem.system.roi
+    return roi.k_rows + problem.ring, roi.l_cols + problem.ring
 
 
 def build_system(
     field_shape: tuple[int, int],
     roi: RoiSpec,
-    selection: SpectrumSelection,
+    obs_index: np.ndarray,
     otf_spec: OtfSpec | None = None,
     estimate_condition: bool = True,
 ) -> LinearSystem:
     """Assemble the transform-domain system for an isolated ROI.
 
-    The system is complex; its obs_index holds the selection's (u, v) indices.
+    The system is complex, one row per (u, v) spectrum index of obs_index.
 
     Args:
-        field_shape: (rows, cols) of the frame the spectrum was taken on.
+        field_shape: (rows, cols) of the frame the spectrum is taken on.
         roi: region holding the unknown pixels.
-        selection: spectrum entries to use; needs at least roi.pixel_count of
-            them (more gives an overdetermined system).
-        otf_spec: when given, every selected index must sit inside its
-            passband, otherwise SelectionError (entries outside carry no
-            signal after the low-pass filter).
+        obs_index: (n, 2) spectrum indices to use; needs at least
+            roi.pixel_count of them (more gives an overdetermined system).
+        otf_spec: when given, every index must sit inside its passband,
+            otherwise SelectionError (entries outside carry no signal after
+            the low-pass filter).
         estimate_condition: compute a 2-norm condition estimate via SVD.
     """
     rows, cols = int(field_shape[0]), int(field_shape[1])
     if rows < 1 or cols < 1:
         raise ParameterError(f"field must be at least 1x1, got {rows}x{cols}")
     roi.require_inside(rows, cols)
-    idx = np.asarray(selection.indices)
+    idx = np.asarray(obs_index)
+    if idx.ndim != 2 or idx.shape[1] != 2:
+        raise ShapeError(f"obs_index must have shape (n, 2), got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx[:, 0].max() >= rows or idx[:, 1].max() >= cols):
         raise SelectionError(f"selection indices fall outside the {rows}x{cols} spectrum")
-    if selection.count < roi.pixel_count:
+    if idx.shape[0] < roi.pixel_count:
         raise SelectionError(
-            f"{selection.count} selected entries cannot determine "
+            f"{idx.shape[0]} selected entries cannot determine "
             f"{roi.pixel_count} unknowns"
         )
     if otf_spec is not None:
@@ -234,21 +165,39 @@ def build_system(
         )
         return np.exp(-2j * np.pi * phase)
 
-    a = fill_rows(selection.count, unknowns.shape[0], np.complex128, phase_rows)
+    a = fill_rows(idx.shape[0], unknowns.shape[0], np.complex128, phase_rows)
     a /= rows * cols
-    rhs = np.asarray(selection.entries, dtype=np.complex128)
     cond = float(np.linalg.cond(a)) if estimate_condition else float("nan")
-    return LinearSystem(
-        a_matrix=a, rhs=rhs, roi=roi, obs_index=idx, condition_estimate=cond
-    )
+    return LinearSystem(a_matrix=a, roi=roi, obs_index=idx, condition_estimate=cond)
+
+
+def noiseless_rhs(problem: RoiProblem, pixels: np.ndarray) -> np.ndarray:
+    """The filtered spectrum of the ROI on the system's block, passband-sparse
+    (observe_spectrum_block)."""
+    roi = problem.system.roi
+    return observe_spectrum_block(pixels, roi, problem.blur, 0, 0, *_block_shape(problem)).ravel()
+
+
+def clean_observer(problem: RoiProblem) -> Callable[[np.ndarray], np.ndarray]:
+    """Full-field blurred image of an ideal frame, through the transfer function."""
+    otf = build_otf(problem.blur)
+    return lambda ideal: spectrum_to_image(observe_spectrum(ideal, otf))
+
+
+def frame_rhs(problem: RoiProblem, frame: np.ndarray) -> np.ndarray:
+    """The system's spectrum block of an observed image, as a partial DFT of
+    the frame (image_spectrum_block), never a full transform."""
+    return image_spectrum_block(frame, 0, 0, *_block_shape(problem)).ravel()
 
 
 def solve_system(
     system: LinearSystem,
+    rhs: np.ndarray,
     method: str = "direct_complex",
     clamp_negative: bool = False,
 ) -> Solution:
-    """Solve a built transform-domain system and report the recovered ROI.
+    """Solve a built transform-domain system for an observation rhs and report
+    the recovered ROI.
 
     Methods: "direct_complex" (LU on the complex matrix, square only),
     "stacked_real_lsq" (real least squares on [Re; Im] stacking, works for
@@ -256,4 +205,4 @@ def solve_system(
     floor). Pixels are the real part; Solution.imag_leakage reports the
     imaginary part dropped.
     """
-    return solve(system, method, METHODS, clamp_negative)
+    return solve(system, rhs, method, METHODS, clamp_negative)

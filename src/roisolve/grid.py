@@ -120,15 +120,3 @@ def assert_isolated(grid: np.ndarray, roi: RoiSpec, tol: float = 0.0) -> None:
             f"grid is not isolated to the ROI: |value|={worst:g} at {where} (tol {tol:g})"
         )
 
-
-def conjugate_symmetry_error(spectrum: np.ndarray) -> float:
-    """Max deviation of S(u, v) from conj(S(-u mod M, -v mod N)).
-
-    Zero (to roundoff) exactly when the spectrum came from a real image.
-    """
-    s = np.asarray(spectrum)
-    if s.ndim != 2:
-        raise ShapeError(f"expected a 2D spectrum, got ndim={s.ndim}")
-    mirrored = s[::-1, ::-1]
-    mirrored = np.roll(mirrored, (1, 1), axis=(0, 1))
-    return float(np.abs(s - np.conj(mirrored)).max())

@@ -45,14 +45,14 @@ def fill_rows(
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A built system A x = y over the ROI pixels, real or complex.
+    """The matrix A of a system A x = y over the ROI pixels, real or complex.
 
-    Row i of A and y reads obs_index[i]: an absolute (row, col) image cell in
-    the image domain, a (u, v) spectrum index in the transform domain.
+    Row i of A reads obs_index[i]: an absolute (row, col) image cell in the
+    image domain, a (u, v) spectrum index in the transform domain. The
+    observation y is not part of the system; each solve supplies it.
     """
 
     a_matrix: np.ndarray
-    rhs: np.ndarray
     roi: RoiSpec
     obs_index: np.ndarray
     condition_estimate: float
@@ -91,16 +91,17 @@ def _truncated_lstsq(a: np.ndarray, rhs: np.ndarray, rtol: float) -> np.ndarray:
 
 def solve(
     system: LinearSystem,
+    rhs: np.ndarray,
     method: str,
     methods: tuple[str, str, str],
     clamp_negative: bool = False,
 ) -> Solution:
-    """Solve a built system with one of a domain's method names.
+    """Solve A x = rhs with one of a domain's method names.
 
-    The right-hand side is one vector (n,) or a block (n, t) of t vectors
-    sharing the matrix. For a block, pixels is (K*L, t), and residual,
-    imag_leakage, negative_count and min_pixel summarize the whole block
-    (residual takes the Frobenius norm).
+    rhs is one vector (n,) or a block (n, t) of t vectors sharing the matrix,
+    row i observed at system.obs_index[i]. For a block, pixels is (K*L, t),
+    and residual, imag_leakage, negative_count and min_pixel summarize the
+    whole block (residual takes the Frobenius norm).
 
     methods names the domain's three solvers in this order: LU (square
     systems only), least squares (gelsd; a complex A is stacked as [Re; Im]
@@ -109,14 +110,17 @@ def solve(
 
     Raises:
         ParameterError: method is not in methods, or A or y holds NaN or Inf.
-        ShapeError: LU asked of a non-square system.
+        ShapeError: rhs does not have one row per observation, or LU asked of
+            a non-square system.
         SingularSystemError: LU found the matrix singular, or every singular
             value fell below the truncation floor.
     """
     if method not in methods:
         raise ParameterError(f"unknown method {method!r}, expected one of {methods}")
     a = system.a_matrix
-    rhs = system.rhs
+    rhs = np.asarray(rhs)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != a.shape[0]:
+        raise ShapeError(f"right-hand side {rhs.shape} does not match {a.shape[0]} observations")
     if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
         raise ParameterError("system matrix or right-hand side holds NaN or Inf")
     kind = methods.index(method)

@@ -7,7 +7,6 @@ order and safe to parallelize externally.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
@@ -22,29 +21,20 @@ from .errors import (
     RoiSolveError,
     ShapeError,
 )
-from .forward import (
-    NoiseSpec,
-    image_spectrum_block,
-    noise_field,
-    observe_spatial,
-    observe_spatial_at,
-    observe_spectrum,
-    observe_spectrum_block,
-    spectrum_to_image,
-)
-from .frequency import SpectrumSelection
+from .forward import NoiseSpec, noise_field
 from .grid import RoiSpec, centered_roi, scatter_roi
-from .linear import LinearSystem
-from .optics import OtfSpec, PsfKernel, build_otf, build_psf
+from .linear import LinearSystem, Solution
+from .optics import OtfSpec, PsfKernel, build_psf
 
 DEFAULT_SEED = 12345
 DEFAULT_FIELD = (768, 768)
 DEFAULT_CUTOFF = 6.0
 DEFAULT_PSF_CROP = 501
 SIZES_DEFAULT = tuple(range(2, 21))
-# Each domain's coefficient generators, solve_system and METHODS. Callers look
-# solve_system up on the module at call time, so wrappers installed on the
-# module attribute see every call.
+# Each domain's observation_index, build_system, observation readers and
+# solve_system, and its METHODS: the one place a domain name picks code.
+# Callers look functions up on the module at call time, so wrappers installed
+# on the module attribute see every call.
 DOMAIN_MODULES = {"spatial": spatial, "frequency": frequency}
 DOMAINS = tuple(DOMAIN_MODULES)
 
@@ -265,56 +255,48 @@ class RoiProblem:
     """One ROI's system, built before any observation is read.
 
     The matrix and its condition estimate depend only on (domain, field, ROI,
-    passband, kernel, ring); an observation supplies just the right-hand
-    side, so every table or sweep trial of a size, every scan tile and a
-    recover call share this one type. spec is the passband the observations
-    go through (None for a kernel loaded from a file); psf is the kernel
-    (image domain only); ring is the extra observation ring width.
+    blur, ring); an observation supplies just the right-hand side, so every
+    table or sweep trial of a size, every scan tile and a recover call share
+    this one type. blur is what the observations go through: the kernel
+    (PsfKernel) in the image domain, the transfer spec (OtfSpec) in the
+    transform domain. ring is the extra observation ring width. Each method
+    is the domain module's function of the same name.
     """
 
     domain: str
     system: LinearSystem
-    spec: OtfSpec | None
-    psf: PsfKernel | None
+    blur: PsfKernel | OtfSpec
     ring: int
 
-    def _block_shape(self) -> tuple[int, int]:
-        roi = self.system.roi
-        return roi.k_rows + self.ring, roi.l_cols + self.ring
+    @property
+    def module(self):
+        """The domain module (spatial or frequency) that serves this problem."""
+        return DOMAIN_MODULES[self.domain]
 
     def noiseless_rhs(self, pixels: np.ndarray) -> np.ndarray:
         """Evaluate only the cells or spectrum entries the system reads."""
-        roi = self.system.roi
-        if self.domain == "spatial":
-            return observe_spatial_at(pixels, roi, self.spec, self.system.obs_index)
-        return observe_spectrum_block(pixels, roi, self.spec, 0, 0, *self._block_shape()).ravel()
+        return self.module.noiseless_rhs(self, pixels)
 
     def clean_observer(self) -> Callable[[np.ndarray], np.ndarray]:
         """Full-field blurred image of an ideal frame, the route noisy trials take."""
-        if self.domain == "spatial":
-            return lambda ideal: observe_spatial(ideal, self.psf)
-        otf = build_otf(self.spec)
-        return lambda ideal: spectrum_to_image(observe_spectrum(ideal, otf))
+        return self.module.clean_observer(self)
 
     def frame_rhs(self, frame: np.ndarray) -> np.ndarray:
-        """The right-hand side read off a full-field observed image.
+        """The right-hand side read off a full-field observed image."""
+        return self.module.frame_rhs(self, frame)
 
-        The transform domain reads its spectrum block as a partial DFT of the
-        frame, never a full transform.
-        """
-        if self.domain == "spatial":
-            idx = self.system.obs_index
-            return frame[idx[:, 0], idx[:, 1]]
-        return image_spectrum_block(frame, 0, 0, *self._block_shape()).ravel()
+    def solve(self, rhs: np.ndarray, method: str, clamp_negative: bool = False) -> Solution:
+        """Solution for one right-hand side or an (n, t) block; see linear.solve."""
+        return self.module.solve_system(self.system, rhs, method, clamp_negative=clamp_negative)
 
-    def solve(self, rhs: np.ndarray, method: str, clamp_negative: bool = False):
-        """(the system with this right-hand side, its solution).
 
-        rhs is one vector or an (n, t) block of them; see linear.solve.
-        """
-        system = dataclasses.replace(self.system, rhs=rhs)
-        module = DOMAIN_MODULES[self.domain]
-        return system, module.solve_system(system, method, clamp_negative=clamp_negative)
+def _domain_psf(
+    domain: str, rows: int, cols: int, cutoff_radius: float, psf_crop: int
+) -> PsfKernel | None:
+    """The image domain's kernel for a run; the transform domain needs none."""
+    if domain == "spatial":
+        return build_psf(OtfSpec(rows, cols, cutoff_radius), psf_crop)
+    return None
 
 
 def _size_layout(
@@ -325,15 +307,15 @@ def _size_layout(
     cutoff_radius: float,
     psf: PsfKernel | None,
     extra_ring: int,
-) -> tuple[RoiSpec, OtfSpec]:
-    """The centred ROI of one size and the passband its observations go through.
+) -> tuple[RoiSpec, PsfKernel | OtfSpec]:
+    """The centred ROI of one size and the blur its observations go through.
 
     In the transform domain the cutoff is raised to keep the selected block
     (size + extra_ring per axis) inside the passband.
     """
     roi = centered_roi(rows, cols, size, size)
     if domain == "spatial":
-        return roi, psf.spec
+        return roi, psf
     sel = size + extra_ring
     return roi, OtfSpec(rows, cols, effective_cutoff(cutoff_radius, sel, sel))
 
@@ -342,32 +324,30 @@ def roi_problem(
     domain: str,
     roi: RoiSpec,
     field_shape: tuple[int, int],
-    spec: OtfSpec | None,
-    psf: PsfKernel | None,
+    blur: PsfKernel | OtfSpec,
     ring: int,
-    estimate_condition: bool,
+    estimate_condition: bool = True,
 ) -> RoiProblem:
     """Build the system of one ROI on a field_shape frame.
 
     The image domain observes the ROI cells plus the cells within ring of
-    them, through psf. The transform domain reads the (K+ring) x (L+ring)
-    spectrum block at the origin, every entry of which must lie inside spec's
-    passband.
+    them, through the kernel blur. The transform domain reads the
+    (K+ring) x (L+ring) spectrum block at the origin, every entry of which
+    must lie inside the passband of the transfer spec blur.
+
+    Raises:
+        ParameterError: unknown domain, or ring < 0.
     """
-    if domain == "spatial":
-        extra = spatial.ring_cells(roi, *field_shape, ring) if ring > 0 else None
-        # build_system reads only the shape of this dark probe frame and its
-        # values at the observation cells, which each observation replaces
-        system = spatial.build_system(
-            psf, np.zeros(field_shape), roi, extra_obs=extra, estimate_condition=estimate_condition
-        )
-    else:
-        dark = np.zeros((roi.k_rows + ring, roi.l_cols + ring))
-        probe = SpectrumSelection.from_block(dark, 0, 0, field_shape)
-        system = frequency.build_system(
-            field_shape, roi, probe, otf_spec=spec, estimate_condition=estimate_condition
-        )
-    return RoiProblem(domain, system, spec, psf, ring)
+    if domain not in DOMAINS:
+        raise ParameterError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
+    if ring < 0:
+        raise ParameterError(f"ring must be >= 0, got {ring}")
+    module = DOMAIN_MODULES[domain]
+    obs_index = module.observation_index(roi, field_shape, ring)
+    system = module.build_system(
+        field_shape, roi, obs_index, blur, estimate_condition=estimate_condition
+    )
+    return RoiProblem(domain, system, blur, ring)
 
 
 def _failed_trial(domain: str, size: int, trial: int, seed: int, exc: RoiSolveError) -> TrialResult:
@@ -394,14 +374,14 @@ def _solved_trial(
     """Solve one trial; a RoiSolveError is recorded in the row instead of metrics."""
     size = problem.system.roi.k_rows
     try:
-        system, sol = problem.solve(rhs, method)
+        sol = problem.solve(rhs, method)
         return TrialResult(
             domain=problem.domain,
             roi_size=size,
             trial=trial,
             seed=seed,
             ae=averaged_error(sol.pixels, pixels),
-            ad=averaged_difference(system.a_matrix, pixels, system.rhs),
+            ad=averaged_difference(problem.system.a_matrix, pixels, rhs),
             condition=sol.condition,
         )
     except RoiSolveError as exc:
@@ -411,8 +391,8 @@ def _solved_trial(
 def _run_size(
     domain: str,
     roi: RoiSpec,
-    spec: OtfSpec,
-    psf: PsfKernel | None,
+    field_shape: tuple[int, int],
+    blur: PsfKernel | OtfSpec,
     extra_ring: int,
     estimate_condition: bool,
     method: str,
@@ -431,7 +411,7 @@ def _run_size(
     size = roi.k_rows
     out: list[list[TrialResult]] = [[] for _ in levels]
     try:
-        problem = roi_problem(domain, roi, spec.shape, spec, psf, extra_ring, estimate_condition)
+        problem = roi_problem(domain, roi, field_shape, blur, extra_ring, estimate_condition)
     except RoiSolveError as exc:
         problem, failure = None, exc
     noisy = [i for i, level in enumerate(levels) if level is not None]
@@ -453,7 +433,7 @@ def _run_size(
             continue
         noise_seed = noise_stream_seed(root_seed, size, trial)
         try:
-            clean = observe(scatter_roi(pixels, roi, *spec.shape))
+            clean = observe(scatter_roi(pixels, roi, *field_shape))
             peak, unit = noise_field(clean, noise_seed)
         except RoiSolveError as exc:
             for i in noisy:
@@ -523,19 +503,17 @@ def run_table_experiment(
         noise_psnr_db=noise_psnr_db,
     )
 
-    psf = None
-    if domain == "spatial":
-        psf = build_psf(OtfSpec(rows, cols, cutoff_radius), psf_crop)
+    psf = _domain_psf(domain, rows, cols, cutoff_radius, psf_crop)
     # an infinite ratio adds no noise
     level = None if noise_psnr_db is None or math.isinf(noise_psnr_db) else noise_psnr_db
     for size in sizes:
         if size < 1:
             raise ParameterError(f"ROI size must be >= 1, got {size}")
-        roi, spec = _size_layout(domain, size, rows, cols, cutoff_radius, psf, extra_ring)
+        roi, blur = _size_layout(domain, size, rows, cols, cutoff_radius, psf, extra_ring)
         if domain == "frequency":
-            report.effective_cutoffs[size] = spec.cutoff_radius
+            report.effective_cutoffs[size] = blur.cutoff_radius
         (trials,) = _run_size(
-            domain, roi, spec, psf, extra_ring, estimate_condition, method,
+            domain, roi, (rows, cols), blur, extra_ring, estimate_condition, method,
             trials_per_size, root_seed, [level],
         )
         report.trials.extend(trials)
@@ -564,11 +542,9 @@ def ad_spot_check(
     if domain not in DOMAINS:
         raise ParameterError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
     rows, cols = int(field_shape[0]), int(field_shape[1])
-    psf = None
-    if domain == "spatial":
-        psf = build_psf(OtfSpec(rows, cols, cutoff_radius), psf_crop)
-    roi, spec = _size_layout(domain, size, rows, cols, cutoff_radius, psf, 0)
-    problem = roi_problem(domain, roi, spec.shape, spec, psf, 0, estimate_condition=False)
+    psf = _domain_psf(domain, rows, cols, cutoff_radius, psf_crop)
+    roi, blur = _size_layout(domain, size, rows, cols, cutoff_radius, psf, 0)
+    problem = roi_problem(domain, roi, (rows, cols), blur, 0, estimate_condition=False)
     rng = np.random.default_rng(trial_seed_sequence(root_seed, size, trial))
     pixels = _draw_pixels(rng, size, size).ravel()
     return averaged_difference(problem.system.a_matrix, pixels, problem.noiseless_rhs(pixels))
@@ -628,10 +604,7 @@ def scan_reconstruct(
         raise ShapeError(
             f"sample {rows}x{cols} is not divisible into {k_rows}x{l_cols} tiles"
         )
-    if domain not in DOMAINS:
-        raise ParameterError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
-
-    spec = psf.spec
+    blur = psf
     if domain == "frequency":
         if psf.spec is None or psf.spec.shape != arr.shape:
             have = "none" if psf.spec is None else f"{psf.spec.shape}"
@@ -640,15 +613,15 @@ def scan_reconstruct(
                 f"{arr.shape}, got {have}"
             )
         eff_cut = effective_cutoff(psf.spec.cutoff_radius, k_rows, l_cols)
-        spec = OtfSpec(rows, cols, eff_cut, psf.spec.passband_gain)
+        blur = OtfSpec(rows, cols, eff_cut, psf.spec.passband_gain)
     problem = roi_problem(
-        domain, RoiSpec(0, 0, k_rows, l_cols), arr.shape, spec, psf, 0, estimate_condition=False
+        domain, RoiSpec(0, 0, k_rows, l_cols), arr.shape, blur, 0, estimate_condition=False
     )
     down, across = rows // k_rows, cols // l_cols
     # column t holds tile (t // across, t % across), row-major within the tile
     tiles = arr.reshape(down, k_rows, across, l_cols).transpose(1, 3, 0, 2)
     method = solver or DOMAIN_MODULES[domain].METHODS[0]
-    _, sol = problem.solve(problem.system.a_matrix @ tiles.reshape(k_rows * l_cols, -1), method)
+    sol = problem.solve(problem.system.a_matrix @ tiles.reshape(k_rows * l_cols, -1), method)
     recovered = sol.pixels.reshape(k_rows, l_cols, down, across).transpose(2, 0, 3, 1)
     return recovered.reshape(rows, cols)
 
@@ -783,13 +756,11 @@ def noise_sweep(
         threshold_ae=threshold,
     )
     for domain in domains:
-        psf = None
-        if domain == "spatial":
-            psf = build_psf(OtfSpec(rows, cols, cutoff_radius), psf_crop)
-        roi, spec = _size_layout(domain, roi_size, rows, cols, cutoff_radius, psf, extra_ring)
+        psf = _domain_psf(domain, rows, cols, cutoff_radius, psf_crop)
+        roi, blur = _size_layout(domain, roi_size, rows, cols, cutoff_radius, psf, extra_ring)
         method = DOMAIN_MODULES[domain].METHODS[extra_ring > 0]
         per_level = _run_size(
-            domain, roi, spec, psf, extra_ring, False, method,
+            domain, roi, (rows, cols), blur, extra_ring, False, method,
             trials_per_level, root_seed, [None] + levels,
         )
         for psnr, trials in zip([math.inf] + levels, per_level):

@@ -8,12 +8,19 @@ offset (k - m, l - n). Solving that dense system undoes the blur.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .errors import ParameterError, ShapeError, SingularSystemError
+from .forward import observe_spatial, observe_spatial_at
 from .grid import RoiSpec
 from .linear import LinearSystem, Solution, fill_rows, solve
 from .optics import PsfKernel
+
+if TYPE_CHECKING:
+    from .pipeline import RoiProblem
 
 # LU, least squares, truncated: the order linear.solve reads them in.
 METHODS = ("direct", "least_squares", "truncated")
@@ -90,62 +97,79 @@ def system_matrix(psf: PsfKernel, roi: RoiSpec, obs_cells: np.ndarray) -> np.nda
     )
 
 
+def observation_index(roi: RoiSpec, field_shape: tuple[int, int], ring: int) -> np.ndarray:
+    """The cells an ROI's system reads: the ROI's own cells row-major, then
+    (for ring > 0) the ring_cells within that distance of it."""
+    cells = roi.cells()
+    if ring > 0:
+        cells = np.vstack([cells, ring_cells(roi, *field_shape, ring)])
+    return cells
+
+
 def build_system(
-    psf: PsfKernel,
-    observed: np.ndarray,
+    field_shape: tuple[int, int],
     roi: RoiSpec,
-    extra_obs: np.ndarray | None = None,
+    obs_index: np.ndarray,
+    psf: PsfKernel,
     estimate_condition: bool = True,
 ) -> LinearSystem:
-    """Assemble the system for an isolated ROI of a blurred image.
+    """Assemble the system of an isolated ROI of a field_shape blurred image.
 
     Args:
-        psf: blur kernel; its window must cover every offset the chosen
-            observation cells need.
-        observed: blurred image containing the ROI.
+        field_shape: (rows, cols) of the observed image.
         roi: region holding the unknown pixels.
-        extra_obs: optional (n, 2) absolute coordinates of observation cells
-            appended below the ROI's own cells (an overdetermined system).
+        obs_index: (n, 2) absolute (row, col) cells observed, one row of the
+            system each; at least roi.pixel_count of them (more gives an
+            overdetermined system).
+        psf: blur kernel; its window must cover every offset between an
+            observed cell and an unknown.
         estimate_condition: compute a 2-norm condition estimate (SVD; skip for
             very large systems and the estimate is reported as nan).
-
-    Returns:
-        LinearSystem with rows [ROI cells; extra_obs] in row-major order; its
-        obs_index holds those cells.
     """
-    observed = np.asarray(observed, dtype=float)
-    if observed.ndim != 2:
-        raise ShapeError(f"observed image must be 2D, got ndim={observed.ndim}")
-    roi.require_inside(*observed.shape)
-    obs_cells = roi.cells()
-    if extra_obs is not None and len(extra_obs) > 0:
-        extra = np.asarray(extra_obs)
-        if extra.ndim != 2 or extra.shape[1] != 2:
-            raise ShapeError(f"extra_obs must have shape (n, 2), got {extra.shape}")
-        if (
-            extra.min() < 0
-            or extra[:, 0].max() >= observed.shape[0]
-            or extra[:, 1].max() >= observed.shape[1]
-        ):
-            raise ShapeError("extra_obs contains cells outside the observed image")
-        obs_cells = np.vstack([obs_cells, extra])
-    a = system_matrix(psf, roi, obs_cells)
-    rhs = observed[obs_cells[:, 0], obs_cells[:, 1]].astype(float)
+    rows, cols = int(field_shape[0]), int(field_shape[1])
+    roi.require_inside(rows, cols)
+    idx = np.asarray(obs_index)
+    if idx.ndim != 2 or idx.shape[1] != 2:
+        raise ShapeError(f"obs_index must have shape (n, 2), got {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx[:, 0].max() >= rows or idx[:, 1].max() >= cols):
+        raise ShapeError(f"obs_index holds cells outside the {rows}x{cols} image")
+    if idx.shape[0] < roi.pixel_count:
+        raise ShapeError(
+            f"{idx.shape[0]} observed cells cannot determine {roi.pixel_count} unknowns"
+        )
+    a = system_matrix(psf, roi, idx)
     cond = float(np.linalg.cond(a)) if estimate_condition else float("nan")
-    return LinearSystem(
-        a_matrix=a, rhs=rhs, roi=roi, obs_index=obs_cells, condition_estimate=cond
-    )
+    return LinearSystem(a_matrix=a, roi=roi, obs_index=idx, condition_estimate=cond)
+
+
+def noiseless_rhs(problem: RoiProblem, pixels: np.ndarray) -> np.ndarray:
+    """The blurred ROI at the system's cells, passband-sparse (observe_spatial_at)."""
+    system = problem.system
+    return observe_spatial_at(pixels, system.roi, problem.blur.spec, system.obs_index)
+
+
+def clean_observer(problem: RoiProblem) -> Callable[[np.ndarray], np.ndarray]:
+    """Full-field blurred image of an ideal frame."""
+    psf = problem.blur
+    return lambda ideal: observe_spatial(ideal, psf)
+
+
+def frame_rhs(problem: RoiProblem, frame: np.ndarray) -> np.ndarray:
+    """The system's cells read off an observed image."""
+    idx = problem.system.obs_index
+    return frame[idx[:, 0], idx[:, 1]]
 
 
 def solve_system(
     system: LinearSystem,
+    rhs: np.ndarray,
     method: str = "direct",
     clamp_negative: bool = False,
 ) -> Solution:
-    """Solve a built system and report the recovered ROI.
+    """Solve a built system for an observation rhs and report the recovered ROI.
 
     Methods: "direct" (LU, square systems only), "least_squares" (works for
     square and overdetermined), "truncated" (SVD with singular values below
     linear.TRUNCATION_RTOL of the largest discarded).
     """
-    return solve(system, method, METHODS, clamp_negative)
+    return solve(system, rhs, method, METHODS, clamp_negative)

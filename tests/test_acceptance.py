@@ -16,7 +16,6 @@ import pytest
 from roisolve import frequency, spatial
 from roisolve.fileio import write_table_csv
 from roisolve.forward import observe_spatial, observe_spectrum, spectrum_to_image
-from roisolve.frequency import SpectrumSelection
 from roisolve.grid import RoiSpec, centered_roi, scatter_roi
 from roisolve.optics import OtfSpec, build_otf, build_psf, effective_psf_positive
 from roisolve.pipeline import (
@@ -201,9 +200,9 @@ def test_criterion_07_property_suite(tmp_path, psf768):
     spectrum = observe_spectrum(scatter_roi(px, roi2, 48, 48), otf)
     solutions = []
     for start in ((0, 0), (1, 2)):
-        sel = SpectrumSelection.block(spectrum, *start, 2, 2)
-        system = frequency.build_system((48, 48), roi2, sel, otf_spec=spec)
-        solutions.append(frequency.solve_system(system).pixels)
+        idx = roi2.cells() - roi2.cells()[0] + start  # 2x2 block at start
+        system = frequency.build_system((48, 48), roi2, idx, otf_spec=spec)
+        solutions.append(frequency.solve_system(system, spectrum[idx[:, 0], idx[:, 1]]).pixels)
     freedom = np.abs(solutions[0] - solutions[1]).max()
     print(f"selection freedom: {freedom:.3e}")
     assert np.abs(solutions[0] - px).max() <= 1e-8
@@ -218,15 +217,16 @@ def test_criterion_07_property_suite(tmp_path, psf768):
         roi_i = RoiSpec(top, left, size, size)
         px = rng.uniform(0, 256, size * size)
         ideal = scatter_roi(px, roi_i, 48, 48)
-        sys_s = spatial.build_system(
-            psf, observe_spatial(ideal, psf), roi_i, estimate_condition=False
-        )
-        worst = max(worst, np.abs(spatial.solve_system(sys_s).pixels - px).max())
-        sel = SpectrumSelection.block(observe_spectrum(ideal, otf), 0, 0, size, size)
+        cells = roi_i.cells()
+        sys_s = spatial.build_system((48, 48), roi_i, cells, psf, estimate_condition=False)
+        y_s = observe_spatial(ideal, psf)[cells[:, 0], cells[:, 1]]
+        worst = max(worst, np.abs(spatial.solve_system(sys_s, y_s).pixels - px).max())
+        idx = cells - cells[0]  # the size x size block at the origin
         sys_f = frequency.build_system(
-            (48, 48), roi_i, sel, otf_spec=spec, estimate_condition=False
+            (48, 48), roi_i, idx, otf_spec=spec, estimate_condition=False
         )
-        worst = max(worst, np.abs(frequency.solve_system(sys_f).pixels - px).max())
+        y_f = observe_spectrum(ideal, otf)[idx[:, 0], idx[:, 1]]
+        worst = max(worst, np.abs(frequency.solve_system(sys_f, y_f).pixels - px).max())
     print(f"worst of 200 randomized round trips: {worst:.3e}")
     assert worst <= 1e-6
 

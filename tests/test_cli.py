@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roisolve.cli import main, parse_complex, parse_dims, parse_sizes, resolve_solver
 from roisolve.fileio import (
@@ -438,6 +440,99 @@ def test_recover_config_domain_is_checked(tmp_path, observed_file):
         ]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("domain", ["spatial", "frequency"])
+@pytest.mark.parametrize("ring, by_config", [(-1, False), (-2, False), (-3, True)])
+def test_recover_negative_ring_exits_2(tmp_path, observed_file, capsys, domain, ring, by_config):
+    # a negative ring used to solve as ring 0 (image domain) or crash
+    # building the spectrum block (transform domain)
+    path, roi, _ = observed_file
+    argv = [
+        "recover", "--observed", str(path), "--size", "2x2",
+        "--roi", f"{roi.top},{roi.left}", "--domain", domain, "--cutoff", "10",
+        "--out", str(tmp_path / "rec"),
+    ]
+    if by_config:
+        config = tmp_path / "recover.cfg"
+        write_manifest(config, {"ring": str(ring)})
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--ring", str(ring)]
+    assert main(argv) == 2
+    assert "ring must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "rec").exists()
+
+
+_PROPERTY_FIELD = (24, 24)
+
+
+@pytest.fixture(scope="module")
+def property_files(tmp_path_factory):
+    """Small frames (an isolated blurred ROI, an all-negative one, noise) and
+    kernel files for the recover property test."""
+    root = tmp_path_factory.mktemp("recover-property")
+    psf = build_psf(OtfSpec(*_PROPERTY_FIELD, 5.0), 23)
+    roi = RoiSpec(10, 11, 3, 2)
+    isolated = observe_spatial(
+        scatter_roi(np.array([200.0, 30.0, 90.0, 250.0, 10.0, 120.0]), roi, *_PROPERTY_FIELD),
+        psf,
+    )
+    frames = {
+        "isolated": isolated,
+        "negative": -1.0 - np.random.default_rng(3).uniform(0.0, 5.0, _PROPERTY_FIELD),
+        "noise": np.random.default_rng(4).uniform(-1.0, 1.0, _PROPERTY_FIELD),
+    }
+    kernels = {"built": psf.grid, "small": psf.grid[9:14, 9:14], "flat": np.full((5, 5), 7.0)}
+    paths = {}
+    for name, array in {**frames, **kernels}.items():
+        paths[name] = root / f"{name}.raw"
+        write_raw_matrix(paths[name], array)
+    return root, paths, tuple(frames), tuple(kernels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_recover_never_crashes_and_exit_0_means_finite(property_files, data):
+    root, paths, frames, kernels = property_files
+    # each draw mixes a likely-valid range with a wider one that reaches
+    # the invalid values, so both exit 0 and the refusals get exercised
+    dim = st.one_of(st.integers(1, 4), st.integers(-1, 7))
+    frame = data.draw(st.sampled_from(frames), "frame")
+    argv = [
+        "recover", "--observed", str(paths[frame]),
+        # the --flag=value form keeps a leading minus from reading as a flag
+        f"--size={data.draw(dim)}x{data.draw(dim)}",
+        "--domain", data.draw(st.sampled_from(["spatial", "frequency"]), "domain"),
+        f"--ring={data.draw(st.one_of(st.integers(0, 2), st.integers(-3, 3)), 'ring')}",
+        f"--cutoff={data.draw(st.one_of(st.floats(3.0, 11.0), st.floats(-1.0, 13.0)), 'cutoff')!r}",
+    ]
+    if data.draw(st.booleans(), "anchored"):
+        anchor = st.one_of(st.integers(8, 12), st.integers(-2, 25))
+        argv.append(f"--roi={data.draw(anchor)},{data.draw(anchor)}")
+    solver = data.draw(
+        st.one_of(st.none(), st.sampled_from(["direct", "lsq", "truncated", "least_squares",
+                                              "direct_complex", "stacked_real_lsq", "qr"])),
+        "solver",
+    )
+    if solver is not None:
+        argv += ["--solver", solver]
+    kernel = data.draw(st.one_of(st.none(), st.sampled_from(kernels)), "kernel")
+    if kernel is not None:
+        argv += ["--psf", str(paths[kernel])]
+    crop = data.draw(st.one_of(st.none(), st.integers(-3, 30)), "psf_crop")
+    if crop is not None:
+        argv.append(f"--psf-crop={crop}")
+    if data.draw(st.booleans(), "clamp"):
+        argv.append("--clamp")
+    out = root / "out"
+    if out.exists():
+        for stale in out.iterdir():
+            stale.unlink()
+    rc = main([*argv, "--out", str(out)])
+    assert rc != 1
+    if rc == 0:
+        assert np.isfinite(read_raw_matrix(out / "recovered.raw")).all()
 
 
 # ---------------------------------------------------------------------------

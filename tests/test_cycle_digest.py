@@ -1,0 +1,39 @@
+"""tools/cycle_digest.py, the byte-identity check over the benchmark cycles."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "cycle_digest.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("cycle_digest", TOOL_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scan_cycle_digest_is_reproducible(tool):
+    first = tool.digest(["scan"], [205])
+    second = tool.digest(["scan"], [205])
+    # two ops, each with exit, stdout, stderr and four written files
+    assert len(first) == 14
+    assert {"scan/205/0/exit", "scan/205/1/recovered.raw"} <= set(first)
+    assert first == second
+
+
+def test_compare_lists_differing_and_one_sided_keys(tool, tmp_path, capsys):
+    a = {"x/1/0/exit": "aa", "x/1/0/stdout": "bb", "x/1/1/exit": "cc"}
+    b = {"x/1/0/exit": "aa", "x/1/0/stdout": "zz", "x/1/2/exit": "dd"}
+    assert tool.compare(a, b) == ["x/1/0/stdout", "x/1/1/exit", "x/1/2/exit"]
+    paths = []
+    for name, side in (("a.json", a), ("b.json", b)):
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text(json.dumps(side))
+    assert tool.main(["--compare", paths[0], paths[0]]) == 0
+    assert tool.main(["--compare", *paths]) == 1
+    assert capsys.readouterr().out.split() == ["x/1/0/stdout", "x/1/1/exit", "x/1/2/exit"]

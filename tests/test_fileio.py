@@ -24,7 +24,6 @@ from roisolve.fileio import (
     write_raw_matrix,
     write_table_csv,
 )
-from roisolve.grid import conjugate_symmetry_error
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +266,13 @@ def test_manifest_errors(tmp_path):
 # formats compose with the physics
 
 
+def conjugate_symmetry_error(spectrum):
+    """Max deviation of S(u, v) from conj(S(-u mod M, -v mod N)); zero (to
+    roundoff) exactly when the spectrum came from a real image."""
+    mirrored = np.roll(spectrum[::-1, ::-1], (1, 1), axis=(0, 1))
+    return float(np.abs(spectrum - np.conj(mirrored)).max())
+
+
 def test_spectrum_survives_raw_round_trip(tmp_path, rng):
     # conjugate symmetry of a stored spectrum must be bit-preserved
     field = rng.uniform(0, 256, (16, 16))
@@ -295,6 +301,14 @@ def test_pgm_negative_dimensions_rejected(tmp_path):
     path = tmp_path / "i.pgm"
     path.write_bytes(b"P5\n-2 -3\n255\n" + b"\0" * 6)
     with pytest.raises(FileFormatError, match="negative"):
+        read_pgm16(path)
+
+
+def test_pgm_empty_raster_too_wide_for_float64_rejected(tmp_path):
+    # 2**60 one-byte counts fit an address space, 2**60 float64 values do not
+    path = tmp_path / "w.pgm"
+    path.write_bytes(b"P5\n1152921504606846976 0\n255\n")
+    with pytest.raises(FileFormatError, match="exceed any array"):
         read_pgm16(path)
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roisolve.errors import (
+    BoundsError,
     InconsistentInputError,
     ParameterError,
     SelectionError,
@@ -12,15 +13,15 @@ from roisolve.errors import (
 )
 from roisolve.forward import observe_spectrum
 from roisolve.frequency import (
-    SpectrumSelection,
     build_system,
-    mirror_indices,
+    observation_index,
     solve_system,
     solve_two_point_1d,
 )
 from roisolve.grid import RoiSpec, scatter_roi
 from roisolve.linear import LinearSystem
 from roisolve.optics import OtfSpec, build_otf
+from roisolve.pipeline import roi_problem
 
 
 def forward_two_point(n_len, a, b, x_a, x_b, k):
@@ -109,54 +110,67 @@ def test_two_point_round_trip_arbitrary_frequencies(n_len, a, b, c, d, x_a, x_b)
 # ---------------------------------------------------------------------------
 # selections
 
-def test_block_selection_row_major(rng):
-    spectrum = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    sel = SpectrumSelection.block(spectrum, 2, 3, 2, 3)
-    want_idx = [(u, v) for u in (2, 3) for v in (3, 4, 5)]
-    assert sel.indices.tolist() == [list(t) for t in want_idx]
-    np.testing.assert_array_equal(sel.entries, [spectrum[u, v] for u, v in want_idx])
-    assert sel.block_origin == (2, 3)
-    assert sel.block_shape == (2, 3)
+def _block(spectrum, start_row, start_col, k_rows, l_cols):
+    """(indices, entries) of a K x L block of a spectrum, row-major, wrapped."""
+    rows, cols = spectrum.shape
+    uu, vv = np.meshgrid(
+        np.arange(start_row, start_row + k_rows) % rows,
+        np.arange(start_col, start_col + l_cols) % cols,
+        indexing="ij",
+    )
+    idx = np.column_stack([uu.ravel(), vv.ravel()])
+    return idx, spectrum[idx[:, 0], idx[:, 1]]
 
 
-def test_block_selection_wraps(rng):
-    spectrum = rng.normal(size=(8, 8)) + 0j
-    sel = SpectrumSelection.block(spectrum, -1, 7, 2, 2)
-    assert sel.indices.tolist() == [[7, 7], [7, 0], [0, 7], [0, 0]]
+def _picked(spectrum, indices):
+    """(indices, entries) of arbitrary spectrum entries."""
+    return indices, spectrum[indices[:, 0], indices[:, 1]]
 
 
-def test_from_block_matches_block(rng):
-    spectrum = rng.normal(size=(8, 6)) + 1j * rng.normal(size=(8, 6))
-    want = SpectrumSelection.block(spectrum, -1, 4, 3, 4)
-    values = spectrum[np.ix_(np.arange(-1, 2) % 8, np.arange(4, 8) % 6)]
-    got = SpectrumSelection.from_block(values, -1, 4, (8, 6))
-    np.testing.assert_array_equal(got.indices, want.indices)
-    np.testing.assert_array_equal(got.entries, want.entries)
-    assert (got.block_origin, got.block_shape) == (want.block_origin, want.block_shape)
-    with pytest.raises(ShapeError):
-        SpectrumSelection.from_block(np.ones(4), 0, 0, (8, 6))
-    with pytest.raises(ShapeError):
-        SpectrumSelection.from_block(np.ones((0, 3)), 0, 0, (8, 6))
+def _mirror(indices, rows, cols):
+    """Conjugate-mirror partners (-u mod rows, -v mod cols) of a set of indices."""
+    return np.column_stack([(-indices[:, 0]) % rows, (-indices[:, 1]) % cols])
 
 
-def test_from_indices_wraps(rng):
-    spectrum = rng.normal(size=(6, 6)) + 0j
-    sel = SpectrumSelection.from_indices(spectrum, np.array([[-1, 2], [7, -6]]))
-    assert sel.indices.tolist() == [[5, 2], [1, 0]]
-    assert sel.entries[0] == spectrum[5, 2]
-
-
-def test_selection_shape_validation():
-    with pytest.raises(ShapeError):
-        SpectrumSelection(indices=np.zeros((3, 3), dtype=int), entries=np.zeros(3, complex))
-    with pytest.raises(ShapeError):
-        SpectrumSelection(indices=np.zeros((3, 2), dtype=int), entries=np.zeros(2, complex))
+def _frequency_problem(roi, field_shape, ring, cutoff=5.5):
+    return roi_problem("frequency", roi, field_shape, OtfSpec(*field_shape, cutoff), ring)
 
 
 def test_mirror_indices():
     idx = np.array([[0, 0], [1, 2], [5, 7]])
-    got = mirror_indices(idx, 8, 8)
+    got = _mirror(idx, 8, 8)
     assert got.tolist() == [[0, 0], [7, 6], [3, 1]]
+
+
+def test_block_selection_row_major(rng):
+    roi = RoiSpec(5, 3, 2, 3)
+    idx = observation_index(roi, (16, 12), 1)
+    want_idx = [[u, v] for u in range(3) for v in range(4)]
+    assert idx.tolist() == want_idx
+    frame = rng.normal(size=(16, 12))
+    rhs = _frequency_problem(roi, (16, 12), 1).frame_rhs(frame)
+    # the system's spectrum is normalized by the field size
+    spectrum = np.fft.fft2(frame) / frame.size
+    np.testing.assert_allclose(rhs, [spectrum[u, v] for u, v in want_idx], atol=1e-12)
+
+
+def test_block_selection_wraps():
+    # a block wider than the field wraps modulo it, like the partial DFT
+    idx = observation_index(RoiSpec(0, 0, 2, 2), (4, 4), 3)
+    assert idx.shape == (25, 2)
+    assert idx[:5].tolist() == [[0, 0], [0, 1], [0, 2], [0, 3], [0, 0]]
+    assert idx[20:].tolist() == [[0, 0], [0, 1], [0, 2], [0, 3], [0, 0]]
+
+
+def test_from_block_matches_block(rng):
+    roi = RoiSpec(5, 3, 2, 3)
+    frame = rng.normal(size=(16, 12))
+    problem = _frequency_problem(roi, (16, 12), 2, cutoff=5.5)
+    want_idx, want_entries = _block(np.fft.fft2(frame) / frame.size, 0, 0, 4, 5)
+    np.testing.assert_array_equal(problem.system.obs_index, want_idx)
+    np.testing.assert_allclose(problem.frame_rhs(frame), want_entries, atol=1e-12)
+    with pytest.raises(ShapeError):
+        problem.frame_rhs(np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +180,9 @@ def test_matrix_entries_brute_force(rng):
     rows, cols = 16, 12
     roi = RoiSpec(5, 3, 2, 2)
     spectrum = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-    sel = SpectrumSelection.block(spectrum, 1, 2, 2, 2)
-    system = build_system((rows, cols), roi, sel)
-    for i, (u, v) in enumerate(sel.indices):
+    idx, _ = _block(spectrum, 1, 2, 2, 2)
+    system = build_system((rows, cols), roi, idx)
+    for i, (u, v) in enumerate(idx):
         for j, (r, c) in enumerate(roi.cells()):
             want = np.exp(-2j * np.pi * (r * u / rows + c * v / cols)) / (rows * cols)
             assert system.a_matrix[i, j] == pytest.approx(want, abs=1e-15)
@@ -178,16 +192,36 @@ def test_matrix_modulus_constant(rng):
     rows, cols = 24, 24
     roi = RoiSpec(3, 3, 3, 3)
     spectrum = rng.normal(size=(rows, cols)) + 0j
-    system = build_system((rows, cols), roi, SpectrumSelection.block(spectrum, 0, 0, 3, 3))
+    system = build_system((rows, cols), roi, _block(spectrum, 0, 0, 3, 3)[0])
     np.testing.assert_allclose(np.abs(system.a_matrix), 1.0 / (rows * cols), rtol=1e-14)
 
 
 def test_build_system_needs_enough_entries(rng):
     spectrum = rng.normal(size=(16, 16)) + 0j
     roi = RoiSpec(4, 4, 3, 3)
-    sel = SpectrumSelection.block(spectrum, 0, 0, 2, 2)
+    idx, _ = _block(spectrum, 0, 0, 2, 2)
     with pytest.raises(SelectionError):
-        build_system((16, 16), roi, sel)
+        build_system((16, 16), roi, idx)
+
+
+def test_selection_shape_validation():
+    roi = RoiSpec(4, 4, 2, 2)
+    with pytest.raises(ShapeError):
+        build_system((16, 16), roi, np.zeros((4, 3), dtype=int))
+    with pytest.raises(ShapeError):
+        build_system((16, 16), roi, np.zeros(8, dtype=int))
+
+
+def test_build_system_index_validation():
+    roi = RoiSpec(4, 4, 2, 2)
+    with pytest.raises(SelectionError):
+        build_system((16, 16), roi, np.array([[0, 0], [0, 1], [1, 0], [16, 1]]))
+    with pytest.raises(SelectionError):
+        build_system((16, 16), roi, np.array([[0, 0], [0, 1], [1, 0], [1, -1]]))
+    with pytest.raises(BoundsError):
+        build_system((5, 16), roi, np.zeros((4, 2), dtype=int))
+    with pytest.raises(ParameterError):
+        build_system((0, 16), roi, np.zeros((4, 2), dtype=int))
 
 
 def test_build_system_passband_validation(rng):
@@ -195,9 +229,9 @@ def test_build_system_passband_validation(rng):
     otf_spec = OtfSpec(rows, cols, 4.0)
     spectrum = rng.normal(size=(rows, cols)) + 0j
     roi = RoiSpec(10, 10, 2, 2)
-    inside = SpectrumSelection.block(spectrum, 0, 0, 2, 2)
+    inside, _ = _block(spectrum, 0, 0, 2, 2)
     build_system((rows, cols), roi, inside, otf_spec=otf_spec)
-    outside = SpectrumSelection.block(spectrum, 4, 4, 2, 2)
+    outside, _ = _block(spectrum, 4, 4, 2, 2)
     with pytest.raises(SelectionError):
         build_system((rows, cols), roi, outside, otf_spec=otf_spec)
     with pytest.raises(ShapeError):
@@ -212,15 +246,15 @@ def _observed_selection(pixels, roi, spec, start=(0, 0), shape=None):
     ideal = scatter_roi(pixels, roi, rows, cols)
     spectrum = observe_spectrum(ideal, build_otf(spec))
     k_rows, l_cols = shape if shape is not None else roi.shape
-    return SpectrumSelection.block(spectrum, start[0], start[1], k_rows, l_cols)
+    return _block(spectrum, start[0], start[1], k_rows, l_cols)
 
 
 def test_direct_complex_recovers(small_spec, rng):
     roi = RoiSpec(22, 22, 3, 3)
     pixels = rng.uniform(0, 256, 9)
-    sel = _observed_selection(pixels, roi, small_spec)
-    system = build_system(small_spec.shape, roi, sel, otf_spec=small_spec)
-    sol = solve_system(system)
+    idx, entries = _observed_selection(pixels, roi, small_spec)
+    system = build_system(small_spec.shape, roi, idx, otf_spec=small_spec)
+    sol = solve_system(system, entries)
     assert np.abs(sol.pixels - pixels).max() <= 1e-6
     assert sol.imag_leakage <= 1e-9
     assert sol.method == "direct_complex"
@@ -230,18 +264,13 @@ def test_selection_freedom(small_spec, rng):
     # unit-scale pixels keep solver noise far below the agreement bound
     roi = RoiSpec(22, 22, 3, 3)
     pixels = rng.uniform(0, 1, 9)
+    idx, entries = _observed_selection(pixels, roi, small_spec)
     sol_origin = solve_system(
-        build_system(
-            small_spec.shape, roi, _observed_selection(pixels, roi, small_spec), otf_spec=small_spec
-        )
+        build_system(small_spec.shape, roi, idx, otf_spec=small_spec), entries
     )
+    idx, entries = _observed_selection(pixels, roi, small_spec, start=(1, 2))
     sol_shifted = solve_system(
-        build_system(
-            small_spec.shape,
-            roi,
-            _observed_selection(pixels, roi, small_spec, start=(1, 2)),
-            otf_spec=small_spec,
-        )
+        build_system(small_spec.shape, roi, idx, otf_spec=small_spec), entries
     )
     rows, cols = small_spec.shape
     ideal = scatter_roi(pixels, roi, rows, cols)
@@ -249,13 +278,9 @@ def test_selection_freedom(small_spec, rng):
     scattered_idx = np.array(
         [[0, 0], [0, 3], [3, 0], [1, 1], [2, 5], [5, 2], [4, 4], [1, 6], [6, 1]]
     )
+    idx, entries = _picked(spectrum, scattered_idx)
     sol_scattered = solve_system(
-        build_system(
-            small_spec.shape,
-            roi,
-            SpectrumSelection.from_indices(spectrum, scattered_idx),
-            otf_spec=small_spec,
-        )
+        build_system(small_spec.shape, roi, idx, otf_spec=small_spec), entries
     )
     assert np.abs(sol_origin.pixels - pixels).max() <= 1e-8
     assert np.abs(sol_shifted.pixels - sol_origin.pixels).max() <= 1e-8
@@ -268,53 +293,44 @@ def test_conjugate_mirrored_selection_agrees(small_spec, rng):
     rows, cols = small_spec.shape
     spectrum = observe_spectrum(scatter_roi(pixels, roi, rows, cols), build_otf(small_spec))
     base_idx = np.array([[1, 1], [1, 2], [2, 1], [2, 2]])
-    sol = solve_system(
-        build_system(
-            (rows, cols), roi, SpectrumSelection.from_indices(spectrum, base_idx)
-        )
-    )
-    mirrored = mirror_indices(base_idx, rows, cols)
-    sol_m = solve_system(
-        build_system(
-            (rows, cols), roi, SpectrumSelection.from_indices(spectrum, mirrored)
-        )
-    )
+    idx, entries = _picked(spectrum, base_idx)
+    sol = solve_system(build_system((rows, cols), roi, idx), entries)
+    mirrored = _mirror(base_idx, rows, cols)
+    idx, entries = _picked(spectrum, mirrored)
+    sol_m = solve_system(build_system((rows, cols), roi, idx), entries)
     assert np.abs(sol.pixels - sol_m.pixels).max() <= 1e-8
 
 
 def test_stacked_real_lsq_overdetermined(small_spec, rng):
     roi = RoiSpec(22, 22, 3, 3)
     pixels = rng.uniform(0, 256, 9)
-    sel = _observed_selection(pixels, roi, small_spec, shape=(4, 4))
-    system = build_system(small_spec.shape, roi, sel, otf_spec=small_spec)
-    sol = solve_system(system, "stacked_real_lsq")
+    idx, entries = _observed_selection(pixels, roi, small_spec, shape=(4, 4))
+    system = build_system(small_spec.shape, roi, idx, otf_spec=small_spec)
+    sol = solve_system(system, entries, "stacked_real_lsq")
     assert np.abs(sol.pixels - pixels).max() <= 1e-6
     assert sol.imag_leakage == 0.0
 
 
 def test_direct_complex_requires_square(small_spec, rng):
     roi = RoiSpec(22, 22, 2, 2)
-    sel = _observed_selection(rng.uniform(0, 1, 4), roi, small_spec, shape=(3, 3))
-    system = build_system(small_spec.shape, roi, sel)
+    idx, entries = _observed_selection(rng.uniform(0, 1, 4), roi, small_spec, shape=(3, 3))
+    system = build_system(small_spec.shape, roi, idx)
     with pytest.raises(ShapeError):
-        solve_system(system, "direct_complex")
+        solve_system(system, entries, "direct_complex")
 
 
 def test_truncated_and_singular(small_spec):
     roi = RoiSpec(0, 0, 2, 2)
-    probe = SpectrumSelection(
-        indices=np.zeros((4, 2), dtype=int), entries=np.zeros(4, dtype=complex)
-    )
     system = LinearSystem(
         a_matrix=np.zeros((4, 4), dtype=complex),
-        rhs=np.zeros(4, dtype=complex),
         roi=roi,
-        obs_index=probe.indices,
+        obs_index=np.zeros((4, 2), dtype=int),
         condition_estimate=np.inf,
     )
+    rhs = np.zeros(4, dtype=complex)
     with pytest.raises(SingularSystemError):
-        solve_system(system, "direct_complex")
+        solve_system(system, rhs, "direct_complex")
     with pytest.raises(SingularSystemError):
-        solve_system(system, "truncated")
+        solve_system(system, rhs, "truncated")
     with pytest.raises(ParameterError):
-        solve_system(system, "qr")
+        solve_system(system, rhs, "qr")

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from roisolve import frequency, spatial
-from roisolve.errors import ParameterError
+from roisolve.errors import ParameterError, ShapeError
 from roisolve.forward import observe_spatial, observe_spectrum
-from roisolve.frequency import SpectrumSelection
 from roisolve.grid import RoiSpec, scatter_roi
 from roisolve.linear import Solution
 from roisolve.optics import build_otf
@@ -20,14 +19,18 @@ PIXELS = np.array([120.0, 30.0, 200.0, 80.0])
 
 
 def _built(domain, small_psf):
-    """A square 2x2 system of PIXELS, built by the domain's generator."""
+    """A square 2x2 system of PIXELS, built by the domain's generator, and
+    its observation."""
     ideal = scatter_roi(PIXELS, ROI, 48, 48)
+    cells = ROI.cells()
     if domain == "spatial":
-        return spatial.build_system(small_psf, observe_spatial(ideal, small_psf), ROI)
+        system = spatial.build_system((48, 48), ROI, cells, small_psf)
+        return system, observe_spatial(ideal, small_psf)[cells[:, 0], cells[:, 1]]
     spec = small_psf.spec
     spectrum = observe_spectrum(ideal, build_otf(spec))
-    selection = SpectrumSelection.block(spectrum, 0, 0, 2, 2)
-    return frequency.build_system(spec.shape, ROI, selection, otf_spec=spec)
+    idx = cells - cells[0]  # the 2x2 block at the origin
+    system = frequency.build_system(spec.shape, ROI, idx, otf_spec=spec)
+    return system, spectrum[idx[:, 0], idx[:, 1]]
 
 
 def test_method_vocabularies_in_solver_order():
@@ -41,7 +44,7 @@ def test_method_vocabularies_in_solver_order():
 )
 def test_every_method_solves_and_echoes_its_name(domain, method, small_psf):
     module = MODULES[domain]
-    sol = module.solve_system(_built(domain, small_psf), method)
+    sol = module.solve_system(*_built(domain, small_psf), method)
     assert isinstance(sol, Solution)
     assert sol.method == method
     assert np.abs(sol.pixels - PIXELS).max() <= 1e-6
@@ -54,35 +57,47 @@ def test_every_method_solves_and_echoes_its_name(domain, method, small_psf):
 )
 def test_domain_rejects_the_other_domains_methods(domain, foreign, small_psf):
     with pytest.raises(ParameterError):
-        MODULES[domain].solve_system(_built(domain, small_psf), foreign)
+        MODULES[domain].solve_system(*_built(domain, small_psf), foreign)
 
 
 @pytest.mark.parametrize("domain", list(MODULES))
 @pytest.mark.parametrize("field", ["a_matrix", "rhs"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_solve_rejects_non_finite_systems(domain, field, bad, small_psf):
-    system = _built(domain, small_psf)
-    values = getattr(system, field).copy()
-    values.flat[1] = bad
-    system = dataclasses.replace(system, **{field: values})
+    system, rhs = _built(domain, small_psf)
+    if field == "rhs":
+        rhs = rhs.copy()
+        rhs[1] = bad
+    else:
+        values = system.a_matrix.copy()
+        values.flat[1] = bad
+        system = dataclasses.replace(system, a_matrix=values)
     for method in MODULES[domain].METHODS:
         with pytest.raises(ParameterError, match="NaN or Inf"):
-            MODULES[domain].solve_system(system, method)
+            MODULES[domain].solve_system(system, rhs, method)
 
 
 @pytest.mark.parametrize(
     "domain, method", [(d, m) for d, module in MODULES.items() for m in module.METHODS]
 )
 def test_block_rhs_solves_each_column_as_alone(domain, method, small_psf):
-    system = _built(domain, small_psf)
+    system, _ = _built(domain, small_psf)
     truth = np.column_stack([PIXELS, PIXELS[::-1], 0.5 * PIXELS + 3.0])
     block = system.a_matrix @ truth
     solve = MODULES[domain].solve_system
-    sol = solve(dataclasses.replace(system, rhs=block), method)
+    sol = solve(system, block, method)
     assert sol.pixels.shape == truth.shape
     for j in range(truth.shape[1]):
-        alone = solve(dataclasses.replace(system, rhs=block[:, j]), method)
+        alone = solve(system, block[:, j], method)
         assert np.abs(sol.pixels[:, j] - alone.pixels).max() <= 1e-9
     block[1, 2] = np.nan
     with pytest.raises(ParameterError, match="NaN or Inf"):
-        solve(dataclasses.replace(system, rhs=block), method)
+        solve(system, block, method)
+
+
+@pytest.mark.parametrize("domain", list(MODULES))
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length(domain, small_psf):
+    system, rhs = _built(domain, small_psf)
+    for bad in (rhs[:3], rhs[None, :], np.zeros((4, 2, 2))):
+        with pytest.raises(ShapeError):
+            MODULES[domain].solve_system(system, bad)

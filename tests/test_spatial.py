@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roisolve.errors import ParameterError, ShapeError, SingularSystemError
+from roisolve.errors import BoundsError, ParameterError, ShapeError, SingularSystemError
 from roisolve.forward import observe_spatial
 from roisolve.grid import RoiSpec, scatter_roi
 from roisolve.linear import LinearSystem
 from roisolve.spatial import (
     build_system,
+    observation_index,
     ring_cells,
     solve_system,
     solve_two_point_1d,
@@ -67,6 +68,11 @@ def test_two_point_round_trip(p, q_a, q_b, x_a, x_b):
 # ---------------------------------------------------------------------------
 # system construction
 
+def _read(obs, system):
+    """The observation of a system: the image at its cells."""
+    return obs[system.obs_index[:, 0], system.obs_index[:, 1]]
+
+
 def test_system_matrix_entries_brute_force(small_psf):
     roi = RoiSpec(20, 21, 2, 3)
     obs_cells = np.vstack([roi.cells(), [[19, 20], [23, 25]]])
@@ -87,20 +93,37 @@ def test_build_system_rhs_and_condition(small_psf, rng):
     roi = RoiSpec(22, 19, 3, 3)
     pixels = rng.uniform(0, 256, 9)
     obs = observe_spatial(scatter_roi(pixels, roi, 48, 48), small_psf)
-    system = build_system(small_psf, obs, roi)
-    np.testing.assert_array_equal(system.rhs, obs[roi.slices()].ravel())
+    system = build_system((48, 48), roi, roi.cells(), small_psf)
+    np.testing.assert_array_equal(_read(obs, system), obs[roi.slices()].ravel())
     assert np.isfinite(system.condition_estimate)
-    skipped = build_system(small_psf, obs, roi, estimate_condition=False)
+    skipped = build_system((48, 48), roi, roi.cells(), small_psf, estimate_condition=False)
     assert np.isnan(skipped.condition_estimate)
 
 
 def test_build_system_extra_obs_validation(small_psf):
     roi = RoiSpec(20, 20, 2, 2)
-    obs = np.zeros((48, 48))
     with pytest.raises(ShapeError):
-        build_system(small_psf, obs, roi, extra_obs=np.array([[48, 0]]))
+        build_system((48, 48), roi, np.vstack([roi.cells(), [[48, 0]]]), small_psf)
     with pytest.raises(ShapeError):
-        build_system(small_psf, obs, roi, extra_obs=np.array([1, 2, 3]))
+        build_system((48, 48), roi, np.array([1, 2, 3]), small_psf)
+
+
+def test_build_system_needs_enough_cells_inside_the_field(small_psf):
+    roi = RoiSpec(20, 20, 2, 2)
+    with pytest.raises(ShapeError):
+        build_system((48, 48), roi, roi.cells()[:3], small_psf)
+    with pytest.raises(ShapeError):
+        build_system((48, 48), roi, np.vstack([roi.cells(), [[0, -1]]]), small_psf)
+    with pytest.raises(BoundsError):
+        build_system((21, 48), roi, roi.cells(), small_psf)
+
+
+def test_observation_index_is_roi_then_ring():
+    roi = RoiSpec(5, 6, 3, 2)
+    np.testing.assert_array_equal(observation_index(roi, (20, 20), 0), roi.cells())
+    wide = observation_index(roi, (20, 20), 2)
+    np.testing.assert_array_equal(wide[:6], roi.cells())
+    np.testing.assert_array_equal(wide[6:], ring_cells(roi, 20, 20, width=2))
 
 
 def test_ring_cells_brute_force():
@@ -134,7 +157,8 @@ def test_direct_solve_recovers_pixels(small_psf, rng):
     roi = RoiSpec(23, 23, 3, 3)
     pixels = rng.uniform(0, 256, 9)
     obs = observe_spatial(scatter_roi(pixels, roi, 48, 48), small_psf)
-    sol = solve_system(build_system(small_psf, obs, roi))
+    system = build_system((48, 48), roi, roi.cells(), small_psf)
+    sol = solve_system(system, _read(obs, system))
     assert np.abs(sol.pixels - pixels).max() <= 1e-6
     assert sol.residual <= 1e-10
     assert sol.method == "direct"
@@ -146,44 +170,43 @@ def test_least_squares_never_worse_than_square(small_psf, rng):
     roi = RoiSpec(23, 23, 3, 3)
     pixels = rng.uniform(0, 256, 9)
     obs = observe_spatial(scatter_roi(pixels, roi, 48, 48), small_psf)
-    square = build_system(small_psf, obs, roi)
+    square = build_system((48, 48), roi, roi.cells(), small_psf)
     ring = ring_cells(roi, 48, 48, width=2)
-    wide = build_system(small_psf, obs, roi, extra_obs=ring)
-    x_square = solve_system(square).pixels
-    x_lsq = solve_system(wide, "least_squares").pixels
-    r_square = np.linalg.norm(wide.a_matrix @ x_square - wide.rhs)
-    r_lsq = np.linalg.norm(wide.a_matrix @ x_lsq - wide.rhs)
+    wide = build_system((48, 48), roi, np.vstack([roi.cells(), ring]), small_psf)
+    x_square = solve_system(square, _read(obs, square)).pixels
+    x_lsq = solve_system(wide, _read(obs, wide), "least_squares").pixels
+    r_square = np.linalg.norm(wide.a_matrix @ x_square - _read(obs, wide))
+    r_lsq = np.linalg.norm(wide.a_matrix @ x_lsq - _read(obs, wide))
     assert r_lsq <= r_square * (1 + 1e-12) + 1e-15
 
 
 def test_direct_requires_square(small_psf, rng):
     roi = RoiSpec(23, 23, 2, 2)
     obs = observe_spatial(scatter_roi(rng.uniform(0, 256, 4), roi, 48, 48), small_psf)
-    wide = build_system(small_psf, obs, roi, extra_obs=ring_cells(roi, 48, 48, 1))
+    wide = build_system((48, 48), roi, observation_index(roi, (48, 48), 1), small_psf)
     with pytest.raises(ShapeError):
-        solve_system(wide, "direct")
+        solve_system(wide, _read(obs, wide), "direct")
 
 
 def test_unknown_method_rejected(small_psf):
     roi = RoiSpec(20, 20, 2, 2)
-    system = build_system(small_psf, np.zeros((48, 48)), roi)
+    system = build_system((48, 48), roi, roi.cells(), small_psf)
     with pytest.raises(ParameterError):
-        solve_system(system, "cg")
+        solve_system(system, np.zeros(4), "cg")
 
 
 def test_singular_direct_and_truncated():
     roi = RoiSpec(0, 0, 2, 2)
     system = LinearSystem(
         a_matrix=np.zeros((4, 4)),
-        rhs=np.zeros(4),
         roi=roi,
         obs_index=roi.cells(),
         condition_estimate=np.inf,
     )
     with pytest.raises(SingularSystemError):
-        solve_system(system, "direct")
+        solve_system(system, np.zeros(4), "direct")
     with pytest.raises(SingularSystemError):
-        solve_system(system, "truncated")
+        solve_system(system, np.zeros(4), "truncated")
 
 
 def test_truncated_handles_rank_deficiency():
@@ -191,24 +214,24 @@ def test_truncated_handles_rank_deficiency():
     a = np.array([[1.0, 1.0], [2.0, 2.0]])  # rank one
     system = LinearSystem(
         a_matrix=a,
-        rhs=np.array([2.0, 4.0]),
         roi=roi,
         obs_index=roi.cells(),
         condition_estimate=np.inf,
     )
-    sol = solve_system(system, "truncated")
-    assert np.allclose(a @ sol.pixels, system.rhs)
+    rhs = np.array([2.0, 4.0])
+    sol = solve_system(system, rhs, "truncated")
+    assert np.allclose(a @ sol.pixels, rhs)
 
 
 def test_negative_report_and_clamp(small_psf, rng):
     roi = RoiSpec(23, 23, 2, 2)
     pixels = np.array([5.0, -3.0, 4.0, -1.0])  # physically odd, linearly fine
     obs = observe_spatial(scatter_roi(pixels, roi, 48, 48), small_psf)
-    system = build_system(small_psf, obs, roi)
-    sol = solve_system(system)
+    system = build_system((48, 48), roi, roi.cells(), small_psf)
+    sol = solve_system(system, _read(obs, system))
     assert sol.negative_count == 2
     assert sol.min_pixel == pytest.approx(-3.0, abs=1e-8)
-    clamped = solve_system(system, clamp_negative=True)
+    clamped = solve_system(system, _read(obs, system), clamp_negative=True)
     assert clamped.pixels.min() >= 0.0
     assert clamped.negative_count == 2  # report reflects the raw solution
 
@@ -218,10 +241,9 @@ def test_residual_normalization():
     a = np.eye(4)
     system = LinearSystem(
         a_matrix=a,
-        rhs=np.array([1.0, 0.0, 0.0, 0.0]),
         roi=roi,
         obs_index=roi.cells(),
         condition_estimate=1.0,
     )
-    sol = solve_system(system)
+    sol = solve_system(system, np.array([1.0, 0.0, 0.0, 0.0]))
     assert sol.residual == pytest.approx(0.0, abs=1e-15)

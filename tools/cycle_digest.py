@@ -1,0 +1,128 @@
+"""Byte digest of every benchmark command, to show a change leaves outputs alone.
+
+    python3 tools/cycle_digest.py [--workloads table,noise,scan,recover]
+        [--seeds 111,205,12345] [--out digest.json]
+    python3 tools/cycle_digest.py --compare A.json B.json
+
+Runs every op of bench/workloads.cycle in process through roisolve.cli.main,
+against the sources of the checkout this file sits in, each op writing into
+its own output directory. Every file the op writes, its stdout, its stderr
+and its exit code are hashed (SHA-256) into one JSON object keyed
+"workload/seed/op/what", with the temporary directory masked out of paths.
+--compare lists the keys that differ between two such files (or sit in one
+only) and exits 1 if there are any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+WORKLOADS = ("table", "noise", "scan", "recover")
+SEEDS = (111, 205, 12345)
+MASK = "<tmp>"
+
+
+def _hash(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(cli, argv: list[str]) -> tuple[str, str, str]:
+    """(exit code, stdout, stderr) of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(cli.main(argv))
+        except SystemExit as exc:
+            code = f"SystemExit {exc.code}"
+        except Exception as exc:  # a crash is an outcome to compare, not a tool failure
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def cycle_digest(workload: str, seed: int) -> dict[str, str]:
+    """Digests of every op of one workload cycle at one seed."""
+    import roisolve.cli as cli
+    import workloads
+
+    tmp = tempfile.mkdtemp(prefix="cycle-digest-")
+    try:
+        workdir = os.path.join(tmp, "work")
+        os.makedirs(workdir)
+        workloads.make_inputs(workload, seed, workdir)
+        placeholder = os.path.join(tmp, "out")
+        digests = {}
+        for i, op in enumerate(workloads.cycle(workload, seed, workdir, placeholder)):
+            out = os.path.join(tmp, f"op{i}")
+            argv = [out if a == placeholder else a for a in op.argv]
+            code, stdout, stderr = _run(cli, argv)
+            key = f"{workload}/{seed}/{i}"
+            digests[f"{key}/exit"] = _hash(code.replace(tmp, MASK).encode())
+            digests[f"{key}/stdout"] = _hash(stdout.replace(tmp, MASK).encode())
+            digests[f"{key}/stderr"] = _hash(stderr.replace(tmp, MASK).encode())
+            for dirpath, _, filenames in os.walk(out):
+                for name in sorted(filenames):
+                    path = os.path.join(dirpath, name)
+                    with open(path, "rb") as fh:
+                        data = fh.read().replace(tmp.encode(), MASK.encode())
+                    digests[f"{key}/{os.path.relpath(path, out)}"] = _hash(data)
+        return digests
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def digest(workload_names, seeds) -> dict[str, str]:
+    result = {}
+    for workload in workload_names:
+        for seed in seeds:
+            result.update(cycle_digest(workload, seed))
+    return result
+
+
+def compare(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    """Keys whose digests differ, or that only one side has, sorted."""
+    return sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--seeds", default=",".join(str(s) for s in SEEDS))
+    parser.add_argument("--out", help="write the digest JSON here (default stdout)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        sides = []
+        for path in args.compare:
+            with open(path, encoding="utf-8") as fh:
+                sides.append(json.load(fh))
+        differing = compare(*sides)
+        for key in differing:
+            print(key)
+        total = len(set(sides[0]) | set(sides[1]))
+        print(f"{total - len(differing)} of {total} entries identical", file=sys.stderr)
+        return 1 if differing else 0
+    names = [w.strip() for w in args.workloads.split(",") if w.strip()]
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    text = json.dumps(digest(names, seeds), indent=1, sort_keys=True)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
