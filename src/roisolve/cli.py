@@ -1,9 +1,15 @@
 """Command line front end.
 
-Subcommands: psf, table, scan, noise, recover, two-point. Option precedence is
-explicit flag > config file entry (--config, 'key = value' lines keyed by the
-flag's dest name) > built-in default. Exit codes: 0 ok, 2 bad parameters,
-3 file problems, 4 singular system, 5 nothing to localize, 1 anything else.
+Subcommands: psf, table, scan, noise, recover, two-point. Each declares its
+flags once, in an option table (COMMANDS) that creates the argparse flags and
+the defaults --help shows. Option precedence is explicit flag > config file
+entry > built-in default. psf, table, scan, noise and recover take --config
+FILE: 'key = value' lines keyed by a flag's dest name (--psf-crop is psf_crop).
+Every flag of the subcommand can come from it, clamp, observed and size
+included; values go through the flag's parser and choices, and a key that
+names no flag is refused. The *_manifest.txt files the commands write are run
+records, not configs. Exit codes: 0 ok, 2 bad parameters, 3 file problems,
+4 singular system, 5 nothing to localize, 1 anything else.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +45,7 @@ from .pipeline import (
     DEFAULT_PSF_CROP,
     DEFAULT_PSNR_GRID,
     DEFAULT_SEED,
+    DOMAINS,
 )
 
 
@@ -81,39 +89,73 @@ def parse_complex(text: str) -> complex:
     return complex(text.strip().replace("i", "j").replace(" ", ""))
 
 
-_PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "dims": parse_dims,
-    "sizes": parse_sizes,
-    "floats": parse_float_list,
-    "flag": lambda s: str(s).lower() in ("1", "true", "yes", "on"),
+def parse_flag(text: str) -> bool:
+    """A config entry for an on/off flag: true or false."""
+    if text.strip().lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.strip().lower() == "true"
+
+
+# kind -> (parser of flag and config text, how --help shows a default)
+_KINDS = {
+    "int": (int, str),
+    "float": (float, "{:g}".format),
+    "str": (str, str),
+    "dims": (parse_dims, "{0[0]}x{0[1]}".format),
+    "sizes": (parse_sizes, lambda v: f"{v[0]}-{v[-1]}" if v == tuple(range(v[0], v[-1] + 1))
+              else ",".join(map(str, v))),
+    "floats": (parse_float_list, lambda values: ",".join(f"{v:g}" for v in values)),
+    "complex": (parse_complex, str),
+    "flag": (parse_flag, str),
 }
 
 
-def resolve_options(args: argparse.Namespace, schema: dict[str, tuple[str, object]]) -> dict:
-    """Fold flag > config > default for every schema entry.
+@dataclass(frozen=True)
+class Option:
+    """One flag of a subcommand, --dest with underscores as dashes. kind names
+    its parser in _KINDS (a "flag" takes no value); --help shows a default
+    that is not None; a required option must come from the flag or --config."""
 
-    schema maps dest name -> (parser key, default). Flags parse eagerly via
-    argparse types; config entries are strings run through the same parsers.
+    dest: str
+    kind: str = "str"
+    default: object = None
+    help: str = ""
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.dest.replace("_", "-")
+
+
+def resolve_options(args: argparse.Namespace, options: tuple[Option, ...]) -> dict:
+    """Fold flag > config > default for every option of the subcommand.
+
+    Flags parse eagerly via argparse; config entries are strings run through
+    the same parser and checked against the same choices. A config key that
+    names no option, or a required option given neither way, is a
+    ParameterError.
     """
-    config: dict[str, str] = {}
-    if getattr(args, "config", None):
-        config = fileio.read_manifest(args.config)
+    config = fileio.read_manifest(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(config) - {opt.dest for opt in options})
+    if unknown:
+        raise ParameterError(f"{args.config}: no option named {', '.join(unknown)}")
     merged: dict[str, object] = {}
-    for dest, (kind, default) in schema.items():
-        flag_value = getattr(args, dest, None)
-        if flag_value is not None:
-            merged[dest] = flag_value
-        elif dest in config:
-            raw = config[dest]
+    for opt in options:
+        value = getattr(args, opt.dest)
+        if value is None and opt.dest in config:
+            raw = config[opt.dest]
             try:
-                merged[dest] = _PARSERS[kind](raw)
+                value = _KINDS[opt.kind][0](raw)
             except ValueError as exc:
-                raise ParameterError(f"config entry {dest} = {raw!r}: {exc}")
-        else:
-            merged[dest] = default
+                raise ParameterError(f"config entry {opt.dest} = {raw!r}: {exc}")
+            if opt.choices is not None and value not in opt.choices:
+                raise ParameterError(
+                    f"config entry {opt.dest} = {raw!r}: expected one of {opt.choices}"
+                )
+        if value is None and opt.required:
+            raise ParameterError(f"{opt.flag} is required")
+        merged[opt.dest] = opt.default if value is None else value
     return merged
 
 
@@ -122,15 +164,11 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
-def _auto_crop(rows: int, cols: int, requested: int | None) -> int:
+def _auto_crop(rows: int, cols: int, requested: int) -> int:
     """Largest odd crop <= requested that fits the field."""
     limit = min(rows - 1 if rows % 2 == 0 else rows, cols - 1 if cols % 2 == 0 else cols)
-    crop = min(requested if requested is not None else DEFAULT_PSF_CROP, limit)
+    crop = min(requested, limit)
     return crop if crop % 2 == 1 else crop - 1
-
-
-def _info(message: str) -> None:
-    print(message, file=sys.stderr)
 
 
 # Generic solver spellings, as positions in each domain's METHODS.
@@ -142,34 +180,36 @@ def resolve_solver(domain: str, name: str | None) -> str | None:
 
     Domain-specific names pass through untouched so scripts can be explicit.
     """
-    if name not in _SOLVER_ALIASES or domain not in pipeline.DOMAINS:
+    if name not in _SOLVER_ALIASES or domain not in DOMAINS:
         return name
     return pipeline.DOMAIN_MODULES[domain].METHODS[_SOLVER_ALIASES[name]]
 
 
 # ---------------------------------------------------------------------------
+# options shared by several subcommands; replace() adapts one to a subcommand
+
+_FIELD = Option("field", "dims", DEFAULT_FIELD, "field dims ROWSxCOLS")
+# scan and recover read the field's shape from their input
+_INPUT_FIELD = replace(_FIELD, default=None, help="field dims ROWSxCOLS; the input's when omitted")
+_CUTOFF = Option("cutoff", "float", DEFAULT_CUTOFF, "passband cutoff radius")
+_PSF_CROP = Option("psf_crop", "int", DEFAULT_PSF_CROP, "odd kernel crop")
+_SEED = Option("seed", "int", DEFAULT_SEED, "root seed")
+_UNREAD_SEED = replace(_SEED, default=None, help="not read by this command")
+_OUT = Option("out", "str", ".", "output directory")
+_DOMAIN = Option("domain", "str", "spatial", "image or transform domain", DOMAINS)
+_SOLVER = Option("solver", help="override the solver: direct, lsq, truncated or a method name")
+_RING = Option("ring", "int", 0, "extra observation ring width")
+_TRIALS = Option("trials", "int", 20, "trials per size")
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
-_COMMON_SCHEMA: dict[str, tuple[str, object]] = {
-    "field": ("dims", DEFAULT_FIELD),
-    "cutoff": ("float", DEFAULT_CUTOFF),
-    "psf_crop": ("int", None),
-    "seed": ("int", DEFAULT_SEED),
-    "out": ("str", "."),
-}
+PSF_OPTIONS = (_FIELD, _CUTOFF, _PSF_CROP, _UNREAD_SEED, _OUT,
+               Option("gain", "float", 1.0, "passband gain"))
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="manifest-style config file (flags override it)")
-    sub.add_argument("--field", type=parse_dims, help="field dims ROWSxCOLS (default 768x768)")
-    sub.add_argument("--cutoff", type=float, help="passband cutoff radius (default 6)")
-    sub.add_argument("--psf-crop", dest="psf_crop", type=int, help="odd kernel crop (default 501)")
-    sub.add_argument("--seed", type=int, help=f"root seed (default {DEFAULT_SEED})")
-    sub.add_argument("--out", help="output directory (default .)")
-
-
-def cmd_psf(args: argparse.Namespace) -> int:
-    opts = resolve_options(args, dict(_COMMON_SCHEMA, gain=("float", 1.0)))
+def cmd_psf(opts: dict) -> int:
     rows, cols = opts["field"]
     crop = _auto_crop(rows, cols, opts["psf_crop"])
     spec = OtfSpec(rows, cols, opts["cutoff"], opts["gain"])
@@ -198,19 +238,19 @@ def cmd_psf(args: argparse.Namespace) -> int:
     return 0
 
 
-_TABLE_SCHEMA = dict(
-    _COMMON_SCHEMA,
-    sizes=("sizes", tuple(pipeline.SIZES_DEFAULT)),
-    trials=("int", 20),
-    ring=("int", 0),
-    solver=("str", None),
-    noise_psnr=("float", None),
+TABLE_OPTIONS = (
+    _FIELD, _CUTOFF, _PSF_CROP, _SEED, _OUT,
+    replace(_DOMAIN, default=None, required=True),
+    Option("sizes", "sizes", pipeline.SIZES_DEFAULT, "ROI sizes, a range or comma list"),
+    _TRIALS,
+    _RING,
+    _SOLVER,
+    Option("noise_psnr", "float", help="add noise at this PSNR (dB)"),
 )
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    opts = resolve_options(args, _TABLE_SCHEMA)
-    domain = args.domain
+def cmd_table(opts: dict) -> int:
+    domain = opts["domain"]
     rows, cols = opts["field"]
     crop = _auto_crop(rows, cols, opts["psf_crop"])
     report = pipeline.run_table_experiment(
@@ -258,33 +298,25 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-_SCAN_SCHEMA = dict(
-    _COMMON_SCHEMA,
-    sample=("dims", (300, 300)),
-    tile=("dims", (3, 3)),
-    domain=("str", "spatial"),
-    solver=("str", None),
-    sample_seed=("int", 0),
-    input=("str", None),
+SCAN_OPTIONS = (
+    _INPUT_FIELD, _CUTOFF, _PSF_CROP, _UNREAD_SEED, _OUT,
+    Option("input", help="sample raster (raw or PGM); synthetic when omitted"),
+    Option("sample", "dims", (300, 300), "synthetic sample dims"),
+    Option("sample_seed", "int", 0, "synthetic texture seed"),
+    Option("tile", "dims", (3, 3), "tile dims"),
+    _DOMAIN,
+    _SOLVER,
 )
-# Scanning frames the sample itself, so the field tracks the sample unless
-# the caller pins one explicitly.
-_SCAN_SCHEMA["field"] = ("dims", None)
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    opts = resolve_options(args, _SCAN_SCHEMA)
-    out = _ensure_outdir(opts["out"])
+def cmd_scan(opts: dict) -> int:
     if opts["input"]:
         sample = fileio.read_raster(opts["input"])
         source = opts["input"]
     else:
         sample = pipeline.make_test_sample(*opts["sample"], seed=opts["sample_seed"])
         source = f"synthetic {opts['sample'][0]}x{opts['sample'][1]} seed {opts['sample_seed']}"
-        fileio.write_raw_matrix(os.path.join(out, "sample.raw"), sample)
-        fileio.write_pgm16(os.path.join(out, "sample.pgm"), sample)
-    field = opts["field"] if opts["field"] is not None else sample.shape
-    rows, cols = int(field[0]), int(field[1])
+    rows, cols = opts["field"] or sample.shape
     crop = _auto_crop(rows, cols, opts["psf_crop"])
     psf = build_psf(OtfSpec(rows, cols, opts["cutoff"]), crop)
     recon = pipeline.scan_reconstruct(
@@ -297,6 +329,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     rel_error = float(np.linalg.norm(recon - sample)) / sample.size / max(
         float(sample.mean()), 1e-300
     )
+    out = _ensure_outdir(opts["out"])
+    if not opts["input"]:
+        fileio.write_raw_matrix(os.path.join(out, "sample.raw"), sample)
+        fileio.write_pgm16(os.path.join(out, "sample.pgm"), sample)
     fileio.write_raw_matrix(os.path.join(out, "recovered.raw"), recon)
     fileio.write_pgm16(os.path.join(out, "recovered.pgm"), recon)
     if psf.spec is not None and psf.spec.shape == sample.shape:
@@ -322,18 +358,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-_NOISE_SCHEMA = dict(
-    _COMMON_SCHEMA,
-    roi_size=("int", 3),
-    psnr=("floats", tuple(DEFAULT_PSNR_GRID)),
-    trials=("int", 20),
-    ring=("int", 2),
-    domains=("str", "spatial,frequency"),
+NOISE_OPTIONS = (
+    _FIELD, _CUTOFF, _PSF_CROP, _SEED, _OUT,
+    Option("roi_size", "int", 3, "square ROI size"),
+    Option("psnr", "floats", DEFAULT_PSNR_GRID, "comma list of dB levels"),
+    replace(_TRIALS, help="trials per level"),
+    replace(_RING, default=2),
+    Option("domains", "str", ",".join(DOMAINS), "comma list"),
 )
 
 
-def cmd_noise(args: argparse.Namespace) -> int:
-    opts = resolve_options(args, _NOISE_SCHEMA)
+def cmd_noise(opts: dict) -> int:
     rows, cols = opts["field"]
     crop = _auto_crop(rows, cols, opts["psf_crop"])
     domains = tuple(d.strip() for d in opts["domains"].split(",") if d.strip())
@@ -381,43 +416,48 @@ def cmd_noise(args: argparse.Namespace) -> int:
     return 0
 
 
-_RECOVER_SCHEMA = dict(
-    _COMMON_SCHEMA,
-    domain=("str", "spatial"),
-    solver=("str", None),
-    ring=("int", 0),
+RECOVER_OPTIONS = (
+    _INPUT_FIELD, _CUTOFF, _PSF_CROP, _UNREAD_SEED, _OUT,
+    Option("observed", help="blurred image (raw or PGM)", required=True),
+    Option("size", "dims", help="ROI dims KxL", required=True),
+    Option("roi", "dims", help="ROI anchor top,left; located when omitted"),
+    Option("psf", help="image-domain kernel raw file; built from --cutoff when omitted"),
+    _DOMAIN,
+    _SOLVER,
+    _RING,
+    Option("clamp", "flag", help="clamp negative pixels to zero"),
 )
 
 
-def cmd_recover(args: argparse.Namespace) -> int:
-    opts = resolve_options(args, _RECOVER_SCHEMA)
-    observed = fileio.read_raster(args.observed)
+def cmd_recover(opts: dict) -> int:
+    observed = fileio.read_raster(opts["observed"])
     rows, cols = observed.shape
-    k_rows, l_cols = args.size
-    if args.roi is not None:
-        top, left = args.roi
-        roi = RoiSpec(top, left, k_rows, l_cols)
+    if opts["field"] not in (None, observed.shape):
+        field = "x".join(map(str, opts["field"]))
+        raise ParameterError(f"--field {field} is not the {rows}x{cols} frame read")
+    k_rows, l_cols = opts["size"]
+    if opts["roi"] is not None:
+        roi = RoiSpec(*opts["roi"], k_rows, l_cols)
         roi.require_inside(rows, cols)
     else:
         roi = pipeline.locate_roi(observed, k_rows, l_cols)
-        _info(f"located ROI at ({roi.top}, {roi.left})")
+        print(f"located ROI at ({roi.top}, {roi.left})", file=sys.stderr)
     domain = opts["domain"]
-    if domain not in pipeline.DOMAINS:
-        raise ParameterError(f"unknown domain {domain!r}, expected one of {pipeline.DOMAINS}")
-    if domain == "frequency" and args.psf is not None:
+    if domain == "frequency" and opts["psf"] is not None:
         raise ParameterError("--psf sets the image-domain kernel; the frequency domain does not read it")
 
     blur = OtfSpec(rows, cols, opts["cutoff"])
     if domain == "spatial":
-        if args.psf is not None:
-            grid = fileio.read_raw_matrix(args.psf)
+        if opts["psf"] is not None:
+            grid = fileio.read_raw_matrix(opts["psf"])
             if np.iscomplexobj(grid):
-                raise FileFormatError(f"{args.psf} holds complex data, expected a kernel")
+                raise FileFormatError(f"{opts['psf']} holds complex data, expected a kernel")
             blur = PsfKernel(grid=grid, spec=None)
         else:
             crop = _auto_crop(rows, cols, opts["psf_crop"])
             blur = build_psf(blur, crop)
-            _info(f"built kernel from cutoff {opts['cutoff']:g} on the observed field")
+            print(f"built kernel from cutoff {opts['cutoff']:g} on the observed field",
+                  file=sys.stderr)
     problem = pipeline.roi_problem(
         domain, roi, (rows, cols), blur, opts["ring"], estimate_condition=True
     )
@@ -425,19 +465,20 @@ def cmd_recover(args: argparse.Namespace) -> int:
     if method is None:
         method = problem.module.METHODS[opts["ring"] > 0]
         if problem.system.condition_estimate > CONDITION_LIMIT:
-            _info(
+            print(
                 f"condition {problem.system.condition_estimate:.3g} above "
-                f"{CONDITION_LIMIT:g}; switching to the truncated solver"
+                f"{CONDITION_LIMIT:g}; switching to the truncated solver",
+                file=sys.stderr,
             )
             method = problem.module.METHODS[2]
-    sol = problem.solve(problem.frame_rhs(observed), method, clamp_negative=args.clamp)
+    sol = problem.solve(problem.frame_rhs(observed), method, clamp_negative=bool(opts["clamp"]))
 
     out = _ensure_outdir(opts["out"])
     recovered = sol.pixels.reshape(roi.shape)
     fileio.write_raw_matrix(os.path.join(out, "recovered.raw"), recovered)
     fileio.write_pgm16(os.path.join(out, "recovered.pgm"), recovered)
     manifest = {
-        "observed": args.observed,
+        "observed": opts["observed"],
         "roi": f"{roi.top},{roi.left},{roi.k_rows},{roi.l_cols}",
         "domain": domain,
         "method": sol.method,
@@ -457,17 +498,43 @@ def cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_two_point(args: argparse.Namespace) -> int:
-    if args.domain == "spatial":
-        x_a, x_b = spatial.solve_two_point_1d(args.p, args.qa, args.qb, args.ya, args.yb)
+TWO_POINT_OPTIONS = (
+    replace(_DOMAIN, default=None, required=True),
+    Option("p", "float", help="kernel peak (spatial)"),
+    Option("qa", "float", help="coupling onto source a (spatial)"),
+    Option("qb", "float", help="coupling onto source b (spatial)"),
+    Option("ya", "float", help="observation at source a (spatial)"),
+    Option("yb", "float", help="observation at source b (spatial)"),
+    Option("length", "int", help="sequence length (frequency)"),
+    Option("pos_a", "int", help="source position a (frequency)"),
+    Option("pos_b", "int", help="source position b (frequency)"),
+    Option("freq_c", "int", help="spectrum index c (frequency)"),
+    Option("freq_d", "int", help="spectrum index d (frequency)"),
+    Option("xc", "complex", help="spectrum value at c, e.g. 15.6 (frequency)"),
+    Option("xd", "complex", help="spectrum value at d; use the --xd=-13.6-4.7i form for a "
+           "leading minus (frequency)"),
+    Option("imag_tol", "float", help="allowed imaginary residue relative to magnitude "
+           "(frequency; raise it for rounded inputs)"),
+)
+# the positional arguments of each domain's solve_two_point_1d
+_TWO_POINT_ARGS = {
+    "spatial": ("p", "qa", "qb", "ya", "yb"),
+    "frequency": ("length", "pos_a", "pos_b", "freq_c", "freq_d", "xc", "xd"),
+}
+
+
+def cmd_two_point(opts: dict) -> int:
+    domain = opts["domain"]
+    names = _TWO_POINT_ARGS[domain]
+    missing = ", ".join("--" + n.replace("_", "-") for n in names if opts[n] is None)
+    if missing:
+        raise ParameterError(f"two-point {domain} needs {missing}")
+    values = [opts[n] for n in names]
+    if domain == "spatial":
+        x_a, x_b = spatial.solve_two_point_1d(*values)
     else:
-        kwargs = {}
-        if args.imag_tol is not None:
-            kwargs["imag_rtol"] = args.imag_tol
-        x_a, x_b = frequency.solve_two_point_1d(
-            args.length, args.pos_a, args.pos_b, args.freq_c, args.freq_d,
-            parse_complex(args.xc), parse_complex(args.xd), **kwargs,
-        )
+        kwargs = {} if opts["imag_tol"] is None else {"imag_rtol": opts["imag_tol"]}
+        x_a, x_b = frequency.solve_two_point_1d(*values, **kwargs)
     print(f"x_a = {x_a:.12g}")
     print(f"x_b = {x_b:.12g}")
     return 0
@@ -476,116 +543,48 @@ def cmd_two_point(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+# name -> (help, command, option table); two-point takes no --config
+COMMANDS = {
+    "psf": ("build and export the low-pass kernel", cmd_psf, PSF_OPTIONS),
+    "table": ("randomized recovery trials over ROI sizes", cmd_table, TABLE_OPTIONS),
+    "scan": ("recover a whole sample tile by tile", cmd_scan, SCAN_OPTIONS),
+    "noise": ("sweep noise levels and report degradation", cmd_noise, NOISE_OPTIONS),
+    "recover": ("recover one ROI from an observed image", cmd_recover, RECOVER_OPTIONS),
+    "two-point": ("closed-form two-source recovery", cmd_two_point, TWO_POINT_OPTIONS),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roisolve",
         description="Recover sub-diffraction detail in isolated regions from blurred images.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_psf = subs.add_parser("psf", help="build and export the low-pass kernel")
-    _add_common(p_psf)
-    p_psf.add_argument("--gain", type=float, help="passband gain (default 1)")
-    p_psf.set_defaults(func=cmd_psf)
-
-    p_table = subs.add_parser("table", help="randomized recovery trials over ROI sizes")
-    _add_common(p_table)
-    p_table.add_argument("--domain", choices=pipeline.DOMAINS, required=True)
-    p_table.add_argument("--sizes", type=parse_sizes, help="e.g. 2-20 or 2,3,4")
-    p_table.add_argument("--trials", type=int, help="trials per size (default 20)")
-    p_table.add_argument("--ring", type=int, help="extra observation ring width (default 0)")
-    p_table.add_argument("--solver", help="override the solver")
-    p_table.add_argument("--noise-psnr", dest="noise_psnr", type=float, help="add noise at this PSNR (dB)")
-    p_table.set_defaults(func=cmd_table)
-
-    p_scan = subs.add_parser("scan", help="recover a whole sample tile by tile")
-    _add_common(p_scan)
-    p_scan.add_argument("--input", help="sample raster (raw or PGM); default: synthetic")
-    p_scan.add_argument("--sample", type=parse_dims, help="synthetic sample dims (default 300x300)")
-    p_scan.add_argument("--sample-seed", dest="sample_seed", type=int, help="synthetic texture seed")
-    p_scan.add_argument("--tile", type=parse_dims, help="tile dims (default 3x3)")
-    p_scan.add_argument("--domain", choices=pipeline.DOMAINS, help="default spatial")
-    p_scan.add_argument("--solver", help="per-tile solver override")
-    p_scan.set_defaults(func=cmd_scan)
-
-    p_noise = subs.add_parser("noise", help="sweep noise levels and report degradation")
-    _add_common(p_noise)
-    p_noise.add_argument("--roi-size", dest="roi_size", type=int, help="square ROI size (default 3)")
-    p_noise.add_argument("--psnr", type=parse_float_list, help="comma list of dB levels")
-    p_noise.add_argument("--trials", type=int, help="trials per level (default 20)")
-    p_noise.add_argument("--ring", type=int, help="extra observation ring width (default 2)")
-    p_noise.add_argument("--domains", help="comma list (default spatial,frequency)")
-    p_noise.set_defaults(func=cmd_noise)
-
-    p_rec = subs.add_parser("recover", help="recover one ROI from an observed image")
-    _add_common(p_rec)
-    p_rec.add_argument("--observed", required=True, help="blurred image (raw or PGM)")
-    p_rec.add_argument("--size", type=parse_dims, required=True, help="ROI dims KxL")
-    p_rec.add_argument("--roi", type=parse_dims, help="ROI anchor top,left (default: locate)")
-    p_rec.add_argument("--psf", help="image-domain kernel raw file (default: build from --cutoff)")
-    p_rec.add_argument("--domain", choices=pipeline.DOMAINS, help="default spatial")
-    p_rec.add_argument("--solver", help="override the solver")
-    p_rec.add_argument("--ring", type=int, help="extra observation ring width (default 0)")
-    p_rec.add_argument("--clamp", action="store_true", help="clamp negative pixels to zero")
-    p_rec.set_defaults(func=cmd_recover)
-
-    p_two = subs.add_parser("two-point", help="closed-form two-source recovery")
-    p_two.add_argument("--domain", choices=pipeline.DOMAINS, required=True)
-    p_two.add_argument("--p", type=float, help="kernel peak (spatial)")
-    p_two.add_argument("--qa", type=float, help="coupling onto source a (spatial)")
-    p_two.add_argument("--qb", type=float, help="coupling onto source b (spatial)")
-    p_two.add_argument("--ya", type=float, help="observation at source a (spatial)")
-    p_two.add_argument("--yb", type=float, help="observation at source b (spatial)")
-    p_two.add_argument("--length", type=int, help="sequence length (frequency)")
-    p_two.add_argument("--pos-a", dest="pos_a", type=int, help="source position a (frequency)")
-    p_two.add_argument("--pos-b", dest="pos_b", type=int, help="source position b (frequency)")
-    p_two.add_argument("--freq-c", dest="freq_c", type=int, help="spectrum index c (frequency)")
-    p_two.add_argument("--freq-d", dest="freq_d", type=int, help="spectrum index d (frequency)")
-    p_two.add_argument("--xc", help="spectrum value at c, e.g. 15.6 (frequency)")
-    p_two.add_argument(
-        "--xd",
-        help="spectrum value at d; use the --xd=-13.6-4.7i form for a leading minus (frequency)",
-    )
-    p_two.add_argument(
-        "--imag-tol",
-        dest="imag_tol",
-        type=float,
-        help="allowed imaginary residue relative to magnitude (frequency; "
-        "raise it for rounded inputs)",
-    )
-    p_two.set_defaults(func=cmd_two_point)
-
+    for name, (text, _, options) in COMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        if name != "two-point":
+            sub.add_argument("--config", help="file of 'key = value' lines by dest name (flags win)")
+        for opt in options:
+            parse, show = _KINDS[opt.kind]
+            kwargs = {"type": parse, "choices": opt.choices}
+            if opt.kind == "flag":
+                kwargs = {"action": "store_const", "const": True}
+            shown = opt.help
+            if opt.default is not None:
+                shown += f" (default {show(opt.default)})"
+            elif opt.required:
+                shown += " (required)"
+            sub.add_argument(opt.flag, dest=opt.dest, help=shown, **kwargs)
     return parser
 
 
-def _check_two_point_args(args: argparse.Namespace) -> None:
-    if args.command != "two-point":
-        return
-    needed = (
-        ("p", "qa", "qb", "ya", "yb")
-        if args.domain == "spatial"
-        else ("length", "pos_a", "pos_b", "freq_c", "freq_d", "xc", "xd")
-    )
-    missing = [n for n in needed if getattr(args, n, None) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise ParameterError(f"two-point {args.domain} needs {flags}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, command, options = COMMANDS[args.command]
     try:
-        _check_two_point_args(args)
-        return args.func(args)
-    except (
-        ParameterError,
-        BoundsError,
-        ShapeError,
-        SelectionError,
-        DegenerateInputError,
-        InconsistentInputError,
-    ) as exc:
+        return command(resolve_options(args, options))
+    except (ParameterError, BoundsError, ShapeError, SelectionError, DegenerateInputError,
+            InconsistentInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FileFormatError, OSError) as exc:

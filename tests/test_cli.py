@@ -1,10 +1,19 @@
 """End-to-end command line tests, run in-process through main()."""
 
+import argparse
+import csv
+import inspect
+import io
+import math
+import re
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roisolve import cli
 from roisolve.cli import main, parse_complex, parse_dims, parse_sizes, resolve_solver
 from roisolve.fileio import (
     read_manifest,
@@ -428,7 +437,7 @@ def test_recover_frequency_refuses_kernel_file(tmp_path, observed_file, capsys):
 
 
 def test_recover_config_domain_is_checked(tmp_path, observed_file):
-    # config values skip argparse's choices, so recover checks the domain itself
+    # a config value goes through the same choices as the --domain flag
     path, roi, _ = observed_file
     config = tmp_path / "recover.cfg"
     write_manifest(config, {"domain": "fourier", "solver": "lsq"})
@@ -639,3 +648,271 @@ def test_noise_command_single_domain(tmp_path):
     manifest = read_manifest(out / "noise_manifest.txt")
     assert "crossing_db_spatial" in manifest
     assert "crossing_db_frequency" not in manifest
+
+
+# ---------------------------------------------------------------------------
+# option tables and --config
+
+
+def _subcommand_parsers():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subs.choices
+
+
+# each subcommand's accepted flags, pinned so that an option-table edit cannot
+# add, drop or rename one unnoticed
+PINNED_FLAGS = {
+    "psf": "config field cutoff psf-crop seed out gain",
+    "table": "config field cutoff psf-crop seed out domain sizes trials ring solver noise-psnr",
+    "scan": "config field cutoff psf-crop seed out input sample sample-seed tile domain solver",
+    "noise": "config field cutoff psf-crop seed out roi-size psnr trials ring domains",
+    "recover": "config field cutoff psf-crop seed out observed size roi psf domain solver "
+    "ring clamp",
+    "two-point": "domain p qa qb ya yb length pos-a pos-b freq-c freq-d xc xd imag-tol",
+}
+
+
+def test_each_subcommand_accepts_the_pinned_flags():
+    subparsers = _subcommand_parsers()
+    assert set(subparsers) == set(PINNED_FLAGS) == set(cli.COMMANDS)
+    for name, sub in subparsers.items():
+        flags = {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
+        assert flags == {"--" + f for f in PINNED_FLAGS[name].split()}, name
+
+
+def test_every_option_is_declared_once():
+    declared = re.findall(r'Option\(\s*"(\w+)"', inspect.getsource(cli))
+    assert len(declared) == len(set(declared))
+    for _, _, options in cli.COMMANDS.values():
+        dests = [opt.dest for opt in options]
+        assert len(dests) == len(set(dests))
+        assert set(dests) <= set(declared)
+
+
+def test_help_defaults_come_from_the_option_tables():
+    for name, sub in _subcommand_parsers().items():
+        actions = {a.dest: a for a in sub._actions}
+        options = cli.COMMANDS[name][2]
+        for opt in options:
+            action = actions[opt.dest]
+            assert action.default is None, opt.dest
+            shown = re.search(r"\(default (\S+)\)$", action.help)
+            if opt.default is None:
+                assert shown is None and "default" not in action.help, opt.dest
+            else:
+                # what --help shows parses back, through the flag's own parser,
+                # to the default that a run without the flag uses
+                assert action.type(shown.group(1)) == opt.default, opt.dest
+            assert action.help.endswith("(required)") == opt.required, opt.dest
+        text = " ".join(sub.format_help().split())
+        assert text.count("(default ") == sum(opt.default is not None for opt in options)
+
+
+@pytest.mark.parametrize("entries", [{"rign": "2"}, {"config": "other.cfg"}])
+def test_unknown_config_keys_exit_2(tmp_path, capsys, entries):
+    config = tmp_path / "run.cfg"
+    write_manifest(config, {"sizes": "2", "trials": "1", **entries})
+    out = tmp_path / "out"
+    argv = ["table", "--domain", "spatial", *SMALL_ARGS, "--config", str(config), "--out", str(out)]
+    assert main(argv) == 2
+    assert next(iter(entries)) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_table_manifest_is_not_a_config(tmp_path, capsys):
+    # a run record's keys (field_rows, root_seed, ...) are not flag names
+    record = tmp_path / "record"
+    assert main(["table", "--domain", "spatial", "--sizes", "2", "--trials", "1", *SMALL_ARGS,
+                 "--out", str(record)]) == 0
+    argv = ["table", "--config", str(record / "manifest_spatial.txt"), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "root_seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, entries",
+    [
+        ("table", {"sizes": "2", "trials": "1"}),
+        ("recover", {"size": "2x2"}),
+        ("two-point", {}),
+    ],
+)
+def test_missing_required_option_exits_2(tmp_path, capsys, command, entries):
+    argv = [command]
+    if entries:
+        config = tmp_path / "run.cfg"
+        write_manifest(config, entries)
+        argv += ["--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "is required" in capsys.readouterr().err
+
+
+def test_malformed_complex_value_is_a_usage_error():
+    argv = ["two-point", "--domain", "frequency", "--length", "8", "--pos-a", "1", "--pos-b", "3",
+            "--freq-c", "1", "--freq-d", "2", "--xc", "abc", "--xd", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_recover_takes_every_option_from_config(tmp_path, small_psf):
+    # a negative pixel makes --clamp change the output
+    pixels = np.array([[120.0, -30.0], [80.0, 250.0]])
+    path = tmp_path / "observed.raw"
+    ideal = scatter_roi(pixels.ravel(), RoiSpec(20, 22, 2, 2), 48, 48)
+    write_raw_matrix(path, observe_spatial(ideal, small_psf))
+    values = {"observed": str(path), "size": "2x2", "roi": "20,22", "cutoff": "10",
+              "field": "48x48"}
+    assert main(["recover", *(f"--{k}={v}" for k, v in values.items()), "--clamp",
+                 "--out", str(tmp_path / "flags")]) == 0
+    config = tmp_path / "recover.cfg"
+    write_manifest(config, {**values, "clamp": "true"})
+    assert main(["recover", "--config", str(config), "--out", str(tmp_path / "config")]) == 0
+    write_manifest(config, {**values, "clamp": "false"})
+    assert main(["recover", "--config", str(config), "--out", str(tmp_path / "unclamped")]) == 0
+    clamped = (tmp_path / "flags" / "recovered.raw").read_bytes()
+    assert (tmp_path / "config" / "recovered.raw").read_bytes() == clamped
+    assert (tmp_path / "unclamped" / "recovered.raw").read_bytes() != clamped
+    assert read_raw_matrix(tmp_path / "config" / "recovered.raw").min() == 0.0
+
+
+@pytest.mark.parametrize("by_config", [False, True])
+def test_recover_field_must_match_the_frame(tmp_path, observed_file, capsys, by_config):
+    path, roi, _ = observed_file
+    out = tmp_path / "rec"
+    argv = ["recover", "--observed", str(path), "--size", "3x3", "--roi", f"{roi.top},{roi.left}",
+            "--cutoff", "10", "--out", str(out)]
+    if by_config:
+        write_manifest(tmp_path / "recover.cfg", {"field": "5x5"})
+        argv += ["--config", str(tmp_path / "recover.cfg")]
+    else:
+        argv += ["--field", "5x5"]
+    assert main(argv) == 2
+    assert "--field 5x5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, entries",
+    [(["--tile", "7x7"], {}), ([], {"domain": "fourier"}), ([], {"clamp": "true"})],
+)
+def test_scan_refusal_writes_nothing(tmp_path, extra, entries):
+    out = tmp_path / "scan"
+    argv = ["scan", "--sample", "24x24", "--cutoff", "10", *extra, "--out", str(out)]
+    if entries:
+        write_manifest(tmp_path / "scan.cfg", entries)
+        argv += ["--config", str(tmp_path / "scan.cfg")]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# flag properties: table, scan and noise
+
+
+def _flag_and_config_runs(root, command, values):
+    """Run command with values once as flags and once as --config entries.
+
+    Returns (exit code, {file name: bytes}) for each run.
+    """
+    results = []
+    for mode in ("flags", "config"):
+        out = root / mode
+        shutil.rmtree(out, ignore_errors=True)
+        argv = [command, "--out", str(out)]
+        if mode == "flags":
+            # the --flag=value form keeps a leading minus from reading as a flag
+            argv += [f"--{k.replace('_', '-')}={v}" for k, v in values.items()]
+        else:
+            write_manifest(root / "run.cfg", values)
+            argv += ["--config", str(root / "run.cfg")]
+        rc = main(argv)
+        assert rc != 1, argv
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        results.append((rc, files))
+    assert results[0] == results[1]
+    return results[0]
+
+
+def _finite_unless_failed(blob, columns, failed):
+    """The columns are finite in every CSV row that failed(row) does not
+    mark: failed trials, and levels where every trial failed, read nan."""
+    for row in csv.DictReader(io.StringIO(blob.decode())):
+        if not failed(row):
+            assert all(math.isfinite(float(row[c])) for c in columns), row
+
+
+_int = st.integers(-1, 4).map(str)
+_float = st.one_of(st.floats(-1.0, 20.0), st.sampled_from([math.nan, math.inf])).map(repr)
+_COMMON_VALUES = {
+    "field": st.sampled_from(["48x48", "32x40", "16x16", "3x3", "0x5"]),
+    "cutoff": st.one_of(st.floats(4.0, 12.0).map(repr), _float),
+    "psf_crop": st.integers(-3, 50).map(str),
+    "seed": st.integers(0, 2**32).map(str),
+}
+
+
+def _draw_values(data, choices):
+    """Draw a value for some of the options in choices."""
+    values = {}
+    for name, strategy in choices.items():
+        if data.draw(st.booleans(), f"give {name}"):
+            values[name] = data.draw(strategy, name)
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_table_flags_never_crash_and_config_gives_the_same_run(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("table-property")
+    values = {"domain": data.draw(st.sampled_from(["spatial", "frequency"]), "domain"),
+              "field": "48x48", "cutoff": "10", "trials": "1", "sizes": "2"}
+    ranges = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(sorted)
+    sizes = st.one_of(st.integers(0, 4).map(str), ranges.map("{0[0]}-{0[1]}".format))
+    values.update(_draw_values(data, {
+        **_COMMON_VALUES, "sizes": sizes, "trials": st.integers(-1, 2).map(str), "ring": _int,
+        "solver": st.sampled_from(["direct", "lsq", "truncated", "qr"]),
+        "noise_psnr": st.one_of(st.floats(-10.0, 400.0).map(repr), _float),
+    }))
+    rc, files = _flag_and_config_runs(root, "table", values)
+    if rc == 0:
+        trials = files[f"trials_{values['domain']}.csv"]
+        _finite_unless_failed(trials, ("ae", "ad", "condition"), lambda row: row["error"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_scan_flags_never_crash_and_config_gives_the_same_run(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("scan-property")
+    dims = st.tuples(st.integers(-1, 30), st.integers(-1, 30)).map(lambda t: f"{t[0]}x{t[1]}")
+    values = {"sample": "24x24", "cutoff": "10"}
+    values.update(_draw_values(data, {
+        **_COMMON_VALUES, "sample": dims,
+        "tile": st.sampled_from(["3x3", "2x4", "1x1", "0x3", "5x5"]),
+        "sample_seed": st.integers(0, 100).map(str),
+        "domain": st.sampled_from(["spatial", "frequency"]),
+        "solver": st.sampled_from(["direct", "lsq", "truncated", "qr"]),
+    }))
+    rc, files = _flag_and_config_runs(root, "scan", values)
+    if rc == 0:
+        assert np.isfinite(read_raw_matrix(root / "flags" / "recovered.raw")).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_noise_flags_never_crash_and_config_gives_the_same_run(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("noise-property")
+    values = {"field": "48x48", "cutoff": "10", "trials": "1", "psnr": "80", "roi_size": "2"}
+    levels = st.lists(st.one_of(st.floats(-20.0, 400.0), st.sampled_from([math.nan, math.inf])),
+                      min_size=1, max_size=3)
+    values.update(_draw_values(data, {
+        **_COMMON_VALUES, "roi_size": _int, "trials": st.integers(-1, 2).map(str), "ring": _int,
+        "psnr": levels.map(lambda v: ",".join(map(repr, v))),
+        "domains": st.sampled_from(["spatial", "frequency", "spatial,frequency", "fourier"]),
+    }))
+    rc, files = _flag_and_config_runs(root, "noise", values)
+    if rc == 0:
+        _finite_unless_failed(files["noise_sweep.csv"], ("mean_ae", "std_ae"),
+                              lambda row: row["failed"] == values["trials"])

@@ -37,3 +37,11 @@ def test_compare_lists_differing_and_one_sided_keys(tool, tmp_path, capsys):
     assert tool.main(["--compare", paths[0], paths[0]]) == 0
     assert tool.main(["--compare", *paths]) == 1
     assert capsys.readouterr().out.split() == ["x/1/0/stdout", "x/1/1/exit", "x/1/2/exit"]
+
+
+def test_help_workload_hashes_every_subcommand(tool):
+    digests = tool.digest(["help"], [205])
+    names = ("psf", "table", "scan", "noise", "recover", "two-point")
+    assert set(digests) == {f"help/{name}" for name in names}
+    assert len(set(digests.values())) == len(names)
+    assert tool.digest(["help"], []) == digests

@@ -1,6 +1,6 @@
 """Byte digest of every benchmark command, to show a change leaves outputs alone.
 
-    python3 tools/cycle_digest.py [--workloads table,noise,scan,recover]
+    python3 tools/cycle_digest.py [--workloads table,noise,scan,recover,help]
         [--seeds 111,205,12345] [--out digest.json]
     python3 tools/cycle_digest.py --compare A.json B.json
 
@@ -9,8 +9,11 @@ against the sources of the checkout this file sits in, each op writing into
 its own output directory. Every file the op writes, its stdout, its stderr
 and its exit code are hashed (SHA-256) into one JSON object keyed
 "workload/seed/op/what", with the temporary directory masked out of paths.
---compare lists the keys that differ between two such files (or sit in one
-only) and exits 1 if there are any.
+The "help" workload hashes the exit code, stdout and stderr of
+`roisolve <command> --help` for every subcommand, rendered 80 columns wide,
+under "help/<command>" whatever the seeds. --compare lists the keys that
+differ between two such files (or sit in one only) and exits 1 if there are
+any.
 """
 
 from __future__ import annotations
@@ -24,12 +27,14 @@ import os
 import shutil
 import sys
 import tempfile
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
-WORKLOADS = ("table", "noise", "scan", "recover")
+WORKLOADS = ("table", "noise", "scan", "recover", "help")
+SUBCOMMANDS = ("psf", "table", "scan", "noise", "recover", "two-point")
 SEEDS = (111, 205, 12345)
 MASK = "<tmp>"
 
@@ -82,9 +87,21 @@ def cycle_digest(workload: str, seed: int) -> dict[str, str]:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def help_digest() -> dict[str, str]:
+    """Digests of every subcommand's --help at a fixed terminal width."""
+    import roisolve.cli as cli
+
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        return {f"help/{c}": _hash("\0".join(_run(cli, [c, "--help"])).encode())
+                for c in SUBCOMMANDS}
+
+
 def digest(workload_names, seeds) -> dict[str, str]:
     result = {}
     for workload in workload_names:
+        if workload == "help":
+            result.update(help_digest())
+            continue
         for seed in seeds:
             result.update(cycle_digest(workload, seed))
     return result
