@@ -60,21 +60,29 @@ def parse_dims(text: str) -> tuple[int, int]:
     return (int(parts[0]), int(parts[1]))
 
 
-def parse_sizes(text: str) -> tuple[int, ...]:
-    """'2-20' / '2,3,8' / '2-5,9' -> sorted unique sizes."""
-    out: set[int] = set()
+def parse_size_ranges(text: str) -> tuple[range, ...]:
+    """'2-20' / '2,3,8' / '2-5,9' -> one range per piece, none expanded."""
+    ranges = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece:
-            continue
-        if "-" in piece:
-            lo, _, hi = piece.partition("-")
-            out.update(range(int(lo), int(hi) + 1))
-        else:
-            out.add(int(piece))
-    if not out:
+        if piece:
+            lo, dash, hi = piece.partition("-")
+            ranges.append(range(int(lo), int(hi if dash else lo) + 1))
+    if not any(ranges):
         raise ValueError(f"no sizes in {text!r}")
-    return tuple(sorted(out))
+    return tuple(ranges)
+
+
+def expand_sizes(ranges: tuple[range, ...], limit: int) -> tuple[int, ...]:
+    """Sorted unique sizes of parse_size_ranges' pieces.
+
+    A size above limit is a BoundsError raised before any range is expanded,
+    so a range however long costs nothing to refuse.
+    """
+    top = max(r[-1] for r in ranges if r)
+    if top > limit:
+        raise BoundsError(f"ROI size {top} does not fit the field (at most {limit})")
+    return tuple(sorted(set().union(*ranges)))
 
 
 def parse_float_list(text: str) -> tuple[float, ...]:
@@ -102,8 +110,8 @@ _KINDS = {
     "float": (float, "{:g}".format),
     "str": (str, str),
     "dims": (parse_dims, "{0[0]}x{0[1]}".format),
-    "sizes": (parse_sizes, lambda v: f"{v[0]}-{v[-1]}" if v == tuple(range(v[0], v[-1] + 1))
-              else ",".join(map(str, v))),
+    "sizes": (parse_size_ranges,
+              lambda v: ",".join(f"{r[0]}-{r[-1]}" if len(r) > 1 else str(r[0]) for r in v)),
     "floats": (parse_float_list, lambda values: ",".join(f"{v:g}" for v in values)),
     "complex": (parse_complex, str),
     "flag": (parse_flag, str),
@@ -241,7 +249,7 @@ def cmd_psf(opts: dict) -> int:
 TABLE_OPTIONS = (
     _FIELD, _CUTOFF, _PSF_CROP, _SEED, _OUT,
     replace(_DOMAIN, default=None, required=True),
-    Option("sizes", "sizes", pipeline.SIZES_DEFAULT, "ROI sizes, a range or comma list"),
+    Option("sizes", "sizes", (pipeline.SIZES_DEFAULT,), "ROI sizes, a range or comma list"),
     _TRIALS,
     _RING,
     _SOLVER,
@@ -255,7 +263,7 @@ def cmd_table(opts: dict) -> int:
     crop = _auto_crop(rows, cols, opts["psf_crop"])
     report = pipeline.run_table_experiment(
         domain,
-        sizes=tuple(opts["sizes"]),
+        sizes=expand_sizes(opts["sizes"], min(rows, cols)),
         trials_per_size=opts["trials"],
         root_seed=opts["seed"],
         field_shape=(rows, cols),
@@ -318,7 +326,8 @@ def cmd_scan(opts: dict) -> int:
         source = f"synthetic {opts['sample'][0]}x{opts['sample'][1]} seed {opts['sample_seed']}"
     rows, cols = opts["field"] or sample.shape
     crop = _auto_crop(rows, cols, opts["psf_crop"])
-    psf = build_psf(OtfSpec(rows, cols, opts["cutoff"]), crop)
+    reach = pipeline.kernel_reach(max(opts["tile"]), 0)
+    psf = build_psf(OtfSpec(rows, cols, opts["cutoff"]), crop, reach)
     recon = pipeline.scan_reconstruct(
         sample,
         opts["tile"],
@@ -455,7 +464,7 @@ def cmd_recover(opts: dict) -> int:
             blur = PsfKernel(grid=grid, spec=None)
         else:
             crop = _auto_crop(rows, cols, opts["psf_crop"])
-            blur = build_psf(blur, crop)
+            blur = build_psf(blur, crop, pipeline.kernel_reach(max(k_rows, l_cols), opts["ring"]))
             print(f"built kernel from cutoff {opts['cutoff']:g} on the observed field",
                   file=sys.stderr)
     problem = pipeline.roi_problem(

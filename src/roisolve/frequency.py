@@ -22,6 +22,7 @@ from .errors import (
     SingularSystemError,
 )
 from .forward import (
+    _twiddles,
     image_spectrum_block,
     observe_spectrum,
     observe_spectrum_block,
@@ -104,6 +105,30 @@ def observation_index(roi: RoiSpec, field_shape: tuple[int, int], ring: int) -> 
     return np.column_stack([uu.ravel(), vv.ravel()])
 
 
+def _factor_condition(roi: RoiSpec, idx: np.ndarray, rows: int, cols: int) -> float | None:
+    """cond(F_U) * cond(F_V) when idx holds the product U x V, each entry once.
+
+    The system is then a row permutation of (F_U kron F_V) / (rows*cols), with
+    F_U[u, k] = exp(-2j*pi*u*(top+k)/rows) over U x the K ROI rows and F_V
+    the same over columns. A Kronecker product's singular values are the
+    products of its factors', so its condition is the product of theirs. The
+    ROI's anchor only scales each factor row by a unit phase, so the factors
+    are taken at the origin. None for any other selection, and when a factor
+    has fewer rows than columns (the product is then rank deficient).
+    """
+    us, vs = np.unique(idx[:, 0]), np.unique(idx[:, 1])
+    if (
+        us.size < roi.k_rows
+        or vs.size < roi.l_cols
+        or us.size * vs.size != idx.shape[0]
+        or np.unique(idx, axis=0).shape[0] != idx.shape[0]
+    ):
+        return None
+    f_u = _twiddles(us, np.arange(roi.k_rows), rows, -1)
+    f_v = _twiddles(vs, np.arange(roi.l_cols), cols, -1)
+    return float(np.linalg.cond(f_u)) * float(np.linalg.cond(f_v))
+
+
 def _block_shape(problem: RoiProblem) -> tuple[int, int]:
     roi = problem.system.roi
     return roi.k_rows + problem.ring, roi.l_cols + problem.ring
@@ -128,7 +153,9 @@ def build_system(
         otf_spec: when given, every index must sit inside its passband,
             otherwise SelectionError (entries outside carry no signal after
             the low-pass filter).
-        estimate_condition: compute a 2-norm condition estimate via SVD.
+        estimate_condition: compute a 2-norm condition estimate: from the two
+            1-D partial DFT factors when obs_index is a full product U x V
+            (any order, no repeats), else from an SVD of the whole matrix.
     """
     rows, cols = int(field_shape[0]), int(field_shape[1])
     if rows < 1 or cols < 1:
@@ -167,7 +194,11 @@ def build_system(
 
     a = fill_rows(idx.shape[0], unknowns.shape[0], np.complex128, phase_rows)
     a /= rows * cols
-    cond = float(np.linalg.cond(a)) if estimate_condition else float("nan")
+    cond = float("nan")
+    if estimate_condition:
+        cond = _factor_condition(roi, idx, rows, cols)
+        if cond is None:
+            cond = float(np.linalg.cond(a))
     return LinearSystem(a_matrix=a, roi=roi, obs_index=idx, condition_estimate=cond)
 
 

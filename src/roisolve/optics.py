@@ -179,7 +179,7 @@ class PsfKernel:
         ].copy()
 
 
-def build_psf(spec: OtfSpec, crop_size: int = 501) -> PsfKernel:
+def build_psf(spec: OtfSpec, crop_size: int = 501, reach: int | None = None) -> PsfKernel:
     """Inverse-transform the disk, center the peak, crop to crop_size.
 
     Follows np.fft.ifft2's own order (1-D inverse transforms along axis -1,
@@ -190,15 +190,22 @@ def build_psf(spec: OtfSpec, crop_size: int = 501) -> PsfKernel:
     kernel is bit-identical to cropping fftshift(ifft2(build_otf(spec)).real),
     at about crop/(rows+cols) of its cost.
 
+    A system whose offsets stay within +/-reach reads only the kernel's
+    centre, so with reach given only the centre min(crop_size, 2*reach+1) is
+    built: each value comes from its own column transform, so it is
+    bit-identical to the same cell of the full crop. crop_size is validated
+    either way.
+
     Args:
         spec: transfer-function parameters.
         crop_size: odd window edge; must fit the field after centering.
+        reach: largest offset the caller reads; None builds the whole crop.
 
     Returns:
         PsfKernel with the peak at the central cell.
 
     Raises:
-        ParameterError: crop_size is even or < 1.
+        ParameterError: crop_size is even or < 1, or reach < 0.
         BoundsError: crop_size does not fit the field.
         InconsistentInputError: a computed kernel value has a non-trivial
             imaginary part (the disk symmetry is broken; this is a build bug,
@@ -211,6 +218,11 @@ def build_psf(spec: OtfSpec, crop_size: int = 501) -> PsfKernel:
     crow, ccol = rows // 2, cols // 2
     if crow - h < 0 or ccol - h < 0 or crow + h + 1 > rows or ccol + h + 1 > cols:
         raise BoundsError(f"crop_size {crop_size} does not fit a {rows}x{cols} field")
+    if reach is not None:
+        if reach < 0:
+            raise ParameterError(f"reach must be >= 0, got {reach}")
+        h = min(h, reach)
+        crop_size = 2 * h + 1
     freqs, gain = passband_box(spec)
     offsets = np.arange(-h, h + 1)
     band = np.zeros((freqs.size, cols), dtype=np.complex128)

@@ -8,7 +8,7 @@ order and safe to parallelize externally.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -30,7 +30,7 @@ DEFAULT_SEED = 12345
 DEFAULT_FIELD = (768, 768)
 DEFAULT_CUTOFF = 6.0
 DEFAULT_PSF_CROP = 501
-SIZES_DEFAULT = tuple(range(2, 21))
+SIZES_DEFAULT = range(2, 21)
 # Each domain's observation_index, build_system, observation readers and
 # solve_system, and its METHODS: the one place a domain name picks code.
 # Callers look functions up on the module at call time, so wrappers installed
@@ -290,12 +290,22 @@ class RoiProblem:
         return self.module.solve_system(self.system, rhs, method, clamp_negative=clamp_negative)
 
 
+def kernel_reach(edge: int, ring: int) -> int:
+    """Largest kernel offset the image-domain system reads for a region whose
+    longer side is edge, observed with a ring of that width. An edge below 1
+    and a negative ring count as 1 and 0, so the callers' own checks report
+    them."""
+    return max(edge, 1) - 1 + max(ring, 0)
+
+
 def _domain_psf(
-    domain: str, rows: int, cols: int, cutoff_radius: float, psf_crop: int
+    domain: str, rows: int, cols: int, cutoff_radius: float, psf_crop: int, edge: int, ring: int
 ) -> PsfKernel | None:
-    """The image domain's kernel for a run; the transform domain needs none."""
+    """The image domain's kernel for a run whose longest region side is edge,
+    built out to kernel_reach(edge, ring) only (of the validated psf_crop);
+    the transform domain needs none."""
     if domain == "spatial":
-        return build_psf(OtfSpec(rows, cols, cutoff_radius), psf_crop)
+        return build_psf(OtfSpec(rows, cols, cutoff_radius), psf_crop, kernel_reach(edge, ring))
     return None
 
 
@@ -448,7 +458,7 @@ def _run_size(
 
 def run_table_experiment(
     domain: str,
-    sizes: tuple[int, ...] = SIZES_DEFAULT,
+    sizes: Sequence[int] = SIZES_DEFAULT,
     trials_per_size: int = 20,
     root_seed: int = DEFAULT_SEED,
     field_shape: tuple[int, int] = DEFAULT_FIELD,
@@ -503,7 +513,9 @@ def run_table_experiment(
         noise_psnr_db=noise_psnr_db,
     )
 
-    psf = _domain_psf(domain, rows, cols, cutoff_radius, psf_crop)
+    psf = _domain_psf(
+        domain, rows, cols, cutoff_radius, psf_crop, max(sizes, default=1), extra_ring
+    )
     # an infinite ratio adds no noise
     level = None if noise_psnr_db is None or math.isinf(noise_psnr_db) else noise_psnr_db
     for size in sizes:
@@ -542,7 +554,7 @@ def ad_spot_check(
     if domain not in DOMAINS:
         raise ParameterError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
     rows, cols = int(field_shape[0]), int(field_shape[1])
-    psf = _domain_psf(domain, rows, cols, cutoff_radius, psf_crop)
+    psf = _domain_psf(domain, rows, cols, cutoff_radius, psf_crop, size, 0)
     roi, blur = _size_layout(domain, size, rows, cols, cutoff_radius, psf, 0)
     problem = roi_problem(domain, roi, (rows, cols), blur, 0, estimate_condition=False)
     rng = np.random.default_rng(trial_seed_sequence(root_seed, size, trial))
@@ -756,7 +768,7 @@ def noise_sweep(
         threshold_ae=threshold,
     )
     for domain in domains:
-        psf = _domain_psf(domain, rows, cols, cutoff_radius, psf_crop)
+        psf = _domain_psf(domain, rows, cols, cutoff_radius, psf_crop, roi_size, extra_ring)
         roi, blur = _size_layout(domain, roi_size, rows, cols, cutoff_radius, psf, extra_ring)
         method = DOMAIN_MODULES[domain].METHODS[extra_ring > 0]
         per_level = _run_size(

@@ -5,8 +5,11 @@ import csv
 import inspect
 import io
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roisolve import cli
-from roisolve.cli import main, parse_complex, parse_dims, parse_sizes, resolve_solver
+from roisolve.cli import (
+    expand_sizes,
+    main,
+    parse_complex,
+    parse_dims,
+    parse_size_ranges,
+    resolve_solver,
+)
+from roisolve.errors import BoundsError
 from roisolve.fileio import (
     read_manifest,
     read_raw_matrix,
@@ -42,11 +53,45 @@ def test_parse_dims_variants():
 
 
 def test_parse_sizes_variants():
-    assert parse_sizes("2-5") == (2, 3, 4, 5)
-    assert parse_sizes("4,2,2") == (2, 4)
-    assert parse_sizes("2-4,9") == (2, 3, 4, 9)
+    assert expand_sizes(parse_size_ranges("2-5"), 768) == (2, 3, 4, 5)
+    assert expand_sizes(parse_size_ranges("4,2,2"), 768) == (2, 4)
+    assert expand_sizes(parse_size_ranges("2-4,9"), 768) == (2, 3, 4, 9)
     with pytest.raises(ValueError):
-        parse_sizes(",")
+        parse_size_ranges(",")
+
+
+def test_parse_sizes_checks_the_limit_before_expanding():
+    assert parse_size_ranges("2-5, 9") == (range(2, 6), range(9, 10))
+    assert expand_sizes(parse_size_ranges("9,2-4"), 9) == (2, 3, 4, 9)
+    # a range too long to expand is refused by the child process below
+    with pytest.raises(BoundsError, match="ROI size 1000 does not fit"):
+        expand_sizes(parse_size_ranges("2,1-1000"), 768)
+
+
+# a child process under a 1 GiB address-space cap: expanding the range would
+# raise MemoryError (exit 1) there instead of exhausting the machine
+_SIZES_BOUND_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from roisolve.cli import main
+from roisolve.fileio import write_manifest
+out, cfg = sys.argv[1], sys.argv[2]
+base = ["table", "--domain", "spatial", "--field", "48x48", "--cutoff", "10", "--out", out]
+write_manifest(cfg, {"sizes": "1-10000000000"})
+print(main([*base, "--sizes", "1-10000000000"]), main([*base, "--config", cfg]))
+"""
+
+
+def test_huge_sizes_range_exits_2_without_expanding(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", _SIZES_BOUND_SCRIPT, str(tmp_path / "out"), str(tmp_path / "c")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert run.stdout.split() == ["2", "2"], run.stderr
+    assert run.stderr.count("ROI size 10000000000 does not fit the field (at most 48)") == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_complex_accepts_both_suffixes():
@@ -542,6 +587,29 @@ def test_recover_never_crashes_and_exit_0_means_finite(property_files, data):
     assert rc != 1
     if rc == 0:
         assert np.isfinite(read_raw_matrix(out / "recovered.raw")).all()
+
+
+def test_scan_and_recover_build_only_the_kernel_window(tmp_path, observed_file, monkeypatch):
+    edges = []
+    original = cli.build_psf
+
+    def recorded(*args, **kwargs):
+        psf = original(*args, **kwargs)
+        edges.append(psf.crop_size)
+        return psf
+
+    monkeypatch.setattr(cli, "build_psf", recorded)
+    path, roi, pixels = observed_file
+    recover = ["recover", "--observed", str(path), "--size", "3x2", "--cutoff", "10",
+               "--roi", f"{roi.top},{roi.left}", "--out", str(tmp_path / "rec")]
+    assert main(recover) == 0
+    assert main([*recover, "--ring", "2"]) == 0
+    scan = ["scan", "--sample", "24x24", "--tile", "2x4", "--cutoff", "10"]
+    assert main([*scan, "--out", str(tmp_path / "scan")]) == 0
+    assert read_manifest(tmp_path / "scan" / "scan_manifest.txt")["psf_crop"] == "23"
+    # the psf command keeps writing the whole crop
+    assert main(["psf", *SMALL_ARGS, "--out", str(tmp_path / "psf")]) == 0
+    assert edges == [5, 9, 7, 47]
 
 
 # ---------------------------------------------------------------------------

@@ -45,3 +45,12 @@ def test_help_workload_hashes_every_subcommand(tool):
     assert set(digests) == {f"help/{name}" for name in names}
     assert len(set(digests.values())) == len(names)
     assert tool.digest(["help"], []) == digests
+
+
+def test_psf_workload_hashes_every_export_of_each_setting(tool):
+    digests = tool.digest(["psf"], [205])
+    whats = ("exit", "stdout", "stderr", "psf.raw", "psf.pgm", "otf.raw", "psf_manifest.txt")
+    names = ["-".join(setting) for setting in tool.PSF_SETTINGS]
+    assert set(digests) == {f"psf/{name}/{what}" for name in names for what in whats}
+    assert len({digests[f"psf/{name}/psf.raw"] for name in names}) == len(names)
+    assert tool.digest(["psf"], []) == digests

@@ -239,6 +239,80 @@ def test_build_system_passband_validation(rng):
 
 
 # ---------------------------------------------------------------------------
+# the Kronecker factors and the condition estimate
+
+def _dft_factor(freqs, positions, size):
+    """F[u, k] = exp(-2j*pi*u*p_k/size), phases formed straight from the definition."""
+    return np.exp(-2j * np.pi * np.multiply.outer(freqs, positions) / size)
+
+
+@pytest.mark.parametrize("ring", [0, 1, 2])
+@pytest.mark.parametrize(
+    "roi", [RoiSpec(0, 0, 3, 3), RoiSpec(17, 5, 2, 4), RoiSpec(30, 41, 4, 3)]
+)
+def test_matrix_is_the_kronecker_product_of_two_partial_dfts(roi, ring):
+    rows, cols = 48, 50
+    system = build_system(
+        (rows, cols), roi, observation_index(roi, (rows, cols), ring), estimate_condition=False
+    )
+    f_r = _dft_factor(np.arange(roi.k_rows + ring), roi.top + np.arange(roi.k_rows), rows)
+    f_c = _dft_factor(np.arange(roi.l_cols + ring), roi.left + np.arange(roi.l_cols), cols)
+    assert np.abs(system.a_matrix * (rows * cols) - np.kron(f_r, f_c)).max() <= 1e-13
+
+
+def _conditions(field, roi, ring):
+    """(estimate, full-matrix SVD condition) of one origin-block system."""
+    system = build_system(field, roi, observation_index(roi, field, ring))
+    return system.condition_estimate, float(np.linalg.cond(system.a_matrix))
+
+
+def test_factor_condition_matches_the_full_svd_where_both_are_trustworthy():
+    checked = 0
+    for field in ((768, 768), (48, 50)):
+        for k, l in ((2, 2), (3, 3), (2, 3), (4, 2), (4, 4)):
+            for ring in (0, 1, 2):
+                roi = RoiSpec(field[0] // 2 - 1, field[1] // 3, k, l)
+                estimate, full = _conditions(field, roi, ring)
+                if estimate < 1e12 and full < 1e12:
+                    # a full SVD reads its smallest singular value only to
+                    # about eps times the largest
+                    rtol = max(1e-6, 10 * np.finfo(float).eps * full)
+                    assert estimate == pytest.approx(full, rel=rtol), (field, k, l, ring)
+                    checked += 1
+    assert checked >= 20
+
+
+def test_factor_condition_reads_past_the_full_svd_saturation():
+    # 5x5 at the paper's field: the full SVD stalls near 1/eps, while each
+    # factor (about 3e9) is still well within reach of float64
+    roi = RoiSpec(380, 380, 5, 5)
+    estimate, full = _conditions((768, 768), roi, 0)
+    assert full < 1e17 < estimate
+
+
+def test_a_product_selection_in_any_order_gives_the_same_estimate(rng):
+    roi = RoiSpec(7, 9, 3, 2)
+    idx = observation_index(roi, (32, 32), 1)
+    ordered = build_system((32, 32), roi, idx).condition_estimate
+    shuffled = build_system((32, 32), roi, idx[rng.permutation(len(idx))]).condition_estimate
+    assert shuffled == ordered
+
+
+@pytest.mark.parametrize("edit", ["swap one entry", "repeat one entry", "short factor"])
+def test_other_selections_take_the_full_svd(edit):
+    roi = RoiSpec(7, 9, 3, 3)
+    idx = observation_index(roi, (32, 32), 1).copy()  # 4 x 4 block
+    if edit == "swap one entry":
+        idx[-1] = (5, 0)
+    elif edit == "repeat one entry":
+        idx[-1] = idx[0]
+    else:  # a 2 x 8 product cannot determine 3 rows of unknowns
+        idx = np.column_stack([np.repeat(np.arange(2), 8), np.tile(np.arange(8), 2)])
+    system = build_system((32, 32), roi, idx)
+    assert system.condition_estimate == float(np.linalg.cond(system.a_matrix))
+
+
+# ---------------------------------------------------------------------------
 # solving
 
 def _observed_selection(pixels, roi, spec, start=(0, 0), shape=None):

@@ -134,6 +134,19 @@ def test_grids_equal_the_full_field_construction(rows, cols, cutoff, crop, gain)
     assert psf.grid.flags.c_contiguous
 
 
+@pytest.mark.parametrize("gain", [1.0, 0.5, -2.5])
+@pytest.mark.parametrize("rows, cols, cutoff, crop", GRID_CASES)
+def test_a_windowed_kernel_is_the_centre_of_the_full_crop(rows, cols, cutoff, crop, gain):
+    spec = OtfSpec(rows, cols, cutoff, passband_gain=gain)
+    full = build_psf(spec, crop)
+    h = crop // 2
+    for reach in sorted({0, 1, 2, 5, 19, h - 1, h, h + 3}):
+        psf = build_psf(spec, crop, reach)
+        r = min(reach, h)
+        assert np.array_equal(psf.grid, full.grid[h - r : h + r + 1, h - r : h + r + 1])
+        assert psf.spec == spec and psf.peak == full.peak
+
+
 def test_passband_box_holds_the_disk():
     spec = OtfSpec(16, 14, 5.0, passband_gain=-2.5)
     freqs, gain = passband_box(spec)
@@ -153,6 +166,15 @@ def test_passband_box_holds_the_disk():
 def test_build_psf_crop_errors(rows, cols, crop, error):
     with pytest.raises(error):
         build_psf(OtfSpec(rows, cols, 4.0 if rows > 9 else 3.0), crop)
+    # the requested crop is checked whatever part of it is built
+    for reach in (0, 2):
+        with pytest.raises(error):
+            build_psf(OtfSpec(rows, cols, 4.0 if rows > 9 else 3.0), crop, reach)
+
+
+def test_build_psf_rejects_a_negative_reach():
+    with pytest.raises(ParameterError, match="reach"):
+        build_psf(OtfSpec(16, 16, 4.0), 11, -1)
 
 
 def test_kernel_grid_shape_validation():

@@ -528,6 +528,8 @@ def test_table_records_a_failed_system_build_per_trial():
     assert report.failures(3) == 2
     for t in report.trials:
         assert t.error.startswith("BoundsError")
+        # the whole 3-cell crop is built, so the error names its reach
+        assert t.error == "BoundsError: offsets reach +/-(2, 2), kernel window is only +/-1"
         assert t.seed == int(trial_seed_sequence(8, 3, t.trial).generate_state(1)[0])
 
 
@@ -554,3 +556,38 @@ def test_locate_rejects_non_finite(bad):
     arr[3, 4] = bad
     with pytest.raises(ParameterError, match="NaN or Inf"):
         locate_roi(arr, 2, 2)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("ring", [0, 1])
+def test_condition_estimate_leaves_every_trial_alone(domain, ring):
+    runs = [
+        run_table_experiment(domain, sizes=(2, 3, 4), trials_per_size=2, root_seed=5,
+                             extra_ring=ring, estimate_condition=estimate, **SMALL)
+        for estimate in (True, False)
+    ]
+    for with_cond, without in zip(*(run.trials for run in runs)):
+        assert (with_cond.ae, with_cond.ad) == (without.ae, without.ad)
+        assert np.isfinite(with_cond.condition) and np.isnan(without.condition)
+
+
+def test_runs_build_only_the_kernel_window_their_systems_read(monkeypatch):
+    import roisolve.pipeline
+
+    edges = []
+    original = roisolve.pipeline.build_psf
+
+    def recorded(*args, **kwargs):
+        psf = original(*args, **kwargs)
+        edges.append(psf.crop_size)
+        return psf
+
+    monkeypatch.setattr(roisolve.pipeline, "build_psf", recorded)
+    report = run_table_experiment("spatial", sizes=(3, 2), trials_per_size=1, **SMALL)
+    assert report.manifest()["psf_crop"] == "47"
+    run_table_experiment("spatial", sizes=(2,), trials_per_size=1, extra_ring=2, **SMALL)
+    sweep = noise_sweep(roi_size=2, psnr_grid=(80.0,), trials_per_level=1, extra_ring=1,
+                        domains=("spatial",), **SMALL)
+    assert sweep.psf_crop == 47
+    ad_spot_check("spatial", 4, **SMALL)
+    assert edges == [5, 7, 5, 7]

@@ -7,6 +7,7 @@ from roisolve.errors import BoundsError, ParameterError, ShapeError, SingularSys
 from roisolve.forward import observe_spatial
 from roisolve.grid import RoiSpec, scatter_roi
 from roisolve.linear import LinearSystem
+from roisolve.optics import OtfSpec, build_psf, passband_box
 from roisolve.spatial import (
     build_system,
     observation_index,
@@ -247,3 +248,47 @@ def test_residual_normalization():
     )
     sol = solve_system(system, np.array([1.0, 0.0, 0.0, 0.0]))
     assert sol.residual == pytest.approx(0.0, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the passband factor and the condition estimate
+
+def _passband_factor(spec, cells):
+    """B[p, j] = exp(2j*pi*(u_p*r_j/R + v_p*c_j/C)) over the passband entries p."""
+    freqs, gain = passband_box(spec)
+    u, v = np.meshgrid(freqs, freqs, indexing="ij")
+    inside = gain != 0
+    phase = (
+        np.multiply.outer(u[inside], cells[:, 0]) / spec.field_rows
+        + np.multiply.outer(v[inside], cells[:, 1]) / spec.field_cols
+    )
+    return np.exp(2j * np.pi * phase)
+
+
+@pytest.mark.parametrize("gain", [1.0, 0.5, -2.5])
+@pytest.mark.parametrize(
+    "rows, cols, cutoff, roi",
+    [(48, 48, 10.0, RoiSpec(20, 21, 3, 3)), (97, 64, 5.0, RoiSpec(40, 7, 2, 4)),
+     (768, 768, 6.0, RoiSpec(380, 384, 4, 4))],
+)
+def test_matrix_factors_through_the_passband(rows, cols, cutoff, roi, gain):
+    spec = OtfSpec(rows, cols, cutoff, passband_gain=gain)
+    psf = build_psf(spec, 2 * max(roi.shape) + 1)
+    cells = roi.cells()
+    b = _passband_factor(spec, cells)
+    expected = gain * (b.conj().T @ b) / (rows * cols)
+    a = system_matrix(psf, roi, cells)
+    scale = np.abs(expected).max()
+    assert np.abs(a - expected).max() <= 1e-13 * scale
+    assert np.abs(expected.imag).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("ring", [0, 1])
+def test_condition_is_the_full_svd(ring):
+    # cond(B_roi)**2 would be exact further up at ring 0, but an SVD of the
+    # N_p x K*L factor costs more than one of the K*L x K*L matrix
+    spec = OtfSpec(48, 48, 10.0)
+    roi = RoiSpec(20, 20, 3, 3)
+    idx = observation_index(roi, spec.shape, ring)
+    system = build_system(spec.shape, roi, idx, build_psf(spec, 11))
+    assert system.condition_estimate == float(np.linalg.cond(system.a_matrix))

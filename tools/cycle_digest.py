@@ -1,6 +1,6 @@
 """Byte digest of every benchmark command, to show a change leaves outputs alone.
 
-    python3 tools/cycle_digest.py [--workloads table,noise,scan,recover,help]
+    python3 tools/cycle_digest.py [--workloads table,noise,scan,recover,help,psf]
         [--seeds 111,205,12345] [--out digest.json]
     python3 tools/cycle_digest.py --compare A.json B.json
 
@@ -11,7 +11,10 @@ and its exit code are hashed (SHA-256) into one JSON object keyed
 "workload/seed/op/what", with the temporary directory masked out of paths.
 The "help" workload hashes the exit code, stdout and stderr of
 `roisolve <command> --help` for every subcommand, rendered 80 columns wide,
-under "help/<command>" whatever the seeds. --compare lists the keys that
+under "help/<command>" whatever the seeds. The "psf" workload runs
+`roisolve psf` for each (field, cutoff, crop, gain) of PSF_SETTINGS and
+hashes the same things as an op, under "psf/<field>-<cutoff>-<crop>-<gain>",
+so the full-crop kernel export is gated too. --compare lists the keys that
 differ between two such files (or sit in one only) and exits 1 if there are
 any.
 """
@@ -33,9 +36,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
-WORKLOADS = ("table", "noise", "scan", "recover", "help")
+WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf")
 SUBCOMMANDS = ("psf", "table", "scan", "noise", "recover", "two-point")
 SEEDS = (111, 205, 12345)
+# (field, cutoff, crop, gain) of the psf workload: the benchmark's kernel,
+# the scan kernel, an odd non-square field and a crop spanning most columns
+PSF_SETTINGS = (
+    ("768x768", "6", "501", "1"),
+    ("300x300", "6", "299", "0.5"),
+    ("97x64", "5", "63", "-2.5"),
+    ("16x12", "4", "11", "1"),
+)
 MASK = "<tmp>"
 
 
@@ -56,6 +67,23 @@ def _run(cli, argv: list[str]) -> tuple[str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _op_digest(cli, argv: list[str], out: str, tmp: str, key: str) -> dict[str, str]:
+    """Digests of one command writing into out: exit, stdout, stderr, files."""
+    code, stdout, stderr = _run(cli, argv)
+    digests = {
+        f"{key}/exit": _hash(code.replace(tmp, MASK).encode()),
+        f"{key}/stdout": _hash(stdout.replace(tmp, MASK).encode()),
+        f"{key}/stderr": _hash(stderr.replace(tmp, MASK).encode()),
+    }
+    for dirpath, _, filenames in os.walk(out):
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                data = fh.read().replace(tmp.encode(), MASK.encode())
+            digests[f"{key}/{os.path.relpath(path, out)}"] = _hash(data)
+    return digests
+
+
 def cycle_digest(workload: str, seed: int) -> dict[str, str]:
     """Digests of every op of one workload cycle at one seed."""
     import roisolve.cli as cli
@@ -71,17 +99,25 @@ def cycle_digest(workload: str, seed: int) -> dict[str, str]:
         for i, op in enumerate(workloads.cycle(workload, seed, workdir, placeholder)):
             out = os.path.join(tmp, f"op{i}")
             argv = [out if a == placeholder else a for a in op.argv]
-            code, stdout, stderr = _run(cli, argv)
-            key = f"{workload}/{seed}/{i}"
-            digests[f"{key}/exit"] = _hash(code.replace(tmp, MASK).encode())
-            digests[f"{key}/stdout"] = _hash(stdout.replace(tmp, MASK).encode())
-            digests[f"{key}/stderr"] = _hash(stderr.replace(tmp, MASK).encode())
-            for dirpath, _, filenames in os.walk(out):
-                for name in sorted(filenames):
-                    path = os.path.join(dirpath, name)
-                    with open(path, "rb") as fh:
-                        data = fh.read().replace(tmp.encode(), MASK.encode())
-                    digests[f"{key}/{os.path.relpath(path, out)}"] = _hash(data)
+            digests.update(_op_digest(cli, argv, out, tmp, f"{workload}/{seed}/{i}"))
+        return digests
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def psf_digest() -> dict[str, str]:
+    """Digests of `roisolve psf` at every PSF_SETTINGS entry."""
+    import roisolve.cli as cli
+
+    tmp = tempfile.mkdtemp(prefix="cycle-digest-")
+    try:
+        digests = {}
+        for field, cutoff, crop, gain in PSF_SETTINGS:
+            name = f"{field}-{cutoff}-{crop}-{gain}"
+            out = os.path.join(tmp, name)
+            argv = ["psf", "--field", field, "--cutoff", cutoff, "--psf-crop", crop,
+                    f"--gain={gain}", "--out", out]
+            digests.update(_op_digest(cli, argv, out, tmp, f"psf/{name}"))
         return digests
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -99,8 +135,8 @@ def help_digest() -> dict[str, str]:
 def digest(workload_names, seeds) -> dict[str, str]:
     result = {}
     for workload in workload_names:
-        if workload == "help":
-            result.update(help_digest())
+        if workload in ("help", "psf"):
+            result.update(help_digest() if workload == "help" else psf_digest())
             continue
         for seed in seeds:
             result.update(cycle_digest(workload, seed))
