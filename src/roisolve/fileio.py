@@ -49,22 +49,26 @@ def _check_dims(rows: int, cols: int, itemsize: int, what: str, offset: int) -> 
         raise FileFormatError(f"{what} dimensions {rows}x{cols} exceed any array", offset=offset)
 
 
-def _read_payload(fh: io.BufferedReader, expected: int, what: str) -> bytes:
-    """The payload after a header: exactly `expected` bytes up to end of file.
+def _read_payload(
+    fh: io.BufferedReader, rows: int, cols: int, dtype: np.dtype, what: str
+) -> np.ndarray:
+    """The payload after a header: a rows x cols array of dtype that fills the
+    file to its end, read straight into the array (one copy).
 
-    The size on disk is checked before reading, so a header promising more
-    than the file holds never drives a huge allocation.
+    The size on disk is checked before the array is allocated, so a header
+    promising more than the file holds never drives a huge allocation.
     """
+    expected = rows * cols * dtype.itemsize
     offset = fh.tell()
     held = os.fstat(fh.fileno()).st_size - offset
     if held == expected:
-        payload = fh.read(expected + 1)
-        held = len(payload)
+        data = np.empty((rows, cols), dtype=dtype)
+        held = fh.readinto(data.reshape(-1).view(np.uint8)) + len(fh.read(1))
     if held != expected:
         raise FileFormatError(
             f"{what} payload holds {held} bytes, header promises {expected}", offset=offset
         )
-    return payload
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +114,9 @@ def read_raw_matrix(path: str) -> np.ndarray:
         else:
             raise FileFormatError(f"unknown raw kind {kind!r}", offset=0)
         _check_dims(rows, cols, dtype.itemsize, "raw header", 0)
-        payload = _read_payload(fh, rows * cols * dtype.itemsize, "raw")
-    data = np.frombuffer(payload, dtype=dtype).reshape(rows, cols)
-    return data.astype(np.complex128) if kind == RAW_KIND_COMPLEX else data.astype(np.float64)
+        data = _read_payload(fh, rows, cols, dtype, "raw")
+    # a no-op on little-endian hosts, a byte swap elsewhere
+    return data.astype(np.complex128 if kind == RAW_KIND_COMPLEX else np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +178,8 @@ def read_pgm16(path: str) -> np.ndarray:
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         # the counts come back as float64, so its itemsize bounds the extent
         _check_dims(rows, cols, np.dtype(np.float64).itemsize, "PGM", fh.tell())
-        payload = _read_payload(fh, rows * cols * dtype.itemsize, "PGM")
-    return np.frombuffer(payload, dtype=dtype).reshape(rows, cols).astype(np.float64)
+        counts = _read_payload(fh, rows, cols, dtype, "PGM")
+    return counts.astype(np.float64)
 
 
 def sniff_raster(path: str) -> str:

@@ -7,13 +7,18 @@ domain. Image-side spectra here use the normalized transform
 
 so a spectrum and its image are linked by image = real(ifft2(Y)) * M * N.
 
-Two routes evaluate the model. The full-field functions (observe_spatial,
-observe_spectrum, spectrum_to_image, image_to_spectrum) run whole-frame FFTs;
-noisy observations need them because the noise covers the whole frame and is
-pinned to its peak. The sparse functions (observe_spatial_at,
-observe_spectrum_block, image_spectrum_block) evaluate only the cells or
-spectrum entries a system reads, as products of 1-D twiddle matrices; for an
-isolated region they agree with the full-field route to rounding.
+Two routes evaluate the model. The full-field route blurs a whole frame;
+noisy observations need it because the noise covers the whole frame and is
+pinned to its peak. observe_spatial (and the transform domain's clean
+observer) run it as pruned 1-D transforms in np.fft's own axis order, touching
+only the rows that hold light and the lines of the passband box, and the blur
+is bit-identical to the whole-frame 2-D FFT expression (see _band_blur);
+observe_spectrum, spectrum_to_image and image_to_spectrum stay as the
+whole-frame FFT functions the tests use as oracles. The sparse functions
+(observe_spatial_at, observe_spectrum_block, image_spectrum_block) evaluate
+only the cells or spectrum entries a system reads, as products of 1-D twiddle
+matrices; for an isolated region they agree with the full-field route to
+rounding.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, ShapeError
 from .grid import RoiSpec, scatter_roi, vectorize_roi
-from .optics import OtfSpec, PsfKernel, build_otf, in_passband, passband_box
+from .optics import _LINE_BATCH, OtfSpec, PsfKernel, in_passband, passband_box
 
 
 @dataclass(frozen=True)
@@ -53,22 +58,79 @@ class NoiseSpec:
         return abs(peak) / 10.0 ** (self.psnr_db / 20.0)
 
 
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ParameterError(f"{what} holds NaN or Inf")
+
+
 def _check_field(ideal: np.ndarray, shape: tuple[int, int], what: str) -> np.ndarray:
     arr = np.asarray(ideal, dtype=float)
     if arr.ndim != 2:
         raise ShapeError(f"{what} must be 2D, got ndim={arr.ndim}")
     if arr.shape != shape:
         raise ShapeError(f"{what} shape {arr.shape} does not match the field {shape}")
+    _check_finite(arr, what)
     return arr
 
 
+def _band_blur(ideal: np.ndarray, spec: OtfSpec, normalized: bool) -> np.ndarray:
+    """The full-field blur of an ideal frame through spec's transfer function.
+
+    Bit-identical to np.fft.ifft2(np.fft.fft2(ideal) * build_otf(spec)).real,
+    or with normalized to spectrum_to_image(observe_spectrum(ideal,
+    build_otf(spec))), the same with the 1/(rows*cols) before and the
+    rows*cols after the inverse. It follows np.fft's own axis order (axis -1,
+    then axis 0, both ways) but transforms only what is nonzero or kept:
+    forward along axis -1 the rows that hold light, forward along axis 0 the
+    2r+1 passband columns, inverse along axis -1 the 2r+1 passband rows, and
+    inverse along axis 0 every column, _LINE_BATCH at a time. Every 1-D
+    transform sees the line the 2-D transforms give it, and the products and
+    scalings are the same elementwise operations.
+
+    Raises:
+        ShapeError: the frame is not 2D on spec's field.
+        ParameterError: the frame holds NaN or Inf.
+    """
+    arr = _check_field(ideal, spec.shape, "ideal frame")
+    rows, cols = spec.shape
+    freqs, gain = passband_box(spec)
+    band_rows, band_cols = freqs % rows, freqs % cols
+    lit = np.flatnonzero(arr.any(axis=1))
+    # a dark row transforms to zeros
+    columns = np.zeros((rows, freqs.size), dtype=np.complex128)
+    columns[lit] = np.fft.fft(arr[lit], axis=-1)[:, band_cols]
+    spectrum = np.fft.fft(columns, axis=0)[band_rows] * gain
+    if normalized:
+        spectrum = spectrum / (rows * cols)
+    band = np.zeros((freqs.size, cols), dtype=np.complex128)
+    band[:, band_cols] = spectrum
+    band = np.fft.ifft(band, axis=-1)
+    # every column of the inverse is nonzero only at the passband rows
+    lines = np.zeros((_LINE_BATCH, rows), dtype=np.complex128)
+    image = np.empty(spec.shape)
+    for start in range(0, cols, _LINE_BATCH):
+        stop = min(start + _LINE_BATCH, cols)
+        lines[: stop - start, band_rows] = band[:, start:stop].T
+        image[:, start:stop] = np.fft.ifft(lines[: stop - start], axis=-1).real.T
+    if normalized:
+        image *= rows * cols
+    return image
+
+
 def observe_spatial(ideal: np.ndarray, psf: PsfKernel) -> np.ndarray:
-    """Blurred image of an ideal frame: circular convolution with the kernel."""
+    """Blurred image of an ideal frame: circular convolution with the kernel.
+
+    Evaluated from the kernel's transfer spec; bit-identical to
+    np.fft.ifft2(np.fft.fft2(ideal) * build_otf(psf.spec)).real.
+
+    Raises:
+        ParameterError: the kernel carries no transfer spec, or the frame
+            holds NaN or Inf.
+        ShapeError: the frame is not 2D on the kernel's field.
+    """
     if psf.spec is None:
         raise ParameterError("kernel carries no transfer spec; cannot blur a full field")
-    arr = _check_field(ideal, psf.spec.shape, "ideal frame")
-    otf = build_otf(psf.spec)
-    return np.fft.ifft2(np.fft.fft2(arr) * otf).real
+    return _band_blur(ideal, psf.spec, normalized=False)
 
 
 def observe_spectrum(ideal: np.ndarray, otf: np.ndarray) -> np.ndarray:
@@ -234,9 +296,11 @@ def noise_field(observed: np.ndarray, seed: int) -> tuple[float, np.ndarray]:
     levels draws the field once.
 
     Raises:
+        ParameterError: the image holds NaN or Inf.
         DegenerateInputError: the image has no positive peak.
     """
     arr = np.asarray(observed, dtype=float)
+    _check_finite(arr, "observed image")
     peak = float(arr.max())
     if peak <= 0:
         raise DegenerateInputError("observed image has no positive peak to scale noise to")
@@ -248,10 +312,14 @@ def add_noise(observed: np.ndarray, noise: NoiseSpec) -> np.ndarray:
 
     The peak is taken from the input image itself (its max value). With
     psnr_db=inf the input is returned unchanged (same array, no copy).
+
+    Raises:
+        ParameterError: the image holds NaN or Inf.
     """
     arr = np.asarray(observed, dtype=float)
     if arr.ndim != 2:
         raise ShapeError(f"observed image must be 2D, got ndim={arr.ndim}")
+    _check_finite(arr, "observed image")
     if not math.isfinite(noise.psnr_db):
         return arr
     peak, unit = noise_field(arr, noise.seed)
@@ -259,11 +327,20 @@ def add_noise(observed: np.ndarray, noise: NoiseSpec) -> np.ndarray:
 
 
 def measure_psnr_db(clean: np.ndarray, noisy: np.ndarray) -> float:
-    """Realized peak signal-to-noise ratio between a clean image and its noisy copy."""
+    """Realized peak signal-to-noise ratio between a clean image and its noisy copy.
+
+    Raises:
+        ShapeError: the two images differ in shape.
+        ParameterError: either image holds NaN or Inf.
+        DegenerateInputError: the images differ and the clean one has no
+            positive peak.
+    """
     clean = np.asarray(clean, dtype=float)
     noisy = np.asarray(noisy, dtype=float)
     if clean.shape != noisy.shape:
         raise ShapeError(f"shape mismatch {clean.shape} vs {noisy.shape}")
+    _check_finite(clean, "clean image")
+    _check_finite(noisy, "noisy image")
     sigma = float(np.std(noisy - clean))
     if sigma == 0:
         return math.inf
@@ -282,7 +359,9 @@ def extra_light_ratio(full_sample: np.ndarray, roi: RoiSpec, psf: PsfKernel) -> 
 
     Raises:
         ParameterError: the kernel carries no transfer spec (loaded from a
-            file), so the full-field blur is unavailable.
+            file), so the full-field blur is unavailable; or the sample holds
+            NaN or Inf.
+        DegenerateInputError: the isolated ROI contributes no light.
     """
     if psf.spec is None:
         raise ParameterError("kernel carries no transfer spec; cannot blur a full field")

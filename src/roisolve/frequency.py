@@ -9,7 +9,7 @@ many in-passband entries as unknowns gives a solvable dense complex system.
 from __future__ import annotations
 
 import cmath
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -21,16 +21,10 @@ from .errors import (
     ShapeError,
     SingularSystemError,
 )
-from .forward import (
-    _twiddles,
-    image_spectrum_block,
-    observe_spectrum,
-    observe_spectrum_block,
-    spectrum_to_image,
-)
+from .forward import _band_blur, _twiddles, image_spectrum_block, observe_spectrum_block
 from .grid import RoiSpec
 from .linear import LinearSystem, Solution, fill_rows, solve
-from .optics import OtfSpec, build_otf, in_passband
+from .optics import OtfSpec, in_passband
 
 if TYPE_CHECKING:
     from .pipeline import RoiProblem
@@ -210,15 +204,34 @@ def noiseless_rhs(problem: RoiProblem, pixels: np.ndarray) -> np.ndarray:
 
 
 def clean_observer(problem: RoiProblem) -> Callable[[np.ndarray], np.ndarray]:
-    """Full-field blurred image of an ideal frame, through the transfer function."""
-    otf = build_otf(problem.blur)
-    return lambda ideal: spectrum_to_image(observe_spectrum(ideal, otf))
+    """Full-field blurred image of an ideal frame, through the transfer function:
+    spectrum_to_image(observe_spectrum(ideal, build_otf(blur))) bit for bit,
+    by pruned 1-D transforms."""
+    spec = problem.blur
+    return lambda ideal: _band_blur(ideal, spec, normalized=True)
 
 
 def frame_rhs(problem: RoiProblem, frame: np.ndarray) -> np.ndarray:
     """The system's spectrum block of an observed image, as a partial DFT of
     the frame (image_spectrum_block), never a full transform."""
     return image_spectrum_block(frame, 0, 0, *_block_shape(problem)).ravel()
+
+
+def noisy_rhs(
+    problem: RoiProblem, clean: np.ndarray, unit: np.ndarray, sigmas: Sequence[float]
+) -> list[np.ndarray]:
+    """frame_rhs of clean + sigma * unit for each sigma, in order.
+
+    Each frame is formed in one reused buffer, with the same operations and
+    so the same bytes as the expression.
+    """
+    frame = np.empty_like(clean)
+    out = []
+    for sigma in sigmas:
+        np.multiply(sigma, unit, out=frame)
+        np.add(clean, frame, out=frame)
+        out.append(frame_rhs(problem, frame))
+    return out
 
 
 def solve_system(

@@ -104,9 +104,10 @@ def build_otf(spec: OtfSpec) -> np.ndarray:
 # inverse transform; exceeding it means the disk lost its symmetry somewhere.
 _IMAG_RESIDUE_RTOL = 1e-12
 
-# Crop columns inverse-transformed along axis 0 per batch in build_psf; a
-# batch of field-length lines stays in cache where the whole crop does not.
-_PSF_BATCH = 32
+# Columns inverse-transformed along axis 0 per batch, in build_psf and in
+# forward's full-field blur; a batch of field-length lines stays in cache
+# where the whole grid does not.
+_LINE_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -230,11 +231,11 @@ def build_psf(spec: OtfSpec, crop_size: int = 501, reach: int | None = None) -> 
     # the crop's columns of the row-transformed field, one per line; each is
     # nonzero only at the 2r+1 passband rows
     lines = np.fft.ifft(band, axis=-1)[:, offsets % cols].T
-    batch = np.zeros((_PSF_BATCH, rows), dtype=np.complex128)
+    batch = np.zeros((_LINE_BATCH, rows), dtype=np.complex128)
     grid = np.empty((crop_size, crop_size))
     residue = 0.0
-    for start in range(0, crop_size, _PSF_BATCH):
-        stop = min(start + _PSF_BATCH, crop_size)
+    for start in range(0, crop_size, _LINE_BATCH):
+        stop = min(start + _LINE_BATCH, crop_size)
         batch[: stop - start, freqs % rows] = lines[start:stop]
         kept = np.fft.ifft(batch[: stop - start], axis=-1)
         residue = max(residue, float(np.abs(kept.imag).max()))

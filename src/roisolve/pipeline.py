@@ -285,6 +285,13 @@ class RoiProblem:
         """The right-hand side read off a full-field observed image."""
         return self.module.frame_rhs(self, frame)
 
+    def noisy_rhs(
+        self, clean: np.ndarray, unit: np.ndarray, sigmas: Sequence[float]
+    ) -> Sequence[np.ndarray]:
+        """frame_rhs(clean + sigma * unit) for each sigma, bit for bit, reading
+        only what the system reads where the domain allows."""
+        return self.module.noisy_rhs(self, clean, unit, sigmas)
+
     def solve(self, rhs: np.ndarray, method: str, clamp_negative: bool = False) -> Solution:
         """Solution for one right-hand side or an (n, t) block; see linear.solve."""
         return self.module.solve_system(self.system, rhs, method, clamp_negative=clamp_negative)
@@ -415,8 +422,8 @@ def _run_size(
     The system is built once for the size. Trials run outside and levels
     inside: a noiseless level evaluates only what the system reads, and the
     noisy levels of a trial share one full-field clean observation, its peak
-    and its unit-noise field, each level being clean + sigma * unit exactly as
-    add_noise forms it.
+    and its unit-noise field, each level's right-hand side being that of
+    clean + sigma * unit exactly as add_noise forms it (RoiProblem.noisy_rhs).
     """
     size = roi.k_rows
     out: list[list[TrialResult]] = [[] for _ in levels]
@@ -449,10 +456,11 @@ def _run_size(
             for i in noisy:
                 out[i].append(_failed_trial(domain, size, trial, seed_id, exc))
             continue
-        for i in noisy:
-            rhs = problem.frame_rhs(clean + NoiseSpec(levels[i], noise_seed).sigma(peak) * unit)
-            out[i].append(_solved_trial(problem, method, trial, seed_id, pixels, rhs))
+        sigmas = [NoiseSpec(levels[i], noise_seed).sigma(peak) for i in noisy]
+        rhs_levels = problem.noisy_rhs(clean, unit, sigmas)
         del clean, unit  # one trial's full-field arrays alive at a time
+        for i, rhs in zip(noisy, rhs_levels):
+            out[i].append(_solved_trial(problem, method, trial, seed_id, pixels, rhs))
     return out
 
 

@@ -8,7 +8,7 @@ offset (k - m, l - n). Solving that dense system undoes the blur.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -158,6 +158,17 @@ def frame_rhs(problem: RoiProblem, frame: np.ndarray) -> np.ndarray:
     """The system's cells read off an observed image."""
     idx = problem.system.obs_index
     return frame[idx[:, 0], idx[:, 1]]
+
+
+def noisy_rhs(
+    problem: RoiProblem, clean: np.ndarray, unit: np.ndarray, sigmas: Sequence[float]
+) -> np.ndarray:
+    """frame_rhs of clean + sigma * unit for each sigma, one row each.
+
+    The sum is elementwise, so the system's cells are read off clean and
+    unit once and combined there, with the same bytes as reading each frame.
+    """
+    return frame_rhs(problem, clean) + np.multiply.outer(sigmas, frame_rhs(problem, unit))
 
 
 def solve_system(

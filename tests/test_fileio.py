@@ -48,6 +48,18 @@ def test_raw_complex_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(back, m)
 
 
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_raw_read_gives_writable_arrays(tmp_path, rng, complex_data):
+    # the payload is read straight into the array the caller gets
+    m = rng.normal(size=(3, 4)) + (1j * rng.normal(size=(3, 4)) if complex_data else 0)
+    write_raw_matrix(tmp_path / "m.raw", m)
+    write_pgm16(tmp_path / "m.pgm", np.abs(m))
+    for back in (read_raw_matrix(tmp_path / "m.raw"), read_pgm16(tmp_path / "m.pgm")):
+        assert back.flags.writeable and back.flags.c_contiguous
+        back[0, 0] = 1.0
+        assert back[0, 0] == 1.0
+
+
 def test_raw_two_by_three_layout(tmp_path):
     # one ascii header line, then exactly 2*3*8 = 48 payload bytes
     path = tmp_path / "m.raw"

@@ -224,3 +224,82 @@ def test_sparse_evaluators_validate_inputs(small_spec):
         observe_spectrum_block(np.ones(4), roi, small_spec, 0, 0, 0, 2)
     with pytest.raises(ShapeError):
         image_spectrum_block(np.ones(8), 0, 0, 2, 2)
+
+
+# The full-field blur runs as pruned 1-D transforms; it must keep every bit of
+# the 2-D FFT expressions it replaced, signed zeros included (.tobytes()).
+BLUR_FIELDS = [((768, 768), 6.0), ((300, 300), 6.0), ((97, 64), 5.0), ((16, 12), 4.0), ((48, 48), 10.0)]
+
+
+def _blur_frames(rows, cols, rng):
+    dark = scatter_roi(rng.uniform(1, 256, 9), RoiSpec(rows // 2 - 1, cols // 2 - 1, 3, 3), rows, cols)
+    border = scatter_roi(rng.uniform(1, 256, 6), RoiSpec(0, cols - 2, 3, 2), rows, cols)
+    border[rows - 1, 0] = 7.5  # light in the last row and first column too
+    dense = rng.uniform(0, 256, (rows, cols))  # the scan case
+    return {"dark": dark, "border": border, "dense": dense}
+
+
+@pytest.mark.parametrize("shape, cutoff", BLUR_FIELDS)
+def test_full_field_blur_is_bit_identical_to_the_fft2_oracle(shape, cutoff, rng):
+    from roisolve.frequency import clean_observer
+    from roisolve.pipeline import roi_problem
+
+    rows, cols = shape
+    for gain in (1.0, 0.5, -2.5):
+        spec = OtfSpec(rows, cols, cutoff, gain)
+        psf = PsfKernel(grid=np.ones((1, 1)), spec=spec)
+        otf = build_otf(spec)
+        problem = roi_problem("frequency", RoiSpec(0, 0, 1, 1), shape, spec, 0, False)
+        observe = clean_observer(problem)
+        for name, frame in _blur_frames(rows, cols, rng).items():
+            want = np.fft.ifft2(np.fft.fft2(frame) * otf).real
+            got = observe_spatial(frame, psf)
+            assert got.tobytes() == want.tobytes(), (shape, gain, name, "spatial")
+            want = spectrum_to_image(observe_spectrum(frame, otf))
+            got = observe(frame)
+            assert got.tobytes() == want.tobytes(), (shape, gain, name, "frequency")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_observe_spatial_refuses_non_finite_frames(small_psf, bad):
+    frame = np.zeros((48, 48))
+    frame[20, 20] = 1.0
+    frame[3, 40] = bad
+    with pytest.raises(ParameterError, match="NaN or Inf"):
+        observe_spatial(frame, small_psf)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_add_noise_refuses_non_finite_images(bad, rng):
+    obs = rng.uniform(0, 10, (20, 20))
+    obs[5, 5] = bad
+    for psnr in (40.0, math.inf):
+        with pytest.raises(ParameterError, match="NaN or Inf"):
+            add_noise(obs, NoiseSpec(psnr, seed=3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_noise_field_refuses_non_finite_images(bad, rng):
+    obs = rng.uniform(0, 10, (20, 20))
+    obs[0, 19] = bad
+    with pytest.raises(ParameterError, match="NaN or Inf"):
+        noise_field(obs, seed=3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_measure_psnr_db_refuses_non_finite_images(bad, rng):
+    clean = rng.uniform(0, 10, (20, 20))
+    spoiled = clean.copy()
+    spoiled[7, 7] = bad
+    for a, b in ((spoiled, clean + 0.01), (clean, spoiled)):
+        with pytest.raises(ParameterError, match="NaN or Inf"):
+            measure_psnr_db(a, b)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_extra_light_ratio_refuses_non_finite_samples(small_psf, bad, rng):
+    roi = RoiSpec(22, 22, 3, 3)
+    sample = scatter_roi(rng.uniform(1, 256, 9), roi, 48, 48)
+    sample[2, 2] = bad
+    with pytest.raises(ParameterError, match="NaN or Inf"):
+        extra_light_ratio(sample, roi, small_psf)

@@ -497,6 +497,24 @@ def test_noiseless_table_reads_no_full_field(monkeypatch):
     assert calls["n"] == 0
 
 
+def test_noisy_sweep_and_scan_run_no_2d_ffts(monkeypatch, small_psf, tmp_path):
+    # the full-field blur is pruned 1-D transforms, so neither noisy trials
+    # nor scan's blurred preview calls fft2 or ifft2
+    from roisolve import cli
+
+    calls = _count_full_ffts(monkeypatch)
+    for domain in DOMAINS:
+        noise_sweep(
+            roi_size=3, psnr_grid=(40.0, 80.0), trials_per_level=2, root_seed=17,
+            domains=(domain,), **SMALL,
+        )
+    for domain in DOMAINS:
+        scan_reconstruct(make_test_sample(48, 48, seed=1), (3, 3), small_psf, domain=domain)
+    rc = cli.main(["scan", "--sample", "24x24", "--tile", "3x3", "--cutoff", "10", "--out", str(tmp_path)])
+    assert rc == 0 and (tmp_path / "blurred.pgm").exists()
+    assert calls["n"] == 0
+
+
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_table_builds_one_system_per_size(monkeypatch, domain):
     import roisolve.frequency
