@@ -230,21 +230,34 @@ def write_manifest(path: str, entries: Mapping[str, str]) -> None:
 
 
 def read_manifest(path: str) -> dict[str, str]:
-    """Parse 'key = value' lines; '#' starts a comment, blanks are skipped."""
+    """Parse 'key = value' lines; '#' starts a comment, blanks are skipped.
+
+    Raises:
+        FileFormatError: the file is not UTF-8 text, a line has no '=' or an
+            empty key, or a key is given twice.
+    """
+    name = os.path.basename(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{name}: not UTF-8 text ({exc.reason})")
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise FileFormatError(
-                    f"{os.path.basename(path)}:{lineno}: expected 'key = value', "
-                    f"got {stripped!r}"
-                )
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if not key:
-                raise FileFormatError(f"{os.path.basename(path)}:{lineno}: empty key")
-            entries[key] = value.strip()
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise FileFormatError(f"{name}:{lineno}: expected 'key = value', got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if not key:
+            raise FileFormatError(f"{name}:{lineno}: empty key")
+        if key in first_line:
+            raise FileFormatError(
+                f"{name}:{lineno}: key {key!r} is given again (first on line {first_line[key]})"
+            )
+        first_line[key] = lineno
+        entries[key] = value.strip()
     return entries

@@ -9,16 +9,16 @@ so a spectrum and its image are linked by image = real(ifft2(Y)) * M * N.
 
 Two routes evaluate the model. The full-field route blurs a whole frame;
 noisy observations need it because the noise covers the whole frame and is
-pinned to its peak. observe_spatial (and the transform domain's clean
-observer) run it as pruned 1-D transforms in np.fft's own axis order, touching
-only the rows that hold light and the lines of the passband box, and the blur
-is bit-identical to the whole-frame 2-D FFT expression (see _band_blur);
-observe_spectrum, spectrum_to_image and image_to_spectrum stay as the
-whole-frame FFT functions the tests use as oracles. The sparse functions
-(observe_spatial_at, observe_spectrum_block, image_spectrum_block) evaluate
-only the cells or spectrum entries a system reads, as products of 1-D twiddle
-matrices; for an isolated region they agree with the full-field route to
-rounding.
+pinned to its peak. observe_field runs it, for either domain, as pruned 1-D
+transforms in np.fft's own axis order, touching only the rows that hold
+light and the lines of the passband box; the blur is bit-identical to the
+whole-frame 2-D FFT expression, and observe_spatial applies it to a
+kernel's transfer spec. observe_spectrum, spectrum_to_image and
+image_to_spectrum stay as the whole-frame FFT functions the tests use as
+oracles. The sparse functions (observe_spatial_at, observe_spectrum_block,
+image_spectrum_block) evaluate only the cells or spectrum entries a system
+reads, as products of 1-D twiddle matrices; for an isolated region they
+agree with the full-field route to rounding.
 """
 
 from __future__ import annotations
@@ -43,17 +43,14 @@ class NoiseSpec:
 
     psnr_db: float
     seed: int
-    kind: str = "gaussian"
 
     def __post_init__(self) -> None:
-        if math.isnan(self.psnr_db):
-            raise ParameterError("psnr_db must not be NaN")
-        if self.kind != "gaussian":
-            raise ParameterError(f"unsupported noise kind {self.kind!r}")
+        if math.isnan(self.psnr_db) or self.psnr_db == -math.inf:
+            raise ParameterError(f"psnr_db must be a number or +inf, got {self.psnr_db}")
 
     def sigma(self, peak: float) -> float:
         """Noise standard deviation for a given signal peak."""
-        if not math.isfinite(self.psnr_db):
+        if self.psnr_db == math.inf:
             return 0.0
         return abs(peak) / 10.0 ** (self.psnr_db / 20.0)
 
@@ -73,19 +70,16 @@ def _check_field(ideal: np.ndarray, shape: tuple[int, int], what: str) -> np.nda
     return arr
 
 
-def _band_blur(ideal: np.ndarray, spec: OtfSpec, normalized: bool) -> np.ndarray:
+def observe_field(ideal: np.ndarray, spec: OtfSpec) -> np.ndarray:
     """The full-field blur of an ideal frame through spec's transfer function.
 
-    Bit-identical to np.fft.ifft2(np.fft.fft2(ideal) * build_otf(spec)).real,
-    or with normalized to spectrum_to_image(observe_spectrum(ideal,
-    build_otf(spec))), the same with the 1/(rows*cols) before and the
-    rows*cols after the inverse. It follows np.fft's own axis order (axis -1,
-    then axis 0, both ways) but transforms only what is nonzero or kept:
-    forward along axis -1 the rows that hold light, forward along axis 0 the
-    2r+1 passband columns, inverse along axis -1 the 2r+1 passband rows, and
-    inverse along axis 0 every column, _LINE_BATCH at a time. Every 1-D
-    transform sees the line the 2-D transforms give it, and the products and
-    scalings are the same elementwise operations.
+    Bit-identical to np.fft.ifft2(np.fft.fft2(ideal) * build_otf(spec)).real.
+    It follows np.fft's own axis order (axis -1, then axis 0, both ways) but
+    transforms only what is nonzero or kept: forward along axis -1 the rows
+    that hold light, forward along axis 0 the 2r+1 passband columns, inverse
+    along axis -1 the 2r+1 passband rows, and inverse along axis 0 every
+    column, _LINE_BATCH at a time. Every 1-D transform sees the line the 2-D
+    transforms give it, and the product is the same elementwise operation.
 
     Raises:
         ShapeError: the frame is not 2D on spec's field.
@@ -99,11 +93,8 @@ def _band_blur(ideal: np.ndarray, spec: OtfSpec, normalized: bool) -> np.ndarray
     # a dark row transforms to zeros
     columns = np.zeros((rows, freqs.size), dtype=np.complex128)
     columns[lit] = np.fft.fft(arr[lit], axis=-1)[:, band_cols]
-    spectrum = np.fft.fft(columns, axis=0)[band_rows] * gain
-    if normalized:
-        spectrum = spectrum / (rows * cols)
     band = np.zeros((freqs.size, cols), dtype=np.complex128)
-    band[:, band_cols] = spectrum
+    band[:, band_cols] = np.fft.fft(columns, axis=0)[band_rows] * gain
     band = np.fft.ifft(band, axis=-1)
     # every column of the inverse is nonzero only at the passband rows
     lines = np.zeros((_LINE_BATCH, rows), dtype=np.complex128)
@@ -112,15 +103,13 @@ def _band_blur(ideal: np.ndarray, spec: OtfSpec, normalized: bool) -> np.ndarray
         stop = min(start + _LINE_BATCH, cols)
         lines[: stop - start, band_rows] = band[:, start:stop].T
         image[:, start:stop] = np.fft.ifft(lines[: stop - start], axis=-1).real.T
-    if normalized:
-        image *= rows * cols
     return image
 
 
 def observe_spatial(ideal: np.ndarray, psf: PsfKernel) -> np.ndarray:
     """Blurred image of an ideal frame: circular convolution with the kernel.
 
-    Evaluated from the kernel's transfer spec; bit-identical to
+    observe_field on the kernel's transfer spec; bit-identical to
     np.fft.ifft2(np.fft.fft2(ideal) * build_otf(psf.spec)).real.
 
     Raises:
@@ -130,7 +119,7 @@ def observe_spatial(ideal: np.ndarray, psf: PsfKernel) -> np.ndarray:
     """
     if psf.spec is None:
         raise ParameterError("kernel carries no transfer spec; cannot blur a full field")
-    return _band_blur(ideal, psf.spec, normalized=False)
+    return observe_field(ideal, psf.spec)
 
 
 def observe_spectrum(ideal: np.ndarray, otf: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ many in-passband entries as unknowns gives a solvable dense complex system.
 from __future__ import annotations
 
 import cmath
-from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import (
     ShapeError,
     SingularSystemError,
 )
-from .forward import _band_blur, _twiddles, image_spectrum_block, observe_spectrum_block
+from .forward import _twiddles, image_spectrum_block, observe_spectrum_block
 from .grid import RoiSpec
 from .linear import LinearSystem, Solution, fill_rows, solve
 from .optics import OtfSpec, in_passband
@@ -53,6 +52,8 @@ def solve_two_point_1d(
     X_k = sum_n x_n * exp(-2j*pi*k*n/n_len).
 
     Raises:
+        ParameterError: n_len < 2, a position outside [0, n_len), a NaN or
+            infinite argument, or imag_rtol NaN, infinite or negative.
         SingularSystemError: the frequency pair is degenerate for these
             positions, i.e. (a - b)*(c - d) is a multiple of n_len (includes
             a == b and c == d).
@@ -60,6 +61,11 @@ def solve_two_point_1d(
             above imag_rtol of their magnitude (inputs do not match any real
             pair of sources).
     """
+    values = (n_len, a, b, c, d, x_c, x_d)
+    if not all(cmath.isfinite(v) for v in values):
+        raise ParameterError(f"two-point inputs must be finite, got {values}")
+    if not (cmath.isfinite(imag_rtol) and imag_rtol >= 0):
+        raise ParameterError(f"imag_rtol must be finite and >= 0, got {imag_rtol}")
     if n_len < 2:
         raise ParameterError(f"sequence length must be >= 2, got {n_len}")
     for name, value in (("a", a), ("b", b)):
@@ -200,38 +206,13 @@ def noiseless_rhs(problem: RoiProblem, pixels: np.ndarray) -> np.ndarray:
     """The filtered spectrum of the ROI on the system's block, passband-sparse
     (observe_spectrum_block)."""
     roi = problem.system.roi
-    return observe_spectrum_block(pixels, roi, problem.blur, 0, 0, *_block_shape(problem)).ravel()
-
-
-def clean_observer(problem: RoiProblem) -> Callable[[np.ndarray], np.ndarray]:
-    """Full-field blurred image of an ideal frame, through the transfer function:
-    spectrum_to_image(observe_spectrum(ideal, build_otf(blur))) bit for bit,
-    by pruned 1-D transforms."""
-    spec = problem.blur
-    return lambda ideal: _band_blur(ideal, spec, normalized=True)
+    return observe_spectrum_block(pixels, roi, problem.spec, 0, 0, *_block_shape(problem)).ravel()
 
 
 def frame_rhs(problem: RoiProblem, frame: np.ndarray) -> np.ndarray:
     """The system's spectrum block of an observed image, as a partial DFT of
     the frame (image_spectrum_block), never a full transform."""
     return image_spectrum_block(frame, 0, 0, *_block_shape(problem)).ravel()
-
-
-def noisy_rhs(
-    problem: RoiProblem, clean: np.ndarray, unit: np.ndarray, sigmas: Sequence[float]
-) -> list[np.ndarray]:
-    """frame_rhs of clean + sigma * unit for each sigma, in order.
-
-    Each frame is formed in one reused buffer, with the same operations and
-    so the same bytes as the expression.
-    """
-    frame = np.empty_like(clean)
-    out = []
-    for sigma in sigmas:
-        np.multiply(sigma, unit, out=frame)
-        np.add(clean, frame, out=frame)
-        out.append(frame_rhs(problem, frame))
-    return out
 
 
 def solve_system(

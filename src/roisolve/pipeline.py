@@ -21,7 +21,7 @@ from .errors import (
     RoiSolveError,
     ShapeError,
 )
-from .forward import NoiseSpec, noise_field
+from .forward import NoiseSpec, noise_field, observe_field
 from .grid import RoiSpec, centered_roi, scatter_roi
 from .linear import LinearSystem, Solution
 from .optics import OtfSpec, PsfKernel, build_psf
@@ -257,15 +257,15 @@ class RoiProblem:
     The matrix and its condition estimate depend only on (domain, field, ROI,
     blur, ring); an observation supplies just the right-hand side, so every
     table or sweep trial of a size, every scan tile and a recover call share
-    this one type. blur is what the observations go through: the kernel
-    (PsfKernel) in the image domain, the transfer spec (OtfSpec) in the
-    transform domain. ring is the extra observation ring width. Each method
-    is the domain module's function of the same name.
+    this one type. spec is the transfer spec the observations go through
+    (None for a kernel loaded from a file, which carries none); ring is the
+    extra observation ring width. noiseless_rhs and frame_rhs are the domain
+    module's functions of the same name.
     """
 
     domain: str
     system: LinearSystem
-    blur: PsfKernel | OtfSpec
+    spec: OtfSpec | None
     ring: int
 
     @property
@@ -277,20 +277,21 @@ class RoiProblem:
         """Evaluate only the cells or spectrum entries the system reads."""
         return self.module.noiseless_rhs(self, pixels)
 
-    def clean_observer(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Full-field blurred image of an ideal frame, the route noisy trials take."""
-        return self.module.clean_observer(self)
-
     def frame_rhs(self, frame: np.ndarray) -> np.ndarray:
         """The right-hand side read off a full-field observed image."""
         return self.module.frame_rhs(self, frame)
 
     def noisy_rhs(
         self, clean: np.ndarray, unit: np.ndarray, sigmas: Sequence[float]
-    ) -> Sequence[np.ndarray]:
-        """frame_rhs(clean + sigma * unit) for each sigma, bit for bit, reading
-        only what the system reads where the domain allows."""
-        return self.module.noisy_rhs(self, clean, unit, sigmas)
+    ) -> np.ndarray:
+        """frame_rhs(clean + sigma * unit) for each sigma, one row each.
+
+        Both domains' readers are linear, so clean and unit are read once
+        and each level is formed on the system's rows: the same bytes in the
+        image domain (cell reads), the same values to rounding in the
+        transform domain (partial DFT).
+        """
+        return self.frame_rhs(clean) + np.multiply.outer(sigmas, self.frame_rhs(unit))
 
     def solve(self, rhs: np.ndarray, method: str, clamp_negative: bool = False) -> Solution:
         """Solution for one right-hand side or an (n, t) block; see linear.solve."""
@@ -364,7 +365,8 @@ def roi_problem(
     system = module.build_system(
         field_shape, roi, obs_index, blur, estimate_condition=estimate_condition
     )
-    return RoiProblem(domain, system, blur, ring)
+    spec = blur.spec if isinstance(blur, PsfKernel) else blur
+    return RoiProblem(domain, system, spec, ring)
 
 
 def _failed_trial(domain: str, size: int, trial: int, seed: int, exc: RoiSolveError) -> TrialResult:
@@ -420,10 +422,11 @@ def _run_size(
     """Every trial of one ROI size at each noise level (None: noiseless).
 
     The system is built once for the size. Trials run outside and levels
-    inside: a noiseless level evaluates only what the system reads, and the
-    noisy levels of a trial share one full-field clean observation, its peak
-    and its unit-noise field, each level's right-hand side being that of
-    clean + sigma * unit exactly as add_noise forms it (RoiProblem.noisy_rhs).
+    inside: a noiseless level evaluates only what the system reads. The noisy
+    levels of a trial share one clean frame, blurred over the full field by
+    observe_field on the problem's transfer spec in either domain, its peak
+    and its unit-noise field; RoiProblem.noisy_rhs reads clean and unit once
+    and forms every level's right-hand side of clean + sigma * unit from them.
     """
     size = roi.k_rows
     out: list[list[TrialResult]] = [[] for _ in levels]
@@ -432,7 +435,6 @@ def _run_size(
     except RoiSolveError as exc:
         problem, failure = None, exc
     noisy = [i for i, level in enumerate(levels) if level is not None]
-    observe = problem.clean_observer() if problem is not None and noisy else None
     for trial in range(trials):
         seq = trial_seed_sequence(root_seed, size, trial)
         rng = np.random.default_rng(seq)
@@ -450,7 +452,7 @@ def _run_size(
             continue
         noise_seed = noise_stream_seed(root_seed, size, trial)
         try:
-            clean = observe(scatter_roi(pixels, roi, *field_shape))
+            clean = observe_field(scatter_roi(pixels, roi, *field_shape), problem.spec)
             peak, unit = noise_field(clean, noise_seed)
         except RoiSolveError as exc:
             for i in noisy:
@@ -495,12 +497,15 @@ def run_table_experiment(
     Every trial of a size shares one system (matrix and condition estimate).
     Noiseless trials evaluate only the observations the system reads; noisy
     ones (finite noise_psnr_db) observe the full field, since the noise is
-    pinned to its peak.
+    pinned to its peak. noise_psnr_db=inf runs noiseless; NaN and -inf raise
+    ParameterError.
 
     Trials that raise a solver error are recorded with the message instead of
     metrics; nothing is retried or resampled.
     """
     _check_run_args(domain, trials_per_size, extra_ring)
+    if noise_psnr_db is not None:
+        NoiseSpec(noise_psnr_db, root_seed)  # refuses NaN and -inf before any trial
     rows, cols = int(field_shape[0]), int(field_shape[1])
     valid = DOMAIN_MODULES[domain].METHODS
     method = solver or valid[extra_ring > 0]
@@ -524,8 +529,8 @@ def run_table_experiment(
     psf = _domain_psf(
         domain, rows, cols, cutoff_radius, psf_crop, max(sizes, default=1), extra_ring
     )
-    # an infinite ratio adds no noise
-    level = None if noise_psnr_db is None or math.isinf(noise_psnr_db) else noise_psnr_db
+    # +inf adds no noise
+    level = None if noise_psnr_db in (None, math.inf) else noise_psnr_db
     for size in sizes:
         if size < 1:
             raise ParameterError(f"ROI size must be >= 1, got {size}")
@@ -743,9 +748,12 @@ def noise_sweep(
     a noiseless baseline; every point equals run_table_experiment at that
     level with estimate_condition=False. The same trial draws (pixels and
     noise shape) are reused across levels, so curves differ only by the noise
-    amplitude, and each trial observes the full field once for all levels. The
-    default ring-augmented least-squares setup keeps the noiseless baseline
-    under the threshold so a crossing exists to report.
+    amplitude. Each trial blurs its frame over the full field once
+    (observe_field, in both domains) and reads the clean frame and the unit
+    noise once; every level's right-hand side is formed from those two reads
+    (RoiProblem.noisy_rhs). The default ring-augmented least-squares setup
+    keeps the noiseless baseline under the threshold so a crossing exists to
+    report.
     """
     if roi_size < 1:
         raise ParameterError(f"roi_size must be >= 1, got {roi_size}")

@@ -8,13 +8,13 @@ offset (k - m, l - n). Solving that dense system undoes the blur.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError, SingularSystemError
-from .forward import observe_spatial, observe_spatial_at
+from .forward import observe_spatial_at
 from .grid import RoiSpec
 from .linear import LinearSystem, Solution, fill_rows, solve
 from .optics import PsfKernel
@@ -37,9 +37,13 @@ def solve_two_point_1d(
     x_b = (p*y_b - q_b*y_a) / (p^2 - q_a*q_b).
 
     Raises:
+        ParameterError: an argument is NaN or infinite.
         SingularSystemError: p^2 == q_a*q_b to roundoff (the two observations
             carry the same information).
     """
+    values = (p, q_a, q_b, y_a, y_b)
+    if not all(math.isfinite(v) for v in values):
+        raise ParameterError(f"two-point inputs must be finite, got {values}")
     det = p * p - q_a * q_b
     scale = max(p * p, abs(q_a * q_b))
     if scale == 0.0 or abs(det) <= 1e-12 * scale:
@@ -145,30 +149,13 @@ def build_system(
 def noiseless_rhs(problem: RoiProblem, pixels: np.ndarray) -> np.ndarray:
     """The blurred ROI at the system's cells, passband-sparse (observe_spatial_at)."""
     system = problem.system
-    return observe_spatial_at(pixels, system.roi, problem.blur.spec, system.obs_index)
-
-
-def clean_observer(problem: RoiProblem) -> Callable[[np.ndarray], np.ndarray]:
-    """Full-field blurred image of an ideal frame."""
-    psf = problem.blur
-    return lambda ideal: observe_spatial(ideal, psf)
+    return observe_spatial_at(pixels, system.roi, problem.spec, system.obs_index)
 
 
 def frame_rhs(problem: RoiProblem, frame: np.ndarray) -> np.ndarray:
     """The system's cells read off an observed image."""
     idx = problem.system.obs_index
     return frame[idx[:, 0], idx[:, 1]]
-
-
-def noisy_rhs(
-    problem: RoiProblem, clean: np.ndarray, unit: np.ndarray, sigmas: Sequence[float]
-) -> np.ndarray:
-    """frame_rhs of clean + sigma * unit for each sigma, one row each.
-
-    The sum is elementwise, so the system's cells are read off clean and
-    unit once and combined there, with the same bytes as reading each frame.
-    """
-    return frame_rhs(problem, clean) + np.multiply.outer(sigmas, frame_rhs(problem, unit))
 
 
 def solve_system(

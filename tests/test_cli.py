@@ -287,6 +287,28 @@ def test_two_point_frequency_rounded_needs_wider_tolerance():
     assert main([*argv, "--imag-tol", "1.0"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--domain", "spatial", "--p", "nan", "--qa", "0.5", "--qb", "0.5", "--ya", "2.9",
+         "--yb", "4.0"],
+        ["--domain", "spatial", "--p", "1.0", "--qa", "0.5", "--qb", "0.5", "--ya", "inf",
+         "--yb", "4.0"],
+        ["--domain", "frequency", "--length", "8", "--pos-a", "3", "--pos-b", "4",
+         "--freq-c", "0", "--freq-d", "1", "--xc", "nan", "--xd=-13.6376-4.7376i",
+         "--imag-tol", "1e-3"],
+        ["--domain", "frequency", "--length", "8", "--pos-a", "3", "--pos-b", "4",
+         "--freq-c", "0", "--freq-d", "1", "--xc", "15.6", "--xd=-13.6376-4.7376i",
+         "--imag-tol", "nan"],
+    ],
+)
+def test_two_point_non_finite_input_exits_2(argv, capsys):
+    assert main(["two-point", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # recover
 
@@ -785,6 +807,32 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys, entries):
     argv = ["table", "--domain", "spatial", *SMALL_ARGS, "--config", str(config), "--out", str(out)]
     assert main(argv) == 2
     assert next(iter(entries)) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"\xff\xfe = 3\n", "not UTF-8"),
+        (b"trials = 2\nsizes = 2\ntrials = 5\n", "'trials'"),
+    ],
+)
+def test_unreadable_or_repeated_config_exits_3(tmp_path, capsys, text, message):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(text)
+    out = tmp_path / "out"
+    argv = ["table", "--domain", "spatial", *SMALL_ARGS, "--config", str(config), "--out", str(out)]
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_table_minus_infinite_noise_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["table", "--domain", "spatial", "--sizes", "2", "--trials", "1", *SMALL_ARGS,
+            "--noise-psnr=-inf", "--out", str(out)]
+    assert main(argv) == 2
+    assert "-inf" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -274,6 +274,20 @@ def test_manifest_errors(tmp_path):
         write_manifest(path, {"k": "line\nbreak"})
 
 
+def test_manifest_refuses_non_utf8_bytes(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"\xff\xfe = 3\n")
+    with pytest.raises(FileFormatError, match="not UTF-8"):
+        read_manifest(path)
+
+
+def test_manifest_refuses_a_repeated_key(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("trials = 2\n# comment\nsizes = 2\ntrials = 5\n")
+    with pytest.raises(FileFormatError, match=r"m.txt:4: key 'trials' .* line 1\)"):
+        read_manifest(path)
+
+
 # ---------------------------------------------------------------------------
 # formats compose with the physics
 

@@ -77,6 +77,22 @@ def test_two_point_inconsistent_inputs_rejected():
         solve_two_point_1d(8, 3, 4, 0, 1, x_c, np.conj(x_d) + 1j)
 
 
+@pytest.mark.parametrize("position", [5, 6])
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0, -float("inf"))])
+def test_two_point_refuses_non_finite_values(position, bad):
+    args = [8, 3, 4, 0, 1, 15.6 + 0j, -13.6376 - 4.7376j]
+    args[position] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        solve_two_point_1d(*args, imag_rtol=1e-3)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+def test_two_point_refuses_a_bad_imaginary_tolerance(tol):
+    # a NaN tolerance used to switch the imaginary-residue check off
+    with pytest.raises(ParameterError, match="imag_rtol"):
+        solve_two_point_1d(8, 3, 4, 0, 1, 15.6 + 0j, -13.6376 - 4.7376j, imag_rtol=tol)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n_len=st.integers(2, 32),

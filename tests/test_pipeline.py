@@ -11,10 +11,11 @@ from roisolve.errors import (
     ParameterError,
     ShapeError,
 )
-from roisolve.forward import observe_spatial
+from roisolve.forward import NoiseSpec, noise_field, observe_field, observe_spatial
 from roisolve.grid import RoiSpec, centered_roi, scatter_roi
 from roisolve.optics import OtfSpec, PsfKernel, build_psf
 from roisolve.pipeline import (
+    DEFAULT_PSNR_GRID,
     DOMAIN_MODULES,
     DOMAINS,
     ExperimentReport,
@@ -27,6 +28,7 @@ from roisolve.pipeline import (
     make_test_sample,
     noise_stream_seed,
     noise_sweep,
+    roi_problem,
     run_table_experiment,
     scan_reconstruct,
     trial_seed_sequence,
@@ -458,6 +460,46 @@ def test_sweep_every_point_matches_table_run(small_sweep, domain):
         assert point.mean_ae == table.mean_ae(3)
         assert point.std_ae == table.std_ae(3)
         assert point.failed == table.failures(3) == 0
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("shape, cutoff", [((48, 48), 10.0), ((768, 768), 6.0)])
+def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
+    # both readers are linear, so noisy_rhs reads clean and unit once and
+    # forms every level on the system's rows; the reference reads each
+    # level's frame clean + sigma * unit, as add_noise forms it
+    rows, cols = shape
+    size, ring = 3, 2
+    roi = centered_roi(rows, cols, size, size)
+    spec = OtfSpec(rows, cols, effective_cutoff(cutoff, size + ring, size + ring))
+    blur = build_psf(spec, 2 * (size + ring) + 1) if domain == "spatial" else spec
+    problem = roi_problem(domain, roi, shape, blur, ring, estimate_condition=False)
+    pixels = np.random.default_rng(5).uniform(0.0, 256.0, size * size)
+    clean = observe_field(scatter_roi(pixels, roi, rows, cols), problem.spec)
+    peak, unit = noise_field(clean, seed=9)
+    sigmas = [NoiseSpec(db, 9).sigma(peak) for db in DEFAULT_PSNR_GRID]
+    got = problem.noisy_rhs(clean, unit, sigmas)
+    assert got.shape == (len(sigmas), problem.system.obs_index.shape[0])
+    for db, row, sigma in zip(DEFAULT_PSNR_GRID, got, sigmas):
+        want = problem.frame_rhs(clean + sigma * unit)
+        if domain == "spatial":
+            assert row.tobytes() == want.tobytes(), db
+        else:
+            # a partial DFT of the sum against the sum of two: rounding only
+            assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max(), db
+
+
+def test_table_refuses_minus_infinite_noise():
+    # only +inf means "no noise"; -inf used to run noiseless
+    with pytest.raises(ParameterError, match="-inf"):
+        run_table_experiment(
+            "spatial", sizes=(2,), trials_per_size=1, noise_psnr_db=-math.inf, **SMALL
+        )
+    quiet = run_table_experiment("spatial", sizes=(2,), trials_per_size=1, **SMALL)
+    inf = run_table_experiment(
+        "spatial", sizes=(2,), trials_per_size=1, noise_psnr_db=math.inf, **SMALL
+    )
+    assert inf.trials == quiet.trials
 
 
 def _count_full_ffts(monkeypatch):

@@ -46,6 +46,15 @@ def test_two_point_singular():
         solve_two_point_1d(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("position", range(5))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_two_point_refuses_non_finite_inputs(position, bad):
+    args = [1.0, 0.5, 0.5, 2.9, 4.0]
+    args[position] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        solve_two_point_1d(*args)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     p=st.floats(0.1, 10.0),
