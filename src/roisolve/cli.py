@@ -15,6 +15,7 @@ records, not configs. Exit codes: 0 ok, 2 bad parameters, 3 file problems,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -563,7 +564,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every subcommand, built once per process. It depends
+    only on the option tables (argparse reads the terminal width when it
+    prints), so every main() call shares it; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="roisolve",
         description="Recover sub-diffraction detail in isolated regions from blurred images.",

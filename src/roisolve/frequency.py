@@ -53,7 +53,8 @@ def solve_two_point_1d(
 
     Raises:
         ParameterError: n_len < 2, a position outside [0, n_len), a NaN or
-            infinite argument, or imag_rtol NaN, infinite or negative.
+            infinite argument, imag_rtol NaN, infinite or negative, or a
+            result that overflows float64.
         SingularSystemError: the frequency pair is degenerate for these
             positions, i.e. (a - b)*(c - d) is a multiple of n_len (includes
             a == b and c == d).
@@ -85,6 +86,8 @@ def solve_two_point_1d(
         )
     x_a = (x_c * unit(b * d) - x_d * unit(b * c)) / den
     x_b = (x_c - x_a * unit(a * c)) / unit(b * c)
+    if not (cmath.isfinite(x_a) and cmath.isfinite(x_b)):
+        raise ParameterError(f"two-point results overflow float64: x_a={x_a}, x_b={x_b}")
     scale = max(abs(x_a), abs(x_b), 1e-300)
     worst = max(abs(x_a.imag), abs(x_b.imag))
     if worst > imag_rtol * scale:

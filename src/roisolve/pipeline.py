@@ -90,7 +90,8 @@ def locate_roi(
     peak = float(arr.max())
     if peak <= 0:
         raise NoSignalError("image has no positive signal to localize")
-    weights = np.where(arr >= rel_threshold * peak, arr, 0.0)
+    weights = np.zeros_like(arr)
+    np.copyto(weights, arr, where=arr >= rel_threshold * peak)
     total = float(weights.sum())
     if total <= 0:
         raise NoSignalError("no cells cleared the localization threshold")

@@ -37,21 +37,27 @@ def solve_two_point_1d(
     x_b = (p*y_b - q_b*y_a) / (p^2 - q_a*q_b).
 
     Raises:
-        ParameterError: an argument is NaN or infinite.
+        ParameterError: an argument is NaN or infinite, or p^2, q_a*q_b, the
+            determinant or a result overflows float64.
         SingularSystemError: p^2 == q_a*q_b to roundoff (the two observations
             carry the same information).
     """
     values = (p, q_a, q_b, y_a, y_b)
     if not all(math.isfinite(v) for v in values):
         raise ParameterError(f"two-point inputs must be finite, got {values}")
-    det = p * p - q_a * q_b
-    scale = max(p * p, abs(q_a * q_b))
-    if scale == 0.0 or abs(det) <= 1e-12 * scale:
-        raise SingularSystemError(
-            f"two-point system is singular: p^2={p * p:g} vs q_a*q_b={q_a * q_b:g}"
+    p2, qq = p * p, q_a * q_b
+    det = p2 - qq
+    if not math.isfinite(det):  # also when p^2 or q_a*q_b overflowed
+        raise ParameterError(
+            f"two-point system overflows float64: p^2={p2:g}, q_a*q_b={qq:g}, det={det:g}"
         )
+    scale = max(p2, abs(qq))
+    if scale == 0.0 or abs(det) <= 1e-12 * scale:
+        raise SingularSystemError(f"two-point system is singular: p^2={p2:g} vs q_a*q_b={qq:g}")
     x_a = (p * y_a - q_a * y_b) / det
     x_b = (p * y_b - q_b * y_a) / det
+    if not (math.isfinite(x_a) and math.isfinite(x_b)):
+        raise ParameterError(f"two-point results overflow float64: x_a={x_a:g}, x_b={x_b:g}")
     return (float(x_a), float(x_b))
 
 

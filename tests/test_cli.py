@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in-process through main()."""
 
 import argparse
+import contextlib
 import csv
 import inspect
 import io
@@ -307,6 +308,27 @@ def test_two_point_non_finite_input_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # both results overflow to inf
+        ["--domain", "spatial", "--p", "2", "--qa", "1", "--qb", "1", "--ya", "1e308",
+         "--yb", "1e308"],
+        # p^2 overflows; this is no singular system
+        ["--domain", "spatial", "--p", "1e200", "--qa", "1", "--qb", "1", "--ya", "1",
+         "--yb", "1"],
+        # x_a overflows and x_b turns NaN, which no imaginary-residue test catches
+        ["--domain", "frequency", "--length", "8", "--pos-a", "0", "--pos-b", "1",
+         "--freq-c", "1", "--freq-d", "2", "--xc", "1e308", "--xd=-1e308"],
+    ],
+)
+def test_two_point_overflow_exits_2(argv, capsys):
+    assert main(["two-point", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflow" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +791,46 @@ def test_each_subcommand_accepts_the_pinned_flags():
     for name, sub in subparsers.items():
         flags = {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
         assert flags == {"--" + f for f in PINNED_FLAGS[name].split()}, name
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of one main() call, a usage exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_shared_parser_leaks_no_state(tmp_path, observed_file, monkeypatch):
+    path, roi, _ = observed_file
+    steps = [
+        ("80", ["table", "--rign", "2"]),
+        ("80", ["table", "--help"]),
+        ("120", ["table", "--help"]),
+        ("80", ["table", "--domain", "spatial", "--sizes", "2", "--trials", "1", *SMALL_ARGS,
+                "--out", str(tmp_path / "table")]),
+        ("80", ["recover", "--observed", str(path), "--size", "3x3",
+                "--roi", f"{roi.top},{roi.left}", "--cutoff", "10", "--out", str(tmp_path / "rec")]),
+    ]
+    # twice through on the shared tree, so every step also follows every other
+    shared = []
+    for columns, argv in steps * 2:
+        monkeypatch.setenv("COLUMNS", columns)
+        shared.append(_run(argv))
+    assert cli.build_parser.cache_info().misses == 1
+    # the same steps, each on a tree built for it alone
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    for (columns, argv), got in zip(steps * 2, shared):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert got == _run(argv), argv
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0] * 2
+    assert "--rign" in shared[0][2]
+    narrow, wide = shared[1][1], shared[2][1]
+    assert narrow != wide
+    assert max(map(len, narrow.splitlines())) <= 80 < max(map(len, wide.splitlines()))
 
 
 def test_every_option_is_declared_once():

@@ -19,9 +19,10 @@ from roisolve.forward import (
     observe_spectrum_block,
     spectrum_to_image,
 )
-from roisolve.grid import RoiSpec, scatter_roi
+from roisolve.grid import RoiSpec, centered_roi, scatter_roi
 from roisolve.optics import OtfSpec, PsfKernel, build_otf, build_psf, passband_mask
-from roisolve.spatial import ring_cells
+from roisolve.pipeline import noise_stream_seed
+from roisolve.spatial import observation_index, ring_cells
 
 
 def naive_norm_spectrum(image):
@@ -153,6 +154,25 @@ def test_add_noise_is_clean_plus_scaled_unit_field(rng):
         np.testing.assert_array_equal(add_noise(obs, noise), obs + noise.sigma(peak) * unit)
     with pytest.raises(DegenerateInputError):
         noise_field(np.zeros((4, 4)), seed=7)
+
+
+def _noise_workload_draw_length():
+    """Values of the row-major unit field up to the last cell that the noise
+    workload's system reads: 3x3 centred on 768x768, image domain, ring 2."""
+    cells = observation_index(centered_roi(768, 768, 3, 3), (768, 768), 2)
+    return int(np.max(cells[:, 0] * 768 + cells[:, 1])) + 1
+
+
+@pytest.mark.parametrize("seed", [77, noise_stream_seed(12345, 3, 0)])
+@pytest.mark.parametrize("n", [1, 1000, "noise workload"])
+def test_noise_draw_is_prefix_consistent(seed, n):
+    # a draw that stops early may stand in for the full field only while the
+    # generator's normal stream is sequential: a short draw is a prefix of it
+    if n == "noise workload":
+        n = _noise_workload_draw_length()
+    _, unit = noise_field(np.ones((768, 768)), seed)
+    prefix = np.random.default_rng(seed).standard_normal(n)
+    assert prefix.tobytes() == unit.ravel()[:n].tobytes()
 
 
 # Sparse evaluators against the full-FFT oracle: the paper's 768x768 field at

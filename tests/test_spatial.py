@@ -55,6 +55,20 @@ def test_two_point_refuses_non_finite_inputs(position, bad):
         solve_two_point_1d(*args)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1e200, 1.0, 1.0, 1.0, 1.0),  # p^2 overflows
+        (1.0, 1e200, 1e200, 1.0, 1.0),  # q_a*q_b overflows
+        (1e154, -1e154, 1e154, 1.0, 1.0),  # p^2 and q_a*q_b finite, their difference not
+        (2.0, 1.0, 1.0, 1e308, 1e308),  # the results overflow
+    ],
+)
+def test_two_point_refuses_overflow(args):
+    with pytest.raises(ParameterError, match="overflow"):
+        solve_two_point_1d(*args)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     p=st.floats(0.1, 10.0),
