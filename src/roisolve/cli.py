@@ -174,7 +174,10 @@ def _ensure_outdir(path: str) -> str:
 
 
 def _auto_crop(rows: int, cols: int, requested: int) -> int:
-    """Largest odd crop <= requested that fits the field."""
+    """Largest odd crop <= requested that fits the field; ParameterError for a
+    requested crop below 1, in either domain."""
+    if requested < 1:
+        raise ParameterError(f"--psf-crop must be >= 1, got {requested}")
     limit = min(rows - 1 if rows % 2 == 0 else rows, cols - 1 if cols % 2 == 0 else cols)
     crop = min(requested, limit)
     return crop if crop % 2 == 1 else crop - 1
@@ -468,20 +471,22 @@ def cmd_recover(opts: dict) -> int:
             blur = build_psf(blur, crop, pipeline.kernel_reach(max(k_rows, l_cols), opts["ring"]))
             print(f"built kernel from cutoff {opts['cutoff']:g} on the observed field",
                   file=sys.stderr)
-    problem = pipeline.roi_problem(
+    system = pipeline.roi_problem(
         domain, roi, (rows, cols), blur, opts["ring"], estimate_condition=True
     )
+    module = pipeline.DOMAIN_MODULES[domain]
     method = resolve_solver(domain, opts["solver"])
     if method is None:
-        method = problem.module.METHODS[opts["ring"] > 0]
-        if problem.system.condition_estimate > CONDITION_LIMIT:
+        method = module.METHODS[opts["ring"] > 0]
+        if system.condition_estimate > CONDITION_LIMIT:
             print(
-                f"condition {problem.system.condition_estimate:.3g} above "
+                f"condition {system.condition_estimate:.3g} above "
                 f"{CONDITION_LIMIT:g}; switching to the truncated solver",
                 file=sys.stderr,
             )
-            method = problem.module.METHODS[2]
-    sol = problem.solve(problem.frame_rhs(observed), method, clamp_negative=bool(opts["clamp"]))
+            method = module.METHODS[2]
+    rhs = module.frame_rhs(system, observed)
+    sol = module.solve_system(system, rhs, method, clamp_negative=bool(opts["clamp"]))
 
     out = _ensure_outdir(opts["out"])
     recovered = sol.pixels.reshape(roi.shape)

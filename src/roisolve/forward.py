@@ -15,10 +15,12 @@ light and the lines of the passband box; the blur is bit-identical to the
 whole-frame 2-D FFT expression, and observe_spatial applies it to a
 kernel's transfer spec. observe_spectrum, spectrum_to_image and
 image_to_spectrum stay as the whole-frame FFT functions the tests use as
-oracles. The sparse functions (observe_spatial_at, observe_spectrum_block,
-image_spectrum_block) evaluate only the cells or spectrum entries a system
-reads, as products of 1-D twiddle matrices; for an isolated region they
-agree with the full-field route to rounding.
+oracles. The sparse functions evaluate only what a system reads, as
+products of 1-D twiddle matrices: observe_spatial_at the given cells,
+observe_spectrum_block and image_spectrum_block the product of the given
+frequency rows us and columns vs, from which a transform-domain system
+gathers its entries. For an isolated region they agree with the full-field
+route to rounding.
 """
 
 from __future__ import annotations
@@ -178,12 +180,6 @@ def _roi_patch(pixels: np.ndarray, roi: RoiSpec, spec: OtfSpec) -> np.ndarray:
     return vec.reshape(roi.shape)
 
 
-def _block_freqs(start: int, count: int, size: int) -> np.ndarray:
-    if count < 1:
-        raise ParameterError("block dimensions must be >= 1")
-    return (start + np.arange(count)) % size
-
-
 def observe_spatial_at(
     pixels: np.ndarray, roi: RoiSpec, spec: OtfSpec, cells: np.ndarray
 ) -> np.ndarray:
@@ -218,44 +214,33 @@ def observe_spatial_at(
 
 
 def observe_spectrum_block(
-    pixels: np.ndarray,
-    roi: RoiSpec,
-    spec: OtfSpec,
-    start_row: int,
-    start_col: int,
-    k_rows: int,
-    l_cols: int,
+    pixels: np.ndarray, roi: RoiSpec, spec: OtfSpec, us: np.ndarray, vs: np.ndarray
 ) -> np.ndarray:
-    """Filtered normalized spectrum of an isolated ROI on a K x L block of entries.
+    """Filtered normalized spectrum of an isolated ROI on the us x vs entries.
 
     Entry (i, j) is observe_spectrum(scatter_roi(pixels, roi, *spec.shape),
-    build_otf(spec)) at ((start_row + i) mod M, (start_col + j) mod N), to
+    build_otf(spec)) at (us[i], vs[j]), both wrapped modulo the field, to
     rounding; entries outside the passband are exactly 0. Evaluated from the
     ROI pixels as products of 1-D twiddles, without the full field.
     """
     x = _roi_patch(pixels, roi, spec)
     rows, cols = spec.shape
-    us = _block_freqs(start_row, k_rows, rows)
-    vs = _block_freqs(start_col, l_cols, cols)
     values = _partial_transform(x, roi.top, roi.left, us, vs, spec.shape)
     inside = in_passband(spec, us[:, None], vs[None, :])
     return np.where(inside, values * (spec.passband_gain / (rows * cols)), 0.0)
 
 
-def image_spectrum_block(
-    image: np.ndarray, start_row: int, start_col: int, k_rows: int, l_cols: int
-) -> np.ndarray:
-    """image_to_spectrum(image) on a K x L block of entries, as a partial DFT.
+def image_spectrum_block(image: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """image_to_spectrum(image) on the us x vs entries, as a partial DFT.
 
-    Entry (i, j) is the normalized transform at ((start_row + i) mod M,
-    (start_col + j) mod N); costs O(M*N*(K + L)) instead of a full transform.
+    Entry (i, j) is the normalized transform at (us[i], vs[j]), both wrapped
+    modulo the field; costs O(M*N*(len(us) + len(vs))) instead of a full
+    transform.
     """
     arr = np.asarray(image, dtype=float)
     if arr.ndim != 2:
         raise ShapeError(f"image must be 2D, got ndim={arr.ndim}")
     rows, cols = arr.shape
-    us = _block_freqs(start_row, k_rows, rows)
-    vs = _block_freqs(start_col, l_cols, cols)
     return _partial_transform(arr, 0, 0, us, vs, arr.shape) / (rows * cols)
 
 

@@ -9,7 +9,6 @@ many in-passband entries as unknowns gives a solvable dense complex system.
 from __future__ import annotations
 
 import cmath
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,11 +21,8 @@ from .errors import (
 )
 from .forward import _twiddles, image_spectrum_block, observe_spectrum_block
 from .grid import RoiSpec
-from .linear import LinearSystem, Solution, fill_rows, solve
+from .linear import LinearSystem, Solution, fill_rows, finite_condition, solve
 from .optics import OtfSpec, in_passband
-
-if TYPE_CHECKING:
-    from .pipeline import RoiProblem
 
 # Imaginary residue allowed on recovered pixels, relative to their magnitude.
 IMAG_RTOL = 1e-9
@@ -108,6 +104,15 @@ def observation_index(roi: RoiSpec, field_shape: tuple[int, int], ring: int) -> 
     return np.column_stack([uu.ravel(), vv.ravel()])
 
 
+def _axes(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(us, u_at, vs, v_at): the distinct u and v of a selection, sorted, and
+    where each entry's own u and v sit among them, so that any array over
+    us x vs read at [u_at, v_at] follows the selection's order."""
+    us, u_at = np.unique(idx[:, 0], return_inverse=True)
+    vs, v_at = np.unique(idx[:, 1], return_inverse=True)
+    return us, u_at, vs, v_at
+
+
 def _factor_condition(roi: RoiSpec, idx: np.ndarray, rows: int, cols: int) -> float | None:
     """cond(F_U) * cond(F_V) when idx holds the product U x V, each entry once.
 
@@ -119,22 +124,17 @@ def _factor_condition(roi: RoiSpec, idx: np.ndarray, rows: int, cols: int) -> fl
     are taken at the origin. None for any other selection, and when a factor
     has fewer rows than columns (the product is then rank deficient).
     """
-    us, vs = np.unique(idx[:, 0]), np.unique(idx[:, 1])
+    us, u_at, vs, v_at = _axes(idx)
     if (
         us.size < roi.k_rows
         or vs.size < roi.l_cols
         or us.size * vs.size != idx.shape[0]
-        or np.unique(idx, axis=0).shape[0] != idx.shape[0]
+        or np.unique(u_at * vs.size + v_at).size != idx.shape[0]
     ):
         return None
     f_u = _twiddles(us, np.arange(roi.k_rows), rows, -1)
     f_v = _twiddles(vs, np.arange(roi.l_cols), cols, -1)
     return float(np.linalg.cond(f_u)) * float(np.linalg.cond(f_v))
-
-
-def _block_shape(problem: RoiProblem) -> tuple[int, int]:
-    roi = problem.system.roi
-    return roi.k_rows + problem.ring, roi.l_cols + problem.ring
 
 
 def build_system(
@@ -158,8 +158,11 @@ def build_system(
             the low-pass filter).
         estimate_condition: compute a 2-norm condition estimate: from the two
             1-D partial DFT factors when obs_index is a full product U x V
-            (any order, no repeats), else from an SVD of the whole matrix.
+            (any order, no repeats), else from an SVD of the whole matrix;
+            an infinite estimate raises SingularSystemError.
     """
+    if otf_spec is not None and not isinstance(otf_spec, OtfSpec):
+        raise ParameterError(f"transform domain reads an OtfSpec, got {type(otf_spec).__name__}")
     rows, cols = int(field_shape[0]), int(field_shape[1])
     if rows < 1 or cols < 1:
         raise ParameterError(f"field must be at least 1x1, got {rows}x{cols}")
@@ -202,20 +205,25 @@ def build_system(
         cond = _factor_condition(roi, idx, rows, cols)
         if cond is None:
             cond = float(np.linalg.cond(a))
-    return LinearSystem(a_matrix=a, roi=roi, obs_index=idx, condition_estimate=cond)
+        cond = finite_condition(cond)
+    return LinearSystem(a, roi, idx, cond, (rows, cols), otf_spec)
 
 
-def noiseless_rhs(problem: RoiProblem, pixels: np.ndarray) -> np.ndarray:
-    """The filtered spectrum of the ROI on the system's block, passband-sparse
-    (observe_spectrum_block)."""
-    roi = problem.system.roi
-    return observe_spectrum_block(pixels, roi, problem.spec, 0, 0, *_block_shape(problem)).ravel()
+def noiseless_rhs(system: LinearSystem, pixels: np.ndarray) -> np.ndarray:
+    """The filtered spectrum of the ROI at the system's entries, passband-sparse:
+    observe_spectrum_block over their distinct rows x columns, then gathered.
+    ParameterError for a system without a transfer spec."""
+    us, u_at, vs, v_at = _axes(system.obs_index)
+    block = observe_spectrum_block(pixels, system.roi, system.require_spec(), us, vs)
+    return block[u_at, v_at]
 
 
-def frame_rhs(problem: RoiProblem, frame: np.ndarray) -> np.ndarray:
-    """The system's spectrum block of an observed image, as a partial DFT of
-    the frame (image_spectrum_block), never a full transform."""
-    return image_spectrum_block(frame, 0, 0, *_block_shape(problem)).ravel()
+def frame_rhs(system: LinearSystem, frame: np.ndarray) -> np.ndarray:
+    """The system's spectrum entries of an observed frame on its field (else
+    ShapeError): one partial DFT over their distinct rows x columns
+    (image_spectrum_block), never a full transform, then gathered."""
+    us, u_at, vs, v_at = _axes(system.obs_index)
+    return image_spectrum_block(system.require_frame(frame), us, vs)[u_at, v_at]
 
 
 def solve_system(

@@ -18,6 +18,7 @@ import scipy.linalg
 
 from .errors import ParameterError, ShapeError, SingularSystemError
 from .grid import RoiSpec
+from .optics import OtfSpec
 
 # Above this condition estimate a plain solve is considered untrustworthy;
 # the CLI switches to the truncated solver when the caller did not pin one.
@@ -43,19 +44,45 @@ def fill_rows(
     return a
 
 
+def finite_condition(cond: float) -> float:
+    """A built system's condition estimate; SingularSystemError when it is
+    infinite, since the matrix is then singular to working precision."""
+    if cond == float("inf"):
+        raise SingularSystemError("system matrix is singular (condition estimate inf)", cond)
+    return cond
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """The matrix A of a system A x = y over the ROI pixels, real or complex.
 
     Row i of A reads obs_index[i]: an absolute (row, col) image cell in the
-    image domain, a (u, v) spectrum index in the transform domain. The
-    observation y is not part of the system; each solve supplies it.
+    image domain, a (u, v) spectrum index in the transform domain, of a
+    field_shape frame. spec is the transfer spec observations go through
+    (None for a kernel loaded from a file, or a system built without one).
+    The observation y is not part of the system: each domain's frame_rhs
+    reads it off a frame, its noiseless_rhs evaluates it from known pixels.
     """
 
     a_matrix: np.ndarray
     roi: RoiSpec
     obs_index: np.ndarray
     condition_estimate: float
+    field_shape: tuple[int, int] | None = None
+    spec: OtfSpec | None = None
+
+    def require_spec(self) -> OtfSpec:
+        """The transfer spec; ParameterError when the system carries none."""
+        if self.spec is None:
+            raise ParameterError("system carries no transfer spec (a kernel read from a file)")
+        return self.spec
+
+    def require_frame(self, frame: np.ndarray) -> np.ndarray:
+        """frame as an array; ShapeError unless it is 2-D on field_shape."""
+        frame = np.asarray(frame)
+        if frame.shape != self.field_shape:
+            raise ShapeError(f"frame {frame.shape} is not 2-D on the field {self.field_shape}")
+        return frame
 
 
 @dataclass(frozen=True)

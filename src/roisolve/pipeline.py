@@ -23,7 +23,7 @@ from .errors import (
 )
 from .forward import NoiseSpec, noise_field, observe_field
 from .grid import RoiSpec, centered_roi, scatter_roi
-from .linear import LinearSystem, Solution
+from .linear import LinearSystem
 from .optics import OtfSpec, PsfKernel, build_psf
 
 DEFAULT_SEED = 12345
@@ -251,54 +251,6 @@ def _check_run_args(domain: str, trials: int, extra_ring: int) -> None:
         raise ParameterError(f"extra_ring must be >= 0, got {extra_ring}")
 
 
-@dataclass(frozen=True)
-class RoiProblem:
-    """One ROI's system, built before any observation is read.
-
-    The matrix and its condition estimate depend only on (domain, field, ROI,
-    blur, ring); an observation supplies just the right-hand side, so every
-    table or sweep trial of a size, every scan tile and a recover call share
-    this one type. spec is the transfer spec the observations go through
-    (None for a kernel loaded from a file, which carries none); ring is the
-    extra observation ring width. noiseless_rhs and frame_rhs are the domain
-    module's functions of the same name.
-    """
-
-    domain: str
-    system: LinearSystem
-    spec: OtfSpec | None
-    ring: int
-
-    @property
-    def module(self):
-        """The domain module (spatial or frequency) that serves this problem."""
-        return DOMAIN_MODULES[self.domain]
-
-    def noiseless_rhs(self, pixels: np.ndarray) -> np.ndarray:
-        """Evaluate only the cells or spectrum entries the system reads."""
-        return self.module.noiseless_rhs(self, pixels)
-
-    def frame_rhs(self, frame: np.ndarray) -> np.ndarray:
-        """The right-hand side read off a full-field observed image."""
-        return self.module.frame_rhs(self, frame)
-
-    def noisy_rhs(
-        self, clean: np.ndarray, unit: np.ndarray, sigmas: Sequence[float]
-    ) -> np.ndarray:
-        """frame_rhs(clean + sigma * unit) for each sigma, one row each.
-
-        Both domains' readers are linear, so clean and unit are read once
-        and each level is formed on the system's rows: the same bytes in the
-        image domain (cell reads), the same values to rounding in the
-        transform domain (partial DFT).
-        """
-        return self.frame_rhs(clean) + np.multiply.outer(sigmas, self.frame_rhs(unit))
-
-    def solve(self, rhs: np.ndarray, method: str, clamp_negative: bool = False) -> Solution:
-        """Solution for one right-hand side or an (n, t) block; see linear.solve."""
-        return self.module.solve_system(self.system, rhs, method, clamp_negative=clamp_negative)
-
-
 def kernel_reach(edge: int, ring: int) -> int:
     """Largest kernel offset the image-domain system reads for a region whose
     longer side is edge, observed with a ring of that width. An edge below 1
@@ -346,8 +298,10 @@ def roi_problem(
     blur: PsfKernel | OtfSpec,
     ring: int,
     estimate_condition: bool = True,
-) -> RoiProblem:
-    """Build the system of one ROI on a field_shape frame.
+) -> LinearSystem:
+    """Build the system of one ROI on a field_shape frame before any observation
+    is read: every trial of a size, scan tile or recover call that shares it
+    supplies only a right-hand side.
 
     The image domain observes the ROI cells plus the cells within ring of
     them, through the kernel blur. The transform domain reads the
@@ -355,7 +309,9 @@ def roi_problem(
     must lie inside the passband of the transfer spec blur.
 
     Raises:
-        ParameterError: unknown domain, or ring < 0.
+        ParameterError: unknown domain, ring < 0, or a blur the domain does
+            not read (a PsfKernel for the image domain, an OtfSpec for the
+            transform domain).
     """
     if domain not in DOMAINS:
         raise ParameterError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
@@ -363,11 +319,23 @@ def roi_problem(
         raise ParameterError(f"ring must be >= 0, got {ring}")
     module = DOMAIN_MODULES[domain]
     obs_index = module.observation_index(roi, field_shape, ring)
-    system = module.build_system(
+    return module.build_system(
         field_shape, roi, obs_index, blur, estimate_condition=estimate_condition
     )
-    spec = blur.spec if isinstance(blur, PsfKernel) else blur
-    return RoiProblem(domain, system, spec, ring)
+
+
+def noisy_rhs(
+    domain: str, system: LinearSystem, clean: np.ndarray, unit: np.ndarray, sigmas: Sequence[float]
+) -> np.ndarray:
+    """frame_rhs(system, clean + sigma * unit) for each sigma, one row each.
+
+    Both domains' readers are linear, so clean and unit are read once and
+    each level is formed on the system's rows: the same bytes in the image
+    domain (cell reads), the same values to rounding in the transform domain
+    (partial DFT).
+    """
+    frame_rhs = DOMAIN_MODULES[domain].frame_rhs
+    return frame_rhs(system, clean) + np.multiply.outer(sigmas, frame_rhs(system, unit))
 
 
 def _failed_trial(domain: str, size: int, trial: int, seed: int, exc: RoiSolveError) -> TrialResult:
@@ -384,7 +352,8 @@ def _failed_trial(domain: str, size: int, trial: int, seed: int, exc: RoiSolveEr
 
 
 def _solved_trial(
-    problem: RoiProblem,
+    domain: str,
+    system: LinearSystem,
     method: str,
     trial: int,
     seed: int,
@@ -392,20 +361,20 @@ def _solved_trial(
     rhs: np.ndarray,
 ) -> TrialResult:
     """Solve one trial; a RoiSolveError is recorded in the row instead of metrics."""
-    size = problem.system.roi.k_rows
+    size = system.roi.k_rows
     try:
-        sol = problem.solve(rhs, method)
+        sol = DOMAIN_MODULES[domain].solve_system(system, rhs, method)
         return TrialResult(
-            domain=problem.domain,
+            domain=domain,
             roi_size=size,
             trial=trial,
             seed=seed,
             ae=averaged_error(sol.pixels, pixels),
-            ad=averaged_difference(problem.system.a_matrix, pixels, rhs),
+            ad=averaged_difference(system.a_matrix, pixels, rhs),
             condition=sol.condition,
         )
     except RoiSolveError as exc:
-        return _failed_trial(problem.domain, size, trial, seed, exc)
+        return _failed_trial(domain, size, trial, seed, exc)
 
 
 def _run_size(
@@ -425,45 +394,45 @@ def _run_size(
     The system is built once for the size. Trials run outside and levels
     inside: a noiseless level evaluates only what the system reads. The noisy
     levels of a trial share one clean frame, blurred over the full field by
-    observe_field on the problem's transfer spec in either domain, its peak
-    and its unit-noise field; RoiProblem.noisy_rhs reads clean and unit once
-    and forms every level's right-hand side of clean + sigma * unit from them.
+    observe_field on the system's transfer spec in either domain, its peak
+    and its unit-noise field; noisy_rhs reads clean and unit once and forms
+    every level's right-hand side of clean + sigma * unit from them.
     """
     size = roi.k_rows
     out: list[list[TrialResult]] = [[] for _ in levels]
     try:
-        problem = roi_problem(domain, roi, field_shape, blur, extra_ring, estimate_condition)
+        system = roi_problem(domain, roi, field_shape, blur, extra_ring, estimate_condition)
     except RoiSolveError as exc:
-        problem, failure = None, exc
+        system, failure = None, exc
     noisy = [i for i, level in enumerate(levels) if level is not None]
     for trial in range(trials):
         seq = trial_seed_sequence(root_seed, size, trial)
         rng = np.random.default_rng(seq)
         seed_id = int(seq.generate_state(1)[0])
         pixels = _draw_pixels(rng, size, size).ravel()
-        if problem is None:
+        if system is None:
             for rows_out in out:
                 rows_out.append(_failed_trial(domain, size, trial, seed_id, failure))
             continue
         for i, level in enumerate(levels):
             if level is None:
-                rhs = problem.noiseless_rhs(pixels)
-                out[i].append(_solved_trial(problem, method, trial, seed_id, pixels, rhs))
+                rhs = DOMAIN_MODULES[domain].noiseless_rhs(system, pixels)
+                out[i].append(_solved_trial(domain, system, method, trial, seed_id, pixels, rhs))
         if not noisy:
             continue
         noise_seed = noise_stream_seed(root_seed, size, trial)
         try:
-            clean = observe_field(scatter_roi(pixels, roi, *field_shape), problem.spec)
+            clean = observe_field(scatter_roi(pixels, roi, *field_shape), system.spec)
             peak, unit = noise_field(clean, noise_seed)
         except RoiSolveError as exc:
             for i in noisy:
                 out[i].append(_failed_trial(domain, size, trial, seed_id, exc))
             continue
         sigmas = [NoiseSpec(levels[i], noise_seed).sigma(peak) for i in noisy]
-        rhs_levels = problem.noisy_rhs(clean, unit, sigmas)
+        rhs_levels = noisy_rhs(domain, system, clean, unit, sigmas)
         del clean, unit  # one trial's full-field arrays alive at a time
         for i, rhs in zip(noisy, rhs_levels):
-            out[i].append(_solved_trial(problem, method, trial, seed_id, pixels, rhs))
+            out[i].append(_solved_trial(domain, system, method, trial, seed_id, pixels, rhs))
     return out
 
 
@@ -570,10 +539,11 @@ def ad_spot_check(
     rows, cols = int(field_shape[0]), int(field_shape[1])
     psf = _domain_psf(domain, rows, cols, cutoff_radius, psf_crop, size, 0)
     roi, blur = _size_layout(domain, size, rows, cols, cutoff_radius, psf, 0)
-    problem = roi_problem(domain, roi, (rows, cols), blur, 0, estimate_condition=False)
+    system = roi_problem(domain, roi, (rows, cols), blur, 0, estimate_condition=False)
     rng = np.random.default_rng(trial_seed_sequence(root_seed, size, trial))
     pixels = _draw_pixels(rng, size, size).ravel()
-    return averaged_difference(problem.system.a_matrix, pixels, problem.noiseless_rhs(pixels))
+    rhs = DOMAIN_MODULES[domain].noiseless_rhs(system, pixels)
+    return averaged_difference(system.a_matrix, pixels, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -640,14 +610,15 @@ def scan_reconstruct(
             )
         eff_cut = effective_cutoff(psf.spec.cutoff_radius, k_rows, l_cols)
         blur = OtfSpec(rows, cols, eff_cut, psf.spec.passband_gain)
-    problem = roi_problem(
+    system = roi_problem(
         domain, RoiSpec(0, 0, k_rows, l_cols), arr.shape, blur, 0, estimate_condition=False
     )
     down, across = rows // k_rows, cols // l_cols
     # column t holds tile (t // across, t % across), row-major within the tile
     tiles = arr.reshape(down, k_rows, across, l_cols).transpose(1, 3, 0, 2)
-    method = solver or DOMAIN_MODULES[domain].METHODS[0]
-    sol = problem.solve(problem.system.a_matrix @ tiles.reshape(k_rows * l_cols, -1), method)
+    module = DOMAIN_MODULES[domain]
+    rhs = system.a_matrix @ tiles.reshape(k_rows * l_cols, -1)
+    sol = module.solve_system(system, rhs, solver or module.METHODS[0])
     recovered = sol.pixels.reshape(k_rows, l_cols, down, across).transpose(2, 0, 3, 1)
     return recovered.reshape(rows, cols)
 
@@ -752,7 +723,7 @@ def noise_sweep(
     amplitude. Each trial blurs its frame over the full field once
     (observe_field, in both domains) and reads the clean frame and the unit
     noise once; every level's right-hand side is formed from those two reads
-    (RoiProblem.noisy_rhs). The default ring-augmented least-squares setup
+    (noisy_rhs). The default ring-augmented least-squares setup
     keeps the noiseless baseline under the threshold so a crossing exists to
     report.
     """

@@ -9,18 +9,14 @@ offset (k - m, l - n). Solving that dense system undoes the blur.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError, SingularSystemError
 from .forward import observe_spatial_at
 from .grid import RoiSpec
-from .linear import LinearSystem, Solution, fill_rows, solve
+from .linear import LinearSystem, Solution, fill_rows, finite_condition, solve
 from .optics import PsfKernel
-
-if TYPE_CHECKING:
-    from .pipeline import RoiProblem
 
 # LU, least squares, truncated: the order linear.solve reads them in.
 METHODS = ("direct", "least_squares", "truncated")
@@ -134,8 +130,11 @@ def build_system(
         psf: blur kernel; its window must cover every offset between an
             observed cell and an unknown.
         estimate_condition: compute a 2-norm condition estimate (SVD; skip for
-            very large systems and the estimate is reported as nan).
+            very large systems and the estimate is reported as nan); an
+            infinite estimate raises SingularSystemError.
     """
+    if not isinstance(psf, PsfKernel):
+        raise ParameterError(f"image domain reads a PsfKernel, got {type(psf).__name__}")
     rows, cols = int(field_shape[0]), int(field_shape[1])
     roi.require_inside(rows, cols)
     idx = np.asarray(obs_index)
@@ -148,20 +147,20 @@ def build_system(
             f"{idx.shape[0]} observed cells cannot determine {roi.pixel_count} unknowns"
         )
     a = system_matrix(psf, roi, idx)
-    cond = float(np.linalg.cond(a)) if estimate_condition else float("nan")
-    return LinearSystem(a_matrix=a, roi=roi, obs_index=idx, condition_estimate=cond)
+    cond = finite_condition(float(np.linalg.cond(a))) if estimate_condition else float("nan")
+    return LinearSystem(a, roi, idx, cond, (rows, cols), psf.spec)
 
 
-def noiseless_rhs(problem: RoiProblem, pixels: np.ndarray) -> np.ndarray:
-    """The blurred ROI at the system's cells, passband-sparse (observe_spatial_at)."""
-    system = problem.system
-    return observe_spatial_at(pixels, system.roi, problem.spec, system.obs_index)
+def noiseless_rhs(system: LinearSystem, pixels: np.ndarray) -> np.ndarray:
+    """The blurred ROI at the system's cells, passband-sparse (observe_spatial_at);
+    ParameterError for a system without a transfer spec."""
+    return observe_spatial_at(pixels, system.roi, system.require_spec(), system.obs_index)
 
 
-def frame_rhs(problem: RoiProblem, frame: np.ndarray) -> np.ndarray:
-    """The system's cells read off an observed image."""
-    idx = problem.system.obs_index
-    return frame[idx[:, 0], idx[:, 1]]
+def frame_rhs(system: LinearSystem, frame: np.ndarray) -> np.ndarray:
+    """The system's cells read off an observed frame on its field (else ShapeError)."""
+    idx = system.obs_index
+    return system.require_frame(frame)[idx[:, 0], idx[:, 1]]
 
 
 def solve_system(

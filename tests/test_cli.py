@@ -213,6 +213,27 @@ def test_table_bad_solver_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("crop", ["-7", "0"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["table", "--domain", "frequency", "--sizes", "2", "--trials", "1"],
+        ["table", "--domain", "spatial", "--sizes", "2", "--trials", "1"],
+        ["noise", "--roi-size", "2", "--trials", "1", "--psnr", "80"],
+        ["scan", "--sample", "24x24", "--domain", "frequency"],
+        ["psf"],
+    ],
+)
+def test_psf_crop_below_one_exits_2(tmp_path, capsys, command, crop):
+    # the transform domain does not read the kernel, but its manifest
+    # records the crop: a crop below 1 is refused in every domain
+    out = tmp_path / "out"
+    argv = [*command, "--field", "48x48", "--cutoff", "10", f"--psf-crop={crop}"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"--psf-crop must be >= 1, got {crop}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # two-point
 

@@ -11,9 +11,11 @@ from roisolve.errors import (
     ShapeError,
     SingularSystemError,
 )
-from roisolve.forward import observe_spectrum
+from roisolve.forward import image_to_spectrum, observe_field, observe_spectrum
 from roisolve.frequency import (
     build_system,
+    frame_rhs,
+    noiseless_rhs,
     observation_index,
     solve_system,
     solve_two_point_1d,
@@ -148,7 +150,7 @@ def _mirror(indices, rows, cols):
     return np.column_stack([(-indices[:, 0]) % rows, (-indices[:, 1]) % cols])
 
 
-def _frequency_problem(roi, field_shape, ring, cutoff=5.5):
+def _frequency_system(roi, field_shape, ring, cutoff=5.5):
     return roi_problem("frequency", roi, field_shape, OtfSpec(*field_shape, cutoff), ring)
 
 
@@ -164,7 +166,7 @@ def test_block_selection_row_major(rng):
     want_idx = [[u, v] for u in range(3) for v in range(4)]
     assert idx.tolist() == want_idx
     frame = rng.normal(size=(16, 12))
-    rhs = _frequency_problem(roi, (16, 12), 1).frame_rhs(frame)
+    rhs = frame_rhs(_frequency_system(roi, (16, 12), 1), frame)
     # the system's spectrum is normalized by the field size
     spectrum = np.fft.fft2(frame) / frame.size
     np.testing.assert_allclose(rhs, [spectrum[u, v] for u, v in want_idx], atol=1e-12)
@@ -181,12 +183,37 @@ def test_block_selection_wraps():
 def test_from_block_matches_block(rng):
     roi = RoiSpec(5, 3, 2, 3)
     frame = rng.normal(size=(16, 12))
-    problem = _frequency_problem(roi, (16, 12), 2, cutoff=5.5)
+    system = _frequency_system(roi, (16, 12), 2, cutoff=5.5)
     want_idx, want_entries = _block(np.fft.fft2(frame) / frame.size, 0, 0, 4, 5)
-    np.testing.assert_array_equal(problem.system.obs_index, want_idx)
-    np.testing.assert_allclose(problem.frame_rhs(frame), want_entries, atol=1e-12)
+    np.testing.assert_array_equal(system.obs_index, want_idx)
+    np.testing.assert_allclose(frame_rhs(system, frame), want_entries, atol=1e-12)
     with pytest.raises(ShapeError):
-        problem.frame_rhs(np.ones(4))
+        frame_rhs(system, np.ones(4))
+
+
+@pytest.mark.parametrize("selection", ["permuted block", "non-product"])
+def test_readers_follow_obs_index(small_spec, selection):
+    # row i of the system reads obs_index[i] in any order and any shape of
+    # selection, not the block the index was first drawn from
+    rows, cols = small_spec.shape
+    roi = RoiSpec(22, 22, 3, 3)
+    rng = np.random.default_rng(31)
+    if selection == "permuted block":
+        idx = observation_index(roi, small_spec.shape, 1)
+        idx = idx[rng.permutation(len(idx))]
+    else:  # repeated rows and columns, no product of them
+        idx = np.array([[0, 0], [0, 3], [3, 0], [1, 1], [2, 5], [5, 2], [4, 4], [1, 6], [6, 1],
+                        [2, 2], [7, 3]])
+    system = build_system(small_spec.shape, roi, idx, otf_spec=small_spec)
+    pixels = rng.uniform(0, 256, roi.pixel_count)
+    frame = observe_field(scatter_roi(pixels, roi, rows, cols), small_spec)
+    got = frame_rhs(system, frame)
+    want = image_to_spectrum(frame)[idx[:, 0], idx[:, 1]]
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    noiseless = noiseless_rhs(system, pixels)
+    assert np.abs(noiseless - want).max() <= 1e-14 * np.abs(want).max()
+    sol = solve_system(system, got, "stacked_real_lsq")
+    assert np.abs(sol.pixels - pixels).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------

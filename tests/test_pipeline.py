@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from roisolve import frequency
 from roisolve.errors import (
     BoundsError,
     NoSignalError,
@@ -28,6 +29,7 @@ from roisolve.pipeline import (
     make_test_sample,
     noise_stream_seed,
     noise_sweep,
+    noisy_rhs,
     roi_problem,
     run_table_experiment,
     scan_reconstruct,
@@ -468,25 +470,84 @@ def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
     # both readers are linear, so noisy_rhs reads clean and unit once and
     # forms every level on the system's rows; the reference reads each
     # level's frame clean + sigma * unit, as add_noise forms it
+    module = DOMAIN_MODULES[domain]
     rows, cols = shape
     size, ring = 3, 2
     roi = centered_roi(rows, cols, size, size)
     spec = OtfSpec(rows, cols, effective_cutoff(cutoff, size + ring, size + ring))
     blur = build_psf(spec, 2 * (size + ring) + 1) if domain == "spatial" else spec
-    problem = roi_problem(domain, roi, shape, blur, ring, estimate_condition=False)
+    system = roi_problem(domain, roi, shape, blur, ring, estimate_condition=False)
     pixels = np.random.default_rng(5).uniform(0.0, 256.0, size * size)
-    clean = observe_field(scatter_roi(pixels, roi, rows, cols), problem.spec)
+    clean = observe_field(scatter_roi(pixels, roi, rows, cols), system.spec)
     peak, unit = noise_field(clean, seed=9)
     sigmas = [NoiseSpec(db, 9).sigma(peak) for db in DEFAULT_PSNR_GRID]
-    got = problem.noisy_rhs(clean, unit, sigmas)
-    assert got.shape == (len(sigmas), problem.system.obs_index.shape[0])
+    got = noisy_rhs(domain, system, clean, unit, sigmas)
+    assert got.shape == (len(sigmas), system.obs_index.shape[0])
     for db, row, sigma in zip(DEFAULT_PSNR_GRID, got, sigmas):
-        want = problem.frame_rhs(clean + sigma * unit)
+        want = module.frame_rhs(system, clean + sigma * unit)
         if domain == "spatial":
             assert row.tobytes() == want.tobytes(), db
         else:
             # a partial DFT of the sum against the sum of two: rounding only
             assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max(), db
+
+
+# ---------------------------------------------------------------------------
+# the system boundary: blur type, transfer spec and frame shape
+
+def _small_system(domain, small_psf, small_spec, ring=1):
+    blur = small_psf if domain == "spatial" else small_spec
+    return roi_problem(domain, RoiSpec(20, 20, 3, 3), (48, 48), blur, ring)
+
+
+def test_each_domain_refuses_the_other_domains_blur(small_psf, small_spec):
+    roi = RoiSpec(20, 20, 3, 3)
+    with pytest.raises(ParameterError, match="reads an OtfSpec, got PsfKernel"):
+        roi_problem("frequency", roi, (48, 48), small_psf, 0)
+    with pytest.raises(ParameterError, match="reads a PsfKernel, got OtfSpec"):
+        roi_problem("spatial", roi, (48, 48), small_spec, 0)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_system_carries_its_field_and_transfer_spec(domain, small_psf, small_spec):
+    system = _small_system(domain, small_psf, small_spec)
+    assert system.field_shape == (48, 48)
+    assert system.spec == small_spec
+
+
+def test_noiseless_rhs_refuses_a_system_without_a_transfer_spec(small_psf, small_spec):
+    roi = RoiSpec(20, 20, 3, 3)
+    file_kernel = PsfKernel(grid=small_psf.grid, spec=None)
+    idx = frequency.observation_index(roi, (48, 48), 0)
+    systems = {
+        "spatial": roi_problem("spatial", roi, (48, 48), file_kernel, 0),
+        "frequency": frequency.build_system((48, 48), roi, idx, otf_spec=None),
+    }
+    for domain, system in systems.items():
+        assert system.spec is None
+        with pytest.raises(ParameterError, match="no transfer spec"):
+            DOMAIN_MODULES[domain].noiseless_rhs(system, np.ones(9))
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("shape", [(48,), (10, 10), (48, 48, 1), (60, 60), (48, 47)])
+def test_frame_rhs_refuses_a_frame_off_the_systems_field(domain, shape, small_psf, small_spec):
+    system = _small_system(domain, small_psf, small_spec)
+    frame_rhs = DOMAIN_MODULES[domain].frame_rhs
+    with pytest.raises(ShapeError, match="is not 2-D on the field"):
+        frame_rhs(system, np.ones(shape))
+    assert frame_rhs(system, np.ones((48, 48))).shape == (system.obs_index.shape[0],)
+
+
+def test_table_records_an_exactly_singular_system_as_failed_trials():
+    # cutoff 0 passes only the zero frequency; least squares would return a
+    # minimum-norm answer with condition inf and no error
+    report = run_table_experiment(
+        "spatial", sizes=(3,), trials_per_size=2, solver="least_squares",
+        field_shape=(48, 48), cutoff_radius=0.0, psf_crop=47,
+    )
+    assert report.failures(3) == 2
+    assert all(t.error.startswith("SingularSystemError") for t in report.trials)
 
 
 def test_table_refuses_minus_infinite_noise():

@@ -1,0 +1,18 @@
+"""Every ```python block of README.md runs as written."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_python_block_runs(index, capsys):
+    exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})

@@ -315,3 +315,14 @@ def test_condition_is_the_full_svd(ring):
     idx = observation_index(roi, spec.shape, ring)
     system = build_system(spec.shape, roi, idx, build_psf(spec, 11))
     assert system.condition_estimate == float(np.linalg.cond(system.a_matrix))
+
+
+def test_an_infinite_condition_estimate_is_a_singular_system():
+    # a cutoff below 1 keeps only the zero frequency: the kernel is constant,
+    # the matrix rank one and its condition estimate inf
+    psf = build_psf(OtfSpec(48, 48, 0.0), 47)
+    roi = RoiSpec(22, 22, 3, 3)
+    with pytest.raises(SingularSystemError, match="condition estimate inf"):
+        build_system((48, 48), roi, roi.cells(), psf)
+    system = build_system((48, 48), roi, roi.cells(), psf, estimate_condition=False)
+    assert np.isnan(system.condition_estimate)
