@@ -471,9 +471,7 @@ def cmd_recover(opts: dict) -> int:
             blur = build_psf(blur, crop, pipeline.kernel_reach(max(k_rows, l_cols), opts["ring"]))
             print(f"built kernel from cutoff {opts['cutoff']:g} on the observed field",
                   file=sys.stderr)
-    system = pipeline.roi_problem(
-        domain, roi, (rows, cols), blur, opts["ring"], estimate_condition=True
-    )
+    system = pipeline.roi_problem(domain, roi, (rows, cols), blur, opts["ring"])
     module = pipeline.DOMAIN_MODULES[domain]
     method = resolve_solver(domain, opts["solver"])
     if method is None:

@@ -13,14 +13,14 @@ pinned to its peak. observe_field runs it, for either domain, as pruned 1-D
 transforms in np.fft's own axis order, touching only the rows that hold
 light and the lines of the passband box; the blur is bit-identical to the
 whole-frame 2-D FFT expression, and observe_spatial applies it to a
-kernel's transfer spec. observe_spectrum, spectrum_to_image and
-image_to_spectrum stay as the whole-frame FFT functions the tests use as
-oracles. The sparse functions evaluate only what a system reads, as
-products of 1-D twiddle matrices: observe_spatial_at the given cells,
-observe_spectrum_block and image_spectrum_block the product of the given
-frequency rows us and columns vs, from which a transform-domain system
-gathers its entries. For an isolated region they agree with the full-field
-route to rounding.
+kernel's transfer spec. noise_field draws the noise a sweep scales per
+level. observe_spectrum, spectrum_to_image, image_to_spectrum and add_noise
+stay as the whole-frame functions the tests use as oracles. The sparse
+functions evaluate only what a system reads, as products of 1-D twiddle
+matrices: observe_spatial_at the given cells, observe_spectrum_block and
+image_spectrum_block the product of the given frequency rows us and
+columns vs, from which a transform-domain system gathers its entries. For
+an isolated region they agree with the full-field route to rounding.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, ShapeError
-from .grid import RoiSpec, scatter_roi, vectorize_roi
+from .grid import RoiSpec
 from .optics import _LINE_BATCH, OtfSpec, PsfKernel, in_passband, passband_box
 
 
@@ -62,16 +62,6 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ParameterError(f"{what} holds NaN or Inf")
 
 
-def _check_field(ideal: np.ndarray, shape: tuple[int, int], what: str) -> np.ndarray:
-    arr = np.asarray(ideal, dtype=float)
-    if arr.ndim != 2:
-        raise ShapeError(f"{what} must be 2D, got ndim={arr.ndim}")
-    if arr.shape != shape:
-        raise ShapeError(f"{what} shape {arr.shape} does not match the field {shape}")
-    _check_finite(arr, what)
-    return arr
-
-
 def observe_field(ideal: np.ndarray, spec: OtfSpec) -> np.ndarray:
     """The full-field blur of an ideal frame through spec's transfer function.
 
@@ -87,7 +77,12 @@ def observe_field(ideal: np.ndarray, spec: OtfSpec) -> np.ndarray:
         ShapeError: the frame is not 2D on spec's field.
         ParameterError: the frame holds NaN or Inf.
     """
-    arr = _check_field(ideal, spec.shape, "ideal frame")
+    arr = np.asarray(ideal, dtype=float)
+    if arr.ndim != 2:
+        raise ShapeError(f"ideal frame must be 2D, got ndim={arr.ndim}")
+    if arr.shape != spec.shape:
+        raise ShapeError(f"ideal frame shape {arr.shape} does not match the field {spec.shape}")
+    _check_finite(arr, "ideal frame")
     rows, cols = spec.shape
     freqs, gain = passband_box(spec)
     band_rows, band_cols = freqs % rows, freqs % cols
@@ -298,53 +293,3 @@ def add_noise(observed: np.ndarray, noise: NoiseSpec) -> np.ndarray:
         return arr
     peak, unit = noise_field(arr, noise.seed)
     return arr + noise.sigma(peak) * unit
-
-
-def measure_psnr_db(clean: np.ndarray, noisy: np.ndarray) -> float:
-    """Realized peak signal-to-noise ratio between a clean image and its noisy copy.
-
-    Raises:
-        ShapeError: the two images differ in shape.
-        ParameterError: either image holds NaN or Inf.
-        DegenerateInputError: the images differ and the clean one has no
-            positive peak.
-    """
-    clean = np.asarray(clean, dtype=float)
-    noisy = np.asarray(noisy, dtype=float)
-    if clean.shape != noisy.shape:
-        raise ShapeError(f"shape mismatch {clean.shape} vs {noisy.shape}")
-    _check_finite(clean, "clean image")
-    _check_finite(noisy, "noisy image")
-    sigma = float(np.std(noisy - clean))
-    if sigma == 0:
-        return math.inf
-    peak = float(clean.max())
-    if peak <= 0:
-        raise DegenerateInputError("clean image has no positive peak")
-    return 20.0 * math.log10(peak / sigma)
-
-
-def extra_light_ratio(full_sample: np.ndarray, roi: RoiSpec, psf: PsfKernel) -> float:
-    """How much light the surroundings leak into the ROI observation.
-
-    Ratio of ROI-summed observed intensity for the full sample versus the same
-    sample with everything outside the ROI switched off. Close to 1 means the
-    region is effectively isolated.
-
-    Raises:
-        ParameterError: the kernel carries no transfer spec (loaded from a
-            file), so the full-field blur is unavailable; or the sample holds
-            NaN or Inf.
-        DegenerateInputError: the isolated ROI contributes no light.
-    """
-    if psf.spec is None:
-        raise ParameterError("kernel carries no transfer spec; cannot blur a full field")
-    arr = _check_field(full_sample, psf.spec.shape, "sample")
-    roi.require_inside(*arr.shape)
-    isolated = scatter_roi(vectorize_roi(arr, roi), roi, *arr.shape)
-    obs_full = observe_spatial(arr, psf)
-    obs_isolated = observe_spatial(isolated, psf)
-    denom = float(obs_isolated[roi.slices()].sum())
-    if abs(denom) < 1e-300:
-        raise DegenerateInputError("isolated ROI contributes no light; ratio undefined")
-    return float(obs_full[roi.slices()].sum()) / denom

@@ -48,11 +48,6 @@ class RoiSpec:
     def pixel_count(self) -> int:
         return self.k_rows * self.l_cols
 
-    @property
-    def center(self) -> tuple[float, float]:
-        """Geometric center in grid coordinates."""
-        return (self.top + (self.k_rows - 1) / 2.0, self.left + (self.l_cols - 1) / 2.0)
-
     def slices(self) -> tuple[slice, slice]:
         return (
             slice(self.top, self.top + self.k_rows),
@@ -85,15 +80,6 @@ def centered_roi(rows: int, cols: int, k_rows: int, l_cols: int) -> RoiSpec:
     return roi
 
 
-def vectorize_roi(grid: np.ndarray, roi: RoiSpec) -> np.ndarray:
-    """Row-major copy of the ROI cells as a 1D vector of length K*L."""
-    grid = np.asarray(grid)
-    if grid.ndim != 2:
-        raise ShapeError(f"expected a 2D grid, got ndim={grid.ndim}")
-    roi.require_inside(*grid.shape)
-    return grid[roi.slices()].ravel().copy()
-
-
 def scatter_roi(vec: np.ndarray, roi: RoiSpec, rows: int, cols: int) -> np.ndarray:
     """Embed a row-major K*L vector into an otherwise dark rows x cols frame."""
     vec = np.asarray(vec, dtype=float)
@@ -105,18 +91,3 @@ def scatter_roi(vec: np.ndarray, roi: RoiSpec, rows: int, cols: int) -> np.ndarr
     frame = np.zeros((rows, cols))
     frame[roi.slices()] = vec.reshape(roi.shape)
     return frame
-
-
-def assert_isolated(grid: np.ndarray, roi: RoiSpec, tol: float = 0.0) -> None:
-    """Raise if any cell outside the ROI exceeds tol in magnitude."""
-    grid = np.asarray(grid)
-    roi.require_inside(*grid.shape)
-    outside = np.abs(grid).astype(float)
-    outside[roi.slices()] = 0.0
-    worst = float(outside.max()) if outside.size else 0.0
-    if worst > tol:
-        where = np.unravel_index(int(np.argmax(outside)), outside.shape)
-        raise ParameterError(
-            f"grid is not isolated to the ROI: |value|={worst:g} at {where} (tol {tol:g})"
-        )
-

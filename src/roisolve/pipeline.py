@@ -32,9 +32,10 @@ DEFAULT_CUTOFF = 6.0
 DEFAULT_PSF_CROP = 501
 SIZES_DEFAULT = range(2, 21)
 # Each domain's observation_index, build_system, observation readers and
-# solve_system, and its METHODS: the one place a domain name picks code.
-# Callers look functions up on the module at call time, so wrappers installed
-# on the module attribute see every call.
+# solve_system, and its METHODS. What differs in the blur a domain reads
+# (_domain_psf, _size_layout, scan_reconstruct, cli.cmd_recover) branches on
+# the name itself. Callers look functions up on the module at call time, so
+# wrappers installed on the module attribute see every call.
 DOMAIN_MODULES = {"spatial": spatial, "frequency": frequency}
 DOMAINS = tuple(DOMAIN_MODULES)
 
@@ -64,17 +65,21 @@ def averaged_difference(a_matrix: np.ndarray, x: np.ndarray, y: np.ndarray) -> f
 # ---------------------------------------------------------------------------
 # localization
 
-def locate_roi(
-    observed: np.ndarray, k_rows: int, l_cols: int, rel_threshold: float = 0.1
-) -> RoiSpec:
+# share of the image peak a cell must reach to weigh in the centroid
+LOCATE_THRESHOLD = 0.1
+
+
+def locate_roi(observed: np.ndarray, k_rows: int, l_cols: int) -> RoiSpec:
     """Estimate where an isolated K x L region sits in a blurred image.
 
-    Takes the intensity centroid of all cells at or above rel_threshold of the
-    image peak and snaps a K x L box onto it (clamping at the borders). Good to
-    about one cell for a region that is genuinely isolated.
+    Takes the intensity centroid of all cells at or above LOCATE_THRESHOLD of
+    the image peak and snaps a K x L box onto it (clamping at the borders).
+    Good to about one cell for a region that is genuinely isolated.
 
     Raises:
+        ShapeError: the image is not 2D.
         ParameterError: the image holds NaN or Inf.
+        BoundsError: a K x L box does not fit the image.
         NoSignalError: the image has no positive values to localize.
     """
     arr = np.asarray(observed, dtype=float)
@@ -85,13 +90,11 @@ def locate_roi(
     rows, cols = arr.shape
     if k_rows > rows or l_cols > cols:
         raise BoundsError(f"{k_rows}x{l_cols} region cannot fit a {rows}x{cols} image")
-    if not (0 < rel_threshold <= 1):
-        raise ParameterError(f"rel_threshold must be in (0, 1], got {rel_threshold}")
     peak = float(arr.max())
     if peak <= 0:
         raise NoSignalError("image has no positive signal to localize")
     weights = np.zeros_like(arr)
-    np.copyto(weights, arr, where=arr >= rel_threshold * peak)
+    np.copyto(weights, arr, where=arr >= LOCATE_THRESHOLD * peak)
     total = float(weights.sum())
     if total <= 0:
         raise NoSignalError("no cells cleared the localization threshold")
@@ -153,12 +156,6 @@ def _failures(trials: list[TrialResult]) -> int:
     return sum(1 for t in trials if t.error is not None)
 
 
-def _finite_mean(values: np.ndarray) -> float:
-    """Mean of the finite values: a skipped condition estimate is nan."""
-    finite = values[np.isfinite(values)]
-    return float(finite.mean()) if finite.size else float("nan")
-
-
 @dataclass
 class ExperimentReport:
     """One table run: every trial row plus enough metadata to rerun it."""
@@ -217,8 +214,6 @@ class ExperimentReport:
                     "mean_ad": self.mean_ad(size),
                     "std_ad": self.std_ad(size),
                     "max_ad": self.max_ad(size),
-                    "mean_condition": _statistic(self.trials_for(size), "condition", _finite_mean),
-                    "effective_cutoff": self.effective_cutoffs.get(size, self.base_cutoff),
                 }
             )
         return rows
@@ -297,7 +292,6 @@ def roi_problem(
     field_shape: tuple[int, int],
     blur: PsfKernel | OtfSpec,
     ring: int,
-    estimate_condition: bool = True,
 ) -> LinearSystem:
     """Build the system of one ROI on a field_shape frame before any observation
     is read: every trial of a size, scan tile or recover call that shares it
@@ -306,12 +300,14 @@ def roi_problem(
     The image domain observes the ROI cells plus the cells within ring of
     them, through the kernel blur. The transform domain reads the
     (K+ring) x (L+ring) spectrum block at the origin, every entry of which
-    must lie inside the passband of the transfer spec blur.
+    must lie inside the passband of the transfer spec blur. The system
+    carries its condition estimate.
 
     Raises:
         ParameterError: unknown domain, ring < 0, or a blur the domain does
             not read (a PsfKernel for the image domain, an OtfSpec for the
             transform domain).
+        SingularSystemError: the condition estimate is infinite.
     """
     if domain not in DOMAINS:
         raise ParameterError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
@@ -319,9 +315,7 @@ def roi_problem(
         raise ParameterError(f"ring must be >= 0, got {ring}")
     module = DOMAIN_MODULES[domain]
     obs_index = module.observation_index(roi, field_shape, ring)
-    return module.build_system(
-        field_shape, roi, obs_index, blur, estimate_condition=estimate_condition
-    )
+    return module.build_system(field_shape, roi, obs_index, blur)
 
 
 def noisy_rhs(
@@ -383,7 +377,6 @@ def _run_size(
     field_shape: tuple[int, int],
     blur: PsfKernel | OtfSpec,
     extra_ring: int,
-    estimate_condition: bool,
     method: str,
     trials: int,
     root_seed: int,
@@ -401,7 +394,7 @@ def _run_size(
     size = roi.k_rows
     out: list[list[TrialResult]] = [[] for _ in levels]
     try:
-        system = roi_problem(domain, roi, field_shape, blur, extra_ring, estimate_condition)
+        system = roi_problem(domain, roi, field_shape, blur, extra_ring)
     except RoiSolveError as exc:
         system, failure = None, exc
     noisy = [i for i, level in enumerate(levels) if level is not None]
@@ -447,7 +440,6 @@ def run_table_experiment(
     solver: str | None = None,
     extra_ring: int = 0,
     noise_psnr_db: float | None = None,
-    estimate_condition: bool = True,
 ) -> ExperimentReport:
     """Randomized recovery trials over a range of square ROI sizes.
 
@@ -508,7 +500,7 @@ def run_table_experiment(
         if domain == "frequency":
             report.effective_cutoffs[size] = blur.cutoff_radius
         (trials,) = _run_size(
-            domain, roi, (rows, cols), blur, extra_ring, estimate_condition, method,
+            domain, roi, (rows, cols), blur, extra_ring, method,
             trials_per_size, root_seed, [level],
         )
         report.trials.extend(trials)
@@ -539,10 +531,12 @@ def ad_spot_check(
     rows, cols = int(field_shape[0]), int(field_shape[1])
     psf = _domain_psf(domain, rows, cols, cutoff_radius, psf_crop, size, 0)
     roi, blur = _size_layout(domain, size, rows, cols, cutoff_radius, psf, 0)
-    system = roi_problem(domain, roi, (rows, cols), blur, 0, estimate_condition=False)
+    module = DOMAIN_MODULES[domain]
+    obs_index = module.observation_index(roi, (rows, cols), 0)
+    system = module.build_system((rows, cols), roi, obs_index, blur, estimate_condition=False)
     rng = np.random.default_rng(trial_seed_sequence(root_seed, size, trial))
     pixels = _draw_pixels(rng, size, size).ravel()
-    rhs = DOMAIN_MODULES[domain].noiseless_rhs(system, pixels)
+    rhs = module.noiseless_rhs(system, pixels)
     return averaged_difference(system.a_matrix, pixels, rhs)
 
 
@@ -610,9 +604,7 @@ def scan_reconstruct(
             )
         eff_cut = effective_cutoff(psf.spec.cutoff_radius, k_rows, l_cols)
         blur = OtfSpec(rows, cols, eff_cut, psf.spec.passband_gain)
-    system = roi_problem(
-        domain, RoiSpec(0, 0, k_rows, l_cols), arr.shape, blur, 0, estimate_condition=False
-    )
+    system = roi_problem(domain, RoiSpec(0, 0, k_rows, l_cols), arr.shape, blur, 0)
     down, across = rows // k_rows, cols // l_cols
     # column t holds tile (t // across, t % across), row-major within the tile
     tiles = arr.reshape(down, k_rows, across, l_cols).transpose(1, 3, 0, 2)
@@ -718,14 +710,13 @@ def noise_sweep(
 
     Runs the table experiment at one ROI size for each level of the grid plus
     a noiseless baseline; every point equals run_table_experiment at that
-    level with estimate_condition=False. The same trial draws (pixels and
-    noise shape) are reused across levels, so curves differ only by the noise
-    amplitude. Each trial blurs its frame over the full field once
-    (observe_field, in both domains) and reads the clean frame and the unit
-    noise once; every level's right-hand side is formed from those two reads
-    (noisy_rhs). The default ring-augmented least-squares setup
-    keeps the noiseless baseline under the threshold so a crossing exists to
-    report.
+    level. The same trial draws (pixels and noise shape) are reused across
+    levels, so curves differ only by the noise amplitude. Each trial blurs its
+    frame over the full field once (observe_field, in both domains) and reads
+    the clean frame and the unit noise once; every level's right-hand side is
+    formed from those two reads (noisy_rhs). The default ring-augmented
+    least-squares setup keeps the noiseless baseline under the threshold so a
+    crossing exists to report.
     """
     if roi_size < 1:
         raise ParameterError(f"roi_size must be >= 1, got {roi_size}")
@@ -760,7 +751,7 @@ def noise_sweep(
         roi, blur = _size_layout(domain, roi_size, rows, cols, cutoff_radius, psf, extra_ring)
         method = DOMAIN_MODULES[domain].METHODS[extra_ring > 0]
         per_level = _run_size(
-            domain, roi, (rows, cols), blur, extra_ring, False, method,
+            domain, roi, (rows, cols), blur, extra_ring, method,
             trials_per_level, root_seed, [None] + levels,
         )
         for psnr, trials in zip([math.inf] + levels, per_level):

@@ -112,7 +112,7 @@ def test_criterion_05_model_fidelity_all_sizes():
     for domain in DOMAINS:
         report = run_table_experiment(
             domain, sizes=tuple(range(2, 21)), trials_per_size=3,
-            solver=solvers[domain], estimate_condition=False,
+            solver=solvers[domain],
             field_shape=FIELD, cutoff_radius=CUTOFF, psf_crop=CROP,
         )
         worst = max(t.ad for t in report.trials)

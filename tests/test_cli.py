@@ -731,6 +731,22 @@ def test_scan_indivisible_tile_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("solver", ["lsq", "truncated"])
+def test_scan_singular_tile_system_exits_4(tmp_path, capsys, solver):
+    # below cutoff 1 only the zero frequency passes, so every tile system has
+    # rank one; the build refuses it before either SVD solver can run
+    out = tmp_path / "scan"
+    rc = main(
+        [
+            "scan", "--sample", "24x24", "--cutoff", "0.5",
+            "--solver", solver, "--out", str(out),
+        ]
+    )
+    assert rc == 4
+    assert "condition estimate inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # noise
 
