@@ -13,11 +13,13 @@ pinned to its peak. observe_field runs it, for either domain, as pruned 1-D
 transforms in np.fft's own axis order, touching only the rows that hold
 light and the lines of the passband box; the blur is bit-identical to the
 whole-frame 2-D FFT expression, and observe_spatial applies it to a
-kernel's transfer spec. noise_field draws the noise a sweep scales per
-level. observe_spectrum, spectrum_to_image, image_to_spectrum and add_noise
-stay as the whole-frame functions the tests use as oracles. The sparse
-functions evaluate only what a system reads, as products of 1-D twiddle
-matrices: observe_spatial_at the given cells, observe_spectrum_block and
+kernel's transfer spec; observe_field_at gives its peak and given cells
+from a few columns. noise_field draws the noise a sweep scales per level,
+unit_noise the first values of that field, for a prefix draw.
+observe_spectrum, spectrum_to_image, image_to_spectrum and add_noise stay
+as the whole-frame functions the tests use as oracles. The sparse functions
+evaluate only what a system reads, as products of 1-D twiddle matrices:
+observe_spatial_at the given cells, observe_spectrum_block and
 image_spectrum_block the product of the given frequency rows us and
 columns vs, from which a transform-domain system gathers its entries. For
 an isolated region they agree with the full-field route to rounding.
@@ -33,6 +35,8 @@ import numpy as np
 from .errors import DegenerateInputError, ParameterError, ShapeError
 from .grid import RoiSpec
 from .optics import _LINE_BATCH, OtfSpec, PsfKernel, in_passband, passband_box
+
+_PEAK_BOUND_MARGIN = 1e-9  # relative, on observe_field_at's column bounds
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,52 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ParameterError(f"{what} holds NaN or Inf")
 
 
+def _field_cells(cells: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    cells = np.asarray(cells)
+    if cells.ndim != 2 or cells.shape[1] != 2:
+        raise ShapeError(f"cells must have shape (n, 2), got {cells.shape}")
+    if cells.size and (
+        cells.min() < 0 or cells[:, 0].max() >= shape[0] or cells[:, 1].max() >= shape[1]
+    ):
+        raise ShapeError(f"cells fall outside the {shape[0]}x{shape[1]} field")
+    return cells
+
+
+def _band(ideal: np.ndarray, spec: OtfSpec) -> tuple[np.ndarray, np.ndarray]:
+    """observe_field but its last stage: its passband rows and their indices."""
+    arr = np.asarray(ideal, dtype=float)
+    if arr.ndim != 2:
+        raise ShapeError(f"ideal frame must be 2D, got ndim={arr.ndim}")
+    if arr.shape != spec.shape:
+        raise ShapeError(f"ideal frame shape {arr.shape} does not match the field {spec.shape}")
+    rows, cols = spec.shape
+    freqs, gain = passband_box(spec)
+    band_rows, band_cols = freqs % rows, freqs % cols
+    # NaN and Inf are nonzero, so they light their row
+    lit = np.flatnonzero(arr.any(axis=1))
+    _check_finite(arr[lit], "ideal frame")
+    # a dark row transforms to zeros
+    columns = np.zeros((rows, freqs.size), dtype=np.complex128)
+    columns[lit] = np.fft.fft(arr[lit], axis=-1)[:, band_cols]
+    band = np.zeros((freqs.size, cols), dtype=np.complex128)
+    band[:, band_cols] = np.fft.fft(columns, axis=0)[band_rows] * gain
+    return np.fft.ifft(band, axis=-1), band_rows
+
+
+def _inverse_columns(
+    band: np.ndarray, band_rows: np.ndarray, rows: int, columns: np.ndarray
+) -> np.ndarray:
+    """observe_field's last stage on the given columns, one row of the result each."""
+    # every column of the inverse is nonzero only at the passband rows
+    lines = np.zeros((_LINE_BATCH, rows), dtype=np.complex128)
+    out = np.empty((columns.size, rows))
+    for start in range(0, columns.size, _LINE_BATCH):
+        stop = min(start + _LINE_BATCH, columns.size)
+        lines[: stop - start, band_rows] = band[:, columns[start:stop]].T
+        out[start:stop] = np.fft.ifft(lines[: stop - start], axis=-1).real
+    return out
+
+
 def observe_field(ideal: np.ndarray, spec: OtfSpec) -> np.ndarray:
     """The full-field blur of an ideal frame through spec's transfer function.
 
@@ -77,30 +127,36 @@ def observe_field(ideal: np.ndarray, spec: OtfSpec) -> np.ndarray:
         ShapeError: the frame is not 2D on spec's field.
         ParameterError: the frame holds NaN or Inf.
     """
-    arr = np.asarray(ideal, dtype=float)
-    if arr.ndim != 2:
-        raise ShapeError(f"ideal frame must be 2D, got ndim={arr.ndim}")
-    if arr.shape != spec.shape:
-        raise ShapeError(f"ideal frame shape {arr.shape} does not match the field {spec.shape}")
-    _check_finite(arr, "ideal frame")
+    band, band_rows = _band(ideal, spec)
+    frame_t = _inverse_columns(band, band_rows, spec.shape[0], np.arange(spec.shape[1]))
+    return frame_t.T.copy()
+
+
+def observe_field_at(
+    ideal: np.ndarray, spec: OtfSpec, cells: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """observe_field(ideal, spec).max() and its values at the (n, 2) cells,
+    bit for bit, with observe_field's refusals.
+
+    Only the cells' columns and those that may hold the peak are inverted:
+    no value of column j exceeds sum(|band[:, j]|) / rows (times a margin far
+    above FFT rounding). From the cells' columns and the one of largest
+    bound, every column whose bound reaches the best value so far is added
+    until none is left; a best value <= 0 adds every column.
+    """
+    cells = _field_cells(cells, spec.shape)
     rows, cols = spec.shape
-    freqs, gain = passband_box(spec)
-    band_rows, band_cols = freqs % rows, freqs % cols
-    lit = np.flatnonzero(arr.any(axis=1))
-    # a dark row transforms to zeros
-    columns = np.zeros((rows, freqs.size), dtype=np.complex128)
-    columns[lit] = np.fft.fft(arr[lit], axis=-1)[:, band_cols]
-    band = np.zeros((freqs.size, cols), dtype=np.complex128)
-    band[:, band_cols] = np.fft.fft(columns, axis=0)[band_rows] * gain
-    band = np.fft.ifft(band, axis=-1)
-    # every column of the inverse is nonzero only at the passband rows
-    lines = np.zeros((_LINE_BATCH, rows), dtype=np.complex128)
-    image = np.empty(spec.shape)
-    for start in range(0, cols, _LINE_BATCH):
-        stop = min(start + _LINE_BATCH, cols)
-        lines[: stop - start, band_rows] = band[:, start:stop].T
-        image[:, start:stop] = np.fft.ifft(lines[: stop - start], axis=-1).real.T
-    return image
+    band, band_rows = _band(ideal, spec)
+    bound = np.abs(band).sum(axis=0) * ((1.0 + _PEAK_BOUND_MARGIN) / rows)
+    frame_t = np.empty((cols, rows))  # column j of the frame is row j here
+    done = np.zeros(cols, dtype=bool)
+    todo = np.union1d(cells[:, 1], [np.argmax(bound)])
+    while todo.size:
+        frame_t[todo] = _inverse_columns(band, band_rows, rows, todo)
+        done[todo] = True
+        peak = float(frame_t[done].max())
+        todo = np.flatnonzero(~done & ~(bound < peak))  # NaN (overflow) adds a column
+    return peak, frame_t[cells[:, 1], cells[:, 0]]
 
 
 def observe_spatial(ideal: np.ndarray, psf: PsfKernel) -> np.ndarray:
@@ -193,14 +249,8 @@ def observe_spatial_at(
         cells: (n, 2) absolute (row, col) coordinates to evaluate.
     """
     x = _roi_patch(pixels, roi, spec)
-    cells = np.asarray(cells)
+    cells = _field_cells(cells, spec.shape)
     rows, cols = spec.shape
-    if cells.ndim != 2 or cells.shape[1] != 2:
-        raise ShapeError(f"cells must have shape (n, 2), got {cells.shape}")
-    if cells.size and (
-        cells.min() < 0 or cells[:, 0].max() >= rows or cells[:, 1].max() >= cols
-    ):
-        raise ShapeError(f"cells fall outside the {rows}x{cols} field")
     freqs, gain = passband_box(spec)
     spectrum = gain * _partial_transform(x, roi.top, roi.left, freqs, freqs, spec.shape)
     fr = _twiddles(cells[:, 0], freqs, rows, 1)
@@ -271,9 +321,16 @@ def noise_field(observed: np.ndarray, seed: int) -> tuple[float, np.ndarray]:
     arr = np.asarray(observed, dtype=float)
     _check_finite(arr, "observed image")
     peak = float(arr.max())
-    if peak <= 0:
+    return peak, unit_noise(peak, seed, arr.size).reshape(arr.shape)
+
+
+def unit_noise(peak: float, seed: int, n: int) -> np.ndarray:
+    """The first n row-major values of the unit field noise_field draws for a
+    frame of that peak: a Generator's n normal draws are the first n of any
+    longer draw. DegenerateInputError unless the peak is positive."""
+    if not peak > 0:  # NaN too
         raise DegenerateInputError("observed image has no positive peak to scale noise to")
-    return peak, np.random.default_rng(seed).standard_normal(arr.shape)
+    return np.random.default_rng(seed).standard_normal(n)
 
 
 def add_noise(observed: np.ndarray, noise: NoiseSpec) -> np.ndarray:

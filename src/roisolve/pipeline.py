@@ -21,7 +21,7 @@ from .errors import (
     RoiSolveError,
     ShapeError,
 )
-from .forward import NoiseSpec, noise_field, observe_field
+from .forward import NoiseSpec, noise_field, observe_field, observe_field_at, unit_noise
 from .grid import RoiSpec, centered_roi, scatter_roi
 from .linear import LinearSystem
 from .optics import OtfSpec, PsfKernel, build_psf
@@ -33,9 +33,9 @@ DEFAULT_PSF_CROP = 501
 SIZES_DEFAULT = range(2, 21)
 # Each domain's observation_index, build_system, observation readers and
 # solve_system, and its METHODS. What differs in the blur a domain reads
-# (_domain_psf, _size_layout, scan_reconstruct, cli.cmd_recover) branches on
-# the name itself. Callers look functions up on the module at call time, so
-# wrappers installed on the module attribute see every call.
+# (_domain_psf, _size_layout, noisy_rhs, scan_reconstruct, cli.cmd_recover)
+# branches on the name itself. Callers look functions up on the module at
+# call time, so wrappers installed on the module attribute see every call.
 DOMAIN_MODULES = {"spatial": spatial, "frequency": frequency}
 DOMAINS = tuple(DOMAIN_MODULES)
 
@@ -319,17 +319,28 @@ def roi_problem(
 
 
 def noisy_rhs(
-    domain: str, system: LinearSystem, clean: np.ndarray, unit: np.ndarray, sigmas: Sequence[float]
+    domain: str, system: LinearSystem, ideal: np.ndarray, seed: int, psnr_levels: Sequence[float]
 ) -> np.ndarray:
-    """frame_rhs(system, clean + sigma * unit) for each sigma, one row each.
-
-    Both domains' readers are linear, so clean and unit are read once and
-    each level is formed on the system's rows: the same bytes in the image
-    domain (cell reads), the same values to rounding in the transform domain
-    (partial DFT).
+    """frame_rhs(system, clean + sigma_p * unit) for each level p, one row
+    each, where clean = observe_field(ideal, system.spec) and (peak, unit) =
+    noise_field(clean, seed). The readers are linear, so clean and unit are
+    read once: the same bytes in the image domain, which computes only its
+    cells and peak (observe_field_at, unit_noise); the same values to rounding
+    in the transform domain, whose partial DFT reads the full field.
     """
-    frame_rhs = DOMAIN_MODULES[domain].frame_rhs
-    return frame_rhs(system, clean) + np.multiply.outer(sigmas, frame_rhs(system, unit))
+    spec = system.require_spec()
+    if domain == "spatial":
+        idx = system.obs_index
+        peak, clean = observe_field_at(system.require_frame(ideal), spec, idx)
+        flat = idx[:, 0] * spec.shape[1] + idx[:, 1]
+        unit = unit_noise(peak, seed, int(flat.max()) + 1)[flat]
+    else:
+        frame = observe_field(ideal, spec)
+        peak, unit_frame = noise_field(frame, seed)
+        frame_rhs = DOMAIN_MODULES[domain].frame_rhs
+        clean, unit = frame_rhs(system, frame), frame_rhs(system, unit_frame)
+    sigmas = [NoiseSpec(p, seed).sigma(peak) for p in psnr_levels]
+    return clean + np.multiply.outer(sigmas, unit)
 
 
 def _failed_trial(domain: str, size: int, trial: int, seed: int, exc: RoiSolveError) -> TrialResult:
@@ -386,10 +397,8 @@ def _run_size(
 
     The system is built once for the size. Trials run outside and levels
     inside: a noiseless level evaluates only what the system reads. The noisy
-    levels of a trial share one clean frame, blurred over the full field by
-    observe_field on the system's transfer spec in either domain, its peak
-    and its unit-noise field; noisy_rhs reads clean and unit once and forms
-    every level's right-hand side of clean + sigma * unit from them.
+    levels of a trial share one noisy_rhs call, which reads its clean frame
+    and unit noise once (in the image domain, only at the system's cells).
     """
     size = roi.k_rows
     out: list[list[TrialResult]] = [[] for _ in levels]
@@ -413,17 +422,15 @@ def _run_size(
                 out[i].append(_solved_trial(domain, system, method, trial, seed_id, pixels, rhs))
         if not noisy:
             continue
-        noise_seed = noise_stream_seed(root_seed, size, trial)
         try:
-            clean = observe_field(scatter_roi(pixels, roi, *field_shape), system.spec)
-            peak, unit = noise_field(clean, noise_seed)
+            rhs_levels = noisy_rhs(
+                domain, system, scatter_roi(pixels, roi, *field_shape),
+                noise_stream_seed(root_seed, size, trial), [levels[i] for i in noisy],
+            )
         except RoiSolveError as exc:
             for i in noisy:
                 out[i].append(_failed_trial(domain, size, trial, seed_id, exc))
             continue
-        sigmas = [NoiseSpec(levels[i], noise_seed).sigma(peak) for i in noisy]
-        rhs_levels = noisy_rhs(domain, system, clean, unit, sigmas)
-        del clean, unit  # one trial's full-field arrays alive at a time
         for i, rhs in zip(noisy, rhs_levels):
             out[i].append(_solved_trial(domain, system, method, trial, seed_id, pixels, rhs))
     return out
@@ -458,8 +465,9 @@ def run_table_experiment(
 
     Every trial of a size shares one system (matrix and condition estimate).
     Noiseless trials evaluate only the observations the system reads; noisy
-    ones (finite noise_psnr_db) observe the full field, since the noise is
-    pinned to its peak. noise_psnr_db=inf runs noiseless; NaN and -inf raise
+    ones (finite noise_psnr_db) pin the noise to the blurred frame's peak,
+    which the image domain finds from a few columns (noisy_rhs).
+    noise_psnr_db=inf runs noiseless; NaN and -inf raise
     ParameterError.
 
     Trials that raise a solver error are recorded with the message instead of
@@ -711,12 +719,11 @@ def noise_sweep(
     Runs the table experiment at one ROI size for each level of the grid plus
     a noiseless baseline; every point equals run_table_experiment at that
     level. The same trial draws (pixels and noise shape) are reused across
-    levels, so curves differ only by the noise amplitude. Each trial blurs its
-    frame over the full field once (observe_field, in both domains) and reads
-    the clean frame and the unit noise once; every level's right-hand side is
-    formed from those two reads (noisy_rhs). The default ring-augmented
-    least-squares setup keeps the noiseless baseline under the threshold so a
-    crossing exists to report.
+    levels, so curves differ only by the noise amplitude. Each trial reads
+    its clean frame and unit noise once, in the image domain only at the
+    system's cells and peak, and forms every level from them (noisy_rhs).
+    The default ring-augmented least-squares setup keeps the noiseless
+    baseline under the threshold so a crossing exists to report.
     """
     if roi_size < 1:
         raise ParameterError(f"roi_size must be >= 1, got {roi_size}")

@@ -54,3 +54,24 @@ def test_psf_workload_hashes_every_export_of_each_setting(tool):
     assert set(digests) == {f"psf/{name}/{what}" for name in names for what in whats}
     assert len({digests[f"psf/{name}/psf.raw"] for name in names}) == len(names)
     assert tool.digest(["psf"], []) == digests
+
+
+def test_noisy_table_workload_hashes_every_run_at_each_seed(tool):
+    # no benchmark cycle runs `table --noise-psnr`; this set gates its bytes
+    assert "noisy-table" in tool.WORKLOADS
+    digests = tool.digest(["noisy-table"], [205, 111])
+    runs = [(f"{domain}-r{ring}-{field}", domain)
+            for field, _ in tool.NOISY_TABLE_FIELDS for ring in tool.NOISY_TABLE_RINGS
+            for domain in ("spatial", "frequency")]
+    assert len(runs) == 8
+    whats = ("exit", "stdout", "stderr", "trials_{}.csv", "ae_{}.csv", "ad_{}.csv",
+             "manifest_{}.txt")
+    assert set(digests) == {f"noisy-table/{seed}/{name}/{what.format(domain)}"
+                            for seed in (205, 111) for name, domain in runs for what in whats}
+    assert {digests[f"noisy-table/205/{name}/exit"] for name, _ in runs} == {tool._hash(b"0")}
+    trials = {digests[f"noisy-table/{seed}/{name}/trials_{domain}.csv"]
+              for seed in (205, 111) for name, domain in runs}
+    assert len(trials) == 2 * len(runs)
+    assert tool.digest(["noisy-table"], [205]) == {
+        key: value for key, value in digests.items() if key.startswith("noisy-table/205/")
+    }

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from roisolve import forward
 from roisolve.errors import BoundsError, DegenerateInputError, ParameterError, ShapeError
 from roisolve.forward import (
     NoiseSpec,
@@ -11,11 +14,13 @@ from roisolve.forward import (
     image_to_spectrum,
     noise_field,
     observe_field,
+    observe_field_at,
     observe_spatial,
     observe_spatial_at,
     observe_spectrum,
     observe_spectrum_block,
     spectrum_to_image,
+    unit_noise,
 )
 from roisolve.grid import RoiSpec, centered_roi, scatter_roi
 from roisolve.optics import OtfSpec, PsfKernel, build_otf, build_psf, passband_mask
@@ -157,6 +162,89 @@ def test_noise_draw_is_prefix_consistent(seed, n):
     assert prefix.tobytes() == unit.ravel()[:n].tobytes()
 
 
+@pytest.mark.parametrize("seed", [77, noise_stream_seed(12345, 3, 0)])
+def test_unit_noise_read_at_cells_is_the_noise_field_there(seed):
+    # the image domain's noisy route: draw through the last cell, read the cells
+    shape = (97, 130)
+    _, unit = noise_field(np.ones(shape), seed)
+    cells = observation_index(RoiSpec(40, 127, 3, 3), shape, 2)
+    flat = cells[:, 0] * shape[1] + cells[:, 1]
+    got = unit_noise(1.0, seed, int(flat.max()) + 1)[flat]
+    assert got.tobytes() == unit[cells[:, 0], cells[:, 1]].tobytes()
+
+
+@pytest.mark.parametrize("peak", [0.0, -1.0, math.nan])
+def test_unit_noise_needs_a_positive_peak(peak):
+    with pytest.raises(DegenerateInputError, match="no positive peak"):
+        unit_noise(peak, 7, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(5, 41),
+    cols=st.integers(5, 41),
+    cutoff_share=st.floats(0.0, 1.0),
+    gain=st.sampled_from([1.0, 0.5, -2.5]),
+    k_rows=st.integers(1, 4),
+    l_cols=st.integers(1, 4),
+    corner=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    ring=st.integers(0, 3),
+    pixels=st.sampled_from(["positive", "signed", "negative", "dark"]),
+    seed=st.integers(0, 2**16),
+)
+def test_observe_field_at_is_the_full_blur_at_its_peak_and_cells(
+    rows, cols, cutoff_share, gain, k_rows, l_cols, corner, ring, pixels, seed
+):
+    # odd and non-square fields, cutoffs from 0.5 to just below Nyquist, ROIs
+    # anywhere up to the border with the ring clipped there, and frames whose
+    # blurred peak is negative or zero (every column is then computed)
+    k_rows, l_cols = min(k_rows, rows), min(l_cols, cols)
+    limit = min(rows, cols) / 2.0
+    cutoff = 0.5 + cutoff_share * (limit - 0.5 - 1e-9)
+    spec = OtfSpec(rows, cols, cutoff, gain)
+    roi = RoiSpec(round(corner[0] * (rows - k_rows)), round(corner[1] * (cols - l_cols)),
+                  k_rows, l_cols)
+    low, high = {"positive": (0, 256), "signed": (-256, 256), "negative": (-256, -1),
+                 "dark": (0, 0)}[pixels]
+    values = np.random.default_rng(seed).uniform(low, high, roi.pixel_count)
+    ideal = scatter_roi(values, roi, rows, cols)
+    cells = observation_index(roi, (rows, cols), ring)
+    full = observe_field(ideal, spec)
+    peak, got = observe_field_at(ideal, spec, cells)
+    assert np.float64(peak).tobytes() == full.max().tobytes()
+    assert got.tobytes() == full[cells[:, 0], cells[:, 1]].tobytes()
+
+
+def test_observe_field_at_transforms_a_few_columns_at_the_papers_setup(monkeypatch, rng):
+    spec = OtfSpec(768, 768, 6.0)
+    roi = centered_roi(768, 768, 3, 3)
+    ideal = scatter_roi(rng.uniform(0, 256, 9), roi, 768, 768)
+    cells = observation_index(roi, (768, 768), 2)
+    want = observe_field(ideal, spec).max()
+    inverted = []
+    inverse_columns = forward._inverse_columns
+
+    def counting(band, band_rows, rows, columns):
+        out = inverse_columns(band, band_rows, rows, columns)
+        inverted.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(forward, "_inverse_columns", counting)
+    peak, _ = observe_field_at(ideal, spec, cells)
+    assert peak == want
+    # the 7 columns of the cells and the few the bounds cannot rule out
+    assert 7 <= sum(inverted) <= 16
+
+
+@pytest.mark.parametrize("cells", [np.zeros((3,), int), np.array([[0, 48]]),
+                                   np.array([[-1, 0]])])
+def test_observe_field_at_refuses_cells_off_the_field(small_spec, cells):
+    frame = np.zeros((48, 48))
+    frame[20, 20] = 1.0
+    with pytest.raises(ShapeError):
+        observe_field_at(frame, small_spec, cells)
+
+
 # Sparse evaluators against the full-FFT oracle: the paper's 768x768 field at
 # cutoff 6 and the small test field, tolerance 1e-12 of the oracle's peak.
 SPARSE_FIELDS = [((48, 48), 10.0, 47), ((768, 768), 6.0, 501)]
@@ -271,6 +359,20 @@ def test_observe_spatial_refuses_non_finite_frames(small_psf, bad):
     frame[3, 40] = bad
     with pytest.raises(ParameterError, match="NaN or Inf"):
         observe_spatial(frame, small_psf)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("lit", [True, False])
+def test_full_field_blurs_refuse_a_non_finite_value_alone_in_a_dark_row(small_spec, bad, lit):
+    # the finiteness check reads only the lit rows; NaN and Inf light their own
+    frame = np.zeros((48, 48))
+    if lit:
+        frame[20, 20] = 1.0
+    frame[3, 40] = bad
+    with pytest.raises(ParameterError, match="NaN or Inf"):
+        observe_field(frame, small_spec)
+    with pytest.raises(ParameterError, match="NaN or Inf"):
+        observe_field_at(frame, small_spec, np.array([[20, 20]]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

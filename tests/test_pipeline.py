@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from roisolve import frequency
+from roisolve import frequency, pipeline
 from roisolve.errors import (
     BoundsError,
     NoSignalError,
@@ -469,8 +469,10 @@ def test_sweep_every_point_matches_table_run(small_sweep, domain):
 @pytest.mark.parametrize("shape, cutoff", [((48, 48), 10.0), ((768, 768), 6.0)])
 def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
     # both readers are linear, so noisy_rhs reads clean and unit once and
-    # forms every level on the system's rows; the reference reads each
-    # level's frame clean + sigma * unit, as add_noise forms it
+    # forms every level on the system's rows (the image domain from a few
+    # columns and a prefix draw); the reference blurs and draws the full
+    # field and reads each level's frame clean + sigma * unit, as add_noise
+    # forms it
     module = DOMAIN_MODULES[domain]
     rows, cols = shape
     size, ring = 3, 2
@@ -479,10 +481,11 @@ def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
     blur = build_psf(spec, 2 * (size + ring) + 1) if domain == "spatial" else spec
     system = roi_problem(domain, roi, shape, blur, ring)
     pixels = np.random.default_rng(5).uniform(0.0, 256.0, size * size)
-    clean = observe_field(scatter_roi(pixels, roi, rows, cols), system.spec)
+    ideal = scatter_roi(pixels, roi, rows, cols)
+    clean = observe_field(ideal, system.spec)
     peak, unit = noise_field(clean, seed=9)
     sigmas = [NoiseSpec(db, 9).sigma(peak) for db in DEFAULT_PSNR_GRID]
-    got = noisy_rhs(domain, system, clean, unit, sigmas)
+    got = noisy_rhs(domain, system, ideal, 9, DEFAULT_PSNR_GRID)
     assert got.shape == (len(sigmas), system.obs_index.shape[0])
     for db, row, sigma in zip(DEFAULT_PSNR_GRID, got, sigmas):
         want = module.frame_rhs(system, clean + sigma * unit)
@@ -491,6 +494,33 @@ def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
         else:
             # a partial DFT of the sum against the sum of two: rounding only
             assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max(), db
+
+
+def _full_field_noisy_rhs(domain, system, ideal, seed, psnr_levels):
+    """noisy_rhs's oracle: blur and draw the whole frame, read each level's frame."""
+    clean = observe_field(ideal, system.spec)
+    peak, unit = noise_field(clean, seed)
+    frame_rhs = DOMAIN_MODULES[domain].frame_rhs
+    return [frame_rhs(system, clean + NoiseSpec(p, seed).sigma(peak) * unit) for p in psnr_levels]
+
+
+@pytest.mark.parametrize(
+    "field", [SMALL, dict(field_shape=(768, 768), cutoff_radius=6.0, psf_crop=501)]
+)
+def test_image_domain_noisy_reports_match_the_full_field_route(field, monkeypatch):
+    # repr round-trips every float, so equal reprs are equal bytes
+    def runs():
+        sweep = noise_sweep(trials_per_level=2, root_seed=31, domains=("spatial",), **field)
+        tables = [
+            run_table_experiment("spatial", sizes=(2, 3, 4), trials_per_size=2, root_seed=31,
+                                 extra_ring=ring, noise_psnr_db=120.0, **field)
+            for ring in (0, 2)
+        ]
+        return repr(sweep.points), [repr(table.trials) for table in tables]
+
+    got = runs()
+    monkeypatch.setattr(pipeline, "noisy_rhs", _full_field_noisy_rhs)
+    assert runs() == got
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Byte digest of every benchmark command, to show a change leaves outputs alone.
 
-    python3 tools/cycle_digest.py [--workloads table,noise,scan,recover,help,psf]
+    python3 tools/cycle_digest.py [--workloads table,noise,scan,recover,help,psf,noisy-table]
         [--seeds 111,205,12345] [--out digest.json]
     python3 tools/cycle_digest.py --compare A.json B.json
 
@@ -14,7 +14,11 @@ The "help" workload hashes the exit code, stdout and stderr of
 under "help/<command>" whatever the seeds. The "psf" workload runs
 `roisolve psf` for each (field, cutoff, crop, gain) of PSF_SETTINGS and
 hashes the same things as an op, under "psf/<field>-<cutoff>-<crop>-<gain>",
-so the full-crop kernel export is gated too. --compare lists the keys that
+so the full-crop kernel export is gated too. The "noisy-table" workload,
+which no benchmark cycle runs, runs `roisolve table --noise-psnr 120` at
+each seed for both domains, rings 0 and 2 and each (field, crop) of
+NOISY_TABLE_FIELDS, under "noisy-table/<seed>/<domain>-r<ring>-<field>".
+--compare lists the keys that
 differ between two such files (or sit in one only) and exits 1 if there are
 any.
 """
@@ -36,7 +40,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
-WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf")
+WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf", "noisy-table")
 SUBCOMMANDS = ("psf", "table", "scan", "noise", "recover", "two-point")
 SEEDS = (111, 205, 12345)
 # (field, cutoff, crop, gain) of the psf workload: the benchmark's kernel,
@@ -47,6 +51,10 @@ PSF_SETTINGS = (
     ("97x64", "5", "63", "-2.5"),
     ("16x12", "4", "11", "1"),
 )
+# (field, crop) of the noisy-table workload: the benchmark's field and an odd
+# non-square one
+NOISY_TABLE_FIELDS = (("768x768", "501"), ("97x130", "95"))
+NOISY_TABLE_RINGS = ("0", "2")
 MASK = "<tmp>"
 
 
@@ -123,6 +131,28 @@ def psf_digest() -> dict[str, str]:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def noisy_table_digest(seed: int) -> dict[str, str]:
+    """Digests of noisy `roisolve table` runs at one seed (see NOISY_TABLE_FIELDS)."""
+    import roisolve.cli as cli
+
+    tmp = tempfile.mkdtemp(prefix="cycle-digest-")
+    try:
+        digests = {}
+        for field, crop in NOISY_TABLE_FIELDS:
+            for ring in NOISY_TABLE_RINGS:
+                for domain in ("spatial", "frequency"):
+                    name = f"{domain}-r{ring}-{field}"
+                    out = os.path.join(tmp, name)
+                    argv = ["table", "--domain", domain, "--sizes", "2-5", "--trials", "2",
+                            "--ring", ring, "--field", field, "--cutoff", "6",
+                            "--psf-crop", crop, "--noise-psnr", "120", "--seed", str(seed),
+                            "--out", out]
+                    digests.update(_op_digest(cli, argv, out, tmp, f"noisy-table/{seed}/{name}"))
+        return digests
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def help_digest() -> dict[str, str]:
     """Digests of every subcommand's --help at a fixed terminal width."""
     import roisolve.cli as cli
@@ -139,7 +169,10 @@ def digest(workload_names, seeds) -> dict[str, str]:
             result.update(help_digest() if workload == "help" else psf_digest())
             continue
         for seed in seeds:
-            result.update(cycle_digest(workload, seed))
+            if workload == "noisy-table":
+                result.update(noisy_table_digest(seed))
+            else:
+                result.update(cycle_digest(workload, seed))
     return result
 
 
