@@ -19,7 +19,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -173,6 +173,14 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
+def _write_records(path: str, kind: type, records) -> None:
+    """A CSV of dataclass records: one column per field of kind, in field
+    order, a None written as an empty cell."""
+    names = [f.name for f in fields(kind)]
+    rows = ([getattr(r, name) for name in names] for r in records)
+    fileio.write_table_csv(path, names, (["" if v is None else v for v in row] for row in rows))
+
+
 def _auto_crop(rows: int, cols: int, requested: int) -> int:
     """Largest odd crop <= requested that fits the field; ParameterError for a
     requested crop below 1, in either domain."""
@@ -278,30 +286,25 @@ def cmd_table(opts: dict) -> int:
         noise_psnr_db=opts["noise_psnr"],
     )
     out = _ensure_outdir(opts["out"])
-    trial_header = ["domain", "roi_size", "trial", "seed", "ae", "ad", "condition", "error"]
-    trial_rows = [
-        (t.domain, t.roi_size, t.trial, t.seed, t.ae, t.ad, t.condition, t.error or "")
-        for t in report.trials
-    ]
-    fileio.write_table_csv(os.path.join(out, f"trials_{domain}.csv"), trial_header, trial_rows)
-    summary = report.summary_rows()
+    _write_records(os.path.join(out, f"trials_{domain}.csv"), pipeline.TrialResult, report.trials)
+    summaries = report.summaries().items()
     fileio.write_table_csv(
         os.path.join(out, f"ae_{domain}.csv"),
         ["roi_size", "mean_ae", "std_ae", "failed"],
-        [(r["roi_size"], r["mean_ae"], r["std_ae"], r["failed"]) for r in summary],
+        [(size, s.mean_ae, s.std_ae, s.failed) for size, s in summaries],
     )
     fileio.write_table_csv(
         os.path.join(out, f"ad_{domain}.csv"),
         ["roi_size", "mean_ad", "std_ad", "max_ad"],
-        [(r["roi_size"], r["mean_ad"], r["std_ad"], r["max_ad"]) for r in summary],
+        [(size, s.mean_ad, s.std_ad, s.max_ad) for size, s in summaries],
     )
     fileio.write_manifest(os.path.join(out, f"manifest_{domain}.txt"), report.manifest())
     print(f"{domain} recovery, {opts['trials']} trials per size, solver {report.solver}")
     print(f"{'size':>4}  {'mean AE':>12}  {'std AE':>12}  {'mean AD':>12}  {'max AD':>12}  failed")
-    for row in summary:
+    for size, s in summaries:
         print(
-            f"{row['roi_size']:>4}  {row['mean_ae']:>12.5g}  {row['std_ae']:>12.5g}  "
-            f"{row['mean_ad']:>12.5g}  {row['max_ad']:>12.5g}  {row['failed']:>6}"
+            f"{size:>4}  {s.mean_ae:>12.5g}  {s.std_ae:>12.5g}  "
+            f"{s.mean_ad:>12.5g}  {s.max_ad:>12.5g}  {s.failed:>6}"
         )
     print(
         f"wrote trials_{domain}.csv, ae_{domain}.csv, ad_{domain}.csv, "
@@ -339,9 +342,7 @@ def cmd_scan(opts: dict) -> int:
         domain=opts["domain"],
         solver=resolve_solver(opts["domain"], opts["solver"]),
     )
-    rel_error = float(np.linalg.norm(recon - sample)) / sample.size / max(
-        float(sample.mean()), 1e-300
-    )
+    rel_error = pipeline.averaged_error(recon, sample) / max(float(sample.mean()), 1e-300)
     out = _ensure_outdir(opts["out"])
     if not opts["input"]:
         fileio.write_raw_matrix(os.path.join(out, "sample.raw"), sample)
@@ -397,12 +398,7 @@ def cmd_noise(opts: dict) -> int:
         domains=domains,
     )
     out = _ensure_outdir(opts["out"])
-    header = ["domain", "psnr_db", "amplitude_ratio", "mean_ae", "std_ae", "failed"]
-    rows_out = [
-        (p.domain, p.psnr_db, p.amplitude_ratio, p.mean_ae, p.std_ae, p.failed)
-        for p in report.points
-    ]
-    fileio.write_table_csv(os.path.join(out, "noise_sweep.csv"), header, rows_out)
+    _write_records(os.path.join(out, "noise_sweep.csv"), pipeline.SweepPoint, report.points)
     manifest = {
         "roi_size": str(report.roi_size),
         "trials_per_level": str(report.trials_per_level),

@@ -141,7 +141,7 @@ def build_system(
     field_shape: tuple[int, int],
     roi: RoiSpec,
     obs_index: np.ndarray,
-    otf_spec: OtfSpec | None = None,
+    otf_spec: OtfSpec,
     estimate_condition: bool = True,
 ) -> LinearSystem:
     """Assemble the transform-domain system for an isolated ROI.
@@ -153,15 +153,15 @@ def build_system(
         roi: region holding the unknown pixels.
         obs_index: (n, 2) spectrum indices to use; needs at least
             roi.pixel_count of them (more gives an overdetermined system).
-        otf_spec: when given, every index must sit inside its passband,
-            otherwise SelectionError (entries outside carry no signal after
-            the low-pass filter).
+        otf_spec: the transfer spec on field_shape (else ShapeError); every
+            index must sit inside its passband, otherwise SelectionError
+            (entries outside carry no signal after the low-pass filter).
         estimate_condition: compute a 2-norm condition estimate: from the two
             1-D partial DFT factors when obs_index is a full product U x V
             (any order, no repeats), else from an SVD of the whole matrix;
             an infinite estimate raises SingularSystemError.
     """
-    if otf_spec is not None and not isinstance(otf_spec, OtfSpec):
+    if not isinstance(otf_spec, OtfSpec):
         raise ParameterError(f"transform domain reads an OtfSpec, got {type(otf_spec).__name__}")
     rows, cols = int(field_shape[0]), int(field_shape[1])
     if rows < 1 or cols < 1:
@@ -177,18 +177,15 @@ def build_system(
             f"{idx.shape[0]} selected entries cannot determine "
             f"{roi.pixel_count} unknowns"
         )
-    if otf_spec is not None:
-        if otf_spec.shape != (rows, cols):
-            raise ShapeError(
-                f"transfer spec field {otf_spec.shape} does not match {rows}x{cols}"
-            )
-        outside = ~in_passband(otf_spec, idx[:, 0], idx[:, 1])
-        if outside.any():
-            bad = idx[outside][0]
-            raise SelectionError(
-                f"selected entry (u={bad[0]}, v={bad[1]}) lies outside the passband "
-                f"(cutoff {otf_spec.cutoff_radius}); it carries no signal"
-            )
+    if otf_spec.shape != (rows, cols):
+        raise ShapeError(f"transfer spec field {otf_spec.shape} does not match {rows}x{cols}")
+    outside = ~in_passband(otf_spec, idx[:, 0], idx[:, 1])
+    if outside.any():
+        bad = idx[outside][0]
+        raise SelectionError(
+            f"selected entry (u={bad[0]}, v={bad[1]}) lies outside the passband "
+            f"(cutoff {otf_spec.cutoff_radius}); it carries no signal"
+        )
     unknowns = roi.cells()
 
     def phase_rows(r: slice) -> np.ndarray:
@@ -211,8 +208,7 @@ def build_system(
 
 def noiseless_rhs(system: LinearSystem, pixels: np.ndarray) -> np.ndarray:
     """The filtered spectrum of the ROI at the system's entries, passband-sparse:
-    observe_spectrum_block over their distinct rows x columns, then gathered.
-    ParameterError for a system without a transfer spec."""
+    observe_spectrum_block over their distinct rows x columns, then gathered."""
     us, u_at, vs, v_at = _axes(system.obs_index)
     block = observe_spectrum_block(pixels, system.roi, system.require_spec(), us, vs)
     return block[u_at, v_at]

@@ -59,7 +59,7 @@ class LinearSystem:
     Row i of A reads obs_index[i]: an absolute (row, col) image cell in the
     image domain, a (u, v) spectrum index in the transform domain, of a
     field_shape frame. spec is the transfer spec observations go through
-    (None for a kernel loaded from a file, or a system built without one).
+    (None only for an image-domain system on a kernel loaded from a file).
     The observation y is not part of the system: each domain's frame_rhs
     reads it off a frame, its noiseless_rhs evaluates it from known pixels.
     """

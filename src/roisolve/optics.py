@@ -145,13 +145,6 @@ class PsfKernel:
         """Kernel value at zero offset."""
         return float(self.grid[self.half, self.half])
 
-    def value(self, du: int, dv: int) -> float:
-        """Kernel value at offset (du, dv) from the peak."""
-        h = self.half
-        if abs(du) > h or abs(dv) > h:
-            raise BoundsError(f"offset ({du}, {dv}) outside the +/-{h} kernel window")
-        return float(self.grid[h + du, h + dv])
-
     def values(self, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
         """Vectorized kernel lookup; offsets must fit the crop window."""
         du = np.asarray(du)

@@ -8,7 +8,7 @@ order and safe to parallelize externally.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -144,16 +144,30 @@ class TrialResult:
     error: str | None = None
 
 
-def _statistic(
-    trials: list[TrialResult], field_name: str, reduce: Callable[[np.ndarray], float]
-) -> float:
-    """reduce() over one field of the trials that did not fail; nan if all did."""
-    values = np.asarray([getattr(t, field_name) for t in trials if t.error is None], dtype=float)
-    return float(reduce(values)) if values.size else float("nan")
+@dataclass(frozen=True)
+class Summary:
+    """Statistics of one group of trials (a table size or a sweep level), over
+    the trials that did not fail; nan where every trial failed."""
+
+    trials: int
+    failed: int
+    mean_ae: float
+    std_ae: float
+    mean_ad: float
+    std_ad: float
+    max_ad: float
 
 
-def _failures(trials: list[TrialResult]) -> int:
-    return sum(1 for t in trials if t.error is not None)
+def summarize(trials: Sequence[TrialResult]) -> Summary:
+    """The one reduction of trial rows into their Summary."""
+    ok = [t for t in trials if t.error is None]
+    if not ok:
+        nan = float("nan")
+        return Summary(len(trials), len(trials), nan, nan, nan, nan, nan)
+    ae = np.asarray([t.ae for t in ok], dtype=float)
+    ad = np.asarray([t.ad for t in ok], dtype=float)
+    return Summary(len(trials), len(trials) - len(ok), float(ae.mean()), float(ae.std()),
+                   float(ad.mean()), float(ad.std()), float(ad.max()))
 
 
 @dataclass
@@ -173,50 +187,13 @@ class ExperimentReport:
     effective_cutoffs: dict[int, float] = dataclass_field(default_factory=dict)
     trials: list[TrialResult] = dataclass_field(default_factory=list)
 
-    def sizes(self) -> list[int]:
-        seen: list[int] = []
+    def summaries(self) -> dict[int, Summary]:
+        """The Summary of each ROI size, in the order the sizes first ran; a
+        size run twice pools its trials."""
+        groups: dict[int, list[TrialResult]] = {}
         for t in self.trials:
-            if t.roi_size not in seen:
-                seen.append(t.roi_size)
-        return seen
-
-    def trials_for(self, size: int) -> list[TrialResult]:
-        return [t for t in self.trials if t.roi_size == size]
-
-    def mean_ae(self, size: int) -> float:
-        return _statistic(self.trials_for(size), "ae", np.mean)
-
-    def std_ae(self, size: int) -> float:
-        return _statistic(self.trials_for(size), "ae", np.std)
-
-    def mean_ad(self, size: int) -> float:
-        return _statistic(self.trials_for(size), "ad", np.mean)
-
-    def std_ad(self, size: int) -> float:
-        return _statistic(self.trials_for(size), "ad", np.std)
-
-    def max_ad(self, size: int) -> float:
-        return _statistic(self.trials_for(size), "ad", np.max)
-
-    def failures(self, size: int) -> int:
-        return _failures(self.trials_for(size))
-
-    def summary_rows(self) -> list[dict]:
-        rows = []
-        for size in self.sizes():
-            rows.append(
-                {
-                    "roi_size": size,
-                    "trials": len(self.trials_for(size)),
-                    "failed": self.failures(size),
-                    "mean_ae": self.mean_ae(size),
-                    "std_ae": self.std_ae(size),
-                    "mean_ad": self.mean_ad(size),
-                    "std_ad": self.std_ad(size),
-                    "max_ad": self.max_ad(size),
-                }
-            )
-        return rows
+            groups.setdefault(t.roi_size, []).append(t)
+        return {size: summarize(trials) for size, trials in groups.items()}
 
     def manifest(self) -> dict[str, str]:
         entries = {
@@ -230,7 +207,7 @@ class ExperimentReport:
             "solver": self.solver,
             "extra_ring": str(self.extra_ring),
             "noise_psnr_db": "" if self.noise_psnr_db is None else repr(self.noise_psnr_db),
-            "sizes": ",".join(str(s) for s in self.sizes()),
+            "sizes": ",".join(str(s) for s in dict.fromkeys(t.roi_size for t in self.trials)),
         }
         for size, cut in sorted(self.effective_cutoffs.items()):
             entries[f"effective_cutoff_{size}"] = repr(cut)
@@ -762,14 +739,15 @@ def noise_sweep(
             trials_per_level, root_seed, [None] + levels,
         )
         for psnr, trials in zip([math.inf] + levels, per_level):
+            summary = summarize(trials)
             report.points.append(
                 SweepPoint(
                     domain=domain,
                     psnr_db=psnr,
                     amplitude_ratio=10.0 ** (psnr / 20.0) if math.isfinite(psnr) else math.inf,
-                    mean_ae=_statistic(trials, "ae", np.mean),
-                    std_ae=_statistic(trials, "ae", np.std),
-                    failed=_failures(trials),
+                    mean_ae=summary.mean_ae,
+                    std_ae=summary.std_ae,
+                    failed=summary.failed,
                 )
             )
     return report

@@ -79,17 +79,18 @@ def test_criterion_03_spatial_table_small_sizes():
         "spatial", sizes=(2, 3), trials_per_size=20, extra_ring=2,
         field_shape=FIELD, cutoff_radius=CUTOFF, psf_crop=CROP,
     )
-    print(f"square system: 2x2 mean AE {square.mean_ae(2):.3e}, "
-          f"3x3 mean AE {square.mean_ae(3):.3e}")
-    print(f"ring-2 system: 2x2 mean AE {ringed.mean_ae(2):.3e}, "
-          f"3x3 mean AE {ringed.mean_ae(3):.3e}")
-    assert square.failures(2) == 0 and square.failures(3) == 0
-    assert ringed.failures(2) == 0 and ringed.failures(3) == 0
-    assert square.mean_ae(2) <= 1e-5
-    assert ringed.mean_ae(2) <= 1e-5
+    square, ringed = square.summaries(), ringed.summaries()
+    print(f"square system: 2x2 mean AE {square[2].mean_ae:.3e}, "
+          f"3x3 mean AE {square[3].mean_ae:.3e}")
+    print(f"ring-2 system: 2x2 mean AE {ringed[2].mean_ae:.3e}, "
+          f"3x3 mean AE {ringed[3].mean_ae:.3e}")
+    assert square[2].failed == 0 and square[3].failed == 0
+    assert ringed[2].failed == 0 and ringed[3].failed == 0
+    assert square[2].mean_ae <= 1e-5
+    assert ringed[2].mean_ae <= 1e-5
     # the square 3x3 system sits at condition ~5e15 and misses this bound;
     # the widened observation set is the configuration that meets it
-    assert ringed.mean_ae(3) <= 1.0
+    assert ringed[3].mean_ae <= 1.0
 
 
 def test_criterion_04_frequency_table_small_sizes():
@@ -97,10 +98,11 @@ def test_criterion_04_frequency_table_small_sizes():
         "frequency", sizes=(2, 3, 4), trials_per_size=20,
         field_shape=FIELD, cutoff_radius=CUTOFF, psf_crop=CROP,
     )
+    summaries = report.summaries()
     for size, bound in ((2, 1e-5), (3, 1e-2), (4, 5.0)):
-        mean = report.mean_ae(size)
+        mean = summaries[size].mean_ae
         print(f"{size}x{size}: mean AE {mean:.3e} (bound {bound:g})")
-        assert report.failures(size) == 0
+        assert summaries[size].failed == 0
         assert mean <= bound
 
 

@@ -75,3 +75,25 @@ def test_noisy_table_workload_hashes_every_run_at_each_seed(tool):
     assert tool.digest(["noisy-table"], [205]) == {
         key: value for key, value in digests.items() if key.startswith("noisy-table/205/")
     }
+
+
+def test_failed_trials_workload_hashes_every_run_at_each_seed(tool):
+    # no other entry gates a summary row whose trials all failed
+    assert "failed-trials" in tool.WORKLOADS
+    digests = tool.digest(["failed-trials"], [205, 111])
+    whats = {
+        "table": ("exit", "stdout", "stderr", "trials_spatial.csv", "ae_spatial.csv",
+                  "ad_spatial.csv", "manifest_spatial.txt"),
+        "noise": ("exit", "stdout", "stderr", "noise_sweep.csv", "noise_manifest.txt"),
+    }
+    assert set(tool.FAILED_TRIALS_RUNS) == set(whats)
+    assert set(digests) == {f"failed-trials/{seed}/{name}/{what}"
+                            for seed in (205, 111) for name in whats for what in whats[name]}
+    # both commands record their failures and exit 0
+    assert {digests[f"failed-trials/{seed}/{name}/exit"]
+            for seed in (205, 111) for name in whats} == {tool._hash(b"0")}
+    assert (digests["failed-trials/205/table/trials_spatial.csv"]
+            != digests["failed-trials/111/table/trials_spatial.csv"])
+    assert tool.digest(["failed-trials"], [205]) == {
+        key: value for key, value in digests.items() if key.startswith("failed-trials/205/")
+    }

@@ -150,6 +150,11 @@ def _mirror(indices, rows, cols):
     return np.column_stack([(-indices[:, 0]) % rows, (-indices[:, 1]) % cols])
 
 
+def _widest_spec(rows, cols):
+    """The transfer spec of the widest passband a rows x cols field allows."""
+    return OtfSpec(rows, cols, min(rows, cols) / 2 - 0.5)
+
+
 def _frequency_system(roi, field_shape, ring, cutoff=5.5):
     return roi_problem("frequency", roi, field_shape, OtfSpec(*field_shape, cutoff), ring)
 
@@ -224,7 +229,7 @@ def test_matrix_entries_brute_force(rng):
     roi = RoiSpec(5, 3, 2, 2)
     spectrum = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
     idx, _ = _block(spectrum, 1, 2, 2, 2)
-    system = build_system((rows, cols), roi, idx)
+    system = build_system((rows, cols), roi, idx, _widest_spec(rows, cols))
     for i, (u, v) in enumerate(idx):
         for j, (r, c) in enumerate(roi.cells()):
             want = np.exp(-2j * np.pi * (r * u / rows + c * v / cols)) / (rows * cols)
@@ -235,7 +240,8 @@ def test_matrix_modulus_constant(rng):
     rows, cols = 24, 24
     roi = RoiSpec(3, 3, 3, 3)
     spectrum = rng.normal(size=(rows, cols)) + 0j
-    system = build_system((rows, cols), roi, _block(spectrum, 0, 0, 3, 3)[0])
+    idx = _block(spectrum, 0, 0, 3, 3)[0]
+    system = build_system((rows, cols), roi, idx, _widest_spec(rows, cols))
     np.testing.assert_allclose(np.abs(system.a_matrix), 1.0 / (rows * cols), rtol=1e-14)
 
 
@@ -244,27 +250,30 @@ def test_build_system_needs_enough_entries(rng):
     roi = RoiSpec(4, 4, 3, 3)
     idx, _ = _block(spectrum, 0, 0, 2, 2)
     with pytest.raises(SelectionError):
-        build_system((16, 16), roi, idx)
+        build_system((16, 16), roi, idx, _widest_spec(16, 16))
 
 
 def test_selection_shape_validation():
     roi = RoiSpec(4, 4, 2, 2)
+    spec = _widest_spec(16, 16)
     with pytest.raises(ShapeError):
-        build_system((16, 16), roi, np.zeros((4, 3), dtype=int))
+        build_system((16, 16), roi, np.zeros((4, 3), dtype=int), spec)
     with pytest.raises(ShapeError):
-        build_system((16, 16), roi, np.zeros(8, dtype=int))
+        build_system((16, 16), roi, np.zeros(8, dtype=int), spec)
 
 
 def test_build_system_index_validation():
     roi = RoiSpec(4, 4, 2, 2)
+    spec = _widest_spec(16, 16)
     with pytest.raises(SelectionError):
-        build_system((16, 16), roi, np.array([[0, 0], [0, 1], [1, 0], [16, 1]]))
+        build_system((16, 16), roi, np.array([[0, 0], [0, 1], [1, 0], [16, 1]]), spec)
     with pytest.raises(SelectionError):
-        build_system((16, 16), roi, np.array([[0, 0], [0, 1], [1, 0], [1, -1]]))
+        build_system((16, 16), roi, np.array([[0, 0], [0, 1], [1, 0], [1, -1]]), spec)
+    # the field checks run before the spec is matched against the field
     with pytest.raises(BoundsError):
-        build_system((5, 16), roi, np.zeros((4, 2), dtype=int))
+        build_system((5, 16), roi, np.zeros((4, 2), dtype=int), spec)
     with pytest.raises(ParameterError):
-        build_system((0, 16), roi, np.zeros((4, 2), dtype=int))
+        build_system((0, 16), roi, np.zeros((4, 2), dtype=int), spec)
 
 
 def test_build_system_passband_validation(rng):
@@ -279,6 +288,8 @@ def test_build_system_passband_validation(rng):
         build_system((rows, cols), roi, outside, otf_spec=otf_spec)
     with pytest.raises(ShapeError):
         build_system((rows, cols), roi, inside, otf_spec=OtfSpec(16, 16, 4.0))
+    with pytest.raises(ParameterError, match="reads an OtfSpec"):
+        build_system((rows, cols), roi, inside, None)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +307,8 @@ def _dft_factor(freqs, positions, size):
 def test_matrix_is_the_kronecker_product_of_two_partial_dfts(roi, ring):
     rows, cols = 48, 50
     system = build_system(
-        (rows, cols), roi, observation_index(roi, (rows, cols), ring), estimate_condition=False
+        (rows, cols), roi, observation_index(roi, (rows, cols), ring), _widest_spec(rows, cols),
+        estimate_condition=False,
     )
     f_r = _dft_factor(np.arange(roi.k_rows + ring), roi.top + np.arange(roi.k_rows), rows)
     f_c = _dft_factor(np.arange(roi.l_cols + ring), roi.left + np.arange(roi.l_cols), cols)
@@ -305,7 +317,7 @@ def test_matrix_is_the_kronecker_product_of_two_partial_dfts(roi, ring):
 
 def _conditions(field, roi, ring):
     """(estimate, full-matrix SVD condition) of one origin-block system."""
-    system = build_system(field, roi, observation_index(roi, field, ring))
+    system = build_system(field, roi, observation_index(roi, field, ring), _widest_spec(*field))
     return system.condition_estimate, float(np.linalg.cond(system.a_matrix))
 
 
@@ -336,8 +348,9 @@ def test_factor_condition_reads_past_the_full_svd_saturation():
 def test_a_product_selection_in_any_order_gives_the_same_estimate(rng):
     roi = RoiSpec(7, 9, 3, 2)
     idx = observation_index(roi, (32, 32), 1)
-    ordered = build_system((32, 32), roi, idx).condition_estimate
-    shuffled = build_system((32, 32), roi, idx[rng.permutation(len(idx))]).condition_estimate
+    spec = _widest_spec(32, 32)
+    ordered = build_system((32, 32), roi, idx, spec).condition_estimate
+    shuffled = build_system((32, 32), roi, idx[rng.permutation(len(idx))], spec).condition_estimate
     assert shuffled == ordered
 
 
@@ -351,7 +364,7 @@ def test_other_selections_take_the_full_svd(edit):
         idx[-1] = idx[0]
     else:  # a 2 x 8 product cannot determine 3 rows of unknowns
         idx = np.column_stack([np.repeat(np.arange(2), 8), np.tile(np.arange(8), 2)])
-    system = build_system((32, 32), roi, idx)
+    system = build_system((32, 32), roi, idx, _widest_spec(32, 32))
     assert system.condition_estimate == float(np.linalg.cond(system.a_matrix))
 
 
@@ -411,10 +424,10 @@ def test_conjugate_mirrored_selection_agrees(small_spec, rng):
     spectrum = observe_spectrum(scatter_roi(pixels, roi, rows, cols), build_otf(small_spec))
     base_idx = np.array([[1, 1], [1, 2], [2, 1], [2, 2]])
     idx, entries = _picked(spectrum, base_idx)
-    sol = solve_system(build_system((rows, cols), roi, idx), entries)
+    sol = solve_system(build_system((rows, cols), roi, idx, small_spec), entries)
     mirrored = _mirror(base_idx, rows, cols)
     idx, entries = _picked(spectrum, mirrored)
-    sol_m = solve_system(build_system((rows, cols), roi, idx), entries)
+    sol_m = solve_system(build_system((rows, cols), roi, idx, small_spec), entries)
     assert np.abs(sol.pixels - sol_m.pixels).max() <= 1e-8
 
 
@@ -431,7 +444,7 @@ def test_stacked_real_lsq_overdetermined(small_spec, rng):
 def test_direct_complex_requires_square(small_spec, rng):
     roi = RoiSpec(22, 22, 2, 2)
     idx, entries = _observed_selection(rng.uniform(0, 1, 4), roi, small_spec, shape=(3, 3))
-    system = build_system(small_spec.shape, roi, idx)
+    system = build_system(small_spec.shape, roi, idx, small_spec)
     with pytest.raises(ShapeError):
         solve_system(system, entries, "direct_complex")
 

@@ -76,7 +76,7 @@ def test_psf_against_naive_transform_sum():
         for u, v in zip(us, vs):
             acc += np.cos(2 * np.pi * (u * du / rows + v * dv / cols))
         expected = acc / (rows * cols)
-        assert psf.value(du, dv) == pytest.approx(expected, abs=1e-12)
+        assert psf.values(du, dv) == pytest.approx(expected, abs=1e-12)
 
 
 def test_psf_symmetry_and_window(small_psf):
@@ -85,13 +85,13 @@ def test_psf_symmetry_and_window(small_psf):
     win = small_psf.window(3, 4)
     assert win.shape == (5, 7)
     assert win[2, 3] == small_psf.peak
-    assert win[0, 0] == small_psf.value(-2, -3)
+    assert win[0, 0] == small_psf.values(-2, -3)
 
 
 def test_psf_value_bounds(small_psf):
     h = small_psf.half
     with pytest.raises(BoundsError):
-        small_psf.value(h + 1, 0)
+        small_psf.values(h + 1, 0)
     with pytest.raises(BoundsError):
         small_psf.values(np.array([0]), np.array([h + 1]))
     with pytest.raises(BoundsError):

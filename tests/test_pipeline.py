@@ -34,6 +34,7 @@ from roisolve.pipeline import (
     roi_problem,
     run_table_experiment,
     scan_reconstruct,
+    summarize,
     trial_seed_sequence,
 )
 
@@ -182,17 +183,16 @@ def test_report_aggregates_skip_failed_trials():
         trials_per_size=4, root_seed=7, solver="direct", extra_ring=0, noise_psnr_db=None,
         trials=ok + [bad],
     )
-    assert report.sizes() == [3]
-    assert report.failures(3) == 1
-    assert report.mean_ae(3) == pytest.approx(2.0)
-    assert report.std_ae(3) == pytest.approx(np.std([1.0, 2.0, 3.0]))
-    assert report.mean_ad(3) == pytest.approx(1.0)
-    assert report.max_ad(3) == pytest.approx(1.5)
-    (row,) = report.summary_rows()
-    assert row["roi_size"] == 3
-    assert row["trials"] == 4
-    assert row["failed"] == 1
-    assert row["mean_ae"] == report.mean_ae(3)
+    ((size, row),) = report.summaries().items()
+    assert size == 3
+    assert row.trials == 4
+    assert row.failed == 1
+    assert row.mean_ae == pytest.approx(2.0)
+    assert row.std_ae == pytest.approx(np.std([1.0, 2.0, 3.0]))
+    assert row.mean_ad == pytest.approx(1.0)
+    assert row.std_ad == pytest.approx(np.std([0.5, 1.0, 1.5]))
+    assert row.max_ad == pytest.approx(1.5)
+    assert row == summarize(report.trials)
     manifest = report.manifest()
     assert manifest["domain"] == "spatial"
     assert manifest["sizes"] == "3"
@@ -207,7 +207,7 @@ def test_table_experiment_structure_and_determinism():
     kwargs = dict(sizes=(2, 3), trials_per_size=3, root_seed=99, **SMALL)
     first = run_table_experiment("spatial", **kwargs)
     again = run_table_experiment("spatial", **kwargs)
-    assert first.sizes() == [2, 3]
+    assert list(first.summaries()) == [2, 3]
     assert len(first.trials) == 6
     for t, u in zip(first.trials, again.trials):
         assert t == u
@@ -221,11 +221,12 @@ def test_table_experiment_structure_and_determinism():
 
 def test_table_experiment_aggregates_match_manual():
     report = run_table_experiment("spatial", sizes=(3,), trials_per_size=4, root_seed=5, **SMALL)
-    vals = np.asarray([t.ae for t in report.trials_for(3)])
-    assert report.mean_ae(3) == float(vals.mean())
-    assert report.std_ae(3) == float(vals.std())
-    ads = np.asarray([t.ad for t in report.trials_for(3)])
-    assert report.max_ad(3) == float(ads.max())
+    row = report.summaries()[3]
+    vals = np.asarray([t.ae for t in report.trials])
+    assert row.mean_ae == float(vals.mean())
+    assert row.std_ae == float(vals.std())
+    ads = np.asarray([t.ad for t in report.trials])
+    assert row.max_ad == float(ads.max())
 
 
 def test_table_experiment_frequency_records_cutoffs():
@@ -234,7 +235,8 @@ def test_table_experiment_frequency_records_cutoffs():
     )
     assert report.effective_cutoffs[2] == 10.0
     assert report.effective_cutoffs[12] == pytest.approx(math.hypot(11, 11))
-    for t in report.trials_for(2):
+    for t in report.trials[:2]:
+        assert t.roi_size == 2
         assert t.error is None
         assert t.ae < 1e-6
     assert report.manifest()["effective_cutoff_12"] == repr(math.hypot(11.0, 11.0))
@@ -248,7 +250,7 @@ def test_table_experiment_ring_widens_spatial_system():
     assert plain.solver == "direct"
     assert ringed.solver == "least_squares"
     # same pixel draws, so the ring run cannot do worse on this tame field
-    assert ringed.mean_ae(3) <= plain.mean_ae(3) * (1 + 1e-9) + 1e-12
+    assert ringed.summaries()[3].mean_ae <= plain.summaries()[3].mean_ae * (1 + 1e-9) + 1e-12
 
 
 def test_table_experiment_noise_raises_error_floor():
@@ -257,7 +259,7 @@ def test_table_experiment_noise_raises_error_floor():
         "spatial", sizes=(2,), trials_per_size=3, root_seed=11, noise_psnr_db=40.0, **SMALL
     )
     assert noisy.noise_psnr_db == 40.0
-    assert noisy.mean_ae(2) > quiet.mean_ae(2)
+    assert noisy.summaries()[2].mean_ae > quiet.summaries()[2].mean_ae
 
 
 def test_table_experiment_validation():
@@ -442,8 +444,9 @@ def test_sweep_noiseless_point_matches_table_run(small_sweep):
         **SMALL,
     )
     baseline = small_sweep.points_for("spatial")[0]
-    assert baseline.mean_ae == table.mean_ae(3)
-    assert baseline.std_ae == table.std_ae(3)
+    row = table.summaries()[3]
+    assert baseline.mean_ae == row.mean_ae
+    assert baseline.std_ae == row.std_ae
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -460,9 +463,10 @@ def test_sweep_every_point_matches_table_run(small_sweep, domain):
             noise_psnr_db=None if math.isinf(point.psnr_db) else point.psnr_db,
             **SMALL,
         )
-        assert point.mean_ae == table.mean_ae(3)
-        assert point.std_ae == table.std_ae(3)
-        assert point.failed == table.failures(3) == 0
+        row = table.summaries()[3]
+        assert point.mean_ae == row.mean_ae
+        assert point.std_ae == row.std_ae
+        assert point.failed == row.failed == 0
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -546,18 +550,18 @@ def test_system_carries_its_field_and_transfer_spec(domain, small_psf, small_spe
     assert system.spec == small_spec
 
 
-def test_noiseless_rhs_refuses_a_system_without_a_transfer_spec(small_psf, small_spec):
+def test_noiseless_rhs_refuses_a_system_without_a_transfer_spec(small_psf):
+    # only a kernel read from a file leaves a system without a transfer spec:
+    # the transform domain refuses to build one without it
     roi = RoiSpec(20, 20, 3, 3)
     file_kernel = PsfKernel(grid=small_psf.grid, spec=None)
+    system = roi_problem("spatial", roi, (48, 48), file_kernel, 0)
+    assert system.spec is None
+    with pytest.raises(ParameterError, match="no transfer spec"):
+        DOMAIN_MODULES["spatial"].noiseless_rhs(system, np.ones(9))
     idx = frequency.observation_index(roi, (48, 48), 0)
-    systems = {
-        "spatial": roi_problem("spatial", roi, (48, 48), file_kernel, 0),
-        "frequency": frequency.build_system((48, 48), roi, idx, otf_spec=None),
-    }
-    for domain, system in systems.items():
-        assert system.spec is None
-        with pytest.raises(ParameterError, match="no transfer spec"):
-            DOMAIN_MODULES[domain].noiseless_rhs(system, np.ones(9))
+    with pytest.raises(ParameterError, match="reads an OtfSpec"):
+        frequency.build_system((48, 48), roi, idx, None)
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -577,7 +581,7 @@ def test_table_records_an_exactly_singular_system_as_failed_trials():
         "spatial", sizes=(3,), trials_per_size=2, solver="least_squares",
         field_shape=(48, 48), cutoff_radius=0.0, psf_crop=47,
     )
-    assert report.failures(3) == 2
+    assert report.summaries()[3].failed == 2
     assert all(t.error.startswith("SingularSystemError") for t in report.trials)
 
 
@@ -667,7 +671,7 @@ def test_table_builds_one_system_per_size(monkeypatch, domain):
     assert builds == [2, 3]
     assert all(t.error is None for t in report.trials)
     for size in (2, 3):
-        conds = {t.condition for t in report.trials_for(size)}
+        conds = {t.condition for t in report.trials if t.roi_size == size}
         assert len(conds) == 1
 
 
@@ -677,12 +681,33 @@ def test_table_records_a_failed_system_build_per_trial():
         "spatial", sizes=(3,), trials_per_size=2, root_seed=8,
         field_shape=(48, 48), cutoff_radius=10.0, psf_crop=3,
     )
-    assert report.failures(3) == 2
+    row = report.summaries()[3]
+    assert row.trials == row.failed == 2
+    stats = (row.mean_ae, row.std_ae, row.mean_ad, row.std_ad, row.max_ad)
+    assert all(math.isnan(v) for v in stats)
     for t in report.trials:
         assert t.error.startswith("BoundsError")
         # the whole 3-cell crop is built, so the error names its reach
         assert t.error == "BoundsError: offsets reach +/-(2, 2), kernel window is only +/-1"
         assert t.seed == int(trial_seed_sequence(8, 3, t.trial).generate_state(1)[0])
+    sweep = noise_sweep(
+        roi_size=3, psnr_grid=(80.0,), trials_per_level=2, root_seed=8, domains=("spatial",),
+        field_shape=(48, 48), cutoff_radius=10.0, psf_crop=3,
+    )
+    assert [p.psnr_db for p in sweep.points] == [math.inf, 80.0]
+    for point in sweep.points:
+        assert point.failed == 2
+        assert math.isnan(point.mean_ae) and math.isnan(point.std_ae)
+    assert sweep.crossing_db("spatial") is None
+
+
+def test_summaries_pool_a_repeated_size_in_first_run_order():
+    report = run_table_experiment("spatial", sizes=(3, 2, 3), trials_per_size=2, **SMALL)
+    summaries = report.summaries()
+    assert list(summaries) == [3, 2]
+    assert summaries[3].trials == 4
+    assert summaries[3] == summarize([t for t in report.trials if t.roi_size == 3])
+    assert report.manifest()["sizes"] == "3,2"
 
 
 def test_sweep_validation():

@@ -104,7 +104,7 @@ def test_system_matrix_entries_brute_force(small_psf):
     unknowns = [(r, c) for r in range(20, 22) for c in range(21, 24)]
     for i, (m, n) in enumerate(obs_cells):
         for j, (k, l) in enumerate(unknowns):
-            assert a[i, j] == small_psf.value(k - m, l - n)
+            assert a[i, j] == small_psf.values(k - m, l - n)
 
 
 def test_system_matrix_positive_small_config(small_psf):

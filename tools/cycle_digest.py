@@ -1,6 +1,7 @@
 """Byte digest of every benchmark command, to show a change leaves outputs alone.
 
-    python3 tools/cycle_digest.py [--workloads table,noise,scan,recover,help,psf,noisy-table]
+    python3 tools/cycle_digest.py
+        [--workloads table,noise,scan,recover,help,psf,noisy-table,failed-trials]
         [--seeds 111,205,12345] [--out digest.json]
     python3 tools/cycle_digest.py --compare A.json B.json
 
@@ -18,9 +19,11 @@ so the full-crop kernel export is gated too. The "noisy-table" workload,
 which no benchmark cycle runs, runs `roisolve table --noise-psnr 120` at
 each seed for both domains, rings 0 and 2 and each (field, crop) of
 NOISY_TABLE_FIELDS, under "noisy-table/<seed>/<domain>-r<ring>-<field>".
---compare lists the keys that
-differ between two such files (or sit in one only) and exits 1 if there are
-any.
+The "failed-trials" workload runs each command of FAILED_TRIALS_RUNS at each
+seed, under "failed-trials/<seed>/<name>": runs whose kernel is too small for
+some or all of their systems, so their summary rows read nan. --compare
+lists the keys that differ between two such files (or sit in one only) and
+exits 1 if there are any.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
-WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf", "noisy-table")
+WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf", "noisy-table", "failed-trials")
 SUBCOMMANDS = ("psf", "table", "scan", "noise", "recover", "two-point")
 SEEDS = (111, 205, 12345)
 # (field, cutoff, crop, gain) of the psf workload: the benchmark's kernel,
@@ -55,6 +58,15 @@ PSF_SETTINGS = (
 # non-square one
 NOISY_TABLE_FIELDS = (("768x768", "501"), ("97x130", "95"))
 NOISY_TABLE_RINGS = ("0", "2")
+# name -> argv (without --seed and --out) of the failed-trials workload. A
+# 3x3 kernel serves 2x2 systems only: the table solves size 2 and records
+# sizes 3-4 as failed trials, and every point of the sweep fails.
+_SMALL_KERNEL = ["--field", "48x48", "--cutoff", "10", "--psf-crop", "3"]
+FAILED_TRIALS_RUNS = {
+    "table": ["table", "--domain", "spatial", *_SMALL_KERNEL, "--sizes", "2-4", "--trials", "2"],
+    "noise": ["noise", "--domains", "spatial", *_SMALL_KERNEL, "--roi-size", "3",
+              "--trials", "1", "--psnr", "80,120"],
+}
 MASK = "<tmp>"
 
 
@@ -113,44 +125,48 @@ def cycle_digest(workload: str, seed: int) -> dict[str, str]:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def psf_digest() -> dict[str, str]:
-    """Digests of `roisolve psf` at every PSF_SETTINGS entry."""
+def _runs_digest(prefix: str, runs: dict[str, list[str]]) -> dict[str, str]:
+    """Digests of each named command, writing into its own --out, under prefix/name."""
     import roisolve.cli as cli
 
     tmp = tempfile.mkdtemp(prefix="cycle-digest-")
     try:
         digests = {}
-        for field, cutoff, crop, gain in PSF_SETTINGS:
-            name = f"{field}-{cutoff}-{crop}-{gain}"
+        for name, argv in runs.items():
             out = os.path.join(tmp, name)
-            argv = ["psf", "--field", field, "--cutoff", cutoff, "--psf-crop", crop,
-                    f"--gain={gain}", "--out", out]
-            digests.update(_op_digest(cli, argv, out, tmp, f"psf/{name}"))
+            digests.update(_op_digest(cli, [*argv, "--out", out], out, tmp, f"{prefix}/{name}"))
         return digests
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+def psf_digest() -> dict[str, str]:
+    """Digests of `roisolve psf` at every PSF_SETTINGS entry."""
+    return _runs_digest("psf", {
+        f"{field}-{cutoff}-{crop}-{gain}": ["psf", "--field", field, "--cutoff", cutoff,
+                                            "--psf-crop", crop, f"--gain={gain}"]
+        for field, cutoff, crop, gain in PSF_SETTINGS
+    })
 
 
 def noisy_table_digest(seed: int) -> dict[str, str]:
     """Digests of noisy `roisolve table` runs at one seed (see NOISY_TABLE_FIELDS)."""
-    import roisolve.cli as cli
+    return _runs_digest(f"noisy-table/{seed}", {
+        f"{domain}-r{ring}-{field}": ["table", "--domain", domain, "--sizes", "2-5",
+                                      "--trials", "2", "--ring", ring, "--field", field,
+                                      "--cutoff", "6", "--psf-crop", crop,
+                                      "--noise-psnr", "120", "--seed", str(seed)]
+        for field, crop in NOISY_TABLE_FIELDS
+        for ring in NOISY_TABLE_RINGS
+        for domain in ("spatial", "frequency")
+    })
 
-    tmp = tempfile.mkdtemp(prefix="cycle-digest-")
-    try:
-        digests = {}
-        for field, crop in NOISY_TABLE_FIELDS:
-            for ring in NOISY_TABLE_RINGS:
-                for domain in ("spatial", "frequency"):
-                    name = f"{domain}-r{ring}-{field}"
-                    out = os.path.join(tmp, name)
-                    argv = ["table", "--domain", domain, "--sizes", "2-5", "--trials", "2",
-                            "--ring", ring, "--field", field, "--cutoff", "6",
-                            "--psf-crop", crop, "--noise-psnr", "120", "--seed", str(seed),
-                            "--out", out]
-                    digests.update(_op_digest(cli, argv, out, tmp, f"noisy-table/{seed}/{name}"))
-        return digests
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+
+def failed_trials_digest(seed: int) -> dict[str, str]:
+    """Digests of the FAILED_TRIALS_RUNS commands at one seed."""
+    return _runs_digest(f"failed-trials/{seed}", {
+        name: [*argv, "--seed", str(seed)] for name, argv in FAILED_TRIALS_RUNS.items()
+    })
 
 
 def help_digest() -> dict[str, str]:
@@ -171,6 +187,8 @@ def digest(workload_names, seeds) -> dict[str, str]:
         for seed in seeds:
             if workload == "noisy-table":
                 result.update(noisy_table_digest(seed))
+            elif workload == "failed-trials":
+                result.update(failed_trials_digest(seed))
             else:
                 result.update(cycle_digest(workload, seed))
     return result
