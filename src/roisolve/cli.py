@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import fileio, frequency, pipeline, spatial
+from . import fileio, pipeline, spatial
 from .errors import (
     BoundsError,
     DegenerateInputError,
@@ -36,7 +36,7 @@ from .errors import (
     ShapeError,
     SingularSystemError,
 )
-from .forward import observe_spatial
+from .forward import observe_field
 from .grid import RoiSpec
 from .linear import CONDITION_LIMIT
 from .optics import OtfSpec, PsfKernel, build_otf, build_psf
@@ -200,9 +200,9 @@ def resolve_solver(domain: str, name: str | None) -> str | None:
 
     Domain-specific names pass through untouched so scripts can be explicit.
     """
-    if name not in _SOLVER_ALIASES or domain not in DOMAINS:
+    if name not in _SOLVER_ALIASES:
         return name
-    return pipeline.DOMAIN_MODULES[domain].METHODS[_SOLVER_ALIASES[name]]
+    return pipeline.domain_module(domain).METHODS[_SOLVER_ALIASES[name]]
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +333,12 @@ def cmd_scan(opts: dict) -> int:
         source = f"synthetic {opts['sample'][0]}x{opts['sample'][1]} seed {opts['sample_seed']}"
     rows, cols = opts["field"] or sample.shape
     crop = _auto_crop(rows, cols, opts["psf_crop"])
-    reach = pipeline.kernel_reach(max(opts["tile"]), 0)
-    psf = build_psf(OtfSpec(rows, cols, opts["cutoff"]), crop, reach)
     recon = pipeline.scan_reconstruct(
         sample,
         opts["tile"],
-        psf,
+        (rows, cols),
+        opts["cutoff"],
+        crop,
         domain=opts["domain"],
         solver=resolve_solver(opts["domain"], opts["solver"]),
     )
@@ -349,8 +349,8 @@ def cmd_scan(opts: dict) -> int:
         fileio.write_pgm16(os.path.join(out, "sample.pgm"), sample)
     fileio.write_raw_matrix(os.path.join(out, "recovered.raw"), recon)
     fileio.write_pgm16(os.path.join(out, "recovered.pgm"), recon)
-    if psf.spec is not None and psf.spec.shape == sample.shape:
-        blurred = observe_spatial(sample, psf)
+    if (rows, cols) == sample.shape:
+        blurred = observe_field(sample, OtfSpec(rows, cols, opts["cutoff"]))
         fileio.write_pgm16(os.path.join(out, "blurred.pgm"), blurred)
     fileio.write_manifest(
         os.path.join(out, "scan_manifest.txt"),
@@ -464,7 +464,7 @@ def cmd_recover(opts: dict) -> int:
             blur = PsfKernel(grid=grid, spec=None)
         else:
             crop = _auto_crop(rows, cols, opts["psf_crop"])
-            blur = build_psf(blur, crop, pipeline.kernel_reach(max(k_rows, l_cols), opts["ring"]))
+            blur = spatial.simulated_blur(blur, k_rows, l_cols, opts["ring"], crop)
             print(f"built kernel from cutoff {opts['cutoff']:g} on the observed field",
                   file=sys.stderr)
     system = pipeline.roi_problem(domain, roi, (rows, cols), blur, opts["ring"])
@@ -525,25 +525,30 @@ TWO_POINT_OPTIONS = (
     Option("imag_tol", "float", help="allowed imaginary residue relative to magnitude "
            "(frequency; raise it for rounded inputs)"),
 )
-# the positional arguments of each domain's solve_two_point_1d
+# the arguments of each domain's solve_two_point_1d, in order; every one but
+# the trailing imag_tol (its imag_rtol) is required
 _TWO_POINT_ARGS = {
     "spatial": ("p", "qa", "qb", "ya", "yb"),
-    "frequency": ("length", "pos_a", "pos_b", "freq_c", "freq_d", "xc", "xd"),
+    "frequency": ("length", "pos_a", "pos_b", "freq_c", "freq_d", "xc", "xd", "imag_tol"),
 }
+
+
+def _flags(names) -> str:
+    return ", ".join("--" + n.replace("_", "-") for n in names)
 
 
 def cmd_two_point(opts: dict) -> int:
     domain = opts["domain"]
     names = _TWO_POINT_ARGS[domain]
-    missing = ", ".join("--" + n.replace("_", "-") for n in names if opts[n] is None)
+    foreign = [n for d, other in _TWO_POINT_ARGS.items() if d != domain
+               for n in other if opts[n] is not None]
+    if foreign:
+        raise ParameterError(f"two-point {domain} does not read {_flags(foreign)}")
+    missing = [n for n in names if opts[n] is None and n != "imag_tol"]
     if missing:
-        raise ParameterError(f"two-point {domain} needs {missing}")
-    values = [opts[n] for n in names]
-    if domain == "spatial":
-        x_a, x_b = spatial.solve_two_point_1d(*values)
-    else:
-        kwargs = {} if opts["imag_tol"] is None else {"imag_rtol": opts["imag_tol"]}
-        x_a, x_b = frequency.solve_two_point_1d(*values, **kwargs)
+        raise ParameterError(f"two-point {domain} needs {_flags(missing)}")
+    values = [opts[n] for n in names if opts[n] is not None]
+    x_a, x_b = pipeline.domain_module(domain).solve_two_point_1d(*values)
     print(f"x_a = {x_a:.12g}")
     print(f"x_b = {x_b:.12g}")
     return 0

@@ -9,6 +9,8 @@ many in-passband entries as unknowns gives a solvable dense complex system.
 from __future__ import annotations
 
 import cmath
+import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -92,6 +94,23 @@ def solve_two_point_1d(
             f"({worst / scale:g} of magnitude); inputs are not a real pair"
         )
     return (float(x_a.real), float(x_b.real))
+
+
+def effective_cutoff(base: float, k_rows: int, l_cols: int) -> float:
+    """Smallest cutoff that keeps a K x L corner block of the spectrum in the
+    passband; never below the base cutoff."""
+    return max(base, math.hypot(k_rows - 1, l_cols - 1))
+
+
+def simulated_blur(
+    spec: OtfSpec, k_rows: int, l_cols: int, ring: int, psf_crop: int
+) -> OtfSpec:
+    """The transfer spec a simulated K x L region's system reads: spec with
+    its cutoff raised to keep the (K+ring) x (L+ring) block observation_index
+    selects inside the passband. psf_crop is not read."""
+    return replace(
+        spec, cutoff_radius=effective_cutoff(spec.cutoff_radius, k_rows + ring, l_cols + ring)
+    )
 
 
 def observation_index(roi: RoiSpec, field_shape: tuple[int, int], ring: int) -> np.ndarray:

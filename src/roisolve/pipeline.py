@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
+from types import ModuleType
 
 import numpy as np
 
@@ -24,20 +25,28 @@ from .errors import (
 from .forward import NoiseSpec, noise_field, observe_field, observe_field_at, unit_noise
 from .grid import RoiSpec, centered_roi, scatter_roi
 from .linear import LinearSystem
-from .optics import OtfSpec, PsfKernel, build_psf
+from .optics import OtfSpec, PsfKernel
 
 DEFAULT_SEED = 12345
 DEFAULT_FIELD = (768, 768)
 DEFAULT_CUTOFF = 6.0
 DEFAULT_PSF_CROP = 501
 SIZES_DEFAULT = range(2, 21)
-# Each domain's observation_index, build_system, observation readers and
-# solve_system, and its METHODS. What differs in the blur a domain reads
-# (_domain_psf, _size_layout, noisy_rhs, scan_reconstruct, cli.cmd_recover)
-# branches on the name itself. Callers look functions up on the module at
-# call time, so wrappers installed on the module attribute see every call.
+# Each domain's simulated_blur (the kernel or transfer spec a simulated run
+# reads), observation_index, build_system, observation readers and
+# solve_system, and its METHODS. Only noisy_rhs's noise route and the table's
+# cutoff record branch on the name itself. Callers look functions up on the
+# module at call time, so wrappers installed on the module attribute see
+# every call.
 DOMAIN_MODULES = {"spatial": spatial, "frequency": frequency}
 DOMAINS = tuple(DOMAIN_MODULES)
+
+
+def domain_module(domain: str) -> ModuleType:
+    """The module of a domain name; ParameterError for an unknown one."""
+    if domain not in DOMAIN_MODULES:
+        raise ParameterError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
+    return DOMAIN_MODULES[domain]
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +135,6 @@ def _draw_pixels(rng: np.random.Generator, k_rows: int, l_cols: int) -> np.ndarr
     return rng.uniform(0.0, 256.0, (k_rows, l_cols))
 
 
-def effective_cutoff(base: float, k_rows: int, l_cols: int) -> float:
-    """Smallest cutoff that keeps a K x L corner block of the spectrum in the
-    passband; never below the base cutoff."""
-    return max(base, math.hypot(k_rows - 1, l_cols - 1))
-
-
 @dataclass(frozen=True)
 class TrialResult:
     domain: str
@@ -214,53 +217,14 @@ class ExperimentReport:
         return entries
 
 
-def _check_run_args(domain: str, trials: int, extra_ring: int) -> None:
-    if domain not in DOMAINS:
-        raise ParameterError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
+def _check_run_args(domain: str, trials: int, extra_ring: int) -> ModuleType:
+    """The domain's module, once the run's arguments are checked."""
+    module = domain_module(domain)
     if trials < 1:
         raise ParameterError(f"trials_per_size must be >= 1, got {trials}")
     if extra_ring < 0:
         raise ParameterError(f"extra_ring must be >= 0, got {extra_ring}")
-
-
-def kernel_reach(edge: int, ring: int) -> int:
-    """Largest kernel offset the image-domain system reads for a region whose
-    longer side is edge, observed with a ring of that width. An edge below 1
-    and a negative ring count as 1 and 0, so the callers' own checks report
-    them."""
-    return max(edge, 1) - 1 + max(ring, 0)
-
-
-def _domain_psf(
-    domain: str, rows: int, cols: int, cutoff_radius: float, psf_crop: int, edge: int, ring: int
-) -> PsfKernel | None:
-    """The image domain's kernel for a run whose longest region side is edge,
-    built out to kernel_reach(edge, ring) only (of the validated psf_crop);
-    the transform domain needs none."""
-    if domain == "spatial":
-        return build_psf(OtfSpec(rows, cols, cutoff_radius), psf_crop, kernel_reach(edge, ring))
-    return None
-
-
-def _size_layout(
-    domain: str,
-    size: int,
-    rows: int,
-    cols: int,
-    cutoff_radius: float,
-    psf: PsfKernel | None,
-    extra_ring: int,
-) -> tuple[RoiSpec, PsfKernel | OtfSpec]:
-    """The centred ROI of one size and the blur its observations go through.
-
-    In the transform domain the cutoff is raised to keep the selected block
-    (size + extra_ring per axis) inside the passband.
-    """
-    roi = centered_roi(rows, cols, size, size)
-    if domain == "spatial":
-        return roi, psf
-    sel = size + extra_ring
-    return roi, OtfSpec(rows, cols, effective_cutoff(cutoff_radius, sel, sel))
+    return module
 
 
 def roi_problem(
@@ -286,11 +250,9 @@ def roi_problem(
             transform domain).
         SingularSystemError: the condition estimate is infinite.
     """
-    if domain not in DOMAINS:
-        raise ParameterError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
+    module = domain_module(domain)
     if ring < 0:
         raise ParameterError(f"ring must be >= 0, got {ring}")
-    module = DOMAIN_MODULES[domain]
     obs_index = module.observation_index(roi, field_shape, ring)
     return module.build_system(field_shape, roi, obs_index, blur)
 
@@ -305,6 +267,7 @@ def noisy_rhs(
     cells and peak (observe_field_at, unit_noise); the same values to rounding
     in the transform domain, whose partial DFT reads the full field.
     """
+    module = domain_module(domain)
     spec = system.require_spec()
     if domain == "spatial":
         idx = system.obs_index
@@ -314,8 +277,7 @@ def noisy_rhs(
     else:
         frame = observe_field(ideal, spec)
         peak, unit_frame = noise_field(frame, seed)
-        frame_rhs = DOMAIN_MODULES[domain].frame_rhs
-        clean, unit = frame_rhs(system, frame), frame_rhs(system, unit_frame)
+        clean, unit = module.frame_rhs(system, frame), module.frame_rhs(system, unit_frame)
     sigmas = [NoiseSpec(p, seed).sigma(peak) for p in psnr_levels]
     return clean + np.multiply.outer(sigmas, unit)
 
@@ -450,11 +412,11 @@ def run_table_experiment(
     Trials that raise a solver error are recorded with the message instead of
     metrics; nothing is retried or resampled.
     """
-    _check_run_args(domain, trials_per_size, extra_ring)
+    module = _check_run_args(domain, trials_per_size, extra_ring)
     if noise_psnr_db is not None:
         NoiseSpec(noise_psnr_db, root_seed)  # refuses NaN and -inf before any trial
     rows, cols = int(field_shape[0]), int(field_shape[1])
-    valid = DOMAIN_MODULES[domain].METHODS
+    valid = module.METHODS
     method = solver or valid[extra_ring > 0]
     if method not in valid:
         raise ParameterError(
@@ -473,19 +435,17 @@ def run_table_experiment(
         noise_psnr_db=noise_psnr_db,
     )
 
-    psf = _domain_psf(
-        domain, rows, cols, cutoff_radius, psf_crop, max(sizes, default=1), extra_ring
-    )
+    spec = OtfSpec(rows, cols, cutoff_radius)
     # +inf adds no noise
     level = None if noise_psnr_db in (None, math.inf) else noise_psnr_db
     for size in sizes:
         if size < 1:
             raise ParameterError(f"ROI size must be >= 1, got {size}")
-        roi, blur = _size_layout(domain, size, rows, cols, cutoff_radius, psf, extra_ring)
+        blur = module.simulated_blur(spec, size, size, extra_ring, psf_crop)
         if domain == "frequency":
             report.effective_cutoffs[size] = blur.cutoff_radius
         (trials,) = _run_size(
-            domain, roi, (rows, cols), blur, extra_ring, method,
+            domain, centered_roi(rows, cols, size, size), (rows, cols), blur, extra_ring, method,
             trials_per_size, root_seed, [level],
         )
         report.trials.extend(trials)
@@ -511,12 +471,10 @@ def ad_spot_check(
     passband-sparse evaluation as a noiseless table trial, independently of
     the kernel or phase matrix the system is built from.
     """
-    if domain not in DOMAINS:
-        raise ParameterError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
+    module = domain_module(domain)
     rows, cols = int(field_shape[0]), int(field_shape[1])
-    psf = _domain_psf(domain, rows, cols, cutoff_radius, psf_crop, size, 0)
-    roi, blur = _size_layout(domain, size, rows, cols, cutoff_radius, psf, 0)
-    module = DOMAIN_MODULES[domain]
+    roi = centered_roi(rows, cols, size, size)
+    blur = module.simulated_blur(OtfSpec(rows, cols, cutoff_radius), size, size, 0, psf_crop)
     obs_index = module.observation_index(roi, (rows, cols), 0)
     system = module.build_system((rows, cols), roi, obs_index, blur, estimate_condition=False)
     rng = np.random.default_rng(trial_seed_sequence(root_seed, size, trial))
@@ -550,7 +508,9 @@ def make_test_sample(rows: int, cols: int, seed: int = 0) -> np.ndarray:
 def scan_reconstruct(
     sample: np.ndarray,
     tile_shape: tuple[int, int],
-    psf,
+    field_shape: tuple[int, int],
+    cutoff_radius: float,
+    psf_crop: int,
     domain: str = "spatial",
     solver: str | None = None,
 ) -> np.ndarray:
@@ -560,14 +520,18 @@ def scan_reconstruct(
     isolated-ROI problem; the recoveries are stitched back at their original
     positions. Sample dimensions must be divisible by the tile dimensions.
 
+    The tiles are observed through the domain's simulated_blur of the
+    field_shape optics (cutoff_radius, and psf_crop in the image domain).
     In the image domain the per-tile observation depends only on offsets, so
-    the origin tile's system serves every tile. In the transform domain the
-    tile position enters the system only as a unit-modulus row scaling that
-    cancels between measurement and solve, so the origin-anchored system is
-    reused the same way; this path requires the kernel's field to match the
-    sample shape. Every tile is one right-hand-side column of a single solve
-    with solver, one of the domain's METHODS (None: METHODS[0], LU).
+    the origin tile's system serves every tile, whatever field the kernel
+    came from. In the transform domain the tile position enters the system
+    only as a unit-modulus row scaling that cancels between measurement and
+    solve, so the origin-anchored system is reused the same way; there the
+    field must be the sample's (else ShapeError). Every tile is one
+    right-hand-side column of a single solve with solver, one of the
+    domain's METHODS (None: METHODS[0], LU).
     """
+    module = domain_module(domain)
     arr = np.asarray(sample, dtype=float)
     if arr.ndim != 2:
         raise ShapeError(f"sample must be 2D, got ndim={arr.ndim}")
@@ -579,21 +543,12 @@ def scan_reconstruct(
         raise ShapeError(
             f"sample {rows}x{cols} is not divisible into {k_rows}x{l_cols} tiles"
         )
-    blur = psf
-    if domain == "frequency":
-        if psf.spec is None or psf.spec.shape != arr.shape:
-            have = "none" if psf.spec is None else f"{psf.spec.shape}"
-            raise ShapeError(
-                f"transform-domain scan needs a kernel field matching the sample "
-                f"{arr.shape}, got {have}"
-            )
-        eff_cut = effective_cutoff(psf.spec.cutoff_radius, k_rows, l_cols)
-        blur = OtfSpec(rows, cols, eff_cut, psf.spec.passband_gain)
+    spec = OtfSpec(int(field_shape[0]), int(field_shape[1]), cutoff_radius)
+    blur = module.simulated_blur(spec, k_rows, l_cols, 0, psf_crop)
     system = roi_problem(domain, RoiSpec(0, 0, k_rows, l_cols), arr.shape, blur, 0)
     down, across = rows // k_rows, cols // l_cols
     # column t holds tile (t // across, t % across), row-major within the tile
     tiles = arr.reshape(down, k_rows, across, l_cols).transpose(1, 3, 0, 2)
-    module = DOMAIN_MODULES[domain]
     rhs = system.a_matrix @ tiles.reshape(k_rows * l_cols, -1)
     sol = module.solve_system(system, rhs, solver or module.METHODS[0])
     recovered = sol.pixels.reshape(k_rows, l_cols, down, across).transpose(2, 0, 3, 1)
@@ -709,8 +664,7 @@ def noise_sweep(
         raise ParameterError("psnr_grid must contain finite dB values")
     if not domains or len(set(domains)) != len(domains):
         raise ParameterError(f"domains must name at least one domain, each once; got {domains}")
-    for domain in domains:
-        _check_run_args(domain, trials_per_level, extra_ring)
+    modules = [_check_run_args(domain, trials_per_level, extra_ring) for domain in domains]
     rows, cols = int(field_shape[0]), int(field_shape[1])
 
     pixel_means = []
@@ -730,12 +684,12 @@ def noise_sweep(
         extra_ring=extra_ring,
         threshold_ae=threshold,
     )
-    for domain in domains:
-        psf = _domain_psf(domain, rows, cols, cutoff_radius, psf_crop, roi_size, extra_ring)
-        roi, blur = _size_layout(domain, roi_size, rows, cols, cutoff_radius, psf, extra_ring)
-        method = DOMAIN_MODULES[domain].METHODS[extra_ring > 0]
+    spec = OtfSpec(rows, cols, cutoff_radius)
+    roi = centered_roi(rows, cols, roi_size, roi_size)
+    for domain, module in zip(domains, modules):
+        blur = module.simulated_blur(spec, roi_size, roi_size, extra_ring, psf_crop)
         per_level = _run_size(
-            domain, roi, (rows, cols), blur, extra_ring, method,
+            domain, roi, (rows, cols), blur, extra_ring, module.METHODS[extra_ring > 0],
             trials_per_level, root_seed, [None] + levels,
         )
         for psnr, trials in zip([math.inf] + levels, per_level):

@@ -16,7 +16,7 @@ from .errors import ParameterError, ShapeError, SingularSystemError
 from .forward import observe_spatial_at
 from .grid import RoiSpec
 from .linear import LinearSystem, Solution, fill_rows, finite_condition, solve
-from .optics import PsfKernel
+from .optics import OtfSpec, PsfKernel, build_psf
 
 # LU, least squares, truncated: the order linear.solve reads them in.
 METHODS = ("direct", "least_squares", "truncated")
@@ -101,6 +101,22 @@ def system_matrix(psf: PsfKernel, roi: RoiSpec, obs_cells: np.ndarray) -> np.nda
             unknowns[None, :, 1] - obs_cells[rows, None, 1],
         ),
     )
+
+
+def kernel_reach(edge: int, ring: int) -> int:
+    """Largest kernel offset the image-domain system reads for a region whose
+    longer side is edge, observed with a ring of that width. An edge below 1
+    and a negative ring count as 1 and 0, so the callers' own checks report
+    them."""
+    return max(edge, 1) - 1 + max(ring, 0)
+
+
+def simulated_blur(
+    spec: OtfSpec, k_rows: int, l_cols: int, ring: int, psf_crop: int
+) -> PsfKernel:
+    """The kernel a simulated K x L region's system reads: spec's kernel,
+    with psf_crop validated, built out to kernel_reach only (build_psf)."""
+    return build_psf(spec, psf_crop, kernel_reach(max(k_rows, l_cols), ring))
 
 
 def observation_index(roi: RoiSpec, field_shape: tuple[int, int], ring: int) -> np.ndarray:

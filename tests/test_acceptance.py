@@ -142,16 +142,14 @@ def test_criterion_05_slow_spot_check_size_100():
 
 def test_criterion_06_scan_reconstruction():
     sample = make_test_sample(300, 300, seed=0)
-    psf = build_psf(OtfSpec(300, 300, CUTOFF), 299)
-    recon = scan_reconstruct(sample, (3, 3), psf, domain="spatial")
+    recon = scan_reconstruct(sample, (3, 3), (300, 300), CUTOFF, 299, domain="spatial")
     ae = averaged_error(recon.ravel(), sample.ravel())
     ratio = ae / float(sample.mean())
     print(f"300x300 in 3x3 tiles: AE {ae:.3e} = {ratio:.3e} of the mean pixel")
     assert ratio <= 0.01
 
     small = make_test_sample(30, 30, seed=0)
-    psf30 = build_psf(OtfSpec(30, 30, CUTOFF), 29)
-    recon30 = scan_reconstruct(small, (3, 3), psf30, domain="spatial")
+    recon30 = scan_reconstruct(small, (3, 3), (30, 30), CUTOFF, 29, domain="spatial")
     rel = averaged_error(recon30.ravel(), small.ravel()) / float(small.mean())
     print(f"30x30 variant: relative error {rel:.3e}")
     assert rel <= 1e-4

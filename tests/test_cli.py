@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roisolve import cli
+from roisolve import cli, spatial
 from roisolve.cli import (
     expand_sizes,
     main,
@@ -272,6 +272,24 @@ def test_two_point_missing_args_exits_2(capsys):
     rc = main(["two-point", "--domain", "spatial", "--p", "1.0"])
     assert rc == 2
     assert "--qa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, foreign",
+    [
+        (["--domain", "spatial", "--p", "2", "--qa", "1", "--qb", "0.5", "--ya", "3",
+          "--yb", "2", "--imag-tol", "5"], "--imag-tol"),
+        (["--domain", "spatial", "--p", "2", "--length", "8"], "--length"),
+        (["--domain", "frequency", "--length", "8", "--pos-a", "1", "--pos-b", "3",
+          "--freq-c", "1", "--freq-d", "2", "--xc", "1", "--xd", "1", "--p", "2", "--qa", "1"],
+         "--p, --qa"),
+    ],
+)
+def test_two_point_refuses_the_other_domains_flags(argv, foreign, capsys):
+    assert main(["two-point", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"does not read {foreign}" in captured.err
 
 
 def test_two_point_frequency_round_trip(capsys):
@@ -656,13 +674,15 @@ def test_recover_never_crashes_and_exit_0_means_finite(property_files, data):
 
 def test_scan_and_recover_build_only_the_kernel_window(tmp_path, observed_file, monkeypatch):
     edges = []
-    original = cli.build_psf
+    original = spatial.build_psf
 
     def recorded(*args, **kwargs):
         psf = original(*args, **kwargs)
         edges.append(psf.crop_size)
         return psf
 
+    # scan and recover build through the image domain, psf directly
+    monkeypatch.setattr(spatial, "build_psf", recorded)
     monkeypatch.setattr(cli, "build_psf", recorded)
     path, roi, pixels = observed_file
     recover = ["recover", "--observed", str(path), "--size", "3x2", "--cutoff", "10",

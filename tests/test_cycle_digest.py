@@ -97,3 +97,17 @@ def test_failed_trials_workload_hashes_every_run_at_each_seed(tool):
     assert tool.digest(["failed-trials"], [205]) == {
         key: value for key, value in digests.items() if key.startswith("failed-trials/205/")
     }
+
+
+def test_scan_field_workload_hashes_both_domains_once(tool):
+    # a field other than the sample's: the image domain solves with that
+    # field's kernel, the transform domain refuses it
+    assert "scan-field" in tool.WORKLOADS
+    digests = tool.digest(["scan-field"], [205])
+    spatial = ("exit", "stdout", "stderr", "sample.raw", "sample.pgm", "recovered.raw",
+               "recovered.pgm", "scan_manifest.txt")
+    assert set(digests) == ({f"scan-field/spatial/{what}" for what in spatial}
+                            | {f"scan-field/frequency/{what}" for what in spatial[:3]})
+    assert digests["scan-field/spatial/exit"] == tool._hash(b"0")
+    assert digests["scan-field/frequency/exit"] == tool._hash(b"2")
+    assert tool.digest(["scan-field"], []) == digests

@@ -1,11 +1,13 @@
 """Tests for the experiment pipeline: metrics, localization, trials, scans."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from roisolve import frequency, pipeline
+from roisolve.frequency import effective_cutoff
 from roisolve.errors import (
     BoundsError,
     NoSignalError,
@@ -25,7 +27,6 @@ from roisolve.pipeline import (
     ad_spot_check,
     averaged_difference,
     averaged_error,
-    effective_cutoff,
     locate_roi,
     make_test_sample,
     noise_stream_seed,
@@ -274,6 +275,17 @@ def test_table_experiment_validation():
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
+def test_a_sizes_trials_do_not_depend_on_the_runs_other_sizes(domain):
+    # each size builds its own kernel (or widens its own cutoff)
+    kwargs = dict(trials_per_size=2, root_seed=13, **SMALL)
+    both = run_table_experiment(domain, sizes=(2, 5), **kwargs)
+    alone = [run_table_experiment(domain, sizes=(size,), **kwargs) for size in (2, 5)]
+    assert all(t.error is None for t in both.trials)
+    assert both.trials == alone[0].trials + alone[1].trials
+    assert both.effective_cutoffs == {**alone[0].effective_cutoffs, **alone[1].effective_cutoffs}
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
 def test_ad_spot_check_matches_table_trial(domain):
     report = run_table_experiment(domain, sizes=(4,), trials_per_size=1, root_seed=21, **SMALL)
     spot = ad_spot_check(domain, 4, trial=0, root_seed=21, **SMALL)
@@ -296,79 +308,73 @@ def test_make_test_sample_deterministic_and_bounded():
         make_test_sample(0, 4)
 
 
-def test_scan_recovers_sample_spatial(small_psf):
+def test_scan_recovers_sample_spatial():
     sample = make_test_sample(48, 48, seed=1)
-    rec = scan_reconstruct(sample, (3, 3), small_psf, domain="spatial")
+    rec = scan_reconstruct(sample, (3, 3), **SMALL, domain="spatial")
     assert np.abs(rec - sample).max() <= 1e-9
 
 
-def test_scan_recovers_sample_frequency(small_psf):
+def test_scan_recovers_sample_frequency():
     # the corner-block systems run a few decades worse conditioned than the
     # image-domain ones on this field, so the bar is looser here
     sample = make_test_sample(48, 48, seed=1)
-    rec = scan_reconstruct(sample, (3, 3), small_psf, domain="frequency")
+    rec = scan_reconstruct(sample, (3, 3), **SMALL, domain="frequency")
     assert np.abs(rec - sample).max() <= 1e-7
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_scan_nine_by_nine_in_three_tiles(domain):
-    psf9 = build_psf(OtfSpec(9, 9, 3.0), 9)
     sample = make_test_sample(9, 9, seed=2)
-    rec = scan_reconstruct(sample, (3, 3), psf9, domain=domain)
+    rec = scan_reconstruct(sample, (3, 3), (9, 9), 3.0, 9, domain=domain)
     assert np.abs(rec - sample).max() <= 1e-6
 
 
-def test_scan_zero_sample_stays_zero(small_psf):
-    rec = scan_reconstruct(np.zeros((12, 12)), (3, 3), small_psf)
+def test_scan_zero_sample_stays_zero():
+    rec = scan_reconstruct(np.zeros((12, 12)), (3, 3), **SMALL)
     assert np.all(rec == 0.0)
 
 
 @pytest.mark.parametrize(
     "domain, solver", [(d, m) for d, module in DOMAIN_MODULES.items() for m in module.METHODS]
 )
-def test_scan_explicit_solver_matches_shared_factorization(small_psf, domain, solver):
-    # the transform path needs the kernel field to match the sample
+def test_scan_explicit_solver_matches_shared_factorization(domain, solver):
+    # the transform path needs the field to match the sample
     sample = make_test_sample(*((24, 24) if domain == "spatial" else (48, 48)), seed=5)
-    default = scan_reconstruct(sample, (4, 4), small_psf, domain=domain)
-    explicit = scan_reconstruct(sample, (4, 4), small_psf, domain=domain, solver=solver)
+    default = scan_reconstruct(sample, (4, 4), **SMALL, domain=domain)
+    explicit = scan_reconstruct(sample, (4, 4), **SMALL, domain=domain, solver=solver)
     np.testing.assert_allclose(explicit, default, atol=1e-9)
 
 
-def test_scan_edit_one_tile_changes_only_that_tile(small_psf):
+def test_scan_edit_one_tile_changes_only_that_tile():
     sample = make_test_sample(48, 48, seed=6)
-    base = scan_reconstruct(sample, (3, 3), small_psf)
+    base = scan_reconstruct(sample, (3, 3), **SMALL)
     edited = sample.copy()
     edited[9:12, 12:15] += 37.0
-    rec = scan_reconstruct(edited, (3, 3), small_psf)
+    rec = scan_reconstruct(edited, (3, 3), **SMALL)
     changed = np.zeros((48, 48), dtype=bool)
     changed[9:12, 12:15] = True
     np.testing.assert_array_equal(rec[~changed], base[~changed])
     assert np.abs(rec[changed] - base[changed]).max() > 1.0
 
 
-def test_scan_validation(small_psf):
+def test_scan_validation():
     sample = make_test_sample(48, 48, seed=0)
     with pytest.raises(ShapeError):
-        scan_reconstruct(sample, (5, 5), small_psf)
+        scan_reconstruct(sample, (5, 5), **SMALL)
     with pytest.raises(ParameterError):
-        scan_reconstruct(sample, (0, 3), small_psf)
+        scan_reconstruct(sample, (0, 3), **SMALL)
     with pytest.raises(ParameterError):
-        scan_reconstruct(sample, (3, 3), small_psf, domain="fourier")
+        scan_reconstruct(sample, (3, 3), **SMALL, domain="fourier")
     with pytest.raises(ShapeError):
-        scan_reconstruct(np.zeros((3, 3, 3)), (3, 3), small_psf)
+        scan_reconstruct(np.zeros((3, 3, 3)), (3, 3), **SMALL)
     # cutoff 0.5 passes only the zero frequency: a rank-one tile system,
     # refused before either SVD solver can run
-    psf = build_psf(OtfSpec(24, 24, 0.5), 23)
     for solver in ("least_squares", "truncated"):
         with pytest.raises(SingularSystemError, match="condition estimate inf"):
-            scan_reconstruct(make_test_sample(24, 24), (3, 3), psf, solver=solver)
-    # transform-domain scans need kernel provenance matching the sample field
-    psf9 = build_psf(OtfSpec(9, 9, 3.0), 9)
-    with pytest.raises(ShapeError):
-        scan_reconstruct(sample, (3, 3), psf9, domain="frequency")
-    bare = PsfKernel(grid=small_psf.grid, spec=None)
-    with pytest.raises(ShapeError):
-        scan_reconstruct(sample, (3, 3), bare, domain="frequency")
+            scan_reconstruct(make_test_sample(24, 24), (3, 3), (24, 24), 0.5, 23, solver=solver)
+    # transform-domain scans need the field to be the sample's
+    with pytest.raises(ShapeError, match=r"transfer spec field \(9, 9\) does not match 48x48"):
+        scan_reconstruct(sample, (3, 3), (9, 9), 3.0, 9, domain="frequency")
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +534,57 @@ def test_image_domain_noisy_reports_match_the_full_field_route(field, monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# the system boundary: blur type, transfer spec and frame shape
+# the domain boundary: one name check, one interface, blur type, transfer
+# spec and frame shape
+
+def test_every_entry_point_refuses_an_unknown_domain(small_psf):
+    system = roi_problem("spatial", RoiSpec(20, 20, 3, 3), (48, 48), small_psf, 0)
+    calls = {
+        "run_table_experiment": lambda d: run_table_experiment(d, sizes=(2,), **SMALL),
+        "noise_sweep": lambda d: noise_sweep(psnr_grid=(80.0,), trials_per_level=1,
+                                             domains=(d,), **SMALL),
+        "ad_spot_check": lambda d: ad_spot_check(d, 2, **SMALL),
+        "scan_reconstruct": lambda d: scan_reconstruct(np.zeros((6, 6)), (3, 3), **SMALL,
+                                                       domain=d),
+        "roi_problem": lambda d: roi_problem(d, RoiSpec(20, 20, 3, 3), (48, 48), small_psf, 0),
+        "noisy_rhs": lambda d: noisy_rhs(d, system, np.zeros((48, 48)), 9, (80.0,)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ParameterError, match="unknown domain 'fourier'"):
+            call("fourier")
+    with pytest.raises(ParameterError, match="unknown domain 'fourier'"):
+        pipeline.domain_module("fourier")
+    assert {d: pipeline.domain_module(d) for d in DOMAINS} == DOMAIN_MODULES
+
+
+# what pipeline looks up on a domain module
+DOMAIN_INTERFACE = ("simulated_blur", "observation_index", "build_system", "noiseless_rhs",
+                    "frame_rhs", "solve_system")
+
+
+def test_domain_modules_share_one_interface():
+    modules = list(DOMAIN_MODULES.values())
+    for module in modules:
+        assert len(module.METHODS) == len(set(module.METHODS)) == 3
+        assert all(isinstance(m, str) for m in module.METHODS)
+    for name in DOMAIN_INTERFACE:
+        counts = {len(inspect.signature(getattr(m, name)).parameters) for m in modules}
+        assert len(counts) == 1, name
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_simulated_blur_is_the_domains_layout(domain, small_spec):
+    blur = DOMAIN_MODULES[domain].simulated_blur(small_spec, 3, 2, 2, 47)
+    if domain == "spatial":
+        # offsets up to max(3, 2) - 1 + 2, cut from the whole crop
+        assert blur.crop_size == 9
+        assert blur.grid.tobytes() == build_psf(small_spec, 47).window(5, 5).tobytes()
+    else:
+        # the 5x4 block stays inside the passband; no crop is read
+        assert blur == OtfSpec(48, 48, max(10.0, math.hypot(4, 3)))
+        wide = DOMAIN_MODULES[domain].simulated_blur(small_spec, 12, 9, 1, -1)
+        assert wide.cutoff_radius == math.hypot(12, 9)
+
 
 def _small_system(domain, small_psf, small_spec, ring=1):
     blur = small_psf if domain == "spatial" else small_spec
@@ -635,7 +691,7 @@ def test_noiseless_table_reads_no_full_field(monkeypatch):
     assert calls["n"] == 0
 
 
-def test_noisy_sweep_and_scan_run_no_2d_ffts(monkeypatch, small_psf, tmp_path):
+def test_noisy_sweep_and_scan_run_no_2d_ffts(monkeypatch, tmp_path):
     # the full-field blur is pruned 1-D transforms, so neither noisy trials
     # nor scan's blurred preview calls fft2 or ifft2
     from roisolve import cli
@@ -647,7 +703,7 @@ def test_noisy_sweep_and_scan_run_no_2d_ffts(monkeypatch, small_psf, tmp_path):
             domains=(domain,), **SMALL,
         )
     for domain in DOMAINS:
-        scan_reconstruct(make_test_sample(48, 48, seed=1), (3, 3), small_psf, domain=domain)
+        scan_reconstruct(make_test_sample(48, 48, seed=1), (3, 3), **SMALL, domain=domain)
     rc = cli.main(["scan", "--sample", "24x24", "--tile", "3x3", "--cutoff", "10", "--out", str(tmp_path)])
     assert rc == 0 and (tmp_path / "blurred.pgm").exists()
     assert calls["n"] == 0
@@ -760,17 +816,17 @@ def test_condition_estimate_leaves_every_trial_alone(domain, ring):
 
 
 def test_runs_build_only_the_kernel_window_their_systems_read(monkeypatch):
-    import roisolve.pipeline
+    import roisolve.spatial
 
     edges = []
-    original = roisolve.pipeline.build_psf
+    original = roisolve.spatial.build_psf
 
     def recorded(*args, **kwargs):
         psf = original(*args, **kwargs)
         edges.append(psf.crop_size)
         return psf
 
-    monkeypatch.setattr(roisolve.pipeline, "build_psf", recorded)
+    monkeypatch.setattr(roisolve.spatial, "build_psf", recorded)
     report = run_table_experiment("spatial", sizes=(3, 2), trials_per_size=1, **SMALL)
     assert report.manifest()["psf_crop"] == "47"
     run_table_experiment("spatial", sizes=(2,), trials_per_size=1, extra_ring=2, **SMALL)
@@ -778,4 +834,5 @@ def test_runs_build_only_the_kernel_window_their_systems_read(monkeypatch):
                         domains=("spatial",), **SMALL)
     assert sweep.psf_crop == 47
     ad_spot_check("spatial", 4, **SMALL)
-    assert edges == [5, 7, 5, 7]
+    # one kernel per table size, each out to that size's own reach
+    assert edges == [5, 3, 7, 5, 7]

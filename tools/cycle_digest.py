@@ -1,7 +1,7 @@
 """Byte digest of every benchmark command, to show a change leaves outputs alone.
 
     python3 tools/cycle_digest.py
-        [--workloads table,noise,scan,recover,help,psf,noisy-table,failed-trials]
+        [--workloads table,noise,scan,recover,help,psf,noisy-table,failed-trials,scan-field]
         [--seeds 111,205,12345] [--out digest.json]
     python3 tools/cycle_digest.py --compare A.json B.json
 
@@ -21,7 +21,11 @@ each seed for both domains, rings 0 and 2 and each (field, crop) of
 NOISY_TABLE_FIELDS, under "noisy-table/<seed>/<domain>-r<ring>-<field>".
 The "failed-trials" workload runs each command of FAILED_TRIALS_RUNS at each
 seed, under "failed-trials/<seed>/<name>": runs whose kernel is too small for
-some or all of their systems, so their summary rows read nan. --compare
+some or all of their systems, so their summary rows read nan. The
+"scan-field" workload runs SCAN_FIELD_ARGV once per domain, under
+"scan-field/<domain>" whatever the seeds: a scan on a field other than the
+sample's, which the image domain solves with that field's kernel and the
+transform domain refuses. --compare
 lists the keys that differ between two such files (or sit in one only) and
 exits 1 if there are any.
 """
@@ -43,7 +47,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
-WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf", "noisy-table", "failed-trials")
+WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf", "noisy-table", "failed-trials",
+             "scan-field")
 SUBCOMMANDS = ("psf", "table", "scan", "noise", "recover", "two-point")
 SEEDS = (111, 205, 12345)
 # (field, cutoff, crop, gain) of the psf workload: the benchmark's kernel,
@@ -67,6 +72,9 @@ FAILED_TRIALS_RUNS = {
     "noise": ["noise", "--domains", "spatial", *_SMALL_KERNEL, "--roi-size", "3",
               "--trials", "1", "--psnr", "80,120"],
 }
+# the scan-field workload's command, run with --domain spatial and frequency
+SCAN_FIELD_ARGV = ["scan", "--sample", "24x24", "--field", "32x32", "--cutoff", "6",
+                   "--tile", "3x3"]
 MASK = "<tmp>"
 
 
@@ -169,6 +177,13 @@ def failed_trials_digest(seed: int) -> dict[str, str]:
     })
 
 
+def scan_field_digest() -> dict[str, str]:
+    """Digests of SCAN_FIELD_ARGV in each domain."""
+    return _runs_digest("scan-field", {
+        domain: [*SCAN_FIELD_ARGV, "--domain", domain] for domain in ("spatial", "frequency")
+    })
+
+
 def help_digest() -> dict[str, str]:
     """Digests of every subcommand's --help at a fixed terminal width."""
     import roisolve.cli as cli
@@ -178,11 +193,15 @@ def help_digest() -> dict[str, str]:
                 for c in SUBCOMMANDS}
 
 
+# workloads that run once whatever the seeds
+SEEDLESS = {"help": help_digest, "psf": psf_digest, "scan-field": scan_field_digest}
+
+
 def digest(workload_names, seeds) -> dict[str, str]:
     result = {}
     for workload in workload_names:
-        if workload in ("help", "psf"):
-            result.update(help_digest() if workload == "help" else psf_digest())
+        if workload in SEEDLESS:
+            result.update(SEEDLESS[workload]())
             continue
         for seed in seeds:
             if workload == "noisy-table":
