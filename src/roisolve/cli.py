@@ -69,7 +69,9 @@ def parse_size_ranges(text: str) -> tuple[range, ...]:
         if piece:
             lo, dash, hi = piece.partition("-")
             ranges.append(range(int(lo), int(hi if dash else lo) + 1))
-    if not any(ranges):
+            if not ranges[-1]:
+                raise ValueError(f"size range {piece!r} is empty")
+    if not ranges:
         raise ValueError(f"no sizes in {text!r}")
     return tuple(ranges)
 
@@ -80,7 +82,7 @@ def expand_sizes(ranges: tuple[range, ...], limit: int) -> tuple[int, ...]:
     A size above limit is a BoundsError raised before any range is expanded,
     so a range however long costs nothing to refuse.
     """
-    top = max(r[-1] for r in ranges if r)
+    top = max(r[-1] for r in ranges)
     if top > limit:
         raise BoundsError(f"ROI size {top} does not fit the field (at most {limit})")
     return tuple(sorted(set().union(*ranges)))

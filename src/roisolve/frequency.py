@@ -222,13 +222,13 @@ def build_system(
         if cond is None:
             cond = float(np.linalg.cond(a))
         cond = finite_condition(cond)
-    return LinearSystem(a, roi, idx, cond, (rows, cols), otf_spec)
+    return LinearSystem("frequency", a, roi, idx, cond, (rows, cols), otf_spec)
 
 
 def noiseless_rhs(system: LinearSystem, pixels: np.ndarray) -> np.ndarray:
     """The filtered spectrum of the ROI at the system's entries, passband-sparse:
     observe_spectrum_block over their distinct rows x columns, then gathered."""
-    us, u_at, vs, v_at = _axes(system.obs_index)
+    us, u_at, vs, v_at = _axes(system.require_domain("frequency").obs_index)
     block = observe_spectrum_block(pixels, system.roi, system.require_spec(), us, vs)
     return block[u_at, v_at]
 
@@ -237,7 +237,7 @@ def frame_rhs(system: LinearSystem, frame: np.ndarray) -> np.ndarray:
     """The system's spectrum entries of an observed frame on its field (else
     ShapeError): one partial DFT over their distinct rows x columns
     (image_spectrum_block), never a full transform, then gathered."""
-    us, u_at, vs, v_at = _axes(system.obs_index)
+    us, u_at, vs, v_at = _axes(system.require_domain("frequency").obs_index)
     return image_spectrum_block(system.require_frame(frame), us, vs)[u_at, v_at]
 
 
@@ -256,4 +256,4 @@ def solve_system(
     floor). Pixels are the real part; Solution.imag_leakage reports the
     imaginary part dropped.
     """
-    return solve(system, rhs, method, METHODS, clamp_negative)
+    return solve(system.require_domain("frequency"), rhs, method, METHODS, clamp_negative)

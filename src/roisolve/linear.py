@@ -56,20 +56,28 @@ def finite_condition(cond: float) -> float:
 class LinearSystem:
     """The matrix A of a system A x = y over the ROI pixels, real or complex.
 
-    Row i of A reads obs_index[i]: an absolute (row, col) image cell in the
-    image domain, a (u, v) spectrum index in the transform domain, of a
-    field_shape frame. spec is the transfer spec observations go through
-    (None only for an image-domain system on a kernel loaded from a file).
-    The observation y is not part of the system: each domain's frame_rhs
-    reads it off a frame, its noiseless_rhs evaluates it from known pixels.
+    domain names the module that built it, the only one whose readers and
+    solver take it. Row i of A reads obs_index[i]: an absolute (row, col)
+    image cell in the image domain, a (u, v) spectrum index in the transform
+    domain, of a field_shape frame. spec is the transfer spec observations go
+    through (None only for an image-domain system on a kernel read from a
+    file). The observation y is not part of the system: each domain's
+    frame_rhs reads it off a frame, its noiseless_rhs from known pixels.
     """
 
+    domain: str
     a_matrix: np.ndarray
     roi: RoiSpec
     obs_index: np.ndarray
     condition_estimate: float
-    field_shape: tuple[int, int] | None = None
-    spec: OtfSpec | None = None
+    field_shape: tuple[int, int]
+    spec: OtfSpec | None
+
+    def require_domain(self, name: str) -> LinearSystem:
+        """The system itself when domain name built it, else ParameterError."""
+        if self.domain != name:
+            raise ParameterError(f"a {self.domain}-domain system given to the {name} domain")
+        return self
 
     def require_spec(self) -> OtfSpec:
         """The transfer spec; ParameterError when the system carries none."""

@@ -34,10 +34,11 @@ DEFAULT_PSF_CROP = 501
 SIZES_DEFAULT = range(2, 21)
 # Each domain's simulated_blur (the kernel or transfer spec a simulated run
 # reads), observation_index, build_system, observation readers and
-# solve_system, and its METHODS. Only noisy_rhs's noise route and the table's
-# cutoff record branch on the name itself. Callers look functions up on the
-# module at call time, so wrappers installed on the module attribute see
-# every call.
+# solve_system, and its METHODS. A built system records its key as its
+# domain; each module's readers and solver refuse the other's systems. Only
+# noisy_rhs's noise route (on system.domain) and the table's cutoff record
+# branch on the name itself. Callers look functions up on the module at call
+# time, so wrappers installed on the module attribute see every call.
 DOMAIN_MODULES = {"spatial": spatial, "frequency": frequency}
 DOMAINS = tuple(DOMAIN_MODULES)
 
@@ -258,7 +259,7 @@ def roi_problem(
 
 
 def noisy_rhs(
-    domain: str, system: LinearSystem, ideal: np.ndarray, seed: int, psnr_levels: Sequence[float]
+    system: LinearSystem, ideal: np.ndarray, seed: int, psnr_levels: Sequence[float]
 ) -> np.ndarray:
     """frame_rhs(system, clean + sigma_p * unit) for each level p, one row
     each, where clean = observe_field(ideal, system.spec) and (peak, unit) =
@@ -267,9 +268,8 @@ def noisy_rhs(
     cells and peak (observe_field_at, unit_noise); the same values to rounding
     in the transform domain, whose partial DFT reads the full field.
     """
-    module = domain_module(domain)
     spec = system.require_spec()
-    if domain == "spatial":
+    if system.domain == "spatial":
         idx = system.obs_index
         peak, clean = observe_field_at(system.require_frame(ideal), spec, idx)
         flat = idx[:, 0] * spec.shape[1] + idx[:, 1]
@@ -277,7 +277,7 @@ def noisy_rhs(
     else:
         frame = observe_field(ideal, spec)
         peak, unit_frame = noise_field(frame, seed)
-        clean, unit = module.frame_rhs(system, frame), module.frame_rhs(system, unit_frame)
+        clean, unit = frequency.frame_rhs(system, frame), frequency.frame_rhs(system, unit_frame)
     sigmas = [NoiseSpec(p, seed).sigma(peak) for p in psnr_levels]
     return clean + np.multiply.outer(sigmas, unit)
 
@@ -296,7 +296,6 @@ def _failed_trial(domain: str, size: int, trial: int, seed: int, exc: RoiSolveEr
 
 
 def _solved_trial(
-    domain: str,
     system: LinearSystem,
     method: str,
     trial: int,
@@ -307,9 +306,9 @@ def _solved_trial(
     """Solve one trial; a RoiSolveError is recorded in the row instead of metrics."""
     size = system.roi.k_rows
     try:
-        sol = DOMAIN_MODULES[domain].solve_system(system, rhs, method)
+        sol = domain_module(system.domain).solve_system(system, rhs, method)
         return TrialResult(
-            domain=domain,
+            domain=system.domain,
             roi_size=size,
             trial=trial,
             seed=seed,
@@ -318,7 +317,7 @@ def _solved_trial(
             condition=sol.condition,
         )
     except RoiSolveError as exc:
-        return _failed_trial(domain, size, trial, seed, exc)
+        return _failed_trial(system.domain, size, trial, seed, exc)
 
 
 def _run_size(
@@ -358,12 +357,12 @@ def _run_size(
         for i, level in enumerate(levels):
             if level is None:
                 rhs = DOMAIN_MODULES[domain].noiseless_rhs(system, pixels)
-                out[i].append(_solved_trial(domain, system, method, trial, seed_id, pixels, rhs))
+                out[i].append(_solved_trial(system, method, trial, seed_id, pixels, rhs))
         if not noisy:
             continue
         try:
             rhs_levels = noisy_rhs(
-                domain, system, scatter_roi(pixels, roi, *field_shape),
+                system, scatter_roi(pixels, roi, *field_shape),
                 noise_stream_seed(root_seed, size, trial), [levels[i] for i in noisy],
             )
         except RoiSolveError as exc:
@@ -371,7 +370,7 @@ def _run_size(
                 out[i].append(_failed_trial(domain, size, trial, seed_id, exc))
             continue
         for i, rhs in zip(noisy, rhs_levels):
-            out[i].append(_solved_trial(domain, system, method, trial, seed_id, pixels, rhs))
+            out[i].append(_solved_trial(system, method, trial, seed_id, pixels, rhs))
     return out
 
 
@@ -572,6 +571,7 @@ class SweepPoint:
     mean_ae: float
     std_ae: float
     failed: int
+    error: str | None  # the first failed trial's text at this point
 
 
 @dataclass
@@ -666,6 +666,7 @@ def noise_sweep(
         raise ParameterError(f"domains must name at least one domain, each once; got {domains}")
     modules = [_check_run_args(domain, trials_per_level, extra_ring) for domain in domains]
     rows, cols = int(field_shape[0]), int(field_shape[1])
+    roi = centered_roi(rows, cols, roi_size, roi_size)  # refuses a misfit before any draw
 
     pixel_means = []
     for trial in range(trials_per_level):
@@ -685,7 +686,6 @@ def noise_sweep(
         threshold_ae=threshold,
     )
     spec = OtfSpec(rows, cols, cutoff_radius)
-    roi = centered_roi(rows, cols, roi_size, roi_size)
     for domain, module in zip(domains, modules):
         blur = module.simulated_blur(spec, roi_size, roi_size, extra_ring, psf_crop)
         per_level = _run_size(
@@ -702,6 +702,7 @@ def noise_sweep(
                     mean_ae=summary.mean_ae,
                     std_ae=summary.std_ae,
                     failed=summary.failed,
+                    error=next((t.error for t in trials if t.error is not None), None),
                 )
             )
     return report

@@ -164,18 +164,19 @@ def build_system(
         )
     a = system_matrix(psf, roi, idx)
     cond = finite_condition(float(np.linalg.cond(a))) if estimate_condition else float("nan")
-    return LinearSystem(a, roi, idx, cond, (rows, cols), psf.spec)
+    return LinearSystem("spatial", a, roi, idx, cond, (rows, cols), psf.spec)
 
 
 def noiseless_rhs(system: LinearSystem, pixels: np.ndarray) -> np.ndarray:
     """The blurred ROI at the system's cells, passband-sparse (observe_spatial_at);
-    ParameterError for a system without a transfer spec."""
+    ParameterError for a transform-domain system or one without a transfer spec."""
+    system.require_domain("spatial")
     return observe_spatial_at(pixels, system.roi, system.require_spec(), system.obs_index)
 
 
 def frame_rhs(system: LinearSystem, frame: np.ndarray) -> np.ndarray:
     """The system's cells read off an observed frame on its field (else ShapeError)."""
-    idx = system.obs_index
+    idx = system.require_domain("spatial").obs_index
     return system.require_frame(frame)[idx[:, 0], idx[:, 1]]
 
 
@@ -191,4 +192,4 @@ def solve_system(
     square and overdetermined), "truncated" (SVD with singular values below
     linear.TRUNCATION_RTOL of the largest discarded).
     """
-    return solve(system, rhs, method, METHODS, clamp_negative)
+    return solve(system.require_domain("spatial"), rhs, method, METHODS, clamp_negative)

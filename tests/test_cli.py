@@ -59,6 +59,8 @@ def test_parse_sizes_variants():
     assert expand_sizes(parse_size_ranges("2-4,9"), 768) == (2, 3, 4, 9)
     with pytest.raises(ValueError):
         parse_size_ranges(",")
+    with pytest.raises(ValueError, match="size range '5-3' is empty"):
+        parse_size_ranges("2,5-3")
 
 
 def test_parse_sizes_checks_the_limit_before_expanding():
@@ -83,15 +85,49 @@ print(main([*base, "--sizes", "1-10000000000"]), main([*base, "--config", cfg]))
 """
 
 
-def test_huge_sizes_range_exits_2_without_expanding(tmp_path):
+def _run_capped(script: str, *args) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
-    run = subprocess.run(
-        [sys.executable, "-c", _SIZES_BOUND_SCRIPT, str(tmp_path / "out"), str(tmp_path / "c")],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_huge_sizes_range_exits_2_without_expanding(tmp_path):
+    run = _run_capped(_SIZES_BOUND_SCRIPT, tmp_path / "out", tmp_path / "c")
     assert run.stdout.split() == ["2", "2"], run.stderr
     assert run.stderr.count("ROI size 10000000000 does not fit the field (at most 48)") == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("by_config", [False, True])
+def test_reversed_sizes_piece_exits_2(tmp_path, by_config):
+    # an empty piece is refused, not dropped with the run going on without it
+    config = tmp_path / "run.cfg"
+    write_manifest(config, {"sizes": "2,5-3"})
+    out = tmp_path / "out"
+    argv = ["table", "--domain", "spatial", "--trials", "1", *SMALL_ARGS, "--out", str(out)]
+    argv += ["--config", str(config)] if by_config else ["--sizes", "2,5-3"]
+    code, _, err = _run(argv)
+    assert code == 2
+    assert "5-3" in err
+    assert not out.exists()
+
+
+# an ROI of 20000^2 pixels: drawing its pixels for the threshold would raise
+# MemoryError under the cap before the ROI is checked against the field
+_NOISE_ROI_BOUND_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from roisolve.cli import main
+print(main(["noise", "--field", "48x48", "--cutoff", "10", "--roi-size", "20000",
+            "--trials", "1", "--psnr", "80", "--out", sys.argv[1]]))
+"""
+
+
+def test_oversized_noise_roi_exits_2_before_drawing(tmp_path):
+    run = _run_capped(_NOISE_ROI_BOUND_SCRIPT, tmp_path / "out")
+    assert run.stdout.split() == ["2"], run.stderr
+    assert "a 20000x20000 region does not fit in a 48x48 grid" in run.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -781,8 +817,9 @@ def test_noise_command_outputs(tmp_path, capsys):
     )
     assert rc == 0
     lines = (out / "noise_sweep.csv").read_text().strip().splitlines()
-    assert lines[0] == "domain,psnr_db,amplitude_ratio,mean_ae,std_ae,failed"
+    assert lines[0] == "domain,psnr_db,amplitude_ratio,mean_ae,std_ae,failed,error"
     assert len(lines) == 1 + 2 * 4  # two domains, inf baseline + three levels
+    assert all(line.endswith(",") for line in lines[1:])  # no trial failed: error empty
     manifest = read_manifest(out / "noise_manifest.txt")
     assert "crossing_db_spatial" in manifest
     assert "crossing_db_frequency" in manifest
@@ -817,6 +854,26 @@ def test_noise_command_single_domain(tmp_path):
     manifest = read_manifest(out / "noise_manifest.txt")
     assert "crossing_db_spatial" in manifest
     assert "crossing_db_frequency" not in manifest
+
+
+def test_noise_csv_says_why_trials_failed(tmp_path):
+    # a 3x3 kernel cannot serve a ringed 3x3 system: every trial fails, and
+    # each point keeps the first failure's text
+    out = tmp_path / "noise"
+    rc = main(
+        [
+            "noise", "--domains", "spatial", "--field", "48x48", "--cutoff", "10",
+            "--psf-crop", "3", "--roi-size", "3", "--trials", "1", "--psnr", "80,120",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    with open(out / "noise_sweep.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 3
+    for row in rows:
+        assert row["failed"] == "1"
+        assert row["error"] == "BoundsError: offsets reach +/-(4, 4), kernel window is only +/-1"
 
 
 # ---------------------------------------------------------------------------

@@ -452,10 +452,13 @@ def test_direct_complex_requires_square(small_spec, rng):
 def test_truncated_and_singular(small_spec):
     roi = RoiSpec(0, 0, 2, 2)
     system = LinearSystem(
+        domain="frequency",
         a_matrix=np.zeros((4, 4), dtype=complex),
         roi=roi,
         obs_index=np.zeros((4, 2), dtype=int),
         condition_estimate=np.inf,
+        field_shape=(2, 2),
+        spec=None,
     )
     rhs = np.zeros(4, dtype=complex)
     with pytest.raises(SingularSystemError):

@@ -495,7 +495,7 @@ def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
     clean = observe_field(ideal, system.spec)
     peak, unit = noise_field(clean, seed=9)
     sigmas = [NoiseSpec(db, 9).sigma(peak) for db in DEFAULT_PSNR_GRID]
-    got = noisy_rhs(domain, system, ideal, 9, DEFAULT_PSNR_GRID)
+    got = noisy_rhs(system, ideal, 9, DEFAULT_PSNR_GRID)
     assert got.shape == (len(sigmas), system.obs_index.shape[0])
     for db, row, sigma in zip(DEFAULT_PSNR_GRID, got, sigmas):
         want = module.frame_rhs(system, clean + sigma * unit)
@@ -506,11 +506,11 @@ def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
             assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max(), db
 
 
-def _full_field_noisy_rhs(domain, system, ideal, seed, psnr_levels):
+def _full_field_noisy_rhs(system, ideal, seed, psnr_levels):
     """noisy_rhs's oracle: blur and draw the whole frame, read each level's frame."""
     clean = observe_field(ideal, system.spec)
     peak, unit = noise_field(clean, seed)
-    frame_rhs = DOMAIN_MODULES[domain].frame_rhs
+    frame_rhs = DOMAIN_MODULES[system.domain].frame_rhs
     return [frame_rhs(system, clean + NoiseSpec(p, seed).sigma(peak) * unit) for p in psnr_levels]
 
 
@@ -538,7 +538,6 @@ def test_image_domain_noisy_reports_match_the_full_field_route(field, monkeypatc
 # spec and frame shape
 
 def test_every_entry_point_refuses_an_unknown_domain(small_psf):
-    system = roi_problem("spatial", RoiSpec(20, 20, 3, 3), (48, 48), small_psf, 0)
     calls = {
         "run_table_experiment": lambda d: run_table_experiment(d, sizes=(2,), **SMALL),
         "noise_sweep": lambda d: noise_sweep(psnr_grid=(80.0,), trials_per_level=1,
@@ -547,7 +546,6 @@ def test_every_entry_point_refuses_an_unknown_domain(small_psf):
         "scan_reconstruct": lambda d: scan_reconstruct(np.zeros((6, 6)), (3, 3), **SMALL,
                                                        domain=d),
         "roi_problem": lambda d: roi_problem(d, RoiSpec(20, 20, 3, 3), (48, 48), small_psf, 0),
-        "noisy_rhs": lambda d: noisy_rhs(d, system, np.zeros((48, 48)), 9, (80.0,)),
     }
     for name, call in calls.items():
         with pytest.raises(ParameterError, match="unknown domain 'fourier'"):
@@ -562,7 +560,7 @@ DOMAIN_INTERFACE = ("simulated_blur", "observation_index", "build_system", "nois
                     "frame_rhs", "solve_system")
 
 
-def test_domain_modules_share_one_interface():
+def test_domain_modules_share_one_interface(small_spec):
     modules = list(DOMAIN_MODULES.values())
     for module in modules:
         assert len(module.METHODS) == len(set(module.METHODS)) == 3
@@ -570,6 +568,12 @@ def test_domain_modules_share_one_interface():
     for name in DOMAIN_INTERFACE:
         counts = {len(inspect.signature(getattr(m, name)).parameters) for m in modules}
         assert len(counts) == 1, name
+    # each module's build_system names its DOMAIN_MODULES key on its systems
+    roi = RoiSpec(20, 20, 2, 2)
+    for domain, module in DOMAIN_MODULES.items():
+        blur = module.simulated_blur(small_spec, 2, 2, 1, 47)
+        idx = module.observation_index(roi, (48, 48), 1)
+        assert module.build_system((48, 48), roi, idx, blur).domain == domain
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -597,6 +601,19 @@ def test_each_domain_refuses_the_other_domains_blur(small_psf, small_spec):
         roi_problem("frequency", roi, (48, 48), small_psf, 0)
     with pytest.raises(ParameterError, match="reads a PsfKernel, got OtfSpec"):
         roi_problem("spatial", roi, (48, 48), small_spec, 0)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("reader", ["noiseless_rhs", "frame_rhs", "solve_system"])
+def test_each_domain_refuses_the_other_domains_system(domain, reader, small_psf, small_spec):
+    # a system names its domain; reading or solving it in the other domain
+    # would compute numbers from indices and a matrix of the wrong kind
+    (other,) = set(DOMAINS) - {domain}
+    system = _small_system(other, small_psf, small_spec, ring=0)
+    arg = {"noiseless_rhs": np.ones(9), "frame_rhs": np.ones((48, 48)),
+           "solve_system": np.ones(9)}[reader]
+    with pytest.raises(ParameterError, match=f"a {other}-domain system given to the {domain}"):
+        getattr(DOMAIN_MODULES[domain], reader)(system, arg)
 
 
 @pytest.mark.parametrize("domain", DOMAINS)

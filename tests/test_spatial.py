@@ -222,10 +222,13 @@ def test_unknown_method_rejected(small_psf):
 def test_singular_direct_and_truncated():
     roi = RoiSpec(0, 0, 2, 2)
     system = LinearSystem(
+        domain="spatial",
         a_matrix=np.zeros((4, 4)),
         roi=roi,
         obs_index=roi.cells(),
         condition_estimate=np.inf,
+        field_shape=(2, 2),
+        spec=None,
     )
     with pytest.raises(SingularSystemError):
         solve_system(system, np.zeros(4), "direct")
@@ -237,10 +240,13 @@ def test_truncated_handles_rank_deficiency():
     roi = RoiSpec(0, 0, 1, 2)
     a = np.array([[1.0, 1.0], [2.0, 2.0]])  # rank one
     system = LinearSystem(
+        domain="spatial",
         a_matrix=a,
         roi=roi,
         obs_index=roi.cells(),
         condition_estimate=np.inf,
+        field_shape=(1, 2),
+        spec=None,
     )
     rhs = np.array([2.0, 4.0])
     sol = solve_system(system, rhs, "truncated")
@@ -264,10 +270,13 @@ def test_residual_normalization():
     roi = RoiSpec(0, 0, 2, 2)
     a = np.eye(4)
     system = LinearSystem(
+        domain="spatial",
         a_matrix=a,
         roi=roi,
         obs_index=roi.cells(),
         condition_estimate=1.0,
+        field_shape=(2, 2),
+        spec=None,
     )
     sol = solve_system(system, np.array([1.0, 0.0, 0.0, 0.0]))
     assert sol.residual == pytest.approx(0.0, abs=1e-15)
