@@ -416,11 +416,15 @@ def cmd_noise(opts: dict) -> int:
         manifest[f"crossing_db_{domain}"] = "" if crossing is None else fileio.format_float(crossing)
     fileio.write_manifest(os.path.join(out, "noise_manifest.txt"), manifest)
     print(f"noise sweep, {report.roi_size}x{report.roi_size} ROI, {report.trials_per_level} trials per level")
-    print(f"{'domain':>10}  {'PSNR dB':>9}  {'ratio':>12}  {'mean AE':>12}  {'std AE':>12}")
+    print(f"{'domain':>10}  {'PSNR dB':>9}  {'ratio':>12}  {'mean AE':>12}  {'std AE':>12}"
+          f"  {'failed':>6}")
     for p in report.points:
         db = "inf" if math.isinf(p.psnr_db) else f"{p.psnr_db:g}"
         ratio = "inf" if math.isinf(p.amplitude_ratio) else f"{p.amplitude_ratio:.4g}"
-        print(f"{p.domain:>10}  {db:>9}  {ratio:>12}  {p.mean_ae:>12.5g}  {p.std_ae:>12.5g}")
+        print(f"{p.domain:>10}  {db:>9}  {ratio:>12}  {p.mean_ae:>12.5g}  {p.std_ae:>12.5g}"
+              f"  {p.failed:>6}")
+        if p.error is not None:
+            print(f"{'':>10}  first failure: {p.error}")
     for line in report.interpretation_lines():
         print(line)
     print(f"wrote noise_sweep.csv, noise_manifest.txt in {out}")
@@ -570,6 +574,19 @@ COMMANDS = {
 }
 
 
+def _flag_type(parse):
+    """parse as an argparse type: a refused value's ValueError keeps its reason
+    in the usage error, as a --config entry's does."""
+
+    def typed(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return typed
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree of every subcommand, built once per process. It depends
@@ -586,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--config", help="file of 'key = value' lines by dest name (flags win)")
         for opt in options:
             parse, show = _KINDS[opt.kind]
-            kwargs = {"type": parse, "choices": opt.choices}
+            kwargs = {"type": _flag_type(parse), "choices": opt.choices}
             if opt.kind == "flag":
                 kwargs = {"action": "store_const", "const": True}
             shown = opt.help

@@ -8,14 +8,17 @@ domain. Image-side spectra here use the normalized transform
 so a spectrum and its image are linked by image = real(ifft2(Y)) * M * N.
 
 Two routes evaluate the model. The full-field route blurs a whole frame;
-noisy observations need it because the noise covers the whole frame and is
-pinned to its peak. observe_field runs it, for either domain, as pruned 1-D
+noise is pinned to its peak. observe_field runs it as pruned 1-D
 transforms in np.fft's own axis order, touching only the rows that hold
 light and the lines of the passband box; the blur is bit-identical to the
 whole-frame 2-D FFT expression, and observe_spatial applies it to a
 kernel's transfer spec; observe_field_at gives its peak and given cells
-from a few columns. noise_field draws the noise a sweep scales per level,
-unit_noise the first values of that field, for a prefix draw.
+from a few columns. noise_field draws the unit noise field a sweep scales
+per level, and unit_noise the first values of that field, for a prefix
+draw that the image domain reads at its cells. unit_spectrum_noise draws
+the normalized transform of such a field directly at given spectrum
+entries, in its exact law (one draw per conjugate class), so the transform
+domain's noisy entries need neither a full blur nor a full field.
 observe_spectrum, spectrum_to_image, image_to_spectrum and add_noise stay
 as the whole-frame functions the tests use as oracles. The sparse functions
 evaluate only what a system reads, as products of 1-D twiddle matrices:
@@ -324,13 +327,45 @@ def noise_field(observed: np.ndarray, seed: int) -> tuple[float, np.ndarray]:
     return peak, unit_noise(peak, seed, arr.size).reshape(arr.shape)
 
 
+def _require_peak(peak: float) -> None:
+    if not peak > 0:  # NaN too
+        raise DegenerateInputError("observed image has no positive peak to scale noise to")
+
+
 def unit_noise(peak: float, seed: int, n: int) -> np.ndarray:
     """The first n row-major values of the unit field noise_field draws for a
     frame of that peak: a Generator's n normal draws are the first n of any
     longer draw. DegenerateInputError unless the peak is positive."""
-    if not peak > 0:  # NaN too
-        raise DegenerateInputError("observed image has no positive peak to scale noise to")
+    _require_peak(peak)
     return np.random.default_rng(seed).standard_normal(n)
+
+
+def unit_spectrum_noise(
+    peak: float, seed: int, entries: np.ndarray, shape: tuple[int, int]
+) -> np.ndarray:
+    """The normalized transform of a real white unit field on shape, at the
+    (n, 2) entries (u, v), drawn directly in its law for a frame of that peak.
+
+    The law is exact: such a transform is Gaussian, and its conjugate classes
+    {(u, v), (-u, -v)} are independent. A self-conjugate entry (2u = 0 mod
+    rows and 2v = 0 mod cols) is real with std 1/sqrt(rows*cols); any other
+    has independent real and imaginary parts of std 1/sqrt(2*rows*cols), and
+    its partner takes the exact conjugate. One pair of normals is drawn per
+    class the entries hold, in the order of the class's smaller row-major
+    index, so an entry listed twice, or beside its partner, reads that one
+    draw. DegenerateInputError unless the peak is positive, as unit_noise.
+    """
+    _require_peak(peak)
+    rows, cols = shape
+    entries = _field_cells(entries, shape)
+    flat = entries[:, 0] * cols + entries[:, 1]
+    mirror = (-entries[:, 0] % rows) * cols + (-entries[:, 1] % cols)
+    classes, at = np.unique(np.minimum(flat, mirror), return_inverse=True)
+    z = np.random.default_rng(seed).standard_normal((classes.size, 2))[at]
+    own = flat == mirror
+    imag = np.where(own, 0.0, np.where(flat < mirror, z[:, 1], -z[:, 1]))
+    scale = np.where(own, 1.0, math.sqrt(0.5)) / math.sqrt(rows * cols)
+    return (z[:, 0] + 1j * imag) * scale
 
 
 def add_noise(observed: np.ndarray, noise: NoiseSpec) -> np.ndarray:

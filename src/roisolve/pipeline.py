@@ -22,7 +22,7 @@ from .errors import (
     RoiSolveError,
     ShapeError,
 )
-from .forward import NoiseSpec, noise_field, observe_field, observe_field_at, unit_noise
+from .forward import NoiseSpec
 from .grid import RoiSpec, centered_roi, scatter_roi
 from .linear import LinearSystem
 from .optics import OtfSpec, PsfKernel
@@ -33,12 +33,12 @@ DEFAULT_CUTOFF = 6.0
 DEFAULT_PSF_CROP = 501
 SIZES_DEFAULT = range(2, 21)
 # Each domain's simulated_blur (the kernel or transfer spec a simulated run
-# reads), observation_index, build_system, observation readers and
-# solve_system, and its METHODS. A built system records its key as its
-# domain; each module's readers and solver refuse the other's systems. Only
-# noisy_rhs's noise route (on system.domain) and the table's cutoff record
-# branch on the name itself. Callers look functions up on the module at call
-# time, so wrappers installed on the module attribute see every call.
+# reads), observation_index, build_system, observation readers (noiseless,
+# noisy and from a frame) and solve_system, and its METHODS. A built system
+# records its key as its domain; each module's readers and solver refuse the
+# other's systems. Only the table's cutoff record branches on the name
+# itself. Callers look functions up on the module at call time, so wrappers
+# installed on the module attribute see every call.
 DOMAIN_MODULES = {"spatial": spatial, "frequency": frequency}
 DOMAINS = tuple(DOMAIN_MODULES)
 
@@ -261,23 +261,15 @@ def roi_problem(
 def noisy_rhs(
     system: LinearSystem, ideal: np.ndarray, seed: int, psnr_levels: Sequence[float]
 ) -> np.ndarray:
-    """frame_rhs(system, clean + sigma_p * unit) for each level p, one row
-    each, where clean = observe_field(ideal, system.spec) and (peak, unit) =
-    noise_field(clean, seed). The readers are linear, so clean and unit are
-    read once: the same bytes in the image domain, which computes only its
-    cells and peak (observe_field_at, unit_noise); the same values to rounding
-    in the transform domain, whose partial DFT reads the full field.
+    """The system's rows of ideal's blurred frame plus sigma_p * unit noise for
+    each level p, one row each, sigma_p pinned to the blurred frame's peak.
+    The readers are linear, so the domain's noisy_parts gives the peak, the
+    clean rows and the unit noise on the rows once, and every level is
+    clean + sigma_p * unit. The image domain reads its cells of the full-field
+    route (observe_field, noise_field) bit for bit; the transform domain draws
+    its entries' noise directly, in the exact law of a white field's transform.
     """
-    spec = system.require_spec()
-    if system.domain == "spatial":
-        idx = system.obs_index
-        peak, clean = observe_field_at(system.require_frame(ideal), spec, idx)
-        flat = idx[:, 0] * spec.shape[1] + idx[:, 1]
-        unit = unit_noise(peak, seed, int(flat.max()) + 1)[flat]
-    else:
-        frame = observe_field(ideal, spec)
-        peak, unit_frame = noise_field(frame, seed)
-        clean, unit = frequency.frame_rhs(system, frame), frequency.frame_rhs(system, unit_frame)
+    peak, clean, unit = domain_module(system.domain).noisy_parts(system, ideal, seed)
     sigmas = [NoiseSpec(p, seed).sigma(peak) for p in psnr_levels]
     return clean + np.multiply.outer(sigmas, unit)
 
@@ -335,8 +327,8 @@ def _run_size(
 
     The system is built once for the size. Trials run outside and levels
     inside: a noiseless level evaluates only what the system reads. The noisy
-    levels of a trial share one noisy_rhs call, which reads its clean frame
-    and unit noise once (in the image domain, only at the system's cells).
+    levels of a trial share one noisy_rhs call, which reads its clean rows
+    and unit noise once, on the system's rows only.
     """
     size = roi.k_rows
     out: list[list[TrialResult]] = [[] for _ in levels]
@@ -404,7 +396,8 @@ def run_table_experiment(
     Every trial of a size shares one system (matrix and condition estimate).
     Noiseless trials evaluate only the observations the system reads; noisy
     ones (finite noise_psnr_db) pin the noise to the blurred frame's peak,
-    which the image domain finds from a few columns (noisy_rhs).
+    found from a few columns, and read the noise only on the system's rows
+    (noisy_rhs).
     noise_psnr_db=inf runs noiseless; NaN and -inf raise
     ParameterError.
 
@@ -652,8 +645,8 @@ def noise_sweep(
     a noiseless baseline; every point equals run_table_experiment at that
     level. The same trial draws (pixels and noise shape) are reused across
     levels, so curves differ only by the noise amplitude. Each trial reads
-    its clean frame and unit noise once, in the image domain only at the
-    system's cells and peak, and forms every level from them (noisy_rhs).
+    its peak, clean rows and unit noise once, on the system's rows only, and
+    forms every level from them (noisy_rhs).
     The default ring-augmented least-squares setup keeps the noiseless
     baseline under the threshold so a crossing exists to report.
     """

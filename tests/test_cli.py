@@ -876,6 +876,38 @@ def test_noise_csv_says_why_trials_failed(tmp_path):
         assert row["error"] == "BoundsError: offsets reach +/-(4, 4), kernel window is only +/-1"
 
 
+def test_noise_console_says_why_trials_failed(tmp_path):
+    # the console table counts each point's failed trials and names the
+    # first failure under the row
+    code, out, _ = _run(
+        [
+            "noise", "--domains", "spatial", "--field", "48x48", "--cutoff", "10",
+            "--psf-crop", "3", "--roi-size", "3", "--trials", "1", "--psnr", "80,120",
+            "--out", str(tmp_path / "noise"),
+        ]
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1].split()[-1] == "failed"
+    rows = [line.split() for line in lines[2:8:2]]
+    assert [(row[1], row[-1]) for row in rows] == [("inf", "1"), ("80", "1"), ("120", "1")]
+    reason = "first failure: BoundsError: offsets reach +/-(4, 4), kernel window is only +/-1"
+    assert [line.strip() for line in lines[3:9:2]] == [reason] * 3
+
+
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [("--sizes", "2,5-3", "size range '5-3' is empty"),
+     ("--field", "4x4x4", "expected ROWSxCOLS, got '4x4x4'")],
+)
+def test_a_refused_flag_value_keeps_its_reason(tmp_path, flag, value, reason):
+    code, _, err = _run(["table", "--domain", "spatial", flag, value,
+                         "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"argument {flag}: {reason}" in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # option tables and --config
 

@@ -21,6 +21,7 @@ from roisolve.forward import (
     observe_spectrum_block,
     spectrum_to_image,
     unit_noise,
+    unit_spectrum_noise,
 )
 from roisolve.grid import RoiSpec, centered_roi, scatter_roi
 from roisolve.optics import OtfSpec, PsfKernel, build_otf, build_psf, passband_mask
@@ -177,6 +178,62 @@ def test_unit_noise_read_at_cells_is_the_noise_field_there(seed):
 def test_unit_noise_needs_a_positive_peak(peak):
     with pytest.raises(DegenerateInputError, match="no positive peak"):
         unit_noise(peak, 7, 4)
+    with pytest.raises(DegenerateInputError, match="no positive peak"):
+        unit_spectrum_noise(peak, 7, np.zeros((1, 2), int), (4, 4))
+
+
+def test_unit_spectrum_noise_draws_one_value_per_conjugate_class():
+    # on 8x8, (0,0), (4,0), (0,4) and (4,4) are their own conjugates, and
+    # (1,2) and (7,6) are one class; classes draw a pair of normals each in
+    # the order of their smaller row-major index: 0, 4, 10, 32, 36
+    entries = np.array([[0, 0], [4, 0], [1, 2], [0, 4], [7, 6], [4, 4]])
+    got = unit_spectrum_noise(1.0, 11, entries, (8, 8))
+    assert (got[[0, 1, 3, 5]].imag == 0).all()
+    assert got[4].tobytes() == np.conj(got[2]).tobytes()
+    assert got.tobytes() == unit_spectrum_noise(2.5, 11, entries, (8, 8)).tobytes()
+    z = np.random.default_rng(11).standard_normal((5, 2))
+    pair = complex(z[2, 0], z[2, 1]) / math.sqrt(2 * 64)
+    want = [z[0, 0] / 8, z[3, 0] / 8, pair, z[1, 0] / 8, pair.conjugate(), z[4, 0] / 8]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    assert unit_spectrum_noise(1.0, 12, entries, (8, 8)).tobytes() != got.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(48, 48), (47, 50)])
+def test_unit_spectrum_noise_follows_the_white_field_law(shape):
+    # over 2,000 fixed seeds, the direct draw and the partial DFT of full
+    # standard_normal frames both show the law within 5 standard errors:
+    # per-component std 1/sqrt(2RC), or 1/sqrt(RC) and no imaginary part
+    # for a self-conjugate entry, with uncorrelated real and imaginary parts
+    # and distinct classes; the partner of an entry is its conjugate
+    rows, cols = shape
+    n = 2000
+    entries = np.array([[0, 0], [0, cols // 2], [rows // 2, cols // 2], [1, 2],
+                        [rows - 1, cols - 2], [3, 0], [5, 7]])
+    own = (2 * entries[:, 0] % rows == 0) & (2 * entries[:, 1] % cols == 0)
+    assert own.sum() == (3 if rows % 2 == 0 else 2)
+    direct = np.array([unit_spectrum_noise(1.0, seed, entries, shape) for seed in range(n)])
+    frames = []
+    for seed in range(n):
+        block = image_spectrum_block(np.random.default_rng(n + seed).standard_normal(shape),
+                                     entries[:, 0], entries[:, 1])
+        frames.append(block[np.arange(len(entries)), np.arange(len(entries))])
+    frames = np.array(frames)
+    sigma = np.where(own, 1.0, math.sqrt(0.5)) / math.sqrt(rows * cols)
+    for draws in (direct, frames):
+        re, im = draws.real, draws.imag
+        assert np.abs(re.mean(axis=0)).max() <= 5 * sigma.max() / math.sqrt(n)
+        assert np.all(np.abs(re.std(axis=0) - sigma) <= 5 * sigma / math.sqrt(2 * n))
+        assert np.abs(im[:, own]).max() <= 1e-12 * sigma.max()
+        assert np.all(np.abs(im[:, ~own].std(axis=0) - sigma[~own])
+                      <= 5 * sigma[~own] / math.sqrt(2 * n))
+        assert np.all(np.abs((re * im)[:, ~own].mean(axis=0)) <= 5 * sigma[~own] ** 2 / math.sqrt(n))
+        np.testing.assert_allclose(draws[:, 4], np.conj(draws[:, 3]), rtol=0, atol=1e-12)
+        # distinct classes: (1, 2) against (3, 0) and (5, 7)
+        for other in (5, 6):
+            assert abs((re[:, 3] * re[:, other]).mean()) <= 5 * sigma[3] * sigma[other] / math.sqrt(n)
+    # the two routes agree with each other, component by component
+    gap = np.abs(direct.real.std(axis=0) - frames.real.std(axis=0))
+    assert np.all(gap <= 5 * sigma / math.sqrt(n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -213,6 +270,9 @@ def test_observe_field_at_is_the_full_blur_at_its_peak_and_cells(
     peak, got = observe_field_at(ideal, spec, cells)
     assert np.float64(peak).tobytes() == full.max().tobytes()
     assert got.tobytes() == full[cells[:, 0], cells[:, 1]].tobytes()
+    # the transform domain's noisy trials ask for the peak alone
+    alone, none = observe_field_at(ideal, spec, np.empty((0, 2), int))
+    assert np.float64(alone).tobytes() == full.max().tobytes() and none.size == 0
 
 
 def test_observe_field_at_transforms_a_few_columns_at_the_papers_setup(monkeypatch, rng):

@@ -10,12 +10,19 @@ from roisolve import frequency, pipeline
 from roisolve.frequency import effective_cutoff
 from roisolve.errors import (
     BoundsError,
+    DegenerateInputError,
     NoSignalError,
     ParameterError,
     ShapeError,
     SingularSystemError,
 )
-from roisolve.forward import NoiseSpec, noise_field, observe_field, observe_spatial
+from roisolve.forward import (
+    NoiseSpec,
+    noise_field,
+    observe_field,
+    observe_spatial,
+    unit_spectrum_noise,
+)
 from roisolve.grid import RoiSpec, centered_roi, scatter_roi
 from roisolve.optics import OtfSpec, PsfKernel, build_psf
 from roisolve.pipeline import (
@@ -493,17 +500,48 @@ def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
     pixels = np.random.default_rng(5).uniform(0.0, 256.0, size * size)
     ideal = scatter_roi(pixels, roi, rows, cols)
     clean = observe_field(ideal, system.spec)
+    if domain == "frequency":
+        _assert_passband_noisy_rhs(system, ideal, clean)
+        return
     peak, unit = noise_field(clean, seed=9)
     sigmas = [NoiseSpec(db, 9).sigma(peak) for db in DEFAULT_PSNR_GRID]
     got = noisy_rhs(system, ideal, 9, DEFAULT_PSNR_GRID)
     assert got.shape == (len(sigmas), system.obs_index.shape[0])
     for db, row, sigma in zip(DEFAULT_PSNR_GRID, got, sigmas):
         want = module.frame_rhs(system, clean + sigma * unit)
-        if domain == "spatial":
-            assert row.tobytes() == want.tobytes(), db
-        else:
-            # a partial DFT of the sum against the sum of two: rounding only
-            assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max(), db
+        assert row.tobytes() == want.tobytes(), db
+
+
+def _assert_passband_noisy_rhs(system, ideal, blurred):
+    # the transform domain draws its own unit noise on the entries it reads
+    # (unit_spectrum_noise), so only the peak and the clean entries follow
+    # the full-field route: the peak bit for bit, the entries to rounding
+    peak, clean, unit = frequency.noisy_parts(system, ideal, 9)
+    assert np.float64(peak).tobytes() == blurred.max().tobytes()
+    want = frequency.frame_rhs(system, blurred)
+    assert np.abs(clean - want).max() <= 1e-12 * np.abs(want).max()
+    drawn = unit_spectrum_noise(peak, 9, system.obs_index, system.field_shape)
+    assert unit.tobytes() == drawn.tobytes()
+    # every level scales the one unit vector
+    got = noisy_rhs(system, ideal, 9, DEFAULT_PSNR_GRID)
+    assert got.shape == (len(DEFAULT_PSNR_GRID), system.obs_index.shape[0])
+    for db, row in zip(DEFAULT_PSNR_GRID, got):
+        assert row.tobytes() == (clean + NoiseSpec(db, 9).sigma(peak) * unit).tobytes(), db
+    with pytest.raises(DegenerateInputError, match="no positive peak"):
+        noisy_rhs(system, np.zeros_like(ideal), 9, (80.0,))
+    lit_nan = ideal.copy()
+    lit_nan[0, 0] = np.nan
+    with pytest.raises(ParameterError, match="NaN or Inf"):
+        noisy_rhs(system, lit_nan, 9, (80.0,))
+    with pytest.raises(ShapeError, match="not 2-D on the field"):
+        noisy_rhs(system, ideal[:-1], 9, (80.0,))
+    # the clean entries come from the ROI's pixels, so light elsewhere is
+    # refused, in a row of the ROI or outside them
+    for cell in ((system.roi.top, system.roi.left - 1), (0, system.roi.left)):
+        stray = ideal.copy()
+        stray[cell] = 1.0
+        with pytest.raises(ParameterError, match="light outside the system's ROI"):
+            noisy_rhs(system, stray, 9, (80.0,))
 
 
 def _full_field_noisy_rhs(system, ideal, seed, psnr_levels):
@@ -557,7 +595,7 @@ def test_every_entry_point_refuses_an_unknown_domain(small_psf):
 
 # what pipeline looks up on a domain module
 DOMAIN_INTERFACE = ("simulated_blur", "observation_index", "build_system", "noiseless_rhs",
-                    "frame_rhs", "solve_system")
+                    "noisy_parts", "frame_rhs", "solve_system")
 
 
 def test_domain_modules_share_one_interface(small_spec):
@@ -604,16 +642,16 @@ def test_each_domain_refuses_the_other_domains_blur(small_psf, small_spec):
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
-@pytest.mark.parametrize("reader", ["noiseless_rhs", "frame_rhs", "solve_system"])
+@pytest.mark.parametrize("reader", ["noiseless_rhs", "noisy_parts", "frame_rhs", "solve_system"])
 def test_each_domain_refuses_the_other_domains_system(domain, reader, small_psf, small_spec):
     # a system names its domain; reading or solving it in the other domain
     # would compute numbers from indices and a matrix of the wrong kind
     (other,) = set(DOMAINS) - {domain}
     system = _small_system(other, small_psf, small_spec, ring=0)
-    arg = {"noiseless_rhs": np.ones(9), "frame_rhs": np.ones((48, 48)),
-           "solve_system": np.ones(9)}[reader]
+    args = {"noiseless_rhs": (np.ones(9),), "noisy_parts": (np.ones((48, 48)), 7),
+            "frame_rhs": (np.ones((48, 48)),), "solve_system": (np.ones(9),)}[reader]
     with pytest.raises(ParameterError, match=f"a {other}-domain system given to the {domain}"):
-        getattr(DOMAIN_MODULES[domain], reader)(system, arg)
+        getattr(DOMAIN_MODULES[domain], reader)(system, *args)
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -706,6 +744,30 @@ def test_noiseless_table_reads_no_full_field(monkeypatch):
     # the kernel is built band-limited, with 1-D transforms only
     run_table_experiment("spatial", sizes=(2, 3), trials_per_size=2, root_seed=1, **SMALL)
     assert calls["n"] == 0
+
+
+def test_transform_domain_noisy_trials_read_only_the_roi_and_the_passband(monkeypatch):
+    # no frame is transformed and each trial's peak inverts a few of the 768
+    # columns (a full blur inverts them all); the unit noise is pinned to
+    # unit_spectrum_noise's draw on the entries above
+    from roisolve import forward
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a frame was transformed")
+
+    inverted = []
+    inverse_columns = forward._inverse_columns
+
+    def counting(band, band_rows, rows, columns):
+        inverted.append(columns.size)
+        return inverse_columns(band, band_rows, rows, columns)
+
+    monkeypatch.setattr(forward, "_inverse_columns", counting)
+    monkeypatch.setattr(frequency, "image_spectrum_block", refused)
+    sweep = noise_sweep(roi_size=3, psnr_grid=(40.0, 80.0), trials_per_level=2, root_seed=17,
+                        domains=("frequency",))
+    assert all(p.failed == 0 for p in sweep.points)
+    assert len(inverted) >= 2 and sum(inverted) <= 2 * 16
 
 
 def test_noisy_sweep_and_scan_run_no_2d_ffts(monkeypatch, tmp_path):
