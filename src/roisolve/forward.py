@@ -7,25 +7,20 @@ domain. Image-side spectra here use the normalized transform
 
 so a spectrum and its image are linked by image = real(ifft2(Y)) * M * N.
 
-Two routes evaluate the model. The full-field route blurs a whole frame;
-noise is pinned to its peak. observe_field runs it as pruned 1-D
-transforms in np.fft's own axis order, touching only the rows that hold
-light and the lines of the passband box; the blur is bit-identical to the
-whole-frame 2-D FFT expression, and observe_spatial applies it to a
-kernel's transfer spec; observe_field_at gives its peak and given cells
-from a few columns. noise_field draws the unit noise field a sweep scales
-per level, and unit_noise the first values of that field, for a prefix
-draw that the image domain reads at its cells. unit_spectrum_noise draws
-the normalized transform of such a field directly at given spectrum
-entries, in its exact law (one draw per conjugate class), so the transform
-domain's noisy entries need neither a full blur nor a full field.
-observe_spectrum, spectrum_to_image, image_to_spectrum and add_noise stay
-as the whole-frame functions the tests use as oracles. The sparse functions
-evaluate only what a system reads, as products of 1-D twiddle matrices:
-observe_spatial_at the given cells, observe_spectrum_block and
-image_spectrum_block the product of the given frequency rows us and
-columns vs, from which a transform-domain system gathers its entries. For
-an isolated region they agree with the full-field route to rounding.
+Two routes evaluate the model. The full-field route blurs a whole frame
+with pruned 1-D transforms in np.fft's own axis order (observe_field,
+bit-identical to the whole-frame 2-D FFT expression; observe_spatial on a
+kernel's transfer spec; observe_field_at its peak from a few columns), and
+noise_field draws the unit field add_noise scales to its peak. The sparse
+route evaluates only what a system reads, as products of 1-D twiddle
+matrices: observe_spatial_at the given cells, observe_spectrum_block and
+image_spectrum_block the product of the given frequency rows us and columns
+vs. For an isolated region the two agree to rounding. A noisy trial's unit
+noise is drawn on those rows directly, in the law of a white unit field
+read there: unit_noise one normal per distinct cell, unit_spectrum_noise
+the normalized transform at given entries, one draw per conjugate class.
+observe_spectrum, spectrum_to_image, image_to_spectrum and add_noise stay as
+the whole-frame functions the tests use as oracles.
 """
 
 from __future__ import annotations
@@ -135,31 +130,27 @@ def observe_field(ideal: np.ndarray, spec: OtfSpec) -> np.ndarray:
     return frame_t.T.copy()
 
 
-def observe_field_at(
-    ideal: np.ndarray, spec: OtfSpec, cells: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """observe_field(ideal, spec).max() and its values at the (n, 2) cells,
-    bit for bit, with observe_field's refusals.
+def observe_field_at(ideal: np.ndarray, spec: OtfSpec) -> float:
+    """observe_field(ideal, spec).max(), bit for bit, with observe_field's
+    refusals, from a few columns of the blur.
 
-    Only the cells' columns and those that may hold the peak are inverted:
-    no value of column j exceeds sum(|band[:, j]|) / rows (times a margin far
-    above FFT rounding). From the cells' columns and the one of largest
-    bound, every column whose bound reaches the best value so far is added
-    until none is left; a best value <= 0 adds every column.
+    No value of column j exceeds sum(|band[:, j]|) / rows (times a margin far
+    above FFT rounding). From the column of largest bound, every column whose
+    bound reaches the best value so far is inverted until none is left; a
+    best value <= 0 inverts every column.
     """
-    cells = _field_cells(cells, spec.shape)
     rows, cols = spec.shape
     band, band_rows = _band(ideal, spec)
     bound = np.abs(band).sum(axis=0) * ((1.0 + _PEAK_BOUND_MARGIN) / rows)
-    frame_t = np.empty((cols, rows))  # column j of the frame is row j here
     done = np.zeros(cols, dtype=bool)
-    todo = np.union1d(cells[:, 1], [np.argmax(bound)])
+    todo = np.array([np.argmax(bound)])
+    peak = -math.inf
     while todo.size:
-        frame_t[todo] = _inverse_columns(band, band_rows, rows, todo)
+        # np.maximum keeps a NaN (overflow), which then adds every column
+        peak = float(np.maximum(peak, _inverse_columns(band, band_rows, rows, todo).max()))
         done[todo] = True
-        peak = float(frame_t[done].max())
-        todo = np.flatnonzero(~done & ~(bound < peak))  # NaN (overflow) adds a column
-    return peak, frame_t[cells[:, 1], cells[:, 0]]
+        todo = np.flatnonzero(~done & ~(bound < peak))
+    return peak
 
 
 def observe_spatial(ideal: np.ndarray, psf: PsfKernel) -> np.ndarray:
@@ -311,11 +302,9 @@ def image_to_spectrum(image: np.ndarray) -> np.ndarray:
 
 
 def noise_field(observed: np.ndarray, seed: int) -> tuple[float, np.ndarray]:
-    """The peak add_noise scales to, and the unit-variance field it scales.
-
-    For every finite level p, add_noise(observed, NoiseSpec(p, seed)) is
-    exactly observed + NoiseSpec(p, seed).sigma(peak) * unit, so a sweep over
-    levels draws the field once.
+    """The peak add_noise scales to, and the unit-variance field it scales:
+    add_noise(observed, NoiseSpec(p, seed)) is exactly
+    observed + NoiseSpec(p, seed).sigma(peak) * unit for every finite p.
 
     Raises:
         ParameterError: the image holds NaN or Inf.
@@ -333,9 +322,9 @@ def _require_peak(peak: float) -> None:
 
 
 def unit_noise(peak: float, seed: int, n: int) -> np.ndarray:
-    """The first n row-major values of the unit field noise_field draws for a
-    frame of that peak: a Generator's n normal draws are the first n of any
-    longer draw. DegenerateInputError unless the peak is positive."""
+    """n independent standard normals of seed's stream, for a frame of that
+    peak: the first n row-major values of the unit field noise_field draws.
+    DegenerateInputError unless the peak is positive."""
     _require_peak(peak)
     return np.random.default_rng(seed).standard_normal(n)
 

@@ -24,7 +24,6 @@ from .errors import (
 from .forward import (
     _twiddles,
     image_spectrum_block,
-    observe_field_at,
     observe_spectrum_block,
     unit_spectrum_noise,
 )
@@ -247,33 +246,11 @@ def frame_rhs(system: LinearSystem, frame: np.ndarray) -> np.ndarray:
     return image_spectrum_block(system.require_frame(frame), us, vs)[u_at, v_at]
 
 
-def noisy_parts(
-    system: LinearSystem, ideal: np.ndarray, seed: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(peak, clean, unit) of a noisy trial of an ideal frame on the system's
-    field, from the ROI and the passband alone: the blurred frame's peak
-    (observe_field_at at no cell, bit for bit), the ROI's clean entries
-    (noiseless_rhs) and unit noise drawn on the entries in the law of a real
-    white field's transform (unit_spectrum_noise). No full-field blur, full
-    unit field or partial DFT of a frame runs.
-
-    Raises:
-        ShapeError: the frame is not 2-D on the system's field.
-        ParameterError: the frame holds NaN or Inf, or light outside the ROI.
-        DegenerateInputError: the blurred frame has no positive peak.
-    """
-    system.require_domain("frequency")
-    spec = system.require_spec()
-    frame = system.require_frame(ideal)
-    peak, _ = observe_field_at(frame, spec, np.empty((0, 2), dtype=int))
-    rows, cols = system.roi.slices()
-    window = frame[rows, cols]
-    lit = frame.any(axis=1)
-    lit[rows] = False
-    if lit.any() or np.count_nonzero(frame[rows]) != np.count_nonzero(window):
-        raise ParameterError("ideal frame holds light outside the system's ROI")
-    unit = unit_spectrum_noise(peak, seed, system.obs_index, spec.shape)
-    return peak, noiseless_rhs(system, window.ravel()), unit
+def unit_rows(system: LinearSystem, peak: float, seed: int) -> np.ndarray:
+    """Unit noise at the system's entries for a blurred frame of that peak, in
+    the exact law of a real white unit field's transform (unit_spectrum_noise)."""
+    idx = system.require_domain("frequency").obs_index
+    return unit_spectrum_noise(peak, seed, idx, system.field_shape)
 
 
 def solve_system(

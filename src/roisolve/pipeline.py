@@ -22,7 +22,7 @@ from .errors import (
     RoiSolveError,
     ShapeError,
 )
-from .forward import NoiseSpec
+from .forward import NoiseSpec, observe_field_at
 from .grid import RoiSpec, centered_roi, scatter_roi
 from .linear import LinearSystem
 from .optics import OtfSpec, PsfKernel
@@ -33,12 +33,12 @@ DEFAULT_CUTOFF = 6.0
 DEFAULT_PSF_CROP = 501
 SIZES_DEFAULT = range(2, 21)
 # Each domain's simulated_blur (the kernel or transfer spec a simulated run
-# reads), observation_index, build_system, observation readers (noiseless,
-# noisy and from a frame) and solve_system, and its METHODS. A built system
-# records its key as its domain; each module's readers and solver refuse the
-# other's systems. Only the table's cutoff record branches on the name
-# itself. Callers look functions up on the module at call time, so wrappers
-# installed on the module attribute see every call.
+# reads), observation_index, build_system, readers (noiseless_rhs, frame_rhs
+# and a noisy trial's unit_rows) and solve_system, and its METHODS. A built
+# system records its key as its domain; each module's readers and solver
+# refuse the other's systems. Only the table's cutoff record branches on the
+# name itself. Callers look functions up on the module at call time, so
+# wrappers installed on the module attribute see every call.
 DOMAIN_MODULES = {"spatial": spatial, "frequency": frequency}
 DOMAINS = tuple(DOMAIN_MODULES)
 
@@ -218,9 +218,11 @@ class ExperimentReport:
         return entries
 
 
-def _check_run_args(domain: str, trials: int, extra_ring: int) -> ModuleType:
+def _check_run_args(domain: str, trials: int, extra_ring: int, root_seed: int) -> ModuleType:
     """The domain's module, once the run's arguments are checked."""
     module = domain_module(domain)
+    if root_seed < 0:  # SeedSequence refuses it, with a bare ValueError
+        raise ParameterError(f"root_seed must be >= 0, got {root_seed}")
     if trials < 1:
         raise ParameterError(f"trials_per_size must be >= 1, got {trials}")
     if extra_ring < 0:
@@ -259,17 +261,25 @@ def roi_problem(
 
 
 def noisy_rhs(
-    system: LinearSystem, ideal: np.ndarray, seed: int, psnr_levels: Sequence[float]
+    system: LinearSystem, pixels: np.ndarray, seed: int, psnr_levels: Sequence[float]
 ) -> np.ndarray:
-    """The system's rows of ideal's blurred frame plus sigma_p * unit noise for
-    each level p, one row each, sigma_p pinned to the blurred frame's peak.
-    The readers are linear, so the domain's noisy_parts gives the peak, the
-    clean rows and the unit noise on the rows once, and every level is
-    clean + sigma_p * unit. The image domain reads its cells of the full-field
-    route (observe_field, noise_field) bit for bit; the transform domain draws
-    its entries' noise directly, in the exact law of a white field's transform.
+    """The system's rows of the ROI pixels' blurred frame plus sigma_p * unit
+    noise for each level p, sigma_p pinned to that frame's peak; one route
+    for both domains. The readers are linear, so every level is the
+    noiseless_rhs rows plus sigma_p times the domain's unit_rows, drawn on
+    the rows directly in the law of a white unit field read there. The peak
+    is observe_field_at on the pixels' frame, the full blur's max bit for bit.
+
+    Raises:
+        ShapeError: pixels is not one value per ROI cell.
+        ParameterError: pixels hold NaN or Inf, or the system has no transfer spec.
+        DegenerateInputError: the blurred frame has no positive peak.
     """
-    peak, clean, unit = domain_module(system.domain).noisy_parts(system, ideal, seed)
+    module = domain_module(system.domain)
+    frame = scatter_roi(pixels, system.roi, *system.field_shape)
+    peak = observe_field_at(frame, system.require_spec())
+    clean = module.noiseless_rhs(system, pixels)
+    unit = module.unit_rows(system, peak, seed)
     sigmas = [NoiseSpec(p, seed).sigma(peak) for p in psnr_levels]
     return clean + np.multiply.outer(sigmas, unit)
 
@@ -327,8 +337,8 @@ def _run_size(
 
     The system is built once for the size. Trials run outside and levels
     inside: a noiseless level evaluates only what the system reads. The noisy
-    levels of a trial share one noisy_rhs call, which reads its clean rows
-    and unit noise once, on the system's rows only.
+    levels of a trial share one noisy_rhs call on its pixels, which forms
+    them from the same noiseless rows plus one unit draw on the system's rows.
     """
     size = roi.k_rows
     out: list[list[TrialResult]] = [[] for _ in levels]
@@ -354,8 +364,8 @@ def _run_size(
             continue
         try:
             rhs_levels = noisy_rhs(
-                system, scatter_roi(pixels, roi, *field_shape),
-                noise_stream_seed(root_seed, size, trial), [levels[i] for i in noisy],
+                system, pixels, noise_stream_seed(root_seed, size, trial),
+                [levels[i] for i in noisy],
             )
         except RoiSolveError as exc:
             for i in noisy:
@@ -395,16 +405,16 @@ def run_table_experiment(
 
     Every trial of a size shares one system (matrix and condition estimate).
     Noiseless trials evaluate only the observations the system reads; noisy
-    ones (finite noise_psnr_db) pin the noise to the blurred frame's peak,
-    found from a few columns, and read the noise only on the system's rows
-    (noisy_rhs).
+    ones (finite noise_psnr_db) add to those same rows unit noise drawn on
+    the rows alone, scaled to the blurred frame's peak, which is found from
+    a few columns (noisy_rhs).
     noise_psnr_db=inf runs noiseless; NaN and -inf raise
-    ParameterError.
+    ParameterError, and so does a negative root_seed, before any draw.
 
     Trials that raise a solver error are recorded with the message instead of
     metrics; nothing is retried or resampled.
     """
-    module = _check_run_args(domain, trials_per_size, extra_ring)
+    module = _check_run_args(domain, trials_per_size, extra_ring, root_seed)
     if noise_psnr_db is not None:
         NoiseSpec(noise_psnr_db, root_seed)  # refuses NaN and -inf before any trial
     rows, cols = int(field_shape[0]), int(field_shape[1])
@@ -482,9 +492,12 @@ def make_test_sample(rows: int, cols: int, seed: int = 0) -> np.ndarray:
     """A deterministic structured sample: gradients, a disk, a bar, texture.
 
     Values land in [0, 256). Useful as ground truth for scan experiments.
+    ParameterError for a sample under 1x1 or a negative seed.
     """
     if rows < 1 or cols < 1:
         raise ParameterError(f"sample must be at least 1x1, got {rows}x{cols}")
+    if seed < 0:  # default_rng refuses it, with a bare ValueError
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     yy, xx = np.indices((rows, cols), dtype=float)
     img = 40.0 + 60.0 * (xx / max(cols - 1, 1)) + 40.0 * (yy / max(rows - 1, 1))
@@ -645,8 +658,9 @@ def noise_sweep(
     a noiseless baseline; every point equals run_table_experiment at that
     level. The same trial draws (pixels and noise shape) are reused across
     levels, so curves differ only by the noise amplitude. Each trial reads
-    its peak, clean rows and unit noise once, on the system's rows only, and
-    forms every level from them (noisy_rhs).
+    its noiseless rows, its peak and one unit draw on the system's rows
+    once, and forms every level from them (noisy_rhs). A negative root_seed
+    raises ParameterError before any draw.
     The default ring-augmented least-squares setup keeps the noiseless
     baseline under the threshold so a crossing exists to report.
     """
@@ -657,7 +671,7 @@ def noise_sweep(
         raise ParameterError("psnr_grid must contain finite dB values")
     if not domains or len(set(domains)) != len(domains):
         raise ParameterError(f"domains must name at least one domain, each once; got {domains}")
-    modules = [_check_run_args(domain, trials_per_level, extra_ring) for domain in domains]
+    modules = [_check_run_args(d, trials_per_level, extra_ring, root_seed) for d in domains]
     rows, cols = int(field_shape[0]), int(field_shape[1])
     roi = centered_roi(rows, cols, roi_size, roi_size)  # refuses a misfit before any draw
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError, ShapeError, SingularSystemError
-from .forward import observe_field_at, observe_spatial_at, unit_noise
+from .forward import observe_spatial_at, unit_noise
 from .grid import RoiSpec
 from .linear import LinearSystem, Solution, fill_rows, finite_condition, solve
 from .optics import OtfSpec, PsfKernel, build_psf
@@ -180,19 +180,13 @@ def frame_rhs(system: LinearSystem, frame: np.ndarray) -> np.ndarray:
     return system.require_frame(frame)[idx[:, 0], idx[:, 1]]
 
 
-def noisy_parts(
-    system: LinearSystem, ideal: np.ndarray, seed: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(peak, clean, unit) of a noisy trial of an ideal frame on the system's
-    field: the blurred frame's peak and its values at the system's cells
-    (observe_field_at, bit for bit), and the unit field noise_field would draw
-    for it, read there from a draw that stops at the last cell read row-major
-    (unit_noise)."""
+def unit_rows(system: LinearSystem, peak: float, seed: int) -> np.ndarray:
+    """Unit noise at the system's cells for a blurred frame of that peak, in
+    the law of a white unit field read there: one unit_noise draw per
+    distinct cell, in row-major order, so a cell listed twice reads one draw."""
     idx = system.require_domain("spatial").obs_index
-    spec = system.require_spec()
-    peak, clean = observe_field_at(system.require_frame(ideal), spec, idx)
-    flat = idx[:, 0] * spec.shape[1] + idx[:, 1]
-    return peak, clean, unit_noise(peak, seed, int(flat.max()) + 1)[flat]
+    cells, at = np.unique(idx[:, 0] * system.field_shape[1] + idx[:, 1], return_inverse=True)
+    return unit_noise(peak, seed, cells.size)[at]
 
 
 def solve_system(

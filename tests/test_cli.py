@@ -113,6 +113,29 @@ def test_reversed_sizes_piece_exits_2(tmp_path, by_config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, entries",
+    [
+        (["table", "--domain", "spatial", "--seed", "-1"], {}),
+        (["noise", "--domains", "spatial", "--seed", "-3"], {}),
+        (["scan", "--sample", "24x24", "--sample-seed", "-1"], {}),
+        (["table", "--domain", "spatial"], {"seed": "-5"}),
+    ],
+)
+def test_a_negative_seed_exits_2(tmp_path, argv, entries):
+    # numpy's seeding refuses one with a bare ValueError: exit 1 and a traceback
+    out = tmp_path / "out"
+    argv = [*argv, "--trials", "1", *SMALL_ARGS] if argv[0] != "scan" else [*argv, "--cutoff", "10"]
+    argv += ["--out", str(out)]
+    if entries:
+        write_manifest(tmp_path / "run.cfg", entries)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    code, _, err = _run(argv)
+    assert code == 2
+    assert "must be >= 0, got -" in err
+    assert not out.exists()
+
+
 # an ROI of 20000^2 pixels: drawing its pixels for the threshold would raise
 # MemoryError under the cap before the ROI is checked against the field
 _NOISE_ROI_BOUND_SCRIPT = """

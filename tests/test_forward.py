@@ -154,8 +154,9 @@ def _noise_workload_draw_length():
 @pytest.mark.parametrize("seed", [77, noise_stream_seed(12345, 3, 0)])
 @pytest.mark.parametrize("n", [1, 1000, "noise workload"])
 def test_noise_draw_is_prefix_consistent(seed, n):
-    # a draw that stops early may stand in for the full field only while the
-    # generator's normal stream is sequential: a short draw is a prefix of it
+    # unit_noise's n draws are the first n values of noise_field's field only
+    # while the generator's normal stream is sequential: a short draw is a
+    # prefix of it
     if n == "noise workload":
         n = _noise_workload_draw_length()
     _, unit = noise_field(np.ones((768, 768)), seed)
@@ -165,7 +166,7 @@ def test_noise_draw_is_prefix_consistent(seed, n):
 
 @pytest.mark.parametrize("seed", [77, noise_stream_seed(12345, 3, 0)])
 def test_unit_noise_read_at_cells_is_the_noise_field_there(seed):
-    # the image domain's noisy route: draw through the last cell, read the cells
+    # a draw through the last cell, read at the cells, is the field there
     shape = (97, 130)
     _, unit = noise_field(np.ones(shape), seed)
     cells = observation_index(RoiSpec(40, 127, 3, 3), shape, 2)
@@ -245,16 +246,15 @@ def test_unit_spectrum_noise_follows_the_white_field_law(shape):
     k_rows=st.integers(1, 4),
     l_cols=st.integers(1, 4),
     corner=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-    ring=st.integers(0, 3),
     pixels=st.sampled_from(["positive", "signed", "negative", "dark"]),
     seed=st.integers(0, 2**16),
 )
 def test_observe_field_at_is_the_full_blur_at_its_peak_and_cells(
-    rows, cols, cutoff_share, gain, k_rows, l_cols, corner, ring, pixels, seed
+    rows, cols, cutoff_share, gain, k_rows, l_cols, corner, pixels, seed
 ):
     # odd and non-square fields, cutoffs from 0.5 to just below Nyquist, ROIs
-    # anywhere up to the border with the ring clipped there, and frames whose
-    # blurred peak is negative or zero (every column is then computed)
+    # anywhere up to the border, and frames whose blurred peak is negative or
+    # zero (every column is then computed); the peak is all it returns
     k_rows, l_cols = min(k_rows, rows), min(l_cols, cols)
     limit = min(rows, cols) / 2.0
     cutoff = 0.5 + cutoff_share * (limit - 0.5 - 1e-9)
@@ -265,21 +265,14 @@ def test_observe_field_at_is_the_full_blur_at_its_peak_and_cells(
                  "dark": (0, 0)}[pixels]
     values = np.random.default_rng(seed).uniform(low, high, roi.pixel_count)
     ideal = scatter_roi(values, roi, rows, cols)
-    cells = observation_index(roi, (rows, cols), ring)
-    full = observe_field(ideal, spec)
-    peak, got = observe_field_at(ideal, spec, cells)
-    assert np.float64(peak).tobytes() == full.max().tobytes()
-    assert got.tobytes() == full[cells[:, 0], cells[:, 1]].tobytes()
-    # the transform domain's noisy trials ask for the peak alone
-    alone, none = observe_field_at(ideal, spec, np.empty((0, 2), int))
-    assert np.float64(alone).tobytes() == full.max().tobytes() and none.size == 0
+    peak = observe_field_at(ideal, spec)
+    assert np.float64(peak).tobytes() == observe_field(ideal, spec).max().tobytes()
 
 
 def test_observe_field_at_transforms_a_few_columns_at_the_papers_setup(monkeypatch, rng):
     spec = OtfSpec(768, 768, 6.0)
     roi = centered_roi(768, 768, 3, 3)
     ideal = scatter_roi(rng.uniform(0, 256, 9), roi, 768, 768)
-    cells = observation_index(roi, (768, 768), 2)
     want = observe_field(ideal, spec).max()
     inverted = []
     inverse_columns = forward._inverse_columns
@@ -290,19 +283,9 @@ def test_observe_field_at_transforms_a_few_columns_at_the_papers_setup(monkeypat
         return out
 
     monkeypatch.setattr(forward, "_inverse_columns", counting)
-    peak, _ = observe_field_at(ideal, spec, cells)
-    assert peak == want
-    # the 7 columns of the cells and the few the bounds cannot rule out
-    assert 7 <= sum(inverted) <= 16
-
-
-@pytest.mark.parametrize("cells", [np.zeros((3,), int), np.array([[0, 48]]),
-                                   np.array([[-1, 0]])])
-def test_observe_field_at_refuses_cells_off_the_field(small_spec, cells):
-    frame = np.zeros((48, 48))
-    frame[20, 20] = 1.0
-    with pytest.raises(ShapeError):
-        observe_field_at(frame, small_spec, cells)
+    assert observe_field_at(ideal, spec) == want
+    # the column of largest bound and the few the bounds cannot rule out
+    assert 1 <= sum(inverted) <= 16
 
 
 # Sparse evaluators against the full-FFT oracle: the paper's 768x768 field at
@@ -432,7 +415,7 @@ def test_full_field_blurs_refuse_a_non_finite_value_alone_in_a_dark_row(small_sp
     with pytest.raises(ParameterError, match="NaN or Inf"):
         observe_field(frame, small_spec)
     with pytest.raises(ParameterError, match="NaN or Inf"):
-        observe_field_at(frame, small_spec, np.array([[20, 20]]))
+        observe_field_at(frame, small_spec)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -16,13 +16,7 @@ from roisolve.errors import (
     ShapeError,
     SingularSystemError,
 )
-from roisolve.forward import (
-    NoiseSpec,
-    noise_field,
-    observe_field,
-    observe_spatial,
-    unit_spectrum_noise,
-)
+from roisolve.forward import NoiseSpec, observe_field, observe_field_at, observe_spatial
 from roisolve.grid import RoiSpec, centered_roi, scatter_roi
 from roisolve.optics import OtfSpec, PsfKernel, build_psf
 from roisolve.pipeline import (
@@ -485,11 +479,10 @@ def test_sweep_every_point_matches_table_run(small_sweep, domain):
 @pytest.mark.parametrize("domain", DOMAINS)
 @pytest.mark.parametrize("shape, cutoff", [((48, 48), 10.0), ((768, 768), 6.0)])
 def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
-    # both readers are linear, so noisy_rhs reads clean and unit once and
-    # forms every level on the system's rows (the image domain from a few
-    # columns and a prefix draw); the reference blurs and draws the full
-    # field and reads each level's frame clean + sigma * unit, as add_noise
-    # forms it
+    # one route in both domains: each level is the noiseless rows plus sigma
+    # times the domain's unit draw on the rows, sigma pinned to the full
+    # blur's peak (bit for bit); the noiseless rows are the full blur's rows
+    # to rounding, and an infinite level reads them byte for byte
     module = DOMAIN_MODULES[domain]
     rows, cols = shape
     size, ring = 3, 2
@@ -498,77 +491,38 @@ def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
     blur = build_psf(spec, 2 * (size + ring) + 1) if domain == "spatial" else spec
     system = roi_problem(domain, roi, shape, blur, ring)
     pixels = np.random.default_rng(5).uniform(0.0, 256.0, size * size)
-    ideal = scatter_roi(pixels, roi, rows, cols)
-    clean = observe_field(ideal, system.spec)
-    if domain == "frequency":
-        _assert_passband_noisy_rhs(system, ideal, clean)
-        return
-    peak, unit = noise_field(clean, seed=9)
-    sigmas = [NoiseSpec(db, 9).sigma(peak) for db in DEFAULT_PSNR_GRID]
-    got = noisy_rhs(system, ideal, 9, DEFAULT_PSNR_GRID)
-    assert got.shape == (len(sigmas), system.obs_index.shape[0])
-    for db, row, sigma in zip(DEFAULT_PSNR_GRID, got, sigmas):
-        want = module.frame_rhs(system, clean + sigma * unit)
-        assert row.tobytes() == want.tobytes(), db
-
-
-def _assert_passband_noisy_rhs(system, ideal, blurred):
-    # the transform domain draws its own unit noise on the entries it reads
-    # (unit_spectrum_noise), so only the peak and the clean entries follow
-    # the full-field route: the peak bit for bit, the entries to rounding
-    peak, clean, unit = frequency.noisy_parts(system, ideal, 9)
+    blurred = observe_field(scatter_roi(pixels, roi, rows, cols), system.spec)
+    peak = observe_field_at(scatter_roi(pixels, roi, rows, cols), system.spec)
     assert np.float64(peak).tobytes() == blurred.max().tobytes()
-    want = frequency.frame_rhs(system, blurred)
+    clean = module.noiseless_rhs(system, pixels)
+    want = module.frame_rhs(system, blurred)
     assert np.abs(clean - want).max() <= 1e-12 * np.abs(want).max()
-    drawn = unit_spectrum_noise(peak, 9, system.obs_index, system.field_shape)
-    assert unit.tobytes() == drawn.tobytes()
-    # every level scales the one unit vector
-    got = noisy_rhs(system, ideal, 9, DEFAULT_PSNR_GRID)
-    assert got.shape == (len(DEFAULT_PSNR_GRID), system.obs_index.shape[0])
-    for db, row in zip(DEFAULT_PSNR_GRID, got):
+    unit = module.unit_rows(system, peak, 9)
+    levels = (math.inf,) + DEFAULT_PSNR_GRID
+    got = noisy_rhs(system, pixels, 9, levels)
+    assert got.shape == (len(levels), system.obs_index.shape[0])
+    assert got[0].tobytes() == clean.tobytes()
+    for db, row in zip(levels, got):
         assert row.tobytes() == (clean + NoiseSpec(db, 9).sigma(peak) * unit).tobytes(), db
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_noisy_rhs_refuses_what_has_no_noisy_rows(domain, small_psf, small_spec):
+    system = _small_system(domain, small_psf, small_spec)
+    pixels = np.full(9, 100.0)
+    with pytest.raises(ShapeError, match="does not match ROI pixel count"):
+        noisy_rhs(system, pixels[:-1], 9, (80.0,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="NaN or Inf"):
+            noisy_rhs(system, np.where(np.arange(9) == 4, bad, pixels), 9, (80.0,))
     with pytest.raises(DegenerateInputError, match="no positive peak"):
-        noisy_rhs(system, np.zeros_like(ideal), 9, (80.0,))
-    lit_nan = ideal.copy()
-    lit_nan[0, 0] = np.nan
-    with pytest.raises(ParameterError, match="NaN or Inf"):
-        noisy_rhs(system, lit_nan, 9, (80.0,))
-    with pytest.raises(ShapeError, match="not 2-D on the field"):
-        noisy_rhs(system, ideal[:-1], 9, (80.0,))
-    # the clean entries come from the ROI's pixels, so light elsewhere is
-    # refused, in a row of the ROI or outside them
-    for cell in ((system.roi.top, system.roi.left - 1), (0, system.roi.left)):
-        stray = ideal.copy()
-        stray[cell] = 1.0
-        with pytest.raises(ParameterError, match="light outside the system's ROI"):
-            noisy_rhs(system, stray, 9, (80.0,))
-
-
-def _full_field_noisy_rhs(system, ideal, seed, psnr_levels):
-    """noisy_rhs's oracle: blur and draw the whole frame, read each level's frame."""
-    clean = observe_field(ideal, system.spec)
-    peak, unit = noise_field(clean, seed)
-    frame_rhs = DOMAIN_MODULES[system.domain].frame_rhs
-    return [frame_rhs(system, clean + NoiseSpec(p, seed).sigma(peak) * unit) for p in psnr_levels]
-
-
-@pytest.mark.parametrize(
-    "field", [SMALL, dict(field_shape=(768, 768), cutoff_radius=6.0, psf_crop=501)]
-)
-def test_image_domain_noisy_reports_match_the_full_field_route(field, monkeypatch):
-    # repr round-trips every float, so equal reprs are equal bytes
-    def runs():
-        sweep = noise_sweep(trials_per_level=2, root_seed=31, domains=("spatial",), **field)
-        tables = [
-            run_table_experiment("spatial", sizes=(2, 3, 4), trials_per_size=2, root_seed=31,
-                                 extra_ring=ring, noise_psnr_db=120.0, **field)
-            for ring in (0, 2)
-        ]
-        return repr(sweep.points), [repr(table.trials) for table in tables]
-
-    got = runs()
-    monkeypatch.setattr(pipeline, "noisy_rhs", _full_field_noisy_rhs)
-    assert runs() == got
+        noisy_rhs(system, np.zeros(9), 9, (80.0,))
+    if domain == "spatial":
+        # a kernel read from a file has no transfer spec to blur the frame with
+        file_kernel = PsfKernel(grid=small_psf.grid, spec=None)
+        system = roi_problem("spatial", system.roi, (48, 48), file_kernel, 1)
+        with pytest.raises(ParameterError, match="no transfer spec"):
+            noisy_rhs(system, pixels, 9, (80.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +549,7 @@ def test_every_entry_point_refuses_an_unknown_domain(small_psf):
 
 # what pipeline looks up on a domain module
 DOMAIN_INTERFACE = ("simulated_blur", "observation_index", "build_system", "noiseless_rhs",
-                    "noisy_parts", "frame_rhs", "solve_system")
+                    "unit_rows", "frame_rhs", "solve_system")
 
 
 def test_domain_modules_share_one_interface(small_spec):
@@ -642,13 +596,13 @@ def test_each_domain_refuses_the_other_domains_blur(small_psf, small_spec):
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
-@pytest.mark.parametrize("reader", ["noiseless_rhs", "noisy_parts", "frame_rhs", "solve_system"])
+@pytest.mark.parametrize("reader", ["noiseless_rhs", "unit_rows", "frame_rhs", "solve_system"])
 def test_each_domain_refuses_the_other_domains_system(domain, reader, small_psf, small_spec):
     # a system names its domain; reading or solving it in the other domain
     # would compute numbers from indices and a matrix of the wrong kind
     (other,) = set(DOMAINS) - {domain}
     system = _small_system(other, small_psf, small_spec, ring=0)
-    args = {"noiseless_rhs": (np.ones(9),), "noisy_parts": (np.ones((48, 48)), 7),
+    args = {"noiseless_rhs": (np.ones(9),), "unit_rows": (1.0, 7),
             "frame_rhs": (np.ones((48, 48)),), "solve_system": (np.ones(9),)}[reader]
     with pytest.raises(ParameterError, match=f"a {other}-domain system given to the {domain}"):
         getattr(DOMAIN_MODULES[domain], reader)(system, *args)
@@ -694,6 +648,17 @@ def test_table_records_an_exactly_singular_system_as_failed_trials():
     )
     assert report.summaries()[3].failed == 2
     assert all(t.error.startswith("SingularSystemError") for t in report.trials)
+
+
+def test_a_negative_seed_is_refused_before_any_draw():
+    # numpy's seeding refuses one with a bare ValueError
+    with pytest.raises(ParameterError, match="root_seed must be >= 0, got -1"):
+        run_table_experiment("spatial", sizes=(2,), trials_per_size=1, root_seed=-1, **SMALL)
+    with pytest.raises(ParameterError, match="root_seed must be >= 0, got -1"):
+        noise_sweep(roi_size=2, psnr_grid=(80.0,), trials_per_level=1, root_seed=-1,
+                    domains=("frequency",), **SMALL)
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        make_test_sample(6, 6, seed=-1)
 
 
 def test_table_refuses_minus_infinite_noise():

@@ -1,10 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roisolve.errors import BoundsError, ParameterError, ShapeError, SingularSystemError
-from roisolve.forward import observe_spatial
+from roisolve.errors import (
+    BoundsError,
+    DegenerateInputError,
+    ParameterError,
+    ShapeError,
+    SingularSystemError,
+)
+from roisolve.forward import observe_spatial, unit_noise
 from roisolve.grid import RoiSpec, scatter_roi
 from roisolve.linear import LinearSystem
 from roisolve.optics import OtfSpec, build_psf, passband_box
@@ -15,6 +23,7 @@ from roisolve.spatial import (
     solve_system,
     solve_two_point_1d,
     system_matrix,
+    unit_rows,
 )
 
 
@@ -335,3 +344,28 @@ def test_an_infinite_condition_estimate_is_a_singular_system():
         build_system((48, 48), roi, roi.cells(), psf)
     system = build_system((48, 48), roi, roi.cells(), psf, estimate_condition=False)
     assert np.isnan(system.condition_estimate)
+
+
+# ---------------------------------------------------------------------------
+# a noisy trial's unit noise
+
+def test_unit_rows_draws_one_normal_per_distinct_cell(small_psf):
+    # a white unit field read at the cells: the distinct cells take
+    # unit_noise's draws in row-major order, and a cell listed twice (here
+    # the ring listed backwards after the ROI and four cells again) reads its
+    # one draw; the peak only gates the draw
+    roi = RoiSpec(20, 20, 3, 3)
+    idx = observation_index(roi, (48, 48), 1)
+    listed = np.vstack([idx[:9], idx[:8:-1], idx[[0, 12, 3, 20]]])
+    system = build_system((48, 48), roi, listed, small_psf, estimate_condition=False)
+    got = unit_rows(system, 2.5, 11)
+    distinct = sorted({(int(r), int(c)) for r, c in listed})
+    drawn = unit_noise(2.5, 11, len(distinct))
+    want = drawn[[distinct.index((int(r), int(c))) for r, c in listed]]
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == unit_rows(system, 1e-300, 11).tobytes()
+    assert unit_rows(system, 2.5, 12).tobytes() != got.tobytes()
+    for peak in (0.0, -1.0, math.nan):
+        with pytest.raises(DegenerateInputError, match="no positive peak"):
+            unit_rows(system, peak, 11)
+
