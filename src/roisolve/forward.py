@@ -10,7 +10,8 @@ so a spectrum and its image are linked by image = real(ifft2(Y)) * M * N.
 Two routes evaluate the model. The full-field route blurs a whole frame
 with pruned 1-D transforms in np.fft's own axis order (observe_field,
 bit-identical to the whole-frame 2-D FFT expression; observe_spatial on a
-kernel's transfer spec; observe_field_at its peak from a few columns), and
+kernel's transfer spec; observe_field_at an isolated ROI's peak from its
+rows and a few columns), and
 noise_field draws the unit field add_noise scales to its peak. The sparse
 route evaluates only what a system reads, as products of 1-D twiddle
 matrices: observe_spatial_at the given cells, observe_spectrum_block and
@@ -26,12 +27,12 @@ the whole-frame functions the tests use as oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, ShapeError
-from .grid import RoiSpec
+from .grid import RoiSpec, scatter_roi
 from .optics import _LINE_BATCH, OtfSpec, PsfKernel, in_passband, passband_box
 
 _PEAK_BOUND_MARGIN = 1e-9  # relative, on observe_field_at's column bounds
@@ -75,22 +76,17 @@ def _field_cells(cells: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return cells
 
 
-def _band(ideal: np.ndarray, spec: OtfSpec) -> tuple[np.ndarray, np.ndarray]:
-    """observe_field but its last stage: its passband rows and their indices."""
-    arr = np.asarray(ideal, dtype=float)
-    if arr.ndim != 2:
-        raise ShapeError(f"ideal frame must be 2D, got ndim={arr.ndim}")
-    if arr.shape != spec.shape:
-        raise ShapeError(f"ideal frame shape {arr.shape} does not match the field {spec.shape}")
+def _band(lines: np.ndarray, lit: np.ndarray, spec: OtfSpec) -> tuple[np.ndarray, np.ndarray]:
+    """observe_field but its last stage, of a frame dark but for the given
+    full-width lines at rows lit: its passband rows and their indices.
+    ParameterError if a line holds NaN or Inf."""
     rows, cols = spec.shape
     freqs, gain = passband_box(spec)
     band_rows, band_cols = freqs % rows, freqs % cols
-    # NaN and Inf are nonzero, so they light their row
-    lit = np.flatnonzero(arr.any(axis=1))
-    _check_finite(arr[lit], "ideal frame")
+    _check_finite(lines, "ideal frame")
     # a dark row transforms to zeros
     columns = np.zeros((rows, freqs.size), dtype=np.complex128)
-    columns[lit] = np.fft.fft(arr[lit], axis=-1)[:, band_cols]
+    columns[lit] = np.fft.fft(lines, axis=-1)[:, band_cols]
     band = np.zeros((freqs.size, cols), dtype=np.complex128)
     band[:, band_cols] = np.fft.fft(columns, axis=0)[band_rows] * gain
     return np.fft.ifft(band, axis=-1), band_rows
@@ -125,22 +121,39 @@ def observe_field(ideal: np.ndarray, spec: OtfSpec) -> np.ndarray:
         ShapeError: the frame is not 2D on spec's field.
         ParameterError: the frame holds NaN or Inf.
     """
-    band, band_rows = _band(ideal, spec)
+    arr = np.asarray(ideal, dtype=float)
+    if arr.ndim != 2:
+        raise ShapeError(f"ideal frame must be 2D, got ndim={arr.ndim}")
+    if arr.shape != spec.shape:
+        raise ShapeError(f"ideal frame shape {arr.shape} does not match the field {spec.shape}")
+    # NaN and Inf are nonzero, so they light their row
+    lit = np.flatnonzero(arr.any(axis=1))
+    band, band_rows = _band(arr[lit], lit, spec)
     frame_t = _inverse_columns(band, band_rows, spec.shape[0], np.arange(spec.shape[1]))
     return frame_t.T.copy()
 
 
-def observe_field_at(ideal: np.ndarray, spec: OtfSpec) -> float:
-    """observe_field(ideal, spec).max(), bit for bit, with observe_field's
-    refusals, from a few columns of the blur.
+def observe_field_at(pixels: np.ndarray, roi: RoiSpec, spec: OtfSpec) -> float:
+    """observe_field(scatter_roi(pixels, roi, *spec.shape), spec).max(), bit
+    for bit, from the ROI's K rows and a few columns of the blur.
 
-    No value of column j exceeds sum(|band[:, j]|) / rows (times a margin far
-    above FFT rounding). From the column of largest bound, every column whose
-    bound reaches the best value so far is inverted until none is left; a
-    best value <= 0 inverts every column.
+    The K rows go into observe_field's first stage at full width, so every
+    transform sees the line it sees there. No value of column j exceeds
+    sum(|band[:, j]|) / rows (times a margin far above FFT rounding). From
+    the column of largest bound, every column whose bound reaches the best
+    value so far is inverted until none is left; a best value <= 0 inverts
+    every column.
+
+    Raises:
+        ShapeError: pixels is not one value per ROI cell.
+        BoundsError: the ROI does not fit spec's field.
+        ParameterError: pixels hold NaN or Inf.
     """
     rows, cols = spec.shape
-    band, band_rows = _band(ideal, spec)
+    roi.require_inside(rows, cols)
+    # the ROI's rows at full width: the pixels in a dark K x cols strip
+    lines = scatter_roi(pixels, replace(roi, top=0), roi.k_rows, cols)
+    band, band_rows = _band(lines, np.arange(roi.top, roi.top + roi.k_rows), spec)
     bound = np.abs(band).sum(axis=0) * ((1.0 + _PEAK_BOUND_MARGIN) / rows)
     done = np.zeros(cols, dtype=bool)
     todo = np.array([np.argmax(bound)])

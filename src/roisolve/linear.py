@@ -120,8 +120,9 @@ def _truncated_lstsq(a: np.ndarray, rhs: np.ndarray, rtol: float) -> np.ndarray:
     keep = s > rtol * s[0] if s.size else np.zeros(0, dtype=bool)
     if not keep.any():
         raise SingularSystemError("every singular value fell below the truncation floor")
-    coeff = (u[:, keep].conj().T @ rhs) / (s[keep] if rhs.ndim == 1 else s[keep, None])
-    return vt[keep].conj().T @ coeff
+    with np.errstate(over="ignore", invalid="ignore"):  # solve refuses NaN and Inf
+        coeff = (u[:, keep].conj().T @ rhs) / (s[keep] if rhs.ndim == 1 else s[keep, None])
+        return vt[keep].conj().T @ coeff
 
 
 def solve(
@@ -144,7 +145,8 @@ def solve(
     TRUNCATION_RTOL of the largest discarded).
 
     Raises:
-        ParameterError: method is not in methods, or A or y holds NaN or Inf.
+        ParameterError: method is not in methods, A or y holds NaN or Inf, or
+            the solution does (finite values that overflow the solve).
         ShapeError: rhs does not have one row per observation, or LU asked of
             a non-square system.
         SingularSystemError: LU found the matrix singular, or every singular
@@ -175,11 +177,14 @@ def solve(
         a_ls, y_ls = a, rhs
         if np.iscomplexobj(a):
             a_ls, y_ls = np.vstack([a.real, a.imag]), np.concatenate([rhs.real, rhs.imag])
-        with warnings.catch_warnings():
+        # overflow leaves NaN or Inf in z, refused below
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             z, _, _, _ = scipy.linalg.lstsq(a_ls, y_ls, lapack_driver="gelsd")
     else:
         z = _truncated_lstsq(a, rhs, TRUNCATION_RTOL)
+    if not np.isfinite(z).all():
+        raise ParameterError("solution holds NaN or Inf: the observations overflow the solve")
     scale = float(np.abs(z).max()) if z.size else 0.0
     leakage = float(np.abs(z.imag).max() / scale) if scale > 0 else 0.0
     x = z.real.copy()

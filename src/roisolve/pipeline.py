@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
 )
 from .forward import NoiseSpec, observe_field_at
-from .grid import RoiSpec, centered_roi, scatter_roi
+from .grid import RoiSpec, centered_roi
 from .linear import LinearSystem
 from .optics import OtfSpec, PsfKernel
 
@@ -86,30 +86,50 @@ def locate_roi(observed: np.ndarray, k_rows: int, l_cols: int) -> RoiSpec:
     the image peak and snaps a K x L box onto it (clamping at the borders).
     Good to about one cell for a region that is genuinely isolated.
 
+    Two passes read the whole image: the row maxima (the peak, and any NaN
+    or +inf) and the minimum (any -inf). Everything else reads only the
+    band of rows from the first to the last whose maximum clears the
+    threshold; the rows outside it weigh nothing. Row and column sums are
+    those of the whole image bit for bit; the total is summed over the band,
+    so the centroid may differ from a whole-image sum in its last bits.
+
     Raises:
         ShapeError: the image is not 2D.
-        ParameterError: the image holds NaN or Inf.
+        ParameterError: the image holds NaN or Inf, or its values are so
+            large that the total or the centroid overflows.
         BoundsError: a K x L box does not fit the image.
         NoSignalError: the image has no positive values to localize.
     """
     arr = np.asarray(observed, dtype=float)
     if arr.ndim != 2:
         raise ShapeError(f"observed image must be 2D, got ndim={arr.ndim}")
-    if not np.isfinite(arr).all():
-        raise ParameterError("observed image holds NaN or Inf; nothing can be located")
     rows, cols = arr.shape
+    # initial=0.0 leaves every positive maximum alone and lets an empty image
+    # through to the refusals below; NaN and Inf still propagate
+    row_max = arr.max(axis=1, initial=0.0)
+    peak = float(row_max.max(initial=0.0))
+    if not (math.isfinite(peak) and math.isfinite(arr.min(initial=0.0))):
+        raise ParameterError("observed image holds NaN or Inf; nothing can be located")
     if k_rows > rows or l_cols > cols:
         raise BoundsError(f"{k_rows}x{l_cols} region cannot fit a {rows}x{cols} image")
-    peak = float(arr.max())
     if peak <= 0:
         raise NoSignalError("image has no positive signal to localize")
-    weights = np.zeros_like(arr)
-    np.copyto(weights, arr, where=arr >= LOCATE_THRESHOLD * peak)
-    total = float(weights.sum())
-    if total <= 0:
-        raise NoSignalError("no cells cleared the localization threshold")
-    row_c = float(weights.sum(axis=1) @ np.arange(rows)) / total
-    col_c = float(weights.sum(axis=0) @ np.arange(cols)) / total
+    threshold = LOCATE_THRESHOLD * peak
+    lit = np.flatnonzero(row_max >= threshold)
+    r0, r1 = int(lit[0]), int(lit[-1]) + 1
+    part = arr[r0:r1]
+    weights = np.where(part >= threshold, part, 0.0)
+    row_sums = np.zeros(rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        row_sums[r0:r1] = weights.sum(axis=1)
+        total = float(weights.sum())
+        row_c = float(row_sums @ np.arange(rows)) / total
+        col_c = float(weights.sum(axis=0) @ np.arange(cols)) / total
+    if not (math.isfinite(total) and math.isfinite(row_c) and math.isfinite(col_c)):
+        raise ParameterError(
+            f"observed image values up to {peak:.6g} overflow the centroid; "
+            "nothing can be located"
+        )
     top = int(np.floor(row_c - (k_rows - 1) / 2.0 + 0.5))
     left = int(np.floor(col_c - (l_cols - 1) / 2.0 + 0.5))
     top = min(max(top, 0), rows - k_rows)
@@ -268,7 +288,8 @@ def noisy_rhs(
     for both domains. The readers are linear, so every level is the
     noiseless_rhs rows plus sigma_p times the domain's unit_rows, drawn on
     the rows directly in the law of a white unit field read there. The peak
-    is observe_field_at on the pixels' frame, the full blur's max bit for bit.
+    is observe_field_at on the pixels, the full blur's max bit for bit,
+    without a full frame.
 
     Raises:
         ShapeError: pixels is not one value per ROI cell.
@@ -276,8 +297,7 @@ def noisy_rhs(
         DegenerateInputError: the blurred frame has no positive peak.
     """
     module = domain_module(system.domain)
-    frame = scatter_roi(pixels, system.roi, *system.field_shape)
-    peak = observe_field_at(frame, system.require_spec())
+    peak = observe_field_at(pixels, system.roi, system.require_spec())
     clean = module.noiseless_rhs(system, pixels)
     unit = module.unit_rows(system, peak, seed)
     sigmas = [NoiseSpec(p, seed).sigma(peak) for p in psnr_levels]

@@ -589,6 +589,29 @@ def test_recover_non_finite_frame_exits_3(tmp_path, fill, cell, extra):
     assert not (out / "recover_manifest.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "value, extra, message",
+    [
+        (1e307, [], "overflow the centroid"),
+        (1.7e308, [], "overflow the centroid"),
+        (1.7e308, ["--roi", "10,10", "--domain", "spatial"], "solution holds NaN or Inf"),
+    ],
+)
+def test_recover_refuses_finite_values_that_overflow(tmp_path, capsys, value, extra, message):
+    # located, the centroid overflows; anchored, the image-domain solve does
+    frame = np.zeros((32, 32))
+    frame[10:13, 10:13] = value
+    path = tmp_path / "frame.raw"
+    write_raw_matrix(path, frame)
+    out = tmp_path / "rec"
+    rc = main(["recover", "--observed", str(path), "--size", "3x3", "--cutoff", "10", *extra,
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "Warning" not in err
+    assert not out.exists()
+
+
 def test_recover_non_finite_kernel_file_exits_2(tmp_path, observed_file, small_psf):
     path, roi, _ = observed_file
     grid = small_psf.grid.copy()
@@ -665,8 +688,9 @@ _PROPERTY_FIELD = (24, 24)
 
 @pytest.fixture(scope="module")
 def property_files(tmp_path_factory):
-    """Small frames (an isolated blurred ROI, an all-negative one, noise) and
-    kernel files for the recover property test."""
+    """Small frames (an isolated blurred ROI, the same scaled up to 1e307 and
+    1.7e308, an all-negative one, noise) and kernel files for the recover
+    property test."""
     root = tmp_path_factory.mktemp("recover-property")
     psf = build_psf(OtfSpec(*_PROPERTY_FIELD, 5.0), 23)
     roi = RoiSpec(10, 11, 3, 2)
@@ -678,6 +702,9 @@ def property_files(tmp_path_factory):
         "isolated": isolated,
         "negative": -1.0 - np.random.default_rng(3).uniform(0.0, 5.0, _PROPERTY_FIELD),
         "noise": np.random.default_rng(4).uniform(-1.0, 1.0, _PROPERTY_FIELD),
+        # finite, but large enough to overflow the centroid or the solve
+        "huge": isolated / isolated.max() * 1e307,
+        "largest": isolated / isolated.max() * 1.7e308,
     }
     kernels = {"built": psf.grid, "small": psf.grid[9:14, 9:14], "flat": np.full((5, 5), 7.0)}
     paths = {}

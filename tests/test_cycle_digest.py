@@ -111,3 +111,27 @@ def test_scan_field_workload_hashes_both_domains_once(tool):
     assert digests["scan-field/spatial/exit"] == tool._hash(b"0")
     assert digests["scan-field/frequency/exit"] == tool._hash(b"2")
     assert tool.digest(["scan-field"], []) == digests
+
+
+def test_located_workload_hashes_every_frame_at_each_seed(tool):
+    # recover without --roi on border and non-square ROIs, and on finite
+    # frames whose centroid overflows (refused, exit 2, nothing written)
+    assert "located" in tool.WORKLOADS
+    digests = tool.digest(["located"], [205, 111])
+    solved = ("exit", "stdout", "stderr", "recovered.raw", "recovered.pgm",
+              "recover_manifest.txt")
+    assert set(digests) == (
+        {f"located/{seed}/{name}/{what}"
+         for seed in (205, 111) for name in tool.LOCATED_FRAMES for what in solved}
+        | {f"located/{seed}/{name}/{what}"
+           for seed in (205, 111) for name in tool.LOCATED_HUGE for what in solved[:3]}
+    )
+    assert {digests[f"located/{seed}/{name}/exit"]
+            for seed in (205, 111) for name in tool.LOCATED_FRAMES} == {tool._hash(b"0")}
+    assert {digests[f"located/{seed}/{name}/exit"]
+            for seed in (205, 111) for name in tool.LOCATED_HUGE} == {tool._hash(b"2")}
+    assert (digests["located/205/right-3x4/recovered.raw"]
+            != digests["located/111/right-3x4/recovered.raw"])
+    assert tool.digest(["located"], [205]) == {
+        key: value for key, value in digests.items() if key.startswith("located/205/")
+    }

@@ -264,16 +264,16 @@ def test_observe_field_at_is_the_full_blur_at_its_peak_and_cells(
     low, high = {"positive": (0, 256), "signed": (-256, 256), "negative": (-256, -1),
                  "dark": (0, 0)}[pixels]
     values = np.random.default_rng(seed).uniform(low, high, roi.pixel_count)
-    ideal = scatter_roi(values, roi, rows, cols)
-    peak = observe_field_at(ideal, spec)
-    assert np.float64(peak).tobytes() == observe_field(ideal, spec).max().tobytes()
+    peak = observe_field_at(values, roi, spec)
+    want = observe_field(scatter_roi(values, roi, rows, cols), spec).max()
+    assert np.float64(peak).tobytes() == want.tobytes()
 
 
 def test_observe_field_at_transforms_a_few_columns_at_the_papers_setup(monkeypatch, rng):
     spec = OtfSpec(768, 768, 6.0)
     roi = centered_roi(768, 768, 3, 3)
-    ideal = scatter_roi(rng.uniform(0, 256, 9), roi, 768, 768)
-    want = observe_field(ideal, spec).max()
+    pixels = rng.uniform(0, 256, 9)
+    want = observe_field(scatter_roi(pixels, roi, 768, 768), spec).max()
     inverted = []
     inverse_columns = forward._inverse_columns
 
@@ -283,9 +283,16 @@ def test_observe_field_at_transforms_a_few_columns_at_the_papers_setup(monkeypat
         return out
 
     monkeypatch.setattr(forward, "_inverse_columns", counting)
-    assert observe_field_at(ideal, spec) == want
+    assert observe_field_at(pixels, roi, spec) == want
     # the column of largest bound and the few the bounds cannot rule out
     assert 1 <= sum(inverted) <= 16
+
+
+def test_observe_field_at_refuses_pixels_that_do_not_fill_their_roi(small_spec):
+    with pytest.raises(ShapeError, match="does not match ROI pixel count"):
+        observe_field_at(np.ones(8), RoiSpec(20, 20, 3, 3), small_spec)
+    with pytest.raises(BoundsError, match="does not fit"):
+        observe_field_at(np.ones(9), RoiSpec(46, 20, 3, 3), small_spec)
 
 
 # Sparse evaluators against the full-FFT oracle: the paper's 768x768 field at
@@ -407,15 +414,18 @@ def test_observe_spatial_refuses_non_finite_frames(small_psf, bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("lit", [True, False])
 def test_full_field_blurs_refuse_a_non_finite_value_alone_in_a_dark_row(small_spec, bad, lit):
-    # the finiteness check reads only the lit rows; NaN and Inf light their own
+    # the finiteness check reads only the lit rows; NaN and Inf light their
+    # own. observe_field_at checks the ROI's pixels, the others lit or dark
     frame = np.zeros((48, 48))
     if lit:
         frame[20, 20] = 1.0
     frame[3, 40] = bad
     with pytest.raises(ParameterError, match="NaN or Inf"):
         observe_field(frame, small_spec)
+    pixels = np.full(9, 1.0 if lit else 0.0)
+    pixels[4] = bad
     with pytest.raises(ParameterError, match="NaN or Inf"):
-        observe_field_at(frame, small_spec)
+        observe_field_at(pixels, RoiSpec(2, 39, 3, 3), small_spec)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -101,3 +101,17 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_length(domain, small_psf):
     for bad in (rhs[:3], rhs[None, :], np.zeros((4, 2, 2))):
         with pytest.raises(ShapeError):
             MODULES[domain].solve_system(system, bad)
+
+
+@pytest.mark.parametrize("domain", list(MODULES))
+@pytest.mark.parametrize("value", [1e307, 1.7e308])
+def test_solve_refuses_a_solution_that_overflows(domain, value, small_psf):
+    # finite observations whose solution overflows float64: both systems
+    # amplify this sign pattern more than 18-fold (about 240 and 9,200), so
+    # every solver ends in NaN or Inf, refused with or without clamping
+    system, _ = _built(domain, small_psf)
+    rhs = value * np.array([1.0, -1.0, -1.0, 1.0])
+    for method in MODULES[domain].METHODS:
+        for clamp in (False, True):
+            with pytest.raises(ParameterError, match="solution holds NaN or Inf"):
+                MODULES[domain].solve_system(system, rhs, method, clamp_negative=clamp)

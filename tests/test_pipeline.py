@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from roisolve.errors import (
     ShapeError,
     SingularSystemError,
 )
+from roisolve.fileio import read_raster, write_pgm16
 from roisolve.forward import NoiseSpec, observe_field, observe_field_at, observe_spatial
 from roisolve.grid import RoiSpec, centered_roi, scatter_roi
 from roisolve.optics import OtfSpec, PsfKernel, build_psf
@@ -140,6 +142,120 @@ def test_locate_validation():
         locate_roi(arr, 9, 2)
     with pytest.raises(ShapeError):
         locate_roi(np.ones(8), 2, 2)
+
+
+
+def _whole_image_roi(arr, k_rows, l_cols):
+    """The reference locate_roi's band must reproduce: the centroid of the
+    thresholded cells summed over the whole image, snapped and clamped."""
+    rows, cols = arr.shape
+    weights = np.where(arr >= pipeline.LOCATE_THRESHOLD * arr.max(), arr, 0.0)
+    total = float(weights.sum())
+    row_c = float(weights.sum(axis=1) @ np.arange(rows)) / total
+    col_c = float(weights.sum(axis=0) @ np.arange(cols)) / total
+    top = int(np.floor(row_c - (k_rows - 1) / 2.0 + 0.5))
+    left = int(np.floor(col_c - (l_cols - 1) / 2.0 + 0.5))
+    return RoiSpec(min(max(top, 0), rows - k_rows), min(max(left, 0), cols - l_cols),
+                   k_rows, l_cols)
+
+
+def _seeded_frame(seed):
+    """A blurred isolated ROI of 1-4 x 1-4 cells: every fourth on the paper's
+    768x768 field at cutoff 6, the rest on small odd or non-square fields;
+    most ROIs touch or nearly touch a border, so the blur wraps around."""
+    rng = np.random.default_rng(seed)
+    rows, cols, cutoff = ((768, 768, 6.0) if seed % 4 == 0 else
+                          (*rng.choice([(96, 128), (131, 97), (64, 64)]), rng.uniform(3.0, 10.0)))
+    k_rows, l_cols = (int(v) for v in rng.integers(1, 5, 2))
+
+    def anchor(n, k):  # at or next to either border, or anywhere
+        return int(rng.choice([0, 1, 2, n - k - 2, n - k - 1, n - k, rng.integers(0, n - k + 1)]))
+
+    roi = RoiSpec(anchor(rows, k_rows), anchor(cols, l_cols), k_rows, l_cols)
+    ideal = scatter_roi(rng.uniform(0.0, 256.0, roi.pixel_count), roi, rows, cols)
+    return observe_field(ideal, OtfSpec(rows, cols, cutoff)), roi
+
+
+def test_banded_locate_matches_the_whole_image_centroid(tmp_path):
+    # 120 seeded frames, each as raw float64 and as a 16-bit PGM read back
+    path = tmp_path / "frame.pgm"
+    checked = 0
+    for seed in range(120):
+        observed, roi = _seeded_frame(seed)
+        write_pgm16(path, observed)
+        for arr in (observed, read_raster(path)):
+            want = _whole_image_roi(arr, roi.k_rows, roi.l_cols)
+            assert locate_roi(arr, roi.k_rows, roi.l_cols) == want, seed
+            checked += 1
+    assert checked == 240
+
+
+def test_locate_weighs_nothing_between_two_far_blobs():
+    # the lit rows are not contiguous; the dark rows between are in the band
+    arr = np.zeros((64, 64))
+    arr[5:8, 10:13] = 4.0
+    arr[50:53, 40:43] = 4.0
+    assert locate_roi(arr, 3, 3) == _whole_image_roi(arr, 3, 3) == RoiSpec(28, 25, 3, 3)
+
+
+def test_locate_light_in_the_first_and_last_rows():
+    arr = np.zeros((40, 40))
+    arr[0, 10] = 2.0
+    arr[39, 30] = 2.0
+    assert locate_roi(arr, 1, 1) == _whole_image_roi(arr, 1, 1) == RoiSpec(20, 20, 1, 1)
+    assert locate_roi(arr, 2, 3) == _whole_image_roi(arr, 2, 3)
+
+
+def test_locate_a_single_lit_cell():
+    arr = np.zeros((30, 30))
+    arr[17, 23] = 3.0
+    assert locate_roi(arr, 1, 1) == RoiSpec(17, 23, 1, 1)
+    assert locate_roi(arr, 3, 2) == RoiSpec(16, 23, 3, 2)
+
+
+def test_locate_weighs_a_cell_at_exactly_the_threshold():
+    # 0.1 * 10.0 is exactly 1.0: that cell, alone in its row, still weighs
+    arr = np.zeros((30, 30))
+    arr[5, 5] = 10.0
+    arr[25, 16] = pipeline.LOCATE_THRESHOLD * 10.0
+    assert locate_roi(arr, 1, 1) == _whole_image_roi(arr, 1, 1) == RoiSpec(7, 6, 1, 1)
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_locate_refuses_a_non_finite_value_in_an_unlit_row(bad):
+    arr = np.zeros((64, 64))
+    arr[30:33, 30:33] = 5.0
+    arr[60, 5] = bad
+    with pytest.raises(ParameterError, match="NaN or Inf"):
+        locate_roi(arr, 3, 3)
+
+
+@pytest.mark.parametrize("value", [1e307, 1.7e308])
+def test_locate_refuses_finite_values_that_overflow_the_centroid(value):
+    arr = np.zeros((32, 32))
+    arr[10:13, 10:13] = value
+    with pytest.raises(ParameterError, match="overflow the centroid"):
+        locate_roi(arr, 3, 3)
+
+
+def test_locate_and_noisy_rhs_allocate_no_full_frame():
+    # at the paper's setup: the frame is read in place, and a noisy trial's
+    # peak starts from the ROI's rows, not a dark 768x768 frame
+    spec = OtfSpec(768, 768, 6.0)
+    roi = centered_roi(768, 768, 3, 3)
+    pixels = np.random.default_rng(2).uniform(0.0, 256.0, 9)
+    observed = observe_field(scatter_roi(pixels, roi, 768, 768), spec)
+    system = roi_problem("frequency", roi, (768, 768), spec, 0)
+    tracemalloc.start()
+    try:
+        locate_roi(observed, 3, 3)
+        locate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        noisy_rhs(system, pixels, 9, DEFAULT_PSNR_GRID)
+        noisy_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert locate_peak < observed.nbytes / 2
+    assert noisy_peak < observed.nbytes / 2
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +608,7 @@ def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
     system = roi_problem(domain, roi, shape, blur, ring)
     pixels = np.random.default_rng(5).uniform(0.0, 256.0, size * size)
     blurred = observe_field(scatter_roi(pixels, roi, rows, cols), system.spec)
-    peak = observe_field_at(scatter_roi(pixels, roi, rows, cols), system.spec)
+    peak = observe_field_at(pixels, roi, system.spec)
     assert np.float64(peak).tobytes() == blurred.max().tobytes()
     clean = module.noiseless_rhs(system, pixels)
     want = module.frame_rhs(system, blurred)

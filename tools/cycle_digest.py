@@ -1,7 +1,8 @@
 """Byte digest of every benchmark command, to show a change leaves outputs alone.
 
     python3 tools/cycle_digest.py
-        [--workloads table,noise,scan,recover,help,psf,noisy-table,failed-trials,scan-field]
+        [--workloads table,noise,scan,recover,help,psf,noisy-table,failed-trials,scan-field,
+                     located]
         [--seeds 111,205,12345] [--out digest.json]
     python3 tools/cycle_digest.py --compare A.json B.json
 
@@ -25,7 +26,11 @@ some or all of their systems, so their summary rows read nan. The
 "scan-field" workload runs SCAN_FIELD_ARGV once per domain, under
 "scan-field/<domain>" whatever the seeds: a scan on a field other than the
 sample's, which the image domain solves with that field's kernel and the
-transform domain refuses. --compare
+transform domain refuses. The "located" workload runs `roisolve recover`
+without --roi on each frame of LOCATED_FRAMES at each seed, under
+"located/<seed>/<name>": ROIs at or next to every border and of non-square
+sizes, on the benchmark's field and an odd non-square one, and two frames
+whose finite values overflow the centroid. --compare
 lists the keys that differ between two such files (or sit in one only) and
 exits 1 if there are any.
 """
@@ -48,7 +53,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf", "noisy-table", "failed-trials",
-             "scan-field")
+             "scan-field", "located")
 SUBCOMMANDS = ("psf", "table", "scan", "noise", "recover", "two-point")
 SEEDS = (111, 205, 12345)
 # (field, cutoff, crop, gain) of the psf workload: the benchmark's kernel,
@@ -75,6 +80,22 @@ FAILED_TRIALS_RUNS = {
 # the scan-field workload's command, run with --domain spatial and frequency
 SCAN_FIELD_ARGV = ["scan", "--sample", "24x24", "--field", "32x32", "--cutoff", "6",
                    "--tile", "3x3"]
+# name -> (field, ROI size, anchor, format, domain, ring) of the located
+# workload. An anchor names a border ("top" is row 1, "bottom" one row above
+# the last fit, "left" and "right" likewise) or a corner, the other
+# coordinate drawn from the seed. The frames are blurred by the benchmark's
+# own disk, so an ROI at a border wraps around the circular field.
+LOCATED_FRAMES = {
+    "top-left-2x3": ((768, 768), (2, 3), "top-left", "raw", "spatial", 0),
+    "bottom-right-3x2": ((768, 768), (3, 2), "bottom-right", "raw", "frequency", 0),
+    "top-1x4": ((768, 768), (1, 4), "top", "pgm", "spatial", 2),
+    "left-4x1": ((97, 130), (4, 1), "left", "raw", "frequency", 2),
+    "bottom-4x3": ((97, 130), (4, 3), "bottom", "pgm", "frequency", 0),
+    "right-3x4": ((97, 130), (3, 4), "right", "raw", "spatial", 0),
+}
+# name -> value of an unblurred 3x3 block on a 97x130 frame: located, its
+# centroid overflows float64
+LOCATED_HUGE = {"huge-1e307": 1e307, "largest-1.7e308": 1.7e308}
 MASK = "<tmp>"
 
 
@@ -184,6 +205,53 @@ def scan_field_digest() -> dict[str, str]:
     })
 
 
+def _located_anchor(rng, anchor: str, field: tuple[int, int], size: tuple[int, int]) -> tuple:
+    """(top, left) of an anchor name of LOCATED_FRAMES."""
+    last = [n - k for n, k in zip(field, size)]
+    named = {"top": (1, None), "bottom": (last[0] - 1, None), "left": (None, 1),
+             "right": (None, last[1] - 1), "top-left": (0, 0), "bottom-right": tuple(last)}
+    return tuple(int(rng.integers(0, hi + 1)) if v is None else v
+                 for v, hi in zip(named[anchor], last))
+
+
+def located_digest(seed: int) -> dict[str, str]:
+    """Digests of `roisolve recover` without --roi on every LOCATED_FRAMES and
+    LOCATED_HUGE frame, drawn from seed."""
+    import numpy as np
+
+    import roisolve.cli as cli
+    import workloads
+
+    rng = np.random.default_rng(seed)
+    tmp = tempfile.mkdtemp(prefix="cycle-digest-")
+    try:
+        runs = {}
+        for name, (field, size, anchor, fmt, domain, ring) in LOCATED_FRAMES.items():
+            top, left = _located_anchor(rng, anchor, field, size)
+            ideal = np.zeros(field)
+            ideal[top : top + size[0], left : left + size[1]] = rng.uniform(0.0, 256.0, size)
+            path = os.path.join(tmp, f"{name}.{fmt}")
+            (workloads.write_raw if fmt == "raw" else workloads.write_pgm16)(
+                path, workloads._blur(ideal))
+            runs[name] = (path, size, ["--domain", domain, "--ring", str(ring)])
+        for name, value in LOCATED_HUGE.items():
+            frame = np.zeros((97, 130))
+            top, left = (int(v) for v in rng.integers(0, 94, 2))
+            frame[top : top + 3, left : left + 3] = value
+            path = os.path.join(tmp, f"{name}.raw")
+            workloads.write_raw(path, frame)
+            runs[name] = (path, (3, 3), [])
+        digests = {}
+        for name, (path, size, extra) in runs.items():
+            out = os.path.join(tmp, "out", name)
+            argv = ["recover", "--observed", path, "--size", f"{size[0]}x{size[1]}", *extra,
+                    "--cutoff", "6", "--out", out]
+            digests.update(_op_digest(cli, argv, out, tmp, f"located/{seed}/{name}"))
+        return digests
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def help_digest() -> dict[str, str]:
     """Digests of every subcommand's --help at a fixed terminal width."""
     import roisolve.cli as cli
@@ -208,6 +276,8 @@ def digest(workload_names, seeds) -> dict[str, str]:
                 result.update(noisy_table_digest(seed))
             elif workload == "failed-trials":
                 result.update(failed_trials_digest(seed))
+            elif workload == "located":
+                result.update(located_digest(seed))
             else:
                 result.update(cycle_digest(workload, seed))
     return result
