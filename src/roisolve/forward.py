@@ -224,8 +224,10 @@ def _partial_transform(
     k_rows, l_cols = patch.shape
     tr = _twiddles(row_freqs, top + np.arange(k_rows), field_shape[0], -1)
     tc = _twiddles(left + np.arange(l_cols), col_freqs, field_shape[1], -1)
-    # two real products keep a full-frame patch from being copied to complex
-    return (tr.real @ patch + 1j * (tr.imag @ patch)) @ tc
+    # two real products keep a full-frame patch from being copied to complex;
+    # values that overflow leave Inf or NaN, which the solve refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (tr.real @ patch + 1j * (tr.imag @ patch)) @ tc
 
 
 def _roi_patch(pixels: np.ndarray, roi: RoiSpec, spec: OtfSpec) -> np.ndarray:

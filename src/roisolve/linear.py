@@ -146,7 +146,8 @@ def solve(
 
     Raises:
         ParameterError: method is not in methods, A or y holds NaN or Inf, or
-            the solution does (finite values that overflow the solve).
+            the solution or its residual does (finite values that overflow
+            the solve).
         ShapeError: rhs does not have one row per observation, or LU asked of
             a non-square system.
         SingularSystemError: LU found the matrix singular, or every singular
@@ -192,7 +193,10 @@ def solve(
     min_pixel = float(x.min()) if x.size else 0.0
     if clamp_negative:
         x = np.maximum(x, 0.0)
-    residual = float(np.linalg.norm(a @ x - rhs)) / system.roi.pixel_count
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite residual is refused
+        residual = float(np.linalg.norm(a @ x - rhs)) / system.roi.pixel_count
+    if not np.isfinite(residual):
+        raise ParameterError("residual overflows float64: the observations overflow the solve")
     return Solution(
         pixels=x,
         residual=residual,

@@ -152,8 +152,12 @@ def noise_stream_seed(root_seed: int, size: int, trial: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _draw_pixels(rng: np.random.Generator, k_rows: int, l_cols: int) -> np.ndarray:
-    return rng.uniform(0.0, 256.0, (k_rows, l_cols))
+def _trial_pixels(root_seed: int, size: int, trial: int) -> tuple[int, np.ndarray]:
+    """The seed id a trial row records and the trial's row-major size x size
+    pixels, uniform in [0, 256), both from its trial_seed_sequence."""
+    seq = trial_seed_sequence(root_seed, size, trial)
+    pixels = np.random.default_rng(seq).uniform(0.0, 256.0, size * size)
+    return int(seq.generate_state(1)[0]), pixels
 
 
 @dataclass(frozen=True)
@@ -283,63 +287,36 @@ def roi_problem(
 def noisy_rhs(
     system: LinearSystem, pixels: np.ndarray, seed: int, psnr_levels: Sequence[float]
 ) -> np.ndarray:
-    """The system's rows of the ROI pixels' blurred frame plus sigma_p * unit
-    noise for each level p, sigma_p pinned to that frame's peak; one route
-    for both domains. The readers are linear, so every level is the
-    noiseless_rhs rows plus sigma_p times the domain's unit_rows, drawn on
-    the rows directly in the law of a white unit field read there. The peak
-    is observe_field_at on the pixels, the full blur's max bit for bit,
-    without a full frame.
+    """The system's rows of the ROI pixels' blurred frame at each level p, one
+    row per level, plus sigma_p * unit noise, sigma_p pinned to that frame's
+    peak; one route for both domains and for noiseless trials. A level of
+    +inf is the domain's noiseless_rhs rows, bit for bit. The readers are
+    linear, so a finite level is those rows plus sigma_p times the domain's
+    unit_rows, drawn on the rows directly in the law of a white unit field
+    read there. The noiseless rows are read once, whatever the levels.
+
+    When any level is finite, the peak is read first: observe_field_at on
+    the pixels, the full blur's max bit for bit, without a full frame. When
+    every level is +inf, neither the peak nor the unit noise is read.
 
     Raises:
         ShapeError: pixels is not one value per ROI cell.
-        ParameterError: pixels hold NaN or Inf, or the system has no transfer spec.
-        DegenerateInputError: the blurred frame has no positive peak.
+        ParameterError: the system has no transfer spec, a level is NaN or
+            -inf, or a level is finite and pixels hold NaN or Inf.
+        DegenerateInputError: a level is finite and the blurred frame has no
+            positive peak.
     """
     module = domain_module(system.domain)
-    peak = observe_field_at(pixels, system.roi, system.require_spec())
+    noisy = np.array([p != math.inf for p in psnr_levels], dtype=bool)
+    if noisy.any():
+        peak = observe_field_at(pixels, system.roi, system.require_spec())
     clean = module.noiseless_rhs(system, pixels)
-    unit = module.unit_rows(system, peak, seed)
-    sigmas = [NoiseSpec(p, seed).sigma(peak) for p in psnr_levels]
-    return clean + np.multiply.outer(sigmas, unit)
-
-
-def _failed_trial(domain: str, size: int, trial: int, seed: int, exc: RoiSolveError) -> TrialResult:
-    return TrialResult(
-        domain=domain,
-        roi_size=size,
-        trial=trial,
-        seed=seed,
-        ae=float("nan"),
-        ad=float("nan"),
-        condition=float("nan"),
-        error=f"{type(exc).__name__}: {exc}",
-    )
-
-
-def _solved_trial(
-    system: LinearSystem,
-    method: str,
-    trial: int,
-    seed: int,
-    pixels: np.ndarray,
-    rhs: np.ndarray,
-) -> TrialResult:
-    """Solve one trial; a RoiSolveError is recorded in the row instead of metrics."""
-    size = system.roi.k_rows
-    try:
-        sol = domain_module(system.domain).solve_system(system, rhs, method)
-        return TrialResult(
-            domain=system.domain,
-            roi_size=size,
-            trial=trial,
-            seed=seed,
-            ae=averaged_error(sol.pixels, pixels),
-            ad=averaged_difference(system.a_matrix, pixels, rhs),
-            condition=sol.condition,
-        )
-    except RoiSolveError as exc:
-        return _failed_trial(system.domain, size, trial, seed, exc)
+    rows = np.repeat(clean[None], noisy.size, axis=0)
+    if noisy.any():
+        unit = module.unit_rows(system, peak, seed)
+        sigmas = [NoiseSpec(p, seed).sigma(peak) for p, n in zip(psnr_levels, noisy) if n]
+        rows[noisy] += np.multiply.outer(sigmas, unit)
+    return rows
 
 
 def _run_size(
@@ -351,48 +328,49 @@ def _run_size(
     method: str,
     trials: int,
     root_seed: int,
-    levels: list[float | None],
+    levels: list[float],
 ) -> list[list[TrialResult]]:
-    """Every trial of one ROI size at each noise level (None: noiseless).
+    """Every trial of one ROI size at each noise level (+inf: noiseless).
 
-    The system is built once for the size. Trials run outside and levels
-    inside: a noiseless level evaluates only what the system reads. The noisy
-    levels of a trial share one noisy_rhs call on its pixels, which forms
-    them from the same noiseless rows plus one unit draw on the system's rows.
+    The system is built once for the size. Per trial: draw the pixels, read
+    the rows of every level in one noisy_rhs call, and solve and record each
+    level. A RoiSolveError is recorded, instead of metrics, in every row it
+    reaches: a failed build fails every row of the size, a failed noisy_rhs
+    every row of its trial, and a failed solve its own row.
     """
     size = roi.k_rows
     out: list[list[TrialResult]] = [[] for _ in levels]
+    system, failure = None, None
     try:
         system = roi_problem(domain, roi, field_shape, blur, extra_ring)
     except RoiSolveError as exc:
-        system, failure = None, exc
-    noisy = [i for i, level in enumerate(levels) if level is not None]
+        failure = exc
+    nan = float("nan")
     for trial in range(trials):
-        seq = trial_seed_sequence(root_seed, size, trial)
-        rng = np.random.default_rng(seq)
-        seed_id = int(seq.generate_state(1)[0])
-        pixels = _draw_pixels(rng, size, size).ravel()
-        if system is None:
-            for rows_out in out:
-                rows_out.append(_failed_trial(domain, size, trial, seed_id, failure))
-            continue
-        for i, level in enumerate(levels):
-            if level is None:
-                rhs = DOMAIN_MODULES[domain].noiseless_rhs(system, pixels)
-                out[i].append(_solved_trial(system, method, trial, seed_id, pixels, rhs))
-        if not noisy:
-            continue
-        try:
-            rhs_levels = noisy_rhs(
-                system, pixels, noise_stream_seed(root_seed, size, trial),
-                [levels[i] for i in noisy],
-            )
-        except RoiSolveError as exc:
-            for i in noisy:
-                out[i].append(_failed_trial(domain, size, trial, seed_id, exc))
-            continue
-        for i, rhs in zip(noisy, rhs_levels):
-            out[i].append(_solved_trial(system, method, trial, seed_id, pixels, rhs))
+        seed_id, pixels = _trial_pixels(root_seed, size, trial)
+        error = failure
+        if system is not None:
+            try:
+                rhs_levels = noisy_rhs(
+                    system, pixels, noise_stream_seed(root_seed, size, trial), levels
+                )
+            except RoiSolveError as exc:
+                error = exc
+        for i, rows_out in enumerate(out):
+            ae = ad = condition = nan
+            row_error = error
+            if row_error is None:
+                try:
+                    sol = DOMAIN_MODULES[domain].solve_system(system, rhs_levels[i], method)
+                    ae, ad, condition = (
+                        averaged_error(sol.pixels, pixels),
+                        averaged_difference(system.a_matrix, pixels, rhs_levels[i]),
+                        sol.condition,
+                    )
+                except RoiSolveError as exc:
+                    row_error = exc
+            text = None if row_error is None else f"{type(row_error).__name__}: {row_error}"
+            rows_out.append(TrialResult(domain, size, trial, seed_id, ae, ad, condition, text))
     return out
 
 
@@ -423,13 +401,14 @@ def run_table_experiment(
     In the transform domain the cutoff is raised per size to keep the selected
     block inside the passband; the report records the effective value used.
 
-    Every trial of a size shares one system (matrix and condition estimate).
-    Noiseless trials evaluate only the observations the system reads; noisy
-    ones (finite noise_psnr_db) add to those same rows unit noise drawn on
-    the rows alone, scaled to the blurred frame's peak, which is found from
-    a few columns (noisy_rhs).
-    noise_psnr_db=inf runs noiseless; NaN and -inf raise
-    ParameterError, and so does a negative root_seed, before any draw.
+    Every trial of a size shares one system (matrix and condition estimate)
+    and reads its rows through noisy_rhs at the one level noise_psnr_db
+    (None and +inf: noiseless, every other value a level, 0 dB included).
+    A noiseless trial evaluates only the observations the system reads; a
+    noisy one adds to those same rows unit noise drawn on the rows alone,
+    scaled to the blurred frame's peak, which is found from a few columns.
+    NaN and -inf raise ParameterError, and so does a negative root_seed,
+    before any draw.
 
     Trials that raise a solver error are recorded with the message instead of
     metrics; nothing is retried or resampled.
@@ -458,8 +437,7 @@ def run_table_experiment(
     )
 
     spec = OtfSpec(rows, cols, cutoff_radius)
-    # +inf adds no noise
-    level = None if noise_psnr_db in (None, math.inf) else noise_psnr_db
+    level = math.inf if noise_psnr_db is None else noise_psnr_db
     for size in sizes:
         if size < 1:
             raise ParameterError(f"ROI size must be >= 1, got {size}")
@@ -499,8 +477,7 @@ def ad_spot_check(
     blur = module.simulated_blur(OtfSpec(rows, cols, cutoff_radius), size, size, 0, psf_crop)
     obs_index = module.observation_index(roi, (rows, cols), 0)
     system = module.build_system((rows, cols), roi, obs_index, blur, estimate_condition=False)
-    rng = np.random.default_rng(trial_seed_sequence(root_seed, size, trial))
-    pixels = _draw_pixels(rng, size, size).ravel()
+    _, pixels = _trial_pixels(root_seed, size, trial)
     rhs = module.noiseless_rhs(system, pixels)
     return averaged_difference(system.a_matrix, pixels, rhs)
 
@@ -675,30 +652,32 @@ def noise_sweep(
     """Sweep the noise level and record recovery quality per domain.
 
     Runs the table experiment at one ROI size for each level of the grid plus
-    a noiseless baseline; every point equals run_table_experiment at that
-    level. The same trial draws (pixels and noise shape) are reused across
-    levels, so curves differ only by the noise amplitude. Each trial reads
-    its noiseless rows, its peak and one unit draw on the system's rows
-    once, and forms every level from them (noisy_rhs). A negative root_seed
-    raises ParameterError before any draw.
+    a noiseless baseline (+inf); every point equals run_table_experiment at
+    that level. The same trial draws (pixels and noise shape) are reused
+    across levels, so curves differ only by the noise amplitude. Each trial
+    makes one noisy_rhs call at every level, the baseline included: it reads
+    the noiseless rows, the peak and one unit draw on the system's rows once
+    and forms every level from them. A negative root_seed raises
+    ParameterError before any draw.
     The default ring-augmented least-squares setup keeps the noiseless
     baseline under the threshold so a crossing exists to report.
     """
     if roi_size < 1:
         raise ParameterError(f"roi_size must be >= 1, got {roi_size}")
-    levels = sorted(set(float(p) for p in psnr_grid))
-    if any(not math.isfinite(p) for p in levels):
+    grid = sorted(set(float(p) for p in psnr_grid))
+    if any(not math.isfinite(p) for p in grid):
         raise ParameterError("psnr_grid must contain finite dB values")
+    levels = [math.inf] + grid
     if not domains or len(set(domains)) != len(domains):
         raise ParameterError(f"domains must name at least one domain, each once; got {domains}")
     modules = [_check_run_args(d, trials_per_level, extra_ring, root_seed) for d in domains]
     rows, cols = int(field_shape[0]), int(field_shape[1])
     roi = centered_roi(rows, cols, roi_size, roi_size)  # refuses a misfit before any draw
 
-    pixel_means = []
-    for trial in range(trials_per_level):
-        rng = np.random.default_rng(trial_seed_sequence(root_seed, roi_size, trial))
-        pixel_means.append(float(_draw_pixels(rng, roi_size, roi_size).mean()))
+    pixel_means = [
+        float(_trial_pixels(root_seed, roi_size, trial)[1].mean())
+        for trial in range(trials_per_level)
+    ]
     threshold = 0.01 * float(np.mean(pixel_means))
 
     report = NoiseSweepReport(
@@ -717,9 +696,9 @@ def noise_sweep(
         blur = module.simulated_blur(spec, roi_size, roi_size, extra_ring, psf_crop)
         per_level = _run_size(
             domain, roi, (rows, cols), blur, extra_ring, module.METHODS[extra_ring > 0],
-            trials_per_level, root_seed, [None] + levels,
+            trials_per_level, root_seed, levels,
         )
-        for psnr, trials in zip([math.inf] + levels, per_level):
+        for psnr, trials in zip(levels, per_level):
             summary = summarize(trials)
             report.points.append(
                 SweepPoint(

@@ -595,10 +595,14 @@ def test_recover_non_finite_frame_exits_3(tmp_path, fill, cell, extra):
         (1e307, [], "overflow the centroid"),
         (1.7e308, [], "overflow the centroid"),
         (1.7e308, ["--roi", "10,10", "--domain", "spatial"], "solution holds NaN or Inf"),
+        (1.7e308, ["--roi", "10,10", "--domain", "frequency"], "holds NaN or Inf"),
+        (1e307, ["--roi", "10,10", "--domain", "spatial"], "residual overflows"),
+        (1e307, ["--roi", "10,10", "--domain", "frequency"], "residual overflows"),
     ],
 )
 def test_recover_refuses_finite_values_that_overflow(tmp_path, capsys, value, extra, message):
-    # located, the centroid overflows; anchored, the image-domain solve does
+    # located, the centroid overflows; anchored, the solve or its residual
+    # does, or the transform-domain observation itself
     frame = np.zeros((32, 32))
     frame[10:13, 10:13] = value
     path = tmp_path / "frame.raw"
@@ -607,8 +611,10 @@ def test_recover_refuses_finite_values_that_overflow(tmp_path, capsys, value, ex
     rc = main(["recover", "--observed", str(path), "--size", "3x3", "--cutoff", "10", *extra,
                "--out", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert message in err and "Warning" not in err
+    # beside the image domain's note on its kernel, stderr holds the error alone
+    err = capsys.readouterr().err.splitlines()
+    (line,) = [line for line in err if not line.startswith("built kernel from cutoff")]
+    assert line.startswith("error:") and message in line
     assert not out.exists()
 
 
@@ -756,6 +762,7 @@ def test_recover_never_crashes_and_exit_0_means_finite(property_files, data):
     assert rc != 1
     if rc == 0:
         assert np.isfinite(read_raw_matrix(out / "recovered.raw")).all()
+        assert math.isfinite(float(read_manifest(out / "recover_manifest.txt")["residual"]))
 
 
 def test_scan_and_recover_build_only_the_kernel_window(tmp_path, observed_file, monkeypatch):

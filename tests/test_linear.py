@@ -115,3 +115,15 @@ def test_solve_refuses_a_solution_that_overflows(domain, value, small_psf):
         for clamp in (False, True):
             with pytest.raises(ParameterError, match="solution holds NaN or Inf"):
                 MODULES[domain].solve_system(system, rhs, method, clamp_negative=clamp)
+
+
+@pytest.mark.parametrize("domain", list(MODULES))
+def test_solve_refuses_a_residual_that_overflows(domain, small_psf):
+    # the same pattern at 1e300 leaves a finite solution, but the residual's
+    # squares overflow float64: refused rather than reported as inf
+    system, _ = _built(domain, small_psf)
+    rhs = 1e300 * np.array([1.0, -1.0, -1.0, 1.0])
+    for method in MODULES[domain].METHODS:
+        for clamp in (False, True):
+            with pytest.raises(ParameterError, match="residual overflows"):
+                MODULES[domain].solve_system(system, rhs, method, clamp_negative=clamp)

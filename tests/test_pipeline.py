@@ -598,7 +598,8 @@ def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
     # one route in both domains: each level is the noiseless rows plus sigma
     # times the domain's unit draw on the rows, sigma pinned to the full
     # blur's peak (bit for bit); the noiseless rows are the full blur's rows
-    # to rounding, and an infinite level reads them byte for byte
+    # to rounding, an infinite level anywhere in the call reads them byte for
+    # byte, and 0 dB is a level (sigma is the peak)
     module = DOMAIN_MODULES[domain]
     rows, cols = shape
     size, ring = 3, 2
@@ -614,12 +615,12 @@ def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
     want = module.frame_rhs(system, blurred)
     assert np.abs(clean - want).max() <= 1e-12 * np.abs(want).max()
     unit = module.unit_rows(system, peak, 9)
-    levels = (math.inf,) + DEFAULT_PSNR_GRID
+    levels = (math.inf,) + DEFAULT_PSNR_GRID + (math.inf, 0.0)
     got = noisy_rhs(system, pixels, 9, levels)
     assert got.shape == (len(levels), system.obs_index.shape[0])
-    assert got[0].tobytes() == clean.tobytes()
     for db, row in zip(levels, got):
-        assert row.tobytes() == (clean + NoiseSpec(db, 9).sigma(peak) * unit).tobytes(), db
+        want = clean if db == math.inf else clean + NoiseSpec(db, 9).sigma(peak) * unit
+        assert row.tobytes() == want.tobytes(), db
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -633,12 +634,83 @@ def test_noisy_rhs_refuses_what_has_no_noisy_rows(domain, small_psf, small_spec)
             noisy_rhs(system, np.where(np.arange(9) == 4, bad, pixels), 9, (80.0,))
     with pytest.raises(DegenerateInputError, match="no positive peak"):
         noisy_rhs(system, np.zeros(9), 9, (80.0,))
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ParameterError, match="psnr_db must be a number or \\+inf"):
+            noisy_rhs(system, pixels, 9, (math.inf, bad))
     if domain == "spatial":
         # a kernel read from a file has no transfer spec to blur the frame with
         file_kernel = PsfKernel(grid=small_psf.grid, spec=None)
         system = roi_problem("spatial", system.roi, (48, 48), file_kernel, 1)
         with pytest.raises(ParameterError, match="no transfer spec"):
             noisy_rhs(system, pixels, 9, (80.0,))
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_noisy_rhs_at_infinite_levels_reads_no_peak_and_no_noise(
+    domain, small_psf, small_spec, monkeypatch
+):
+    # +inf is the only way to say "noiseless": every row is noiseless_rhs bit
+    # for bit, and neither the peak nor the unit noise is read
+    system = _small_system(domain, small_psf, small_spec)
+    pixels = np.random.default_rng(3).uniform(0.0, 256.0, 9)
+    clean = DOMAIN_MODULES[domain].noiseless_rhs(system, pixels)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a noiseless level read noise")
+
+    monkeypatch.setattr(pipeline, "observe_field_at", refused)
+    monkeypatch.setattr(DOMAIN_MODULES[domain], "unit_rows", refused)
+    for levels in ([math.inf], [math.inf, math.inf, math.inf]):
+        got = noisy_rhs(system, pixels, 9, levels)
+        assert got.shape == (len(levels), clean.size)
+        assert all(row.tobytes() == clean.tobytes() for row in got)
+
+
+def test_each_noise_trial_reads_its_noiseless_rows_once(monkeypatch):
+    calls = {domain: 0 for domain in DOMAINS}
+    for domain, module in DOMAIN_MODULES.items():
+        original = module.noiseless_rhs
+
+        def counted(system, pixels, _original=original, _domain=domain):
+            calls[_domain] += 1
+            return _original(system, pixels)
+
+        monkeypatch.setattr(module, "noiseless_rhs", counted)
+    sweep = noise_sweep(roi_size=3, psnr_grid=(40.0, 80.0), trials_per_level=3, root_seed=17,
+                        **SMALL)
+    assert all(p.failed == 0 for p in sweep.points)
+    assert calls == {domain: 3 for domain in DOMAINS}
+
+
+def test_table_sweep_and_spot_check_draw_through_one_trial_draw(monkeypatch):
+    # each entry point draws a trial's pixels (and the table its seed id)
+    # through _trial_pixels, the uniform draw of its trial_seed_sequence
+    drawn = []
+    original = pipeline._trial_pixels
+
+    def recorded(root_seed, size, trial):
+        seed_id, pixels = original(root_seed, size, trial)
+        seq = trial_seed_sequence(root_seed, size, trial)
+        assert seed_id == int(seq.generate_state(1)[0])
+        want = np.random.default_rng(seq).uniform(0.0, 256.0, (size, size)).ravel()
+        assert pixels.tobytes() == want.tobytes()
+        drawn.append((root_seed, size, trial))
+        return seed_id, pixels
+
+    monkeypatch.setattr(pipeline, "_trial_pixels", recorded)
+    table = run_table_experiment("spatial", sizes=(3,), trials_per_size=2, root_seed=17, **SMALL)
+    assert drawn == [(17, 3, 0), (17, 3, 1)]
+    assert [t.seed for t in table.trials] == [original(17, 3, t)[0] for t in (0, 1)]
+    drawn.clear()
+    sweep = noise_sweep(roi_size=3, psnr_grid=(80.0,), trials_per_level=2, root_seed=17,
+                        domains=("spatial",), **SMALL)
+    # the threshold's draws, then the trials'
+    assert drawn == [(17, 3, 0), (17, 3, 1)] * 2
+    means = [original(17, 3, t)[1].mean() for t in (0, 1)]
+    assert sweep.threshold_ae == 0.01 * float(np.mean(means))
+    drawn.clear()
+    ad_spot_check("spatial", 3, trial=1, root_seed=17, **SMALL)
+    assert drawn == [(17, 3, 1)]
 
 
 # ---------------------------------------------------------------------------
