@@ -496,17 +496,17 @@ def cmd_recover(opts: dict) -> int:
         "observed": opts["observed"],
         "roi": f"{roi.top},{roi.left},{roi.k_rows},{roi.l_cols}",
         "domain": domain,
-        "method": sol.method,
+        "method": method,
         "residual": fileio.format_float(sol.residual),
-        "condition": fileio.format_float(sol.condition),
+        "condition": fileio.format_float(system.condition_estimate),
         "negative_count": str(sol.negative_count),
         "min_pixel": fileio.format_float(sol.min_pixel),
     }
     if domain == "frequency":
         manifest["imag_leakage"] = fileio.format_float(sol.imag_leakage)
     fileio.write_manifest(os.path.join(out, "recover_manifest.txt"), manifest)
-    print(f"recovered {roi.k_rows}x{roi.l_cols} ROI at ({roi.top}, {roi.left}) via {sol.method}")
-    print(f"residual {sol.residual:.6g}, condition {sol.condition:.6g}")
+    print(f"recovered {roi.k_rows}x{roi.l_cols} ROI at ({roi.top}, {roi.left}) via {method}")
+    print(f"residual {sol.residual:.6g}, condition {system.condition_estimate:.6g}")
     if sol.negative_count:
         print(f"note: {sol.negative_count} negative pixels, most negative {sol.min_pixel:.6g}")
     print(f"wrote recovered.raw, recovered.pgm in {out}")

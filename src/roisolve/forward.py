@@ -11,17 +11,19 @@ Two routes evaluate the model. The full-field route blurs a whole frame
 with pruned 1-D transforms in np.fft's own axis order (observe_field,
 bit-identical to the whole-frame 2-D FFT expression; observe_spatial on a
 kernel's transfer spec; observe_field_at an isolated ROI's peak from its
-rows and a few columns), and
-noise_field draws the unit field add_noise scales to its peak. The sparse
-route evaluates only what a system reads, as products of 1-D twiddle
-matrices: observe_spatial_at the given cells, observe_spectrum_block and
-image_spectrum_block the product of the given frequency rows us and columns
-vs. For an isolated region the two agree to rounding. A noisy trial's unit
-noise is drawn on those rows directly, in the law of a white unit field
-read there: unit_noise one normal per distinct cell, unit_spectrum_noise
-the normalized transform at given entries, one draw per conjugate class.
-observe_spectrum, spectrum_to_image, image_to_spectrum and add_noise stay as
-the whole-frame functions the tests use as oracles.
+rows and a few columns), its last stage the inverse-column pass build_psf
+also runs, and noise_field draws the unit field add_noise scales to its
+peak. The sparse route evaluates only what a system reads, as products of
+1-D twiddle matrices: observe_spatial_at the given cells,
+observe_spectrum_block and image_spectrum_block the product of the given
+frequency rows us and columns vs. For an isolated region the two agree to
+rounding. A noisy trial's unit noise is drawn on those rows directly, in
+the law of a white unit field read there: unit_noise one normal per
+distinct cell, unit_spectrum_noise the normalized transform at given
+entries, one draw per conjugate class. The draws take no peak: the peak is
+checked where it scales them, in NoiseSpec.sigma. observe_spectrum,
+spectrum_to_image, image_to_spectrum and add_noise stay as the whole-frame
+functions the tests use as oracles.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, ShapeError
-from .grid import RoiSpec, scatter_roi
-from .optics import _LINE_BATCH, OtfSpec, PsfKernel, in_passband, passband_box
+from .grid import RoiSpec, field_cells, scatter_roi
+from .optics import OtfSpec, PsfKernel, _inverse_columns, in_passband, passband_box
 
 _PEAK_BOUND_MARGIN = 1e-9  # relative, on observe_field_at's column bounds
 
@@ -54,26 +56,18 @@ class NoiseSpec:
             raise ParameterError(f"psnr_db must be a number or +inf, got {self.psnr_db}")
 
     def sigma(self, peak: float) -> float:
-        """Noise standard deviation for a given signal peak."""
+        """Noise standard deviation for a given signal peak: 0.0 at +inf, else
+        DegenerateInputError unless the peak is positive."""
         if self.psnr_db == math.inf:
             return 0.0
-        return abs(peak) / 10.0 ** (self.psnr_db / 20.0)
+        if not peak > 0:  # NaN too
+            raise DegenerateInputError("observed image has no positive peak to scale noise to")
+        return peak / 10.0 ** (self.psnr_db / 20.0)
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise ParameterError(f"{what} holds NaN or Inf")
-
-
-def _field_cells(cells: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    cells = np.asarray(cells)
-    if cells.ndim != 2 or cells.shape[1] != 2:
-        raise ShapeError(f"cells must have shape (n, 2), got {cells.shape}")
-    if cells.size and (
-        cells.min() < 0 or cells[:, 0].max() >= shape[0] or cells[:, 1].max() >= shape[1]
-    ):
-        raise ShapeError(f"cells fall outside the {shape[0]}x{shape[1]} field")
-    return cells
 
 
 def _band(lines: np.ndarray, lit: np.ndarray, spec: OtfSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -90,20 +84,6 @@ def _band(lines: np.ndarray, lit: np.ndarray, spec: OtfSpec) -> tuple[np.ndarray
     band = np.zeros((freqs.size, cols), dtype=np.complex128)
     band[:, band_cols] = np.fft.fft(columns, axis=0)[band_rows] * gain
     return np.fft.ifft(band, axis=-1), band_rows
-
-
-def _inverse_columns(
-    band: np.ndarray, band_rows: np.ndarray, rows: int, columns: np.ndarray
-) -> np.ndarray:
-    """observe_field's last stage on the given columns, one row of the result each."""
-    # every column of the inverse is nonzero only at the passband rows
-    lines = np.zeros((_LINE_BATCH, rows), dtype=np.complex128)
-    out = np.empty((columns.size, rows))
-    for start in range(0, columns.size, _LINE_BATCH):
-        stop = min(start + _LINE_BATCH, columns.size)
-        lines[: stop - start, band_rows] = band[:, columns[start:stop]].T
-        out[start:stop] = np.fft.ifft(lines[: stop - start], axis=-1).real
-    return out
 
 
 def observe_field(ideal: np.ndarray, spec: OtfSpec) -> np.ndarray:
@@ -130,7 +110,7 @@ def observe_field(ideal: np.ndarray, spec: OtfSpec) -> np.ndarray:
     lit = np.flatnonzero(arr.any(axis=1))
     band, band_rows = _band(arr[lit], lit, spec)
     frame_t = _inverse_columns(band, band_rows, spec.shape[0], np.arange(spec.shape[1]))
-    return frame_t.T.copy()
+    return frame_t.real.T.copy()
 
 
 def observe_field_at(pixels: np.ndarray, roi: RoiSpec, spec: OtfSpec) -> float:
@@ -160,7 +140,7 @@ def observe_field_at(pixels: np.ndarray, roi: RoiSpec, spec: OtfSpec) -> float:
     peak = -math.inf
     while todo.size:
         # np.maximum keeps a NaN (overflow), which then adds every column
-        peak = float(np.maximum(peak, _inverse_columns(band, band_rows, rows, todo).max()))
+        peak = float(np.maximum(peak, _inverse_columns(band, band_rows, rows, todo).real.max()))
         done[todo] = True
         todo = np.flatnonzero(~done & ~(bound < peak))
     return peak
@@ -230,16 +210,6 @@ def _partial_transform(
         return (tr.real @ patch + 1j * (tr.imag @ patch)) @ tc
 
 
-def _roi_patch(pixels: np.ndarray, roi: RoiSpec, spec: OtfSpec) -> np.ndarray:
-    vec = np.asarray(pixels, dtype=float)
-    if vec.shape != (roi.pixel_count,):
-        raise ShapeError(
-            f"vector length {vec.shape} does not match ROI pixel count {roi.pixel_count}"
-        )
-    roi.require_inside(*spec.shape)
-    return vec.reshape(roi.shape)
-
-
 def observe_spatial_at(
     pixels: np.ndarray, roi: RoiSpec, spec: OtfSpec, cells: np.ndarray
 ) -> np.ndarray:
@@ -257,8 +227,8 @@ def observe_spatial_at(
         spec: transfer function of the blur.
         cells: (n, 2) absolute (row, col) coordinates to evaluate.
     """
-    x = _roi_patch(pixels, roi, spec)
-    cells = _field_cells(cells, spec.shape)
+    x = roi.patch(pixels, *spec.shape)
+    cells = field_cells(cells, *spec.shape)
     rows, cols = spec.shape
     freqs, gain = passband_box(spec)
     spectrum = gain * _partial_transform(x, roi.top, roi.left, freqs, freqs, spec.shape)
@@ -277,7 +247,7 @@ def observe_spectrum_block(
     rounding; entries outside the passband are exactly 0. Evaluated from the
     ROI pixels as products of 1-D twiddles, without the full field.
     """
-    x = _roi_patch(pixels, roi, spec)
+    x = roi.patch(pixels, *spec.shape)
     rows, cols = spec.shape
     values = _partial_transform(x, roi.top, roi.left, us, vs, spec.shape)
     inside = in_passband(spec, us[:, None], vs[None, :])
@@ -320,35 +290,26 @@ def noise_field(observed: np.ndarray, seed: int) -> tuple[float, np.ndarray]:
     """The peak add_noise scales to, and the unit-variance field it scales:
     add_noise(observed, NoiseSpec(p, seed)) is exactly
     observed + NoiseSpec(p, seed).sigma(peak) * unit for every finite p.
+    The peak is returned as it is; NoiseSpec.sigma refuses one that is not
+    positive.
 
     Raises:
         ParameterError: the image holds NaN or Inf.
-        DegenerateInputError: the image has no positive peak.
     """
     arr = np.asarray(observed, dtype=float)
     _check_finite(arr, "observed image")
-    peak = float(arr.max())
-    return peak, unit_noise(peak, seed, arr.size).reshape(arr.shape)
+    return float(arr.max()), unit_noise(seed, arr.size).reshape(arr.shape)
 
 
-def _require_peak(peak: float) -> None:
-    if not peak > 0:  # NaN too
-        raise DegenerateInputError("observed image has no positive peak to scale noise to")
-
-
-def unit_noise(peak: float, seed: int, n: int) -> np.ndarray:
-    """n independent standard normals of seed's stream, for a frame of that
-    peak: the first n row-major values of the unit field noise_field draws.
-    DegenerateInputError unless the peak is positive."""
-    _require_peak(peak)
+def unit_noise(seed: int, n: int) -> np.ndarray:
+    """n independent standard normals of seed's stream: the first n row-major
+    values of the unit field noise_field draws."""
     return np.random.default_rng(seed).standard_normal(n)
 
 
-def unit_spectrum_noise(
-    peak: float, seed: int, entries: np.ndarray, shape: tuple[int, int]
-) -> np.ndarray:
+def unit_spectrum_noise(seed: int, entries: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """The normalized transform of a real white unit field on shape, at the
-    (n, 2) entries (u, v), drawn directly in its law for a frame of that peak.
+    (n, 2) entries (u, v), drawn directly in its law.
 
     The law is exact: such a transform is Gaussian, and its conjugate classes
     {(u, v), (-u, -v)} are independent. A self-conjugate entry (2u = 0 mod
@@ -357,11 +318,10 @@ def unit_spectrum_noise(
     its partner takes the exact conjugate. One pair of normals is drawn per
     class the entries hold, in the order of the class's smaller row-major
     index, so an entry listed twice, or beside its partner, reads that one
-    draw. DegenerateInputError unless the peak is positive, as unit_noise.
+    draw. ShapeError unless the entries are an (n, 2) index on shape.
     """
-    _require_peak(peak)
     rows, cols = shape
-    entries = _field_cells(entries, shape)
+    entries = field_cells(entries, rows, cols)
     flat = entries[:, 0] * cols + entries[:, 1]
     mirror = (-entries[:, 0] % rows) * cols + (-entries[:, 1] % cols)
     classes, at = np.unique(np.minimum(flat, mirror), return_inverse=True)
@@ -380,6 +340,7 @@ def add_noise(observed: np.ndarray, noise: NoiseSpec) -> np.ndarray:
 
     Raises:
         ParameterError: the image holds NaN or Inf.
+        DegenerateInputError: a finite level and no positive peak.
     """
     arr = np.asarray(observed, dtype=float)
     if arr.ndim != 2:

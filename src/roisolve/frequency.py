@@ -188,8 +188,6 @@ def build_system(
     if not isinstance(otf_spec, OtfSpec):
         raise ParameterError(f"transform domain reads an OtfSpec, got {type(otf_spec).__name__}")
     rows, cols = int(field_shape[0]), int(field_shape[1])
-    if rows < 1 or cols < 1:
-        raise ParameterError(f"field must be at least 1x1, got {rows}x{cols}")
     roi.require_inside(rows, cols)
     idx = np.asarray(obs_index)
     if idx.ndim != 2 or idx.shape[1] != 2:
@@ -246,11 +244,11 @@ def frame_rhs(system: LinearSystem, frame: np.ndarray) -> np.ndarray:
     return image_spectrum_block(system.require_frame(frame), us, vs)[u_at, v_at]
 
 
-def unit_rows(system: LinearSystem, peak: float, seed: int) -> np.ndarray:
-    """Unit noise at the system's entries for a blurred frame of that peak, in
-    the exact law of a real white unit field's transform (unit_spectrum_noise)."""
+def unit_rows(system: LinearSystem, seed: int) -> np.ndarray:
+    """Unit noise at the system's entries, in the exact law of a real white
+    unit field's transform (unit_spectrum_noise)."""
     idx = system.require_domain("frequency").obs_index
-    return unit_spectrum_noise(peak, seed, idx, system.field_shape)
+    return unit_spectrum_noise(seed, idx, system.field_shape)
 
 
 def solve_system(

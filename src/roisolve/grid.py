@@ -68,6 +68,18 @@ class RoiSpec:
                 f"does not fit a {rows}x{cols} grid"
             )
 
+    def patch(self, vec: np.ndarray, rows: int, cols: int) -> np.ndarray:
+        """A row-major K*L vector as the K x L block of this ROI on a rows x cols
+        field: ShapeError unless it is one value per cell, BoundsError unless
+        the ROI fits the field."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (self.pixel_count,):
+            raise ShapeError(
+                f"vector length {vec.shape} does not match ROI pixel count {self.pixel_count}"
+            )
+        self.require_inside(rows, cols)
+        return vec.reshape(self.shape)
+
 
 def centered_roi(rows: int, cols: int, k_rows: int, l_cols: int) -> RoiSpec:
     """A K x L region centered (up to rounding) on a rows x cols grid."""
@@ -80,14 +92,19 @@ def centered_roi(rows: int, cols: int, k_rows: int, l_cols: int) -> RoiSpec:
     return roi
 
 
+def field_cells(cells: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """cells as an array, once it is an (n, 2) index of (row, col) cells on a
+    rows x cols field (else ShapeError)."""
+    cells = np.asarray(cells)
+    if cells.ndim != 2 or cells.shape[1] != 2:
+        raise ShapeError(f"cells must have shape (n, 2), got {cells.shape}")
+    if cells.size and (cells.min() < 0 or cells[:, 0].max() >= rows or cells[:, 1].max() >= cols):
+        raise ShapeError(f"cells fall outside the {rows}x{cols} field")
+    return cells
+
+
 def scatter_roi(vec: np.ndarray, roi: RoiSpec, rows: int, cols: int) -> np.ndarray:
     """Embed a row-major K*L vector into an otherwise dark rows x cols frame."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (roi.pixel_count,):
-        raise ShapeError(
-            f"vector length {vec.shape} does not match ROI pixel count {roi.pixel_count}"
-        )
-    roi.require_inside(rows, cols)
     frame = np.zeros((rows, cols))
-    frame[roi.slices()] = vec.reshape(roi.shape)
+    frame[roi.slices()] = roi.patch(vec, rows, cols)
     return frame

@@ -108,8 +108,6 @@ class Solution:
 
     pixels: np.ndarray
     residual: float
-    condition: float
-    method: str
     imag_leakage: float
     negative_count: int
     min_pixel: float
@@ -200,8 +198,6 @@ def solve(
     return Solution(
         pixels=x,
         residual=residual,
-        condition=system.condition_estimate,
-        method=method,
         imag_leakage=leakage,
         negative_count=negative_count,
         min_pixel=min_pixel,

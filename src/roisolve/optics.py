@@ -110,6 +110,21 @@ _IMAG_RESIDUE_RTOL = 1e-12
 _LINE_BATCH = 32
 
 
+def _inverse_columns(
+    band: np.ndarray, band_rows: np.ndarray, rows: int, columns: np.ndarray
+) -> np.ndarray:
+    """The inverse transform along axis 0 of the given columns of a grid that
+    is zero but for its rows band_rows, which band holds: one complex line of
+    the result per column, _LINE_BATCH columns at a time."""
+    lines = np.zeros((_LINE_BATCH, rows), dtype=np.complex128)
+    out = np.empty((columns.size, rows), dtype=np.complex128)
+    for start in range(0, columns.size, _LINE_BATCH):
+        stop = min(start + _LINE_BATCH, columns.size)
+        lines[: stop - start, band_rows] = band[:, columns[start:stop]].T
+        out[start:stop] = np.fft.ifft(lines[: stop - start], axis=-1)
+    return out
+
+
 @dataclass(frozen=True)
 class PsfKernel:
     """Odd-sized crop of the kernel, peak at the central cell.
@@ -221,18 +236,10 @@ def build_psf(spec: OtfSpec, crop_size: int = 501, reach: int | None = None) -> 
     offsets = np.arange(-h, h + 1)
     band = np.zeros((freqs.size, cols), dtype=np.complex128)
     band[:, freqs % cols] = gain
-    # the crop's columns of the row-transformed field, one per line; each is
-    # nonzero only at the 2r+1 passband rows
-    lines = np.fft.ifft(band, axis=-1)[:, offsets % cols].T
-    batch = np.zeros((_LINE_BATCH, rows), dtype=np.complex128)
-    grid = np.empty((crop_size, crop_size))
-    residue = 0.0
-    for start in range(0, crop_size, _LINE_BATCH):
-        stop = min(start + _LINE_BATCH, crop_size)
-        batch[: stop - start, freqs % rows] = lines[start:stop]
-        kept = np.fft.ifft(batch[: stop - start], axis=-1)
-        residue = max(residue, float(np.abs(kept.imag).max()))
-        grid[:, start:stop] = kept.real[:, offsets % rows].T
+    # the crop's columns, each nonzero only at the 2r+1 passband rows
+    kept = _inverse_columns(np.fft.ifft(band, axis=-1), freqs % rows, rows, offsets % cols)
+    residue = float(np.abs(kept.imag).max())
+    grid = kept.real[:, offsets % rows].T.copy()
     peak = float(grid[h, h])
     if residue > _IMAG_RESIDUE_RTOL * abs(peak):
         raise InconsistentInputError(

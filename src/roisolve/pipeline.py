@@ -296,8 +296,10 @@ def noisy_rhs(
     read there. The noiseless rows are read once, whatever the levels.
 
     When any level is finite, the peak is read first: observe_field_at on
-    the pixels, the full blur's max bit for bit, without a full frame. When
-    every level is +inf, neither the peak nor the unit noise is read.
+    the pixels, the full blur's max bit for bit, without a full frame; each
+    level's NoiseSpec.sigma, which refuses a peak that is not positive, is
+    taken from it before any row is read or drawn. When every level is +inf,
+    neither the peak nor the unit noise is read.
 
     Raises:
         ShapeError: pixels is not one value per ROI cell.
@@ -310,12 +312,11 @@ def noisy_rhs(
     noisy = np.array([p != math.inf for p in psnr_levels], dtype=bool)
     if noisy.any():
         peak = observe_field_at(pixels, system.roi, system.require_spec())
+        sigmas = [NoiseSpec(p, seed).sigma(peak) for p, n in zip(psnr_levels, noisy) if n]
     clean = module.noiseless_rhs(system, pixels)
     rows = np.repeat(clean[None], noisy.size, axis=0)
     if noisy.any():
-        unit = module.unit_rows(system, peak, seed)
-        sigmas = [NoiseSpec(p, seed).sigma(peak) for p, n in zip(psnr_levels, noisy) if n]
-        rows[noisy] += np.multiply.outer(sigmas, unit)
+        rows[noisy] += np.multiply.outer(sigmas, module.unit_rows(system, seed))
     return rows
 
 
@@ -365,7 +366,7 @@ def _run_size(
                     ae, ad, condition = (
                         averaged_error(sol.pixels, pixels),
                         averaged_difference(system.a_matrix, pixels, rhs_levels[i]),
-                        sol.condition,
+                        system.condition_estimate,
                     )
                 except RoiSolveError as exc:
                     row_error = exc

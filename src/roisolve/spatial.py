@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError, SingularSystemError
 from .forward import observe_spatial_at, unit_noise
-from .grid import RoiSpec
+from .grid import RoiSpec, field_cells
 from .linear import LinearSystem, Solution, fill_rows, finite_condition, solve
 from .optics import OtfSpec, PsfKernel, build_psf
 
@@ -153,11 +153,7 @@ def build_system(
         raise ParameterError(f"image domain reads a PsfKernel, got {type(psf).__name__}")
     rows, cols = int(field_shape[0]), int(field_shape[1])
     roi.require_inside(rows, cols)
-    idx = np.asarray(obs_index)
-    if idx.ndim != 2 or idx.shape[1] != 2:
-        raise ShapeError(f"obs_index must have shape (n, 2), got {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx[:, 0].max() >= rows or idx[:, 1].max() >= cols):
-        raise ShapeError(f"obs_index holds cells outside the {rows}x{cols} image")
+    idx = field_cells(obs_index, rows, cols)
     if idx.shape[0] < roi.pixel_count:
         raise ShapeError(
             f"{idx.shape[0]} observed cells cannot determine {roi.pixel_count} unknowns"
@@ -180,13 +176,13 @@ def frame_rhs(system: LinearSystem, frame: np.ndarray) -> np.ndarray:
     return system.require_frame(frame)[idx[:, 0], idx[:, 1]]
 
 
-def unit_rows(system: LinearSystem, peak: float, seed: int) -> np.ndarray:
-    """Unit noise at the system's cells for a blurred frame of that peak, in
-    the law of a white unit field read there: one unit_noise draw per
-    distinct cell, in row-major order, so a cell listed twice reads one draw."""
+def unit_rows(system: LinearSystem, seed: int) -> np.ndarray:
+    """Unit noise at the system's cells, in the law of a white unit field read
+    there: one unit_noise draw per distinct cell, in row-major order, so a
+    cell listed twice reads one draw."""
     idx = system.require_domain("spatial").obs_index
     cells, at = np.unique(idx[:, 0] * system.field_shape[1] + idx[:, 1], return_inverse=True)
-    return unit_noise(peak, seed, cells.size)[at]
+    return unit_noise(seed, cells.size)[at]
 
 
 def solve_system(

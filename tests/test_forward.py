@@ -140,8 +140,11 @@ def test_add_noise_is_clean_plus_scaled_unit_field(rng):
     for psnr in (40.0, 120.0, 300.0):
         noise = NoiseSpec(psnr, seed=7)
         np.testing.assert_array_equal(add_noise(obs, noise), obs + noise.sigma(peak) * unit)
-    with pytest.raises(DegenerateInputError):
-        noise_field(np.zeros((4, 4)), seed=7)
+    # the field is drawn whatever the peak; sigma refuses to scale it
+    peak, _ = noise_field(np.zeros((4, 4)), seed=7)
+    assert peak == 0.0
+    with pytest.raises(DegenerateInputError, match="no positive peak"):
+        NoiseSpec(40.0, seed=7).sigma(peak)
 
 
 def _noise_workload_draw_length():
@@ -171,16 +174,18 @@ def test_unit_noise_read_at_cells_is_the_noise_field_there(seed):
     _, unit = noise_field(np.ones(shape), seed)
     cells = observation_index(RoiSpec(40, 127, 3, 3), shape, 2)
     flat = cells[:, 0] * shape[1] + cells[:, 1]
-    got = unit_noise(1.0, seed, int(flat.max()) + 1)[flat]
+    got = unit_noise(seed, int(flat.max()) + 1)[flat]
     assert got.tobytes() == unit[cells[:, 0], cells[:, 1]].tobytes()
 
 
 @pytest.mark.parametrize("peak", [0.0, -1.0, math.nan])
-def test_unit_noise_needs_a_positive_peak(peak):
-    with pytest.raises(DegenerateInputError, match="no positive peak"):
-        unit_noise(peak, 7, 4)
-    with pytest.raises(DegenerateInputError, match="no positive peak"):
-        unit_spectrum_noise(peak, 7, np.zeros((1, 2), int), (4, 4))
+def test_noise_sigma_needs_a_positive_peak(peak):
+    # the draws take no peak; the peak is checked where it scales them, at
+    # every finite level, and not read at +inf
+    for psnr in (0.0, -20.0, 40.0, 400.0):
+        with pytest.raises(DegenerateInputError, match="no positive peak"):
+            NoiseSpec(psnr, seed=7).sigma(peak)
+    assert NoiseSpec(math.inf, seed=7).sigma(peak) == 0.0
 
 
 def test_unit_spectrum_noise_draws_one_value_per_conjugate_class():
@@ -188,15 +193,14 @@ def test_unit_spectrum_noise_draws_one_value_per_conjugate_class():
     # (1,2) and (7,6) are one class; classes draw a pair of normals each in
     # the order of their smaller row-major index: 0, 4, 10, 32, 36
     entries = np.array([[0, 0], [4, 0], [1, 2], [0, 4], [7, 6], [4, 4]])
-    got = unit_spectrum_noise(1.0, 11, entries, (8, 8))
+    got = unit_spectrum_noise(11, entries, (8, 8))
     assert (got[[0, 1, 3, 5]].imag == 0).all()
     assert got[4].tobytes() == np.conj(got[2]).tobytes()
-    assert got.tobytes() == unit_spectrum_noise(2.5, 11, entries, (8, 8)).tobytes()
     z = np.random.default_rng(11).standard_normal((5, 2))
     pair = complex(z[2, 0], z[2, 1]) / math.sqrt(2 * 64)
     want = [z[0, 0] / 8, z[3, 0] / 8, pair, z[1, 0] / 8, pair.conjugate(), z[4, 0] / 8]
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
-    assert unit_spectrum_noise(1.0, 12, entries, (8, 8)).tobytes() != got.tobytes()
+    assert unit_spectrum_noise(12, entries, (8, 8)).tobytes() != got.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(48, 48), (47, 50)])
@@ -212,7 +216,7 @@ def test_unit_spectrum_noise_follows_the_white_field_law(shape):
                         [rows - 1, cols - 2], [3, 0], [5, 7]])
     own = (2 * entries[:, 0] % rows == 0) & (2 * entries[:, 1] % cols == 0)
     assert own.sum() == (3 if rows % 2 == 0 else 2)
-    direct = np.array([unit_spectrum_noise(1.0, seed, entries, shape) for seed in range(n)])
+    direct = np.array([unit_spectrum_noise(seed, entries, shape) for seed in range(n)])
     frames = []
     for seed in range(n):
         block = image_spectrum_block(np.random.default_rng(n + seed).standard_normal(shape),

@@ -269,10 +269,11 @@ def test_build_system_index_validation():
         build_system((16, 16), roi, np.array([[0, 0], [0, 1], [1, 0], [16, 1]]), spec)
     with pytest.raises(SelectionError):
         build_system((16, 16), roi, np.array([[0, 0], [0, 1], [1, 0], [1, -1]]), spec)
-    # the field checks run before the spec is matched against the field
+    # the field checks run before the spec is matched against the field; an
+    # empty field fits no ROI
     with pytest.raises(BoundsError):
         build_system((5, 16), roi, np.zeros((4, 2), dtype=int), spec)
-    with pytest.raises(ParameterError):
+    with pytest.raises(BoundsError):
         build_system((0, 16), roi, np.zeros((4, 2), dtype=int), spec)
 
 
@@ -387,7 +388,6 @@ def test_direct_complex_recovers(small_spec, rng):
     sol = solve_system(system, entries)
     assert np.abs(sol.pixels - pixels).max() <= 1e-6
     assert sol.imag_leakage <= 1e-9
-    assert sol.method == "direct_complex"
 
 
 def test_selection_freedom(small_spec, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roisolve.errors import BoundsError, ParameterError, ShapeError
-from roisolve.grid import RoiSpec, centered_roi, scatter_roi
+from roisolve.grid import RoiSpec, centered_roi, field_cells, scatter_roi
 
 
 def test_roi_spec_validation():
@@ -65,6 +65,34 @@ def test_scatter_length_mismatch():
     roi = RoiSpec(0, 0, 2, 2)
     with pytest.raises(ShapeError):
         scatter_roi(np.ones(3), roi, 4, 4)
+
+
+def test_patch_is_one_value_per_cell_of_an_roi_that_fits():
+    roi = RoiSpec(1, 2, 2, 3)
+    block = roi.patch(np.arange(6), 3, 5)
+    assert block.dtype == float
+    np.testing.assert_array_equal(block, np.arange(6.0).reshape(2, 3))
+    for bad in (np.ones(5), np.ones(7), np.ones((2, 3)), np.ones(0)):
+        with pytest.raises(ShapeError, match="does not match ROI pixel count 6"):
+            roi.patch(bad, 3, 5)
+    # the length is checked first, then the fit
+    with pytest.raises(ShapeError):
+        roi.patch(np.ones(5), 2, 2)
+    for rows, cols in ((2, 5), (3, 4), (0, 16)):
+        with pytest.raises(BoundsError, match="does not fit"):
+            roi.patch(np.ones(6), rows, cols)
+
+
+def test_field_cells_are_an_n_by_2_index_on_the_field():
+    cells = np.array([[0, 0], [3, 4], [2, 1]])
+    assert field_cells(cells, 4, 5) is cells
+    assert field_cells(np.zeros((0, 2), int), 0, 0).shape == (0, 2)
+    for bad in (np.zeros(2, int), np.zeros((3, 3), int), np.zeros((1, 2, 2), int)):
+        with pytest.raises(ShapeError, match="must have shape"):
+            field_cells(bad, 4, 5)
+    for bad in ([[4, 0]], [[0, 5]], [[-1, 0]], [[0, -1]]):
+        with pytest.raises(ShapeError, match="outside the 4x5 field"):
+            field_cells(np.array(bad), 4, 5)
 
 
 

@@ -614,7 +614,7 @@ def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
     clean = module.noiseless_rhs(system, pixels)
     want = module.frame_rhs(system, blurred)
     assert np.abs(clean - want).max() <= 1e-12 * np.abs(want).max()
-    unit = module.unit_rows(system, peak, 9)
+    unit = module.unit_rows(system, 9)
     levels = (math.inf,) + DEFAULT_PSNR_GRID + (math.inf, 0.0)
     got = noisy_rhs(system, pixels, 9, levels)
     assert got.shape == (len(levels), system.obs_index.shape[0])
@@ -643,6 +643,31 @@ def test_noisy_rhs_refuses_what_has_no_noisy_rows(domain, small_psf, small_spec)
         system = roi_problem("spatial", system.roi, (48, 48), file_kernel, 1)
         with pytest.raises(ParameterError, match="no transfer spec"):
             noisy_rhs(system, pixels, 9, (80.0,))
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_noisy_rhs_refuses_a_dark_frame_before_any_row(domain, small_psf, small_spec, monkeypatch):
+    # the peak is checked where it scales the noise (NoiseSpec.sigma), and
+    # every sigma is taken before a row is read or drawn; at +inf levels
+    # nothing scales, so the dark frame's rows are zeros
+    system = _small_system(domain, small_psf, small_spec)
+    module = DOMAIN_MODULES[domain]
+    want = module.noiseless_rhs(system, np.zeros(9))
+    assert not want.any()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a row was read before the peak was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "unit_rows", refused)
+        patch.setattr(module, "noiseless_rhs", refused)
+        for levels in ([80.0], [math.inf, 0.0], [math.inf, 340.0, 40.0]):
+            with pytest.raises(DegenerateInputError, match="no positive peak"):
+                noisy_rhs(system, np.zeros(9), 9, levels)
+    monkeypatch.setattr(module, "unit_rows", refused)
+    got = noisy_rhs(system, np.zeros(9), 9, [math.inf, math.inf])
+    assert got.shape == (2, want.size)
+    assert got.tobytes() == np.vstack([want, want]).tobytes()
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -790,7 +815,7 @@ def test_each_domain_refuses_the_other_domains_system(domain, reader, small_psf,
     # would compute numbers from indices and a matrix of the wrong kind
     (other,) = set(DOMAINS) - {domain}
     system = _small_system(other, small_psf, small_spec, ring=0)
-    args = {"noiseless_rhs": (np.ones(9),), "unit_rows": (1.0, 7),
+    args = {"noiseless_rhs": (np.ones(9),), "unit_rows": (7,),
             "frame_rhs": (np.ones((48, 48)),), "solve_system": (np.ones(9),)}[reader]
     with pytest.raises(ParameterError, match=f"a {other}-domain system given to the {domain}"):
         getattr(DOMAIN_MODULES[domain], reader)(system, *args)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 
 from roisolve.errors import (
     BoundsError,
-    DegenerateInputError,
     ParameterError,
     ShapeError,
     SingularSystemError,
@@ -194,7 +191,6 @@ def test_direct_solve_recovers_pixels(small_psf, rng):
     sol = solve_system(system, _read(obs, system))
     assert np.abs(sol.pixels - pixels).max() <= 1e-6
     assert sol.residual <= 1e-10
-    assert sol.method == "direct"
 
 
 def test_least_squares_never_worse_than_square(small_psf, rng):
@@ -353,19 +349,15 @@ def test_unit_rows_draws_one_normal_per_distinct_cell(small_psf):
     # a white unit field read at the cells: the distinct cells take
     # unit_noise's draws in row-major order, and a cell listed twice (here
     # the ring listed backwards after the ROI and four cells again) reads its
-    # one draw; the peak only gates the draw
+    # one draw
     roi = RoiSpec(20, 20, 3, 3)
     idx = observation_index(roi, (48, 48), 1)
     listed = np.vstack([idx[:9], idx[:8:-1], idx[[0, 12, 3, 20]]])
     system = build_system((48, 48), roi, listed, small_psf, estimate_condition=False)
-    got = unit_rows(system, 2.5, 11)
+    got = unit_rows(system, 11)
     distinct = sorted({(int(r), int(c)) for r, c in listed})
-    drawn = unit_noise(2.5, 11, len(distinct))
+    drawn = unit_noise(11, len(distinct))
     want = drawn[[distinct.index((int(r), int(c))) for r, c in listed]]
     assert got.tobytes() == want.tobytes()
-    assert got.tobytes() == unit_rows(system, 1e-300, 11).tobytes()
-    assert unit_rows(system, 2.5, 12).tobytes() != got.tobytes()
-    for peak in (0.0, -1.0, math.nan):
-        with pytest.raises(DegenerateInputError, match="no positive peak"):
-            unit_rows(system, peak, 11)
+    assert unit_rows(system, 12).tobytes() != got.tobytes()
 
