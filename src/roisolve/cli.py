@@ -346,14 +346,16 @@ def cmd_scan(opts: dict) -> int:
     )
     rel_error = pipeline.averaged_error(recon, sample) / max(float(sample.mean()), 1e-300)
     out = _ensure_outdir(opts["out"])
-    if not opts["input"]:
-        fileio.write_raw_matrix(os.path.join(out, "sample.raw"), sample)
-        fileio.write_pgm16(os.path.join(out, "sample.pgm"), sample)
-    fileio.write_raw_matrix(os.path.join(out, "recovered.raw"), recon)
-    fileio.write_pgm16(os.path.join(out, "recovered.pgm"), recon)
+    # (name, writer, image) in write order
+    rasters = [] if opts["input"] else [
+        ("sample.raw", fileio.write_raw_matrix, sample), ("sample.pgm", fileio.write_pgm16, sample)]
+    rasters += [("recovered.raw", fileio.write_raw_matrix, recon),
+                ("recovered.pgm", fileio.write_pgm16, recon)]
     if (rows, cols) == sample.shape:
         blurred = observe_field(sample, OtfSpec(rows, cols, opts["cutoff"]))
-        fileio.write_pgm16(os.path.join(out, "blurred.pgm"), blurred)
+        rasters.append(("blurred.pgm", fileio.write_pgm16, blurred))
+    for name, write, image in rasters:
+        write(os.path.join(out, name), image)
     fileio.write_manifest(
         os.path.join(out, "scan_manifest.txt"),
         {
@@ -370,7 +372,8 @@ def cmd_scan(opts: dict) -> int:
     )
     print(f"scanned {sample.shape[0]}x{sample.shape[1]} in {opts['tile'][0]}x{opts['tile'][1]} tiles ({opts['domain']})")
     print(f"relative averaged error vs ground truth: {rel_error:.6g}")
-    print(f"wrote recovered.raw, recovered.pgm in {out}")
+    names = ", ".join(name for name, _, _ in rasters)
+    print(f"wrote {names}, scan_manifest.txt in {out}")
     return 0
 
 
@@ -509,7 +512,7 @@ def cmd_recover(opts: dict) -> int:
     print(f"residual {sol.residual:.6g}, condition {system.condition_estimate:.6g}")
     if sol.negative_count:
         print(f"note: {sol.negative_count} negative pixels, most negative {sol.min_pixel:.6g}")
-    print(f"wrote recovered.raw, recovered.pgm in {out}")
+    print(f"wrote recovered.raw, recovered.pgm, recover_manifest.txt in {out}")
     return 0
 
 

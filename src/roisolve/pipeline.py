@@ -84,7 +84,11 @@ def locate_roi(observed: np.ndarray, k_rows: int, l_cols: int) -> RoiSpec:
 
     Takes the intensity centroid of all cells at or above LOCATE_THRESHOLD of
     the image peak and snaps a K x L box onto it (clamping at the borders).
-    Good to about one cell for a region that is genuinely isolated.
+    Good to about one cell for a region that is genuinely isolated. The blur
+    is circular, so the light of a region at a border also reaches the
+    opposite border and the centroid lands between the two: when that light
+    reaches both the first and the last row, or both the first and the last
+    column, the image is refused instead.
 
     Two passes read the whole image: the row maxima (the peak, and any NaN
     or +inf) and the minimum (any -inf). Everything else reads only the
@@ -97,7 +101,8 @@ def locate_roi(observed: np.ndarray, k_rows: int, l_cols: int) -> RoiSpec:
         ShapeError: the image is not 2D.
         ParameterError: the image holds NaN or Inf, or its values are so
             large that the total or the centroid overflows.
-        BoundsError: a K x L box does not fit the image.
+        BoundsError: a K x L box does not fit the image, or the light reaches
+            both the first and the last row or column.
         NoSignalError: the image has no positive values to localize.
     """
     arr = np.asarray(observed, dtype=float)
@@ -122,13 +127,20 @@ def locate_roi(observed: np.ndarray, k_rows: int, l_cols: int) -> RoiSpec:
     row_sums = np.zeros(rows)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         row_sums[r0:r1] = weights.sum(axis=1)
+        col_sums = weights.sum(axis=0)
         total = float(weights.sum())
         row_c = float(row_sums @ np.arange(rows)) / total
-        col_c = float(weights.sum(axis=0) @ np.arange(cols)) / total
+        col_c = float(col_sums @ np.arange(cols)) / total
     if not (math.isfinite(total) and math.isfinite(row_c) and math.isfinite(col_c)):
         raise ParameterError(
             f"observed image values up to {peak:.6g} overflow the centroid; "
             "nothing can be located"
+        )
+    if (r0 == 0 and r1 == rows) or (col_sums[0] != 0 and col_sums[-1] != 0):
+        raise BoundsError(
+            f"light reaches both the first and the last {'row' if r1 - r0 == rows else 'column'}"
+            f" of the {rows}x{cols} frame: a region at a border wraps around the circular "
+            "blur and cannot be located; give its anchor with --roi"
         )
     top = int(np.floor(row_c - (k_rows - 1) / 2.0 + 0.5))
     left = int(np.floor(col_c - (l_cols - 1) / 2.0 + 0.5))

@@ -476,6 +476,27 @@ def test_recover_locates_when_roi_omitted(tmp_path, observed_file, capsys):
     assert np.abs(recovered - pixels).max() <= 1e-6
 
 
+@pytest.mark.parametrize("anchor", [(0, 20), (45, 20), (20, 0), (20, 46), (0, 0)])
+def test_recover_refuses_to_locate_a_roi_at_a_border(tmp_path, small_psf, capsys, anchor):
+    # the blur is circular: the light of a region at a border also lights the
+    # opposite border, and its centroid would land mid-frame
+    pixels = np.array([120.0, 30.0, 200.0, 80.0, 250.0, 10.0])
+    roi = RoiSpec(*anchor, 2, 2 if anchor[1] == 46 else 3)
+    path = tmp_path / "observed.raw"
+    write_raw_matrix(path, observe_spatial(scatter_roi(pixels[: roi.pixel_count], roi, 48, 48),
+                                           small_psf))
+    argv = ["recover", "--observed", str(path), "--size", f"{roi.k_rows}x{roi.l_cols}",
+            "--cutoff", "10", "--out", str(tmp_path / "rec")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "wraps around" in err and "--roi" in err
+    assert not (tmp_path / "rec").exists()
+    # given its anchor, the same region is recovered
+    assert main([*argv, f"--roi={anchor[0]},{anchor[1]}"]) == 0
+    recovered = read_raw_matrix(tmp_path / "rec" / "recovered.raw")
+    assert np.abs(recovered.ravel() - pixels[: roi.pixel_count]).max() <= 1e-6
+
+
 def test_recover_with_kernel_file(tmp_path, observed_file, small_psf):
     path, roi, pixels = observed_file
     kernel_path = tmp_path / "kernel.raw"
@@ -788,6 +809,39 @@ def test_scan_and_recover_build_only_the_kernel_window(tmp_path, observed_file, 
     # the psf command keeps writing the whole crop
     assert main(["psf", *SMALL_ARGS, "--out", str(tmp_path / "psf")]) == 0
     assert edges == [5, 9, 7, 47]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("psf", ["psf", *SMALL_ARGS]),
+    ("table", ["table", "--domain", "spatial", *SMALL_ARGS, "--sizes", "2-3", "--trials", "2"]),
+    ("noise", ["noise", *SMALL_ARGS, "--trials", "1", "--psnr", "80"]),
+    ("synthetic scan", ["scan", "--sample", "24x24", "--tile", "3x3", "--cutoff", "10"]),
+    ("scan on another field", ["scan", "--sample", "24x24", "--field", "32x32",
+                               "--tile", "3x3", "--cutoff", "6"]),
+    ("input scan", ["scan", "--input", "<input>", "--tile", "3x3", "--cutoff", "5"]),
+    ("recover", ["recover", "--observed", "<observed>", "--size", "3x3", "--roi", "20,22",
+                 "--cutoff", "10"]),
+])
+def test_wrote_line_names_every_file_in_write_order(
+    tmp_path, observed_file, monkeypatch, capsys, name, argv
+):
+    observed, _, _ = observed_file
+    write_raw_matrix(tmp_path / "input.raw", make_test_sample(12, 12, seed=9))
+    paths = {"<input>": str(tmp_path / "input.raw"), "<observed>": str(observed)}
+    written = []
+    for writer in ("write_raw_matrix", "write_pgm16", "write_table_csv", "write_manifest"):
+        original = getattr(cli.fileio, writer)
+
+        def recorded(path, *args, _original=original, **kwargs):
+            written.append(os.path.basename(path))
+            return _original(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli.fileio, writer, recorded)
+    out = tmp_path / "out"
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 0
+    (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("wrote ")]
+    assert line == f"wrote {', '.join(written)} in {out}"
+    assert sorted(written) == sorted(os.listdir(out))
 
 
 # ---------------------------------------------------------------------------

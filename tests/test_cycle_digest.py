@@ -35,8 +35,19 @@ def test_compare_lists_differing_and_one_sided_keys(tool, tmp_path, capsys):
         paths.append(str(tmp_path / name))
         (tmp_path / name).write_text(json.dumps(side))
     assert tool.main(["--compare", paths[0], paths[0]]) == 0
+    assert capsys.readouterr().err.splitlines() == ["3 of 3 entries identical"]
     assert tool.main(["--compare", *paths]) == 1
-    assert capsys.readouterr().out.split() == ["x/1/0/stdout", "x/1/1/exit", "x/1/2/exit"]
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["x/1/0/stdout", "x/1/1/exit", "x/1/2/exit"]
+    # after the identical count: differing keys per workload and final part
+    assert captured.err.splitlines() == ["1 of 4 entries identical", "x exit 2", "x stdout 1"]
+    many = {"located/111/top/stdout": "a", "located/205/top/stdout": "a",
+            "located/205/top/recovered.raw": "a", "scan/111/0/stdout": "a",
+            "help/psf": "a", "psf/97x64-5-63--2.5/psf.raw": "a"}
+    assert tool.tally(tool.compare(many, {})) == {
+        ("located", "stdout"): 2, ("located", "recovered.raw"): 1, ("scan", "stdout"): 1,
+        ("help", "psf"): 1, ("psf", "psf.raw"): 1,
+    }
 
 
 def test_help_workload_hashes_every_subcommand(tool):
@@ -114,24 +125,30 @@ def test_scan_field_workload_hashes_both_domains_once(tool):
 
 
 def test_located_workload_hashes_every_frame_at_each_seed(tool):
-    # recover without --roi on border and non-square ROIs, and on finite
-    # frames whose centroid overflows (refused, exit 2, nothing written)
+    # recover without --roi on border, middle and non-square ROIs, and on
+    # finite frames whose centroid overflows; the border frames' light wraps
+    # around and the overflowing frames are refused (exit 2, nothing written)
     assert "located" in tool.WORKLOADS
     digests = tool.digest(["located"], [205, 111])
     solved = ("exit", "stdout", "stderr", "recovered.raw", "recovered.pgm",
               "recover_manifest.txt")
+    middle = {name for name, frame in tool.LOCATED_FRAMES.items() if frame[2] == "middle"}
+    assert any(frame[1][0] != frame[1][1] for name, frame in tool.LOCATED_FRAMES.items()
+               if name in middle)
+    refused = (set(tool.LOCATED_FRAMES) - middle) | set(tool.LOCATED_HUGE)
     assert set(digests) == (
         {f"located/{seed}/{name}/{what}"
-         for seed in (205, 111) for name in tool.LOCATED_FRAMES for what in solved}
+         for seed in (205, 111) for name in middle for what in solved}
         | {f"located/{seed}/{name}/{what}"
-           for seed in (205, 111) for name in tool.LOCATED_HUGE for what in solved[:3]}
+           for seed in (205, 111) for name in refused for what in solved[:3]}
     )
     assert {digests[f"located/{seed}/{name}/exit"]
-            for seed in (205, 111) for name in tool.LOCATED_FRAMES} == {tool._hash(b"0")}
+            for seed in (205, 111) for name in middle} == {tool._hash(b"0")}
     assert {digests[f"located/{seed}/{name}/exit"]
-            for seed in (205, 111) for name in tool.LOCATED_HUGE} == {tool._hash(b"2")}
-    assert (digests["located/205/right-3x4/recovered.raw"]
-            != digests["located/111/right-3x4/recovered.raw"])
+            for seed in (205, 111) for name in refused} == {tool._hash(b"2")}
+    for name in middle:
+        assert (digests[f"located/205/{name}/recovered.raw"]
+                != digests[f"located/111/{name}/recovered.raw"])
     assert tool.digest(["located"], [205]) == {
         key: value for key, value in digests.items() if key.startswith("located/205/")
     }

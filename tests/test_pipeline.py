@@ -147,9 +147,12 @@ def test_locate_validation():
 
 def _whole_image_roi(arr, k_rows, l_cols):
     """The reference locate_roi's band must reproduce: the centroid of the
-    thresholded cells summed over the whole image, snapped and clamped."""
+    thresholded cells summed over the whole image, snapped and clamped; None
+    when those cells reach both the first and the last row or column."""
     rows, cols = arr.shape
     weights = np.where(arr >= pipeline.LOCATE_THRESHOLD * arr.max(), arr, 0.0)
+    if (weights[0].any() and weights[-1].any()) or (weights[:, 0].any() and weights[:, -1].any()):
+        return None
     total = float(weights.sum())
     row_c = float(weights.sum(axis=1) @ np.arange(rows)) / total
     col_c = float(weights.sum(axis=0) @ np.arange(cols)) / total
@@ -159,16 +162,19 @@ def _whole_image_roi(arr, k_rows, l_cols):
                    k_rows, l_cols)
 
 
-def _seeded_frame(seed):
+def _seeded_frame(seed, middle=False):
     """A blurred isolated ROI of 1-4 x 1-4 cells: every fourth on the paper's
     768x768 field at cutoff 6, the rest on small odd or non-square fields;
-    most ROIs touch or nearly touch a border, so the blur wraps around."""
+    most ROIs touch or nearly touch a border, so the blur wraps around. A
+    middle ROI sits in the middle half of each axis instead."""
     rng = np.random.default_rng(seed)
     rows, cols, cutoff = ((768, 768, 6.0) if seed % 4 == 0 else
                           (*rng.choice([(96, 128), (131, 97), (64, 64)]), rng.uniform(3.0, 10.0)))
     k_rows, l_cols = (int(v) for v in rng.integers(1, 5, 2))
 
     def anchor(n, k):  # at or next to either border, or anywhere
+        if middle:
+            return int(rng.integers(n // 4, 3 * n // 4 - k + 1))
         return int(rng.choice([0, 1, 2, n - k - 2, n - k - 1, n - k, rng.integers(0, n - k + 1)]))
 
     roi = RoiSpec(anchor(rows, k_rows), anchor(cols, l_cols), k_rows, l_cols)
@@ -177,17 +183,25 @@ def _seeded_frame(seed):
 
 
 def test_banded_locate_matches_the_whole_image_centroid(tmp_path):
-    # 120 seeded frames, each as raw float64 and as a 16-bit PGM read back
+    # 120 seeded frames at the borders and 40 in the middle, each as raw
+    # float64 and as a 16-bit PGM read back; a frame whose light wraps to
+    # both edges is refused, any other is located at the whole-image centroid
     path = tmp_path / "frame.pgm"
-    checked = 0
-    for seed in range(120):
-        observed, roi = _seeded_frame(seed)
+    located = refused = 0
+    for seed in range(160):
+        observed, roi = _seeded_frame(seed, middle=seed >= 120)
         write_pgm16(path, observed)
         for arr in (observed, read_raster(path)):
             want = _whole_image_roi(arr, roi.k_rows, roi.l_cols)
-            assert locate_roi(arr, roi.k_rows, roi.l_cols) == want, seed
-            checked += 1
-    assert checked == 240
+            if want is None:
+                with pytest.raises(BoundsError, match="--roi"):
+                    locate_roi(arr, roi.k_rows, roi.l_cols)
+                refused += 1
+            else:
+                assert locate_roi(arr, roi.k_rows, roi.l_cols) == want, seed
+                located += 1
+    assert located + refused == 320
+    assert located >= 80 and refused >= 80, (located, refused)
 
 
 def test_locate_weighs_nothing_between_two_far_blobs():
@@ -199,11 +213,19 @@ def test_locate_weighs_nothing_between_two_far_blobs():
 
 
 def test_locate_light_in_the_first_and_last_rows():
+    # on a circular field such light may be one region wrapped around the
+    # border, whose centroid would land mid-frame: refused, rows or columns
     arr = np.zeros((40, 40))
     arr[0, 10] = 2.0
     arr[39, 30] = 2.0
-    assert locate_roi(arr, 1, 1) == _whole_image_roi(arr, 1, 1) == RoiSpec(20, 20, 1, 1)
-    assert locate_roi(arr, 2, 3) == _whole_image_roi(arr, 2, 3)
+    for image in (arr, arr.T.copy()):
+        assert _whole_image_roi(image, 1, 1) is None
+        for size in ((1, 1), (2, 3)):
+            with pytest.raises(BoundsError, match="both the first and the last .* --roi"):
+                locate_roi(image, *size)
+    # light at one edge only is located, clamped to the border
+    arr[39, 30] = 0.0
+    assert locate_roi(arr, 2, 3) == _whole_image_roi(arr, 2, 3) == RoiSpec(0, 9, 2, 3)
 
 
 def test_locate_a_single_lit_cell():

@@ -28,11 +28,14 @@ some or all of their systems, so their summary rows read nan. The
 sample's, which the image domain solves with that field's kernel and the
 transform domain refuses. The "located" workload runs `roisolve recover`
 without --roi on each frame of LOCATED_FRAMES at each seed, under
-"located/<seed>/<name>": ROIs at or next to every border and of non-square
-sizes, on the benchmark's field and an odd non-square one, and two frames
-whose finite values overflow the centroid. --compare
+"located/<seed>/<name>": ROIs at or next to every border (refused, since
+their light wraps around) and in the middle, of non-square sizes, on the
+benchmark's field and an odd non-square one, and two frames whose finite
+values overflow the centroid. --compare
 lists the keys that differ between two such files (or sit in one only) and
-exits 1 if there are any.
+exits 1 if there are any; on stderr it counts the identical entries, then
+the differing keys of each workload and final path part ("located stdout
+18").
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import os
 import shutil
 import sys
 import tempfile
+from collections import Counter
 from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -83,8 +87,10 @@ SCAN_FIELD_ARGV = ["scan", "--sample", "24x24", "--field", "32x32", "--cutoff", 
 # name -> (field, ROI size, anchor, format, domain, ring) of the located
 # workload. An anchor names a border ("top" is row 1, "bottom" one row above
 # the last fit, "left" and "right" likewise) or a corner, the other
-# coordinate drawn from the seed. The frames are blurred by the benchmark's
-# own disk, so an ROI at a border wraps around the circular field.
+# coordinate drawn from the seed, or "middle": both drawn from the middle
+# half of their range. The frames are blurred by the benchmark's own disk,
+# so the light of an ROI at a border wraps around the circular field, and
+# recover refuses to locate it.
 LOCATED_FRAMES = {
     "top-left-2x3": ((768, 768), (2, 3), "top-left", "raw", "spatial", 0),
     "bottom-right-3x2": ((768, 768), (3, 2), "bottom-right", "raw", "frequency", 0),
@@ -92,6 +98,8 @@ LOCATED_FRAMES = {
     "left-4x1": ((97, 130), (4, 1), "left", "raw", "frequency", 2),
     "bottom-4x3": ((97, 130), (4, 3), "bottom", "pgm", "frequency", 0),
     "right-3x4": ((97, 130), (3, 4), "right", "raw", "spatial", 0),
+    "middle-2x4": ((768, 768), (2, 4), "middle", "raw", "spatial", 2),
+    "middle-3x2": ((97, 130), (3, 2), "middle", "pgm", "frequency", 0),
 }
 # name -> value of an unblurred 3x3 block on a 97x130 frame: located, its
 # centroid overflows float64
@@ -208,6 +216,8 @@ def scan_field_digest() -> dict[str, str]:
 def _located_anchor(rng, anchor: str, field: tuple[int, int], size: tuple[int, int]) -> tuple:
     """(top, left) of an anchor name of LOCATED_FRAMES."""
     last = [n - k for n, k in zip(field, size)]
+    if anchor == "middle":
+        return tuple(int(rng.integers(hi // 4, 3 * hi // 4 + 1)) for hi in last)
     named = {"top": (1, None), "bottom": (last[0] - 1, None), "left": (None, 1),
              "right": (None, last[1] - 1), "top-left": (0, 0), "bottom-right": tuple(last)}
     return tuple(int(rng.integers(0, hi + 1)) if v is None else v
@@ -288,6 +298,11 @@ def compare(a: dict[str, str], b: dict[str, str]) -> list[str]:
     return sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
 
 
+def tally(keys: list[str]) -> Counter:
+    """How many of the keys fall on each (workload, final path part)."""
+    return Counter((key.split("/")[0], key.rsplit("/", 1)[-1]) for key in keys)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
@@ -305,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
             print(key)
         total = len(set(sides[0]) | set(sides[1]))
         print(f"{total - len(differing)} of {total} entries identical", file=sys.stderr)
+        for (workload, what), count in sorted(tally(differing).items()):
+            print(f"{workload} {what} {count}", file=sys.stderr)
         return 1 if differing else 0
     names = [w.strip() for w in args.workloads.split(",") if w.strip()]
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
