@@ -138,9 +138,8 @@ def locate_roi(observed: np.ndarray, k_rows: int, l_cols: int) -> RoiSpec:
         )
     if (r0 == 0 and r1 == rows) or (col_sums[0] != 0 and col_sums[-1] != 0):
         raise BoundsError(
-            f"light reaches both the first and the last {'row' if r1 - r0 == rows else 'column'}"
-            f" of the {rows}x{cols} frame: a region at a border wraps around the circular "
-            "blur and cannot be located; give its anchor with --roi"
+            f"light reaches opposite edges of the {rows}x{cols} frame: a region at a border "
+            "wraps around the circular blur and cannot be located; give its anchor with --roi"
         )
     top = int(np.floor(row_c - (k_rows - 1) / 2.0 + 0.5))
     left = int(np.floor(col_c - (l_cols - 1) / 2.0 + 0.5))
