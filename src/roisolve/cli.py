@@ -170,9 +170,15 @@ def resolve_options(args: argparse.Namespace, options: tuple[Option, ...]) -> di
     return merged
 
 
-def _ensure_outdir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
+def _write_files(out: str, files: list[tuple]) -> str:
+    """Create out and write each (name, writer, *args) of files in order, as
+    writer(out/name, *args); the names written, comma-separated. Commands
+    look each writer up on fileio as they run, not in a table built at
+    import, so wrappers installed on fileio see every write."""
+    os.makedirs(out, exist_ok=True)
+    for name, write, *args in files:
+        write(os.path.join(out, name), *args)
+    return ", ".join(name for name, *_ in files)
 
 
 def _write_records(path: str, kind: type, records) -> None:
@@ -191,20 +197,6 @@ def _auto_crop(rows: int, cols: int, requested: int) -> int:
     limit = min(rows - 1 if rows % 2 == 0 else rows, cols - 1 if cols % 2 == 0 else cols)
     crop = min(requested, limit)
     return crop if crop % 2 == 1 else crop - 1
-
-
-# Generic solver spellings, as positions in each domain's METHODS.
-_SOLVER_ALIASES = {"direct": 0, "lsq": 1, "truncated": 2}
-
-
-def resolve_solver(domain: str, name: str | None) -> str | None:
-    """Map the generic solver spellings onto the domain's method names.
-
-    Domain-specific names pass through untouched so scripts can be explicit.
-    """
-    if name not in _SOLVER_ALIASES:
-        return name
-    return pipeline.domain_module(domain).METHODS[_SOLVER_ALIASES[name]]
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +230,24 @@ def cmd_psf(opts: dict) -> int:
     psf = build_psf(spec, crop)
     otf = build_otf(spec)
     count = int(np.count_nonzero(otf))
-    out = _ensure_outdir(opts["out"])
-    fileio.write_raw_matrix(os.path.join(out, "psf.raw"), psf.grid)
-    fileio.write_pgm16(os.path.join(out, "psf.pgm"), psf.grid)
-    fileio.write_raw_matrix(os.path.join(out, "otf.raw"), otf)
-    fileio.write_manifest(
-        os.path.join(out, "psf_manifest.txt"),
-        {
-            "field": f"{rows}x{cols}",
-            "cutoff": repr(opts["cutoff"]),
-            "passband_gain": repr(opts["gain"]),
-            "psf_crop": str(crop),
-            "passband_count": str(count),
-            "peak": fileio.format_float(psf.peak),
-        },
-    )
+    manifest = {
+        "field": f"{rows}x{cols}",
+        "cutoff": repr(opts["cutoff"]),
+        "passband_gain": repr(opts["gain"]),
+        "psf_crop": str(crop),
+        "passband_count": str(count),
+        "peak": fileio.format_float(psf.peak),
+    }
+    wrote = _write_files(opts["out"], [
+        ("psf.raw", fileio.write_raw_matrix, psf.grid),
+        ("psf.pgm", fileio.write_pgm16, psf.grid),
+        ("otf.raw", fileio.write_raw_matrix, otf),
+        ("psf_manifest.txt", fileio.write_manifest, manifest),
+    ])
     print(f"kernel {crop}x{crop} on a {rows}x{cols} field, cutoff {opts['cutoff']:g}")
     print(f"passband entries: {count}")
     print(f"peak value: {psf.peak:.10g}")
-    print(f"wrote psf.raw, psf.pgm, otf.raw, psf_manifest.txt in {out}")
+    print(f"wrote {wrote} in {opts['out']}")
     return 0
 
 
@@ -275,32 +266,43 @@ def cmd_table(opts: dict) -> int:
     domain = opts["domain"]
     rows, cols = opts["field"]
     crop = _auto_crop(rows, cols, opts["psf_crop"])
+    sizes = expand_sizes(opts["sizes"], min(rows, cols))
     report = pipeline.run_table_experiment(
         domain,
-        sizes=expand_sizes(opts["sizes"], min(rows, cols)),
+        sizes=sizes,
         trials_per_size=opts["trials"],
         root_seed=opts["seed"],
         field_shape=(rows, cols),
         cutoff_radius=opts["cutoff"],
         psf_crop=crop,
-        solver=resolve_solver(domain, opts["solver"]),
+        solver=opts["solver"],
         extra_ring=opts["ring"],
         noise_psnr_db=opts["noise_psnr"],
     )
-    out = _ensure_outdir(opts["out"])
-    _write_records(os.path.join(out, f"trials_{domain}.csv"), pipeline.TrialResult, report.trials)
     summaries = report.summaries().items()
-    fileio.write_table_csv(
-        os.path.join(out, f"ae_{domain}.csv"),
-        ["roi_size", "mean_ae", "std_ae", "failed"],
-        [(size, s.mean_ae, s.std_ae, s.failed) for size, s in summaries],
-    )
-    fileio.write_table_csv(
-        os.path.join(out, f"ad_{domain}.csv"),
-        ["roi_size", "mean_ad", "std_ad", "max_ad"],
-        [(size, s.mean_ad, s.std_ad, s.max_ad) for size, s in summaries],
-    )
-    fileio.write_manifest(os.path.join(out, f"manifest_{domain}.txt"), report.manifest())
+    manifest = {
+        "domain": domain,
+        "field_rows": str(rows),
+        "field_cols": str(cols),
+        "base_cutoff": repr(opts["cutoff"]),
+        "psf_crop": str(crop),
+        "trials_per_size": str(opts["trials"]),
+        "root_seed": str(opts["seed"]),
+        "solver": report.solver,
+        "extra_ring": str(opts["ring"]),
+        "noise_psnr_db": "" if opts["noise_psnr"] is None else repr(opts["noise_psnr"]),
+        "sizes": ",".join(map(str, sizes)),
+    }
+    for size, cut in sorted(report.effective_cutoffs.items()):
+        manifest[f"effective_cutoff_{size}"] = repr(cut)
+    wrote = _write_files(opts["out"], [
+        (f"trials_{domain}.csv", _write_records, pipeline.TrialResult, report.trials),
+        (f"ae_{domain}.csv", fileio.write_table_csv, ["roi_size", "mean_ae", "std_ae", "failed"],
+         [(size, s.mean_ae, s.std_ae, s.failed) for size, s in summaries]),
+        (f"ad_{domain}.csv", fileio.write_table_csv, ["roi_size", "mean_ad", "std_ad", "max_ad"],
+         [(size, s.mean_ad, s.std_ad, s.max_ad) for size, s in summaries]),
+        (f"manifest_{domain}.txt", fileio.write_manifest, manifest),
+    ])
     print(f"{domain} recovery, {opts['trials']} trials per size, solver {report.solver}")
     print(f"{'size':>4}  {'mean AE':>12}  {'std AE':>12}  {'mean AD':>12}  {'max AD':>12}  failed")
     for size, s in summaries:
@@ -308,10 +310,7 @@ def cmd_table(opts: dict) -> int:
             f"{size:>4}  {s.mean_ae:>12.5g}  {s.std_ae:>12.5g}  "
             f"{s.mean_ad:>12.5g}  {s.max_ad:>12.5g}  {s.failed:>6}"
         )
-    print(
-        f"wrote trials_{domain}.csv, ae_{domain}.csv, ad_{domain}.csv, "
-        f"manifest_{domain}.txt in {out}"
-    )
+    print(f"wrote {wrote} in {opts['out']}")
     return 0
 
 
@@ -342,38 +341,31 @@ def cmd_scan(opts: dict) -> int:
         opts["cutoff"],
         crop,
         domain=opts["domain"],
-        solver=resolve_solver(opts["domain"], opts["solver"]),
+        solver=opts["solver"],
     )
     rel_error = pipeline.averaged_error(recon, sample) / max(float(sample.mean()), 1e-300)
-    out = _ensure_outdir(opts["out"])
-    # (name, writer, image) in write order
-    rasters = [] if opts["input"] else [
+    files = [] if opts["input"] else [
         ("sample.raw", fileio.write_raw_matrix, sample), ("sample.pgm", fileio.write_pgm16, sample)]
-    rasters += [("recovered.raw", fileio.write_raw_matrix, recon),
-                ("recovered.pgm", fileio.write_pgm16, recon)]
+    files += [("recovered.raw", fileio.write_raw_matrix, recon),
+              ("recovered.pgm", fileio.write_pgm16, recon)]
     if (rows, cols) == sample.shape:
         blurred = observe_field(sample, OtfSpec(rows, cols, opts["cutoff"]))
-        rasters.append(("blurred.pgm", fileio.write_pgm16, blurred))
-    for name, write, image in rasters:
-        write(os.path.join(out, name), image)
-    fileio.write_manifest(
-        os.path.join(out, "scan_manifest.txt"),
-        {
-            "source": source,
-            "sample": f"{sample.shape[0]}x{sample.shape[1]}",
-            "tile": f"{opts['tile'][0]}x{opts['tile'][1]}",
-            "domain": opts["domain"],
-            "field": f"{rows}x{cols}",
-            "cutoff": repr(opts["cutoff"]),
-            "psf_crop": str(crop),
-            "solver": opts["solver"] or "default",
-            "relative_error": fileio.format_float(rel_error),
-        },
-    )
+        files.append(("blurred.pgm", fileio.write_pgm16, blurred))
+    files.append(("scan_manifest.txt", fileio.write_manifest, {
+        "source": source,
+        "sample": f"{sample.shape[0]}x{sample.shape[1]}",
+        "tile": f"{opts['tile'][0]}x{opts['tile'][1]}",
+        "domain": opts["domain"],
+        "field": f"{rows}x{cols}",
+        "cutoff": repr(opts["cutoff"]),
+        "psf_crop": str(crop),
+        "solver": opts["solver"] or "default",
+        "relative_error": fileio.format_float(rel_error),
+    }))
+    wrote = _write_files(opts["out"], files)
     print(f"scanned {sample.shape[0]}x{sample.shape[1]} in {opts['tile'][0]}x{opts['tile'][1]} tiles ({opts['domain']})")
     print(f"relative averaged error vs ground truth: {rel_error:.6g}")
-    names = ", ".join(name for name, _, _ in rasters)
-    print(f"wrote {names}, scan_manifest.txt in {out}")
+    print(f"wrote {wrote} in {opts['out']}")
     return 0
 
 
@@ -402,23 +394,25 @@ def cmd_noise(opts: dict) -> int:
         extra_ring=opts["ring"],
         domains=domains,
     )
-    out = _ensure_outdir(opts["out"])
-    _write_records(os.path.join(out, "noise_sweep.csv"), pipeline.SweepPoint, report.points)
+    size = opts["roi_size"]
     manifest = {
-        "roi_size": str(report.roi_size),
-        "trials_per_level": str(report.trials_per_level),
-        "root_seed": str(report.root_seed),
+        "roi_size": str(size),
+        "trials_per_level": str(opts["trials"]),
+        "root_seed": str(opts["seed"]),
         "field": f"{rows}x{cols}",
-        "cutoff": repr(report.base_cutoff),
-        "psf_crop": str(report.psf_crop),
-        "extra_ring": str(report.extra_ring),
+        "cutoff": repr(opts["cutoff"]),
+        "psf_crop": str(crop),
+        "extra_ring": str(opts["ring"]),
         "threshold_ae": fileio.format_float(report.threshold_ae),
     }
     for domain in domains:
         crossing = report.crossing_db(domain)
         manifest[f"crossing_db_{domain}"] = "" if crossing is None else fileio.format_float(crossing)
-    fileio.write_manifest(os.path.join(out, "noise_manifest.txt"), manifest)
-    print(f"noise sweep, {report.roi_size}x{report.roi_size} ROI, {report.trials_per_level} trials per level")
+    wrote = _write_files(opts["out"], [
+        ("noise_sweep.csv", _write_records, pipeline.SweepPoint, report.points),
+        ("noise_manifest.txt", fileio.write_manifest, manifest),
+    ])
+    print(f"noise sweep, {size}x{size} ROI, {opts['trials']} trials per level")
     print(f"{'domain':>10}  {'PSNR dB':>9}  {'ratio':>12}  {'mean AE':>12}  {'std AE':>12}"
           f"  {'failed':>6}")
     for p in report.points:
@@ -430,7 +424,7 @@ def cmd_noise(opts: dict) -> int:
             print(f"{'':>10}  first failure: {p.error}")
     for line in report.interpretation_lines():
         print(line)
-    print(f"wrote noise_sweep.csv, noise_manifest.txt in {out}")
+    print(f"wrote {wrote} in {opts['out']}")
     return 0
 
 
@@ -478,23 +472,18 @@ def cmd_recover(opts: dict) -> int:
                   file=sys.stderr)
     system = pipeline.roi_problem(domain, roi, (rows, cols), blur, opts["ring"])
     module = pipeline.DOMAIN_MODULES[domain]
-    method = resolve_solver(domain, opts["solver"])
-    if method is None:
-        method = module.METHODS[opts["ring"] > 0]
-        if system.condition_estimate > CONDITION_LIMIT:
-            print(
-                f"condition {system.condition_estimate:.3g} above "
-                f"{CONDITION_LIMIT:g}; switching to the truncated solver",
-                file=sys.stderr,
-            )
-            method = module.METHODS[2]
+    method = pipeline.resolve_solver(domain, opts["solver"], opts["ring"])
+    if opts["solver"] is None and system.condition_estimate > CONDITION_LIMIT:
+        print(
+            f"condition {system.condition_estimate:.3g} above "
+            f"{CONDITION_LIMIT:g}; switching to the truncated solver",
+            file=sys.stderr,
+        )
+        method = module.METHODS[2]
     rhs = module.frame_rhs(system, observed)
     sol = module.solve_system(system, rhs, method, clamp_negative=bool(opts["clamp"]))
 
-    out = _ensure_outdir(opts["out"])
     recovered = sol.pixels.reshape(roi.shape)
-    fileio.write_raw_matrix(os.path.join(out, "recovered.raw"), recovered)
-    fileio.write_pgm16(os.path.join(out, "recovered.pgm"), recovered)
     manifest = {
         "observed": opts["observed"],
         "roi": f"{roi.top},{roi.left},{roi.k_rows},{roi.l_cols}",
@@ -507,12 +496,16 @@ def cmd_recover(opts: dict) -> int:
     }
     if domain == "frequency":
         manifest["imag_leakage"] = fileio.format_float(sol.imag_leakage)
-    fileio.write_manifest(os.path.join(out, "recover_manifest.txt"), manifest)
+    wrote = _write_files(opts["out"], [
+        ("recovered.raw", fileio.write_raw_matrix, recovered),
+        ("recovered.pgm", fileio.write_pgm16, recovered),
+        ("recover_manifest.txt", fileio.write_manifest, manifest),
+    ])
     print(f"recovered {roi.k_rows}x{roi.l_cols} ROI at ({roi.top}, {roi.left}) via {method}")
     print(f"residual {sol.residual:.6g}, condition {system.condition_estimate:.6g}")
     if sol.negative_count:
         print(f"note: {sol.negative_count} negative pixels, most negative {sol.min_pixel:.6g}")
-    print(f"wrote recovered.raw, recovered.pgm, recover_manifest.txt in {out}")
+    print(f"wrote {wrote} in {opts['out']}")
     return 0
 
 

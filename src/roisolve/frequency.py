@@ -2,8 +2,9 @@
 
 Each selected spectrum entry of an isolated frame is a known complex linear
 mix of the ROI pixels: the row for frequency (u, v) and column for unknown
-cell (r, c) holds exp(-2j*pi*(r*u/M + c*v/N)) / (M*N). Picking at least as
-many in-passband entries as unknowns gives a solvable dense complex system.
+cell (r, c) holds g*exp(-2j*pi*(r*u/M + c*v/N)) / (M*N), g the passband
+gain. Picking at least as many in-passband entries as unknowns gives a
+solvable dense complex system.
 """
 
 from __future__ import annotations
@@ -219,6 +220,7 @@ def build_system(
 
     a = fill_rows(idx.shape[0], unknowns.shape[0], np.complex128, phase_rows)
     a /= rows * cols
+    a *= otf_spec.passband_gain
     cond = float("nan")
     if estimate_condition:
         cond = _factor_condition(roi, idx, rows, cols)

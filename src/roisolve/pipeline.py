@@ -50,6 +50,26 @@ def domain_module(domain: str) -> ModuleType:
     return DOMAIN_MODULES[domain]
 
 
+def resolve_solver(domain: str, solver: str | None, ring: int) -> str:
+    """The one mapping of a solver spelling onto the domain's METHODS.
+
+    The generic spellings direct, lsq and truncated name their position in
+    METHODS, the domain's own method names pass through, and None is the
+    default: LU for a square system (ring 0), least squares for a ring. Any
+    other name, the other domain's method names included, is a
+    ParameterError.
+    """
+    methods = domain_module(domain).METHODS
+    if solver is None:
+        return methods[ring > 0]
+    method = dict(zip(("direct", "lsq", "truncated"), methods)).get(solver, solver)
+    if method not in methods:
+        raise ParameterError(
+            f"unknown solver {solver!r} for the {domain} domain, expected one of {methods}"
+        )
+    return method
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -211,18 +231,10 @@ def summarize(trials: Sequence[TrialResult]) -> Summary:
 
 @dataclass
 class ExperimentReport:
-    """One table run: every trial row plus enough metadata to rerun it."""
+    """What one table run found: the method it solved with, the transform
+    domain's effective cutoff per size, and every trial row."""
 
-    domain: str
-    field_rows: int
-    field_cols: int
-    base_cutoff: float
-    psf_crop: int
-    trials_per_size: int
-    root_seed: int
     solver: str
-    extra_ring: int
-    noise_psnr_db: float | None
     effective_cutoffs: dict[int, float] = dataclass_field(default_factory=dict)
     trials: list[TrialResult] = dataclass_field(default_factory=list)
 
@@ -233,24 +245,6 @@ class ExperimentReport:
         for t in self.trials:
             groups.setdefault(t.roi_size, []).append(t)
         return {size: summarize(trials) for size, trials in groups.items()}
-
-    def manifest(self) -> dict[str, str]:
-        entries = {
-            "domain": self.domain,
-            "field_rows": str(self.field_rows),
-            "field_cols": str(self.field_cols),
-            "base_cutoff": repr(self.base_cutoff),
-            "psf_crop": str(self.psf_crop),
-            "trials_per_size": str(self.trials_per_size),
-            "root_seed": str(self.root_seed),
-            "solver": self.solver,
-            "extra_ring": str(self.extra_ring),
-            "noise_psnr_db": "" if self.noise_psnr_db is None else repr(self.noise_psnr_db),
-            "sizes": ",".join(str(s) for s in dict.fromkeys(t.roi_size for t in self.trials)),
-        }
-        for size, cut in sorted(self.effective_cutoffs.items()):
-            entries[f"effective_cutoff_{size}"] = repr(cut)
-        return entries
 
 
 def _check_run_args(domain: str, trials: int, extra_ring: int, root_seed: int) -> ModuleType:
@@ -409,6 +403,7 @@ def run_table_experiment(
     ring of cells within that Chebyshev distance of the ROI; in the transform
     domain it grows the selected spectrum block by the same amount per axis.
     Either way the default solver switches to the least-squares variant.
+    solver is any spelling resolve_solver takes.
 
     In the transform domain the cutoff is raised per size to keep the selected
     block inside the passband; the report records the effective value used.
@@ -429,25 +424,7 @@ def run_table_experiment(
     if noise_psnr_db is not None:
         NoiseSpec(noise_psnr_db, root_seed)  # refuses NaN and -inf before any trial
     rows, cols = int(field_shape[0]), int(field_shape[1])
-    valid = module.METHODS
-    method = solver or valid[extra_ring > 0]
-    if method not in valid:
-        raise ParameterError(
-            f"unknown solver {method!r} for the {domain} domain, expected one of {valid}"
-        )
-    report = ExperimentReport(
-        domain=domain,
-        field_rows=rows,
-        field_cols=cols,
-        base_cutoff=cutoff_radius,
-        psf_crop=psf_crop,
-        trials_per_size=trials_per_size,
-        root_seed=root_seed,
-        solver=method,
-        extra_ring=extra_ring,
-        noise_psnr_db=noise_psnr_db,
-    )
-
+    report = ExperimentReport(solver=resolve_solver(domain, solver, extra_ring))
     spec = OtfSpec(rows, cols, cutoff_radius)
     level = math.inf if noise_psnr_db is None else noise_psnr_db
     for size in sizes:
@@ -457,8 +434,8 @@ def run_table_experiment(
         if domain == "frequency":
             report.effective_cutoffs[size] = blur.cutoff_radius
         (trials,) = _run_size(
-            domain, centered_roi(rows, cols, size, size), (rows, cols), blur, extra_ring, method,
-            trials_per_size, root_seed, [level],
+            domain, centered_roi(rows, cols, size, size), (rows, cols), blur, extra_ring,
+            report.solver, trials_per_size, root_seed, [level],
         )
         report.trials.extend(trials)
     return report
@@ -542,8 +519,8 @@ def scan_reconstruct(
     only as a unit-modulus row scaling that cancels between measurement and
     solve, so the origin-anchored system is reused the same way; there the
     field must be the sample's (else ShapeError). Every tile is one
-    right-hand-side column of a single solve with solver, one of the
-    domain's METHODS (None: METHODS[0], LU).
+    right-hand-side column of a single solve with solver, any spelling
+    resolve_solver takes (None: LU), resolved once the system is built.
     """
     module = domain_module(domain)
     arr = np.asarray(sample, dtype=float)
@@ -564,7 +541,7 @@ def scan_reconstruct(
     # column t holds tile (t // across, t % across), row-major within the tile
     tiles = arr.reshape(down, k_rows, across, l_cols).transpose(1, 3, 0, 2)
     rhs = system.a_matrix @ tiles.reshape(k_rows * l_cols, -1)
-    sol = module.solve_system(system, rhs, solver or module.METHODS[0])
+    sol = module.solve_system(system, rhs, resolve_solver(domain, solver, 0))
     recovered = sol.pixels.reshape(k_rows, l_cols, down, across).transpose(2, 0, 3, 1)
     return recovered.reshape(rows, cols)
 
@@ -593,14 +570,6 @@ class SweepPoint:
 class NoiseSweepReport:
     """Averaged error versus noise level, per domain, with a crossing readout."""
 
-    roi_size: int
-    trials_per_level: int
-    root_seed: int
-    field_rows: int
-    field_cols: int
-    base_cutoff: float
-    psf_crop: int
-    extra_ring: int
     threshold_ae: float
     points: list[SweepPoint] = dataclass_field(default_factory=list)
 
@@ -690,24 +659,12 @@ def noise_sweep(
         float(_trial_pixels(root_seed, roi_size, trial)[1].mean())
         for trial in range(trials_per_level)
     ]
-    threshold = 0.01 * float(np.mean(pixel_means))
-
-    report = NoiseSweepReport(
-        roi_size=roi_size,
-        trials_per_level=trials_per_level,
-        root_seed=root_seed,
-        field_rows=rows,
-        field_cols=cols,
-        base_cutoff=cutoff_radius,
-        psf_crop=psf_crop,
-        extra_ring=extra_ring,
-        threshold_ae=threshold,
-    )
+    report = NoiseSweepReport(threshold_ae=0.01 * float(np.mean(pixel_means)))
     spec = OtfSpec(rows, cols, cutoff_radius)
     for domain, module in zip(domains, modules):
         blur = module.simulated_blur(spec, roi_size, roi_size, extra_ring, psf_crop)
         per_level = _run_size(
-            domain, roi, (rows, cols), blur, extra_ring, module.METHODS[extra_ring > 0],
+            domain, roi, (rows, cols), blur, extra_ring, resolve_solver(domain, None, extra_ring),
             trials_per_level, root_seed, levels,
         )
         for psnr, trials in zip(levels, per_level):

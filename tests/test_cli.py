@@ -17,16 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roisolve import cli, spatial
+from roisolve import cli, pipeline, spatial
 from roisolve.cli import (
     expand_sizes,
     main,
     parse_complex,
     parse_dims,
     parse_size_ranges,
-    resolve_solver,
 )
-from roisolve.errors import BoundsError
+from roisolve.errors import BoundsError, ParameterError
 from roisolve.fileio import (
     read_manifest,
     read_raw_matrix,
@@ -161,14 +160,29 @@ def test_parse_complex_accepts_both_suffixes():
 
 
 def test_resolve_solver_aliases():
-    assert resolve_solver("spatial", "lsq") == "least_squares"
-    assert resolve_solver("spatial", "direct") == "direct"
-    assert resolve_solver("frequency", "direct") == "direct_complex"
-    assert resolve_solver("frequency", "lsq") == "stacked_real_lsq"
-    assert resolve_solver("frequency", "truncated") == "truncated"
-    # explicit method names pass through
-    assert resolve_solver("spatial", "least_squares") == "least_squares"
-    assert resolve_solver("spatial", None) is None
+    # the one mapping from a --solver value (or a library solver=) to a method
+    resolve = pipeline.resolve_solver
+    for domain, module in pipeline.DOMAIN_MODULES.items():
+        for position, alias in enumerate(("direct", "lsq", "truncated")):
+            assert resolve(domain, alias, 0) == module.METHODS[position]
+        # the domain's own names pass through
+        for name in module.METHODS:
+            assert resolve(domain, name, 2) == name
+        assert resolve(domain, None, 0) == module.METHODS[0]
+        assert resolve(domain, None, 2) == module.METHODS[1]
+    assert resolve("spatial", "lsq", 0) == "least_squares"
+    assert resolve("frequency", "direct", 0) == "direct_complex"
+    assert resolve("frequency", "lsq", 0) == "stacked_real_lsq"
+    # a name no domain has, or the other domain's name, is refused naming the domain
+    for domain, name in (("spatial", "qr"), ("frequency", "qr"), ("frequency", "least_squares"),
+                         ("spatial", "direct_complex")):
+        with pytest.raises(ParameterError, match=f"unknown solver '{name}' for the {domain} domain"):
+            resolve(domain, name, 0)
+    # library runs take the generic spellings too
+    report = pipeline.run_table_experiment("frequency", sizes=(2,), trials_per_size=1,
+                                           field_shape=(48, 48), cutoff_radius=10.0, solver="lsq")
+    assert report.solver == "stacked_real_lsq"
+    assert all(t.error is None for t in report.trials)
 
 
 # ---------------------------------------------------------------------------

@@ -152,3 +152,27 @@ def test_located_workload_hashes_every_frame_at_each_seed(tool):
     assert tool.digest(["located"], [205]) == {
         key: value for key, value in digests.items() if key.startswith("located/205/")
     }
+
+
+def test_solvers_workload_hashes_every_spelling_in_each_domain_once(tool):
+    # every --solver spelling through table, scan and recover; a name the
+    # domain lacks is refused (exit 2, nothing written)
+    assert "solvers" in tool.WORKLOADS
+    digests = tool.digest(["solvers"], [205])
+    own = {"spatial": {"direct", "lsq", "truncated", "least_squares"},
+           "frequency": {"direct", "lsq", "truncated", "direct_complex", "stacked_real_lsq"}}
+    files = {"table": ("trials_{}.csv", "ae_{}.csv", "ad_{}.csv", "manifest_{}.txt"),
+             "scan": ("sample.raw", "sample.pgm", "recovered.raw", "recovered.pgm",
+                      "blurred.pgm", "scan_manifest.txt"),
+             "recover": ("recovered.raw", "recovered.pgm", "recover_manifest.txt")}
+    expected = set()
+    for command, names in files.items():
+        for domain in ("spatial", "frequency"):
+            for solver in tool.SOLVER_SPELLINGS:
+                key = f"solvers/{command}-{domain}-{solver}"
+                written = [n.format(domain) for n in names] if solver in own[domain] else []
+                expected |= {f"{key}/{what}" for what in ("exit", "stdout", "stderr", *written)}
+                code = b"0" if solver in own[domain] else b"2"
+                assert digests[f"{key}/exit"] == tool._hash(code)
+    assert set(digests) == expected
+    assert tool.digest(["solvers"], []) == digests

@@ -23,7 +23,8 @@ from roisolve.frequency import (
 from roisolve.grid import RoiSpec, scatter_roi
 from roisolve.linear import LinearSystem
 from roisolve.optics import OtfSpec, build_otf
-from roisolve.pipeline import roi_problem
+from roisolve.pipeline import DOMAIN_MODULES, roi_problem
+from roisolve.spatial import simulated_blur
 
 
 def forward_two_point(n_len, a, b, x_a, x_b, k):
@@ -439,6 +440,21 @@ def test_stacked_real_lsq_overdetermined(small_spec, rng):
     sol = solve_system(system, entries, "stacked_real_lsq")
     assert np.abs(sol.pixels - pixels).max() <= 1e-6
     assert sol.imag_leakage == 0.0
+
+
+@pytest.mark.parametrize("gain", [0.5, -2.5])
+@pytest.mark.parametrize("domain", ["spatial", "frequency"])
+def test_both_domains_recover_a_frame_blurred_at_any_passband_gain(domain, gain):
+    # the observation scales by the gain, so the matrix has to as well
+    spec = OtfSpec(64, 64, 6.0, gain)
+    roi = RoiSpec(30, 30, 2, 2)
+    pixels = np.array([10.0, 20.0, 30.0, 40.0])
+    frame = observe_field(scatter_roi(pixels, roi, 64, 64), spec)
+    blur = simulated_blur(spec, 2, 2, 0, 63) if domain == "spatial" else spec
+    system = roi_problem(domain, roi, (64, 64), blur, 0)
+    module = DOMAIN_MODULES[domain]
+    sol = module.solve_system(system, module.frame_rhs(system, frame), module.METHODS[0])
+    assert np.abs(sol.pixels - pixels).max() <= 1e-9
 
 
 def test_direct_complex_requires_square(small_spec, rng):

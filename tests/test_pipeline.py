@@ -17,7 +17,8 @@ from roisolve.errors import (
     ShapeError,
     SingularSystemError,
 )
-from roisolve.fileio import read_raster, write_pgm16
+from roisolve.cli import main
+from roisolve.fileio import read_manifest, read_raster, write_pgm16
 from roisolve.forward import NoiseSpec, observe_field, observe_field_at, observe_spatial
 from roisolve.grid import RoiSpec, centered_roi, scatter_roi
 from roisolve.optics import OtfSpec, PsfKernel, build_psf
@@ -43,6 +44,13 @@ from roisolve.pipeline import (
 )
 
 SMALL = dict(field_shape=(48, 48), cutoff_radius=10.0, psf_crop=47)
+SMALL_ARGS = ["--field", "48x48", "--cutoff", "10", "--psf-crop", "47"]
+
+
+def _run_manifest(out, name, *argv):
+    """The manifest name of a command run on the SMALL setup into out."""
+    assert main([*argv, *SMALL_ARGS, "--out", str(out)]) == 0
+    return read_manifest(str(out / name))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +317,7 @@ def test_effective_cutoff():
     assert effective_cutoff(6.0, 20, 2) == pytest.approx(math.hypot(19, 1))
 
 
-def test_report_aggregates_skip_failed_trials():
+def test_report_aggregates_skip_failed_trials(tmp_path, capsys):
     ok = [
         TrialResult("spatial", 3, t, 100 + t, ae=float(t + 1), ad=0.5 * (t + 1), condition=10.0)
         for t in range(3)
@@ -318,11 +326,7 @@ def test_report_aggregates_skip_failed_trials():
         "spatial", 3, 3, 103, ae=float("nan"), ad=float("nan"), condition=float("nan"),
         error="SingularSystemError: boom",
     )
-    report = ExperimentReport(
-        domain="spatial", field_rows=48, field_cols=48, base_cutoff=10.0, psf_crop=47,
-        trials_per_size=4, root_seed=7, solver="direct", extra_ring=0, noise_psnr_db=None,
-        trials=ok + [bad],
-    )
+    report = ExperimentReport(solver="direct", trials=ok + [bad])
     ((size, row),) = report.summaries().items()
     assert size == 3
     assert row.trials == 4
@@ -333,7 +337,8 @@ def test_report_aggregates_skip_failed_trials():
     assert row.std_ad == pytest.approx(np.std([0.5, 1.0, 1.5]))
     assert row.max_ad == pytest.approx(1.5)
     assert row == summarize(report.trials)
-    manifest = report.manifest()
+    manifest = _run_manifest(tmp_path, "manifest_spatial.txt", "table", "--domain", "spatial",
+                             "--sizes", "3", "--trials", "1")
     assert manifest["domain"] == "spatial"
     assert manifest["sizes"] == "3"
     assert manifest["noise_psnr_db"] == ""
@@ -369,7 +374,7 @@ def test_table_experiment_aggregates_match_manual():
     assert row.max_ad == float(ads.max())
 
 
-def test_table_experiment_frequency_records_cutoffs():
+def test_table_experiment_frequency_records_cutoffs(tmp_path, capsys):
     report = run_table_experiment(
         "frequency", sizes=(2, 12), trials_per_size=2, root_seed=3, **SMALL
     )
@@ -379,7 +384,9 @@ def test_table_experiment_frequency_records_cutoffs():
         assert t.roi_size == 2
         assert t.error is None
         assert t.ae < 1e-6
-    assert report.manifest()["effective_cutoff_12"] == repr(math.hypot(11.0, 11.0))
+    manifest = _run_manifest(tmp_path, "manifest_frequency.txt", "table", "--domain", "frequency",
+                             "--sizes", "2,12", "--trials", "2", "--seed", "3")
+    assert manifest["effective_cutoff_12"] == repr(math.hypot(11.0, 11.0))
 
 
 def test_table_experiment_ring_widens_spatial_system():
@@ -393,12 +400,14 @@ def test_table_experiment_ring_widens_spatial_system():
     assert ringed.summaries()[3].mean_ae <= plain.summaries()[3].mean_ae * (1 + 1e-9) + 1e-12
 
 
-def test_table_experiment_noise_raises_error_floor():
+def test_table_experiment_noise_raises_error_floor(tmp_path, capsys):
     quiet = run_table_experiment("spatial", sizes=(2,), trials_per_size=3, root_seed=11, **SMALL)
     noisy = run_table_experiment(
         "spatial", sizes=(2,), trials_per_size=3, root_seed=11, noise_psnr_db=40.0, **SMALL
     )
-    assert noisy.noise_psnr_db == 40.0
+    manifest = _run_manifest(tmp_path, "manifest_spatial.txt", "table", "--domain", "spatial",
+                             "--sizes", "2", "--trials", "3", "--seed", "11", "--noise-psnr", "40")
+    assert manifest["noise_psnr_db"] == "40.0"
     assert noisy.summaries()[2].mean_ae > quiet.summaries()[2].mean_ae
 
 
@@ -1042,7 +1051,6 @@ def test_summaries_pool_a_repeated_size_in_first_run_order():
     assert list(summaries) == [3, 2]
     assert summaries[3].trials == 4
     assert summaries[3] == summarize([t for t in report.trials if t.roi_size == 3])
-    assert report.manifest()["sizes"] == "3,2"
 
 
 def test_sweep_validation():
@@ -1094,7 +1102,7 @@ def test_condition_estimate_leaves_every_trial_alone(domain, ring):
         assert solved[0].tobytes() == solved[1].tobytes()
 
 
-def test_runs_build_only_the_kernel_window_their_systems_read(monkeypatch):
+def test_runs_build_only_the_kernel_window_their_systems_read(monkeypatch, tmp_path, capsys):
     import roisolve.spatial
 
     edges = []
@@ -1106,12 +1114,14 @@ def test_runs_build_only_the_kernel_window_their_systems_read(monkeypatch):
         return psf
 
     monkeypatch.setattr(roisolve.spatial, "build_psf", recorded)
-    report = run_table_experiment("spatial", sizes=(3, 2), trials_per_size=1, **SMALL)
-    assert report.manifest()["psf_crop"] == "47"
-    run_table_experiment("spatial", sizes=(2,), trials_per_size=1, extra_ring=2, **SMALL)
-    sweep = noise_sweep(roi_size=2, psnr_grid=(80.0,), trials_per_level=1, extra_ring=1,
-                        domains=("spatial",), **SMALL)
-    assert sweep.psf_crop == 47
+    run_table_experiment("spatial", sizes=(3, 2), trials_per_size=1, **SMALL)
+    # the manifests record the requested crop, not the windows built
+    table = _run_manifest(tmp_path, "manifest_spatial.txt", "table", "--domain", "spatial",
+                          "--sizes", "2", "--trials", "1", "--ring", "2")
+    assert table["psf_crop"] == "47"
+    sweep = _run_manifest(tmp_path, "noise_manifest.txt", "noise", "--domains", "spatial",
+                          "--roi-size", "2", "--psnr", "80", "--trials", "1", "--ring", "1")
+    assert sweep["psf_crop"] == "47"
     ad_spot_check("spatial", 4, **SMALL)
     # one kernel per table size, each out to that size's own reach
     assert edges == [5, 3, 7, 5, 7]

@@ -2,7 +2,7 @@
 
     python3 tools/cycle_digest.py
         [--workloads table,noise,scan,recover,help,psf,noisy-table,failed-trials,scan-field,
-                     located]
+                     located,solvers]
         [--seeds 111,205,12345] [--out digest.json]
     python3 tools/cycle_digest.py --compare A.json B.json
 
@@ -31,7 +31,11 @@ without --roi on each frame of LOCATED_FRAMES at each seed, under
 "located/<seed>/<name>": ROIs at or next to every border (refused, since
 their light wraps around) and in the middle, of non-square sizes, on the
 benchmark's field and an odd non-square one, and two frames whose finite
-values overflow the centroid. --compare
+values overflow the centroid. The "solvers" workload runs
+each command of SOLVER_RUNS once per domain with --solver set to each of
+SOLVER_SPELLINGS, under "solvers/<command>-<domain>-<solver>" whatever the
+seeds: the generic spellings, each domain's method names (which the other
+domain refuses) and a name no domain has. --compare
 lists the keys that differ between two such files (or sit in one only) and
 exits 1 if there are any; on stderr it counts the identical entries, then
 the differing keys of each workload and final path part ("located stdout
@@ -57,7 +61,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf", "noisy-table", "failed-trials",
-             "scan-field", "located")
+             "scan-field", "located", "solvers")
 SUBCOMMANDS = ("psf", "table", "scan", "noise", "recover", "two-point")
 SEEDS = (111, 205, 12345)
 # (field, cutoff, crop, gain) of the psf workload: the benchmark's kernel,
@@ -104,6 +108,19 @@ LOCATED_FRAMES = {
 # name -> value of an unblurred 3x3 block on a 97x130 frame: located, its
 # centroid overflows float64
 LOCATED_HUGE = {"huge-1e307": 1e307, "largest-1.7e308": 1.7e308}
+# every --solver spelling the solvers workload passes
+SOLVER_SPELLINGS = ("direct", "lsq", "truncated", "least_squares", "direct_complex",
+                    "stacked_real_lsq", "qr")
+# command -> argv (without --domain, --solver and --out) of the solvers
+# workload; SOLVER_FRAME is the path of the frame recover reads
+SOLVER_FRAME = "<frame>"
+SOLVER_RUNS = {
+    "table": ["table", "--field", "48x48", "--cutoff", "10", "--psf-crop", "47", "--sizes", "2",
+              "--trials", "2"],
+    "scan": ["scan", "--sample", "24x24", "--cutoff", "6", "--tile", "3x3"],
+    "recover": ["recover", "--observed", SOLVER_FRAME, "--size", "2x2", "--roi", "20,22",
+                "--cutoff", "6"],
+}
 MASK = "<tmp>"
 
 
@@ -262,6 +279,35 @@ def located_digest(seed: int) -> dict[str, str]:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def solvers_digest() -> dict[str, str]:
+    """Digests of every SOLVER_RUNS command in each domain with each
+    SOLVER_SPELLINGS solver; recover reads a 48x48 frame holding a blurred
+    2x2 block."""
+    import numpy as np
+
+    import roisolve.cli as cli
+    import workloads
+
+    tmp = tempfile.mkdtemp(prefix="cycle-digest-")
+    try:
+        ideal = np.zeros((48, 48))
+        ideal[20:22, 22:24] = [[40.0, 200.0], [120.0, 10.0]]
+        frame = os.path.join(tmp, "frame.raw")
+        workloads.write_raw(frame, workloads._blur(ideal))
+        digests = {}
+        for command, argv in SOLVER_RUNS.items():
+            for domain in ("spatial", "frequency"):
+                for solver in SOLVER_SPELLINGS:
+                    name = f"{command}-{domain}-{solver}"
+                    out = os.path.join(tmp, "out", name)
+                    full = [frame if a == SOLVER_FRAME else a for a in argv]
+                    full += ["--domain", domain, "--solver", solver, "--out", out]
+                    digests.update(_op_digest(cli, full, out, tmp, f"solvers/{name}"))
+        return digests
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def help_digest() -> dict[str, str]:
     """Digests of every subcommand's --help at a fixed terminal width."""
     import roisolve.cli as cli
@@ -272,7 +318,8 @@ def help_digest() -> dict[str, str]:
 
 
 # workloads that run once whatever the seeds
-SEEDLESS = {"help": help_digest, "psf": psf_digest, "scan-field": scan_field_digest}
+SEEDLESS = {"help": help_digest, "psf": psf_digest, "scan-field": scan_field_digest,
+            "solvers": solvers_digest}
 
 
 def digest(workload_names, seeds) -> dict[str, str]:
