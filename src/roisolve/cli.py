@@ -334,6 +334,7 @@ def cmd_scan(opts: dict) -> int:
         source = f"synthetic {opts['sample'][0]}x{opts['sample'][1]} seed {opts['sample_seed']}"
     rows, cols = opts["field"] or sample.shape
     crop = _auto_crop(rows, cols, opts["psf_crop"])
+    solver = pipeline.resolve_solver(opts["domain"], opts["solver"], 0)
     recon = pipeline.scan_reconstruct(
         sample,
         opts["tile"],
@@ -341,7 +342,7 @@ def cmd_scan(opts: dict) -> int:
         opts["cutoff"],
         crop,
         domain=opts["domain"],
-        solver=opts["solver"],
+        solver=solver,
     )
     rel_error = pipeline.averaged_error(recon, sample) / max(float(sample.mean()), 1e-300)
     files = [] if opts["input"] else [
@@ -359,7 +360,7 @@ def cmd_scan(opts: dict) -> int:
         "field": f"{rows}x{cols}",
         "cutoff": repr(opts["cutoff"]),
         "psf_crop": str(crop),
-        "solver": opts["solver"] or "default",
+        "solver": solver,
         "relative_error": fileio.format_float(rel_error),
     }))
     wrote = _write_files(opts["out"], files)

@@ -9,12 +9,10 @@ fill loop of the generators, and the solver.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ParameterError, ShapeError, SingularSystemError
 from .grid import RoiSpec
@@ -118,9 +116,8 @@ def _truncated_lstsq(a: np.ndarray, rhs: np.ndarray, rtol: float) -> np.ndarray:
     keep = s > rtol * s[0] if s.size else np.zeros(0, dtype=bool)
     if not keep.any():
         raise SingularSystemError("every singular value fell below the truncation floor")
-    with np.errstate(over="ignore", invalid="ignore"):  # solve refuses NaN and Inf
-        coeff = (u[:, keep].conj().T @ rhs) / (s[keep] if rhs.ndim == 1 else s[keep, None])
-        return vt[keep].conj().T @ coeff
+    coeff = (u[:, keep].conj().T @ rhs) / (s[keep] if rhs.ndim == 1 else s[keep, None])
+    return vt[keep].conj().T @ coeff
 
 
 def solve(
@@ -138,9 +135,10 @@ def solve(
     whole block (residual takes the Frobenius norm).
 
     methods names the domain's three solvers in this order: LU (square
-    systems only), least squares (gelsd; a complex A is stacked as [Re; Im]
-    so the solution stays real) and truncated SVD (singular values below
-    TRUNCATION_RTOL of the largest discarded).
+    systems only), least squares (numpy's LAPACK gelsd, singular values
+    below machine epsilon of the largest discarded; a complex A is stacked
+    as [Re; Im] so the solution stays real) and truncated SVD (singular
+    values below TRUNCATION_RTOL of the largest discarded).
 
     Raises:
         ParameterError: method is not in methods, A or y holds NaN or Inf, or
@@ -148,8 +146,8 @@ def solve(
             the solve).
         ShapeError: rhs does not have one row per observation, or LU asked of
             a non-square system.
-        SingularSystemError: LU found the matrix singular, or every singular
-            value fell below the truncation floor.
+        SingularSystemError: LU found the matrix singular, an SVD did not
+            converge, or every singular value fell below the truncation floor.
     """
     if method not in methods:
         raise ParameterError(f"unknown method {method!r}, expected one of {methods}")
@@ -160,28 +158,28 @@ def solve(
     if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
         raise ParameterError("system matrix or right-hand side holds NaN or Inf")
     kind = methods.index(method)
-    if kind == 0:
-        if a.shape[0] != a.shape[1]:
-            raise ShapeError(
-                f"{method} needs a square system, got {a.shape}; "
-                f"use {methods[1]} for extra observations"
-            )
-        try:
-            z = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                f"direct solve failed: {exc}", condition=system.condition_estimate
-            ) from exc
-    elif kind == 1:
-        a_ls, y_ls = a, rhs
-        if np.iscomplexobj(a):
-            a_ls, y_ls = np.vstack([a.real, a.imag]), np.concatenate([rhs.real, rhs.imag])
+    if kind == 0 and a.shape[0] != a.shape[1]:
+        raise ShapeError(
+            f"{method} needs a square system, got {a.shape}; "
+            f"use {methods[1]} for extra observations"
+        )
+    try:
         # overflow leaves NaN or Inf in z, refused below
-        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            z, _, _, _ = scipy.linalg.lstsq(a_ls, y_ls, lapack_driver="gelsd")
-    else:
-        z = _truncated_lstsq(a, rhs, TRUNCATION_RTOL)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if kind == 0:
+                z = np.linalg.solve(a, rhs)
+            elif kind == 1:
+                a_ls, y_ls = a, rhs
+                if np.iscomplexobj(a):
+                    a_ls, y_ls = np.vstack([a.real, a.imag]), np.concatenate([rhs.real, rhs.imag])
+                z = np.linalg.lstsq(a_ls, y_ls, rcond=np.finfo(float).eps)[0]
+            else:
+                z = _truncated_lstsq(a, rhs, TRUNCATION_RTOL)
+    except np.linalg.LinAlgError as exc:
+        label = ("direct", "least-squares", "truncated")[kind]
+        raise SingularSystemError(
+            f"{label} solve failed: {exc}", condition=system.condition_estimate
+        ) from exc
     if not np.isfinite(z).all():
         raise ParameterError("solution holds NaN or Inf: the observations overflow the solve")
     scale = float(np.abs(z).max()) if z.size else 0.0

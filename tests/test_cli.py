@@ -98,6 +98,22 @@ def test_huge_sizes_range_exits_2_without_expanding(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+_NO_SCIPY_SCRIPT = """
+import sys
+import roisolve
+from roisolve.cli import main
+code = main(["noise", "--field", "48x48", "--cutoff", "10", "--roi-size", "2", "--trials", "1",
+             "--psnr", "80", "--out", sys.argv[1]])
+print(code, "scipy" in sys.modules)
+"""
+
+
+def test_a_least_squares_command_never_imports_scipy(tmp_path):
+    # importing scipy.linalg used to be most of every command's start-up
+    run = _run_capped(_NO_SCIPY_SCRIPT, tmp_path / "out")
+    assert run.stdout.split()[-2:] == ["0", "False"], run.stderr
+
+
 @pytest.mark.parametrize("by_config", [False, True])
 def test_reversed_sizes_piece_exits_2(tmp_path, by_config):
     # an empty piece is refused, not dropped with the run going on without it
@@ -565,6 +581,22 @@ def test_recover_non_square_ringed(tmp_path, small_psf, domain, ring, kernel_fil
     assert np.abs(recovered - pixels).max() <= 1e-9
 
 
+@pytest.mark.parametrize("domain", ["spatial", "frequency"])
+def test_recover_failed_least_squares_exits_4(tmp_path, observed_file, capsys, monkeypatch, domain):
+    # gelsd's SVD failing to converge is a singular system, not a traceback
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+    path, roi, _ = observed_file
+    out = tmp_path / "rec"
+    argv = ["recover", "--observed", str(path), "--size", "3x3", "--roi", f"{roi.top},{roi.left}",
+            "--domain", domain, "--ring", "2", "--cutoff", "10", "--out", str(out)]
+    assert main(argv) == 4
+    assert "singular system: least-squares solve failed: SVD did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_recover_missing_file_exits_3(tmp_path):
     rc = main(
         [
@@ -882,6 +914,24 @@ def test_scan_command_synthetic(tmp_path):
     manifest = read_manifest(out / "scan_manifest.txt")
     assert manifest["tile"] == "3x3"
     assert float(manifest["relative_error"]) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "domain, solver, method",
+    [
+        ("spatial", None, "direct"),
+        ("spatial", "lsq", "least_squares"),
+        ("frequency", None, "direct_complex"),
+        ("frequency", "lsq", "stacked_real_lsq"),
+        ("frequency", "truncated", "truncated"),
+    ],
+)
+def test_scan_manifest_records_the_method_it_solved_with(tmp_path, domain, solver, method):
+    out = tmp_path / "scan"
+    argv = ["scan", "--sample", "24x24", "--tile", "3x3", "--cutoff", "6", "--domain", domain,
+            "--out", str(out)]
+    assert main([*argv, *(["--solver", solver] if solver else [])]) == 0
+    assert read_manifest(out / "scan_manifest.txt")["solver"] == method
 
 
 def test_scan_command_with_input_file(tmp_path):

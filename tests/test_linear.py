@@ -2,17 +2,19 @@
 solver's input checks."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from roisolve import frequency, spatial
-from roisolve.errors import ParameterError, ShapeError
+from roisolve.errors import ParameterError, ShapeError, SingularSystemError
 from roisolve.forward import observe_spatial, observe_spectrum
-from roisolve.grid import RoiSpec, scatter_roi
+from roisolve.grid import RoiSpec, centered_roi, scatter_roi
 from roisolve.linear import Solution
-from roisolve.optics import build_otf
+from roisolve.optics import OtfSpec, build_otf
 from roisolve.pipeline import DOMAIN_MODULES as MODULES
+from roisolve.pipeline import noisy_rhs, roi_problem
 
 ROI = RoiSpec(22, 22, 2, 2)
 PIXELS = np.array([120.0, 30.0, 200.0, 80.0])
@@ -129,3 +131,40 @@ def test_solve_refuses_a_residual_that_overflows(domain, small_psf):
         for clamp in (False, True):
             with pytest.raises(ParameterError, match="residual overflows"):
                 MODULES[domain].solve_system(system, rhs, method, clamp_negative=clamp)
+
+
+@pytest.mark.parametrize("domain", list(MODULES))
+def test_a_truncated_svd_that_does_not_converge_is_a_singular_system(domain, small_psf,
+                                                                     monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    system, rhs = _built(domain, small_psf)
+    with pytest.raises(SingularSystemError, match="truncated solve failed: SVD did not converge"):
+        MODULES[domain].solve_system(system, rhs, "truncated")
+
+
+@pytest.mark.parametrize("domain", list(MODULES))
+@pytest.mark.parametrize(
+    "roi", [centered_roi(768, 768, 3, 3), RoiSpec(128, 301, 2, 2), RoiSpec(517, 140, 3, 3)]
+)
+def test_least_squares_is_scipy_gelsd_bit_for_bit(domain, roi):
+    # the ring-2 systems of the benchmark's noise (centred 3x3) and recover
+    # (2x2 and 3x3) ops on its 768x768 field at cutoff 6 and crop 501, each
+    # with one vector and one block of observations; kept at these sizes
+    # because with more than one BLAS thread numpy's and scipy's OpenBLAS
+    # builds part in the last bits from about 400 unknowns up
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    module = MODULES[domain]
+    size, spec = roi.k_rows, OtfSpec(768, 768, 6.0)
+    system = roi_problem(domain, roi, spec.shape, module.simulated_blur(spec, size, size, 2, 501), 2)
+    pixels = np.random.default_rng(roi.top).integers(1, 256, roi.pixel_count).astype(float)
+    rows = noisy_rhs(system, pixels, 7, [40.0, 120.0, 250.0, math.inf])
+    a = system.a_matrix
+    for rhs in (*rows, rows.T):
+        a_ls, y_ls = a, rhs
+        if np.iscomplexobj(a):
+            a_ls, y_ls = np.vstack([a.real, a.imag]), np.concatenate([rhs.real, rhs.imag])
+        expected = scipy_linalg.lstsq(a_ls, y_ls, lapack_driver="gelsd")[0]
+        assert np.array_equal(module.solve_system(system, rhs, module.METHODS[1]).pixels, expected)
