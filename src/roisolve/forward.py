@@ -94,7 +94,7 @@ def observe_field(ideal: np.ndarray, spec: OtfSpec) -> np.ndarray:
     transforms only what is nonzero or kept: forward along axis -1 the rows
     that hold light, forward along axis 0 the 2r+1 passband columns, inverse
     along axis -1 the 2r+1 passband rows, and inverse along axis 0 every
-    column, _LINE_BATCH at a time. Every 1-D transform sees the line the 2-D
+    column, in one call. Every 1-D transform sees the line the 2-D
     transforms give it, and the product is the same elementwise operation.
 
     Raises:

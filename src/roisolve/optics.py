@@ -104,25 +104,16 @@ def build_otf(spec: OtfSpec) -> np.ndarray:
 # inverse transform; exceeding it means the disk lost its symmetry somewhere.
 _IMAG_RESIDUE_RTOL = 1e-12
 
-# Columns inverse-transformed along axis 0 per batch, in build_psf and in
-# forward's full-field blur; a batch of field-length lines stays in cache
-# where the whole grid does not.
-_LINE_BATCH = 32
-
 
 def _inverse_columns(
     band: np.ndarray, band_rows: np.ndarray, rows: int, columns: np.ndarray
 ) -> np.ndarray:
     """The inverse transform along axis 0 of the given columns of a grid that
     is zero but for its rows band_rows, which band holds: one complex line of
-    the result per column, _LINE_BATCH columns at a time."""
-    lines = np.zeros((_LINE_BATCH, rows), dtype=np.complex128)
-    out = np.empty((columns.size, rows), dtype=np.complex128)
-    for start in range(0, columns.size, _LINE_BATCH):
-        stop = min(start + _LINE_BATCH, columns.size)
-        lines[: stop - start, band_rows] = band[:, columns[start:stop]].T
-        out[start:stop] = np.fft.ifft(lines[: stop - start], axis=-1)
-    return out
+    the result per column, all transformed in place by one call."""
+    lines = np.zeros((columns.size, rows), dtype=np.complex128)
+    lines[:, band_rows] = band[:, columns].T
+    return np.fft.ifft(lines, axis=-1, out=lines)
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ def test_build_psf_crop_validation():
 
 # (rows, cols, cutoff, crop): the paper's setup, the scan kernel, an odd
 # non-square field, and crops that span all (9x9) or all but one (16x12) of
-# the field's columns; crops above 32 span several batches of build_psf
+# the field's columns; build_psf inverts every crop column in one call
 GRID_CASES = [
     (768, 768, 6.0, 501),
     (300, 300, 6.0, 299),
