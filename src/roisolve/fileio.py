@@ -17,6 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import FileFormatError, ParameterError, ShapeError
+from .grid import exceeds_address_space
 
 RAW_KIND_REAL = "real64"
 RAW_KIND_COMPLEX = "complex64-pairs"
@@ -45,7 +46,7 @@ def _check_dims(rows: int, cols: int, itemsize: int, what: str, offset: int) -> 
     """
     if rows < 0 or cols < 0:
         raise FileFormatError(f"{what} dimensions negative: {rows}x{cols}", offset=offset)
-    if max(rows, cols) * itemsize > np.iinfo(np.intp).max:
+    if exceeds_address_space(rows, cols, itemsize):
         raise FileFormatError(f"{what} dimensions {rows}x{cols} exceed any array", offset=offset)
 
 
@@ -136,7 +137,11 @@ def write_pgm16(path: str, image: np.ndarray) -> None:
         raise ShapeError(f"PGM stores 2D images, got ndim={arr.ndim}")
     peak = float(arr.max()) if arr.size else 0.0
     scale = PGM_MAXVAL / peak if peak > 0 else 0.0
-    scaled = np.clip(arr * scale, 0, PGM_MAXVAL)
+    if math.isfinite(scale):
+        scaled = np.clip(arr * scale, 0, PGM_MAXVAL)
+    else:
+        # a subnormal peak: PGM_MAXVAL / peak overflows, the ratios to it do not
+        scaled = np.maximum(arr, 0.0) / peak * PGM_MAXVAL
     quantized = np.floor(scaled + 0.5).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n{PGM_MAXVAL}\n".encode("ascii"))

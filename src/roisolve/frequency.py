@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import (
+    BoundsError,
     InconsistentInputError,
     ParameterError,
     SelectionError,
@@ -34,6 +35,10 @@ from .optics import OtfSpec, in_passband
 
 # Imaginary residue allowed on recovered pixels, relative to their magnitude.
 IMAG_RTOL = 1e-9
+
+# The largest integer solve_two_point_1d takes: its phases are float64
+# products of its integers, which hold integers exactly up to 2**53.
+_EXACT_INTEGER_LIMIT = 2**53
 
 # LU, least squares, truncated: the order linear.solve reads them in.
 METHODS = ("direct_complex", "stacked_real_lsq", "truncated")
@@ -56,9 +61,9 @@ def solve_two_point_1d(
     X_k = sum_n x_n * exp(-2j*pi*k*n/n_len).
 
     Raises:
-        ParameterError: n_len < 2, a position outside [0, n_len), a NaN or
-            infinite argument, imag_rtol NaN, infinite or negative, or a
-            result that overflows float64.
+        ParameterError: n_len < 2, a position outside [0, n_len), an integer
+            argument beyond +/-2**53, a NaN or infinite argument, imag_rtol
+            NaN, infinite or negative, or a result that overflows float64.
         SingularSystemError: the frequency pair is degenerate for these
             positions, i.e. (a - b)*(c - d) is a multiple of n_len (includes
             a == b and c == d).
@@ -66,6 +71,10 @@ def solve_two_point_1d(
             above imag_rtol of their magnitude (inputs do not match any real
             pair of sources).
     """
+    integers = {"n_len": n_len, "a": a, "b": b, "c": c, "d": d}
+    for name, value in integers.items():
+        if abs(value) > _EXACT_INTEGER_LIMIT:
+            raise ParameterError(f"{name} lies beyond +/-2**53, past what float64 phases carry")
     values = (n_len, a, b, c, d, x_c, x_d)
     if not all(cmath.isfinite(v) for v in values):
         raise ParameterError(f"two-point inputs must be finite, got {values}")
@@ -108,12 +117,25 @@ def effective_cutoff(base: float, k_rows: int, l_cols: int) -> float:
     return max(base, math.hypot(k_rows - 1, l_cols - 1))
 
 
+def require_block(k_rows: int, l_cols: int, ring: int, field_shape: tuple[int, int]) -> None:
+    """BoundsError unless the (K+ring) x (L+ring) block a K x L region's
+    system reads fits a field_shape spectrum."""
+    rows, cols = field_shape
+    if k_rows + ring > rows or l_cols + ring > cols:
+        raise BoundsError(
+            f"ring {ring} grows the {k_rows}x{l_cols} ROI's spectrum block "
+            f"beyond the {rows}x{cols} field"
+        )
+
+
 def simulated_blur(
     spec: OtfSpec, k_rows: int, l_cols: int, ring: int, psf_crop: int
 ) -> OtfSpec:
     """The transfer spec a simulated K x L region's system reads: spec with
     its cutoff raised to keep the (K+ring) x (L+ring) block observation_index
-    selects inside the passband. psf_crop is not read."""
+    selects inside the passband (BoundsError if the block exceeds the
+    field). psf_crop is not read."""
+    require_block(k_rows, l_cols, ring, spec.shape)
     return replace(
         spec, cutoff_radius=effective_cutoff(spec.cutoff_radius, k_rows + ring, l_cols + ring)
     )

@@ -81,6 +81,13 @@ class RoiSpec:
         return vec.reshape(self.shape)
 
 
+def exceeds_address_space(rows: int, cols: int, itemsize: int) -> bool:
+    """Whether numpy refuses every rows x cols array of itemsize-byte entries:
+    a dimension's byte extent overflows the address space, which numpy
+    refuses even when the other dimension is 0."""
+    return max(int(rows), int(cols)) * itemsize > np.iinfo(np.intp).max
+
+
 def centered_roi(rows: int, cols: int, k_rows: int, l_cols: int) -> RoiSpec:
     """A K x L region centered (up to rounding) on a rows x cols grid."""
     if k_rows > rows or l_cols > cols:

@@ -22,8 +22,8 @@ from .optics import OtfSpec
 # the CLI switches to the truncated solver when the caller did not pin one.
 CONDITION_LIMIT = 1e14
 
-# Relative singular-value floor of the truncated solver (1 / CONDITION_LIMIT).
-TRUNCATION_RTOL = 1e-14
+# Relative singular-value floor of the truncated solver.
+TRUNCATION_RTOL = 1.0 / CONDITION_LIMIT
 
 # Row-block size cap (in matrix entries) when filling large systems, keeps
 # the index scratch arrays small.
@@ -111,9 +111,9 @@ class Solution:
     min_pixel: float
 
 
-def _truncated_lstsq(a: np.ndarray, rhs: np.ndarray, rtol: float) -> np.ndarray:
+def _truncated_lstsq(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > rtol * s[0] if s.size else np.zeros(0, dtype=bool)
+    keep = s > TRUNCATION_RTOL * s[0] if s.size else np.zeros(0, dtype=bool)
     if not keep.any():
         raise SingularSystemError("every singular value fell below the truncation floor")
     coeff = (u[:, keep].conj().T @ rhs) / (s[keep] if rhs.ndim == 1 else s[keep, None])
@@ -174,7 +174,7 @@ def solve(
                     a_ls, y_ls = np.vstack([a.real, a.imag]), np.concatenate([rhs.real, rhs.imag])
                 z = np.linalg.lstsq(a_ls, y_ls, rcond=np.finfo(float).eps)[0]
             else:
-                z = _truncated_lstsq(a, rhs, TRUNCATION_RTOL)
+                z = _truncated_lstsq(a, rhs)
     except np.linalg.LinAlgError as exc:
         label = ("direct", "least-squares", "truncated")[kind]
         raise SingularSystemError(

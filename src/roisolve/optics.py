@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundsError, InconsistentInputError, ParameterError, ShapeError
+from .grid import exceeds_address_space
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,10 @@ class OtfSpec:
         if self.field_rows < 1 or self.field_cols < 1:
             raise ParameterError(
                 f"field must be at least 1x1, got {self.field_rows}x{self.field_cols}"
+            )
+        if exceeds_address_space(self.field_rows, self.field_cols, 16):
+            raise ParameterError(
+                f"field {self.field_rows}x{self.field_cols} exceeds any complex128 array"
             )
         if not np.isfinite(self.cutoff_radius) or self.cutoff_radius < 0:
             raise ParameterError(f"cutoff_radius must be finite and >= 0, got {self.cutoff_radius}")
@@ -205,7 +210,8 @@ def build_psf(spec: OtfSpec, crop_size: int = 501, reach: int | None = None) -> 
         PsfKernel with the peak at the central cell.
 
     Raises:
-        ParameterError: crop_size is even or < 1, or reach < 0.
+        ParameterError: crop_size is even or < 1, reach < 0, or a passband
+            gain so large that the kernel overflows float64.
         BoundsError: crop_size does not fit the field.
         InconsistentInputError: a computed kernel value has a non-trivial
             imaginary part (the disk symmetry is broken; this is a build bug,
@@ -228,7 +234,13 @@ def build_psf(spec: OtfSpec, crop_size: int = 501, reach: int | None = None) -> 
     band = np.zeros((freqs.size, cols), dtype=np.complex128)
     band[:, freqs % cols] = gain
     # the crop's columns, each nonzero only at the 2r+1 passband rows
-    kept = _inverse_columns(np.fft.ifft(band, axis=-1), freqs % rows, rows, offsets % cols)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            kept = _inverse_columns(np.fft.ifft(band, axis=-1), freqs % rows, rows, offsets % cols)
+    except FloatingPointError:
+        raise ParameterError(
+            f"passband gain {spec.passband_gain:g} overflows the kernel's inverse transform"
+        ) from None
     residue = float(np.abs(kept.imag).max())
     grid = kept.real[:, offsets % rows].T.copy()
     peak = float(grid[h, h])

@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
 )
 from .forward import NoiseSpec, observe_field_at
-from .grid import RoiSpec, centered_roi
+from .grid import RoiSpec, centered_roi, exceeds_address_space
 from .linear import LinearSystem
 from .optics import OtfSpec, PsfKernel
 
@@ -273,18 +273,21 @@ def roi_problem(
     The image domain observes the ROI cells plus the cells within ring of
     them, through the kernel blur. The transform domain reads the
     (K+ring) x (L+ring) spectrum block at the origin, every entry of which
-    must lie inside the passband of the transfer spec blur. The system
-    carries its condition estimate.
+    must lie inside the passband of the transfer spec blur and the block
+    inside the field. The system carries its condition estimate.
 
     Raises:
         ParameterError: unknown domain, ring < 0, or a blur the domain does
             not read (a PsfKernel for the image domain, an OtfSpec for the
             transform domain).
+        BoundsError: a transform-domain block larger than the field.
         SingularSystemError: the condition estimate is infinite.
     """
     module = domain_module(domain)
     if ring < 0:
         raise ParameterError(f"ring must be >= 0, got {ring}")
+    if domain == "frequency":
+        frequency.require_block(roi.k_rows, roi.l_cols, ring, field_shape)
     obs_index = module.observation_index(roi, field_shape, ring)
     return module.build_system(field_shape, roi, obs_index, blur)
 
@@ -478,10 +481,13 @@ def make_test_sample(rows: int, cols: int, seed: int = 0) -> np.ndarray:
     """A deterministic structured sample: gradients, a disk, a bar, texture.
 
     Values land in [0, 256). Useful as ground truth for scan experiments.
-    ParameterError for a sample under 1x1 or a negative seed.
+    ParameterError for a sample under 1x1 or beyond any float64 array, or a
+    negative seed.
     """
     if rows < 1 or cols < 1:
         raise ParameterError(f"sample must be at least 1x1, got {rows}x{cols}")
+    if exceeds_address_space(rows, cols, 8):
+        raise ParameterError(f"sample {rows}x{cols} exceeds any float64 array")
     if seed < 0:  # default_rng refuses it, with a bare ValueError
         raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -661,8 +667,9 @@ def noise_sweep(
     ]
     report = NoiseSweepReport(threshold_ae=0.01 * float(np.mean(pixel_means)))
     spec = OtfSpec(rows, cols, cutoff_radius)
-    for domain, module in zip(domains, modules):
-        blur = module.simulated_blur(spec, roi_size, roi_size, extra_ring, psf_crop)
+    # every domain's blur first, so a refused one stops the sweep before any trial
+    blurs = [m.simulated_blur(spec, roi_size, roi_size, extra_ring, psf_crop) for m in modules]
+    for domain, blur in zip(domains, blurs):
         per_level = _run_size(
             domain, roi, (rows, cols), blur, extra_ring, resolve_solver(domain, None, extra_ring),
             trials_per_level, root_seed, levels,

@@ -28,6 +28,7 @@ from roisolve.cli import (
 from roisolve.errors import BoundsError, ParameterError
 from roisolve.fileio import (
     read_manifest,
+    read_pgm16,
     read_raw_matrix,
     write_manifest,
     write_raw_matrix,
@@ -1305,6 +1306,111 @@ def test_scan_refusal_writes_nothing(tmp_path, extra, entries):
         argv += ["--config", str(tmp_path / "scan.cfg")]
     assert main(argv) == 2
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# integer flags no array or float64 can carry, and extreme passband gains
+
+# 400 digits: past every array dimension and every float64
+HUGE = "9" * 400
+
+
+def _refused(argv: list[str], out, capsys) -> str:
+    """The one stderr line of main(argv), once it exits 2, prints nothing to
+    stdout and writes nothing to out."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert not out.exists()
+    return line
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the frequency ring used to overflow math.hypot in effective_cutoff
+        (["--domain", "frequency", *SMALL_ARGS, "--ring", HUGE], "spectrum block beyond the 48x48"),
+        # the field used to overflow in optics.in_passband
+        (["--domain", "spatial", "--field", f"{HUGE}x48"], "exceeds any complex128 array"),
+    ],
+)
+def test_table_refuses_integers_no_array_can_carry(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    line = _refused(["table", "--sizes", "2", "--trials", "1", *argv, "--out", str(out)],
+                    out, capsys)
+    assert message in line
+
+
+def test_noise_refuses_a_ring_no_spectrum_block_can_carry(tmp_path, capsys):
+    # the transform domain's blur is refused before the image domain's trials run
+    out = tmp_path / "out"
+    argv = ["noise", *SMALL_ARGS, "--roi-size", "2", "--trials", "1", "--psnr", "80",
+            "--ring", HUGE, "--out", str(out)]
+    assert "spectrum block beyond the 48x48 field" in _refused(argv, out, capsys)
+
+
+def test_recover_refuses_a_spectrum_block_beyond_the_frame(tmp_path, observed_file, capsys):
+    # a huge ring used to fail allocating the block in observation_index
+    path, roi, _ = observed_file
+    out = tmp_path / "rec"
+    base = ["recover", "--observed", str(path), "--size", "2x2", "--roi", f"{roi.top},{roi.left}",
+            "--domain", "frequency", "--cutoff", "10", "--out", str(out)]
+    for ring in (HUGE, "47"):
+        line = _refused([*base, "--ring", ring], out, capsys)
+        assert "grows the 2x2 ROI's spectrum block beyond the 48x48 field" in line
+
+
+def test_psf_refuses_a_field_no_array_can_hold(tmp_path, capsys):
+    out = tmp_path / "out"
+    line = _refused(["psf", "--field", f"{HUGE}x48", "--out", str(out)], out, capsys)
+    assert line.endswith("x48 exceeds any complex128 array")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--field", f"{HUGE}x48"], "exceeds any complex128 array"),
+        # the sample used to fail in np.indices with a bare ValueError
+        (["--sample", f"{HUGE}x3"], "x3 exceeds any float64 array"),
+    ],
+)
+def test_scan_refuses_dimensions_no_array_can_hold(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert message in _refused(["scan", *argv, "--out", str(out)], out, capsys)
+
+
+@pytest.mark.parametrize("flag, name", [("--length", "n_len"), ("--freq-d", "d")])
+def test_two_point_refuses_integers_float64_cannot_carry(capsys, flag, name):
+    # these used to overflow converting to complex in the finiteness check
+    values = {"--length": "8", "--pos-a": "3", "--pos-b": "4", "--freq-c": "0",
+              "--freq-d": "1", flag: HUGE}
+    argv = ["two-point", "--domain", "frequency", *[x for kv in values.items() for x in kv],
+            "--xc", "15.6", "--xd=-13.6376-4.7376i"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} lies beyond +/-2**53, past what float64 phases carry\n"
+
+
+def test_psf_refuses_a_gain_whose_kernel_overflows(tmp_path, capsys):
+    # under the RuntimeWarning-as-error filter: the transforms warn no more
+    out = tmp_path / "out"
+    line = _refused(["psf", *SMALL_ARGS, "--gain", "1e308", "--out", str(out)], out, capsys)
+    assert line == "error: passband gain 1e+308 overflows the kernel's inverse transform"
+
+
+def test_psf_previews_a_subnormal_kernel(tmp_path, capsys):
+    # 65535 / peak overflows for a subnormal peak; the preview used to hold
+    # only 0 and 65535 and to warn on the way
+    assert main(["psf", *SMALL_ARGS, "--gain", "1e-310", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    preview = read_pgm16(tmp_path / "psf.pgm")
+    assert np.unique(preview).size > 2
+    assert preview.max() == 65535
+    grid = read_raw_matrix(tmp_path / "psf.raw")
+    assert 0 < grid.max() < np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------

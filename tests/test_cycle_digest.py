@@ -176,3 +176,20 @@ def test_solvers_workload_hashes_every_spelling_in_each_domain_once(tool):
                 assert digests[f"{key}/exit"] == tool._hash(code)
     assert set(digests) == expected
     assert tool.digest(["solvers"], []) == digests
+
+
+def test_refusals_workload_hashes_every_run_once(tool):
+    # integer flags no array or float64 can carry are refused (exit 2,
+    # nothing written); gains at the float64 limits refuse or export a kernel
+    assert "refusals" in tool.WORKLOADS
+    digests = tool.digest(["refusals"], [205])
+    exports = {"psf-gain-1e-310", "psf-gain-1e-320"}
+    written = ("psf.raw", "psf.pgm", "otf.raw", "psf_manifest.txt")
+    assert set(digests) == {
+        f"refusals/{name}/{what}"
+        for name in tool.REFUSAL_RUNS
+        for what in ("exit", "stdout", "stderr", *(written if name in exports else ()))
+    }
+    for name in tool.REFUSAL_RUNS:
+        assert digests[f"refusals/{name}/exit"] == tool._hash(b"0" if name in exports else b"2")
+    assert tool.digest(["refusals"], []) == digests

@@ -153,6 +153,14 @@ def test_pgm_clamps_negatives(tmp_path):
     np.testing.assert_array_equal(read_pgm16(path), [[0.0, PGM_MAXVAL]])
 
 
+def test_pgm_maps_a_subnormal_peak_to_maxval(tmp_path):
+    # 65535 / peak overflows to inf here; the preview is the ratios to the peak
+    path = tmp_path / "i.pgm"
+    tiny = 4e-310
+    write_pgm16(path, np.array([[-tiny, 0.0], [tiny / 4, tiny]]))
+    np.testing.assert_array_equal(read_pgm16(path), [[0.0, 0.0], [16384.0, PGM_MAXVAL]])
+
+
 def test_pgm_reads_8bit(tmp_path):
     path = tmp_path / "i.pgm"
     path.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 10, 20, 30, 40, 255]))

@@ -89,6 +89,18 @@ def test_two_point_refuses_non_finite_values(position, bad):
         solve_two_point_1d(*args, imag_rtol=1e-3)
 
 
+def test_two_point_integers_stop_at_2_to_the_53():
+    args = (3, 4, 0, 1, 15.6 + 0j, -13.6376 - 4.7376j)
+    with pytest.raises(ParameterError, match=r"n_len lies beyond \+/-2\*\*53"):
+        solve_two_point_1d(2**53 + 1, *args)
+    with pytest.raises(ParameterError, match=r"c lies beyond \+/-2\*\*53"):
+        solve_two_point_1d(8, 3, 4, -(2**53) - 1, 1, *args[4:])
+    # 2**53 itself is taken: at that length frequencies 0 and 1 cannot
+    # separate neighbouring positions
+    with pytest.raises(SingularSystemError):
+        solve_two_point_1d(2**53, *args)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
 def test_two_point_refuses_a_bad_imaginary_tolerance(tol):
     # a NaN tolerance used to switch the imaginary-residue check off

@@ -2,7 +2,7 @@
 
     python3 tools/cycle_digest.py
         [--workloads table,noise,scan,recover,help,psf,noisy-table,failed-trials,scan-field,
-                     located,solvers]
+                     located,solvers,refusals]
         [--seeds 111,205,12345] [--out digest.json]
     python3 tools/cycle_digest.py --compare A.json B.json
 
@@ -35,7 +35,10 @@ values overflow the centroid. The "solvers" workload runs
 each command of SOLVER_RUNS once per domain with --solver set to each of
 SOLVER_SPELLINGS, under "solvers/<command>-<domain>-<solver>" whatever the
 seeds: the generic spellings, each domain's method names (which the other
-domain refuses) and a name no domain has. --compare
+domain refuses) and a name no domain has. The "refusals" workload runs
+each command of REFUSAL_RUNS once, under "refusals/<name>" whatever the
+seeds: integer flags too large for any array or float64, each refused
+(exit 2, nothing written), and passband gains at the float64 limits. --compare
 lists the keys that differ between two such files (or sit in one only) and
 exits 1 if there are any; on stderr it counts the identical entries, then
 the differing keys of each workload and final path part ("located stdout
@@ -61,7 +64,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf", "noisy-table", "failed-trials",
-             "scan-field", "located", "solvers")
+             "scan-field", "located", "solvers", "refusals")
 SUBCOMMANDS = ("psf", "table", "scan", "noise", "recover", "two-point")
 SEEDS = (111, 205, 12345)
 # (field, cutoff, crop, gain) of the psf workload: the benchmark's kernel,
@@ -120,6 +123,31 @@ SOLVER_RUNS = {
     "scan": ["scan", "--sample", "24x24", "--cutoff", "6", "--tile", "3x3"],
     "recover": ["recover", "--observed", SOLVER_FRAME, "--size", "2x2", "--roi", "20,22",
                 "--cutoff", "6"],
+}
+# 400 digits: more than any array dimension or float64 can take
+_HUGE = "9" * 400
+# name -> argv (without --out) of the refusals workload: integer flags no
+# array or float64 can carry, and passband gains at the float64 limits.
+# recover reads SOLVER_FRAME; two-point takes no --out.
+REFUSAL_RUNS = {
+    "table-frequency-ring": ["table", "--domain", "frequency", "--ring", _HUGE],
+    "noise-ring": ["noise", "--ring", _HUGE],
+    "recover-frequency-ring": ["recover", "--observed", SOLVER_FRAME, "--size", "2x2",
+                               "--roi", "20,22", "--cutoff", "6", "--domain", "frequency",
+                               "--ring", _HUGE],
+    "psf-field": ["psf", "--field", f"{_HUGE}x48"],
+    "table-field": ["table", "--domain", "spatial", "--field", f"{_HUGE}x48"],
+    "scan-field": ["scan", "--field", f"{_HUGE}x48"],
+    "scan-sample": ["scan", "--sample", f"{_HUGE}x3"],
+    "two-point-length": ["two-point", "--domain", "frequency", "--length", _HUGE, "--pos-a", "3",
+                         "--pos-b", "4", "--freq-c", "0", "--freq-d", "1", "--xc", "15.6",
+                         "--xd=-13.6376-4.7376i"],
+    "two-point-freq-d": ["two-point", "--domain", "frequency", "--length", "8", "--pos-a", "3",
+                         "--pos-b", "4", "--freq-c", "0", "--freq-d", _HUGE, "--xc", "15.6",
+                         "--xd=-13.6376-4.7376i"],
+    "psf-gain-1e308": ["psf", "--gain", "1e308"],
+    "psf-gain-1e-310": ["psf", "--gain", "1e-310"],
+    "psf-gain-1e-320": ["psf", "--gain", "1e-320"],
 }
 MASK = "<tmp>"
 
@@ -279,21 +307,28 @@ def located_digest(seed: int) -> dict[str, str]:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def solvers_digest() -> dict[str, str]:
-    """Digests of every SOLVER_RUNS command in each domain with each
-    SOLVER_SPELLINGS solver; recover reads a 48x48 frame holding a blurred
-    2x2 block."""
+def _solver_frame(tmp: str) -> str:
+    """Path of the frame SOLVER_FRAME stands for, written into tmp: a 48x48
+    raw frame holding a blurred 2x2 block at (20, 22)."""
     import numpy as np
 
-    import roisolve.cli as cli
     import workloads
+
+    ideal = np.zeros((48, 48))
+    ideal[20:22, 22:24] = [[40.0, 200.0], [120.0, 10.0]]
+    frame = os.path.join(tmp, "frame.raw")
+    workloads.write_raw(frame, workloads._blur(ideal))
+    return frame
+
+
+def solvers_digest() -> dict[str, str]:
+    """Digests of every SOLVER_RUNS command in each domain with each
+    SOLVER_SPELLINGS solver."""
+    import roisolve.cli as cli
 
     tmp = tempfile.mkdtemp(prefix="cycle-digest-")
     try:
-        ideal = np.zeros((48, 48))
-        ideal[20:22, 22:24] = [[40.0, 200.0], [120.0, 10.0]]
-        frame = os.path.join(tmp, "frame.raw")
-        workloads.write_raw(frame, workloads._blur(ideal))
+        frame = _solver_frame(tmp)
         digests = {}
         for command, argv in SOLVER_RUNS.items():
             for domain in ("spatial", "frequency"):
@@ -303,6 +338,25 @@ def solvers_digest() -> dict[str, str]:
                     full = [frame if a == SOLVER_FRAME else a for a in argv]
                     full += ["--domain", domain, "--solver", solver, "--out", out]
                     digests.update(_op_digest(cli, full, out, tmp, f"solvers/{name}"))
+        return digests
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def refusals_digest() -> dict[str, str]:
+    """Digests of every REFUSAL_RUNS command, under refusals/<name>."""
+    import roisolve.cli as cli
+
+    tmp = tempfile.mkdtemp(prefix="cycle-digest-")
+    try:
+        frame = _solver_frame(tmp)
+        digests = {}
+        for name, argv in REFUSAL_RUNS.items():
+            out = os.path.join(tmp, "out", name)
+            full = [frame if a == SOLVER_FRAME else a for a in argv]
+            if full[0] != "two-point":
+                full += ["--out", out]
+            digests.update(_op_digest(cli, full, out, tmp, f"refusals/{name}"))
         return digests
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -319,7 +373,7 @@ def help_digest() -> dict[str, str]:
 
 # workloads that run once whatever the seeds
 SEEDLESS = {"help": help_digest, "psf": psf_digest, "scan-field": scan_field_digest,
-            "solvers": solvers_digest}
+            "solvers": solvers_digest, "refusals": refusals_digest}
 
 
 def digest(workload_names, seeds) -> dict[str, str]:
