@@ -137,11 +137,13 @@ def write_pgm16(path: str, image: np.ndarray) -> None:
         raise ShapeError(f"PGM stores 2D images, got ndim={arr.ndim}")
     peak = float(arr.max()) if arr.size else 0.0
     scale = PGM_MAXVAL / peak if peak > 0 else 0.0
+    # negatives clamp before scaling, so no product overflows
+    positive = np.maximum(arr, 0.0)
     if math.isfinite(scale):
-        scaled = np.clip(arr * scale, 0, PGM_MAXVAL)
+        scaled = np.minimum(positive * scale, PGM_MAXVAL)
     else:
         # a subnormal peak: PGM_MAXVAL / peak overflows, the ratios to it do not
-        scaled = np.maximum(arr, 0.0) / peak * PGM_MAXVAL
+        scaled = positive / peak * PGM_MAXVAL
     quantized = np.floor(scaled + 0.5).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n{PGM_MAXVAL}\n".encode("ascii"))

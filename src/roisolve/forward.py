@@ -40,6 +40,15 @@ from .optics import OtfSpec, PsfKernel, _inverse_columns, in_passband, passband_
 _PEAK_BOUND_MARGIN = 1e-9  # relative, on observe_field_at's column bounds
 
 
+def amplitude_ratio(psnr_db: float) -> float:
+    """The peak/sigma amplitude ratio 10**(dB/20) of a PSNR in decibels; inf
+    where it overflows float64, 0.0 where it underflows."""
+    try:
+        return 10.0 ** (psnr_db / 20.0)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive white Gaussian noise pinned to a peak signal-to-noise ratio.
@@ -56,13 +65,15 @@ class NoiseSpec:
             raise ParameterError(f"psnr_db must be a number or +inf, got {self.psnr_db}")
 
     def sigma(self, peak: float) -> float:
-        """Noise standard deviation for a given signal peak: 0.0 at +inf, else
-        DegenerateInputError unless the peak is positive."""
+        """Noise standard deviation for a given signal peak: 0.0 at +inf and
+        where the amplitude ratio overflows, inf where it underflows to 0.0,
+        else DegenerateInputError unless the peak is positive."""
         if self.psnr_db == math.inf:
             return 0.0
         if not peak > 0:  # NaN too
             raise DegenerateInputError("observed image has no positive peak to scale noise to")
-        return peak / 10.0 ** (self.psnr_db / 20.0)
+        ratio = amplitude_ratio(self.psnr_db)
+        return peak / ratio if ratio > 0 else math.inf
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:

@@ -30,14 +30,14 @@ from .forward import (
     unit_spectrum_noise,
 )
 from .grid import RoiSpec
-from .linear import LinearSystem, Solution, fill_rows, finite_condition, solve
+from .linear import LinearSystem, Solution, finite_condition, solve
 from .optics import OtfSpec, in_passband
 
 # Imaginary residue allowed on recovered pixels, relative to their magnitude.
 IMAG_RTOL = 1e-9
 
-# The largest integer solve_two_point_1d takes: its phases are float64
-# products of its integers, which hold integers exactly up to 2**53.
+# The largest integer solve_two_point_1d takes: float64, which its finiteness
+# check reads every argument as, holds integers exactly up to 2**53.
 _EXACT_INTEGER_LIMIT = 2**53
 
 # LU, least squares, truncated: the order linear.solve reads them in.
@@ -88,8 +88,10 @@ def solve_two_point_1d(
     if a == b:
         raise SingularSystemError("the two source positions coincide")
 
-    def unit(t: float) -> complex:
-        return cmath.exp(-2j * cmath.pi * t / n_len)
+    def unit(t: int) -> complex:
+        # reduced while still an exact integer, so equivalent frequencies
+        # c and c + k*n_len give the same phase bits
+        return cmath.exp(-2j * cmath.pi * (t % n_len) / n_len)
 
     den = unit(a * c + b * d) - unit(a * d + b * c)
     if abs(den) <= 1e-12:
@@ -231,16 +233,17 @@ def build_system(
             f"selected entry (u={bad[0]}, v={bad[1]}) lies outside the passband "
             f"(cutoff {otf_spec.cutoff_radius}); it carries no signal"
         )
-    unknowns = roi.cells()
-
-    def phase_rows(r: slice) -> np.ndarray:
-        phase = (
-            unknowns[None, :, 0] * (idx[r, None, 0] / rows)
-            + unknowns[None, :, 1] * (idx[r, None, 1] / cols)
-        )
-        return np.exp(-2j * np.pi * phase)
-
-    a = fill_rows(idx.shape[0], unknowns.shape[0], np.complex128, phase_rows)
+    # phases r*u/M + c*v/N fill the imaginary parts and exp runs in place
+    n, k_rows, l_cols = idx.shape[0], roi.k_rows, roi.l_cols
+    a = np.empty((n, k_rows * l_cols), dtype=np.complex128)
+    np.add(
+        np.outer(idx[:, 0] / rows, roi.top + np.arange(k_rows))[:, :, None],
+        np.outer(idx[:, 1] / cols, roi.left + np.arange(l_cols))[:, None, :],
+        out=a.reshape(n, k_rows, l_cols).imag,
+    )
+    a.imag *= -2 * np.pi
+    a.real = 0.0
+    np.exp(a, out=a)
     a /= rows * cols
     a *= otf_spec.passband_gain
     cond = float("nan")

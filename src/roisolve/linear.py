@@ -3,13 +3,12 @@
 Image-domain and transform-domain recovery both end in one dense system
 A x = y over the ROI pixels; they differ only in how A's coefficients are
 generated (kernel entries in `spatial`, DFT phases in `frequency`). This
-module holds what they share: the system and solution types, the row-block
-fill loop of the generators, and the solver.
+module holds what they share: the system and solution types and the
+solver.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,23 +23,6 @@ CONDITION_LIMIT = 1e14
 
 # Relative singular-value floor of the truncated solver.
 TRUNCATION_RTOL = 1.0 / CONDITION_LIMIT
-
-# Row-block size cap (in matrix entries) when filling large systems, keeps
-# the index scratch arrays small.
-_FILL_CHUNK_ENTRIES = 10_000_000
-
-
-def fill_rows(
-    n_rows: int, n_cols: int, dtype, block: Callable[[slice], np.ndarray]
-) -> np.ndarray:
-    """An n_rows x n_cols matrix filled in row blocks, a[rows] = block(rows)."""
-    a = np.empty((n_rows, n_cols), dtype=dtype)
-    chunk = max(1, _FILL_CHUNK_ENTRIES // max(n_cols, 1))
-    for start in range(0, n_rows, chunk):
-        rows = slice(start, min(start + chunk, n_rows))
-        a[rows] = block(rows)
-    return a
-
 
 def finite_condition(cond: float) -> float:
     """A built system's condition estimate; SingularSystemError when it is

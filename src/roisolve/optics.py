@@ -156,17 +156,23 @@ class PsfKernel:
         """Kernel value at zero offset."""
         return float(self.grid[self.half, self.half])
 
-    def values(self, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
-        """Vectorized kernel lookup; offsets must fit the crop window."""
-        du = np.asarray(du)
-        dv = np.asarray(dv)
+    def blocks(self, du: np.ndarray, dv: np.ndarray, k_rows: int, l_cols: int) -> np.ndarray:
+        """Row i: the kernel values at offsets (du[i] + k, dv[i] + l), k < K
+        and l < L, row-major. One gather of K x L windows of the grid, so the
+        result is the only array built. BoundsError unless every offset fits
+        the crop window."""
         h = self.half
-        if du.size and (np.abs(du).max() > h or np.abs(dv).max() > h):
+        if du.size == 0:
+            return np.empty((0, k_rows * l_cols))
+        # the offsets run from min(du) to max(du) + K - 1, likewise for dv
+        reach_u = max(-int(du.min()), int(du.max()) + k_rows - 1)
+        reach_v = max(-int(dv.min()), int(dv.max()) + l_cols - 1)
+        if reach_u > h or reach_v > h:
             raise BoundsError(
-                f"offsets reach +/-({np.abs(du).max()}, {np.abs(dv).max()}), "
-                f"kernel window is only +/-{h}"
+                f"offsets reach +/-({reach_u}, {reach_v}), kernel window is only +/-{h}"
             )
-        return self.grid[h + du, h + dv]
+        windows = np.lib.stride_tricks.sliding_window_view(self.grid, (k_rows, l_cols))
+        return windows[h + du, h + dv].reshape(du.size, k_rows * l_cols).astype(float, copy=False)
 
     def window(self, k_rows: int, l_cols: int) -> np.ndarray:
         """All offsets a K x L region can produce: shape (2K-1, 2L-1)."""

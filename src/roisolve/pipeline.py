@@ -22,7 +22,7 @@ from .errors import (
     RoiSolveError,
     ShapeError,
 )
-from .forward import NoiseSpec, observe_field_at
+from .forward import NoiseSpec, amplitude_ratio, observe_field_at
 from .grid import RoiSpec, centered_roi, exceeds_address_space
 from .linear import LinearSystem
 from .optics import OtfSpec, PsfKernel
@@ -324,7 +324,9 @@ def noisy_rhs(
     clean = module.noiseless_rhs(system, pixels)
     rows = np.repeat(clean[None], noisy.size, axis=0)
     if noisy.any():
-        rows[noisy] += np.multiply.outer(sigmas, module.unit_rows(system, seed))
+        # an infinite sigma leaves Inf or NaN rows, which the solve refuses
+        with np.errstate(invalid="ignore"):
+            rows[noisy] += np.multiply.outer(sigmas, module.unit_rows(system, seed))
     return rows
 
 
@@ -604,7 +606,7 @@ class NoiseSweepReport:
             if crossing is None:
                 lines.append(f"{domain}: no finite noise level met the threshold")
             else:
-                ratio = 10.0 ** (crossing / 20.0)
+                ratio = amplitude_ratio(crossing)
                 lines.append(
                     f"{domain}: acceptable from {crossing:g} dB up "
                     f"(peak/sigma amplitude ratio {ratio:.6g})"
@@ -680,7 +682,7 @@ def noise_sweep(
                 SweepPoint(
                     domain=domain,
                     psnr_db=psnr,
-                    amplitude_ratio=10.0 ** (psnr / 20.0) if math.isfinite(psnr) else math.inf,
+                    amplitude_ratio=amplitude_ratio(psnr),
                     mean_ae=summary.mean_ae,
                     std_ae=summary.std_ae,
                     failed=summary.failed,

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError, SingularSystemError
 from .forward import observe_spatial_at, unit_noise
 from .grid import RoiSpec, field_cells
-from .linear import LinearSystem, Solution, fill_rows, finite_condition, solve
+from .linear import LinearSystem, Solution, finite_condition, solve
 from .optics import OtfSpec, PsfKernel, build_psf
 
 # LU, least squares, truncated: the order linear.solve reads them in.
@@ -85,22 +85,14 @@ def ring_cells(roi: RoiSpec, rows: int, cols: int, width: int = 2) -> np.ndarray
 def system_matrix(psf: PsfKernel, roi: RoiSpec, obs_cells: np.ndarray) -> np.ndarray:
     """Dense system matrix: rows follow obs_cells, columns the ROI row-major.
 
-    Entry (i, j) is the kernel value at offset (unknown_j - observed_i). Filled
-    in row blocks so scratch index arrays stay bounded for large systems.
+    Entry (i, j) is the kernel value at offset (unknown_j - observed_i), so
+    row i is the K x L kernel window at offset (top - r_i, left - c_i) of
+    observed cell (r_i, c_i), all gathered in one pass (PsfKernel.blocks).
     """
     obs_cells = np.asarray(obs_cells)
     if obs_cells.ndim != 2 or obs_cells.shape[1] != 2:
         raise ShapeError(f"obs_cells must have shape (n, 2), got {obs_cells.shape}")
-    unknowns = roi.cells()
-    return fill_rows(
-        obs_cells.shape[0],
-        unknowns.shape[0],
-        float,
-        lambda rows: psf.values(
-            unknowns[None, :, 0] - obs_cells[rows, None, 0],
-            unknowns[None, :, 1] - obs_cells[rows, None, 1],
-        ),
-    )
+    return psf.blocks(roi.top - obs_cells[:, 0], roi.left - obs_cells[:, 1], roi.k_rows, roi.l_cols)
 
 
 def kernel_reach(edge: int, ring: int) -> int:

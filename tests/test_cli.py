@@ -10,6 +10,7 @@ import os
 import re
 import shutil
 import subprocess
+import warnings
 import sys
 
 import numpy as np
@@ -1218,6 +1219,24 @@ def test_table_minus_infinite_noise_exits_2(tmp_path, capsys):
     assert main(argv) == 2
     assert "-inf" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("db", ["1e308", "-1e308", "7000", "-7000"])
+@pytest.mark.parametrize("command, flag", [("table", "--noise-psnr"), ("noise", "--psnr")])
+def test_extreme_finite_noise_levels_exit_0(tmp_path, capsys, command, flag, db):
+    # past about +6,165 dB the amplitude ratio overflows (sigma is 0.0); past
+    # about -6,500 dB it underflows (sigma is inf and every trial is refused)
+    argv = [command, *SMALL_ARGS, "--trials", "1", f"{flag}={db}", "--out", str(tmp_path)]
+    argv += ["--domain", "spatial", "--sizes", "2"] if command == "table" else ["--roi-size", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 0
+    out = capsys.readouterr().out
+    refused = db.startswith("-")
+    if command == "table":
+        assert out.splitlines()[2].split()[-1] == ("1" if refused else "0")
+    else:
+        assert ("no finite noise level met the threshold" in out) == refused
 
 
 def test_table_manifest_is_not_a_config(tmp_path, capsys):

@@ -153,6 +153,14 @@ def test_pgm_clamps_negatives(tmp_path):
     np.testing.assert_array_equal(read_pgm16(path), [[0.0, PGM_MAXVAL]])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pgm_clamps_a_huge_negative_without_overflow(tmp_path):
+    # -1e300 times 65535 / 1e-300 overflows; clamped first, it scales to 0
+    path = tmp_path / "i.pgm"
+    write_pgm16(path, np.array([[1e-300, -1e300]]))
+    np.testing.assert_array_equal(read_pgm16(path), [[PGM_MAXVAL, 0.0]])
+
+
 def test_pgm_maps_a_subnormal_peak_to_maxval(tmp_path):
     # 65535 / peak overflows to inf here; the preview is the ratios to the peak
     path = tmp_path / "i.pgm"

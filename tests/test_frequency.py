@@ -101,6 +101,15 @@ def test_two_point_integers_stop_at_2_to_the_53():
         solve_two_point_1d(2**53, *args)
 
 
+@pytest.mark.parametrize("k", [1, -1, 10**6, 10**12, -(10**15)])
+def test_two_point_frequencies_are_taken_modulo_the_length(k):
+    # c and c + k*n_len name the same frequency, so they give the same bits
+    args = (15.6 + 0j, -13.6376 - 4.7376j)
+    want = solve_two_point_1d(8, 3, 4, 0, 1, *args, imag_rtol=1e-3)
+    assert solve_two_point_1d(8, 3, 4, 8 * k, 1, *args, imag_rtol=1e-3) == want
+    assert solve_two_point_1d(8, 3, 4, 0, 1 + 8 * k, *args, imag_rtol=1e-3) == want
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
 def test_two_point_refuses_a_bad_imaginary_tolerance(tol):
     # a NaN tolerance used to switch the imaginary-residue check off
@@ -247,6 +256,21 @@ def test_matrix_entries_brute_force(rng):
         for j, (r, c) in enumerate(roi.cells()):
             want = np.exp(-2j * np.pi * (r * u / rows + c * v / cols)) / (rows * cols)
             assert system.a_matrix[i, j] == pytest.approx(want, abs=1e-15)
+
+
+def test_matrix_entries_bit_for_bit_on_a_shuffled_selection(rng):
+    # entry (i, j) is g*exp(-2j*pi*(r*u/R + c*v/C))/(R*C), each exactly
+    rows, cols, gain = 97, 130, 0.7
+    roi = RoiSpec(90, 3, 4, 5)
+    spec = OtfSpec(rows, cols, 8.0, gain)
+    idx = observation_index(roi, (rows, cols), 2)
+    idx = idx[rng.permutation(idx.shape[0])]
+    a = build_system((rows, cols), roi, idx, spec).a_matrix
+    for i, (u, v) in enumerate(idx):
+        for j, (r, c) in enumerate(roi.cells()):
+            phase = r * (u / rows) + c * (v / cols)
+            want = np.exp(np.complex128(complex(0.0, -2 * np.pi * phase))) / (rows * cols) * gain
+            assert a[i, j].tobytes() == want.tobytes(), (i, j)
 
 
 def test_matrix_modulus_constant(rng):

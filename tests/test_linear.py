@@ -3,6 +3,7 @@ solver's input checks."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,3 +169,21 @@ def test_least_squares_is_scipy_gelsd_bit_for_bit(domain, roi):
             a_ls, y_ls = np.vstack([a.real, a.imag]), np.concatenate([rhs.real, rhs.imag])
         expected = scipy_linalg.lstsq(a_ls, y_ls, lapack_driver="gelsd")[0]
         assert np.array_equal(module.solve_system(system, rhs, module.METHODS[1]).pixels, expected)
+
+
+@pytest.mark.parametrize("domain", list(MODULES))
+def test_builders_allocate_little_beyond_the_matrix(domain):
+    # a 30x30 region's system on the benchmark's field: the build's traced
+    # peak stays within 10% of the matrix itself (no per-entry scratch)
+    module, size, spec = MODULES[domain], 30, OtfSpec(768, 768, 6.0)
+    roi = centered_roi(768, 768, size, size)
+    blur = module.simulated_blur(spec, size, size, 0, 501)
+    obs_index = module.observation_index(roi, spec.shape, 0)
+    tracemalloc.start()
+    try:
+        system = module.build_system(spec.shape, roi, obs_index, blur, estimate_condition=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.a_matrix.shape == (size * size, size * size)
+    assert peak <= 1.1 * system.a_matrix.nbytes

@@ -76,7 +76,7 @@ def test_psf_against_naive_transform_sum():
         for u, v in zip(us, vs):
             acc += np.cos(2 * np.pi * (u * du / rows + v * dv / cols))
         expected = acc / (rows * cols)
-        assert psf.values(du, dv) == pytest.approx(expected, abs=1e-12)
+        assert psf.grid[psf.half + du, psf.half + dv] == pytest.approx(expected, abs=1e-12)
 
 
 def test_psf_symmetry_and_window(small_psf):
@@ -85,15 +85,30 @@ def test_psf_symmetry_and_window(small_psf):
     win = small_psf.window(3, 4)
     assert win.shape == (5, 7)
     assert win[2, 3] == small_psf.peak
-    assert win[0, 0] == small_psf.values(-2, -3)
+    h = small_psf.half
+    assert win[0, 0] == small_psf.grid[h - 2, h - 3]
+
+
+def test_psf_blocks_are_kernel_windows(small_psf):
+    h = small_psf.half
+    rows = small_psf.blocks(np.array([-2, 0, 3]), np.array([1, -4, 0]), 2, 3)
+    assert rows.shape == (3, 6)
+    for row, du, dv in zip(rows, (-2, 0, 3), (1, -4, 0)):
+        want = small_psf.grid[h + du : h + du + 2, h + dv : h + dv + 3].ravel()
+        assert row.tobytes() == want.tobytes()
 
 
 def test_psf_value_bounds(small_psf):
     h = small_psf.half
+    with pytest.raises(BoundsError, match=rf"reach \+/-\({h + 1}, 0\)"):
+        small_psf.blocks(np.array([h + 1]), np.array([0]), 1, 1)
+    with pytest.raises(BoundsError, match=rf"reach \+/-\(0, {h + 1}\)"):
+        small_psf.blocks(np.array([0]), np.array([h]), 1, 2)
+    with pytest.raises(BoundsError, match=rf"reach \+/-\({h + 1}, 0\)"):
+        small_psf.blocks(np.array([-h - 1]), np.array([0]), 1, 1)
+    # a block larger than the whole crop is refused before any window is taken
     with pytest.raises(BoundsError):
-        small_psf.values(h + 1, 0)
-    with pytest.raises(BoundsError):
-        small_psf.values(np.array([0]), np.array([h + 1]))
+        small_psf.blocks(np.array([-h]), np.array([-h]), 2 * h + 2, 1)
     with pytest.raises(BoundsError):
         small_psf.window(h + 2, 1)
 

@@ -108,9 +108,44 @@ def test_system_matrix_entries_brute_force(small_psf):
     obs_cells = np.vstack([roi.cells(), [[19, 20], [23, 25]]])
     a = system_matrix(small_psf, roi, obs_cells)
     unknowns = [(r, c) for r in range(20, 22) for c in range(21, 24)]
+    h = small_psf.half
     for i, (m, n) in enumerate(obs_cells):
         for j, (k, l) in enumerate(unknowns):
-            assert a[i, j] == small_psf.values(k - m, l - n)
+            assert a[i, j] == small_psf.grid[h + k - m, h + l - n]
+
+
+@pytest.mark.parametrize(
+    "roi, ring",
+    [
+        (RoiSpec(20, 21, 3, 3), 2),  # a ring
+        (RoiSpec(0, 46, 2, 2), 3),  # a ring clipped by the top and right borders
+        (RoiSpec(10, 5, 2, 5), 1),  # a non-square ROI
+    ],
+)
+def test_system_matrix_is_the_kernel_at_each_offset(small_psf, roi, ring):
+    # entry (i, j) is grid[h + r_j - m_i, h + c_j - n_i], bit for bit
+    obs_cells = observation_index(roi, (48, 48), ring)
+    a = system_matrix(small_psf, roi, obs_cells)
+    h = small_psf.half
+    want = np.array(
+        [[small_psf.grid[h + r - m, h + c - n] for r, c in roi.cells()] for m, n in obs_cells]
+    )
+    assert a.shape == want.shape
+    assert a.tobytes() == want.tobytes()
+
+
+def test_system_matrix_refuses_a_kernel_too_small_for_its_offsets(small_spec):
+    # a 3x3 ROI with ring 1 meets offsets up to +/-3 on both axes
+    roi = RoiSpec(20, 20, 3, 3)
+    with pytest.raises(BoundsError) as err:
+        system_matrix(build_psf(small_spec, 5), roi, observation_index(roi, (48, 48), 1))
+    assert str(err.value) == "offsets reach +/-(3, 3), kernel window is only +/-2"
+    # a ring clipped by the left border: its right side still lies 5 columns
+    # from the ROI's first, while no offset reaches past 3 to the left
+    roi = RoiSpec(10, 0, 2, 4)
+    with pytest.raises(BoundsError) as err:
+        system_matrix(build_psf(small_spec, 3), roi, observation_index(roi, (48, 48), 2))
+    assert str(err.value) == "offsets reach +/-(3, 5), kernel window is only +/-1"
 
 
 def test_system_matrix_positive_small_config(small_psf):
