@@ -92,6 +92,23 @@ def passband_box(spec: OtfSpec) -> tuple[np.ndarray, np.ndarray]:
     return freqs, np.where(inside, spec.passband_gain, 0.0)
 
 
+def structural_rank(spec: OtfSpec, k_rows: int, l_cols: int) -> int:
+    """Rank of the passband exponentials at the cells of a K x L region.
+
+    Up to unit-modulus scalings these are the monomials x^k y^l (k < K,
+    l < L) at the passband's nodes (x, y), distinct roots of unity along
+    each axis. With V_u the passband columns of box row u, the rank is
+    sum_{j=1..L} min(K, #{u : min(|V_u|, L) >= j}): integer work on the
+    passband box, no SVD. Every image-domain system of the region, at any
+    ring, factors through these exponentials, so a count below K*L makes it
+    singular.
+    """
+    _, gain = passband_box(spec)
+    widths = np.minimum(np.count_nonzero(gain, axis=1), l_cols)
+    heights = np.count_nonzero(widths[:, None] >= np.arange(1, l_cols + 1), axis=0)
+    return int(np.minimum(heights, k_rows).sum())
+
+
 def build_otf(spec: OtfSpec) -> np.ndarray:
     """The transfer function grid, complex128, unshifted layout.
 

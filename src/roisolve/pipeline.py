@@ -36,9 +36,10 @@ SIZES_DEFAULT = range(2, 21)
 # reads), observation_index, build_system, readers (noiseless_rhs, frame_rhs
 # and a noisy trial's unit_rows) and solve_system, and its METHODS. A built
 # system records its key as its domain; each module's readers and solver
-# refuse the other's systems. Only the table's cutoff record branches on the
-# name itself. Callers look functions up on the module at call time, so
-# wrappers installed on the module attribute see every call.
+# refuse the other's systems. Only the table's cutoff record and its
+# structural-rank mark branch on the name itself. Callers look functions up
+# on the module at call time, so wrappers installed on the module attribute
+# see every call.
 DOMAIN_MODULES = {"spatial": spatial, "frequency": frequency}
 DOMAINS = tuple(DOMAIN_MODULES)
 
@@ -265,6 +266,7 @@ def roi_problem(
     field_shape: tuple[int, int],
     blur: PsfKernel | OtfSpec,
     ring: int,
+    estimate_condition: bool = True,
 ) -> LinearSystem:
     """Build the system of one ROI on a field_shape frame before any observation
     is read: every trial of a size, scan tile or recover call that shares it
@@ -274,14 +276,19 @@ def roi_problem(
     them, through the kernel blur. The transform domain reads the
     (K+ring) x (L+ring) spectrum block at the origin, every entry of which
     must lie inside the passband of the transfer spec blur and the block
-    inside the field. The system carries its condition estimate.
+    inside the field. The system carries its condition estimate, nan when
+    estimate_condition is False.
 
     Raises:
         ParameterError: unknown domain, ring < 0, or a blur the domain does
             not read (a PsfKernel for the image domain, an OtfSpec for the
             transform domain).
         BoundsError: a transform-domain block larger than the field.
-        SingularSystemError: the condition estimate is infinite.
+        SingularSystemError: the condition estimate is infinite, or (image
+            domain, kernel built from a transfer spec) the passband leaves
+            the system structurally singular, found before any SVD
+            (spatial.build_system). scan, recover and noise refuse such a
+            system through this call, whatever the solver.
     """
     module = domain_module(domain)
     if ring < 0:
@@ -289,7 +296,7 @@ def roi_problem(
     if domain == "frequency":
         frequency.require_block(roi.k_rows, roi.l_cols, ring, field_shape)
     obs_index = module.observation_index(roi, field_shape, ring)
-    return module.build_system(field_shape, roi, obs_index, blur)
+    return module.build_system(field_shape, roi, obs_index, blur, estimate_condition)
 
 
 def noisy_rhs(
@@ -340,6 +347,7 @@ def _run_size(
     trials: int,
     root_seed: int,
     levels: list[float],
+    mark_singular: bool = False,
 ) -> list[list[TrialResult]]:
     """Every trial of one ROI size at each noise level (+inf: noiseless).
 
@@ -348,12 +356,20 @@ def _run_size(
     level. A RoiSolveError is recorded, instead of metrics, in every row it
     reaches: a failed build fails every row of the size, a failed noisy_rhs
     every row of its trial, and a failed solve its own row.
+
+    The table charts which sizes resolve, so with mark_singular an
+    image-domain size that spatial.structurally_singular finds below full
+    rank is marked, not failed: its system is built without the estimate
+    (no SVD), its trials are solved and kept, and each records condition
+    inf. Without it (the noise sweep) the build refuses that size, and every
+    row records the refusal.
     """
     size = roi.k_rows
     out: list[list[TrialResult]] = [[] for _ in levels]
     system, failure = None, None
+    singular = mark_singular and domain == "spatial" and spatial.structurally_singular(blur, roi)
     try:
-        system = roi_problem(domain, roi, field_shape, blur, extra_ring)
+        system = roi_problem(domain, roi, field_shape, blur, extra_ring, not singular)
     except RoiSolveError as exc:
         failure = exc
     nan = float("nan")
@@ -376,7 +392,7 @@ def _run_size(
                     ae, ad, condition = (
                         averaged_error(sol.pixels, pixels),
                         averaged_difference(system.a_matrix, pixels, rhs_levels[i]),
-                        system.condition_estimate,
+                        math.inf if singular else system.condition_estimate,
                     )
                 except RoiSolveError as exc:
                     row_error = exc
@@ -422,6 +438,10 @@ def run_table_experiment(
     NaN and -inf raise ParameterError, and so does a negative root_seed,
     before any draw.
 
+    An image-domain size whose passband leaves it structurally singular (at
+    the default setup sizes 10-20) is marked, not failed: its trials record
+    condition inf (_run_size).
+
     Trials that raise a solver error are recorded with the message instead of
     metrics; nothing is retried or resampled.
     """
@@ -440,7 +460,7 @@ def run_table_experiment(
             report.effective_cutoffs[size] = blur.cutoff_radius
         (trials,) = _run_size(
             domain, centered_roi(rows, cols, size, size), (rows, cols), blur, extra_ring,
-            report.solver, trials_per_size, root_seed, [level],
+            report.solver, trials_per_size, root_seed, [level], mark_singular=True,
         )
         report.trials.extend(trials)
     return report

@@ -16,7 +16,7 @@ from .errors import ParameterError, ShapeError, SingularSystemError
 from .forward import observe_spatial_at, unit_noise
 from .grid import RoiSpec, field_cells
 from .linear import LinearSystem, Solution, finite_condition, solve
-from .optics import OtfSpec, PsfKernel, build_psf
+from .optics import OtfSpec, PsfKernel, build_psf, structural_rank
 
 # LU, least squares, truncated: the order linear.solve reads them in.
 METHODS = ("direct", "least_squares", "truncated")
@@ -120,6 +120,13 @@ def observation_index(roi: RoiSpec, field_shape: tuple[int, int], ring: int) -> 
     return cells
 
 
+def structurally_singular(psf: PsfKernel, roi: RoiSpec) -> bool:
+    """Whether the kernel's passband leaves the ROI's system, at any ring,
+    below full rank (optics.structural_rank). A kernel read from a file has
+    no passband to count, so its systems never are."""
+    return psf.spec is not None and structural_rank(psf.spec, *roi.shape) < roi.pixel_count
+
+
 def build_system(
     field_shape: tuple[int, int],
     roi: RoiSpec,
@@ -129,6 +136,13 @@ def build_system(
 ) -> LinearSystem:
     """Assemble the system of an isolated ROI of a field_shape blurred image.
 
+    With a condition estimate asked for, a kernel built from a transfer spec
+    is first checked by optics.structural_rank, before the matrix is formed:
+    a rank below K*L (say 10x10 and up at the paper's cutoff 6, 3x3 at any
+    cutoff below 1) raises SingularSystemError with no SVD run, its message
+    naming the rank and its estimate inf. A full-rank system, or one on a
+    kernel read from a file (no spec to count), takes np.linalg.cond.
+
     Args:
         field_shape: (rows, cols) of the observed image.
         roi: region holding the unknown pixels.
@@ -137,9 +151,11 @@ def build_system(
             overdetermined system).
         psf: blur kernel; its window must cover every offset between an
             observed cell and an unknown.
-        estimate_condition: compute a 2-norm condition estimate (SVD; skip for
-            very large systems and the estimate is reported as nan); an
-            infinite estimate raises SingularSystemError.
+        estimate_condition: check the structural rank and compute a 2-norm
+            condition estimate (SVD); an infinite estimate raises
+            SingularSystemError. Without it neither runs and the estimate is
+            reported as nan: for very large systems, and for the table's
+            structurally singular sizes, which it marks rather than refuses.
     """
     if not isinstance(psf, PsfKernel):
         raise ParameterError(f"image domain reads a PsfKernel, got {type(psf).__name__}")
@@ -149,6 +165,11 @@ def build_system(
     if idx.shape[0] < roi.pixel_count:
         raise ShapeError(
             f"{idx.shape[0]} observed cells cannot determine {roi.pixel_count} unknowns"
+        )
+    if estimate_condition and structurally_singular(psf, roi):
+        raise SingularSystemError(
+            f"system matrix is structurally singular: rank {structural_rank(psf.spec, *roi.shape)}"
+            f" of {roi.pixel_count} unknowns (condition estimate inf)", math.inf,
         )
     a = system_matrix(psf, roi, idx)
     cond = finite_condition(float(np.linalg.cond(a))) if estimate_condition else float("nan")

@@ -599,6 +599,45 @@ def test_recover_failed_least_squares_exits_4(tmp_path, observed_file, capsys, m
     assert not out.exists()
 
 
+@pytest.fixture()
+def solver_frame(tmp_path):
+    """A 48x48 frame holding a 2x2 block at (20, 22), blurred at cutoff 6."""
+    ideal = np.zeros((48, 48))
+    ideal[20:22, 22:24] = [[40.0, 200.0], [120.0, 10.0]]
+    path = tmp_path / "frame.raw"
+    write_raw_matrix(path, observe_spatial(ideal, build_psf(OtfSpec(48, 48, 6.0), 47)))
+    return path
+
+
+@pytest.mark.parametrize("solver", [None, "truncated", "direct"])
+def test_recover_refuses_a_structurally_singular_system(tmp_path, solver_frame, capsys, solver):
+    # cutoff 6 leaves a 10x10 region rank 95 of 100; its float64 condition
+    # (1.6e18) used to switch to the truncated solver and exit 0
+    out = tmp_path / "rec"
+    argv = ["recover", "--observed", str(solver_frame), "--size", "10x10", "--roi", "16,16",
+            "--cutoff", "6", "--out", str(out)]
+    rc = main(argv + ([] if solver is None else ["--solver", solver]))
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "singular system: system matrix is structurally singular: rank 95 of 100 unknowns" in err
+    assert "switching" not in err
+    assert not out.exists()
+
+
+def test_recover_switches_an_ill_conditioned_system_to_the_truncated_solver(
+    tmp_path, solver_frame, capsys
+):
+    # 6x6 has full structural rank at cutoff 6, but a condition near 1.5e15
+    out = tmp_path / "rec"
+    rc = main(["recover", "--observed", str(solver_frame), "--size", "6x6", "--roi", "16,16",
+               "--cutoff", "6", "--out", str(out)])
+    assert rc == 0
+    assert "above 1e+14; switching to the truncated solver" in capsys.readouterr().err
+    manifest = read_manifest(out / "recover_manifest.txt")
+    assert manifest["method"] == "truncated"
+    assert float(manifest["condition"]) > 1e14
+
+
 def test_recover_missing_file_exits_3(tmp_path):
     rc = main(
         [
@@ -1070,6 +1109,25 @@ def test_noise_console_says_why_trials_failed(tmp_path):
     assert [(row[1], row[-1]) for row in rows] == [("inf", "1"), ("80", "1"), ("120", "1")]
     reason = "first failure: BoundsError: offsets reach +/-(4, 4), kernel window is only +/-1"
     assert [line.strip() for line in lines[3:9:2]] == [reason] * 3
+
+
+def test_noise_records_a_structurally_singular_system_as_failed(tmp_path):
+    # below cutoff 1 only the zero frequency passes: the ringed 3x3 system
+    # (49 x 9) has rank one, which used to solve and exit 0 at mean AE 20.3
+    out = tmp_path / "noise"
+    rc = main(["noise", "--field", "48x48", "--cutoff", "0.5", "--roi-size", "3", "--trials", "2",
+               "--psnr", "80", "--domains", "spatial", "--out", str(out)])
+    assert rc == 0
+    with open(out / "noise_sweep.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["psnr_db"] for row in rows] == ["inf", "80"]
+    for row in rows:
+        assert row["failed"] == "2"
+        assert row["mean_ae"] == "nan"
+        assert row["error"] == (
+            "SingularSystemError: system matrix is structurally singular: rank 1 of 9 unknowns "
+            "(condition estimate inf)"
+        )
 
 
 @pytest.mark.parametrize(

@@ -193,3 +193,27 @@ def test_refusals_workload_hashes_every_run_once(tool):
     for name in tool.REFUSAL_RUNS:
         assert digests[f"refusals/{name}/exit"] == tool._hash(b"0" if name in exports else b"2")
     assert tool.digest(["refusals"], []) == digests
+
+
+def test_singular_workload_hashes_every_run_once(tool):
+    # the table marks its structurally singular sizes and writes every file;
+    # noise records each level as failed; recover and scan refuse (exit 4,
+    # nothing written)
+    assert "singular" in tool.WORKLOADS
+    digests = tool.digest(["singular"], [205])
+    written = {
+        "table-9-11": ("trials_spatial.csv", "ae_spatial.csv", "ad_spatial.csv",
+                       "manifest_spatial.txt"),
+        "noise-cutoff-0.5": ("noise_sweep.csv", "noise_manifest.txt"),
+        "recover-10x10": (),
+        "scan-cutoff-0.5": (),
+    }
+    assert set(written) == set(tool.SINGULAR_RUNS)
+    assert set(digests) == {
+        f"singular/{name}/{what}"
+        for name, files in written.items()
+        for what in ("exit", "stdout", "stderr", *files)
+    }
+    for name, files in written.items():
+        assert digests[f"singular/{name}/exit"] == tool._hash(b"0" if files else b"4")
+    assert tool.digest(["singular"], []) == digests

@@ -11,6 +11,7 @@ from roisolve.optics import (
     in_passband,
     passband_box,
     passband_mask,
+    structural_rank,
     wrap_distance_grid,
 )
 
@@ -259,3 +260,18 @@ def test_in_passband_radius_and_wrapped_entries():
     got = in_passband(spec, np.array([[0], [3], [rows - 3]]), np.array([[4, 5, cols - 4]]))
     assert got.shape == (3, 3)
     np.testing.assert_array_equal(got, mask[np.ix_([0, 3, rows - 3], [4, 5, cols - 4])])
+
+
+def test_structural_rank_at_the_benchmark_setup():
+    # 768^2, cutoff 6: 113 passband entries, so image-domain sizes 10 and up
+    # are structurally singular, whatever their float64 condition reads
+    spec = OtfSpec(768, 768, 6.0)
+    assert [structural_rank(spec, k, k) for k in range(2, 10)] == [k * k for k in range(2, 10)]
+    assert structural_rank(spec, 10, 10) == 95
+    assert structural_rank(spec, 11, 11) == 109
+    assert structural_rank(spec, 12, 12) == 111
+    assert {structural_rank(spec, k, k) for k in range(13, 21)} == {113}
+    assert structural_rank(spec, 20, 3) == structural_rank(spec, 3, 20) == 35
+    # below cutoff 1 only the zero frequency passes: rank one at any size
+    assert structural_rank(OtfSpec(48, 48, 0.5), 3, 3) == 1
+    assert structural_rank(OtfSpec(48, 48, 0.0, passband_gain=-2.0), 1, 1) == 1

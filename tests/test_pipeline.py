@@ -883,15 +883,58 @@ def test_frame_rhs_refuses_a_frame_off_the_systems_field(domain, shape, small_ps
     assert frame_rhs(system, np.ones((48, 48))).shape == (system.obs_index.shape[0],)
 
 
-def test_table_records_an_exactly_singular_system_as_failed_trials():
-    # cutoff 0 passes only the zero frequency; least squares would return a
-    # minimum-norm answer with condition inf and no error
+def test_table_marks_an_exactly_singular_system():
+    # cutoff 0 passes only the zero frequency: rank 1 of 9. The table charts
+    # which sizes resolve, so it solves and keeps the trials and marks each
+    # with condition inf; noise, scan and recover refuse the same system
+    setup = dict(field_shape=(48, 48), cutoff_radius=0.0, psf_crop=47)
     report = run_table_experiment(
-        "spatial", sizes=(3,), trials_per_size=2, solver="least_squares",
-        field_shape=(48, 48), cutoff_radius=0.0, psf_crop=47,
+        "spatial", sizes=(3,), trials_per_size=2, solver="least_squares", **setup,
     )
-    assert report.summaries()[3].failed == 2
-    assert all(t.error.startswith("SingularSystemError") for t in report.trials)
+    assert report.summaries()[3].failed == 0
+    assert all(t.error is None and t.condition == math.inf for t in report.trials)
+    refusal = "system matrix is structurally singular: rank 1 of 9 unknowns"
+    sweep = noise_sweep(roi_size=3, psnr_grid=(80.0,), trials_per_level=2, domains=("spatial",),
+                        **setup)
+    assert all(p.failed == 2 and refusal in p.error for p in sweep.points)
+    with pytest.raises(SingularSystemError, match=refusal):
+        scan_reconstruct(make_test_sample(24, 24), (3, 3), (48, 48), 0.0, 47,
+                         solver="least_squares")
+    psf = build_psf(OtfSpec(48, 48, 0.0), 47)
+    with pytest.raises(SingularSystemError, match=refusal):
+        roi_problem("spatial", RoiSpec(20, 20, 3, 3), (48, 48), psf, 0)
+
+
+def test_table_skips_the_svd_of_structurally_singular_sizes(monkeypatch):
+    # 768^2 at cutoff 6: sizes 10-12 have rank 95, 109 and 111, so the table
+    # builds each once without a condition estimate and marks its trials;
+    # sizes 2-9 keep np.linalg.cond's bytes
+    cond = np.linalg.cond
+    conditions = {}
+
+    def cond_below_10x10(a):
+        if a.shape[1] >= 100:
+            raise AssertionError(f"np.linalg.cond ran on a {a.shape} matrix")
+        conditions[a.shape[1]] = float(cond(a))
+        return cond(a)
+
+    monkeypatch.setattr(np.linalg, "cond", cond_below_10x10)
+    builds = []
+    build = pipeline.spatial.build_system
+
+    def counted_build(field_shape, roi, *args):
+        builds.append(roi.k_rows)
+        return build(field_shape, roi, *args)
+
+    monkeypatch.setattr(pipeline.spatial, "build_system", counted_build)
+    report = run_table_experiment("spatial", sizes=range(2, 13), trials_per_size=1,
+                                  field_shape=(768, 768), cutoff_radius=6.0, psf_crop=501)
+    assert builds == list(range(2, 13))
+    assert sorted(conditions) == [k * k for k in range(2, 10)]
+    for t in report.trials:
+        assert t.error is None
+        want = math.inf if t.roi_size >= 10 else conditions[t.roi_size ** 2]
+        assert t.condition == want
 
 
 def test_a_negative_seed_is_refused_before_any_draw():

@@ -10,13 +10,14 @@ from roisolve.errors import (
     SingularSystemError,
 )
 from roisolve.forward import observe_spatial, unit_noise
-from roisolve.grid import RoiSpec, scatter_roi
+from roisolve.grid import RoiSpec, centered_roi, scatter_roi
 from roisolve.linear import LinearSystem
-from roisolve.optics import OtfSpec, build_psf, passband_box
+from roisolve.optics import OtfSpec, PsfKernel, build_psf, passband_box, structural_rank
 from roisolve.spatial import (
     build_system,
     observation_index,
     ring_cells,
+    simulated_blur,
     solve_system,
     solve_two_point_1d,
     system_matrix,
@@ -364,6 +365,60 @@ def test_condition_is_the_full_svd(ring):
     idx = observation_index(roi, spec.shape, ring)
     system = build_system(spec.shape, roi, idx, build_psf(spec, 11))
     assert system.condition_estimate == float(np.linalg.cond(system.a_matrix))
+
+
+@pytest.mark.parametrize("field, crop", [((48, 48), 47), ((32, 40), 31), ((97, 130), 95),
+                                         ((768, 768), 501)])
+def test_structural_rank_bounds_the_float64_rank(field, crop):
+    # every cutoff 0.5-6, ROI 1x1-8x8 and rings 0 and 2: the SVD never finds
+    # more rank than the passband count allows, and where the count falls
+    # below K*L the next singular value is rounding noise
+    deficient = 0
+    for cutoff in np.arange(0.5, 6.01, 0.5):
+        spec = OtfSpec(*field, float(cutoff))
+        for ring in (0, 2):
+            psf = simulated_blur(spec, 8, 8, ring, crop)
+            for k in range(1, 9):
+                for l in range(1, 9):
+                    roi = centered_roi(*field, k, l)
+                    a = system_matrix(psf, roi, observation_index(roi, field, ring))
+                    s = np.linalg.svd(a, compute_uv=False)
+                    # np.linalg.matrix_rank's own threshold
+                    numerical = int(np.count_nonzero(s > s[0] * max(a.shape) * np.finfo(float).eps))
+                    rank = structural_rank(spec, k, l)
+                    assert numerical <= rank, (cutoff, ring, k, l)
+                    if rank < k * l:
+                        deficient += 1
+                        assert s[rank] / s[0] <= 1e-15, (cutoff, ring, k, l)
+    assert deficient > 0
+
+
+def test_a_structurally_singular_system_is_refused_without_an_svd(monkeypatch):
+    # 768^2 at cutoff 6 leaves 10x10 rank 95 of 100: the build refuses it
+    # before np.linalg.cond runs, at any ring; without the estimate it builds
+    spec = OtfSpec(768, 768, 6.0)
+    roi = centered_roi(768, 768, 10, 10)
+    psf = simulated_blur(spec, 10, 10, 2, 501)
+
+    def no_svd(a):
+        raise AssertionError("np.linalg.cond ran")
+
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    for ring in (0, 2):
+        idx = observation_index(roi, spec.shape, ring)
+        with pytest.raises(SingularSystemError) as err:
+            build_system(spec.shape, roi, idx, psf)
+        assert str(err.value) == (
+            "system matrix is structurally singular: rank 95 of 100 unknowns "
+            "(condition estimate inf)"
+        )
+        assert err.value.condition == float("inf")
+        assert np.isnan(build_system(spec.shape, roi, idx, psf, estimate_condition=False)
+                        .condition_estimate)
+    # a kernel read from a file has no passband to count: the SVD decides
+    file_kernel = PsfKernel(grid=psf.grid, spec=None)
+    with pytest.raises(AssertionError, match="np.linalg.cond ran"):
+        build_system(spec.shape, roi, roi.cells(), file_kernel)
 
 
 def test_an_infinite_condition_estimate_is_a_singular_system():

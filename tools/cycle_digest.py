@@ -2,7 +2,7 @@
 
     python3 tools/cycle_digest.py
         [--workloads table,noise,scan,recover,help,psf,noisy-table,failed-trials,scan-field,
-                     located,solvers,refusals]
+                     located,solvers,refusals,singular]
         [--seeds 111,205,12345] [--out digest.json]
     python3 tools/cycle_digest.py --compare A.json B.json
 
@@ -38,7 +38,11 @@ seeds: the generic spellings, each domain's method names (which the other
 domain refuses) and a name no domain has. The "refusals" workload runs
 each command of REFUSAL_RUNS once, under "refusals/<name>" whatever the
 seeds: integer flags too large for any array or float64, each refused
-(exit 2, nothing written), and passband gains at the float64 limits. --compare
+(exit 2, nothing written), and passband gains at the float64 limits. The
+"singular" workload runs each command of SINGULAR_RUNS once, under
+"singular/<name>" whatever the seeds: image-domain systems whose passband
+leaves them structurally singular, which the table marks (condition inf)
+and noise, recover and scan refuse. --compare
 lists the keys that differ between two such files (or sit in one only) and
 exits 1 if there are any; on stderr it counts the identical entries, then
 the differing keys of each workload and final path part ("located stdout
@@ -64,7 +68,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf", "noisy-table", "failed-trials",
-             "scan-field", "located", "solvers", "refusals")
+             "scan-field", "located", "solvers", "refusals", "singular")
 SUBCOMMANDS = ("psf", "table", "scan", "noise", "recover", "two-point")
 SEEDS = (111, 205, 12345)
 # (field, cutoff, crop, gain) of the psf workload: the benchmark's kernel,
@@ -148,6 +152,18 @@ REFUSAL_RUNS = {
     "psf-gain-1e308": ["psf", "--gain", "1e308"],
     "psf-gain-1e-310": ["psf", "--gain", "1e-310"],
     "psf-gain-1e-320": ["psf", "--gain", "1e-320"],
+}
+# name -> argv (without --out) of the singular workload: at cutoff 6 a 48x48
+# field leaves 10x10 rank 95 and 11x11 rank 109, and below cutoff 1 every
+# system has rank one. recover reads SOLVER_FRAME.
+SINGULAR_RUNS = {
+    "table-9-11": ["table", "--domain", "spatial", "--field", "48x48", "--cutoff", "6",
+                   "--sizes", "9-11"],
+    "noise-cutoff-0.5": ["noise", "--field", "48x48", "--cutoff", "0.5", "--roi-size", "3",
+                         "--trials", "2", "--psnr", "80", "--domains", "spatial"],
+    "recover-10x10": ["recover", "--observed", SOLVER_FRAME, "--size", "10x10", "--roi", "16,16",
+                      "--cutoff", "6"],
+    "scan-cutoff-0.5": ["scan", "--sample", "24x24", "--cutoff", "0.5"],
 }
 MASK = "<tmp>"
 
@@ -343,23 +359,34 @@ def solvers_digest() -> dict[str, str]:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def refusals_digest() -> dict[str, str]:
-    """Digests of every REFUSAL_RUNS command, under refusals/<name>."""
+def _frame_runs_digest(prefix: str, runs: dict[str, list[str]]) -> dict[str, str]:
+    """Digests of each named command under prefix/name, SOLVER_FRAME read as
+    the frame it stands for; each takes its own --out but two-point."""
     import roisolve.cli as cli
 
     tmp = tempfile.mkdtemp(prefix="cycle-digest-")
     try:
         frame = _solver_frame(tmp)
         digests = {}
-        for name, argv in REFUSAL_RUNS.items():
+        for name, argv in runs.items():
             out = os.path.join(tmp, "out", name)
             full = [frame if a == SOLVER_FRAME else a for a in argv]
             if full[0] != "two-point":
                 full += ["--out", out]
-            digests.update(_op_digest(cli, full, out, tmp, f"refusals/{name}"))
+            digests.update(_op_digest(cli, full, out, tmp, f"{prefix}/{name}"))
         return digests
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+def refusals_digest() -> dict[str, str]:
+    """Digests of every REFUSAL_RUNS command, under refusals/<name>."""
+    return _frame_runs_digest("refusals", REFUSAL_RUNS)
+
+
+def singular_digest() -> dict[str, str]:
+    """Digests of every SINGULAR_RUNS command, under singular/<name>."""
+    return _frame_runs_digest("singular", SINGULAR_RUNS)
 
 
 def help_digest() -> dict[str, str]:
@@ -373,7 +400,7 @@ def help_digest() -> dict[str, str]:
 
 # workloads that run once whatever the seeds
 SEEDLESS = {"help": help_digest, "psf": psf_digest, "scan-field": scan_field_digest,
-            "solvers": solvers_digest, "refusals": refusals_digest}
+            "solvers": solvers_digest, "refusals": refusals_digest, "singular": singular_digest}
 
 
 def digest(workload_names, seeds) -> dict[str, str]:
