@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .forward import (
     unit_spectrum_noise,
 )
 from .grid import RoiSpec
-from .linear import LinearSystem, Solution, finite_condition, solve
+from .linear import KroneckerFactors, LinearSystem, Solution, finite_condition, solve
 from .optics import OtfSpec, in_passband
 
 # Imaginary residue allowed on recovered pixels, relative to their magnitude.
@@ -162,17 +163,13 @@ def _axes(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return us, u_at, vs, v_at
 
 
-def _factor_condition(roi: RoiSpec, idx: np.ndarray, rows: int, cols: int) -> float | None:
-    """cond(F_U) * cond(F_V) when idx holds the product U x V, each entry once.
-
-    The system is then a row permutation of (F_U kron F_V) / (rows*cols), with
-    F_U[u, k] = exp(-2j*pi*u*(top+k)/rows) over U x the K ROI rows and F_V
-    the same over columns. A Kronecker product's singular values are the
-    products of its factors', so its condition is the product of theirs. The
-    ROI's anchor only scales each factor row by a unit phase, so the factors
-    are taken at the origin. None for any other selection, and when a factor
-    has fewer rows than columns (the product is then rank deficient).
-    """
+def _factors(
+    roi: RoiSpec, idx: np.ndarray, rows: int, cols: int, gain: float
+) -> KroneckerFactors | None:
+    """The system's factors when idx holds the product U x V, each entry once,
+    |U| >= K and |V| >= L: it is then a row permutation of
+    gain*(F_U kron F_V)/(rows*cols), F_U[u, k] = exp(-2j*pi*u*(top+k)/rows)
+    over U x the ROI rows, F_V the same over columns. Else None."""
     us, u_at, vs, v_at = _axes(idx)
     if (
         us.size < roi.k_rows
@@ -181,9 +178,26 @@ def _factor_condition(roi: RoiSpec, idx: np.ndarray, rows: int, cols: int) -> fl
         or np.unique(u_at * vs.size + v_at).size != idx.shape[0]
     ):
         return None
-    f_u = _twiddles(us, np.arange(roi.k_rows), rows, -1)
-    f_v = _twiddles(vs, np.arange(roi.l_cols), cols, -1)
-    return float(np.linalg.cond(f_u)) * float(np.linalg.cond(f_v))
+    f_u = _twiddles(us, roi.top + np.arange(roi.k_rows), rows, -1)
+    f_v = _twiddles(vs, roi.left + np.arange(roi.l_cols), cols, -1)
+    return KroneckerFactors(f_u, f_v, u_at, v_at, gain / (rows * cols))
+
+
+def _phase_matrix(idx: np.ndarray, roi: RoiSpec, rows: int, cols: int, gain: float) -> np.ndarray:
+    """The dense matrix: phases r*u/M + c*v/N fill the imaginary parts and exp runs in place."""
+    n, k_rows, l_cols = idx.shape[0], roi.k_rows, roi.l_cols
+    a = np.empty((n, k_rows * l_cols), dtype=np.complex128)
+    np.add(
+        np.outer(idx[:, 0] / rows, roi.top + np.arange(k_rows))[:, :, None],
+        np.outer(idx[:, 1] / cols, roi.left + np.arange(l_cols))[:, None, :],
+        out=a.reshape(n, k_rows, l_cols).imag,
+    )
+    a.imag *= -2 * np.pi
+    a.real = 0.0
+    np.exp(a, out=a)
+    a /= rows * cols
+    a *= gain
+    return a
 
 
 def build_system(
@@ -196,6 +210,9 @@ def build_system(
     """Assemble the transform-domain system for an isolated ROI.
 
     The system is complex, one row per (u, v) spectrum index of obs_index.
+    On a full product U x V (any order, each entry once, |U| >= K, |V| >= L)
+    it carries its two partial DFT factors and forms the dense matrix only
+    when a_matrix is first read.
 
     Args:
         field_shape: (rows, cols) of the frame the spectrum is taken on.
@@ -206,9 +223,8 @@ def build_system(
             index must sit inside its passband, otherwise SelectionError
             (entries outside carry no signal after the low-pass filter).
         estimate_condition: compute a 2-norm condition estimate: from the two
-            1-D partial DFT factors when obs_index is a full product U x V
-            (any order, no repeats), else from an SVD of the whole matrix;
-            an infinite estimate raises SingularSystemError.
+            factors when the system has them, else from an SVD of the whole
+            matrix; an infinite estimate raises SingularSystemError.
     """
     if not isinstance(otf_spec, OtfSpec):
         raise ParameterError(f"transform domain reads an OtfSpec, got {type(otf_spec).__name__}")
@@ -233,26 +249,15 @@ def build_system(
             f"selected entry (u={bad[0]}, v={bad[1]}) lies outside the passband "
             f"(cutoff {otf_spec.cutoff_radius}); it carries no signal"
         )
-    # phases r*u/M + c*v/N fill the imaginary parts and exp runs in place
-    n, k_rows, l_cols = idx.shape[0], roi.k_rows, roi.l_cols
-    a = np.empty((n, k_rows * l_cols), dtype=np.complex128)
-    np.add(
-        np.outer(idx[:, 0] / rows, roi.top + np.arange(k_rows))[:, :, None],
-        np.outer(idx[:, 1] / cols, roi.left + np.arange(l_cols))[:, None, :],
-        out=a.reshape(n, k_rows, l_cols).imag,
-    )
-    a.imag *= -2 * np.pi
-    a.real = 0.0
-    np.exp(a, out=a)
-    a /= rows * cols
-    a *= otf_spec.passband_gain
+    factors = _factors(roi, idx, rows, cols, otf_spec.passband_gain)
+    fill = partial(_phase_matrix, idx, roi, rows, cols, otf_spec.passband_gain)
+    a = fill if factors is not None else fill()
     cond = float("nan")
     if estimate_condition:
-        cond = _factor_condition(roi, idx, rows, cols)
-        if cond is None:
-            cond = float(np.linalg.cond(a))
-        cond = finite_condition(cond)
-    return LinearSystem("frequency", a, roi, idx, cond, (rows, cols), otf_spec)
+        # a Kronecker product's singular values are the products of its factors'
+        parts = (a,) if factors is None else (factors.f_u, factors.f_v)
+        cond = finite_condition(math.prod(float(np.linalg.cond(m)) for m in parts))
+    return LinearSystem("frequency", a, roi, idx, cond, (rows, cols), otf_spec, factors)
 
 
 def noiseless_rhs(system: LinearSystem, pixels: np.ndarray) -> np.ndarray:
@@ -287,10 +292,11 @@ def solve_system(
     """Solve a built transform-domain system for an observation rhs and report
     the recovered ROI.
 
-    Methods: "direct_complex" (LU on the complex matrix, square only),
+    Methods: "direct_complex" (LU, square only; in the two factors on a
+    product block, the ring-0 system of table, scan and recover),
     "stacked_real_lsq" (real least squares on [Re; Im] stacking, works for
     overdetermined selections), "truncated" (complex SVD with a singular value
-    floor). Pixels are the real part; Solution.imag_leakage reports the
-    imaginary part dropped.
+    floor); these two form the dense matrix. Pixels are the real part;
+    Solution.imag_leakage reports the imaginary part dropped.
     """
     return solve(system.require_domain("frequency"), rhs, method, METHODS, clamp_negative)

@@ -10,6 +10,7 @@ solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,35 @@ def finite_condition(cond: float) -> float:
     return cond
 
 
+class KroneckerFactors(NamedTuple):
+    """A = scale * (F_U kron F_V), rows permuted: row i of A is row
+    (u_at[i], v_at[i]) of the product, each pair once (F_U is |U| x K, F_V
+    |V| x L)."""
+
+    f_u: np.ndarray
+    f_v: np.ndarray
+    u_at: np.ndarray
+    v_at: np.ndarray
+    scale: float
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for x (K*L,) or (K*L, t): scale * F_U X F_V^T, each column X as K x L."""
+        k, l = self.f_u.shape[1], self.f_v.shape[1]
+        t = x.size // (k * l)
+        y = self.f_v @ (self.f_u @ x.reshape(k, l * t)).reshape(self.f_u.shape[0], l, t)
+        return (self.scale * y[self.u_at, self.v_at]).reshape(self.u_at.size, *x.shape[1:])
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """x with A x = y, square factors only: F_U^-1 Y F_V^-T / scale, each
+        inverse an LU against the identity, applied as a matrix product."""
+        (n_u, k), n_v, t = self.f_u.shape, self.f_v.shape[0], y.size // y.shape[0]
+        block = np.empty((n_u, n_v, t), complex)
+        block[self.u_at, self.v_at] = y.reshape(y.shape[0], t)
+        x = np.linalg.inv(self.f_u) @ block.reshape(n_u, n_v * t)
+        x = np.linalg.inv(self.f_v) @ x.reshape(k, n_v, t)
+        return (x / self.scale).reshape(y.shape)
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """The matrix A of a system A x = y over the ROI pixels, real or complex.
@@ -43,6 +73,10 @@ class LinearSystem:
     through (None only for an image-domain system on a kernel read from a
     file). The observation y is not part of the system: each domain's
     frame_rhs reads it off a frame, its noiseless_rhs from known pixels.
+
+    A square system with factors takes its LU and A x (system @ x) in them;
+    a system with factors may give a_matrix as a callable, called on the
+    first read.
     """
 
     domain: str
@@ -52,6 +86,28 @@ class LinearSystem:
     condition_estimate: float
     field_shape: tuple[int, int]
     spec: OtfSpec | None
+    factors: KroneckerFactors | None = None
+
+    def __post_init__(self) -> None:
+        if callable(self.a_matrix):  # formed by __getattr__ when first read
+            object.__setattr__(self, "_fill", self.a_matrix)
+            object.__delattr__(self, "a_matrix")
+
+    def __getattr__(self, name: str):
+        if name != "a_matrix" or "_fill" not in self.__dict__:
+            raise AttributeError(name)
+        object.__setattr__(self, "a_matrix", self._fill())
+        return self.a_matrix
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.obs_index.shape[0], self.roi.pixel_count)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A @ x: in the factors on a square system that has them, as its LU
+        is; a taller one is solved dense, so its dense product serves."""
+        square = self.factors is not None and self.shape[0] == self.shape[1]
+        return self.factors.apply(x) if square else self.a_matrix @ x
 
     def require_domain(self, name: str) -> LinearSystem:
         """The system itself when domain name built it, else ParameterError."""
@@ -117,13 +173,15 @@ def solve(
     whole block (residual takes the Frobenius norm).
 
     methods names the domain's three solvers in this order: LU (square
-    systems only), least squares (numpy's LAPACK gelsd, singular values
-    below machine epsilon of the largest discarded; a complex A is stacked
-    as [Re; Im] so the solution stays real) and truncated SVD (singular
-    values below TRUNCATION_RTOL of the largest discarded).
+    systems only; in the factors when the system has them), least squares
+    (numpy's LAPACK gelsd, singular values below machine epsilon of the
+    largest discarded; a complex A is stacked as [Re; Im] so the solution
+    stays real) and truncated SVD (singular values below TRUNCATION_RTOL of
+    the largest discarded).
 
     Raises:
-        ParameterError: method is not in methods, A or y holds NaN or Inf, or
+        ParameterError: method is not in methods, what the route reads of A
+            (factors or matrix) or y holds NaN or Inf, or
             the solution or its residual does (finite values that overflow
             the solve).
         ShapeError: rhs does not have one row per observation, or LU asked of
@@ -133,22 +191,29 @@ def solve(
     """
     if method not in methods:
         raise ParameterError(f"unknown method {method!r}, expected one of {methods}")
-    a = system.a_matrix
     rhs = np.asarray(rhs)
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != a.shape[0]:
-        raise ShapeError(f"right-hand side {rhs.shape} does not match {a.shape[0]} observations")
-    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
-        raise ParameterError("system matrix or right-hand side holds NaN or Inf")
+    n = system.shape[0]
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise ShapeError(f"right-hand side {rhs.shape} does not match {n} observations")
     kind = methods.index(method)
-    if kind == 0 and a.shape[0] != a.shape[1]:
+    # LU on a product set reads its factors alone (square when the system
+    # is, as |U| >= K and |V| >= L), every other route the dense matrix
+    factors = system.factors if kind == 0 else None
+    a = system.a_matrix if factors is None else None
+    read = (a,) if factors is None else (factors.f_u, factors.f_v)
+    if not (all(np.isfinite(m).all() for m in read) and np.isfinite(rhs).all()):
+        raise ParameterError("system matrix or right-hand side holds NaN or Inf")
+    if kind == 0 and system.shape != (n, n):
         raise ShapeError(
-            f"{method} needs a square system, got {a.shape}; "
+            f"{method} needs a square system, got {system.shape}; "
             f"use {methods[1]} for extra observations"
         )
     try:
         # overflow leaves NaN or Inf in z, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            if kind == 0:
+            if factors is not None:
+                z = factors.solve(rhs)
+            elif kind == 0:
                 z = np.linalg.solve(a, rhs)
             elif kind == 1:
                 a_ls, y_ls = a, rhs
@@ -172,7 +237,7 @@ def solve(
     if clamp_negative:
         x = np.maximum(x, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite residual is refused
-        residual = float(np.linalg.norm(a @ x - rhs)) / system.roi.pixel_count
+        residual = float(np.linalg.norm(system @ x - rhs)) / system.roi.pixel_count
     if not np.isfinite(residual):
         raise ParameterError("residual overflows float64: the observations overflow the solve")
     return Solution(

@@ -83,9 +83,13 @@ def averaged_error(recovered: np.ndarray, ideal: np.ndarray) -> float:
     return float(np.linalg.norm(recovered - ideal)) / ideal.size
 
 
-def averaged_difference(a_matrix: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """||A x - y||_2 divided by the unknown count; complex-safe."""
-    a_matrix = np.asarray(a_matrix)
+def averaged_difference(
+    a_matrix: np.ndarray | LinearSystem, x: np.ndarray, y: np.ndarray
+) -> float:
+    """||A x - y||_2 divided by the unknown count; complex-safe. A is an array
+    or a system (system @ x: in its factors when it is square and has them)."""
+    if not isinstance(a_matrix, LinearSystem):
+        a_matrix = np.asarray(a_matrix)
     x = np.asarray(x).ravel()
     y = np.asarray(y).ravel()
     if a_matrix.shape != (y.size, x.size):
@@ -391,7 +395,7 @@ def _run_size(
                     sol = DOMAIN_MODULES[domain].solve_system(system, rhs_levels[i], method)
                     ae, ad, condition = (
                         averaged_error(sol.pixels, pixels),
-                        averaged_difference(system.a_matrix, pixels, rhs_levels[i]),
+                        averaged_difference(system, pixels, rhs_levels[i]),
                         math.inf if singular else system.condition_estimate,
                     )
                 except RoiSolveError as exc:
@@ -480,10 +484,11 @@ def ad_spot_check(
     Builds the size^2-unknown system for a single random trial and measures
     how far A times the known ideal pixels sits from the measured right-hand
     side. No condition estimate and no solve, so this stays feasible for
-    systems with thousands of unknowns (memory is the binding constraint; the
-    matrix itself is materialized). The right-hand side comes from the same
+    systems with thousands of unknowns (memory binds in the image domain,
+    whose matrix is materialized; the transform domain takes A x in its
+    Kronecker factors). The right-hand side comes from the same
     passband-sparse evaluation as a noiseless table trial, independently of
-    the kernel or phase matrix the system is built from.
+    the kernel or phase factors the system is built from.
     """
     module = domain_module(domain)
     rows, cols = int(field_shape[0]), int(field_shape[1])
@@ -493,7 +498,7 @@ def ad_spot_check(
     system = module.build_system((rows, cols), roi, obs_index, blur, estimate_condition=False)
     _, pixels = _trial_pixels(root_seed, size, trial)
     rhs = module.noiseless_rhs(system, pixels)
-    return averaged_difference(system.a_matrix, pixels, rhs)
+    return averaged_difference(system, pixels, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +573,7 @@ def scan_reconstruct(
     down, across = rows // k_rows, cols // l_cols
     # column t holds tile (t // across, t % across), row-major within the tile
     tiles = arr.reshape(down, k_rows, across, l_cols).transpose(1, 3, 0, 2)
-    rhs = system.a_matrix @ tiles.reshape(k_rows * l_cols, -1)
+    rhs = system @ tiles.reshape(k_rows * l_cols, -1)
     sol = module.solve_system(system, rhs, resolve_solver(domain, solver, 0))
     recovered = sol.pixels.reshape(k_rows, l_cols, down, across).transpose(2, 0, 3, 1)
     return recovered.reshape(rows, cols)

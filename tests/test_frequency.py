@@ -1,8 +1,12 @@
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roisolve import cli, frequency
 from roisolve.errors import (
     BoundsError,
     InconsistentInputError,
@@ -404,6 +408,78 @@ def test_other_selections_take_the_full_svd(edit):
         idx = np.column_stack([np.repeat(np.arange(2), 8), np.tile(np.arange(8), 2)])
     system = build_system((32, 32), roi, idx, _widest_spec(32, 32))
     assert system.condition_estimate == float(np.linalg.cond(system.a_matrix))
+
+
+# ---------------------------------------------------------------------------
+# the factored route
+
+# well conditioned: the estimates read 9.3e2, 1.6e4, 2.4e5 and 5.1e3
+@pytest.mark.parametrize("field, roi, gain, shuffle", [
+    ((48, 48), RoiSpec(20, 17, 2, 2), 1.0, False),
+    ((48, 48), RoiSpec(3, 40, 2, 3), 1.0, False),
+    ((97, 130), RoiSpec(90, 3, 2, 3), 0.7, True),
+    ((97, 130), RoiSpec(40, 100, 2, 2), 0.7, True),
+])
+def test_factored_lu_agrees_with_dense_lu(field, roi, gain, shuffle, rng):
+    spec = OtfSpec(*field, 10.0 if field == (48, 48) else 8.0, gain)
+    idx = observation_index(roi, field, 0)
+    if shuffle:
+        idx = idx[rng.permutation(idx.shape[0])]
+    system = build_system(field, roi, idx, spec)
+    assert system.factors is not None and system.shape == (roi.pixel_count,) * 2
+    dense_system = dataclasses.replace(system, factors=None)  # every route reads the matrix
+    pixels = rng.uniform(0, 256, (roi.pixel_count, 3))
+    rhs = np.column_stack([noiseless_rhs(system, p) for p in pixels.T])
+    for y in (rhs[:, 0], rhs):
+        factored = solve_system(system, y, "direct_complex").pixels
+        dense = solve_system(dense_system, y, "direct_complex").pixels
+        assert np.abs(factored - dense).max() <= 1e-9
+        assert np.abs(factored - pixels[:, 0] if y.ndim == 1 else factored - pixels).max() <= 1e-9
+
+
+@pytest.mark.parametrize("ring", [0, 2])
+def test_factored_product_equals_the_dense_one(ring, rng):
+    field, roi = (97, 130), RoiSpec(60, 21, 3, 4)
+    idx = observation_index(roi, field, ring)
+    system = build_system(field, roi, idx[rng.permutation(idx.shape[0])], OtfSpec(*field, 9.0, 0.7))
+    assert system.factors is not None
+    for x in (rng.uniform(0, 256, roi.pixel_count), rng.uniform(0, 256, (roi.pixel_count, 5))):
+        dense = system.a_matrix @ x
+        factored = system.factors.apply(x)
+        assert factored.shape == dense.shape
+        assert np.abs(factored - dense).max() <= 1e-13 * np.abs(dense).max()
+        # a square system takes A x in its factors, a taller one (solved
+        # dense) in its matrix
+        assert np.array_equal(system @ x, factored if ring == 0 else dense)
+
+
+def test_the_frequency_table_never_forms_the_dense_matrix(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("dense transform-domain matrix formed")
+
+    monkeypatch.setattr(frequency, "_phase_matrix", refuse)
+    out = tmp_path / "out"
+    assert cli.main(["table", "--domain", "frequency", "--sizes", "2-20", "--trials", "2",
+                     "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "trials_frequency.csv").read_text().splitlines()))
+    assert len(rows) == 38 and not any(row["error"] for row in rows)
+
+
+def test_dense_routes_still_form_the_matrix(monkeypatch, tmp_path):
+    calls, fill = [], frequency._phase_matrix
+
+    def counted(idx, roi, *args):
+        calls.append(roi.shape)
+        return fill(idx, roi, *args)
+
+    monkeypatch.setattr(frequency, "_phase_matrix", counted)
+    small = ["--field", "48x48", "--cutoff", "10", "--out", str(tmp_path / "out")]
+    assert cli.main(["noise", "--domains", "frequency", "--roi-size", "2", "--ring", "2",
+                     "--trials", "1", "--psnr", "80", *small]) == 0
+    assert calls == [(2, 2)]
+    assert cli.main(["table", "--domain", "frequency", "--sizes", "3", "--trials", "2",
+                     "--solver", "truncated", *small]) == 0
+    assert calls == [(2, 2), (3, 3)]
 
 
 # ---------------------------------------------------------------------------
