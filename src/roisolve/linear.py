@@ -9,7 +9,9 @@ solver.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,13 +76,13 @@ class LinearSystem:
     file). The observation y is not part of the system: each domain's
     frame_rhs reads it off a frame, its noiseless_rhs from known pixels.
 
-    A square system with factors takes its LU and A x (system @ x) in them;
-    a system with factors may give a_matrix as a callable, called on the
-    first read.
+    matrix is A, or (a system with factors) a callable that forms it; a_matrix
+    reads A, calling that on the first read. A square system with factors
+    takes its LU and A x (system @ x) in them.
     """
 
     domain: str
-    a_matrix: np.ndarray
+    matrix: np.ndarray | Callable[[], np.ndarray]
     roi: RoiSpec
     obs_index: np.ndarray
     condition_estimate: float
@@ -88,16 +90,9 @@ class LinearSystem:
     spec: OtfSpec | None
     factors: KroneckerFactors | None = None
 
-    def __post_init__(self) -> None:
-        if callable(self.a_matrix):  # formed by __getattr__ when first read
-            object.__setattr__(self, "_fill", self.a_matrix)
-            object.__delattr__(self, "a_matrix")
-
-    def __getattr__(self, name: str):
-        if name != "a_matrix" or "_fill" not in self.__dict__:
-            raise AttributeError(name)
-        object.__setattr__(self, "a_matrix", self._fill())
-        return self.a_matrix
+    @cached_property
+    def a_matrix(self) -> np.ndarray:
+        return self.matrix() if callable(self.matrix) else self.matrix
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -107,27 +107,25 @@ LOCATE_THRESHOLD = 0.1
 def locate_roi(observed: np.ndarray, k_rows: int, l_cols: int) -> RoiSpec:
     """Estimate where an isolated K x L region sits in a blurred image.
 
-    Takes the intensity centroid of all cells at or above LOCATE_THRESHOLD of
-    the image peak and snaps a K x L box onto it (clamping at the borders).
-    Good to about one cell for a region that is genuinely isolated. The blur
-    is circular, so the light of a region at a border also reaches the
-    opposite border and the centroid lands between the two: when that light
-    reaches both the first and the last row, or both the first and the last
-    column, the image is refused instead.
+    The blur is circular, so each axis is a circle: the centre along it is
+    the circular mean (Mardia and Jupp, Directional Statistics, ch. 2) of
+    the row or column sums of the cells at or above LOCATE_THRESHOLD of the
+    image peak, angles measured from the heaviest row or column so a lone
+    cell sits exactly on itself. A K x L box is snapped onto the centre; a
+    box that would wrap past the last row or column moves to whichever of
+    the two borders is nearer. Good to about one cell for a region that is
+    genuinely isolated, at a border as anywhere else.
 
     Two passes read the whole image: the row maxima (the peak, and any NaN
-    or +inf) and the minimum (any -inf). Everything else reads only the
-    band of rows from the first to the last whose maximum clears the
-    threshold; the rows outside it weigh nothing. Row and column sums are
-    those of the whole image bit for bit; the total is summed over the band,
-    so the centroid may differ from a whole-image sum in its last bits.
+    or +inf) and the minimum (any -inf). Everything else reads only the rows
+    whose maximum clears the threshold; the others weigh nothing.
 
     Raises:
         ShapeError: the image is not 2D.
         ParameterError: the image holds NaN or Inf, or its values are so
-            large that the total or the centroid overflows.
-        BoundsError: a K x L box does not fit the image, or the light reaches
-            both the first and the last row or column.
+            large that the centroid overflows.
+        BoundsError: a K x L box does not fit the image, or the light is
+            spread so evenly round an axis that it has no mean there.
         NoSignalError: the image has no positive values to localize.
     """
     arr = np.asarray(observed, dtype=float)
@@ -146,31 +144,32 @@ def locate_roi(observed: np.ndarray, k_rows: int, l_cols: int) -> RoiSpec:
         raise NoSignalError("image has no positive signal to localize")
     threshold = LOCATE_THRESHOLD * peak
     lit = np.flatnonzero(row_max >= threshold)
-    r0, r1 = int(lit[0]), int(lit[-1]) + 1
-    part = arr[r0:r1]
-    weights = np.where(part >= threshold, part, 0.0)
-    row_sums = np.zeros(rows)
+    weights = arr[lit]
+    weights *= weights >= threshold
+    anchor = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        row_sums[r0:r1] = weights.sum(axis=1)
-        col_sums = weights.sum(axis=0)
-        total = float(weights.sum())
-        row_c = float(row_sums @ np.arange(rows)) / total
-        col_c = float(col_sums @ np.arange(cols)) / total
-    if not (math.isfinite(total) and math.isfinite(row_c) and math.isfinite(col_c)):
-        raise ParameterError(
-            f"observed image values up to {peak:.6g} overflow the centroid; "
-            "nothing can be located"
-        )
-    if (r0 == 0 and r1 == rows) or (col_sums[0] != 0 and col_sums[-1] != 0):
-        raise BoundsError(
-            f"light reaches opposite edges of the {rows}x{cols} frame: a region at a border "
-            "wraps around the circular blur and cannot be located; give its anchor with --roi"
-        )
-    top = int(np.floor(row_c - (k_rows - 1) / 2.0 + 0.5))
-    left = int(np.floor(col_c - (l_cols - 1) / 2.0 + 0.5))
-    top = min(max(top, 0), rows - k_rows)
-    left = min(max(left, 0), cols - l_cols)
-    return RoiSpec(top, left, k_rows, l_cols)
+        for sums, at, n, k in ((weights.sum(axis=1), lit, rows, k_rows),
+                               (weights.sum(axis=0), np.arange(cols), cols, l_cols)):
+            ref = int(at[np.argmax(sums)])
+            total = float(sums.sum())
+            angle = 2 * math.pi / n * (at - ref)
+            re, im = float(sums @ np.cos(angle)), float(sums @ np.sin(angle))
+            if not all(map(math.isfinite, (total, re, im))):
+                raise ParameterError(
+                    f"observed image values up to {peak:.6g} overflow the centroid; "
+                    "nothing can be located"
+                )
+            if math.hypot(re, im) <= n * np.finfo(float).eps * total:
+                raise BoundsError(
+                    f"light is spread evenly round the {rows}x{cols} frame and has no "
+                    "centre to locate; give the region's anchor with --roi"
+                )
+            # the box's unrounded anchor; one that would wrap moves to the
+            # nearer of the two anchors that do not
+            x = ref + math.atan2(im, re) * n / (2 * math.pi) - (k - 1) / 2.0
+            a = math.floor(x + 0.5) % n
+            anchor.append(a if a <= n - k else (0 if -x % n < (x - n + k) % n else n - k))
+    return RoiSpec(anchor[0], anchor[1], k_rows, l_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +493,7 @@ def ad_spot_check(
     rows, cols = int(field_shape[0]), int(field_shape[1])
     roi = centered_roi(rows, cols, size, size)
     blur = module.simulated_blur(OtfSpec(rows, cols, cutoff_radius), size, size, 0, psf_crop)
-    obs_index = module.observation_index(roi, (rows, cols), 0)
-    system = module.build_system((rows, cols), roi, obs_index, blur, estimate_condition=False)
+    system = roi_problem(domain, roi, (rows, cols), blur, 0, estimate_condition=False)
     _, pixels = _trial_pixels(root_seed, size, trial)
     rhs = module.noiseless_rhs(system, pixels)
     return averaged_difference(system, pixels, rhs)

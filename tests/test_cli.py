@@ -529,9 +529,9 @@ def test_recover_locates_when_roi_omitted(tmp_path, observed_file, capsys):
 
 
 @pytest.mark.parametrize("anchor", [(0, 20), (45, 20), (20, 0), (20, 46), (0, 0)])
-def test_recover_refuses_to_locate_a_roi_at_a_border(tmp_path, small_psf, capsys, anchor):
+def test_recover_locates_a_roi_at_a_border(tmp_path, small_psf, capsys, anchor):
     # the blur is circular: the light of a region at a border also lights the
-    # opposite border, and its centroid would land mid-frame
+    # opposite border, and the circular mean locates it across that border
     pixels = np.array([120.0, 30.0, 200.0, 80.0, 250.0, 10.0])
     roi = RoiSpec(*anchor, 2, 2 if anchor[1] == 46 else 3)
     path = tmp_path / "observed.raw"
@@ -539,12 +539,8 @@ def test_recover_refuses_to_locate_a_roi_at_a_border(tmp_path, small_psf, capsys
                                            small_psf))
     argv = ["recover", "--observed", str(path), "--size", f"{roi.k_rows}x{roi.l_cols}",
             "--cutoff", "10", "--out", str(tmp_path / "rec")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "wraps around" in err and "--roi" in err
-    assert not (tmp_path / "rec").exists()
-    # given its anchor, the same region is recovered
-    assert main([*argv, f"--roi={anchor[0]},{anchor[1]}"]) == 0
+    assert main(argv) == 0
+    assert f"located ROI at ({anchor[0]}, {anchor[1]})" in capsys.readouterr().err
     recovered = read_raw_matrix(tmp_path / "rec" / "recovered.raw")
     assert np.abs(recovered.ravel() - pixels[: roi.pixel_count]).max() <= 1e-6
 
@@ -720,7 +716,7 @@ def test_recover_non_finite_frame_exits_3(tmp_path, fill, cell, extra):
 @pytest.mark.parametrize(
     "value, extra, message",
     [
-        (1e307, [], "overflow the centroid"),
+        (1e307, [], "residual overflows"),
         (1.7e308, [], "overflow the centroid"),
         (1.7e308, ["--roi", "10,10", "--domain", "spatial"], "solution holds NaN or Inf"),
         (1.7e308, ["--roi", "10,10", "--domain", "frequency"], "holds NaN or Inf"),
@@ -729,8 +725,9 @@ def test_recover_non_finite_frame_exits_3(tmp_path, fill, cell, extra):
     ],
 )
 def test_recover_refuses_finite_values_that_overflow(tmp_path, capsys, value, extra, message):
-    # located, the centroid overflows; anchored, the solve or its residual
-    # does, or the transform-domain observation itself
+    # located, the centroid overflows at 1.7e308 and the residual at 1e307;
+    # anchored, the solve or its residual does, or the transform-domain
+    # observation itself
     frame = np.zeros((32, 32))
     frame[10:13, 10:13] = value
     path = tmp_path / "frame.raw"
@@ -739,9 +736,11 @@ def test_recover_refuses_finite_values_that_overflow(tmp_path, capsys, value, ex
     rc = main(["recover", "--observed", str(path), "--size", "3x3", "--cutoff", "10", *extra,
                "--out", str(out)])
     assert rc == 2
-    # beside the image domain's note on its kernel, stderr holds the error alone
+    # beside the notes on the kernel and the located ROI, stderr holds the
+    # error alone
     err = capsys.readouterr().err.splitlines()
-    (line,) = [line for line in err if not line.startswith("built kernel from cutoff")]
+    notes = ("built kernel from cutoff", "located ROI at (10, 10)")
+    (line,) = [line for line in err if not line.startswith(notes)]
     assert line.startswith("error:") and message in line
     assert not out.exists()
 

@@ -126,27 +126,25 @@ def test_scan_field_workload_hashes_both_domains_once(tool):
 
 def test_located_workload_hashes_every_frame_at_each_seed(tool):
     # recover without --roi on border, middle and non-square ROIs, and on
-    # finite frames whose centroid overflows; the border frames' light wraps
-    # around and the overflowing frames are refused (exit 2, nothing written)
+    # finite frames too large to solve; every blurred frame is located and
+    # recovered, and the large ones are refused (exit 2, nothing written):
+    # by the solve at 1e307, by the centroid at 1.7e308
     assert "located" in tool.WORKLOADS
     digests = tool.digest(["located"], [205, 111])
     solved = ("exit", "stdout", "stderr", "recovered.raw", "recovered.pgm",
               "recover_manifest.txt")
-    middle = {name for name, frame in tool.LOCATED_FRAMES.items() if frame[2] == "middle"}
-    assert any(frame[1][0] != frame[1][1] for name, frame in tool.LOCATED_FRAMES.items()
-               if name in middle)
-    refused = (set(tool.LOCATED_FRAMES) - middle) | set(tool.LOCATED_HUGE)
+    assert any(frame[1][0] != frame[1][1] for frame in tool.LOCATED_FRAMES.values())
     assert set(digests) == (
         {f"located/{seed}/{name}/{what}"
-         for seed in (205, 111) for name in middle for what in solved}
+         for seed in (205, 111) for name in tool.LOCATED_FRAMES for what in solved}
         | {f"located/{seed}/{name}/{what}"
-           for seed in (205, 111) for name in refused for what in solved[:3]}
+           for seed in (205, 111) for name in tool.LOCATED_HUGE for what in solved[:3]}
     )
     assert {digests[f"located/{seed}/{name}/exit"]
-            for seed in (205, 111) for name in middle} == {tool._hash(b"0")}
+            for seed in (205, 111) for name in tool.LOCATED_FRAMES} == {tool._hash(b"0")}
     assert {digests[f"located/{seed}/{name}/exit"]
-            for seed in (205, 111) for name in refused} == {tool._hash(b"2")}
-    for name in middle:
+            for seed in (205, 111) for name in tool.LOCATED_HUGE} == {tool._hash(b"2")}
+    for name in tool.LOCATED_FRAMES:
         assert (digests[f"located/205/{name}/recovered.raw"]
                 != digests[f"located/111/{name}/recovered.raw"])
     assert tool.digest(["located"], [205]) == {

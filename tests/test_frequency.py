@@ -581,7 +581,7 @@ def test_truncated_and_singular(small_spec):
     roi = RoiSpec(0, 0, 2, 2)
     system = LinearSystem(
         domain="frequency",
-        a_matrix=np.zeros((4, 4), dtype=complex),
+        matrix=np.zeros((4, 4), dtype=complex),
         roi=roi,
         obs_index=np.zeros((4, 2), dtype=int),
         condition_estimate=np.inf,

@@ -76,7 +76,7 @@ def test_solve_rejects_non_finite_systems(domain, field, bad, small_psf):
     else:
         values = system.a_matrix.copy()
         values.flat[1] = bad
-        system = dataclasses.replace(system, a_matrix=values)
+        system = dataclasses.replace(system, matrix=values)
         if system.factors is not None:
             # a product set's LU reads its factors, the other routes the matrix
             f_u = system.factors.f_u.copy()

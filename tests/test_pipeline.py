@@ -153,21 +153,21 @@ def test_locate_validation():
 
 
 
-def _whole_image_roi(arr, k_rows, l_cols):
-    """The reference locate_roi's band must reproduce: the centroid of the
-    thresholded cells summed over the whole image, snapped and clamped; None
-    when those cells reach both the first and the last row or column."""
-    rows, cols = arr.shape
+def _circular_roi(arr, k_rows, l_cols):
+    """The reference locate_roi must reproduce: per axis, the circular mean of
+    the thresholded cells' sums over the whole image, measured from the
+    heaviest row or column, snapped to the nearer box that does not wrap."""
     weights = np.where(arr >= pipeline.LOCATE_THRESHOLD * arr.max(), arr, 0.0)
-    if (weights[0].any() and weights[-1].any()) or (weights[:, 0].any() and weights[:, -1].any()):
-        return None
-    total = float(weights.sum())
-    row_c = float(weights.sum(axis=1) @ np.arange(rows)) / total
-    col_c = float(weights.sum(axis=0) @ np.arange(cols)) / total
-    top = int(np.floor(row_c - (k_rows - 1) / 2.0 + 0.5))
-    left = int(np.floor(col_c - (l_cols - 1) / 2.0 + 0.5))
-    return RoiSpec(min(max(top, 0), rows - k_rows), min(max(left, 0), cols - l_cols),
-                   k_rows, l_cols)
+    anchor = []
+    for sums, k in ((weights.sum(axis=1), k_rows), (weights.sum(axis=0), l_cols)):
+        n, ref = sums.size, int(np.argmax(sums))
+        mean = np.angle(sums @ np.exp(2j * np.pi * (np.arange(n) - ref) / n)) * n / (2 * np.pi)
+        x = ref + mean - (k - 1) / 2
+        a = int(np.floor(x + 0.5)) % n
+        if a > n - k:
+            a = 0 if (-x) % n < (x - (n - k)) % n else n - k
+        anchor.append(a)
+    return RoiSpec(*anchor, k_rows, l_cols)
 
 
 def _seeded_frame(seed, middle=False):
@@ -190,50 +190,52 @@ def _seeded_frame(seed, middle=False):
     return observe_field(ideal, OtfSpec(rows, cols, cutoff)), roi
 
 
-def test_banded_locate_matches_the_whole_image_centroid(tmp_path):
-    # 120 seeded frames at the borders and 40 in the middle, each as raw
-    # float64 and as a 16-bit PGM read back; a frame whose light wraps to
-    # both edges is refused, any other is located at the whole-image centroid
+def test_locate_matches_the_whole_image_circular_mean(tmp_path):
+    # 300 seeded frames at or near the borders, whose light wraps around, and
+    # 100 in the middle: each is located at the whole-image circular mean, no
+    # anchor more than one cell from the truth and nearly all on it; the
+    # first 160 also as a 16-bit PGM read back
     path = tmp_path / "frame.pgm"
-    located = refused = 0
-    for seed in range(160):
-        observed, roi = _seeded_frame(seed, middle=seed >= 120)
-        write_pgm16(path, observed)
-        for arr in (observed, read_raster(path)):
-            want = _whole_image_roi(arr, roi.k_rows, roi.l_cols)
-            if want is None:
-                with pytest.raises(BoundsError, match="--roi"):
-                    locate_roi(arr, roi.k_rows, roi.l_cols)
-                refused += 1
-            else:
-                assert locate_roi(arr, roi.k_rows, roi.l_cols) == want, seed
-                located += 1
-    assert located + refused == 320
-    assert located >= 80 and refused >= 80, (located, refused)
+    exact = 0
+    for seed in range(400):
+        observed, roi = _seeded_frame(seed, middle=seed >= 300)
+        found = locate_roi(observed, roi.k_rows, roi.l_cols)
+        assert found == _circular_roi(observed, roi.k_rows, roi.l_cols), seed
+        off = max(abs(found.top - roi.top), abs(found.left - roi.left))
+        assert off <= 1, seed
+        exact += off == 0
+        if seed < 160:
+            write_pgm16(path, observed)
+            arr = read_raster(path)
+            assert locate_roi(arr, roi.k_rows, roi.l_cols) == _circular_roi(
+                arr, roi.k_rows, roi.l_cols), seed
+    assert exact >= 380, exact
 
 
 def test_locate_weighs_nothing_between_two_far_blobs():
-    # the lit rows are not contiguous; the dark rows between are in the band
+    # the lit rows are not contiguous and the rows between weigh nothing; the
+    # mean takes the shorter arc, across the border for the rows
     arr = np.zeros((64, 64))
     arr[5:8, 10:13] = 4.0
-    arr[50:53, 40:43] = 4.0
-    assert locate_roi(arr, 3, 3) == _whole_image_roi(arr, 3, 3) == RoiSpec(28, 25, 3, 3)
+    arr[41:44, 40:43] = 4.0
+    assert locate_roi(arr, 3, 3) == _circular_roi(arr, 3, 3) == RoiSpec(55, 25, 3, 3)
 
 
 def test_locate_light_in_the_first_and_last_rows():
-    # on a circular field such light may be one region wrapped around the
-    # border, whose centroid would land mid-frame: refused, rows or columns
+    # on a circular field such light is one region lit across the border: it
+    # is located there, in rows and in columns, and a box that would wrap
+    # moves to the nearer border
     arr = np.zeros((40, 40))
-    arr[0, 10] = 2.0
-    arr[39, 30] = 2.0
-    for image in (arr, arr.T.copy()):
-        assert _whole_image_roi(image, 1, 1) is None
-        for size in ((1, 1), (2, 3)):
-            with pytest.raises(BoundsError, match="opposite edges .* --roi"):
-                locate_roi(image, *size)
-    # light at one edge only is located, clamped to the border
-    arr[39, 30] = 0.0
-    assert locate_roi(arr, 2, 3) == _whole_image_roi(arr, 2, 3) == RoiSpec(0, 9, 2, 3)
+    arr[[39, 0, 1], 10] = [2.0, 4.0, 2.0]  # centred on row 0
+    late = np.roll(arr, -1, axis=0)  # centred on row 39
+    for image, tops in ((arr, (0, 0, 0)), (late, (39, 38, 37))):
+        for (k, l), top in zip(((1, 1), (2, 3), (3, 3)), tops):
+            left = 10 - (l - 1) // 2
+            assert locate_roi(image, k, l) == _circular_roi(image, k, l) == RoiSpec(top, left, k, l)
+            assert locate_roi(image.T.copy(), l, k) == RoiSpec(left, top, l, k)
+    # light at one edge only is located at that edge
+    arr[[39, 1], 10] = 0.0
+    assert locate_roi(arr, 2, 3) == _circular_roi(arr, 2, 3) == RoiSpec(0, 9, 2, 3)
 
 
 def test_locate_a_single_lit_cell():
@@ -244,11 +246,38 @@ def test_locate_a_single_lit_cell():
 
 
 def test_locate_weighs_a_cell_at_exactly_the_threshold():
-    # 0.1 * 10.0 is exactly 1.0: that cell, alone in its row, still weighs
-    arr = np.zeros((30, 30))
+    # 0.1 * 10.0 is exactly 1.0: that cell, alone in its row, still weighs and
+    # moves the mean one cell on each axis from (5, 5)
+    arr = np.zeros((64, 64))
     arr[5, 5] = 10.0
     arr[25, 16] = pipeline.LOCATE_THRESHOLD * 10.0
-    assert locate_roi(arr, 1, 1) == _whole_image_roi(arr, 1, 1) == RoiSpec(7, 6, 1, 1)
+    assert locate_roi(arr, 1, 1) == _circular_roi(arr, 1, 1) == RoiSpec(6, 6, 1, 1)
+
+
+def test_locate_moves_with_a_roll_across_the_border():
+    # the mean is taken on the circle: rolling a middle frame so its region
+    # lands at either border or a corner moves the anchor by the roll
+    for seed in range(300, 320):
+        observed, roi = _seeded_frame(seed, middle=True)
+        (rows, cols), (k, l) = observed.shape, roi.shape
+        found = locate_roi(observed, k, l)
+        for top, left in ((0, found.left), (rows - k, found.left), (found.top, 0),
+                          (found.top, cols - l), (0, cols - l), (rows - k, 0)):
+            rolled = np.roll(observed, (top - found.top, left - found.left), axis=(0, 1))
+            assert locate_roi(rolled, k, l) == RoiSpec(top, left, k, l), (seed, top, left)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (31, 40)])
+def test_locate_refuses_light_spread_evenly_round_the_frame(shape):
+    # a uniform frame and two equal cells half a field apart have no circular
+    # mean; rows or columns
+    uniform = np.full(shape, 3.0)
+    antipodal = np.zeros((2 * shape[0], shape[1]))
+    antipodal[[1, 1 + shape[0]], 5] = 7.0
+    for image in (uniform, antipodal, antipodal.T.copy()):
+        with pytest.raises(BoundsError, match="spread evenly .* --roi"):
+            locate_roi(image, 2, 2)
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_locate_refuses_a_non_finite_value_in_an_unlit_row(bad):
@@ -261,10 +290,18 @@ def test_locate_refuses_a_non_finite_value_in_an_unlit_row(bad):
 
 @pytest.mark.parametrize("value", [1e307, 1.7e308])
 def test_locate_refuses_finite_values_that_overflow_the_centroid(value):
+    # each row sums 20 cells: over float64 at both values
     arr = np.zeros((32, 32))
-    arr[10:13, 10:13] = value
+    arr[10:13, 10:30] = value
     with pytest.raises(ParameterError, match="overflow the centroid"):
         locate_roi(arr, 3, 3)
+
+
+def test_locate_places_finite_values_just_short_of_overflow():
+    # a 3x3 block of 1e307 sums to 9e307 along each axis: located
+    arr = np.zeros((32, 32))
+    arr[10:13, 10:13] = 1e307
+    assert locate_roi(arr, 3, 3) == RoiSpec(10, 10, 3, 3)
 
 
 def test_locate_and_noisy_rhs_allocate_no_full_frame():

@@ -264,7 +264,7 @@ def test_singular_direct_and_truncated():
     roi = RoiSpec(0, 0, 2, 2)
     system = LinearSystem(
         domain="spatial",
-        a_matrix=np.zeros((4, 4)),
+        matrix=np.zeros((4, 4)),
         roi=roi,
         obs_index=roi.cells(),
         condition_estimate=np.inf,
@@ -282,7 +282,7 @@ def test_truncated_handles_rank_deficiency():
     a = np.array([[1.0, 1.0], [2.0, 2.0]])  # rank one
     system = LinearSystem(
         domain="spatial",
-        a_matrix=a,
+        matrix=a,
         roi=roi,
         obs_index=roi.cells(),
         condition_estimate=np.inf,
@@ -312,7 +312,7 @@ def test_residual_normalization():
     a = np.eye(4)
     system = LinearSystem(
         domain="spatial",
-        a_matrix=a,
+        matrix=a,
         roi=roi,
         obs_index=roi.cells(),
         condition_estimate=1.0,

@@ -28,10 +28,10 @@ some or all of their systems, so their summary rows read nan. The
 sample's, which the image domain solves with that field's kernel and the
 transform domain refuses. The "located" workload runs `roisolve recover`
 without --roi on each frame of LOCATED_FRAMES at each seed, under
-"located/<seed>/<name>": ROIs at or next to every border (refused, since
-their light wraps around) and in the middle, of non-square sizes, on the
-benchmark's field and an odd non-square one, and two frames whose finite
-values overflow the centroid. The "solvers" workload runs
+"located/<seed>/<name>": ROIs at or next to every border (located across
+the border their light wraps around) and in the middle, of non-square sizes,
+on the benchmark's field and an odd non-square one, and two frames whose
+finite values overflow the solve or the centroid. The "solvers" workload runs
 each command of SOLVER_RUNS once per domain with --solver set to each of
 SOLVER_SPELLINGS, under "solvers/<command>-<domain>-<solver>" whatever the
 seeds: the generic spellings, each domain's method names (which the other
@@ -101,7 +101,7 @@ SCAN_FIELD_ARGV = ["scan", "--sample", "24x24", "--field", "32x32", "--cutoff", 
 # coordinate drawn from the seed, or "middle": both drawn from the middle
 # half of their range. The frames are blurred by the benchmark's own disk,
 # so the light of an ROI at a border wraps around the circular field, and
-# recover refuses to locate it.
+# recover locates it across that border.
 LOCATED_FRAMES = {
     "top-left-2x3": ((768, 768), (2, 3), "top-left", "raw", "spatial", 0),
     "bottom-right-3x2": ((768, 768), (3, 2), "bottom-right", "raw", "frequency", 0),
@@ -112,8 +112,8 @@ LOCATED_FRAMES = {
     "middle-2x4": ((768, 768), (2, 4), "middle", "raw", "spatial", 2),
     "middle-3x2": ((97, 130), (3, 2), "middle", "pgm", "frequency", 0),
 }
-# name -> value of an unblurred 3x3 block on a 97x130 frame: located, its
-# centroid overflows float64
+# name -> value of an unblurred 3x3 block on a 97x130 frame: at 1e307 it is
+# located and its residual overflows float64, at 1.7e308 its centroid does
 LOCATED_HUGE = {"huge-1e307": 1e307, "largest-1.7e308": 1.7e308}
 # every --solver spelling the solvers workload passes
 SOLVER_SPELLINGS = ("direct", "lsq", "truncated", "least_squares", "direct_complex",
