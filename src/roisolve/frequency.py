@@ -4,7 +4,9 @@ Each selected spectrum entry of an isolated frame is a known complex linear
 mix of the ROI pixels: the row for frequency (u, v) and column for unknown
 cell (r, c) holds g*exp(-2j*pi*(r*u/M + c*v/N)) / (M*N), g the passband
 gain. Picking at least as many in-passband entries as unknowns gives a
-solvable dense complex system.
+solvable dense complex system. Its one coefficient generator is a pair of
+1-D twiddle factors, each phase reduced modulo the field before exp; the
+dense matrix, where a route needs it, is gathered from them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -136,21 +137,26 @@ def simulated_blur(
 ) -> OtfSpec:
     """The transfer spec a simulated K x L region's system reads: spec with
     its cutoff raised to keep the (K+ring) x (L+ring) block observation_index
-    selects inside the passband (BoundsError if the block exceeds the
-    field). psf_crop is not read."""
+    selects inside the passband. BoundsError if the block exceeds the field,
+    or if that cutoff reaches half the smaller field dimension, past every
+    passband the field holds. psf_crop is not read."""
     require_block(k_rows, l_cols, ring, spec.shape)
-    return replace(
-        spec, cutoff_radius=effective_cutoff(spec.cutoff_radius, k_rows + ring, l_cols + ring)
-    )
+    cutoff = effective_cutoff(spec.cutoff_radius, k_rows + ring, l_cols + ring)
+    limit = min(spec.shape) / 2.0
+    if cutoff >= limit:
+        raise BoundsError(
+            f"the {k_rows}x{l_cols} region at ring {ring} reads a spectrum block that needs "
+            f"cutoff {cutoff:.6g}; a {spec.field_rows}x{spec.field_cols} field's passband "
+            f"stays below {limit:g}"
+        )
+    return replace(spec, cutoff_radius=cutoff)
 
 
 def observation_index(roi: RoiSpec, field_shape: tuple[int, int], ring: int) -> np.ndarray:
     """The spectrum entries an ROI's system reads: the (K+ring) x (L+ring)
-    block at the origin, row-major, wrapped modulo the field."""
-    rows, cols = int(field_shape[0]), int(field_shape[1])
-    uu, vv = np.meshgrid(
-        np.arange(roi.k_rows + ring) % rows, np.arange(roi.l_cols + ring) % cols, indexing="ij"
-    )
+    block at the origin, row-major; BoundsError if it exceeds the field."""
+    require_block(roi.k_rows, roi.l_cols, ring, field_shape)
+    uu, vv = np.meshgrid(np.arange(roi.k_rows + ring), np.arange(roi.l_cols + ring), indexing="ij")
     return np.column_stack([uu.ravel(), vv.ravel()])
 
 
@@ -165,39 +171,18 @@ def _axes(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 
 def _factors(
     roi: RoiSpec, idx: np.ndarray, rows: int, cols: int, gain: float
-) -> KroneckerFactors | None:
-    """The system's factors when idx holds the product U x V, each entry once,
-    |U| >= K and |V| >= L: it is then a row permutation of
-    gain*(F_U kron F_V)/(rows*cols), F_U[u, k] = exp(-2j*pi*u*(top+k)/rows)
-    over U x the ROI rows, F_V the same over columns. Else None."""
+) -> tuple[KroneckerFactors, bool]:
+    """idx's factors, over its distinct u and v, and whether idx is their
+    product U x V (each entry once, |U| >= K, |V| >= L). Row i of the matrix
+    is gain/(rows*cols) * F_U[u_i] kron F_V[v_i], F_U[u, k] =
+    exp(-2j*pi*u*(top+k)/rows) over U x the ROI rows, F_V the same over columns."""
     us, u_at, vs, v_at = _axes(idx)
-    if (
-        us.size < roi.k_rows
-        or vs.size < roi.l_cols
-        or us.size * vs.size != idx.shape[0]
-        or np.unique(u_at * vs.size + v_at).size != idx.shape[0]
-    ):
-        return None
+    n = idx.shape[0]
+    product = (us.size >= roi.k_rows and vs.size >= roi.l_cols
+               and n == us.size * vs.size == np.unique(u_at * vs.size + v_at).size)
     f_u = _twiddles(us, roi.top + np.arange(roi.k_rows), rows, -1)
     f_v = _twiddles(vs, roi.left + np.arange(roi.l_cols), cols, -1)
-    return KroneckerFactors(f_u, f_v, u_at, v_at, gain / (rows * cols))
-
-
-def _phase_matrix(idx: np.ndarray, roi: RoiSpec, rows: int, cols: int, gain: float) -> np.ndarray:
-    """The dense matrix: phases r*u/M + c*v/N fill the imaginary parts and exp runs in place."""
-    n, k_rows, l_cols = idx.shape[0], roi.k_rows, roi.l_cols
-    a = np.empty((n, k_rows * l_cols), dtype=np.complex128)
-    np.add(
-        np.outer(idx[:, 0] / rows, roi.top + np.arange(k_rows))[:, :, None],
-        np.outer(idx[:, 1] / cols, roi.left + np.arange(l_cols))[:, None, :],
-        out=a.reshape(n, k_rows, l_cols).imag,
-    )
-    a.imag *= -2 * np.pi
-    a.real = 0.0
-    np.exp(a, out=a)
-    a /= rows * cols
-    a *= gain
-    return a
+    return KroneckerFactors(f_u, f_v, u_at, v_at, gain / (rows * cols)), product
 
 
 def build_system(
@@ -211,8 +196,9 @@ def build_system(
 
     The system is complex, one row per (u, v) spectrum index of obs_index.
     On a full product U x V (any order, each entry once, |U| >= K, |V| >= L)
-    it carries its two partial DFT factors and forms the dense matrix only
-    when a_matrix is first read.
+    it carries its two partial DFT factors and forms the dense matrix from
+    them only when a_matrix is first read; any other selection gathers the
+    dense matrix from the same factors at build, for its condition SVD.
 
     Args:
         field_shape: (rows, cols) of the frame the spectrum is taken on.
@@ -249,9 +235,8 @@ def build_system(
             f"selected entry (u={bad[0]}, v={bad[1]}) lies outside the passband "
             f"(cutoff {otf_spec.cutoff_radius}); it carries no signal"
         )
-    factors = _factors(roi, idx, rows, cols, otf_spec.passband_gain)
-    fill = partial(_phase_matrix, idx, roi, rows, cols, otf_spec.passband_gain)
-    a = fill if factors is not None else fill()
+    kron, product = _factors(roi, idx, rows, cols, otf_spec.passband_gain)
+    factors, a = (kron, None) if product else (None, kron.dense())
     cond = float("nan")
     if estimate_condition:
         # a Kronecker product's singular values are the products of its factors'

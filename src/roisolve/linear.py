@@ -9,7 +9,6 @@ solver.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -36,9 +35,9 @@ def finite_condition(cond: float) -> float:
 
 
 class KroneckerFactors(NamedTuple):
-    """A = scale * (F_U kron F_V), rows permuted: row i of A is row
-    (u_at[i], v_at[i]) of the product, each pair once (F_U is |U| x K, F_V
-    |V| x L)."""
+    """A = scale * (F_U kron F_V), rows gathered: row i of A is row
+    (u_at[i], v_at[i]) of the product (F_U is |U| x K, F_V |V| x L). apply
+    and solve need each pair once, solve a square A."""
 
     f_u: np.ndarray
     f_v: np.ndarray
@@ -52,6 +51,12 @@ class KroneckerFactors(NamedTuple):
         t = x.size // (k * l)
         y = self.f_v @ (self.f_u @ x.reshape(k, l * t)).reshape(self.f_u.shape[0], l, t)
         return (self.scale * y[self.u_at, self.v_at]).reshape(self.u_at.size, *x.shape[1:])
+
+    def dense(self) -> np.ndarray:
+        """A itself, (n, K*L): row i is scale * (F_U[u_at[i]] kron F_V[v_at[i]])."""
+        rows = self.f_u[self.u_at][:, :, None] * self.f_v[self.v_at][:, None, :]
+        rows *= self.scale
+        return rows.reshape(self.u_at.size, -1)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """x with A x = y, square factors only: F_U^-1 Y F_V^-T / scale, each
@@ -76,13 +81,13 @@ class LinearSystem:
     file). The observation y is not part of the system: each domain's
     frame_rhs reads it off a frame, its noiseless_rhs from known pixels.
 
-    matrix is A, or (a system with factors) a callable that forms it; a_matrix
-    reads A, calling that on the first read. A square system with factors
-    takes its LU and A x (system @ x) in them.
+    matrix is A, or None on a system with factors, whose dense() forms A
+    when a_matrix is first read. A square system with factors takes its LU
+    and A x (system @ x) in them.
     """
 
     domain: str
-    matrix: np.ndarray | Callable[[], np.ndarray]
+    matrix: np.ndarray | None
     roi: RoiSpec
     obs_index: np.ndarray
     condition_estimate: float
@@ -92,7 +97,7 @@ class LinearSystem:
 
     @cached_property
     def a_matrix(self) -> np.ndarray:
-        return self.matrix() if callable(self.matrix) else self.matrix
+        return self.factors.dense() if self.matrix is None else self.matrix
 
     @property
     def shape(self) -> tuple[int, int]:

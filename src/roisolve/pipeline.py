@@ -296,8 +296,6 @@ def roi_problem(
     module = domain_module(domain)
     if ring < 0:
         raise ParameterError(f"ring must be >= 0, got {ring}")
-    if domain == "frequency":
-        frequency.require_block(roi.k_rows, roi.l_cols, ring, field_shape)
     obs_index = module.observation_index(roi, field_shape, ring)
     return module.build_system(field_shape, roi, obs_index, blur, estimate_condition)
 
@@ -455,10 +453,13 @@ def run_table_experiment(
     report = ExperimentReport(solver=resolve_solver(domain, solver, extra_ring))
     spec = OtfSpec(rows, cols, cutoff_radius)
     level = math.inf if noise_psnr_db is None else noise_psnr_db
+    # every size's blur first, so a refused one stops the run before any trial
+    blurs = []
     for size in sizes:
         if size < 1:
             raise ParameterError(f"ROI size must be >= 1, got {size}")
-        blur = module.simulated_blur(spec, size, size, extra_ring, psf_crop)
+        blurs.append(module.simulated_blur(spec, size, size, extra_ring, psf_crop))
+    for size, blur in zip(sizes, blurs):
         if domain == "frequency":
             report.effective_cutoffs[size] = blur.cutoff_radius
         (trials,) = _run_size(
@@ -486,8 +487,11 @@ def ad_spot_check(
     systems with thousands of unknowns (memory binds in the image domain,
     whose matrix is materialized; the transform domain takes A x in its
     Kronecker factors). The right-hand side comes from the same
-    passband-sparse evaluation as a noiseless table trial, independently of
-    the kernel or phase factors the system is built from.
+    passband-sparse evaluation as a noiseless table trial. In the image
+    domain it reads the transfer spec, never the kernel the system is built
+    from. In the transform domain it takes the same twiddle factors F_U and
+    F_V^T the system's factors hold, so there AD checks the Kronecker
+    assembly, the row gathers and the gain, not the phase formula.
     """
     module = domain_module(domain)
     rows, cols = int(field_shape[0]), int(field_shape[1])

@@ -1447,6 +1447,34 @@ def test_noise_refuses_a_ring_no_spectrum_block_can_carry(tmp_path, capsys):
     assert "spectrum block beyond the 48x48 field" in _refused(argv, out, capsys)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # sizes 2-17 used to run before size 18 was refused, naming only a cutoff
+        (["table", "--domain", "frequency", "--field", "48x48", "--cutoff", "10",
+          "--sizes", "2-20", "--trials", "1"],
+         "the 18x18 region at ring 0 reads a spectrum block that needs cutoff 24.0416; "
+         "a 48x48 field's passband stays below 24"),
+        (["scan", "--sample", "48x48", "--tile", "24x24", "--domain", "frequency",
+          "--cutoff", "6"],
+         "the 24x24 region at ring 0 reads a spectrum block that needs cutoff 32.5269; "
+         "a 48x48 field's passband stays below 24"),
+        (["noise", "--domains", "frequency", "--ring", "40", "--field", "48x48",
+          "--cutoff", "10"],
+         "the 3x3 region at ring 40 reads a spectrum block that needs cutoff 59.397; "
+         "a 48x48 field's passband stays below 24"),
+    ],
+    ids=["table", "scan", "noise"],
+)
+def test_a_region_whose_block_needs_a_cutoff_past_the_field_is_named(
+    tmp_path, capsys, argv, message
+):
+    # refused before any trial or tile, naming the region rather than a
+    # cutoff the command line never gave
+    out = tmp_path / "out"
+    assert _refused([*argv, "--out", str(out)], out, capsys) == f"error: {message}"
+
+
 def test_recover_refuses_a_spectrum_block_beyond_the_frame(tmp_path, observed_file, capsys):
     # a huge ring used to fail allocating the block in observation_index
     path, roi, _ = observed_file

@@ -50,6 +50,24 @@ def test_compare_lists_differing_and_one_sided_keys(tool, tmp_path, capsys):
     }
 
 
+def test_a_written_digest_records_the_blas_thread_count(tool, tmp_path, capsys):
+    path = tmp_path / "digest.json"
+    assert tool.main(["--workloads", "help", "--out", str(path)]) == 0
+    written = json.loads(path.read_text())
+    key = tool.BLAS_THREADS_KEY
+    assert set(written) == {key, *tool.digest(["help"], [])}
+    count = tool.blas_threads()
+    assert count is None or count >= 1
+    assert written[key] == str(count)
+    # a digest taken at another count lists the key, and one written before
+    # the key existed lists it as one-sided
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**written, key: "64"}))
+    assert tool.main(["--compare", str(path), str(other)]) == 1
+    assert capsys.readouterr().out.split() == [key]
+    assert tool.compare({k: v for k, v in written.items() if k != key}, written) == [key]
+
+
 def test_help_workload_hashes_every_subcommand(tool):
     digests = tool.digest(["help"], [205])
     names = ("psf", "table", "scan", "noise", "recover", "two-point")

@@ -25,9 +25,9 @@ from roisolve.frequency import (
     solve_two_point_1d,
 )
 from roisolve.grid import RoiSpec, scatter_roi
-from roisolve.linear import LinearSystem
+from roisolve.linear import KroneckerFactors, LinearSystem
 from roisolve.optics import OtfSpec, build_otf
-from roisolve.pipeline import DOMAIN_MODULES, roi_problem
+from roisolve.pipeline import DOMAIN_MODULES, averaged_error, roi_problem
 from roisolve.spatial import simulated_blur
 
 
@@ -203,12 +203,12 @@ def test_block_selection_row_major(rng):
     np.testing.assert_allclose(rhs, [spectrum[u, v] for u, v in want_idx], atol=1e-12)
 
 
-def test_block_selection_wraps():
-    # a block wider than the field wraps modulo it, like the partial DFT
-    idx = observation_index(RoiSpec(0, 0, 2, 2), (4, 4), 3)
-    assert idx.shape == (25, 2)
-    assert idx[:5].tolist() == [[0, 0], [0, 1], [0, 2], [0, 3], [0, 0]]
-    assert idx[20:].tolist() == [[0, 0], [0, 1], [0, 2], [0, 3], [0, 0]]
+def test_block_selection_beyond_the_field_is_refused():
+    # the (K+ring) x (L+ring) block never wraps: observation_index refuses
+    # a block wider than the field, as every route that builds one does
+    with pytest.raises(BoundsError, match="beyond the 4x4 field"):
+        observation_index(RoiSpec(0, 0, 2, 2), (4, 4), 3)
+    assert observation_index(RoiSpec(0, 0, 2, 2), (4, 4), 2).max() == 3
 
 
 def test_from_block_matches_block(rng):
@@ -263,18 +263,22 @@ def test_matrix_entries_brute_force(rng):
 
 
 def test_matrix_entries_bit_for_bit_on_a_shuffled_selection(rng):
-    # entry (i, j) is g*exp(-2j*pi*(r*u/R + c*v/C))/(R*C), each exactly
+    # row i is g/(R*C) times the outer product of exp(-2j*pi*(u*r mod R)/R)
+    # over the ROI rows r and exp(-2j*pi*(v*c mod C)/C) over its columns c,
+    # each phase reduced modulo the field before exp, exactly; on a product
+    # set and on a selection that repeats entries alike
     rows, cols, gain = 97, 130, 0.7
     roi = RoiSpec(90, 3, 4, 5)
     spec = OtfSpec(rows, cols, 8.0, gain)
     idx = observation_index(roi, (rows, cols), 2)
     idx = idx[rng.permutation(idx.shape[0])]
-    a = build_system((rows, cols), roi, idx, spec).a_matrix
-    for i, (u, v) in enumerate(idx):
-        for j, (r, c) in enumerate(roi.cells()):
-            phase = r * (u / rows) + c * (v / cols)
-            want = np.exp(np.complex128(complex(0.0, -2 * np.pi * phase))) / (rows * cols) * gain
-            assert a[i, j].tobytes() == want.tobytes(), (i, j)
+    for sel in (idx, np.vstack([idx, idx[:3]])):
+        system = build_system((rows, cols), roi, sel, spec)
+        assert (system.factors is None) == (sel is not idx)
+        f_u = np.exp(-2j * np.pi / rows * (np.outer(sel[:, 0], roi.top + np.arange(4)) % rows))
+        f_v = np.exp(-2j * np.pi / cols * (np.outer(sel[:, 1], roi.left + np.arange(5)) % cols))
+        want = gain / (rows * cols) * (f_u[:, :, None] * f_v[:, None, :]).reshape(len(sel), 20)
+        assert system.a_matrix.tobytes() == want.tobytes()
 
 
 def test_matrix_modulus_constant(rng):
@@ -380,11 +384,12 @@ def test_factor_condition_matches_the_full_svd_where_both_are_trustworthy():
 
 
 def test_factor_condition_reads_past_the_full_svd_saturation():
-    # 5x5 at the paper's field: the full SVD stalls near 1/eps, while each
-    # factor (about 3e9) is still well within reach of float64
+    # 5x5 at the paper's field: the full SVD saturates past 1/eps, its smallest
+    # singular value lost in rounding, while each factor (about 3e9) is still
+    # well within reach of float64
     roi = RoiSpec(380, 380, 5, 5)
     estimate, full = _conditions((768, 768), roi, 0)
-    assert full < 1e17 < estimate
+    assert 1 / np.finfo(float).eps < full <= estimate / 10
 
 
 def test_a_product_selection_in_any_order_gives_the_same_estimate(rng):
@@ -427,7 +432,8 @@ def test_factored_lu_agrees_with_dense_lu(field, roi, gain, shuffle, rng):
         idx = idx[rng.permutation(idx.shape[0])]
     system = build_system(field, roi, idx, spec)
     assert system.factors is not None and system.shape == (roi.pixel_count,) * 2
-    dense_system = dataclasses.replace(system, factors=None)  # every route reads the matrix
+    # every route reads the matrix
+    dense_system = dataclasses.replace(system, matrix=system.a_matrix, factors=None)
     pixels = rng.uniform(0, 256, (roi.pixel_count, 3))
     rhs = np.column_stack([noiseless_rhs(system, p) for p in pixels.T])
     for y in (rhs[:, 0], rhs):
@@ -457,7 +463,7 @@ def test_the_frequency_table_never_forms_the_dense_matrix(monkeypatch, tmp_path)
     def refuse(*args):
         raise AssertionError("dense transform-domain matrix formed")
 
-    monkeypatch.setattr(frequency, "_phase_matrix", refuse)
+    monkeypatch.setattr(KroneckerFactors, "dense", refuse)
     out = tmp_path / "out"
     assert cli.main(["table", "--domain", "frequency", "--sizes", "2-20", "--trials", "2",
                      "--out", str(out)]) == 0
@@ -466,13 +472,13 @@ def test_the_frequency_table_never_forms_the_dense_matrix(monkeypatch, tmp_path)
 
 
 def test_dense_routes_still_form_the_matrix(monkeypatch, tmp_path):
-    calls, fill = [], frequency._phase_matrix
+    calls, dense = [], KroneckerFactors.dense
 
-    def counted(idx, roi, *args):
-        calls.append(roi.shape)
-        return fill(idx, roi, *args)
+    def counted(factors):
+        calls.append((factors.f_u.shape[1], factors.f_v.shape[1]))
+        return dense(factors)
 
-    monkeypatch.setattr(frequency, "_phase_matrix", counted)
+    monkeypatch.setattr(KroneckerFactors, "dense", counted)
     small = ["--field", "48x48", "--cutoff", "10", "--out", str(tmp_path / "out")]
     assert cli.main(["noise", "--domains", "frequency", "--roi-size", "2", "--ring", "2",
                      "--trials", "1", "--psnr", "80", *small]) == 0
@@ -567,6 +573,23 @@ def test_both_domains_recover_a_frame_blurred_at_any_passband_gain(domain, gain)
     module = DOMAIN_MODULES[domain]
     sol = module.solve_system(system, module.frame_rhs(system, frame), module.METHODS[0])
     assert np.abs(sol.pixels - pixels).max() <= 1e-9
+
+
+@pytest.mark.parametrize("size, bound", [(2, 1e-8), (3, 1e-4)])
+def test_ring_two_least_squares_recovers_regions_away_from_the_origin(size, bound):
+    # the paper's setup (768x768, cutoff 6), where the phase of every entry
+    # is far from 0: the noiseless ring-2 system, solved dense
+    rng = np.random.default_rng(2019 + size)
+    spec = frequency.simulated_blur(OtfSpec(768, 768, 6.0), size, size, 2, 501)
+    worst = 0.0
+    for _ in range(40):
+        top, left = (int(v) for v in rng.integers(128, 640, 2))
+        roi = RoiSpec(top, left, size, size)
+        system = roi_problem("frequency", roi, (768, 768), spec, 2)
+        pixels = rng.uniform(0, 256, roi.pixel_count)
+        sol = solve_system(system, noiseless_rhs(system, pixels), "stacked_real_lsq")
+        worst = max(worst, averaged_error(sol.pixels, pixels))
+    assert worst <= bound
 
 
 def test_direct_complex_requires_square(small_spec, rng):

@@ -46,7 +46,10 @@ and noise, recover and scan refuse. --compare
 lists the keys that differ between two such files (or sit in one only) and
 exits 1 if there are any; on stderr it counts the identical entries, then
 the differing keys of each workload and final path part ("located stdout
-18").
+18"). A written digest also records, under BLAS_THREADS_KEY, the OpenBLAS
+thread count it ran at: image-domain table bytes from size 10 up differ
+between thread counts, so two digests taken at different counts list that
+key beside the outputs it moves.
 """
 
 from __future__ import annotations
@@ -166,6 +169,7 @@ SINGULAR_RUNS = {
     "scan-cutoff-0.5": ["scan", "--sample", "24x24", "--cutoff", "0.5"],
 }
 MASK = "<tmp>"
+BLAS_THREADS_KEY = "blas_threads"
 
 
 def _hash(data: bytes) -> str:
@@ -421,6 +425,16 @@ def digest(workload_names, seeds) -> dict[str, str]:
     return result
 
 
+def blas_threads() -> int | None:
+    """The OpenBLAS thread count numpy runs at in this process, read as
+    bench/run.py reads it (None when no OpenBLAS is loaded)."""
+    import numpy  # noqa: F401  (loads the BLAS under this process's environment)
+
+    with mock.patch.dict(os.environ):  # importing run caps the BLAS variables
+        from run import _blas_threads
+    return _blas_threads()
+
+
 def compare(a: dict[str, str], b: dict[str, str]) -> list[str]:
     """Keys whose digests differ, or that only one side has, sorted."""
     return sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
@@ -453,7 +467,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if differing else 0
     names = [w.strip() for w in args.workloads.split(",") if w.strip()]
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    text = json.dumps(digest(names, seeds), indent=1, sort_keys=True)
+    result = digest(names, seeds)
+    result[BLAS_THREADS_KEY] = str(blas_threads())
+    text = json.dumps(result, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
