@@ -158,6 +158,43 @@ def _truncated_lstsq(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return vt[keep].conj().T @ coeff
 
 
+def solve_route(
+    system: LinearSystem, rhs: np.ndarray, method: str, methods: tuple[str, str, str]
+) -> tuple[int, KroneckerFactors | None, np.ndarray | None]:
+    """solve's refusals of its inputs (ParameterError: an unknown method, or
+    NaN or Inf in rhs or in what the route reads of A; ShapeError: rhs not
+    one row per observation, or LU of a non-square system), then the
+    method's position in methods and what its route reads: the factors (LU
+    on a system that has them) or else the dense matrix."""
+    if method not in methods:
+        raise ParameterError(f"unknown method {method!r}, expected one of {methods}")
+    rhs = np.asarray(rhs)
+    n = system.shape[0]
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise ShapeError(f"right-hand side {rhs.shape} does not match {n} observations")
+    kind = methods.index(method)
+    factors = system.factors if kind == 0 else None
+    a = system.a_matrix if factors is None else None
+    read = (a,) if factors is None else (factors.f_u, factors.f_v)
+    if not (all(np.isfinite(m).all() for m in read) and np.isfinite(rhs).all()):
+        raise ParameterError("system matrix or right-hand side holds NaN or Inf")
+    if kind == 0 and system.shape != (n, n):
+        raise ShapeError(
+            f"{method} needs a square system, got {system.shape}; "
+            f"use {methods[1]} for extra observations"
+        )
+    return kind, factors, a
+
+
+def residual(system: LinearSystem, x: np.ndarray, rhs: np.ndarray) -> float:
+    """||A x - rhs||_2 / (K*L), A x as system @ x; ParameterError on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite residual is refused
+        value = float(np.linalg.norm(system @ x - rhs)) / system.roi.pixel_count
+    if not np.isfinite(value):
+        raise ParameterError("residual overflows float64: the observations overflow the solve")
+    return value
+
+
 def solve(
     system: LinearSystem,
     rhs: np.ndarray,
@@ -180,34 +217,13 @@ def solve(
     the largest discarded).
 
     Raises:
-        ParameterError: method is not in methods, what the route reads of A
-            (factors or matrix) or y holds NaN or Inf, or
-            the solution or its residual does (finite values that overflow
-            the solve).
-        ShapeError: rhs does not have one row per observation, or LU asked of
-            a non-square system.
+        ParameterError, ShapeError: solve_route's refusals; ParameterError
+            also for a solution or residual that overflows float64.
         SingularSystemError: LU found the matrix singular, an SVD did not
             converge, or every singular value fell below the truncation floor.
     """
-    if method not in methods:
-        raise ParameterError(f"unknown method {method!r}, expected one of {methods}")
     rhs = np.asarray(rhs)
-    n = system.shape[0]
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
-        raise ShapeError(f"right-hand side {rhs.shape} does not match {n} observations")
-    kind = methods.index(method)
-    # LU on a product set reads its factors alone (square when the system
-    # is, as |U| >= K and |V| >= L), every other route the dense matrix
-    factors = system.factors if kind == 0 else None
-    a = system.a_matrix if factors is None else None
-    read = (a,) if factors is None else (factors.f_u, factors.f_v)
-    if not (all(np.isfinite(m).all() for m in read) and np.isfinite(rhs).all()):
-        raise ParameterError("system matrix or right-hand side holds NaN or Inf")
-    if kind == 0 and system.shape != (n, n):
-        raise ShapeError(
-            f"{method} needs a square system, got {system.shape}; "
-            f"use {methods[1]} for extra observations"
-        )
+    kind, factors, a = solve_route(system, rhs, method, methods)
     try:
         # overflow leaves NaN or Inf in z, refused below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -236,13 +252,9 @@ def solve(
     min_pixel = float(x.min()) if x.size else 0.0
     if clamp_negative:
         x = np.maximum(x, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite residual is refused
-        residual = float(np.linalg.norm(system @ x - rhs)) / system.roi.pixel_count
-    if not np.isfinite(residual):
-        raise ParameterError("residual overflows float64: the observations overflow the solve")
     return Solution(
         pixels=x,
-        residual=residual,
+        residual=residual(system, x, rhs),
         imag_leakage=leakage,
         negative_count=negative_count,
         min_pixel=min_pixel,

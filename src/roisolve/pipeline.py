@@ -24,7 +24,7 @@ from .errors import (
 )
 from .forward import NoiseSpec, amplitude_ratio, observe_field_at
 from .grid import RoiSpec, centered_roi, exceeds_address_space
-from .linear import LinearSystem
+from .linear import LinearSystem, residual, solve_route
 from .optics import OtfSpec, PsfKernel
 
 DEFAULT_SEED = 12345
@@ -209,8 +209,8 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class Summary:
-    """Statistics of one group of trials (a table size or a sweep level), over
-    the trials that did not fail; nan where every trial failed."""
+    """Statistics of the trials of one table size or sweep level that did not
+    fail: nan where every trial failed, and AE nan on a marked size (_run_size)."""
 
     trials: int
     failed: int
@@ -280,7 +280,7 @@ def roi_problem(
     (K+ring) x (L+ring) spectrum block at the origin, every entry of which
     must lie inside the passband of the transfer spec blur and the block
     inside the field. The system carries its condition estimate, nan when
-    estimate_condition is False.
+    estimate_condition is False (the table's structurally singular sizes).
 
     Raises:
         ParameterError: unknown domain, ring < 0, or a blur the domain does
@@ -360,12 +360,13 @@ def _run_size(
 
     The table charts which sizes resolve, so with mark_singular an
     image-domain size that spatial.structurally_singular finds below full
-    rank is marked, not failed: its system is built without the estimate
-    (no SVD), its trials are solved and kept, and each records condition
-    inf. Without it (the noise sweep) the build refuses that size, and every
-    row records the refusal.
+    rank has no unique solution. It is marked, not failed: its system is
+    built without the estimate (no SVD), and each row meets the solve's
+    refusals of its inputs (linear.solve_route), is not solved, and records
+    AD alone, AE nan and condition inf. Without mark_singular (the noise
+    sweep) the build refuses that size, and every row records the refusal.
     """
-    size = roi.k_rows
+    size, module = roi.k_rows, DOMAIN_MODULES[domain]
     out: list[list[TrialResult]] = [[] for _ in levels]
     system, failure = None, None
     singular = mark_singular and domain == "spatial" and spatial.structurally_singular(blur, roi)
@@ -388,13 +389,18 @@ def _run_size(
             ae = ad = condition = nan
             row_error = error
             if row_error is None:
+                rhs = rhs_levels[i]
                 try:
-                    sol = DOMAIN_MODULES[domain].solve_system(system, rhs_levels[i], method)
-                    ae, ad, condition = (
-                        averaged_error(sol.pixels, pixels),
-                        averaged_difference(system, pixels, rhs_levels[i]),
-                        math.inf if singular else system.condition_estimate,
-                    )
+                    if singular:  # no unique solution: the solve's refusals, then AD alone
+                        solve_route(system, rhs, method, module.METHODS)
+                        ad, condition = residual(system, pixels, rhs), math.inf
+                    else:
+                        sol = module.solve_system(system, rhs, method)
+                        ae, ad, condition = (
+                            averaged_error(sol.pixels, pixels),
+                            averaged_difference(system, pixels, rhs),
+                            system.condition_estimate,
+                        )
                 except RoiSolveError as exc:
                     row_error = exc
             text = None if row_error is None else f"{type(row_error).__name__}: {row_error}"
@@ -420,6 +426,9 @@ def run_table_experiment(
     the middle of an otherwise dark field, observes through the low-pass
     model, builds the domain's system and solves it, recording averaged error
     against the known pixels and averaged difference of the system itself.
+    A structurally singular image-domain size (at the default setup 10-20)
+    has no unique solution: it is marked, not failed or solved, and records
+    AD alone, AE nan and condition inf (_run_size).
 
     extra_ring widens the observation set: in the image domain it appends the
     ring of cells within that Chebyshev distance of the ROI; in the transform
@@ -432,19 +441,11 @@ def run_table_experiment(
 
     Every trial of a size shares one system (matrix and condition estimate)
     and reads its rows through noisy_rhs at the one level noise_psnr_db
-    (None and +inf: noiseless, every other value a level, 0 dB included).
-    A noiseless trial evaluates only the observations the system reads; a
-    noisy one adds to those same rows unit noise drawn on the rows alone,
-    scaled to the blurred frame's peak, which is found from a few columns.
-    NaN and -inf raise ParameterError, and so does a negative root_seed,
-    before any draw.
-
-    An image-domain size whose passband leaves it structurally singular (at
-    the default setup sizes 10-20) is marked, not failed: its trials record
-    condition inf (_run_size).
-
-    Trials that raise a solver error are recorded with the message instead of
-    metrics; nothing is retried or resampled.
+    (None and +inf: noiseless, every other value a level, 0 dB included):
+    noise, if any, is drawn on those rows alone and scaled to the blurred
+    frame's peak. NaN and -inf raise ParameterError, and so does a negative
+    root_seed, before any draw. A trial that raises a RoiSolveError records
+    its message instead of metrics; nothing is retried or resampled.
     """
     module = _check_run_args(domain, trials_per_size, extra_ring, root_seed)
     if noise_psnr_db is not None:
@@ -468,39 +469,6 @@ def run_table_experiment(
         )
         report.trials.extend(trials)
     return report
-
-
-def ad_spot_check(
-    domain: str,
-    size: int,
-    trial: int = 0,
-    root_seed: int = DEFAULT_SEED,
-    field_shape: tuple[int, int] = DEFAULT_FIELD,
-    cutoff_radius: float = DEFAULT_CUTOFF,
-    psf_crop: int = DEFAULT_PSF_CROP,
-) -> float:
-    """Averaged difference of one large square system, without solving it.
-
-    Builds the size^2-unknown system for a single random trial and measures
-    how far A times the known ideal pixels sits from the measured right-hand
-    side. No condition estimate and no solve, so this stays feasible for
-    systems with thousands of unknowns (memory binds in the image domain,
-    whose matrix is materialized; the transform domain takes A x in its
-    Kronecker factors). The right-hand side comes from the same
-    passband-sparse evaluation as a noiseless table trial. In the image
-    domain it reads the transfer spec, never the kernel the system is built
-    from. In the transform domain it takes the same twiddle factors F_U and
-    F_V^T the system's factors hold, so there AD checks the Kronecker
-    assembly, the row gathers and the gain, not the phase formula.
-    """
-    module = domain_module(domain)
-    rows, cols = int(field_shape[0]), int(field_shape[1])
-    roi = centered_roi(rows, cols, size, size)
-    blur = module.simulated_blur(OtfSpec(rows, cols, cutoff_radius), size, size, 0, psf_crop)
-    system = roi_problem(domain, roi, (rows, cols), blur, 0, estimate_condition=False)
-    _, pixels = _trial_pixels(root_seed, size, trial)
-    rhs = module.noiseless_rhs(system, pixels)
-    return averaged_difference(system, pixels, rhs)
 
 
 # ---------------------------------------------------------------------------

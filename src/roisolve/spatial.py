@@ -154,8 +154,8 @@ def build_system(
         estimate_condition: check the structural rank and compute a 2-norm
             condition estimate (SVD); an infinite estimate raises
             SingularSystemError. Without it neither runs and the estimate is
-            reported as nan: for very large systems, and for the table's
-            structurally singular sizes, which it marks rather than refuses.
+            nan: for the table's structurally singular sizes, which it marks
+            and does not solve, rather than refuses.
     """
     if not isinstance(psf, PsfKernel):
         raise ParameterError(f"image domain reads a PsfKernel, got {type(psf).__name__}")

@@ -116,23 +116,26 @@ def test_a_least_squares_command_never_imports_scipy(tmp_path):
     assert run.stdout.split()[-2:] == ["0", "False"], run.stderr
 
 
-_FREQUENCY_TABLE_SCRIPT = """
+_TABLE_SCRIPT = """
 import sys
 from roisolve.cli import main
-sys.exit(main(["table", "--domain", "frequency", "--sizes", "10-12", "--trials", "3",
+sys.exit(main(["table", "--domain", sys.argv[2], "--sizes", "10-12", "--trials", "3",
                "--out", sys.argv[1]]))
 """
 
 
-def test_frequency_table_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # its systems solve in their K x K factors; the dense LU of 100-144
-    # unknowns they replace gave AE bits that moved with the BLAS thread
-    # count, as the image domain's still do
+@pytest.mark.parametrize("domain", ["spatial", "frequency"])
+def test_table_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, domain):
+    # a dense LU of 100-144 unknowns gives AE bits that move with the BLAS
+    # thread count: the transform domain solves these sizes in their K x K
+    # factors, and the image domain marks them structurally singular and
+    # solves none
     blobs = []
     for threads in (1, 2):
-        run = _run_capped(_FREQUENCY_TABLE_SCRIPT, tmp_path / str(threads), threads=threads)
+        out = tmp_path / str(threads)
+        run = _run_capped(_TABLE_SCRIPT, out, domain, threads=threads)
         assert run.returncode == 0, run.stderr
-        blobs.append((tmp_path / str(threads) / "trials_frequency.csv").read_bytes())
+        blobs.append((out / f"trials_{domain}.csv").read_bytes())
     assert blobs[0] == blobs[1]
 
 
@@ -1150,6 +1153,34 @@ def test_noise_records_a_structurally_singular_system_as_failed(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, reason",
+    [(["--sizes", "9-10", "--noise-psnr=-7000"],
+      "ParameterError: system matrix or right-hand side holds NaN or Inf"),
+     (["--sizes", "9-10", "--noise-psnr=-6000"], "ParameterError: "),
+     (["--field", "48x48", "--cutoff", "0", "--sizes", "2", "--ring", "1", "--solver", "direct"],
+      "ShapeError: direct needs a square system")],
+    ids=["infinite-sigma", "overflow", "lu-with-ring"],
+)
+def test_a_marked_table_size_fails_where_the_solve_would(tmp_path, argv, reason):
+    # 10x10 at the default setup and 2x2 at cutoff 0 are structurally
+    # singular: the table marks them, yet their rows refuse what a solve
+    # refuses (an infinite sigma, finite observations that overflow, LU with
+    # a ring), as the rows of 9x9 do, with every metric nan
+    out = tmp_path / "table"
+    code, stdout, err = _run(["table", "--domain", "spatial", "--trials", "1", *argv,
+                              "--out", str(out)])
+    assert code == 0, err
+    with open(out / "trials_spatial.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert rows
+    for row in rows:
+        assert row["error"].startswith(reason), row
+        assert [row[c] for c in ("ae", "ad", "condition")] == ["nan"] * 3
+    with open(out / "ae_spatial.csv", newline="") as f:
+        assert all(row["failed"] == "1" for row in csv.DictReader(f))
+
+
+@pytest.mark.parametrize(
     "flag, value, reason",
     [("--sizes", "2,5-3", "size range '5-3' is empty"),
      ("--field", "4x4x4", "expected ROWSxCOLS, got '4x4x4'")],
@@ -1607,7 +1638,7 @@ def _table_values(draw):
 
 
 # below cutoff 1 the passband leaves an image-domain 2x2 structurally
-# singular: the table marks its rows condition inf and keeps them
+# singular: the table keeps its rows unsolved, AE nan and condition inf
 @example(values={"domain": "spatial", "field": "48x48", "cutoff": "0.0", "trials": "1",
                  "sizes": "2", "solver": "lsq"})
 @settings(max_examples=40, deadline=None)
@@ -1623,8 +1654,11 @@ def test_table_flags_never_crash_and_config_gives_the_same_run(tmp_path_factory,
             size = int(row["roi_size"])
             return row["domain"] == "spatial" and structural_rank(spec, size, size) < size * size
 
-        _finite_unless_failed(trials, ("ae", "ad"), lambda row: row["error"])
-        _finite_unless_failed(trials, ("condition",), lambda row: row["error"] or marked(row))
+        _finite_unless_failed(trials, ("ad",), lambda row: row["error"])
+        _finite_unless_failed(trials, ("ae", "condition"),
+                              lambda row: row["error"] or marked(row))
+        for row in csv.DictReader(io.StringIO(trials.decode())):
+            assert not marked(row) or math.isnan(float(row["ae"])), row
 
 
 @settings(max_examples=40, deadline=None)

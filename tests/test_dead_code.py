@@ -20,9 +20,7 @@ SOURCES = sorted((ROOT / "src" / "roisolve").glob("*.py"))
 # Used by the tests alone, on purpose: name -> reason.
 ALLOWED = {
     "effective_psf_positive": "the acceptance suite checks the paper's positivity "
-    "condition with it; recover is to call it after a solve",
-    "ad_spot_check": "acceptance criterion 05 measures the model fidelity of systems "
-    "with thousands of unknowns with it, too slow for any command",
+    "condition of the kernel window with it; no command checks it yet",
 }
 
 

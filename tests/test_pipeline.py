@@ -28,7 +28,6 @@ from roisolve.pipeline import (
     DOMAINS,
     ExperimentReport,
     TrialResult,
-    ad_spot_check,
     averaged_difference,
     averaged_error,
     locate_roi,
@@ -470,11 +469,21 @@ def test_a_sizes_trials_do_not_depend_on_the_runs_other_sizes(domain):
     assert both.effective_cutoffs == {**alone[0].effective_cutoffs, **alone[1].effective_cutoffs}
 
 
-@pytest.mark.parametrize("domain", DOMAINS)
-def test_ad_spot_check_matches_table_trial(domain):
-    report = run_table_experiment(domain, sizes=(4,), trials_per_size=1, root_seed=21, **SMALL)
-    spot = ad_spot_check(domain, 4, trial=0, root_seed=21, **SMALL)
-    assert spot == report.trials[0].ad
+@pytest.mark.parametrize("domain, cutoff", [("spatial", 10.0), ("frequency", 10.0),
+                                            ("spatial", 0.0)])
+def test_table_ad_is_the_systems_difference_at_the_known_pixels(domain, cutoff):
+    # AD needs no solve: A times the trial's own pixels against its rows, bit
+    # for bit, on a size the table solves and on one it marks (cutoff 0)
+    report = run_table_experiment(domain, sizes=(4,), trials_per_size=1, root_seed=21,
+                                  **{**SMALL, "cutoff_radius": cutoff})
+    module = DOMAIN_MODULES[domain]
+    blur = module.simulated_blur(OtfSpec(48, 48, cutoff), 4, 4, 0, 47)
+    system = roi_problem(domain, centered_roi(48, 48, 4, 4), (48, 48), blur, 0,
+                         estimate_condition=False)
+    pixels = pipeline._trial_pixels(21, 4, 0)[1]
+    rhs = module.noiseless_rhs(system, pixels)
+    assert report.trials[0].error is None
+    assert report.trials[0].ad == averaged_difference(system, pixels, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -775,9 +784,9 @@ def test_each_noise_trial_reads_its_noiseless_rows_once(monkeypatch):
     assert calls == {domain: 3 for domain in DOMAINS}
 
 
-def test_table_sweep_and_spot_check_draw_through_one_trial_draw(monkeypatch):
-    # each entry point draws a trial's pixels (and the table its seed id)
-    # through _trial_pixels, the uniform draw of its trial_seed_sequence
+def test_table_and_sweep_draw_through_one_trial_draw(monkeypatch):
+    # both draw a trial's pixels (and the table its seed id) through
+    # _trial_pixels, the uniform draw of its trial_seed_sequence
     drawn = []
     original = pipeline._trial_pixels
 
@@ -801,9 +810,6 @@ def test_table_sweep_and_spot_check_draw_through_one_trial_draw(monkeypatch):
     assert drawn == [(17, 3, 0), (17, 3, 1)] * 2
     means = [original(17, 3, t)[1].mean() for t in (0, 1)]
     assert sweep.threshold_ae == 0.01 * float(np.mean(means))
-    drawn.clear()
-    ad_spot_check("spatial", 3, trial=1, root_seed=17, **SMALL)
-    assert drawn == [(17, 3, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +821,6 @@ def test_every_entry_point_refuses_an_unknown_domain(small_psf):
         "run_table_experiment": lambda d: run_table_experiment(d, sizes=(2,), **SMALL),
         "noise_sweep": lambda d: noise_sweep(psnr_grid=(80.0,), trials_per_level=1,
                                              domains=(d,), **SMALL),
-        "ad_spot_check": lambda d: ad_spot_check(d, 2, **SMALL),
         "scan_reconstruct": lambda d: scan_reconstruct(np.zeros((6, 6)), (3, 3), **SMALL,
                                                        domain=d),
         "roi_problem": lambda d: roi_problem(d, RoiSpec(20, 20, 3, 3), (48, 48), small_psf, 0),
@@ -920,16 +925,29 @@ def test_frame_rhs_refuses_a_frame_off_the_systems_field(domain, shape, small_ps
     assert frame_rhs(system, np.ones((48, 48))).shape == (system.obs_index.shape[0],)
 
 
-def test_table_marks_an_exactly_singular_system():
-    # cutoff 0 passes only the zero frequency: rank 1 of 9. The table charts
-    # which sizes resolve, so it solves and keeps the trials and marks each
-    # with condition inf; noise, scan and recover refuse the same system
+def test_table_marks_an_exactly_singular_system(monkeypatch):
+    # cutoff 0 passes only the zero frequency: rank 1 of 9, so no unique
+    # solution. The table charts which sizes resolve: it keeps the trials
+    # unsolved, each with its AD, AE nan and condition inf; noise, scan and
+    # recover refuse the same system
     setup = dict(field_shape=(48, 48), cutoff_radius=0.0, psf_crop=47)
+    solves = []
+    solve = pipeline.spatial.solve_system
+
+    def counted_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(pipeline.spatial, "solve_system", counted_solve)
     report = run_table_experiment(
         "spatial", sizes=(3,), trials_per_size=2, solver="least_squares", **setup,
     )
+    assert solves == []
     assert report.summaries()[3].failed == 0
-    assert all(t.error is None and t.condition == math.inf for t in report.trials)
+    assert math.isnan(report.summaries()[3].mean_ae)
+    for t in report.trials:
+        assert t.error is None and t.condition == math.inf
+        assert math.isnan(t.ae) and t.ad <= 1e-12
     refusal = "system matrix is structurally singular: rank 1 of 9 unknowns"
     sweep = noise_sweep(roi_size=3, psnr_grid=(80.0,), trials_per_level=2, domains=("spatial",),
                         **setup)
@@ -944,8 +962,8 @@ def test_table_marks_an_exactly_singular_system():
 
 def test_table_skips_the_svd_of_structurally_singular_sizes(monkeypatch):
     # 768^2 at cutoff 6: sizes 10-12 have rank 95, 109 and 111, so the table
-    # builds each once without a condition estimate and marks its trials;
-    # sizes 2-9 keep np.linalg.cond's bytes
+    # builds each once without a condition estimate, solves none of its
+    # trials and marks them; sizes 2-9 keep np.linalg.cond's bytes
     cond = np.linalg.cond
     conditions = {}
 
@@ -964,14 +982,25 @@ def test_table_skips_the_svd_of_structurally_singular_sizes(monkeypatch):
         return build(field_shape, roi, *args)
 
     monkeypatch.setattr(pipeline.spatial, "build_system", counted_build)
+    solves = []
+    solve = pipeline.spatial.solve_system
+
+    def counted_solve(system, *args):
+        solves.append(system.roi.k_rows)
+        return solve(system, *args)
+
+    monkeypatch.setattr(pipeline.spatial, "solve_system", counted_solve)
     report = run_table_experiment("spatial", sizes=range(2, 13), trials_per_size=1,
                                   field_shape=(768, 768), cutoff_radius=6.0, psf_crop=501)
     assert builds == list(range(2, 13))
+    assert solves == list(range(2, 10))
     assert sorted(conditions) == [k * k for k in range(2, 10)]
     for t in report.trials:
         assert t.error is None
-        want = math.inf if t.roi_size >= 10 else conditions[t.roi_size ** 2]
-        assert t.condition == want
+        if t.roi_size >= 10:
+            assert t.condition == math.inf and math.isnan(t.ae) and t.ad <= 1e-12
+        else:
+            assert t.condition == conditions[t.roi_size ** 2] and math.isfinite(t.ae)
 
 
 def test_a_negative_seed_is_refused_before_any_draw():
@@ -1161,7 +1190,8 @@ def test_locate_rejects_non_finite(bad):
 @pytest.mark.parametrize("domain", DOMAINS)
 @pytest.mark.parametrize("ring", [0, 1])
 def test_condition_estimate_leaves_every_trial_alone(domain, ring):
-    # only ad_spot_check skips the estimate; the matrix and every solve stay put
+    # the table skips the estimate only on sizes it marks and never solves;
+    # elsewhere skipping it would leave the matrix and every solve put
     module = DOMAIN_MODULES[domain]
     method = module.METHODS[ring > 0]
     rng = np.random.default_rng(5)
@@ -1202,6 +1232,5 @@ def test_runs_build_only_the_kernel_window_their_systems_read(monkeypatch, tmp_p
     sweep = _run_manifest(tmp_path, "noise_manifest.txt", "noise", "--domains", "spatial",
                           "--roi-size", "2", "--psnr", "80", "--trials", "1", "--ring", "1")
     assert sweep["psf_crop"] == "47"
-    ad_spot_check("spatial", 4, **SMALL)
     # one kernel per table size, each out to that size's own reach
-    assert edges == [5, 3, 7, 5, 7]
+    assert edges == [5, 3, 7, 5]

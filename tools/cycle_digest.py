@@ -41,15 +41,16 @@ seeds: integer flags too large for any array or float64, each refused
 (exit 2, nothing written), and passband gains at the float64 limits. The
 "singular" workload runs each command of SINGULAR_RUNS once, under
 "singular/<name>" whatever the seeds: image-domain systems whose passband
-leaves them structurally singular, which the table marks (condition inf)
-and noise, recover and scan refuse. --compare
+leaves them structurally singular, which the table marks and does not
+solve (ae nan, condition inf) and noise, recover and scan refuse. --compare
 lists the keys that differ between two such files (or sit in one only) and
 exits 1 if there are any; on stderr it counts the identical entries, then
 the differing keys of each workload and final path part ("located stdout
 18"). A written digest also records, under BLAS_THREADS_KEY, the OpenBLAS
-thread count it ran at: image-domain table bytes from size 10 up differ
-between thread counts, so two digests taken at different counts list that
-key beside the outputs it moves.
+thread count it ran at: the transform-domain scan manifests of seeds 111
+and 205 (the relative error of 10,000 tiles solved in one block) differ
+between 1 and 2 threads, so two digests taken at different counts list
+that key beside the outputs it moves.
 """
 
 from __future__ import annotations
