@@ -8,11 +8,13 @@ output is a lossy rescaled preview for looking at images, never for math.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
 import os
-from typing import Iterable, Mapping
+import stat
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -72,22 +74,44 @@ def _read_payload(
     return data
 
 
+@contextlib.contextmanager
+def _rewrite(path: str, mode: str, **text) -> Iterator[io.IOBase]:
+    """Open path to write in mode ("wb", or "w" with text's newline and
+    encoding) without truncating it, creating it if missing; on leaving, even
+    when the writer raised, cut a regular file to what was written.
+
+    The file keeps its inode, permissions and links, and ends holding exactly
+    the bytes a truncate-then-write would leave. Reopening a non-empty file
+    with O_TRUNC, or renaming a new file over it, is a replace that ext4
+    (auto_da_alloc, on by default) forces to disk, at several times the cost
+    of the write. A device such as /dev/null cannot be cut and needs no cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, mode, **text) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 # ---------------------------------------------------------------------------
 # raw matrices
 
 def write_raw_matrix(path: str, matrix: np.ndarray) -> None:
-    """Write a 2D real or complex matrix in the raw format described above."""
+    """Write a 2D real or complex matrix in the raw format described above.
+
+    path is rewritten in place and cut to length (see _rewrite). The payload
+    is written from a C-ordered little-endian view of the matrix, copied only
+    when the matrix is not already one.
+    """
     arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise ShapeError(f"raw format stores 2D matrices, got ndim={arr.ndim}")
-    if np.iscomplexobj(arr):
-        kind = RAW_KIND_COMPLEX
-        payload = arr.astype("<c16").tobytes(order="C")
-    else:
-        kind = RAW_KIND_REAL
-        payload = arr.astype("<f8").tobytes(order="C")
+    kind, dtype = (RAW_KIND_COMPLEX, "<c16") if np.iscomplexobj(arr) else (RAW_KIND_REAL, "<f8")
+    payload = np.ascontiguousarray(arr, dtype=dtype)
     header = f"{arr.shape[0]} {arr.shape[1]} {kind}\n".encode("ascii")
-    with open(path, "wb") as fh:
+    with _rewrite(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
 
@@ -130,7 +154,9 @@ def write_pgm16(path: str, image: np.ndarray) -> None:
     """Save a rescaled 16-bit preview (P5, big-endian, maxval 65535).
 
     The image max maps to 65535 and negatives clamp to 0, so absolute values
-    are not preserved; use the raw format when the numbers matter.
+    are not preserved; use the raw format when the numbers matter. path is
+    rewritten in place and cut to length (see _rewrite); the counts are
+    computed in one buffer.
     """
     arr = np.asarray(image, dtype=float)
     if arr.ndim != 2:
@@ -138,16 +164,16 @@ def write_pgm16(path: str, image: np.ndarray) -> None:
     peak = float(arr.max()) if arr.size else 0.0
     scale = PGM_MAXVAL / peak if peak > 0 else 0.0
     # negatives clamp before scaling, so no product overflows
-    positive = np.maximum(arr, 0.0)
+    counts = np.maximum(arr, 0.0)
     if math.isfinite(scale):
-        scaled = np.minimum(positive * scale, PGM_MAXVAL)
+        np.minimum(np.multiply(counts, scale, out=counts), PGM_MAXVAL, out=counts)
     else:
         # a subnormal peak: PGM_MAXVAL / peak overflows, the ratios to it do not
-        scaled = positive / peak * PGM_MAXVAL
-    quantized = np.floor(scaled + 0.5).astype(">u2")
-    with open(path, "wb") as fh:
+        np.multiply(np.divide(counts, peak, out=counts), PGM_MAXVAL, out=counts)
+    np.floor(np.add(counts, 0.5, out=counts), out=counts)
+    with _rewrite(path, "wb") as fh:
         fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n{PGM_MAXVAL}\n".encode("ascii"))
-        fh.write(quantized.tobytes(order="C"))
+        fh.write(counts.astype(">u2", order="C"))
 
 
 def _read_pgm_token(fh: io.BufferedReader) -> bytes:
@@ -215,9 +241,10 @@ def write_table_csv(path: str, header: Iterable[str], rows: Iterable[Iterable]) 
     """Write a CSV with floats rendered as shortest exact decimals.
 
     The rendering is deterministic, so identical data produces identical
-    bytes (newline pinned to \\n regardless of platform).
+    bytes (newline pinned to \\n regardless of platform). path is rewritten
+    in place and cut to length (see _rewrite).
     """
-    with open(path, "w", newline="\n", encoding="ascii") as fh:
+    with _rewrite(path, "w", newline="\n", encoding="ascii") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
         for row in rows:
@@ -228,8 +255,10 @@ def write_table_csv(path: str, header: Iterable[str], rows: Iterable[Iterable]) 
 # manifests (key = value; also the config file format)
 
 def write_manifest(path: str, entries: Mapping[str, str]) -> None:
-    """Write 'key = value' lines; values are stored verbatim."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+    """Write 'key = value' lines; values are stored verbatim. path is
+    rewritten in place and cut to length (see _rewrite), so a refused entry
+    leaves exactly the lines before it."""
+    with _rewrite(path, "w", newline="\n", encoding="utf-8") as fh:
         for key, value in entries.items():
             if "=" in key or "\n" in key or "\n" in str(value):
                 raise ParameterError(f"manifest key/value must be single-line, got {key!r}")

@@ -245,9 +245,11 @@ def solve(
         ) from exc
     if not np.isfinite(z).all():
         raise ParameterError("solution holds NaN or Inf: the observations overflow the solve")
-    scale = float(np.abs(z).max()) if z.size else 0.0
-    leakage = float(np.abs(z.imag).max() / scale) if scale > 0 else 0.0
-    x = z.real.copy()
+    x, leakage = z, 0.0  # every route returns a fresh z
+    if np.iscomplexobj(z):
+        scale = float(np.abs(z).max()) if z.size else 0.0
+        leakage = float(np.abs(z.imag).max() / scale) if scale > 0 else 0.0
+        x = z.real.copy()
     negative_count = int(np.count_nonzero(x < 0))
     min_pixel = float(x.min()) if x.size else 0.0
     if clamp_negative:

@@ -75,12 +75,18 @@ def resolve_solver(domain: str, solver: str | None, ring: int) -> str:
 # metrics
 
 def averaged_error(recovered: np.ndarray, ideal: np.ndarray) -> float:
-    """||recovered - ideal||_2 divided by the pixel count."""
+    """||recovered - ideal||_2 divided by the pixel count; ParameterError
+    when it is not finite (it overflows float64), as linear.residual refuses
+    its own overflow."""
     recovered = np.asarray(recovered).ravel()
     ideal = np.asarray(ideal).ravel()
     if recovered.shape != ideal.shape:
         raise ShapeError(f"length mismatch {recovered.shape} vs {ideal.shape}")
-    return float(np.linalg.norm(recovered - ideal)) / ideal.size
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite error is refused
+        value = float(np.linalg.norm(recovered - ideal)) / ideal.size
+    if not math.isfinite(value):
+        raise ParameterError("averaged error overflows float64")
+    return value
 
 
 def averaged_difference(

@@ -1180,6 +1180,57 @@ def test_a_marked_table_size_fails_where_the_solve_would(tmp_path, argv, reason)
         assert all(row["failed"] == "1" for row in csv.DictReader(f))
 
 
+def test_a_table_row_whose_error_overflows_fails(tmp_path):
+    # at -3000 dB the 9x9 solve and its residual stay finite, but the error
+    # against the known pixels overflows float64: the row is refused, as an
+    # overflowing residual is, not recorded as an ae of inf
+    out = tmp_path / "table"
+    code, _, err = _run(["table", "--domain", "spatial", "--sizes", "9-10", "--trials", "1",
+                         "--noise-psnr=-3000", "--out", str(out)])
+    assert code == 0, err
+    with open(out / "trials_spatial.csv", newline="") as f:
+        rows = {row["roi_size"]: row for row in csv.DictReader(f)}
+    assert rows["9"]["error"] == "ParameterError: averaged error overflows float64"
+    assert [rows["9"][c] for c in ("ae", "ad", "condition")] == ["nan"] * 3
+    assert rows["10"]["error"] == "" and rows["10"]["ae"] == "nan"
+    with open(out / "ae_spatial.csv", newline="") as f:
+        assert {row["roi_size"]: row["failed"] for row in csv.DictReader(f)} == {"9": "1", "10": "0"}
+
+
+def _tree_bytes(folder):
+    return {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["table", "recover"])
+def test_a_rerun_into_the_same_out_matches_a_fresh_out(tmp_path, observed_file, command):
+    # the second run writes shorter files over the first run's
+    path, roi, _ = observed_file
+    if command == "table":
+        first, second = (["table", "--domain", "frequency", *SMALL_ARGS, "--trials", "2",
+                          "--sizes", sizes] for sizes in ("2-4", "2"))
+    else:
+        first, second = (["recover", "--observed", str(path), "--size", size,
+                          "--roi", f"{roi.top},{roi.left}", "--cutoff", "10"]
+                         for size in ("3x3", "2x2"))
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert _run([*first, "--out", str(reused)])[0] == 0
+    longer = _tree_bytes(reused)
+    assert _run([*second, "--out", str(reused)])[0] == 0
+    assert _run([*second, "--out", str(fresh)])[0] == 0
+    assert _tree_bytes(reused) == _tree_bytes(fresh)
+    assert any(len(longer[name]) > len(data) for name, data in _tree_bytes(fresh).items())
+
+
+def test_an_output_name_taken_by_a_directory_exits_3(tmp_path):
+    out = tmp_path / "table"
+    (out / "trials_spatial.csv").mkdir(parents=True)
+    code, _, err = _run(["table", "--domain", "spatial", *SMALL_ARGS, "--sizes", "2",
+                         "--trials", "1", "--out", str(out)])
+    assert code == 3
+    assert f"Is a directory: '{out / 'trials_spatial.csv'}'" in err
+    assert (out / "trials_spatial.csv").is_dir()
+
+
 @pytest.mark.parametrize(
     "flag, value, reason",
     [("--sizes", "2,5-3", "size range '5-3' is empty"),

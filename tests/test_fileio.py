@@ -2,6 +2,8 @@
 
 import csv
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -302,6 +304,115 @@ def test_manifest_refuses_a_repeated_key(tmp_path):
     path.write_text("trials = 2\n# comment\nsizes = 2\ntrials = 5\n")
     with pytest.raises(FileFormatError, match=r"m.txt:4: key 'trials' .* line 1\)"):
         read_manifest(path)
+
+
+# ---------------------------------------------------------------------------
+# rewriting in place
+
+_LONGER_THEN_SHORTER = {
+    "raw": (write_raw_matrix, (np.arange(12.0).reshape(3, 4),), (np.ones((1, 2)),)),
+    "pgm": (write_pgm16, (np.arange(12.0).reshape(3, 4),), (np.ones((1, 2)),)),
+    "csv": (write_table_csv, (["a", "b"], [[1, 2.5], [3, 4.5]]), (["a"], [[1]])),
+    "manifest": (write_manifest, ({"domain": "spatial", "note": "a longer run"},), ({"k": "v"},)),
+}
+
+
+@pytest.mark.parametrize(
+    "writer, longer, shorter", _LONGER_THEN_SHORTER.values(), ids=list(_LONGER_THEN_SHORTER)
+)
+def test_a_rewrite_keeps_the_file_and_ends_at_what_was_written(tmp_path, writer, longer, shorter):
+    # the shorter output over the longer one, written through a symlink: the
+    # target keeps its inode and permissions, the link stays a link, and the
+    # bytes are those of a fresh write
+    path, link, fresh = tmp_path / "out", tmp_path / "link", tmp_path / "fresh"
+    writer(path, *longer)
+    os.chmod(path, 0o640)
+    link.symlink_to(path)
+    before = os.stat(path)
+    writer(link, *shorter)
+    writer(fresh, *shorter)
+    after = os.stat(path)
+    assert len(fresh.read_bytes()) < before.st_size
+    assert path.read_bytes() == fresh.read_bytes()
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o640
+    assert link.is_symlink()
+
+
+@pytest.mark.parametrize(
+    "writer, longer, shorter", _LONGER_THEN_SHORTER.values(), ids=list(_LONGER_THEN_SHORTER)
+)
+def test_a_device_that_cannot_be_cut_takes_every_writer(writer, longer, shorter):
+    writer(os.devnull, *longer)
+
+
+def test_a_refused_manifest_entry_leaves_the_lines_before_it(tmp_path):
+    path = tmp_path / "m.txt"
+    write_manifest(path, {f"key{i}": "a longer value than the rewrite" for i in range(4)})
+    with pytest.raises(ParameterError):
+        write_manifest(path, {"good": "1", "bad=key": "2", "never": "3"})
+    assert path.read_bytes() == b"good = 1\n"
+
+
+def _reference_raw_bytes(matrix):
+    """The raw file of a 2D matrix, by the format's definition."""
+    arr = np.asarray(matrix)
+    kind, dtype = (RAW_KIND_COMPLEX, "<c16") if np.iscomplexobj(arr) else (RAW_KIND_REAL, "<f8")
+    header = f"{arr.shape[0]} {arr.shape[1]} {kind}\n".encode("ascii")
+    return header + arr.astype(dtype).tobytes(order="C")
+
+
+def _reference_pgm_bytes(image):
+    """The PGM preview of a 2D image, one temporary per step."""
+    arr = np.asarray(image, dtype=float)
+    peak = float(arr.max()) if arr.size else 0.0
+    scale = PGM_MAXVAL / peak if peak > 0 else 0.0
+    positive = np.maximum(arr, 0.0)
+    if math.isfinite(scale):
+        scaled = np.minimum(positive * scale, PGM_MAXVAL)
+    else:
+        scaled = positive / peak * PGM_MAXVAL
+    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{PGM_MAXVAL}\n".encode("ascii")
+    return header + np.floor(scaled + 0.5).astype(">u2").tobytes(order="C")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_VALUES = {
+    "mixed": _FINITE,
+    "all-negative": st.floats(max_value=-1e-300, allow_infinity=False),
+    "zero": st.just(0.0),
+    "subnormal-peak": st.floats(min_value=-1e-300, max_value=2e-308, allow_subnormal=True),
+}
+
+
+@st.composite
+def _images(draw):
+    """2D float arrays, empty ones included, with any sign mix and a
+    subnormal peak among them, laid out C-ordered, Fortran-ordered or as a
+    strided slice."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    values = _VALUES[draw(st.sampled_from(list(_VALUES)))]
+    arr = np.array(draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)))
+    arr = arr.reshape(rows, cols)
+    layout = draw(st.sampled_from(["C", "F", "slice"]))
+    if layout == "F":
+        return np.asfortranarray(arr)
+    if layout == "slice":
+        wide = np.zeros((rows, 2 * cols))
+        wide[:, ::2] = arr
+        return wide[:, ::2][::-1]
+    return arr
+
+
+@settings(max_examples=200, deadline=None)
+@given(image=_images(), imag=st.booleans())
+def test_raster_writers_match_the_reference_bytes(tmp_path_factory, image, imag):
+    folder = tmp_path_factory.mktemp("raster")
+    write_pgm16(folder / "i.pgm", image)
+    assert (folder / "i.pgm").read_bytes() == _reference_pgm_bytes(image)
+    matrix = image + 1j * image[::-1] if imag else image
+    write_raw_matrix(folder / "m.raw", matrix)
+    assert (folder / "m.raw").read_bytes() == _reference_raw_bytes(matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,16 @@ def test_averaged_error_shape_mismatch():
         averaged_error([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize(
+    "recovered, ideal",
+    [([1e200, 0.0], [0.0, 0.0]), ([1e308, 0.0], [-1e308, 0.0]), ([np.inf, 0.0], [0.0, 0.0])],
+    ids=["squared-norm", "difference", "infinite"],
+)
+def test_averaged_error_refuses_an_overflow(recovered, ideal):
+    with pytest.raises(ParameterError, match="averaged error overflows float64"):
+        averaged_error(recovered, ideal)
+
+
 def test_averaged_difference_matches_norm(rng):
     a = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
     x = rng.normal(size=3)

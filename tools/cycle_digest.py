@@ -48,9 +48,12 @@ exits 1 if there are any; on stderr it counts the identical entries, then
 the differing keys of each workload and final path part ("located stdout
 18"). A written digest also records, under BLAS_THREADS_KEY, the OpenBLAS
 thread count it ran at: the transform-domain scan manifests of seeds 111
-and 205 (the relative error of 10,000 tiles solved in one block) differ
-between 1 and 2 threads, so two digests taken at different counts list
-that key beside the outputs it moves.
+and 205 differ between 1 and 2 threads, so two digests taken at different
+counts list that key beside the outputs it moves. The recovered pixels are
+the same bytes at both counts, in both domains; what moves is the last bit
+of the manifest's relative error, whose norm (pipeline.averaged_error,
+np.linalg.norm) is a BLAS dot product that OpenBLAS splits across threads
+over the 90,000 entries of a 300x300 scan.
 """
 
 from __future__ import annotations
