@@ -89,18 +89,15 @@ def averaged_error(recovered: np.ndarray, ideal: np.ndarray) -> float:
     return value
 
 
-def averaged_difference(
-    a_matrix: np.ndarray | LinearSystem, x: np.ndarray, y: np.ndarray
-) -> float:
-    """||A x - y||_2 divided by the unknown count; complex-safe. A is an array
-    or a system (system @ x: in its factors when it is square and has them)."""
-    if not isinstance(a_matrix, LinearSystem):
-        a_matrix = np.asarray(a_matrix)
+def averaged_difference(system: LinearSystem, x: np.ndarray, y: np.ndarray) -> float:
+    """||A x - y||_2 divided by the unknown count, as linear.residual takes
+    it (system @ x: in its factors when it is square and has them);
+    complex-safe, ParameterError when it overflows float64."""
     x = np.asarray(x).ravel()
     y = np.asarray(y).ravel()
-    if a_matrix.shape != (y.size, x.size):
-        raise ShapeError(f"matrix {a_matrix.shape} does not map {x.size} -> {y.size}")
-    return float(np.linalg.norm(a_matrix @ x - y)) / x.size
+    if system.shape != (y.size, x.size):
+        raise ShapeError(f"matrix {system.shape} does not map {x.size} -> {y.size}")
+    return residual(system, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +396,7 @@ def _run_size(
                 try:
                     if singular:  # no unique solution: the solve's refusals, then AD alone
                         solve_route(system, rhs, method, module.METHODS)
-                        ad, condition = residual(system, pixels, rhs), math.inf
+                        ad, condition = averaged_difference(system, pixels, rhs), math.inf
                     else:
                         sol = module.solve_system(system, rhs, method)
                         ae, ad, condition = (

@@ -233,3 +233,34 @@ def test_singular_workload_hashes_every_run_once(tool):
     for name, files in written.items():
         assert digests[f"singular/{name}/exit"] == tool._hash(b"0" if files else b"4")
     assert tool.digest(["singular"], []) == digests
+
+
+@pytest.fixture
+def runs_nothing(tool, monkeypatch):
+    """The commands and help texts a call would have digested, recorded, not run."""
+    ran = []
+    monkeypatch.setattr(tool, "_runs_digest", lambda *args: ran.append(args) or {})
+    monkeypatch.setattr(tool, "help_digest", lambda: ran.append("help") or {})
+    return ran
+
+
+def test_digest_refuses_an_unknown_workload_before_any_run(tool, runs_nothing):
+    with pytest.raises(ValueError, match="unknown workload 'tabel'") as exc:
+        tool.digest(["help", "scan", "tabel"], [205])
+    assert all(name in str(exc.value) for name in tool.WORKLOADS)
+    assert runs_nothing == []
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["--workloads", "help,tabel"], "'tabel'"),
+    (["--workloads", "scan", "--seeds", "205,x"], "'x'"),
+], ids=["workload", "seed"])
+def test_main_refuses_bad_arguments_with_a_usage_error(tool, runs_nothing, capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        tool.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and bad in err
+    if "tabel" in bad:
+        assert all(name in err for name in tool.WORKLOADS)
+    assert runs_nothing == []

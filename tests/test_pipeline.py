@@ -83,19 +83,36 @@ def test_averaged_error_refuses_an_overflow(recovered, ideal):
         averaged_error(recovered, ideal)
 
 
-def test_averaged_difference_matches_norm(rng):
-    a = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-    x = rng.normal(size=3)
-    y = rng.normal(size=5) + 1j * rng.normal(size=5)
-    expect = np.linalg.norm(a @ x - y) / 3
-    assert averaged_difference(a, x, y) == pytest.approx(expect, rel=1e-15)
-    # consistent data scores zero
-    assert averaged_difference(a, x, a @ x) == pytest.approx(0.0, abs=1e-15)
+def test_averaged_difference_matches_norm(rng, small_psf, small_spec):
+    for domain in DOMAINS:
+        for ring in (0, 1):
+            system = _small_system(domain, small_psf, small_spec, ring)
+            rows, n = system.shape
+            x = rng.normal(size=n)
+            y = rng.normal(size=rows) + (1j * rng.normal(size=rows) if domain == "frequency" else 0)
+            expect = np.linalg.norm(system.a_matrix @ x - y) / n
+            assert averaged_difference(system, x, y) == pytest.approx(expect, rel=1e-12)
+            # consistent data scores zero
+            assert averaged_difference(system, x, system @ x) == 0.0
 
 
-def test_averaged_difference_shape_mismatch(rng):
-    with pytest.raises(ShapeError):
-        averaged_difference(np.eye(3), np.ones(3), np.ones(4))
+def test_averaged_difference_shape_mismatch(small_psf, small_spec):
+    for domain in DOMAINS:
+        system = _small_system(domain, small_psf, small_spec)
+        rows, n = system.shape
+        with pytest.raises(ShapeError):
+            averaged_difference(system, np.ones(n), np.ones(rows + 1))
+        with pytest.raises(ShapeError):
+            averaged_difference(system, np.ones(n - 1), np.ones(rows))
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_averaged_difference_refuses_an_overflow(domain, small_psf, small_spec):
+    # as averaged_error does: an infinite difference is an error, not a score
+    system = _small_system(domain, small_psf, small_spec)
+    rows, n = system.shape
+    with pytest.raises(ParameterError, match="overflows float64"):
+        averaged_difference(system, np.zeros(n), np.full(rows, 1e300))
 
 
 # ---------------------------------------------------------------------------

@@ -1,65 +1,45 @@
 """Byte digest of every benchmark command, to show a change leaves outputs alone.
 
-    python3 tools/cycle_digest.py
-        [--workloads table,noise,scan,recover,help,psf,noisy-table,failed-trials,scan-field,
-                     located,solvers,refusals,singular]
-        [--seeds 111,205,12345] [--out digest.json]
+    python3 tools/cycle_digest.py [--workloads help,psf,...] [--seeds 111,205,12345]
+        [--out digest.json]
     python3 tools/cycle_digest.py --compare A.json B.json
 
-Runs every op of bench/workloads.cycle in process through roisolve.cli.main,
-against the sources of the checkout this file sits in, each op writing into
-its own output directory. Every file the op writes, its stdout, its stderr
-and its exit code are hashed (SHA-256) into one JSON object keyed
-"workload/seed/op/what", with the temporary directory masked out of paths.
-The "help" workload hashes the exit code, stdout and stderr of
-`roisolve <command> --help` for every subcommand, rendered 80 columns wide,
-under "help/<command>" whatever the seeds. The "psf" workload runs
-`roisolve psf` for each (field, cutoff, crop, gain) of PSF_SETTINGS and
-hashes the same things as an op, under "psf/<field>-<cutoff>-<crop>-<gain>",
-so the full-crop kernel export is gated too. The "noisy-table" workload,
-which no benchmark cycle runs, runs `roisolve table --noise-psnr 120` at
-each seed for both domains, rings 0 and 2 and each (field, crop) of
-NOISY_TABLE_FIELDS, under "noisy-table/<seed>/<domain>-r<ring>-<field>".
-The "failed-trials" workload runs each command of FAILED_TRIALS_RUNS at each
-seed, under "failed-trials/<seed>/<name>": runs whose kernel is too small for
-some or all of their systems, so their summary rows read nan. The
-"scan-field" workload runs SCAN_FIELD_ARGV once per domain, under
-"scan-field/<domain>" whatever the seeds: a scan on a field other than the
-sample's, which the image domain solves with that field's kernel and the
-transform domain refuses. The "located" workload runs `roisolve recover`
-without --roi on each frame of LOCATED_FRAMES at each seed, under
-"located/<seed>/<name>": ROIs at or next to every border (located across
-the border their light wraps around) and in the middle, of non-square sizes,
-on the benchmark's field and an odd non-square one, and two frames whose
-finite values overflow the solve or the centroid. The "solvers" workload runs
-each command of SOLVER_RUNS once per domain with --solver set to each of
-SOLVER_SPELLINGS, under "solvers/<command>-<domain>-<solver>" whatever the
-seeds: the generic spellings, each domain's method names (which the other
-domain refuses) and a name no domain has. The "refusals" workload runs
-each command of REFUSAL_RUNS once, under "refusals/<name>" whatever the
-seeds: integer flags too large for any array or float64, each refused
-(exit 2, nothing written), and passband gains at the float64 limits. The
-"singular" workload runs each command of SINGULAR_RUNS once, under
-"singular/<name>" whatever the seeds: image-domain systems whose passband
-leaves them structurally singular, which the table marks and does not
-solve (ae nan, condition inf) and noise, recover and scan refuse. --compare
-lists the keys that differ between two such files (or sit in one only) and
-exits 1 if there are any; on stderr it counts the identical entries, then
-the differing keys of each workload and final path part ("located stdout
-18"). A written digest also records, under BLAS_THREADS_KEY, the OpenBLAS
-thread count it ran at: the transform-domain scan manifests of seeds 111
-and 205 differ between 1 and 2 threads, so two digests taken at different
-counts list that key beside the outputs it moves. The recovered pixels are
-the same bytes at both counts, in both domains; what moves is the last bit
-of the manifest's relative error, whose norm (pipeline.averaged_error,
-np.linalg.norm) is a BLAS dot product that OpenBLAS splits across threads
-over the 90,000 entries of a 300x300 scan.
+Runs commands in process through roisolve.cli.main, against the sources of
+the checkout this file sits in, each writing into its own --out directory,
+and hashes (SHA-256) its exit code, stdout, stderr and every file it wrote
+into one JSON object keyed "<workload>[/<seed>]/<name>/<what>", with the
+temporary directory masked out of paths. The bench workloads (table, noise,
+scan, recover) run every op of bench/workloads.cycle at each seed; "help"
+hashes each subcommand's --help at 80 columns; the others run the command
+lines of the tables below, some once whatever the seeds.
+
+Some outputs no bench cycle reaches, so they have their own workloads:
+"noisy-table" gates `table --noise-psnr`; "failed-trials" gates summary rows
+whose trials failed (a kernel too small for the system reads nan);
+"located" gates recover without --roi, at and across every border of the
+circular field and on finite frames whose solve or centroid overflows;
+"refusals" gates integer flags too large for any array or float64 (exit 2,
+nothing written) and passband gains at the float64 limits; "singular" gates
+image-domain systems whose passband leaves them structurally singular,
+which the table marks and does not solve and noise, recover and scan refuse.
+
+--compare lists the keys that differ between two digests (or sit in one
+only) and exits 1 if there are any; on stderr it counts the identical
+entries, then the differing keys of each workload and final path part
+("located stdout 18"). A written digest records under BLAS_THREADS_KEY the
+OpenBLAS thread count it ran at: the transform-domain scan manifests of
+seeds 111 and 205 differ between 1 and 2 threads, so compare digests taken
+at one count. The recovered pixels are the same bytes at both counts; what
+moves is the last bit of the manifest's relative error, whose norm
+(pipeline.averaged_error) is a BLAS dot product that OpenBLAS splits across
+threads over the 90,000 entries of a 300x300 scan.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -76,7 +56,6 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf", "noisy-table", "failed-trials",
              "scan-field", "located", "solvers", "refusals", "singular")
-SUBCOMMANDS = ("psf", "table", "scan", "noise", "recover", "two-point")
 SEEDS = (111, 205, 12345)
 # (field, cutoff, crop, gain) of the psf workload: the benchmark's kernel,
 # the scan kernel, an odd non-square field and a crop spanning most columns
@@ -180,8 +159,10 @@ def _hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(cli, argv: list[str]) -> tuple[str, str, str]:
+def _run(argv: list[str]) -> tuple[str, str, str]:
     """(exit code, stdout, stderr) of one in-process command."""
+    import roisolve.cli as cli
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -193,15 +174,16 @@ def _run(cli, argv: list[str]) -> tuple[str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _op_digest(cli, argv: list[str], out: str, tmp: str, key: str) -> dict[str, str]:
-    """Digests of one command writing into out: exit, stdout, stderr, files."""
-    code, stdout, stderr = _run(cli, argv)
+def _op_digest(argv: list[str], tmp: str, key: str) -> dict[str, str]:
+    """Digests of one command: exit, stdout, stderr and the files under its --out."""
+    code, stdout, stderr = _run(argv)
     digests = {
         f"{key}/exit": _hash(code.replace(tmp, MASK).encode()),
         f"{key}/stdout": _hash(stdout.replace(tmp, MASK).encode()),
         f"{key}/stderr": _hash(stderr.replace(tmp, MASK).encode()),
     }
-    for dirpath, _, filenames in os.walk(out):
+    out = argv[argv.index("--out") + 1] if "--out" in argv else None
+    for dirpath, _, filenames in os.walk(out) if out else ():
         for name in sorted(filenames):
             path = os.path.join(dirpath, name)
             with open(path, "rb") as fh:
@@ -210,76 +192,37 @@ def _op_digest(cli, argv: list[str], out: str, tmp: str, key: str) -> dict[str, 
     return digests
 
 
-def cycle_digest(workload: str, seed: int) -> dict[str, str]:
-    """Digests of every op of one workload cycle at one seed."""
-    import roisolve.cli as cli
+def _runs_digest(prefix: str, runs, *args) -> dict[str, str]:
+    """Digests of each command runs(tmp, *args) names, under prefix/name, in a
+    temporary directory tmp that runs may write its inputs into."""
+    tmp = tempfile.mkdtemp(prefix="cycle-digest-")
+    try:
+        digests = {}
+        for name, argv in runs(tmp, *args).items():
+            digests.update(_op_digest(argv, tmp, f"{prefix}/{name}"))
+        return digests
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _with_out(base: str, runs: dict[str, list[str]], frame: str = "") -> dict[str, list[str]]:
+    """runs with SOLVER_FRAME read as frame, each command writing into
+    base/<name> (two-point takes no --out)."""
+    return {name: [frame if a == SOLVER_FRAME else a for a in argv]
+            + ([] if argv[0] == "two-point" else ["--out", os.path.join(base, name)])
+            for name, argv in runs.items()}
+
+
+def _cycle_runs(tmp: str, seed: int, workload: str) -> dict[str, list[str]]:
+    """Every op of one bench workload cycle at one seed, op i writing into tmp/op<i>."""
     import workloads
 
-    tmp = tempfile.mkdtemp(prefix="cycle-digest-")
-    try:
-        workdir = os.path.join(tmp, "work")
-        os.makedirs(workdir)
-        workloads.make_inputs(workload, seed, workdir)
-        placeholder = os.path.join(tmp, "out")
-        digests = {}
-        for i, op in enumerate(workloads.cycle(workload, seed, workdir, placeholder)):
-            out = os.path.join(tmp, f"op{i}")
-            argv = [out if a == placeholder else a for a in op.argv]
-            digests.update(_op_digest(cli, argv, out, tmp, f"{workload}/{seed}/{i}"))
-        return digests
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-def _runs_digest(prefix: str, runs: dict[str, list[str]]) -> dict[str, str]:
-    """Digests of each named command, writing into its own --out, under prefix/name."""
-    import roisolve.cli as cli
-
-    tmp = tempfile.mkdtemp(prefix="cycle-digest-")
-    try:
-        digests = {}
-        for name, argv in runs.items():
-            out = os.path.join(tmp, name)
-            digests.update(_op_digest(cli, [*argv, "--out", out], out, tmp, f"{prefix}/{name}"))
-        return digests
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-def psf_digest() -> dict[str, str]:
-    """Digests of `roisolve psf` at every PSF_SETTINGS entry."""
-    return _runs_digest("psf", {
-        f"{field}-{cutoff}-{crop}-{gain}": ["psf", "--field", field, "--cutoff", cutoff,
-                                            "--psf-crop", crop, f"--gain={gain}"]
-        for field, cutoff, crop, gain in PSF_SETTINGS
-    })
-
-
-def noisy_table_digest(seed: int) -> dict[str, str]:
-    """Digests of noisy `roisolve table` runs at one seed (see NOISY_TABLE_FIELDS)."""
-    return _runs_digest(f"noisy-table/{seed}", {
-        f"{domain}-r{ring}-{field}": ["table", "--domain", domain, "--sizes", "2-5",
-                                      "--trials", "2", "--ring", ring, "--field", field,
-                                      "--cutoff", "6", "--psf-crop", crop,
-                                      "--noise-psnr", "120", "--seed", str(seed)]
-        for field, crop in NOISY_TABLE_FIELDS
-        for ring in NOISY_TABLE_RINGS
-        for domain in ("spatial", "frequency")
-    })
-
-
-def failed_trials_digest(seed: int) -> dict[str, str]:
-    """Digests of the FAILED_TRIALS_RUNS commands at one seed."""
-    return _runs_digest(f"failed-trials/{seed}", {
-        name: [*argv, "--seed", str(seed)] for name, argv in FAILED_TRIALS_RUNS.items()
-    })
-
-
-def scan_field_digest() -> dict[str, str]:
-    """Digests of SCAN_FIELD_ARGV in each domain."""
-    return _runs_digest("scan-field", {
-        domain: [*SCAN_FIELD_ARGV, "--domain", domain] for domain in ("spatial", "frequency")
-    })
+    workdir = os.path.join(tmp, "work")
+    os.makedirs(workdir)
+    workloads.make_inputs(workload, seed, workdir)
+    placeholder = os.path.join(tmp, "out")
+    return {str(i): [os.path.join(tmp, f"op{i}") if a == placeholder else a for a in op.argv]
+            for i, op in enumerate(workloads.cycle(workload, seed, workdir, placeholder))}
 
 
 def _located_anchor(rng, anchor: str, field: tuple[int, int], size: tuple[int, int]) -> tuple:
@@ -293,47 +236,40 @@ def _located_anchor(rng, anchor: str, field: tuple[int, int], size: tuple[int, i
                  for v, hi in zip(named[anchor], last))
 
 
-def located_digest(seed: int) -> dict[str, str]:
-    """Digests of `roisolve recover` without --roi on every LOCATED_FRAMES and
-    LOCATED_HUGE frame, drawn from seed."""
+def _located_runs(tmp: str, seed: int) -> dict[str, list[str]]:
+    """recover without --roi on every LOCATED_FRAMES and LOCATED_HUGE frame,
+    drawn from seed and written into tmp."""
     import numpy as np
 
-    import roisolve.cli as cli
     import workloads
 
     rng = np.random.default_rng(seed)
-    tmp = tempfile.mkdtemp(prefix="cycle-digest-")
-    try:
-        runs = {}
-        for name, (field, size, anchor, fmt, domain, ring) in LOCATED_FRAMES.items():
-            top, left = _located_anchor(rng, anchor, field, size)
-            ideal = np.zeros(field)
-            ideal[top : top + size[0], left : left + size[1]] = rng.uniform(0.0, 256.0, size)
-            path = os.path.join(tmp, f"{name}.{fmt}")
-            (workloads.write_raw if fmt == "raw" else workloads.write_pgm16)(
-                path, workloads._blur(ideal))
-            runs[name] = (path, size, ["--domain", domain, "--ring", str(ring)])
-        for name, value in LOCATED_HUGE.items():
-            frame = np.zeros((97, 130))
-            top, left = (int(v) for v in rng.integers(0, 94, 2))
-            frame[top : top + 3, left : left + 3] = value
-            path = os.path.join(tmp, f"{name}.raw")
-            workloads.write_raw(path, frame)
-            runs[name] = (path, (3, 3), [])
-        digests = {}
-        for name, (path, size, extra) in runs.items():
-            out = os.path.join(tmp, "out", name)
-            argv = ["recover", "--observed", path, "--size", f"{size[0]}x{size[1]}", *extra,
-                    "--cutoff", "6", "--out", out]
-            digests.update(_op_digest(cli, argv, out, tmp, f"located/{seed}/{name}"))
-        return digests
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+    runs = {}
+    for name, (field, size, anchor, fmt, domain, ring) in LOCATED_FRAMES.items():
+        top, left = _located_anchor(rng, anchor, field, size)
+        ideal = np.zeros(field)
+        ideal[top : top + size[0], left : left + size[1]] = rng.uniform(0.0, 256.0, size)
+        path = os.path.join(tmp, f"{name}.{fmt}")
+        (workloads.write_raw if fmt == "raw" else workloads.write_pgm16)(
+            path, workloads._blur(ideal))
+        runs[name] = (path, size, ["--domain", domain, "--ring", str(ring)])
+    for name, value in LOCATED_HUGE.items():
+        frame = np.zeros((97, 130))
+        top, left = (int(v) for v in rng.integers(0, 94, 2))
+        frame[top : top + 3, left : left + 3] = value
+        path = os.path.join(tmp, f"{name}.raw")
+        workloads.write_raw(path, frame)
+        runs[name] = (path, (3, 3), [])
+    return _with_out(os.path.join(tmp, "out"), {
+        name: ["recover", "--observed", path, "--size", f"{size[0]}x{size[1]}", *extra,
+               "--cutoff", "6"]
+        for name, (path, size, extra) in runs.items()
+    })
 
 
-def _solver_frame(tmp: str) -> str:
-    """Path of the frame SOLVER_FRAME stands for, written into tmp: a 48x48
-    raw frame holding a blurred 2x2 block at (20, 22)."""
+def _frame_runs(tmp: str, runs: dict[str, list[str]]) -> dict[str, list[str]]:
+    """runs writing into tmp/out/<name>, SOLVER_FRAME read as a 48x48 raw
+    frame written into tmp, holding a blurred 2x2 block at (20, 22)."""
     import numpy as np
 
     import workloads
@@ -342,59 +278,7 @@ def _solver_frame(tmp: str) -> str:
     ideal[20:22, 22:24] = [[40.0, 200.0], [120.0, 10.0]]
     frame = os.path.join(tmp, "frame.raw")
     workloads.write_raw(frame, workloads._blur(ideal))
-    return frame
-
-
-def solvers_digest() -> dict[str, str]:
-    """Digests of every SOLVER_RUNS command in each domain with each
-    SOLVER_SPELLINGS solver."""
-    import roisolve.cli as cli
-
-    tmp = tempfile.mkdtemp(prefix="cycle-digest-")
-    try:
-        frame = _solver_frame(tmp)
-        digests = {}
-        for command, argv in SOLVER_RUNS.items():
-            for domain in ("spatial", "frequency"):
-                for solver in SOLVER_SPELLINGS:
-                    name = f"{command}-{domain}-{solver}"
-                    out = os.path.join(tmp, "out", name)
-                    full = [frame if a == SOLVER_FRAME else a for a in argv]
-                    full += ["--domain", domain, "--solver", solver, "--out", out]
-                    digests.update(_op_digest(cli, full, out, tmp, f"solvers/{name}"))
-        return digests
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-def _frame_runs_digest(prefix: str, runs: dict[str, list[str]]) -> dict[str, str]:
-    """Digests of each named command under prefix/name, SOLVER_FRAME read as
-    the frame it stands for; each takes its own --out but two-point."""
-    import roisolve.cli as cli
-
-    tmp = tempfile.mkdtemp(prefix="cycle-digest-")
-    try:
-        frame = _solver_frame(tmp)
-        digests = {}
-        for name, argv in runs.items():
-            out = os.path.join(tmp, "out", name)
-            full = [frame if a == SOLVER_FRAME else a for a in argv]
-            if full[0] != "two-point":
-                full += ["--out", out]
-            digests.update(_op_digest(cli, full, out, tmp, f"{prefix}/{name}"))
-        return digests
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-def refusals_digest() -> dict[str, str]:
-    """Digests of every REFUSAL_RUNS command, under refusals/<name>."""
-    return _frame_runs_digest("refusals", REFUSAL_RUNS)
-
-
-def singular_digest() -> dict[str, str]:
-    """Digests of every SINGULAR_RUNS command, under singular/<name>."""
-    return _frame_runs_digest("singular", SINGULAR_RUNS)
+    return _with_out(os.path.join(tmp, "out"), runs, frame)
 
 
 def help_digest() -> dict[str, str]:
@@ -402,30 +286,61 @@ def help_digest() -> dict[str, str]:
     import roisolve.cli as cli
 
     with mock.patch.dict(os.environ, COLUMNS="80"):
-        return {f"help/{c}": _hash("\0".join(_run(cli, [c, "--help"])).encode())
-                for c in SUBCOMMANDS}
+        return {f"help/{c}": _hash("\0".join(_run([c, "--help"])).encode())
+                for c in cli.COMMANDS}
 
 
-# workloads that run once whatever the seeds
-SEEDLESS = {"help": help_digest, "psf": psf_digest, "scan-field": scan_field_digest,
-            "solvers": solvers_digest, "refusals": refusals_digest, "singular": singular_digest}
+# the run makers (tmp, *args) -> {name: argv} of the workloads that run once
+# whatever the seeds, and of those that run at each seed; every other
+# workload but help is a bench cycle
+SEEDLESS = {
+    "psf": lambda tmp: _with_out(tmp, {
+        f"{field}-{cutoff}-{crop}-{gain}": ["psf", "--field", field, "--cutoff", cutoff,
+                                            "--psf-crop", crop, f"--gain={gain}"]
+        for field, cutoff, crop, gain in PSF_SETTINGS}),
+    "scan-field": lambda tmp: _with_out(tmp, {
+        domain: [*SCAN_FIELD_ARGV, "--domain", domain] for domain in ("spatial", "frequency")}),
+    "solvers": lambda tmp: _frame_runs(tmp, {
+        f"{command}-{domain}-{solver}": [*argv, "--domain", domain, "--solver", solver]
+        for command, argv in SOLVER_RUNS.items()
+        for domain in ("spatial", "frequency") for solver in SOLVER_SPELLINGS}),
+    "refusals": lambda tmp: _frame_runs(tmp, REFUSAL_RUNS),
+    "singular": lambda tmp: _frame_runs(tmp, SINGULAR_RUNS),
+}
+PER_SEED = {
+    "noisy-table": lambda tmp, seed: _with_out(tmp, {
+        f"{domain}-r{ring}-{field}": ["table", "--domain", domain, "--sizes", "2-5",
+                                      "--trials", "2", "--ring", ring, "--field", field,
+                                      "--cutoff", "6", "--psf-crop", crop,
+                                      "--noise-psnr", "120", "--seed", str(seed)]
+        for field, crop in NOISY_TABLE_FIELDS for ring in NOISY_TABLE_RINGS
+        for domain in ("spatial", "frequency")}),
+    "failed-trials": lambda tmp, seed: _with_out(tmp, {
+        name: [*argv, "--seed", str(seed)] for name, argv in FAILED_TRIALS_RUNS.items()}),
+    "located": _located_runs,
+}
+
+
+def _known(names: list[str]) -> list[str]:
+    """names, or ValueError naming those WORKLOADS lacks."""
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown:
+        raise ValueError(f"unknown workload {', '.join(map(repr, unknown))}, "
+                         f"expected some of {', '.join(WORKLOADS)}")
+    return names
 
 
 def digest(workload_names, seeds) -> dict[str, str]:
     result = {}
-    for workload in workload_names:
-        if workload in SEEDLESS:
-            result.update(SEEDLESS[workload]())
-            continue
-        for seed in seeds:
-            if workload == "noisy-table":
-                result.update(noisy_table_digest(seed))
-            elif workload == "failed-trials":
-                result.update(failed_trials_digest(seed))
-            elif workload == "located":
-                result.update(located_digest(seed))
-            else:
-                result.update(cycle_digest(workload, seed))
+    for workload in _known(list(workload_names)):
+        if workload == "help":
+            result.update(help_digest())
+        elif workload in SEEDLESS:
+            result.update(_runs_digest(workload, SEEDLESS[workload]))
+        else:
+            runs = PER_SEED.get(workload, functools.partial(_cycle_runs, workload=workload))
+            for seed in seeds:
+                result.update(_runs_digest(f"{workload}/{seed}", runs, seed))
     return result
 
 
@@ -469,8 +384,11 @@ def main(argv: list[str] | None = None) -> int:
         for (workload, what), count in sorted(tally(differing).items()):
             print(f"{workload} {what} {count}", file=sys.stderr)
         return 1 if differing else 0
-    names = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        names = _known([w.strip() for w in args.workloads.split(",") if w.strip()])
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError as exc:  # before anything runs
+        parser.error(str(exc))
     result = digest(names, seeds)
     result[BLAS_THREADS_KEY] = str(blas_threads())
     text = json.dumps(result, indent=1, sort_keys=True)
