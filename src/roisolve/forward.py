@@ -14,10 +14,10 @@ kernel's transfer spec; observe_field_at an isolated ROI's peak from its
 rows and a few columns), its last stage the inverse-column pass build_psf
 also runs, and noise_field draws the unit field add_noise scales to its
 peak. The sparse route evaluates only what a system reads, as products of
-1-D twiddle matrices: observe_spatial_at the given cells,
-observe_spectrum_block and image_spectrum_block the product of the given
-frequency rows us and columns vs. For an isolated region the two agree to
-rounding. A noisy trial's unit noise is drawn on those rows directly, in
+1-D twiddle matrices (_roi_twiddles, _partial_transform): each domain's
+NoiselessRows builds them once per system, and image_spectrum_block takes
+the product of the given frequency rows us and columns vs. For an isolated
+region the two agree to rounding. A noisy trial's unit noise is drawn on those rows directly, in
 the law of a white unit field read there: unit_noise one normal per
 distinct cell, unit_spectrum_noise the normalized transform at given
 entries, one draw per conjugate class. The draws take no peak: the peak is
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, ShapeError
 from .grid import RoiSpec, field_cells, scatter_roi
-from .optics import OtfSpec, PsfKernel, _inverse_columns, in_passband, passband_box
+from .optics import OtfSpec, PsfKernel, _inverse_columns, passband_box
 
 _PEAK_BOUND_MARGIN = 1e-9  # relative, on observe_field_at's column bounds
 
@@ -199,70 +199,35 @@ def _twiddles(positions: np.ndarray, freqs: np.ndarray, size: int, sign: int) ->
     return np.exp((sign * 2j * np.pi / size) * phase)
 
 
-def _partial_transform(
-    patch: np.ndarray,
-    top: int,
-    left: int,
-    row_freqs: np.ndarray,
-    col_freqs: np.ndarray,
-    field_shape: tuple[int, int],
-) -> np.ndarray:
-    """Unnormalized DFT, at row_freqs x col_freqs only, of a real patch at (top, left).
+def _roi_twiddles(
+    roi: RoiSpec, row_freqs: np.ndarray, col_freqs: np.ndarray, field_shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (freqs x rows) and (cols x freqs) twiddles of _partial_transform
+    over roi's patch, at row_freqs x col_freqs of a field_shape field."""
+    tr = _twiddles(row_freqs, roi.top + np.arange(roi.k_rows), field_shape[0], -1)
+    tc = _twiddles(roi.left + np.arange(roi.l_cols), col_freqs, field_shape[1], -1)
+    return tr, tc
 
-    The field is dark outside the patch. Separable: (freqs x rows) twiddles,
-    times the patch, times (cols x freqs) twiddles.
+
+def _partial_transform(patch: np.ndarray, twiddles: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Unnormalized DFT of a real patch, the field dark outside it, at the
+    frequencies of its _roi_twiddles only. Separable: (freqs x rows)
+    twiddles, times the patch, times (cols x freqs) twiddles.
     """
-    k_rows, l_cols = patch.shape
-    tr = _twiddles(row_freqs, top + np.arange(k_rows), field_shape[0], -1)
-    tc = _twiddles(left + np.arange(l_cols), col_freqs, field_shape[1], -1)
+    tr, tc = twiddles
     # two real products keep a full-frame patch from being copied to complex;
     # values that overflow leave Inf or NaN, which the solve refuses
     with np.errstate(over="ignore", invalid="ignore"):
         return (tr.real @ patch + 1j * (tr.imag @ patch)) @ tc
 
 
-def observe_spatial_at(
-    pixels: np.ndarray, roi: RoiSpec, spec: OtfSpec, cells: np.ndarray
-) -> np.ndarray:
-    """Blurred image of an isolated ROI, evaluated at the given cells only.
-
-    Equals observe_spatial(scatter_roi(pixels, roi, *spec.shape), psf) at
-    those cells, to rounding, for any kernel built from spec. It sums the
-    ROI's passband entries directly from the transfer spec (never the cropped
-    kernel), over the (2r+1) x (2r+1) box of frequencies around zero that
-    holds the disk, r being the cutoff rounded down.
-
-    Args:
-        pixels: row-major ROI values, length K*L; the field is dark elsewhere.
-        roi: where the pixels sit on the spec.shape field.
-        spec: transfer function of the blur.
-        cells: (n, 2) absolute (row, col) coordinates to evaluate.
-    """
-    x = roi.patch(pixels, *spec.shape)
-    cells = field_cells(cells, *spec.shape)
-    rows, cols = spec.shape
-    freqs, gain = passband_box(spec)
-    spectrum = gain * _partial_transform(x, roi.top, roi.left, freqs, freqs, spec.shape)
-    fr = _twiddles(cells[:, 0], freqs, rows, 1)
-    fc = _twiddles(cells[:, 1], freqs, cols, 1)
-    return ((fr @ spectrum) * fc).sum(axis=1).real / (rows * cols)
-
-
-def observe_spectrum_block(
-    pixels: np.ndarray, roi: RoiSpec, spec: OtfSpec, us: np.ndarray, vs: np.ndarray
-) -> np.ndarray:
-    """Filtered normalized spectrum of an isolated ROI on the us x vs entries.
-
-    Entry (i, j) is observe_spectrum(scatter_roi(pixels, roi, *spec.shape),
-    build_otf(spec)) at (us[i], vs[j]), both wrapped modulo the field, to
-    rounding; entries outside the passband are exactly 0. Evaluated from the
-    ROI pixels as products of 1-D twiddles, without the full field.
-    """
-    x = roi.patch(pixels, *spec.shape)
-    rows, cols = spec.shape
-    values = _partial_transform(x, roi.top, roi.left, us, vs, spec.shape)
-    inside = in_passband(spec, us[:, None], vs[None, :])
-    return np.where(inside, values * (spec.passband_gain / (rows * cols)), 0.0)
+def _axes(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(us, u_at, vs, v_at): the distinct first and second coordinates of an
+    (n, 2) index, sorted, and where each entry's own sit among them, so that
+    any array over us x vs read at [u_at, v_at] follows the index's order."""
+    us, u_at = np.unique(idx[:, 0], return_inverse=True)
+    vs, v_at = np.unique(idx[:, 1], return_inverse=True)
+    return us, u_at, vs, v_at
 
 
 def image_spectrum_block(image: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -276,7 +241,8 @@ def image_spectrum_block(image: np.ndarray, us: np.ndarray, vs: np.ndarray) -> n
     if arr.ndim != 2:
         raise ShapeError(f"image must be 2D, got ndim={arr.ndim}")
     rows, cols = arr.shape
-    return _partial_transform(arr, 0, 0, us, vs, arr.shape) / (rows * cols)
+    twiddles = _roi_twiddles(RoiSpec(0, 0, rows, cols), us, vs, arr.shape)
+    return _partial_transform(arr, twiddles) / (rows * cols)
 
 
 def spectrum_to_image(spectrum: np.ndarray) -> np.ndarray:

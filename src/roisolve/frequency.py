@@ -26,9 +26,11 @@ from .errors import (
     SingularSystemError,
 )
 from .forward import (
+    _axes,
+    _partial_transform,
+    _roi_twiddles,
     _twiddles,
     image_spectrum_block,
-    observe_spectrum_block,
     unit_spectrum_noise,
 )
 from .grid import RoiSpec
@@ -160,15 +162,6 @@ def observation_index(roi: RoiSpec, field_shape: tuple[int, int], ring: int) -> 
     return np.column_stack([uu.ravel(), vv.ravel()])
 
 
-def _axes(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(us, u_at, vs, v_at): the distinct u and v of a selection, sorted, and
-    where each entry's own u and v sit among them, so that any array over
-    us x vs read at [u_at, v_at] follows the selection's order."""
-    us, u_at = np.unique(idx[:, 0], return_inverse=True)
-    vs, v_at = np.unique(idx[:, 1], return_inverse=True)
-    return us, u_at, vs, v_at
-
-
 def _factors(
     roi: RoiSpec, idx: np.ndarray, rows: int, cols: int, gain: float
 ) -> tuple[KroneckerFactors, bool]:
@@ -245,12 +238,30 @@ def build_system(
     return LinearSystem("frequency", a, roi, idx, cond, (rows, cols), otf_spec, factors)
 
 
-def noiseless_rhs(system: LinearSystem, pixels: np.ndarray) -> np.ndarray:
-    """The filtered spectrum of the ROI at the system's entries, passband-sparse:
-    observe_spectrum_block over their distinct rows x columns, then gathered."""
-    us, u_at, vs, v_at = _axes(system.require_domain("frequency").obs_index)
-    block = observe_spectrum_block(pixels, system.roi, system.require_spec(), us, vs)
-    return block[u_at, v_at]
+class NoiselessRows:
+    """The filtered spectrum of the ROI at a system's entries, for any pixels:
+    observe_spectrum of the ROI on a dark field, read at those entries, to
+    rounding; an entry outside the passband is exactly 0.
+
+    What depends on the system alone is built once: the entries' distinct
+    rows us and columns vs, the ROI's forward twiddles on us x vs and their
+    passband mask. A call takes one partial DFT of the pixels over us x vs
+    and gathers the entries. ParameterError for an image-domain system.
+    """
+
+    def __init__(self, system: LinearSystem) -> None:
+        spec = system.require_domain("frequency").require_spec()
+        us, self._u_at, vs, self._v_at = _axes(system.obs_index)
+        rows, cols = self._shape = spec.shape
+        self.system = system
+        self._forward = _roi_twiddles(system.roi, us, vs, spec.shape)
+        self._inside = in_passband(spec, us[:, None], vs[None, :])
+        self._scale = spec.passband_gain / (rows * cols)
+
+    def __call__(self, pixels: np.ndarray) -> np.ndarray:
+        """The rows of row-major K*L pixels (else ShapeError)."""
+        values = _partial_transform(self.system.roi.patch(pixels, *self._shape), self._forward)
+        return np.where(self._inside, values * self._scale, 0.0)[self._u_at, self._v_at]
 
 
 def frame_rhs(system: LinearSystem, frame: np.ndarray) -> np.ndarray:

@@ -79,7 +79,7 @@ class LinearSystem:
     domain, of a field_shape frame. spec is the transfer spec observations go
     through (None only for an image-domain system on a kernel read from a
     file). The observation y is not part of the system: each domain's
-    frame_rhs reads it off a frame, its noiseless_rhs from known pixels.
+    frame_rhs reads it off a frame, its NoiselessRows from known pixels.
 
     matrix is A, or None on a system with factors, whose dense() forms A
     when a_matrix is first read. A square system with factors takes its LU

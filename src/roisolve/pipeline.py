@@ -33,10 +33,10 @@ DEFAULT_CUTOFF = 6.0
 DEFAULT_PSF_CROP = 501
 SIZES_DEFAULT = range(2, 21)
 # Each domain's simulated_blur (the kernel or transfer spec a simulated run
-# reads), observation_index, build_system, readers (noiseless_rhs, frame_rhs
-# and a noisy trial's unit_rows) and solve_system, and its METHODS. A built
-# system records its key as its domain; each module's readers and solver
-# refuse the other's systems. Only the table's cutoff record and its
+# reads), observation_index, build_system, readers (a system's NoiselessRows,
+# frame_rhs and a noisy trial's unit_rows) and solve_system, and its METHODS.
+# A built system records its key as its domain; each module's readers and
+# solver refuse the other's systems. Only the table's cutoff record and its
 # structural-rank mark branch on the name itself. Callers look functions up
 # on the module at call time, so wrappers installed on the module attribute
 # see every call.
@@ -304,15 +304,19 @@ def roi_problem(
 
 
 def noisy_rhs(
-    system: LinearSystem, pixels: np.ndarray, seed: int, psnr_levels: Sequence[float]
+    reader: spatial.NoiselessRows | frequency.NoiselessRows,
+    pixels: np.ndarray,
+    seed: int,
+    psnr_levels: Sequence[float],
 ) -> np.ndarray:
-    """The system's rows of the ROI pixels' blurred frame at each level p, one
-    row per level, plus sigma_p * unit noise, sigma_p pinned to that frame's
-    peak; one route for both domains and for noiseless trials. A level of
-    +inf is the domain's noiseless_rhs rows, bit for bit. The readers are
-    linear, so a finite level is those rows plus sigma_p times the domain's
-    unit_rows, drawn on the rows directly in the law of a white unit field
-    read there. The noiseless rows are read once, whatever the levels.
+    """The rows of the ROI pixels' blurred frame that reader's system reads,
+    at each level p, one row per level, plus sigma_p * unit noise, sigma_p
+    pinned to that frame's peak; one route for both domains and for
+    noiseless trials. A level of +inf is the reader's rows, bit for bit. The
+    readers are linear, so a finite level is those rows plus sigma_p times
+    the domain's unit_rows, drawn on the rows directly in the law of a white
+    unit field read there. The noiseless rows are read once, whatever the
+    levels; the reader, built once per system, serves every trial.
 
     When any level is finite, the peak is read first: observe_field_at on
     the pixels, the full blur's max bit for bit, without a full frame; each
@@ -322,17 +326,18 @@ def noisy_rhs(
 
     Raises:
         ShapeError: pixels is not one value per ROI cell.
-        ParameterError: the system has no transfer spec, a level is NaN or
-            -inf, or a level is finite and pixels hold NaN or Inf.
+        ParameterError: a level is NaN or -inf, or a level is finite and
+            pixels hold NaN or Inf.
         DegenerateInputError: a level is finite and the blurred frame has no
             positive peak.
     """
+    system = reader.system
     module = domain_module(system.domain)
     noisy = np.array([p != math.inf for p in psnr_levels], dtype=bool)
     if noisy.any():
         peak = observe_field_at(pixels, system.roi, system.require_spec())
         sigmas = [NoiseSpec(p, seed).sigma(peak) for p, n in zip(psnr_levels, noisy) if n]
-    clean = module.noiseless_rhs(system, pixels)
+    clean = reader(pixels)
     rows = np.repeat(clean[None], noisy.size, axis=0)
     if noisy.any():
         # an infinite sigma leaves Inf or NaN rows, which the solve refuses
@@ -355,11 +360,12 @@ def _run_size(
 ) -> list[list[TrialResult]]:
     """Every trial of one ROI size at each noise level (+inf: noiseless).
 
-    The system is built once for the size. Per trial: draw the pixels, read
-    the rows of every level in one noisy_rhs call, and solve and record each
-    level. A RoiSolveError is recorded, instead of metrics, in every row it
-    reaches: a failed build fails every row of the size, a failed noisy_rhs
-    every row of its trial, and a failed solve its own row.
+    The system and its NoiselessRows reader are built once for the size. Per
+    trial: draw the pixels, read the rows of every level in one noisy_rhs
+    call, and solve and record each level. A RoiSolveError is recorded,
+    instead of metrics, in every row it reaches: a failed build fails every
+    row of the size, a failed noisy_rhs every row of its trial, and a failed
+    solve its own row.
 
     The table charts which sizes resolve, so with mark_singular an
     image-domain size that spatial.structurally_singular finds below full
@@ -371,20 +377,21 @@ def _run_size(
     """
     size, module = roi.k_rows, DOMAIN_MODULES[domain]
     out: list[list[TrialResult]] = [[] for _ in levels]
-    system, failure = None, None
+    system, reader, failure = None, None, None
     singular = mark_singular and domain == "spatial" and spatial.structurally_singular(blur, roi)
     try:
         system = roi_problem(domain, roi, field_shape, blur, extra_ring, not singular)
+        reader = module.NoiselessRows(system)
     except RoiSolveError as exc:
         failure = exc
     nan = float("nan")
     for trial in range(trials):
         seed_id, pixels = _trial_pixels(root_seed, size, trial)
         error = failure
-        if system is not None:
+        if reader is not None:
             try:
                 rhs_levels = noisy_rhs(
-                    system, pixels, noise_stream_seed(root_seed, size, trial), levels
+                    reader, pixels, noise_stream_seed(root_seed, size, trial), levels
                 )
             except RoiSolveError as exc:
                 error = exc

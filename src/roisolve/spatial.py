@@ -13,10 +13,10 @@ import math
 import numpy as np
 
 from .errors import ParameterError, ShapeError, SingularSystemError
-from .forward import observe_spatial_at, unit_noise
+from .forward import _axes, _partial_transform, _roi_twiddles, _twiddles, unit_noise
 from .grid import RoiSpec, field_cells
 from .linear import LinearSystem, Solution, finite_condition, solve
-from .optics import OtfSpec, PsfKernel, build_psf, structural_rank
+from .optics import OtfSpec, PsfKernel, build_psf, passband_box, structural_rank
 
 # LU, least squares, truncated: the order linear.solve reads them in.
 METHODS = ("direct", "least_squares", "truncated")
@@ -176,11 +176,37 @@ def build_system(
     return LinearSystem("spatial", a, roi, idx, cond, (rows, cols), psf.spec)
 
 
-def noiseless_rhs(system: LinearSystem, pixels: np.ndarray) -> np.ndarray:
-    """The blurred ROI at the system's cells, passband-sparse (observe_spatial_at);
-    ParameterError for a transform-domain system or one without a transfer spec."""
-    system.require_domain("spatial")
-    return observe_spatial_at(pixels, system.roi, system.require_spec(), system.obs_index)
+class NoiselessRows:
+    """The blurred ROI at a system's cells, for any pixels: observe_spatial of
+    the ROI on a dark field, read at those cells, to rounding, for any kernel
+    built from the system's transfer spec.
+
+    It sums the ROI's passband entries directly from the spec (never the
+    cropped kernel), over the (2r+1) x (2r+1) box of frequencies around zero
+    that holds the disk, r being the cutoff rounded down. What depends on the
+    system alone is built once: the box, the ROI's forward twiddles and each
+    cell's inverse twiddles, evaluated once per distinct row and column and
+    gathered per cell. A call does the per-pixel products only.
+    ParameterError for a transform-domain system or one without a transfer
+    spec.
+    """
+
+    def __init__(self, system: LinearSystem) -> None:
+        spec = system.require_domain("spatial").require_spec()
+        rows, cols = self._shape = spec.shape
+        r, r_at, c, c_at = _axes(field_cells(system.obs_index, rows, cols))
+        freqs, self._gain = passband_box(spec)
+        self.system = system
+        self._forward = _roi_twiddles(system.roi, freqs, freqs, spec.shape)
+        self._fr = _twiddles(r, freqs, rows, 1)[r_at]
+        self._fc = _twiddles(c, freqs, cols, 1)[c_at]
+
+    def __call__(self, pixels: np.ndarray) -> np.ndarray:
+        """The rows of row-major K*L pixels (else ShapeError)."""
+        rows, cols = self._shape
+        x = self.system.roi.patch(pixels, rows, cols)
+        spectrum = self._gain * _partial_transform(x, self._forward)
+        return ((self._fr @ spectrum) * self._fc).sum(axis=1).real / (rows * cols)
 
 
 def frame_rhs(system: LinearSystem, frame: np.ndarray) -> np.ndarray:

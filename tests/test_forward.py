@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roisolve import forward
+from roisolve import forward, frequency, spatial
 from roisolve.errors import BoundsError, DegenerateInputError, ParameterError, ShapeError
 from roisolve.forward import (
     NoiseSpec,
@@ -16,15 +16,22 @@ from roisolve.forward import (
     observe_field,
     observe_field_at,
     observe_spatial,
-    observe_spatial_at,
     observe_spectrum,
-    observe_spectrum_block,
     spectrum_to_image,
     unit_noise,
     unit_spectrum_noise,
 )
-from roisolve.grid import RoiSpec, centered_roi, scatter_roi
-from roisolve.optics import OtfSpec, PsfKernel, build_otf, build_psf, passband_mask
+from roisolve.grid import RoiSpec, centered_roi, field_cells, scatter_roi
+from roisolve.linear import LinearSystem
+from roisolve.optics import (
+    OtfSpec,
+    PsfKernel,
+    build_otf,
+    build_psf,
+    in_passband,
+    passband_box,
+    passband_mask,
+)
 from roisolve.pipeline import noise_stream_seed
 from roisolve.spatial import observation_index, ring_cells
 
@@ -301,6 +308,8 @@ def test_observe_field_at_refuses_pixels_that_do_not_fill_their_roi(small_spec):
 
 # Sparse evaluators against the full-FFT oracle: the paper's 768x768 field at
 # cutoff 6 and the small test field, tolerance 1e-12 of the oracle's peak.
+# Each domain's NoiselessRows reads a system's rows; the systems here carry
+# no matrix, since the readers read only the ROI, the index and the spec.
 SPARSE_FIELDS = [((48, 48), 10.0, 47), ((768, 768), 6.0, 501)]
 
 
@@ -313,21 +322,32 @@ def _roi_placements(rows, cols):
     ]
 
 
+def _rows(domain, roi, spec, index):
+    """The domain's NoiselessRows of a system on roi reading index."""
+    system = LinearSystem(domain, None, roi, np.asarray(index), math.nan, spec.shape, spec)
+    return {"spatial": spatial, "frequency": frequency}[domain].NoiselessRows(system)
+
+
+def _block(us, vs):
+    """The (u, v) entries of us x vs, row-major."""
+    return np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
 @pytest.mark.parametrize("shape, cutoff, crop", SPARSE_FIELDS)
-def test_observe_spatial_at_matches_full_field(shape, cutoff, crop, rng):
+def test_spatial_noiseless_rows_match_full_field(shape, cutoff, crop, rng):
     spec = OtfSpec(*shape, cutoff)
     psf = build_psf(spec, crop)
     for roi in _roi_placements(*shape):
         pixels = rng.uniform(0, 256, roi.pixel_count)
         full = observe_spatial(scatter_roi(pixels, roi, *shape), psf)
         cells = np.vstack([roi.cells(), ring_cells(roi, *shape, width=2)])
-        got = observe_spatial_at(pixels, roi, spec, cells)
+        got = _rows("spatial", roi, spec, cells)(pixels)
         want = full[cells[:, 0], cells[:, 1]]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(full).max()
 
 
 @pytest.mark.parametrize("shape, cutoff, crop", SPARSE_FIELDS)
-def test_observe_spectrum_block_matches_full_field(shape, cutoff, crop, rng):
+def test_frequency_noiseless_rows_match_full_field(shape, cutoff, crop, rng):
     rows, cols = shape
     spec = OtfSpec(rows, cols, cutoff)
     mask = passband_mask(spec)
@@ -341,11 +361,94 @@ def test_observe_spectrum_block_matches_full_field(shape, cutoff, crop, rng):
         for start_row, start_col, k, l in blocks:
             us = (start_row + np.arange(k)) % rows
             vs = (start_col + np.arange(l)) % cols
-            got = observe_spectrum_block(pixels, roi, spec, us, vs)
+            got = _rows("frequency", roi, spec, _block(us, vs))(pixels).reshape(k, l)
             inside = mask[np.ix_(us, vs)]
             assert 0 < inside.sum() < inside.size
             assert np.all(got[~inside] == 0)
             assert np.abs(got - full[np.ix_(us, vs)]).max() <= 1e-12 * scale
+
+
+# The readers against a per-call oracle, byte for byte: _cell_rows and
+# _spectrum_rows evaluate every twiddle afresh on each call, one row of cell
+# twiddles per cell, so a reader that builds them once per system must give
+# the same bytes.
+
+def _old_partial_transform(patch, top, left, row_freqs, col_freqs, field_shape):
+    k_rows, l_cols = patch.shape
+    tr = forward._twiddles(row_freqs, top + np.arange(k_rows), field_shape[0], -1)
+    tc = forward._twiddles(left + np.arange(l_cols), col_freqs, field_shape[1], -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (tr.real @ patch + 1j * (tr.imag @ patch)) @ tc
+
+
+def _cell_rows(pixels, roi, spec, cells):
+    x = roi.patch(pixels, *spec.shape)
+    cells = field_cells(cells, *spec.shape)
+    rows, cols = spec.shape
+    freqs, gain = passband_box(spec)
+    spectrum = gain * _old_partial_transform(x, roi.top, roi.left, freqs, freqs, spec.shape)
+    fr = forward._twiddles(cells[:, 0], freqs, rows, 1)
+    fc = forward._twiddles(cells[:, 1], freqs, cols, 1)
+    return ((fr @ spectrum) * fc).sum(axis=1).real / (rows * cols)
+
+
+def _spectrum_rows(pixels, roi, spec, entries):
+    us, u_at = np.unique(entries[:, 0], return_inverse=True)
+    vs, v_at = np.unique(entries[:, 1], return_inverse=True)
+    x = roi.patch(pixels, *spec.shape)
+    rows, cols = spec.shape
+    values = _old_partial_transform(x, roi.top, roi.left, us, vs, spec.shape)
+    inside = in_passband(spec, us[:, None], vs[None, :])
+    block = np.where(inside, values * (spec.passband_gain / (rows * cols)), 0.0)
+    return block[u_at, v_at]
+
+
+def _shuffled_with_repeats(index, field_shape, data):
+    """index with the field's last row and last column appended, a few
+    entries listed twice, all in a drawn order."""
+    rows, cols = field_shape
+    edge = np.array([[rows - 1, data.draw(st.integers(0, cols - 1))],
+                     [data.draw(st.integers(0, rows - 1)), cols - 1],
+                     [rows - 1, cols - 1]])
+    index = np.vstack([index, edge])
+    repeats = data.draw(st.lists(st.integers(0, index.shape[0] - 1), max_size=6))
+    index = np.vstack([index, index[repeats]])
+    order = data.draw(st.permutations(range(index.shape[0])))
+    return index[list(order)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_noiseless_rows_are_the_per_call_formula_byte_for_byte(data):
+    rows, cols = data.draw(st.integers(8, 40)), data.draw(st.integers(8, 40))
+    spec = OtfSpec(rows, cols, data.draw(st.floats(0.5, min(rows, cols) / 2 - 0.5)))
+    k, l = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    roi = RoiSpec(data.draw(st.integers(0, rows - k)), data.draw(st.integers(0, cols - l)), k, l)
+    ring = data.draw(st.integers(0, 3))
+    pixels = np.random.default_rng(data.draw(st.integers(0, 2**32))).uniform(0, 256, k * l)
+    cells = _shuffled_with_repeats(observation_index(roi, spec.shape, ring), spec.shape, data)
+    got = _rows("spatial", roi, spec, cells)(pixels)
+    assert np.array_equal(got, _cell_rows(pixels, roi, spec, cells))
+    block = _block(np.arange(k + ring) % rows, np.arange(l + ring) % cols)
+    entries = _shuffled_with_repeats(block, spec.shape, data)
+    got = _rows("frequency", roi, spec, entries)(pixels)
+    assert np.array_equal(got, _spectrum_rows(pixels, roi, spec, entries))
+
+
+@pytest.mark.parametrize("domain", ["spatial", "frequency"])
+@pytest.mark.parametrize("size, ring", [(2, 0), (17, 0), (20, 0), (20, 2)])
+def test_one_reader_serves_every_trial_of_a_table_size(domain, size, ring):
+    # the paper's setup at the table's sizes: one reader, many pixel draws,
+    # each read the per-call formula's bytes
+    spec = OtfSpec(768, 768, 6.0 if domain == "spatial" else math.hypot(size + ring, size + ring))
+    roi = centered_roi(768, 768, size, size)
+    index = (observation_index(roi, spec.shape, ring) if domain == "spatial"
+             else frequency.observation_index(roi, spec.shape, ring))
+    reader = _rows(domain, roi, spec, index)
+    oracle = _cell_rows if domain == "spatial" else _spectrum_rows
+    for seed in range(3):
+        pixels = np.random.default_rng(seed).uniform(0, 256, size * size)
+        assert np.array_equal(reader(pixels), oracle(pixels, roi, spec, index))
 
 
 def test_image_spectrum_block_matches_full_transform(rng):
@@ -360,14 +463,14 @@ def test_image_spectrum_block_matches_full_transform(rng):
 def test_sparse_evaluators_validate_inputs(small_spec):
     roi = RoiSpec(20, 20, 2, 2)
     with pytest.raises(ShapeError):
-        observe_spatial_at(np.ones(3), roi, small_spec, roi.cells())
+        _rows("spatial", roi, small_spec, roi.cells())(np.ones(3))
     with pytest.raises(ShapeError):
-        observe_spatial_at(np.ones(4), roi, small_spec, np.array([[0, 48]]))
+        _rows("spatial", roi, small_spec, np.array([[0, 48]]))
     with pytest.raises(ShapeError):
-        observe_spatial_at(np.ones(4), roi, small_spec, np.ones(4))
+        _rows("spatial", roi, small_spec, np.ones(4))
     freqs = np.arange(2)
     with pytest.raises(BoundsError):
-        observe_spectrum_block(np.ones(4), RoiSpec(47, 0, 2, 2), small_spec, freqs, freqs)
+        _rows("frequency", RoiSpec(47, 0, 2, 2), small_spec, _block(freqs, freqs))(np.ones(4))
     with pytest.raises(ShapeError):
         image_spectrum_block(np.ones(8), freqs, freqs)
 

@@ -17,9 +17,9 @@ from roisolve.errors import (
 )
 from roisolve.forward import image_to_spectrum, observe_field, observe_spectrum
 from roisolve.frequency import (
+    NoiselessRows,
     build_system,
     frame_rhs,
-    noiseless_rhs,
     observation_index,
     solve_system,
     solve_two_point_1d,
@@ -241,7 +241,7 @@ def test_readers_follow_obs_index(small_spec, selection):
     got = frame_rhs(system, frame)
     want = image_to_spectrum(frame)[idx[:, 0], idx[:, 1]]
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    noiseless = noiseless_rhs(system, pixels)
+    noiseless = NoiselessRows(system)(pixels)
     assert np.abs(noiseless - want).max() <= 1e-14 * np.abs(want).max()
     sol = solve_system(system, got, "stacked_real_lsq")
     assert np.abs(sol.pixels - pixels).max() <= 1e-8
@@ -435,7 +435,8 @@ def test_factored_lu_agrees_with_dense_lu(field, roi, gain, shuffle, rng):
     # every route reads the matrix
     dense_system = dataclasses.replace(system, matrix=system.a_matrix, factors=None)
     pixels = rng.uniform(0, 256, (roi.pixel_count, 3))
-    rhs = np.column_stack([noiseless_rhs(system, p) for p in pixels.T])
+    reader = NoiselessRows(system)
+    rhs = np.column_stack([reader(p) for p in pixels.T])
     for y in (rhs[:, 0], rhs):
         factored = solve_system(system, y, "direct_complex").pixels
         dense = solve_system(dense_system, y, "direct_complex").pixels
@@ -587,7 +588,7 @@ def test_ring_two_least_squares_recovers_regions_away_from_the_origin(size, boun
         roi = RoiSpec(top, left, size, size)
         system = roi_problem("frequency", roi, (768, 768), spec, 2)
         pixels = rng.uniform(0, 256, roi.pixel_count)
-        sol = solve_system(system, noiseless_rhs(system, pixels), "stacked_real_lsq")
+        sol = solve_system(system, NoiselessRows(system)(pixels), "stacked_real_lsq")
         worst = max(worst, averaged_error(sol.pixels, pixels))
     assert worst <= bound
 

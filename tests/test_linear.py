@@ -166,7 +166,7 @@ def test_least_squares_is_scipy_gelsd_bit_for_bit(domain, roi):
     size, spec = roi.k_rows, OtfSpec(768, 768, 6.0)
     system = roi_problem(domain, roi, spec.shape, module.simulated_blur(spec, size, size, 2, 501), 2)
     pixels = np.random.default_rng(roi.top).integers(1, 256, roi.pixel_count).astype(float)
-    rows = noisy_rhs(system, pixels, 7, [40.0, 120.0, 250.0, math.inf])
+    rows = noisy_rhs(module.NoiselessRows(system), pixels, 7, [40.0, 120.0, 250.0, math.inf])
     a = system.a_matrix
     for rhs in (*rows, rows.T):
         a_ls, y_ls = a, rhs

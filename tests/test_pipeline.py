@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from roisolve import frequency, pipeline
+from roisolve import forward, frequency, pipeline, spatial
 from roisolve.frequency import effective_cutoff
 from roisolve.errors import (
     BoundsError,
@@ -18,7 +18,7 @@ from roisolve.errors import (
     SingularSystemError,
 )
 from roisolve.cli import main
-from roisolve.fileio import read_manifest, read_raster, write_pgm16
+from roisolve.fileio import read_manifest, read_raster, write_pgm16, write_raw_matrix
 from roisolve.forward import NoiseSpec, observe_field, observe_field_at, observe_spatial
 from roisolve.grid import RoiSpec, centered_roi, scatter_roi
 from roisolve.optics import OtfSpec, PsfKernel, build_psf
@@ -337,13 +337,13 @@ def test_locate_and_noisy_rhs_allocate_no_full_frame():
     roi = centered_roi(768, 768, 3, 3)
     pixels = np.random.default_rng(2).uniform(0.0, 256.0, 9)
     observed = observe_field(scatter_roi(pixels, roi, 768, 768), spec)
-    system = roi_problem("frequency", roi, (768, 768), spec, 0)
+    reader = frequency.NoiselessRows(roi_problem("frequency", roi, (768, 768), spec, 0))
     tracemalloc.start()
     try:
         locate_roi(observed, 3, 3)
         locate_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        noisy_rhs(system, pixels, 9, DEFAULT_PSNR_GRID)
+        noisy_rhs(reader, pixels, 9, DEFAULT_PSNR_GRID)
         noisy_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -508,7 +508,7 @@ def test_table_ad_is_the_systems_difference_at_the_known_pixels(domain, cutoff):
     system = roi_problem(domain, centered_roi(48, 48, 4, 4), (48, 48), blur, 0,
                          estimate_condition=False)
     pixels = pipeline._trial_pixels(21, 4, 0)[1]
-    rhs = module.noiseless_rhs(system, pixels)
+    rhs = module.NoiselessRows(system)(pixels)
     assert report.trials[0].error is None
     assert report.trials[0].ad == averaged_difference(system, pixels, rhs)
 
@@ -715,12 +715,12 @@ def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
     blurred = observe_field(scatter_roi(pixels, roi, rows, cols), system.spec)
     peak = observe_field_at(pixels, roi, system.spec)
     assert np.float64(peak).tobytes() == blurred.max().tobytes()
-    clean = module.noiseless_rhs(system, pixels)
+    clean = module.NoiselessRows(system)(pixels)
     want = module.frame_rhs(system, blurred)
     assert np.abs(clean - want).max() <= 1e-12 * np.abs(want).max()
     unit = module.unit_rows(system, 9)
     levels = (math.inf,) + DEFAULT_PSNR_GRID + (math.inf, 0.0)
-    got = noisy_rhs(system, pixels, 9, levels)
+    got = noisy_rhs(_reader(system), pixels, 9, levels)
     assert got.shape == (len(levels), system.obs_index.shape[0])
     for db, row in zip(levels, got):
         want = clean if db == math.inf else clean + NoiseSpec(db, 9).sigma(peak) * unit
@@ -732,21 +732,21 @@ def test_noisy_rhs_refuses_what_has_no_noisy_rows(domain, small_psf, small_spec)
     system = _small_system(domain, small_psf, small_spec)
     pixels = np.full(9, 100.0)
     with pytest.raises(ShapeError, match="does not match ROI pixel count"):
-        noisy_rhs(system, pixels[:-1], 9, (80.0,))
+        noisy_rhs(_reader(system), pixels[:-1], 9, (80.0,))
     for bad in (math.nan, math.inf):
         with pytest.raises(ParameterError, match="NaN or Inf"):
-            noisy_rhs(system, np.where(np.arange(9) == 4, bad, pixels), 9, (80.0,))
+            noisy_rhs(_reader(system), np.where(np.arange(9) == 4, bad, pixels), 9, (80.0,))
     with pytest.raises(DegenerateInputError, match="no positive peak"):
-        noisy_rhs(system, np.zeros(9), 9, (80.0,))
+        noisy_rhs(_reader(system), np.zeros(9), 9, (80.0,))
     for bad in (math.nan, -math.inf):
         with pytest.raises(ParameterError, match="psnr_db must be a number or \\+inf"):
-            noisy_rhs(system, pixels, 9, (math.inf, bad))
+            noisy_rhs(_reader(system), pixels, 9, (math.inf, bad))
     if domain == "spatial":
         # a kernel read from a file has no transfer spec to blur the frame with
         file_kernel = PsfKernel(grid=small_psf.grid, spec=None)
         system = roi_problem("spatial", system.roi, (48, 48), file_kernel, 1)
         with pytest.raises(ParameterError, match="no transfer spec"):
-            noisy_rhs(system, pixels, 9, (80.0,))
+            noisy_rhs(_reader(system), pixels, 9, (80.0,))
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -756,20 +756,21 @@ def test_noisy_rhs_refuses_a_dark_frame_before_any_row(domain, small_psf, small_
     # nothing scales, so the dark frame's rows are zeros
     system = _small_system(domain, small_psf, small_spec)
     module = DOMAIN_MODULES[domain]
-    want = module.noiseless_rhs(system, np.zeros(9))
+    want = module.NoiselessRows(system)(np.zeros(9))
     assert not want.any()
 
     def refused(*args, **kwargs):
         raise AssertionError("a row was read before the peak was checked")
 
+    reader = module.NoiselessRows(system)
     with monkeypatch.context() as patch:
         patch.setattr(module, "unit_rows", refused)
-        patch.setattr(module, "noiseless_rhs", refused)
+        patch.setattr(module.NoiselessRows, "__call__", refused)
         for levels in ([80.0], [math.inf, 0.0], [math.inf, 340.0, 40.0]):
             with pytest.raises(DegenerateInputError, match="no positive peak"):
-                noisy_rhs(system, np.zeros(9), 9, levels)
+                noisy_rhs(reader, np.zeros(9), 9, levels)
     monkeypatch.setattr(module, "unit_rows", refused)
-    got = noisy_rhs(system, np.zeros(9), 9, [math.inf, math.inf])
+    got = noisy_rhs(reader, np.zeros(9), 9, [math.inf, math.inf])
     assert got.shape == (2, want.size)
     assert got.tobytes() == np.vstack([want, want]).tobytes()
 
@@ -778,11 +779,11 @@ def test_noisy_rhs_refuses_a_dark_frame_before_any_row(domain, small_psf, small_
 def test_noisy_rhs_at_infinite_levels_reads_no_peak_and_no_noise(
     domain, small_psf, small_spec, monkeypatch
 ):
-    # +inf is the only way to say "noiseless": every row is noiseless_rhs bit
-    # for bit, and neither the peak nor the unit noise is read
+    # +inf is the only way to say "noiseless": every row is the reader's rows
+    # bit for bit, and neither the peak nor the unit noise is read
     system = _small_system(domain, small_psf, small_spec)
     pixels = np.random.default_rng(3).uniform(0.0, 256.0, 9)
-    clean = DOMAIN_MODULES[domain].noiseless_rhs(system, pixels)
+    clean = DOMAIN_MODULES[domain].NoiselessRows(system)(pixels)
 
     def refused(*args, **kwargs):
         raise AssertionError("a noiseless level read noise")
@@ -790,7 +791,7 @@ def test_noisy_rhs_at_infinite_levels_reads_no_peak_and_no_noise(
     monkeypatch.setattr(pipeline, "observe_field_at", refused)
     monkeypatch.setattr(DOMAIN_MODULES[domain], "unit_rows", refused)
     for levels in ([math.inf], [math.inf, math.inf, math.inf]):
-        got = noisy_rhs(system, pixels, 9, levels)
+        got = noisy_rhs(_reader(system), pixels, 9, levels)
         assert got.shape == (len(levels), clean.size)
         assert all(row.tobytes() == clean.tobytes() for row in got)
 
@@ -798,17 +799,78 @@ def test_noisy_rhs_at_infinite_levels_reads_no_peak_and_no_noise(
 def test_each_noise_trial_reads_its_noiseless_rows_once(monkeypatch):
     calls = {domain: 0 for domain in DOMAINS}
     for domain, module in DOMAIN_MODULES.items():
-        original = module.noiseless_rhs
+        original = module.NoiselessRows.__call__
 
-        def counted(system, pixels, _original=original, _domain=domain):
+        def counted(reader, pixels, _original=original, _domain=domain):
             calls[_domain] += 1
-            return _original(system, pixels)
+            return _original(reader, pixels)
 
-        monkeypatch.setattr(module, "noiseless_rhs", counted)
+        monkeypatch.setattr(module.NoiselessRows, "__call__", counted)
     sweep = noise_sweep(roi_size=3, psnr_grid=(40.0, 80.0), trials_per_level=3, root_seed=17,
                         **SMALL)
     assert all(p.failed == 0 for p in sweep.points)
     assert calls == {domain: 3 for domain in DOMAINS}
+
+
+def _count_per_size_work(monkeypatch, domain):
+    """Counts of the domain's reader builds and of every twiddle evaluation,
+    the systems' and the readers', wherever _twiddles is bound."""
+    counts = {"readers": 0, "twiddles": 0}
+    module = DOMAIN_MODULES[domain]
+
+    class Counted(module.NoiselessRows):
+        def __init__(self, system):
+            counts["readers"] += 1
+            super().__init__(system)
+
+    def twiddles(*args, _original=forward._twiddles):
+        counts["twiddles"] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(module, "NoiselessRows", Counted)
+    for namespace in (forward, spatial, frequency):
+        monkeypatch.setattr(namespace, "_twiddles", twiddles)
+    return counts
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_per_size_work_is_done_once_per_size(domain, monkeypatch):
+    # one reader per size, built beside its system: what the table and the
+    # sweep build does not grow with the trials per size
+    seen = []
+    for trials in (1, 7):
+        with monkeypatch.context() as patch:
+            counts = _count_per_size_work(patch, domain)
+            table = run_table_experiment(domain, sizes=(2, 3, 4), trials_per_size=trials,
+                                         root_seed=17, **SMALL)
+            assert len(table.trials) == 3 * trials
+            assert all(t.error is None for t in table.trials)
+            assert counts["readers"] == 3
+            sweep = noise_sweep(roi_size=3, psnr_grid=(40.0, 80.0), trials_per_level=trials,
+                                root_seed=17, domains=(domain,), **SMALL)
+            assert all(p.failed == 0 for p in sweep.points)
+            assert counts["readers"] == 4
+            seen.append(counts["twiddles"])
+    assert seen[0] == seen[1] > 0
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_scan_and_recover_build_no_reader(domain, monkeypatch, tmp_path, small_psf):
+    # neither reads noiseless rows: scan takes A x of its tiles, recover a frame
+    module = DOMAIN_MODULES[domain]
+
+    def refused(system):
+        raise AssertionError("a noiseless-row reader was built")
+
+    monkeypatch.setattr(module, "NoiselessRows", refused)
+    scan_reconstruct(make_test_sample(24, 24), (3, 3), (24, 24), 6.0, 23, domain=domain)
+    roi = RoiSpec(20, 22, 2, 2)
+    observed = observe_spatial(scatter_roi(np.array([40.0, 200.0, 120.0, 10.0]), roi, 48, 48),
+                               small_psf)
+    frame = tmp_path / "observed.raw"
+    write_raw_matrix(frame, observed)
+    assert main(["recover", "--observed", str(frame), "--size", "2x2", "--roi", "20,22",
+                 "--cutoff", "10", "--domain", domain, "--out", str(tmp_path / "rec")]) == 0
 
 
 def test_table_and_sweep_draw_through_one_trial_draw(monkeypatch):
@@ -861,7 +923,7 @@ def test_every_entry_point_refuses_an_unknown_domain(small_psf):
 
 
 # what pipeline looks up on a domain module
-DOMAIN_INTERFACE = ("simulated_blur", "observation_index", "build_system", "noiseless_rhs",
+DOMAIN_INTERFACE = ("simulated_blur", "observation_index", "build_system", "NoiselessRows",
                     "unit_rows", "frame_rhs", "solve_system")
 
 
@@ -900,6 +962,10 @@ def _small_system(domain, small_psf, small_spec, ring=1):
     return roi_problem(domain, RoiSpec(20, 20, 3, 3), (48, 48), blur, ring)
 
 
+def _reader(system):
+    return DOMAIN_MODULES[system.domain].NoiselessRows(system)
+
+
 def test_each_domain_refuses_the_other_domains_blur(small_psf, small_spec):
     roi = RoiSpec(20, 20, 3, 3)
     with pytest.raises(ParameterError, match="reads an OtfSpec, got PsfKernel"):
@@ -909,13 +975,13 @@ def test_each_domain_refuses_the_other_domains_blur(small_psf, small_spec):
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
-@pytest.mark.parametrize("reader", ["noiseless_rhs", "unit_rows", "frame_rhs", "solve_system"])
+@pytest.mark.parametrize("reader", ["NoiselessRows", "unit_rows", "frame_rhs", "solve_system"])
 def test_each_domain_refuses_the_other_domains_system(domain, reader, small_psf, small_spec):
     # a system names its domain; reading or solving it in the other domain
     # would compute numbers from indices and a matrix of the wrong kind
     (other,) = set(DOMAINS) - {domain}
     system = _small_system(other, small_psf, small_spec, ring=0)
-    args = {"noiseless_rhs": (np.ones(9),), "unit_rows": (7,),
+    args = {"NoiselessRows": (), "unit_rows": (7,),
             "frame_rhs": (np.ones((48, 48)),), "solve_system": (np.ones(9),)}[reader]
     with pytest.raises(ParameterError, match=f"a {other}-domain system given to the {domain}"):
         getattr(DOMAIN_MODULES[domain], reader)(system, *args)
@@ -936,7 +1002,7 @@ def test_noiseless_rhs_refuses_a_system_without_a_transfer_spec(small_psf):
     system = roi_problem("spatial", roi, (48, 48), file_kernel, 0)
     assert system.spec is None
     with pytest.raises(ParameterError, match="no transfer spec"):
-        DOMAIN_MODULES["spatial"].noiseless_rhs(system, np.ones(9))
+        DOMAIN_MODULES["spatial"].NoiselessRows(system)
     idx = frequency.observation_index(roi, (48, 48), 0)
     with pytest.raises(ParameterError, match="reads an OtfSpec"):
         frequency.build_system((48, 48), roi, idx, None)
@@ -1234,7 +1300,7 @@ def test_condition_estimate_leaves_every_trial_alone(domain, ring):
         assert with_cond.a_matrix.tobytes() == without.a_matrix.tobytes()
         assert np.isfinite(with_cond.condition_estimate)
         assert np.isnan(without.condition_estimate)
-        rhs = module.noiseless_rhs(with_cond, rng.uniform(0.0, 256.0, size * size))
+        rhs = module.NoiselessRows(with_cond)(rng.uniform(0.0, 256.0, size * size))
         solved = [module.solve_system(s, rhs, method).pixels for s in (with_cond, without)]
         assert solved[0].tobytes() == solved[1].tobytes()
 

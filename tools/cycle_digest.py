@@ -21,7 +21,9 @@ circular field and on finite frames whose solve or centroid overflows;
 "refusals" gates integer flags too large for any array or float64 (exit 2,
 nothing written) and passband gains at the float64 limits; "singular" gates
 image-domain systems whose passband leaves them structurally singular,
-which the table marks and does not solve and noise, recover and scan refuse.
+which the table marks and does not solve and noise, recover and scan refuse;
+"many-trials" gates table and noise at the default of 20 trials per size,
+where every trial past the first reuses its size's system and reader.
 
 --compare lists the keys that differ between two digests (or sit in one
 only) and exits 1 if there are any; on stderr it counts the identical
@@ -55,7 +57,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf", "noisy-table", "failed-trials",
-             "scan-field", "located", "solvers", "refusals", "singular")
+             "scan-field", "located", "solvers", "refusals", "singular", "many-trials")
 SEEDS = (111, 205, 12345)
 # (field, cutoff, crop, gain) of the psf workload: the benchmark's kernel,
 # the scan kernel, an odd non-square field and a crop spanning most columns
@@ -77,6 +79,15 @@ FAILED_TRIALS_RUNS = {
     "table": ["table", "--domain", "spatial", *_SMALL_KERNEL, "--sizes", "2-4", "--trials", "2"],
     "noise": ["noise", "--domains", "spatial", *_SMALL_KERNEL, "--roi-size", "3",
               "--trials", "1", "--psnr", "80,120"],
+}
+# name -> argv (without --seed and --out) of the many-trials workload, each
+# at the default 20 trials: solved sizes and (image domain, 19-20) marked
+# ones, the image domain also with a ring, and the default noise sweep
+MANY_TRIALS_RUNS = {
+    "table-spatial": ["table", "--domain", "spatial", "--sizes", "2-4,19-20"],
+    "table-spatial-r2": ["table", "--domain", "spatial", "--sizes", "2-4", "--ring", "2"],
+    "table-frequency": ["table", "--domain", "frequency", "--sizes", "2-4,19-20"],
+    "noise": ["noise"],
 }
 # the scan-field workload's command, run with --domain spatial and frequency
 SCAN_FIELD_ARGV = ["scan", "--sample", "24x24", "--field", "32x32", "--cutoff", "6",
@@ -318,6 +329,8 @@ PER_SEED = {
     "failed-trials": lambda tmp, seed: _with_out(tmp, {
         name: [*argv, "--seed", str(seed)] for name, argv in FAILED_TRIALS_RUNS.items()}),
     "located": _located_runs,
+    "many-trials": lambda tmp, seed: _with_out(tmp, {
+        name: [*argv, "--seed", str(seed)] for name, argv in MANY_TRIALS_RUNS.items()}),
 }
 
 
