@@ -14,16 +14,17 @@ kernel's transfer spec; observe_field_at an isolated ROI's peak from its
 rows and a few columns), its last stage the inverse-column pass build_psf
 also runs, and noise_field draws the unit field add_noise scales to its
 peak. The sparse route evaluates only what a system reads, as products of
-1-D twiddle matrices (_roi_twiddles, _partial_transform): each domain's
-NoiselessRows builds them once per system, and image_spectrum_block takes
-the product of the given frequency rows us and columns vs. For an isolated
-region the two agree to rounding. A noisy trial's unit noise is drawn on those rows directly, in
-the law of a white unit field read there: unit_noise one normal per
-distinct cell, unit_spectrum_noise the normalized transform at given
-entries, one draw per conjugate class. The draws take no peak: the peak is
-checked where it scales them, in NoiseSpec.sigma. observe_spectrum,
-spectrum_to_image, image_to_spectrum and add_noise stay as the whole-frame
-functions the tests use as oracles.
+1-D twiddle matrices (_roi_twiddles, _partial_transform): the image-domain
+NoiselessRows builds them once per system, the transform domain's reads them
+off its system's factors, and image_spectrum_block takes the product of the
+given frequency rows us and columns vs. For an isolated region the two agree
+to rounding. A noisy trial's unit noise is drawn on those rows directly, in
+the law of a white unit field read there: unit_noise one normal per distinct
+cell, unit_spectrum_noise the normalized transform at given entries, one
+draw per conjugate class. The draws take no peak: the peak is checked where
+it scales them, in NoiseSpec.sigma. observe_spectrum, spectrum_to_image,
+image_to_spectrum and add_noise stay as the whole-frame functions the tests
+use as oracles.
 """
 
 from __future__ import annotations

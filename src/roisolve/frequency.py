@@ -28,7 +28,6 @@ from .errors import (
 from .forward import (
     _axes,
     _partial_transform,
-    _roi_twiddles,
     _twiddles,
     image_spectrum_block,
     unit_spectrum_noise,
@@ -187,11 +186,11 @@ def build_system(
 ) -> LinearSystem:
     """Assemble the transform-domain system for an isolated ROI.
 
-    The system is complex, one row per (u, v) spectrum index of obs_index.
-    On a full product U x V (any order, each entry once, |U| >= K, |V| >= L)
-    it carries its two partial DFT factors and forms the dense matrix from
-    them only when a_matrix is first read; any other selection gathers the
-    dense matrix from the same factors at build, for its condition SVD.
+    The system is complex, one row per (u, v) spectrum index of obs_index,
+    and carries its two partial DFT factors. On a full product U x V (any
+    order, each entry once, |U| >= K, |V| >= L) its matrix is None until
+    a_matrix forms it from the factors; any other selection gathers the
+    dense matrix at build, for its dense routes and condition SVD.
 
     Args:
         field_shape: (rows, cols) of the frame the spectrum is taken on.
@@ -202,8 +201,8 @@ def build_system(
             index must sit inside its passband, otherwise SelectionError
             (entries outside carry no signal after the low-pass filter).
         estimate_condition: compute a 2-norm condition estimate: from the two
-            factors when the system has them, else from an SVD of the whole
-            matrix; an infinite estimate raises SingularSystemError.
+            factors on a full product, else from an SVD of the whole matrix;
+            an infinite estimate raises SingularSystemError.
     """
     if not isinstance(otf_spec, OtfSpec):
         raise ParameterError(f"transform domain reads an OtfSpec, got {type(otf_spec).__name__}")
@@ -228,12 +227,12 @@ def build_system(
             f"selected entry (u={bad[0]}, v={bad[1]}) lies outside the passband "
             f"(cutoff {otf_spec.cutoff_radius}); it carries no signal"
         )
-    kron, product = _factors(roi, idx, rows, cols, otf_spec.passband_gain)
-    factors, a = (kron, None) if product else (None, kron.dense())
+    factors, product = _factors(roi, idx, rows, cols, otf_spec.passband_gain)
+    a = None if product else factors.dense()
     cond = float("nan")
     if estimate_condition:
         # a Kronecker product's singular values are the products of its factors'
-        parts = (a,) if factors is None else (factors.f_u, factors.f_v)
+        parts = (factors.f_u, factors.f_v) if product else (a,)
         cond = finite_condition(math.prod(float(np.linalg.cond(m)) for m in parts))
     return LinearSystem("frequency", a, roi, idx, cond, (rows, cols), otf_spec, factors)
 
@@ -241,27 +240,23 @@ def build_system(
 class NoiselessRows:
     """The filtered spectrum of the ROI at a system's entries, for any pixels:
     observe_spectrum of the ROI on a dark field, read at those entries, to
-    rounding; an entry outside the passband is exactly 0.
-
-    What depends on the system alone is built once: the entries' distinct
-    rows us and columns vs, the ROI's forward twiddles on us x vs and their
-    passband mask. A call takes one partial DFT of the pixels over us x vs
-    and gathers the entries. ParameterError for an image-domain system.
+    rounding. A call takes one partial DFT of the pixels through the
+    system's factors (F_U and F_V^T, the ROI's forward twiddles over the
+    entries' distinct rows x columns), scales it and gathers the entries.
+    ParameterError for a system without factors (an image-domain one).
     """
 
     def __init__(self, system: LinearSystem) -> None:
-        spec = system.require_domain("frequency").require_spec()
-        us, self._u_at, vs, self._v_at = _axes(system.obs_index)
-        rows, cols = self._shape = spec.shape
+        if system.require_domain("frequency").factors is None:
+            raise ParameterError("a transform-domain system without factors has no rows to read")
         self.system = system
-        self._forward = _roi_twiddles(system.roi, us, vs, spec.shape)
-        self._inside = in_passband(spec, us[:, None], vs[None, :])
-        self._scale = spec.passband_gain / (rows * cols)
+        # C order: a product with the strided view f_v.T can differ in the last bits
+        self._forward = (system.factors.f_u, np.ascontiguousarray(system.factors.f_v.T))
 
     def __call__(self, pixels: np.ndarray) -> np.ndarray:
         """The rows of row-major K*L pixels (else ShapeError)."""
-        values = _partial_transform(self.system.roi.patch(pixels, *self._shape), self._forward)
-        return np.where(self._inside, values * self._scale, 0.0)[self._u_at, self._v_at]
+        f, patch = self.system.factors, self.system.roi.patch(pixels, *self.system.field_shape)
+        return (_partial_transform(patch, self._forward) * f.scale)[f.u_at, f.v_at]
 
 
 def frame_rhs(system: LinearSystem, frame: np.ndarray) -> np.ndarray:

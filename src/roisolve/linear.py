@@ -37,7 +37,8 @@ def finite_condition(cond: float) -> float:
 class KroneckerFactors(NamedTuple):
     """A = scale * (F_U kron F_V), rows gathered: row i of A is row
     (u_at[i], v_at[i]) of the product (F_U is |U| x K, F_V |V| x L). apply
-    and solve need each pair once, solve a square A."""
+    and solve hold only for a full product U x V (each pair once), solve a
+    square one; LinearSystem calls them only when its matrix is None."""
 
     f_u: np.ndarray
     f_v: np.ndarray
@@ -81,9 +82,10 @@ class LinearSystem:
     file). The observation y is not part of the system: each domain's
     frame_rhs reads it off a frame, its NoiselessRows from known pixels.
 
-    matrix is A, or None on a system with factors, whose dense() forms A
-    when a_matrix is first read. A square system with factors takes its LU
-    and A x (system @ x) in them.
+    factors: a transform-domain system's Kronecker factors (None in the
+    image domain). matrix is A, or None on a full product U x V, which forms
+    A from its factors when a_matrix is first read and takes its LU and, if
+    square, A x (system @ x) in them.
     """
 
     domain: str
@@ -104,9 +106,9 @@ class LinearSystem:
         return (self.obs_index.shape[0], self.roi.pixel_count)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """A @ x: in the factors on a square system that has them, as its LU
-        is; a taller one is solved dense, so its dense product serves."""
-        square = self.factors is not None and self.shape[0] == self.shape[1]
+        """A @ x: in the factors on a square full product, as its LU is; a
+        taller one is solved dense, so its dense product serves."""
+        square = self.matrix is None and self.shape[0] == self.shape[1]
         return self.factors.apply(x) if square else self.a_matrix @ x
 
     def require_domain(self, name: str) -> LinearSystem:
@@ -165,7 +167,7 @@ def solve_route(
     NaN or Inf in rhs or in what the route reads of A; ShapeError: rhs not
     one row per observation, or LU of a non-square system), then the
     method's position in methods and what its route reads: the factors (LU
-    on a system that has them) or else the dense matrix."""
+    on a full product, matrix None) or else the dense matrix."""
     if method not in methods:
         raise ParameterError(f"unknown method {method!r}, expected one of {methods}")
     rhs = np.asarray(rhs)
@@ -173,7 +175,7 @@ def solve_route(
     if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
         raise ShapeError(f"right-hand side {rhs.shape} does not match {n} observations")
     kind = methods.index(method)
-    factors = system.factors if kind == 0 else None
+    factors = system.factors if kind == 0 and system.matrix is None else None
     a = system.a_matrix if factors is None else None
     read = (a,) if factors is None else (factors.f_u, factors.f_v)
     if not (all(np.isfinite(m).all() for m in read) and np.isfinite(rhs).all()):
@@ -210,7 +212,7 @@ def solve(
     whole block (residual takes the Frobenius norm).
 
     methods names the domain's three solvers in this order: LU (square
-    systems only; in the factors when the system has them), least squares
+    systems only; in the factors on a full product), least squares
     (numpy's LAPACK gelsd, singular values below machine epsilon of the
     largest discarded; a complex A is stacked as [Re; Im] so the solution
     stays real) and truncated SVD (singular values below TRUNCATION_RTOL of

@@ -91,7 +91,7 @@ def averaged_error(recovered: np.ndarray, ideal: np.ndarray) -> float:
 
 def averaged_difference(system: LinearSystem, x: np.ndarray, y: np.ndarray) -> float:
     """||A x - y||_2 divided by the unknown count, as linear.residual takes
-    it (system @ x: in its factors when it is square and has them);
+    it (system @ x: in its factors when it is a square full product);
     complex-safe, ParameterError when it overflows float64."""
     x = np.asarray(x).ravel()
     y = np.asarray(y).ravel()
@@ -306,7 +306,7 @@ def roi_problem(
 def noisy_rhs(
     reader: spatial.NoiselessRows | frequency.NoiselessRows,
     pixels: np.ndarray,
-    seed: int,
+    seed: int | None,
     psnr_levels: Sequence[float],
 ) -> np.ndarray:
     """The rows of the ROI pixels' blurred frame that reader's system reads,
@@ -322,7 +322,7 @@ def noisy_rhs(
     the pixels, the full blur's max bit for bit, without a full frame; each
     level's NoiseSpec.sigma, which refuses a peak that is not positive, is
     taken from it before any row is read or drawn. When every level is +inf,
-    neither the peak nor the unit noise is read.
+    neither the peak, the unit noise nor seed is read, and seed may be None.
 
     Raises:
         ShapeError: pixels is not one value per ROI cell.
@@ -385,14 +385,14 @@ def _run_size(
     except RoiSolveError as exc:
         failure = exc
     nan = float("nan")
+    noisy = any(p != math.inf for p in levels)
     for trial in range(trials):
         seed_id, pixels = _trial_pixels(root_seed, size, trial)
         error = failure
         if reader is not None:
             try:
-                rhs_levels = noisy_rhs(
-                    reader, pixels, noise_stream_seed(root_seed, size, trial), levels
-                )
+                seed = noise_stream_seed(root_seed, size, trial) if noisy else None
+                rhs_levels = noisy_rhs(reader, pixels, seed, levels)
             except RoiSolveError as exc:
                 error = exc
         for i, rows_out in enumerate(out):

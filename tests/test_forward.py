@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from roisolve import forward, frequency, spatial
@@ -308,8 +308,10 @@ def test_observe_field_at_refuses_pixels_that_do_not_fill_their_roi(small_spec):
 
 # Sparse evaluators against the full-FFT oracle: the paper's 768x768 field at
 # cutoff 6 and the small test field, tolerance 1e-12 of the oracle's peak.
-# Each domain's NoiselessRows reads a system's rows; the systems here carry
-# no matrix, since the readers read only the ROI, the index and the spec.
+# Each domain's NoiselessRows reads a system's rows. The image-domain systems
+# here carry no matrix, since that reader reads only the ROI, the index and
+# the spec; the transform-domain ones are built, since theirs reads the
+# system's factors.
 SPARSE_FIELDS = [((48, 48), 10.0, 47), ((768, 768), 6.0, 501)]
 
 
@@ -324,8 +326,12 @@ def _roi_placements(rows, cols):
 
 def _rows(domain, roi, spec, index):
     """The domain's NoiselessRows of a system on roi reading index."""
-    system = LinearSystem(domain, None, roi, np.asarray(index), math.nan, spec.shape, spec)
-    return {"spatial": spatial, "frequency": frequency}[domain].NoiselessRows(system)
+    index = np.asarray(index)
+    if domain == "frequency":
+        system = frequency.build_system(spec.shape, roi, index, spec, estimate_condition=False)
+        return frequency.NoiselessRows(system)
+    system = LinearSystem(domain, None, roi, index, math.nan, spec.shape, spec)
+    return spatial.NoiselessRows(system)
 
 
 def _block(us, vs):
@@ -361,11 +367,12 @@ def test_frequency_noiseless_rows_match_full_field(shape, cutoff, crop, rng):
         for start_row, start_col, k, l in blocks:
             us = (start_row + np.arange(k)) % rows
             vs = (start_col + np.arange(l)) % cols
-            got = _rows("frequency", roi, spec, _block(us, vs))(pixels).reshape(k, l)
             inside = mask[np.ix_(us, vs)]
             assert 0 < inside.sum() < inside.size
-            assert np.all(got[~inside] == 0)
-            assert np.abs(got - full[np.ix_(us, vs)]).max() <= 1e-12 * scale
+            # a system holds the block's passband entries only
+            entries = _block(us, vs)[inside.ravel()]
+            got = _rows("frequency", roi, spec, entries)(pixels)
+            assert np.abs(got - full[entries[:, 0], entries[:, 1]]).max() <= 1e-12 * scale
 
 
 # The readers against a per-call oracle, byte for byte: _cell_rows and
@@ -431,6 +438,9 @@ def test_noiseless_rows_are_the_per_call_formula_byte_for_byte(data):
     assert np.array_equal(got, _cell_rows(pixels, roi, spec, cells))
     block = _block(np.arange(k + ring) % rows, np.arange(l + ring) % cols)
     entries = _shuffled_with_repeats(block, spec.shape, data)
+    # a system holds passband entries only, at least one per unknown
+    entries = entries[in_passband(spec, entries[:, 0], entries[:, 1])]
+    assume(entries.shape[0] >= k * l)
     got = _rows("frequency", roi, spec, entries)(pixels)
     assert np.array_equal(got, _spectrum_rows(pixels, roi, spec, entries))
 
@@ -449,6 +459,42 @@ def test_one_reader_serves_every_trial_of_a_table_size(domain, size, ring):
     for seed in range(3):
         pixels = np.random.default_rng(seed).uniform(0, 256, size * size)
         assert np.array_equal(reader(pixels), oracle(pixels, roi, spec, index))
+
+
+def test_the_transform_reader_reads_the_systems_factors(monkeypatch, rng):
+    # every built system carries its factors, and its reader builds no
+    # twiddles, index split or passband mask of its own; matrix is None
+    # exactly on a full product U x V
+    spec = OtfSpec(97, 130, 9.0, 0.7)
+    roi = RoiSpec(60, 21, 3, 4)
+    ring2 = frequency.observation_index(roi, spec.shape, 2)
+    shuffled = ring2[rng.permutation(ring2.shape[0])]
+    selections = {
+        "ring 0": (frequency.observation_index(roi, spec.shape, 0), True),
+        "ring 2": (ring2, True),
+        "shuffled": (shuffled, True),
+        "duplicated": (np.vstack([shuffled, shuffled[:5]]), False),
+        "one entry short": (shuffled[1:], False),
+    }
+    pixels = rng.uniform(0, 256, roi.pixel_count)
+    systems, want = {}, {}
+    for name, (index, product) in selections.items():
+        systems[name] = frequency.build_system(spec.shape, roi, index, spec)
+        assert systems[name].factors is not None
+        assert (systems[name].matrix is None) == product, name
+        want[name] = _spectrum_rows(pixels, roi, spec, index)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the reader rebuilt what its system holds")
+
+    with monkeypatch.context() as patch:
+        for namespace, name in [(forward, "_twiddles"), (forward, "_axes"),
+                                (frequency, "_twiddles"), (frequency, "_axes"),
+                                (frequency, "in_passband")]:
+            patch.setattr(namespace, name, refused)
+        got = {name: frequency.NoiselessRows(system)(pixels) for name, system in systems.items()}
+    for name in selections:
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_image_spectrum_block_matches_full_transform(rng):
@@ -470,7 +516,7 @@ def test_sparse_evaluators_validate_inputs(small_spec):
         _rows("spatial", roi, small_spec, np.ones(4))
     freqs = np.arange(2)
     with pytest.raises(BoundsError):
-        _rows("frequency", RoiSpec(47, 0, 2, 2), small_spec, _block(freqs, freqs))(np.ones(4))
+        _rows("frequency", RoiSpec(47, 0, 2, 2), small_spec, _block(freqs, freqs))
     with pytest.raises(ShapeError):
         image_spectrum_block(np.ones(8), freqs, freqs)
 

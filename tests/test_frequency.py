@@ -25,7 +25,7 @@ from roisolve.frequency import (
     solve_two_point_1d,
 )
 from roisolve.grid import RoiSpec, scatter_roi
-from roisolve.linear import KroneckerFactors, LinearSystem
+from roisolve.linear import KroneckerFactors, LinearSystem, solve_route
 from roisolve.optics import OtfSpec, build_otf
 from roisolve.pipeline import DOMAIN_MODULES, averaged_error, roi_problem
 from roisolve.spatial import simulated_blur
@@ -274,7 +274,7 @@ def test_matrix_entries_bit_for_bit_on_a_shuffled_selection(rng):
     idx = idx[rng.permutation(idx.shape[0])]
     for sel in (idx, np.vstack([idx, idx[:3]])):
         system = build_system((rows, cols), roi, sel, spec)
-        assert (system.factors is None) == (sel is not idx)
+        assert (system.matrix is not None) == (sel is not idx)
         f_u = np.exp(-2j * np.pi / rows * (np.outer(sel[:, 0], roi.top + np.arange(4)) % rows))
         f_v = np.exp(-2j * np.pi / cols * (np.outer(sel[:, 1], roi.left + np.arange(5)) % cols))
         want = gain / (rows * cols) * (f_u[:, :, None] * f_v[:, None, :]).reshape(len(sel), 20)
@@ -458,6 +458,41 @@ def test_factored_product_equals_the_dense_one(ring, rng):
         # a square system takes A x in its factors, a taller one (solved
         # dense) in its matrix
         assert np.array_equal(system @ x, factored if ring == 0 else dense)
+
+
+def test_a_square_selection_that_is_no_product_keeps_the_dense_routes(rng):
+    # K*L passband entries over more rows and columns than the ROI has, not
+    # their product: the system carries factors and its matrix, and LU and
+    # A x read the matrix
+    field, roi = (97, 130), RoiSpec(60, 21, 3, 4)
+    idx = observation_index(roi, field, 1)
+    idx = idx[rng.permutation(idx.shape[0])[:roi.pixel_count]]
+    system = build_system(field, roi, idx, OtfSpec(*field, 9.0, 0.7))
+    assert np.unique(idx[:, 0]).size > roi.k_rows and np.unique(idx[:, 1]).size > roi.l_cols
+    assert system.factors is not None and system.matrix is not None
+    assert system.shape == (roi.pixel_count,) * 2
+    pixels = rng.uniform(0, 256, roi.pixel_count)
+    rhs = NoiselessRows(system)(pixels)
+    kind, factors, a = solve_route(system, rhs, "direct_complex", frequency.METHODS)
+    assert (kind, factors) == (0, None) and a is system.a_matrix
+    sol = solve_system(system, rhs, "direct_complex")
+    assert np.array_equal(sol.pixels, np.linalg.solve(system.a_matrix, rhs).real)
+    for x in (pixels, rng.uniform(0, 256, (roi.pixel_count, 3))):
+        assert np.array_equal(system @ x, system.a_matrix @ x)
+
+
+def test_a_full_products_lu_refuses_non_finite_factors(rng):
+    # LU on a full product reads the factors, not a matrix it never forms
+    field, roi = (97, 130), RoiSpec(60, 21, 3, 4)
+    system = build_system(field, roi, observation_index(roi, field, 0), OtfSpec(*field, 9.0))
+    assert system.matrix is None
+    rhs = NoiselessRows(system)(rng.uniform(0, 256, roi.pixel_count))
+    for name in ("f_u", "f_v"):
+        bad = getattr(system.factors, name).copy()
+        bad.flat[1] = np.nan
+        broken = dataclasses.replace(system, factors=system.factors._replace(**{name: bad}))
+        with pytest.raises(ParameterError, match="NaN or Inf"):
+            solve_system(broken, rhs, "direct_complex")
 
 
 def test_the_frequency_table_never_forms_the_dense_matrix(monkeypatch, tmp_path):

@@ -812,6 +812,33 @@ def test_each_noise_trial_reads_its_noiseless_rows_once(monkeypatch):
     assert calls == {domain: 3 for domain in DOMAINS}
 
 
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_noise_seeds_are_derived_only_where_a_level_is_finite(domain, monkeypatch):
+    # a noiseless trial reads no noise, so it derives no noise seed; a noisy
+    # table and the sweep, whose trials read every level in one call, derive
+    # one per trial
+    calls = []
+
+    def counted(root_seed, size, trial, _original=noise_stream_seed):
+        calls.append((size, trial))
+        return _original(root_seed, size, trial)
+
+    monkeypatch.setattr(pipeline, "noise_stream_seed", counted)
+    for level in (None, math.inf):
+        run_table_experiment(domain, sizes=(2, 3), trials_per_size=3, root_seed=17,
+                             noise_psnr_db=level, **SMALL)
+    assert calls == []
+    table = run_table_experiment(domain, sizes=(2, 3), trials_per_size=3, root_seed=17,
+                                 noise_psnr_db=40.0, **SMALL)
+    assert all(t.error is None for t in table.trials)
+    assert calls == [(size, trial) for size in (2, 3) for trial in range(3)]
+    calls.clear()
+    sweep = noise_sweep(roi_size=3, psnr_grid=(40.0, 80.0), trials_per_level=3, root_seed=17,
+                        domains=(domain,), **SMALL)
+    assert all(p.failed == 0 for p in sweep.points)
+    assert calls == [(3, trial) for trial in range(3)]
+
+
 def _count_per_size_work(monkeypatch, domain):
     """Counts of the domain's reader builds and of every twiddle evaluation,
     the systems' and the readers', wherever _twiddles is bound."""
