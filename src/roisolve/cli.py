@@ -36,7 +36,7 @@ from .errors import (
     ShapeError,
     SingularSystemError,
 )
-from .forward import observe_field
+from .forward import separable_blur
 from .grid import RoiSpec
 from .linear import CONDITION_LIMIT
 from .optics import OtfSpec, PsfKernel, build_otf, build_psf
@@ -350,7 +350,7 @@ def cmd_scan(opts: dict) -> int:
     files += [("recovered.raw", fileio.write_raw_matrix, recon),
               ("recovered.pgm", fileio.write_pgm16, recon)]
     if (rows, cols) == sample.shape:
-        blurred = observe_field(sample, OtfSpec(rows, cols, opts["cutoff"]))
+        blurred = separable_blur(sample, OtfSpec(rows, cols, opts["cutoff"]))
         files.append(("blurred.pgm", fileio.write_pgm16, blurred))
     files.append(("scan_manifest.txt", fileio.write_manifest, {
         "source": source,

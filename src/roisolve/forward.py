@@ -13,16 +13,18 @@ bit-identical to the whole-frame 2-D FFT expression; observe_spatial on a
 kernel's transfer spec; observe_field_at an isolated ROI's peak from its
 rows and a few columns), its last stage the inverse-column pass build_psf
 also runs, and noise_field draws the unit field add_noise scales to its
-peak. The sparse route evaluates only what a system reads, as products of
-1-D twiddle matrices (_roi_twiddles, _partial_transform): the image-domain
+peak. The sparse route evaluates only what is read, as products of 1-D
+twiddle matrices (_roi_twiddles, _partial_transform): the image-domain
 NoiselessRows builds them once per system, the transform domain's reads them
-off its system's factors, and image_spectrum_block takes the product of the
-given frequency rows us and columns vs. For an isolated region the two agree
-to rounding. A noisy trial's unit noise is drawn on those rows directly, in
-the law of a white unit field read there: unit_noise one normal per distinct
-cell, unit_spectrum_noise the normalized transform at given entries, one
-draw per conjugate class. The draws take no peak: the peak is checked where
-it scales them, in NoiseSpec.sigma. observe_spectrum, spectrum_to_image,
+off its system's factors, image_spectrum_block takes the product of the
+given frequency rows us and columns vs, and separable_blur, scan's preview,
+blurs a whole frame over the passband box with no FFT. The two routes agree
+to rounding; observe_field is the oracle separable_blur is held to. A noisy
+trial's unit noise is drawn on a system's rows directly, in the law of a
+white unit field read there: unit_noise one normal per distinct cell,
+unit_spectrum_noise the normalized transform at given entries, one draw per
+conjugate class. The draws take no peak: the peak is checked where it scales
+them, in NoiseSpec.sigma. observe_spectrum, spectrum_to_image,
 image_to_spectrum and add_noise stay as the whole-frame functions the tests
 use as oracles.
 """
@@ -98,6 +100,16 @@ def _band(lines: np.ndarray, lit: np.ndarray, spec: OtfSpec) -> tuple[np.ndarray
     return np.fft.ifft(band, axis=-1), band_rows
 
 
+def _field_frame(ideal: np.ndarray, spec: OtfSpec) -> np.ndarray:
+    """ideal as a float array; ShapeError unless it is 2D on spec's field."""
+    arr = np.asarray(ideal, dtype=float)
+    if arr.ndim != 2:
+        raise ShapeError(f"ideal frame must be 2D, got ndim={arr.ndim}")
+    if arr.shape != spec.shape:
+        raise ShapeError(f"ideal frame shape {arr.shape} does not match the field {spec.shape}")
+    return arr
+
+
 def observe_field(ideal: np.ndarray, spec: OtfSpec) -> np.ndarray:
     """The full-field blur of an ideal frame through spec's transfer function.
 
@@ -113,11 +125,7 @@ def observe_field(ideal: np.ndarray, spec: OtfSpec) -> np.ndarray:
         ShapeError: the frame is not 2D on spec's field.
         ParameterError: the frame holds NaN or Inf.
     """
-    arr = np.asarray(ideal, dtype=float)
-    if arr.ndim != 2:
-        raise ShapeError(f"ideal frame must be 2D, got ndim={arr.ndim}")
-    if arr.shape != spec.shape:
-        raise ShapeError(f"ideal frame shape {arr.shape} does not match the field {spec.shape}")
+    arr = _field_frame(ideal, spec)
     # NaN and Inf are nonzero, so they light their row
     lit = np.flatnonzero(arr.any(axis=1))
     band, band_rows = _band(arr[lit], lit, spec)
@@ -156,6 +164,36 @@ def observe_field_at(pixels: np.ndarray, roi: RoiSpec, spec: OtfSpec) -> float:
         done[todo] = True
         todo = np.flatnonzero(~done & ~(bound < peak))
     return peak
+
+
+def separable_blur(ideal: np.ndarray, spec: OtfSpec) -> np.ndarray:
+    """observe_field to rounding, from products of 1-D twiddle matrices.
+
+    The blur passes only the passband box's 2r+1 frequencies per axis, so
+    its spectrum is the box's partial transform. A real frame and a gain box
+    symmetric under (u, v) -> (-u, -v) make that spectrum conjugate-symmetric,
+    and the cutoff keeps r below half of either side, so no frequency of the
+    box aliases: the r+1 rows of non-negative row frequency hold it all, each
+    above 0 counted twice for its mirror. The inverse is then one real
+    product: the real part of conj(tr).T @ b is [tr.real; tr.imag].T @
+    [b.real; b.imag], b the half spectrum inverted along the columns. No FFT
+    runs; the cost is O(rows * cols * r), and the largest intermediate is
+    the result.
+
+    Raises:
+        ShapeError: the frame is not 2D on spec's field.
+        ParameterError: the frame holds NaN or Inf.
+    """
+    arr = _field_frame(ideal, spec)
+    _check_finite(arr, "ideal frame")
+    rows, cols = spec.shape
+    freqs, gain = passband_box(spec)
+    r = freqs.size // 2
+    tr, tc = _roi_twiddles(RoiSpec(0, 0, rows, cols), freqs[r:], freqs, spec.shape)
+    half = _partial_transform(arr, (tr, tc)) * (gain[r:] / (rows * cols))
+    half[1:] *= 2.0
+    b = half @ tc.conj().T
+    return np.vstack([tr.real, tr.imag]).T @ np.vstack([b.real, b.imag])
 
 
 def observe_spatial(ideal: np.ndarray, psf: PsfKernel) -> np.ndarray:

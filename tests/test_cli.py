@@ -32,9 +32,10 @@ from roisolve.fileio import (
     read_pgm16,
     read_raw_matrix,
     write_manifest,
+    write_pgm16,
     write_raw_matrix,
 )
-from roisolve.forward import observe_spatial
+from roisolve.forward import observe_field, observe_spatial, separable_blur
 from roisolve.grid import RoiSpec, scatter_roi
 from roisolve.optics import OtfSpec, build_psf, passband_mask, structural_rank
 from roisolve.pipeline import make_test_sample
@@ -995,6 +996,32 @@ def test_scan_manifest_records_the_method_it_solved_with(tmp_path, domain, solve
             "--out", str(out)]
     assert main([*argv, *(["--solver", solver] if solver else [])]) == 0
     assert read_manifest(out / "scan_manifest.txt")["solver"] == method
+
+
+def _bench_scan_samples(monkeypatch):
+    # bench/workloads.py draws the scan sample first from its seed's stream
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return {f"bench {seed}": workloads._scan_sample(np.random.default_rng(seed))
+            for seed in (111, 205, 12345)}
+
+
+def test_scan_preview_pgm_bytes_match_the_full_field_blur(tmp_path, monkeypatch):
+    # blurred.pgm moved from observe_field to separable_blur; the two agree
+    # to rounding, and the 16-bit counts they round to are the same bytes
+    samples = {"synthetic": make_test_sample(300, 300), **_bench_scan_samples(monkeypatch)}
+    for name, sample in samples.items():
+        spec = OtfSpec(*sample.shape, 6.0)
+        write_pgm16(tmp_path / "fft.pgm", observe_field(sample, spec))
+        write_pgm16(tmp_path / "products.pgm", separable_blur(sample, spec))
+        assert (tmp_path / "fft.pgm").read_bytes() == (tmp_path / "products.pgm").read_bytes(), name
 
 
 def test_scan_command_with_input_file(tmp_path):

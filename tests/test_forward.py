@@ -17,6 +17,7 @@ from roisolve.forward import (
     observe_field_at,
     observe_spatial,
     observe_spectrum,
+    separable_blur,
     spectrum_to_image,
     unit_noise,
     unit_spectrum_noise,
@@ -96,6 +97,9 @@ def test_spectrum_image_round_trip(rng):
 def test_observe_requires_matching_field(small_psf):
     with pytest.raises(ShapeError):
         observe_spatial(np.zeros((8, 8)), small_psf)
+    for frame in (np.zeros((48, 47)), np.zeros(48 * 48), np.zeros((1, 48, 48))):
+        with pytest.raises(ShapeError):
+            separable_blur(frame, small_psf.spec)
     with pytest.raises(ShapeError):
         observe_spectrum(np.zeros((8, 8)), np.zeros((9, 9), dtype=complex))
 
@@ -555,6 +559,38 @@ def test_full_field_blur_is_bit_identical_to_the_fft2_oracle(shape, cutoff, rng)
             assert got.tobytes() == want.tobytes(), (shape, gain, name, "frequency")
 
 
+# scan's preview blur takes separable passband products instead; it agrees
+# with the 2-D FFT expression to rounding, a cutoff below 1 (r = 0) too
+@pytest.mark.parametrize("shape, cutoff", [*BLUR_FIELDS, ((9, 11), 0.5)])
+def test_separable_blur_matches_the_fft2_oracle_to_rounding(shape, cutoff, rng):
+    rows, cols = shape
+    for gain in (1.0, 0.5, -2.5):
+        spec = OtfSpec(rows, cols, cutoff, gain)
+        otf = build_otf(spec)
+        for name, frame in _blur_frames(rows, cols, rng).items():
+            want = np.fft.ifft2(np.fft.fft2(frame) * otf).real
+            got = separable_blur(frame, spec)
+            assert got.shape == want.shape, (shape, gain, name)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (shape, gain, name)
+
+
+def test_separable_blur_of_a_dense_768_frame_peaks_below_two_frames(rng):
+    # the full-field route holds complex lines of the whole frame (23.8 MB
+    # here); the products hold about one real frame, the result
+    import tracemalloc
+
+    rows = cols = 768
+    spec = OtfSpec(rows, cols, 6.0)
+    frame = rng.uniform(0, 256, (rows, cols))
+    tracemalloc.start()
+    try:
+        separable_blur(frame, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * rows * cols * 8
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_observe_spatial_refuses_non_finite_frames(small_psf, bad):
     frame = np.zeros((48, 48))
@@ -567,14 +603,17 @@ def test_observe_spatial_refuses_non_finite_frames(small_psf, bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("lit", [True, False])
 def test_full_field_blurs_refuse_a_non_finite_value_alone_in_a_dark_row(small_spec, bad, lit):
-    # the finiteness check reads only the lit rows; NaN and Inf light their
-    # own. observe_field_at checks the ROI's pixels, the others lit or dark
+    # observe_field's finiteness check reads only the lit rows; NaN and Inf
+    # light their own. separable_blur checks the whole frame, observe_field_at
+    # the ROI's pixels, the others lit or dark
     frame = np.zeros((48, 48))
     if lit:
         frame[20, 20] = 1.0
     frame[3, 40] = bad
     with pytest.raises(ParameterError, match="NaN or Inf"):
         observe_field(frame, small_spec)
+    with pytest.raises(ParameterError, match="NaN or Inf"):
+        separable_blur(frame, small_spec)
     pixels = np.full(9, 1.0 if lit else 0.0)
     pixels[4] = bad
     with pytest.raises(ParameterError, match="NaN or Inf"):

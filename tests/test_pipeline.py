@@ -1147,22 +1147,22 @@ def test_table_refuses_minus_infinite_noise():
     assert inf.trials == quiet.trials
 
 
-def _count_full_ffts(monkeypatch):
+def _count_calls(monkeypatch, targets=((np.fft, "fft2"), (np.fft, "ifft2"))):
     calls = {"n": 0}
-    for name in ("fft2", "ifft2"):
-        original = getattr(np.fft, name)
+    for module, name in targets:
+        original = getattr(module, name)
 
         def counted(*args, _original=original, **kwargs):
             calls["n"] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("domain, per_level", [("spatial", 0), ("frequency", 0)])
 def test_sweep_full_field_ffts_per_level(monkeypatch, domain, per_level):
-    calls = _count_full_ffts(monkeypatch)
+    calls = _count_calls(monkeypatch)
     counts = []
     for grid in ((40.0,), (40.0, 80.0, 120.0)):
         calls["n"] = 0
@@ -1176,7 +1176,7 @@ def test_sweep_full_field_ffts_per_level(monkeypatch, domain, per_level):
 
 
 def test_noiseless_table_reads_no_full_field(monkeypatch):
-    calls = _count_full_ffts(monkeypatch)
+    calls = _count_calls(monkeypatch)
     run_table_experiment("frequency", sizes=(2, 3), trials_per_size=2, root_seed=1, **SMALL)
     assert calls["n"] == 0
     # the kernel is built band-limited, with 1-D transforms only
@@ -1209,11 +1209,11 @@ def test_transform_domain_noisy_trials_read_only_the_roi_and_the_passband(monkey
 
 
 def test_noisy_sweep_and_scan_run_no_2d_ffts(monkeypatch, tmp_path):
-    # the full-field blur is pruned 1-D transforms, so neither noisy trials
-    # nor scan's blurred preview calls fft2 or ifft2
+    # the full-field blur is pruned 1-D transforms, so noisy trials call no
+    # fft2 or ifft2, and scan's blurred preview calls neither
     from roisolve import cli
 
-    calls = _count_full_ffts(monkeypatch)
+    calls = _count_calls(monkeypatch)
     for domain in DOMAINS:
         noise_sweep(
             roi_size=3, psnr_grid=(40.0, 80.0), trials_per_level=2, root_seed=17,
@@ -1224,6 +1224,19 @@ def test_noisy_sweep_and_scan_run_no_2d_ffts(monkeypatch, tmp_path):
     rc = cli.main(["scan", "--sample", "24x24", "--tile", "3x3", "--cutoff", "10", "--out", str(tmp_path)])
     assert rc == 0 and (tmp_path / "blurred.pgm").exists()
     assert calls["n"] == 0
+    # the preview is passband products: no 1-D transform and no inverse-column
+    # pass either. A transform-domain scan builds no kernel, so it runs none
+    import roisolve.forward
+    import roisolve.optics
+
+    one_d = _count_calls(monkeypatch, [
+        (np.fft, "fft"), (np.fft, "ifft"),
+        (roisolve.forward, "_inverse_columns"), (roisolve.optics, "_inverse_columns"),
+    ])
+    argv = ["scan", "--sample", "24x24", "--tile", "3x3", "--cutoff", "10", "--domain", "frequency"]
+    assert cli.main([*argv, "--out", str(tmp_path / "frequency")]) == 0
+    assert (tmp_path / "frequency" / "blurred.pgm").exists()
+    assert one_d["n"] == 0
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
