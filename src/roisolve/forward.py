@@ -232,10 +232,15 @@ def _twiddles(positions: np.ndarray, freqs: np.ndarray, size: int, sign: int) ->
     """exp(sign * 2j*pi * p*f / size) for every position p (rows) and frequency f.
 
     The integer product is reduced modulo size first, so the phase stays in
-    [0, 2*pi) however large the indices get.
+    [0, 2*pi) however large the indices get. A grid of more entries than
+    size gathers from a table of one exp per phase 0..size-1, which sees
+    the same argument as the direct exp, so the bits are the same.
     """
     phase = np.multiply.outer(np.asarray(positions), np.asarray(freqs)) % size
-    return np.exp((sign * 2j * np.pi / size) * phase)
+    step = sign * 2j * np.pi / size
+    if phase.size > size:
+        return np.exp(step * np.arange(size))[phase]
+    return np.exp(step * phase)
 
 
 def _roi_twiddles(

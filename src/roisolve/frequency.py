@@ -167,14 +167,17 @@ def _factors(
     """idx's factors, over its distinct u and v, and whether idx is their
     product U x V (each entry once, |U| >= K, |V| >= L). Row i of the matrix
     is gain/(rows*cols) * F_U[u_i] kron F_V[v_i], F_U[u, k] =
-    exp(-2j*pi*u*(top+k)/rows) over U x the ROI rows, F_V the same over columns."""
+    exp(-2j*pi*u*(top+k)/rows) over U x the ROI rows, F_V the same over
+    columns. The factors record whether idx lists that product row-major."""
     us, u_at, vs, v_at = _axes(idx)
     n = idx.shape[0]
+    flat = u_at * vs.size + v_at
     product = (us.size >= roi.k_rows and vs.size >= roi.l_cols
-               and n == us.size * vs.size == np.unique(u_at * vs.size + v_at).size)
+               and n == us.size * vs.size == np.unique(flat).size)
+    row_major = product and np.array_equal(flat, np.arange(n))
     f_u = _twiddles(us, roi.top + np.arange(roi.k_rows), rows, -1)
     f_v = _twiddles(vs, roi.left + np.arange(roi.l_cols), cols, -1)
-    return KroneckerFactors(f_u, f_v, u_at, v_at, gain / (rows * cols)), product
+    return KroneckerFactors(f_u, f_v, u_at, v_at, gain / (rows * cols), row_major), product
 
 
 def build_system(
@@ -242,7 +245,8 @@ class NoiselessRows:
     observe_spectrum of the ROI on a dark field, read at those entries, to
     rounding. A call takes one partial DFT of the pixels through the
     system's factors (F_U and F_V^T, the ROI's forward twiddles over the
-    entries' distinct rows x columns), scales it and gathers the entries.
+    entries' distinct rows x columns), scales it in place and reads the
+    entries off it in the system's row order (KroneckerFactors.rows).
     ParameterError for a system without factors (an image-domain one).
     """
 
@@ -256,7 +260,9 @@ class NoiselessRows:
     def __call__(self, pixels: np.ndarray) -> np.ndarray:
         """The rows of row-major K*L pixels (else ShapeError)."""
         f, patch = self.system.factors, self.system.roi.patch(pixels, *self.system.field_shape)
-        return (_partial_transform(patch, self._forward) * f.scale)[f.u_at, f.v_at]
+        block = _partial_transform(patch, self._forward)
+        block *= f.scale
+        return f.rows(block)
 
 
 def frame_rhs(system: LinearSystem, frame: np.ndarray) -> np.ndarray:

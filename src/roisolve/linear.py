@@ -35,23 +35,36 @@ def finite_condition(cond: float) -> float:
 
 
 class KroneckerFactors(NamedTuple):
-    """A = scale * (F_U kron F_V), rows gathered: row i of A is row
+    """A = scale * (F_U kron F_V), rows selected: row i of A is row
     (u_at[i], v_at[i]) of the product (F_U is |U| x K, F_V |V| x L). apply
     and solve hold only for a full product U x V (each pair once), solve a
-    square one; LinearSystem calls them only when its matrix is None."""
+    square one; LinearSystem calls them only when its matrix is None.
+
+    row_major: the rows list the product in its own row-major order, as
+    observation_index gives them; decided once, where the factors are built.
+    rows, apply and solve then reshape in place of gathering and scattering."""
 
     f_u: np.ndarray
     f_v: np.ndarray
     u_at: np.ndarray
     v_at: np.ndarray
     scale: float
+    row_major: bool = False
+
+    def rows(self, block: np.ndarray) -> np.ndarray:
+        """A (|U|, |V|, ...) block over U x V in A's row order: a reshape on
+        a row-major product, else the gather block[u_at, v_at]."""
+        if self.row_major:
+            return block.reshape(self.u_at.size, *block.shape[2:])
+        return block[self.u_at, self.v_at]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A @ x for x (K*L,) or (K*L, t): scale * F_U X F_V^T, each column X as K x L."""
         k, l = self.f_u.shape[1], self.f_v.shape[1]
         t = x.size // (k * l)
         y = self.f_v @ (self.f_u @ x.reshape(k, l * t)).reshape(self.f_u.shape[0], l, t)
-        return (self.scale * y[self.u_at, self.v_at]).reshape(self.u_at.size, *x.shape[1:])
+        y *= self.scale  # y is fresh; scaling before the gather gives the same bits
+        return self.rows(y).reshape(self.u_at.size, *x.shape[1:])
 
     def dense(self) -> np.ndarray:
         """A itself, (n, K*L): row i is scale * (F_U[u_at[i]] kron F_V[v_at[i]])."""
@@ -61,13 +74,18 @@ class KroneckerFactors(NamedTuple):
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """x with A x = y, square factors only: F_U^-1 Y F_V^-T / scale, each
-        inverse an LU against the identity, applied as a matrix product."""
+        inverse an LU against the identity, applied as a matrix product. y is
+        read, never written: a row-major product reshapes it as the block Y,
+        any other order scatters it into a fresh one."""
         (n_u, k), n_v, t = self.f_u.shape, self.f_v.shape[0], y.size // y.shape[0]
-        block = np.empty((n_u, n_v, t), complex)
-        block[self.u_at, self.v_at] = y.reshape(y.shape[0], t)
+        if self.row_major:
+            block = y.astype(complex, copy=False)
+        else:
+            block = np.empty((n_u, n_v, t), complex)
+            block[self.u_at, self.v_at] = y.reshape(y.shape[0], t)
         x = np.linalg.inv(self.f_u) @ block.reshape(n_u, n_v * t)
         x = np.linalg.inv(self.f_v) @ x.reshape(k, n_v, t)
-        return (x / self.scale).reshape(y.shape)
+        return np.divide(x, self.scale, out=x).reshape(y.shape)
 
 
 @dataclass(frozen=True)

@@ -635,3 +635,26 @@ def test_noise_field_refuses_non_finite_images(bad, rng):
     obs[0, 19] = bad
     with pytest.raises(ParameterError, match="NaN or Inf"):
         noise_field(obs, seed=3)
+
+
+@pytest.mark.parametrize("shape", [(300, 300), (768, 768), (97, 130)])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_twiddles_equal_the_direct_exp_bit_for_bit(shape, sign):
+    # above `size` entries _twiddles gathers from one exp per phase; at or
+    # below it evaluates exp on the grid itself; both read the same argument
+    for size in shape:
+        step = sign * 2j * np.pi / size
+        edge = np.array([size - 1, size, size + 1, 2 * size + 5, -1, -size - 7])
+        grids = [
+            (np.arange(size), np.arange(-3, 4)),  # a whole frame's passband box
+            (np.arange(size + 1), np.array([1])),  # one entry past size
+            (np.arange(size), np.array([1])),  # exactly size entries
+            (np.arange(3), np.arange(3)),  # a 3x3 tile's factor
+            (edge, np.arange(-2, 3)),  # positions past the edge wrap
+            (np.concatenate([edge, np.arange(size)]), np.array([-5, 7])),
+        ]
+        assert {p.size * f.size > size for p, f in grids} == {True, False}
+        for positions, freqs in grids:
+            direct = np.exp(step * (np.multiply.outer(positions, freqs) % size))
+            got = forward._twiddles(positions, freqs, size, sign)
+            assert got.dtype == direct.dtype and got.tobytes() == direct.tobytes()

@@ -460,6 +460,47 @@ def test_factored_product_equals_the_dense_one(ring, rng):
         assert np.array_equal(system @ x, factored if ring == 0 else dense)
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+@pytest.mark.parametrize("field, roi, cutoff, gain", [
+    ((48, 48), RoiSpec(20, 17, 2, 2), 10.0, 1.0),
+    ((97, 130), RoiSpec(90, 3, 2, 3), 8.0, 0.7),
+    ((300, 300), RoiSpec(0, 0, 3, 3), 6.0, 1.0),
+])
+@pytest.mark.parametrize("ring", [0, 2])
+def test_a_row_major_product_reads_in_place_to_the_gathers_bits(field, roi, cutoff, gain,
+                                                                 ring, rng):
+    # observation_index lists the product row-major, so its system reshapes
+    # where the same system on a permuted index gathers and scatters; row i
+    # of the permuted system is row perm[i] of the row-major one
+    spec = OtfSpec(*field, cutoff, gain)
+    idx = observation_index(roi, field, ring)
+    perm = rng.permutation(idx.shape[0])
+    assert not np.array_equal(perm, np.arange(perm.size))
+    ordered = build_system(field, roi, idx, spec)
+    permuted = build_system(field, roi, idx[perm], spec)
+    assert ordered.factors.row_major and not permuted.factors.row_major
+    assert ordered.matrix is None and permuted.matrix is None
+    x = rng.uniform(0, 256, (roi.pixel_count, 4))
+    for v in (x[:, 0], x):
+        assert _same_bits(ordered.factors.apply(v)[perm], permuted.factors.apply(v))
+        assert _same_bits((ordered @ v)[perm], permuted @ v)
+    assert _same_bits(NoiselessRows(ordered)(x[:, 0])[perm], NoiselessRows(permuted)(x[:, 0]))
+    if ring:
+        return
+    rhs = ordered @ x
+    for y in (rhs[:, 0], rhs):
+        got = solve_system(ordered, y, "direct_complex")
+        want = solve_system(permuted, y[perm], "direct_complex")
+        assert _same_bits(got.pixels, want.pixels)
+        assert got.imag_leakage == want.imag_leakage
+        assert _same_bits(ordered.factors.solve(y), permuted.factors.solve(y[perm]))
+
+
 def test_a_square_selection_that_is_no_product_keeps_the_dense_routes(rng):
     # K*L passband entries over more rows and columns than the ROI has, not
     # their product: the system carries factors and its matrix, and LU and

@@ -187,3 +187,54 @@ def test_builders_allocate_little_beyond_the_matrix(domain):
         tracemalloc.stop()
     assert system.a_matrix.shape == (size * size, size * size)
     assert peak <= 1.1 * system.a_matrix.nbytes
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def test_factored_routes_leave_their_inputs_alone():
+    # scan's system: a 3x3 tile on its 300x300 sample, row-major at ring 0,
+    # so apply reshapes its product and solve reshapes the rhs it is given
+    spec = OtfSpec(300, 300, 6.0)
+    roi = RoiSpec(0, 0, 3, 3)
+    blur = frequency.simulated_blur(spec, 3, 3, 0, 0)
+    system = roi_problem("frequency", roi, spec.shape, blur, 0)
+    factors = system.factors
+    assert factors.row_major and system.matrix is None
+    gather = factors._replace(row_major=False)
+    x = np.random.default_rng(3).uniform(0, 256, (roi.pixel_count, 6))
+    for v in (x, x[:, 0], x[:, 2], x.T.copy().T):
+        kept = v.copy()
+        assert _same_bits(factors.apply(v), gather.apply(v))
+        assert _same_bits(v, kept)
+    rhs = system @ x
+    # complex and real; a block, strided columns and a strided block
+    for y in (rhs, rhs[:, 0], rhs[:, 3], rhs[:, ::2], rhs.real.copy(), rhs.real[:, 1]):
+        kept = y.copy()
+        z = factors.solve(y)
+        assert _same_bits(y, kept) and not np.shares_memory(z, y)
+        assert _same_bits(z, gather.solve(y))
+        assert _same_bits(z, factors.solve(np.array(y, dtype=complex)))
+        for method in frequency.METHODS:
+            frequency.solve_system(system, y, method)
+            assert _same_bits(y, kept)
+
+
+@pytest.mark.parametrize("field", [(48, 48), (97, 130), (300, 300), (768, 768)])
+@pytest.mark.parametrize("gain", [1.0, 0.7, 0.5, 2.5, -1.0])
+def test_dividing_in_place_is_numpys_complex_division(field, gain):
+    # the factored solve divides its result by gain/(R*C) in place: the same
+    # ufunc as x / scale, so every bit and every signed zero stays
+    scale = gain / (field[0] * field[1])
+    rng = np.random.default_rng(field[1])
+    parts = np.concatenate([rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64),
+                            [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e-300]])
+    x = rng.choice(parts, 400) + 1j * rng.choice(parts, 400)
+    x = np.concatenate([x, [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = x / scale
+        got = np.divide(x, scale, out=x)
+    assert got is x and _same_bits(got, want)
