@@ -26,17 +26,14 @@ RAW_KIND_COMPLEX = "complex64-pairs"
 
 
 def format_float(value) -> str:
-    """Shortest exact decimal for a float (or int/str passthrough)."""
+    """A float in 17 significant digits (0.1 is 0.10000000000000001), which
+    read back to the same float; nan, inf and -inf as such. ints and strs
+    pass through."""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
+    return format(float(value), ".17g")
 
 
 def _check_dims(rows: int, cols: int, itemsize: int, what: str, offset: int) -> None:
@@ -238,7 +235,8 @@ def read_raster(path: str) -> np.ndarray:
 # CSV tables
 
 def write_table_csv(path: str, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Write a CSV with floats rendered as shortest exact decimals.
+    """Write a CSV with floats in 17 significant digits (format_float),
+    which read back to the same floats.
 
     The rendering is deterministic, so identical data produces identical
     bytes (newline pinned to \\n regardless of platform). path is rewritten

@@ -177,7 +177,7 @@ def _factors(
     row_major = product and np.array_equal(flat, np.arange(n))
     f_u = _twiddles(us, roi.top + np.arange(roi.k_rows), rows, -1)
     f_v = _twiddles(vs, roi.left + np.arange(roi.l_cols), cols, -1)
-    return KroneckerFactors(f_u, f_v, u_at, v_at, gain / (rows * cols), row_major), product
+    return KroneckerFactors(f_u, f_v, us, vs, u_at, v_at, gain / (rows * cols), row_major), product
 
 
 def build_system(
@@ -267,10 +267,13 @@ class NoiselessRows:
 
 def frame_rhs(system: LinearSystem, frame: np.ndarray) -> np.ndarray:
     """The system's spectrum entries of an observed frame on its field (else
-    ShapeError): one partial DFT over their distinct rows x columns
-    (image_spectrum_block), never a full transform, then gathered."""
-    us, u_at, vs, v_at = _axes(system.require_domain("frequency").obs_index)
-    return image_spectrum_block(system.require_frame(frame), us, vs)[u_at, v_at]
+    ShapeError): one partial DFT over its factors' distinct rows x columns
+    (image_spectrum_block), never a full transform, read off in row order
+    by KroneckerFactors.rows. ParameterError for a system without factors."""
+    frame, f = system.require_domain("frequency").require_frame(frame), system.factors
+    if f is None:
+        raise ParameterError("a transform-domain system without factors has no entries to read")
+    return f.rows(image_spectrum_block(frame, f.us, f.vs))
 
 
 def unit_rows(system: LinearSystem, seed: int) -> np.ndarray:

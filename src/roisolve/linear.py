@@ -42,10 +42,13 @@ class KroneckerFactors(NamedTuple):
 
     row_major: the rows list the product in its own row-major order, as
     observation_index gives them; decided once, where the factors are built.
-    rows, apply and solve then reshape in place of gathering and scattering."""
+    rows, apply and solve then reshape in place of gathering and scattering.
+    us, vs: the sorted distinct u and v, which u_at and v_at index."""
 
     f_u: np.ndarray
     f_v: np.ndarray
+    us: np.ndarray
+    vs: np.ndarray
     u_at: np.ndarray
     v_at: np.ndarray
     scale: float
@@ -88,6 +91,12 @@ class KroneckerFactors(NamedTuple):
         return np.divide(x, self.scale, out=x).reshape(y.shape)
 
 
+def _read_only(array: np.ndarray | None) -> np.ndarray | None:
+    if array is not None:
+        array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """The matrix A of a system A x = y over the ROI pixels, real or complex.
@@ -104,6 +113,10 @@ class LinearSystem:
     image domain). matrix is A, or None on a full product U x V, which forms
     A from its factors when a_matrix is first read and takes its LU and, if
     square, A x (system @ x) in them.
+
+    Making a system makes its matrix and factors read-only, so what it
+    derives from them once (a_matrix, the verdicts solve_route reads,
+    lsq_matrix) never goes stale. None of these refers back to the system.
     """
 
     domain: str
@@ -115,9 +128,29 @@ class LinearSystem:
     spec: OtfSpec | None
     factors: KroneckerFactors | None = None
 
+    def __post_init__(self) -> None:
+        _read_only(self.matrix)
+        if self.factors is not None:
+            _read_only(self.factors.f_u)
+            _read_only(self.factors.f_v)
+
     @cached_property
     def a_matrix(self) -> np.ndarray:
-        return self.factors.dense() if self.matrix is None else self.matrix
+        return _read_only(self.factors.dense()) if self.matrix is None else self.matrix
+
+    @cached_property
+    def matrix_finite(self) -> bool:
+        return bool(np.isfinite(self.a_matrix).all())
+
+    @cached_property
+    def factors_finite(self) -> bool:
+        return bool(np.isfinite(self.factors.f_u).all() and np.isfinite(self.factors.f_v).all())
+
+    @cached_property
+    def lsq_matrix(self) -> np.ndarray:
+        """The real matrix least squares solves: a_matrix, as [Re; Im] if complex."""
+        a = self.a_matrix
+        return _read_only(np.vstack([a.real, a.imag])) if np.iscomplexobj(a) else a
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -185,7 +218,8 @@ def solve_route(
     NaN or Inf in rhs or in what the route reads of A; ShapeError: rhs not
     one row per observation, or LU of a non-square system), then the
     method's position in methods and what its route reads: the factors (LU
-    on a full product, matrix None) or else the dense matrix."""
+    on a full product, matrix None) or else the dense matrix. A is checked
+    once per system, rhs on every call."""
     if method not in methods:
         raise ParameterError(f"unknown method {method!r}, expected one of {methods}")
     rhs = np.asarray(rhs)
@@ -195,8 +229,8 @@ def solve_route(
     kind = methods.index(method)
     factors = system.factors if kind == 0 and system.matrix is None else None
     a = system.a_matrix if factors is None else None
-    read = (a,) if factors is None else (factors.f_u, factors.f_v)
-    if not (all(np.isfinite(m).all() for m in read) and np.isfinite(rhs).all()):
+    finite = system.matrix_finite if factors is None else system.factors_finite
+    if not (finite and np.isfinite(rhs).all()):
         raise ParameterError("system matrix or right-hand side holds NaN or Inf")
     if kind == 0 and system.shape != (n, n):
         raise ShapeError(
@@ -232,9 +266,9 @@ def solve(
     methods names the domain's three solvers in this order: LU (square
     systems only; in the factors on a full product), least squares
     (numpy's LAPACK gelsd, singular values below machine epsilon of the
-    largest discarded; a complex A is stacked as [Re; Im] so the solution
-    stays real) and truncated SVD (singular values below TRUNCATION_RTOL of
-    the largest discarded).
+    largest discarded; a complex A is stacked as [Re; Im], once per
+    system, so the solution stays real) and truncated SVD (singular values
+    below TRUNCATION_RTOL of the largest discarded).
 
     Raises:
         ParameterError, ShapeError: solve_route's refusals; ParameterError
@@ -252,10 +286,8 @@ def solve(
             elif kind == 0:
                 z = np.linalg.solve(a, rhs)
             elif kind == 1:
-                a_ls, y_ls = a, rhs
-                if np.iscomplexobj(a):
-                    a_ls, y_ls = np.vstack([a.real, a.imag]), np.concatenate([rhs.real, rhs.imag])
-                z = np.linalg.lstsq(a_ls, y_ls, rcond=np.finfo(float).eps)[0]
+                y_ls = np.concatenate([rhs.real, rhs.imag]) if np.iscomplexobj(a) else rhs
+                z = np.linalg.lstsq(system.lsq_matrix, y_ls, rcond=np.finfo(float).eps)[0]
             else:
                 z = _truncated_lstsq(a, rhs)
     except np.linalg.LinAlgError as exc:

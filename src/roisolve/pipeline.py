@@ -192,9 +192,11 @@ def noise_stream_seed(root_seed: int, size: int, trial: int) -> int:
 
 def _trial_pixels(root_seed: int, size: int, trial: int) -> tuple[int, np.ndarray]:
     """The seed id a trial row records and the trial's row-major size x size
-    pixels, uniform in [0, 256), both from its trial_seed_sequence."""
+    pixels, uniform in [0, 256), both from its trial_seed_sequence. The
+    pixels are read-only: a noise sweep's domains share one draw."""
     seq = trial_seed_sequence(root_seed, size, trial)
     pixels = np.random.default_rng(seq).uniform(0.0, 256.0, size * size)
+    pixels.flags.writeable = False
     return int(seq.generate_state(1)[0]), pixels
 
 
@@ -224,16 +226,25 @@ class Summary:
     max_ad: float
 
 
+def _mean_std(values: list[float]) -> tuple[float, float]:
+    """np.mean and np.std of values, bit for bit: the ufuncs they run, in
+    their order (pairwise sum over n, deviations squared, summed over n,
+    sqrt), without their dispatch."""
+    v = np.array(values, dtype=float)
+    mean = np.add.reduce(v) / v.size
+    dev = np.subtract(v, mean, out=v)
+    return float(mean), math.sqrt(np.add.reduce(np.multiply(dev, dev, out=dev)) / v.size)
+
+
 def summarize(trials: Sequence[TrialResult]) -> Summary:
     """The one reduction of trial rows into their Summary."""
     ok = [t for t in trials if t.error is None]
     if not ok:
         nan = float("nan")
         return Summary(len(trials), len(trials), nan, nan, nan, nan, nan)
-    ae = np.asarray([t.ae for t in ok], dtype=float)
-    ad = np.asarray([t.ad for t in ok], dtype=float)
-    return Summary(len(trials), len(trials) - len(ok), float(ae.mean()), float(ae.std()),
-                   float(ad.mean()), float(ad.std()), float(ad.max()))
+    ad = [t.ad for t in ok]
+    return Summary(len(trials), len(trials) - len(ok), *_mean_std([t.ae for t in ok]),
+                   *_mean_std(ad), float(np.maximum.reduce(ad)))
 
 
 @dataclass
@@ -353,19 +364,19 @@ def _run_size(
     blur: PsfKernel | OtfSpec,
     extra_ring: int,
     method: str,
-    trials: int,
+    draws: Sequence[tuple[int, np.ndarray]],
     root_seed: int,
     levels: list[float],
     mark_singular: bool = False,
 ) -> list[list[TrialResult]]:
     """Every trial of one ROI size at each noise level (+inf: noiseless).
 
-    The system and its NoiselessRows reader are built once for the size. Per
-    trial: draw the pixels, read the rows of every level in one noisy_rhs
-    call, and solve and record each level. A RoiSolveError is recorded,
-    instead of metrics, in every row it reaches: a failed build fails every
-    row of the size, a failed noisy_rhs every row of its trial, and a failed
-    solve its own row.
+    draws holds each trial's _trial_pixels, in trial order. The system and
+    its NoiselessRows reader are built once for the size. Per trial: read
+    the rows of every level in one noisy_rhs call, and solve and record
+    each level. A RoiSolveError is recorded, instead of metrics, in every
+    row it reaches: a failed build fails every row of the size, a failed
+    noisy_rhs every row of its trial, and a failed solve its own row.
 
     The table charts which sizes resolve, so with mark_singular an
     image-domain size that spatial.structurally_singular finds below full
@@ -386,8 +397,7 @@ def _run_size(
         failure = exc
     nan = float("nan")
     noisy = any(p != math.inf for p in levels)
-    for trial in range(trials):
-        seed_id, pixels = _trial_pixels(root_seed, size, trial)
+    for trial, (seed_id, pixels) in enumerate(draws):
         error = failure
         if reader is not None:
             try:
@@ -473,9 +483,10 @@ def run_table_experiment(
     for size, blur in zip(sizes, blurs):
         if domain == "frequency":
             report.effective_cutoffs[size] = blur.cutoff_radius
+        draws = [_trial_pixels(root_seed, size, trial) for trial in range(trials_per_size)]
         (trials,) = _run_size(
             domain, centered_roi(rows, cols, size, size), (rows, cols), blur, extra_ring,
-            report.solver, trials_per_size, root_seed, [level], mark_singular=True,
+            report.solver, draws, root_seed, [level], mark_singular=True,
         )
         report.trials.extend(trials)
     return report
@@ -648,7 +659,8 @@ def noise_sweep(
     Runs the table experiment at one ROI size for each level of the grid plus
     a noiseless baseline (+inf); every point equals run_table_experiment at
     that level. The same trial draws (pixels and noise shape) are reused
-    across levels, so curves differ only by the noise amplitude. Each trial
+    across levels, so curves differ only by the noise amplitude; each
+    trial's pixels are drawn once, for the threshold and every domain. Each trial
     makes one noisy_rhs call at every level, the baseline included: it reads
     the noiseless rows, the peak and one unit draw on the system's rows once
     and forms every level from them. A negative root_seed raises
@@ -668,10 +680,8 @@ def noise_sweep(
     rows, cols = int(field_shape[0]), int(field_shape[1])
     roi = centered_roi(rows, cols, roi_size, roi_size)  # refuses a misfit before any draw
 
-    pixel_means = [
-        float(_trial_pixels(root_seed, roi_size, trial)[1].mean())
-        for trial in range(trials_per_level)
-    ]
+    draws = [_trial_pixels(root_seed, roi_size, trial) for trial in range(trials_per_level)]
+    pixel_means = [float(pixels.mean()) for _, pixels in draws]
     report = NoiseSweepReport(threshold_ae=0.01 * float(np.mean(pixel_means)))
     spec = OtfSpec(rows, cols, cutoff_radius)
     # every domain's blur first, so a refused one stops the sweep before any trial
@@ -679,7 +689,7 @@ def noise_sweep(
     for domain, blur in zip(domains, blurs):
         per_level = _run_size(
             domain, roi, (rows, cols), blur, extra_ring, resolve_solver(domain, None, extra_ring),
-            trials_per_level, root_seed, levels,
+            draws, root_seed, levels,
         )
         for psnr, trials in zip(levels, per_level):
             summary = summarize(trials)

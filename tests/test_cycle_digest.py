@@ -235,6 +235,25 @@ def test_singular_workload_hashes_every_run_once(tool):
     assert tool.digest(["singular"], []) == digests
 
 
+def test_many_trials_workload_runs_a_table_past_numpys_pairwise_block(tool, monkeypatch):
+    # the summary of a size of 130 trials sums past numpy's 128-element
+    # pairwise block, in each domain
+    runs = tool.PER_SEED["many-trials"]("base", 205)
+    assert set(runs) == set(tool.MANY_TRIALS_RUNS)
+    long = {f"table-{domain}-130": domain for domain in ("spatial", "frequency")}
+    for name, domain in long.items():
+        assert runs[name] == ["table", "--domain", domain, "--sizes", "2", "--trials", "130",
+                              "--seed", "205", "--out", str(Path("base", name))]
+    monkeypatch.setattr(tool, "MANY_TRIALS_RUNS",
+                        {name: tool.MANY_TRIALS_RUNS[name] for name in long})
+    digests = tool.digest(["many-trials"], [205])
+    whats = ("exit", "stdout", "stderr", "trials_{}.csv", "ae_{}.csv", "ad_{}.csv",
+             "manifest_{}.txt")
+    assert set(digests) == {f"many-trials/205/{name}/{what.format(domain)}"
+                            for name, domain in long.items() for what in whats}
+    assert {digests[f"many-trials/205/{name}/exit"] for name in long} == {tool._hash(b"0")}
+
+
 @pytest.fixture
 def runs_nothing(tool, monkeypatch):
     """The commands and help texts a call would have digested, recorded, not run."""

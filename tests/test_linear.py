@@ -2,8 +2,10 @@
 solver's input checks."""
 
 import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -238,3 +240,64 @@ def test_dividing_in_place_is_numpys_complex_division(field, gain):
         want = x / scale
         got = np.divide(x, scale, out=x)
     assert got is x and _same_bits(got, want)
+
+
+# ---------------------------------------------------------------------------
+# what a system derives from its arrays once: a_matrix, the finiteness
+# verdicts and the matrix least squares solves
+
+def _solved(domain, small_psf):
+    """A built system and its observation, solved once by every method so
+    each verdict and derived matrix is cached."""
+    system, rhs = _built(domain, small_psf)
+    for method in MODULES[domain].METHODS:
+        MODULES[domain].solve_system(system, rhs, method)
+    return system, rhs
+
+
+@pytest.mark.parametrize("domain", list(MODULES))
+def test_a_built_systems_arrays_are_read_only(domain, small_psf):
+    system, _ = _solved(domain, small_psf)
+    held = [system.a_matrix]
+    if system.matrix is not None:
+        held.append(system.matrix)
+    if system.factors is not None:
+        held += [system.factors.f_u, system.factors.f_v, system.lsq_matrix]
+    for array in held:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = np.nan
+
+
+@pytest.mark.parametrize("domain, part", [
+    ("spatial", "matrix"), ("frequency", "matrix"), ("frequency", "f_u"), ("frequency", "f_v"),
+])
+def test_a_solved_systems_verdicts_do_not_reach_a_replaced_one(domain, part, small_psf):
+    system, rhs = _solved(domain, small_psf)
+    if part == "matrix":
+        values = system.a_matrix.copy()
+        values.flat[1] = np.nan
+        broken = dataclasses.replace(system, matrix=values)
+    else:
+        bad = getattr(system.factors, part).copy()
+        bad.flat[1] = np.nan
+        broken = dataclasses.replace(system, factors=system.factors._replace(**{part: bad}))
+    for method in MODULES[domain].METHODS:
+        with pytest.raises(ParameterError, match="NaN or Inf"):
+            MODULES[domain].solve_system(broken, rhs, method)
+        # the solved system keeps its own verdict
+        MODULES[domain].solve_system(system, rhs, method)
+
+
+@pytest.mark.parametrize("domain", list(MODULES))
+def test_a_solved_system_is_freed_without_the_cycle_collector(domain, small_psf):
+    # nothing a system caches refers back to it, so dropping the last
+    # reference frees it (and its matrix) at once
+    system, _ = _solved(domain, small_psf)
+    ref = weakref.ref(system)
+    gc.disable()
+    try:
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()

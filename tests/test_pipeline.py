@@ -921,9 +921,9 @@ def test_table_and_sweep_draw_through_one_trial_draw(monkeypatch):
     assert [t.seed for t in table.trials] == [original(17, 3, t)[0] for t in (0, 1)]
     drawn.clear()
     sweep = noise_sweep(roi_size=3, psnr_grid=(80.0,), trials_per_level=2, root_seed=17,
-                        domains=("spatial",), **SMALL)
-    # the threshold's draws, then the trials'
-    assert drawn == [(17, 3, 0), (17, 3, 1)] * 2
+                        **SMALL)
+    # once per trial: the threshold and every domain's trials read one draw
+    assert drawn == [(17, 3, 0), (17, 3, 1)]
     means = [original(17, 3, t)[1].mean() for t in (0, 1)]
     assert sweep.threshold_ae == 0.01 * float(np.mean(means))
 
@@ -1293,6 +1293,36 @@ def test_summaries_pool_a_repeated_size_in_first_run_order():
     assert list(summaries) == [3, 2]
     assert summaries[3].trials == 4
     assert summaries[3] == summarize([t for t in report.trials if t.roi_size == 3])
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 15, 16, 17, 127, 128, 129, 300])
+def test_summarize_matches_numpys_reductions_bit_for_bit(n):
+    # counts on both sides of numpy's 8-wide unrolled and 128-element
+    # pairwise summation blocks; values spanning magnitudes make the
+    # summation order show in the last bits
+    rng = np.random.default_rng(n)
+    ae = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-12, 12, n)
+    ad = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-16, -10, n)
+    rows = [TrialResult("spatial", 3, t, t, float(ae[t]), float(ad[t]), 1.0) for t in range(n)]
+    # failed trials, interleaved, are left out
+    failed = [TrialResult("spatial", 3, t, t, math.nan, math.nan, math.nan, "ParameterError: x")
+              for t in range(3)]
+    for trials in (rows, [*failed[:2], *rows[: n // 2], failed[2], *rows[n // 2:]]):
+        got = summarize(trials)
+        assert (got.trials, got.failed) == (len(trials), len(trials) - n)
+        want = (np.mean(ae), np.std(ae), np.mean(ad), np.std(ad), np.max(ad))
+        have = (got.mean_ae, got.std_ae, got.mean_ad, got.std_ad, got.max_ad)
+        assert [type(v) for v in have] == [float] * 5
+        assert [float(v).hex() for v in have] == [float(v).hex() for v in want]
+
+
+def test_summarize_of_an_all_failed_group_is_nan():
+    failed = [TrialResult("frequency", 2, t, t, math.nan, math.nan, math.nan, "ShapeError: x")
+              for t in range(4)]
+    got = summarize(failed)
+    assert (got.trials, got.failed) == (4, 4)
+    assert all(math.isnan(v) for v in (got.mean_ae, got.std_ae, got.mean_ad, got.std_ad,
+                                       got.max_ad))
 
 
 def test_sweep_validation():

@@ -23,7 +23,9 @@ nothing written) and passband gains at the float64 limits; "singular" gates
 image-domain systems whose passband leaves them structurally singular,
 which the table marks and does not solve and noise, recover and scan refuse;
 "many-trials" gates table and noise at the default of 20 trials per size,
-where every trial past the first reuses its size's system and reader.
+where every trial past the first reuses its size's system and reader, and
+a table of 130 trials, past the 128-element block of numpy's pairwise sum
+that each size's summary takes.
 
 --compare lists the keys that differ between two digests (or sit in one
 only) and exits 1 if there are any; on stderr it counts the identical
@@ -80,14 +82,17 @@ FAILED_TRIALS_RUNS = {
     "noise": ["noise", "--domains", "spatial", *_SMALL_KERNEL, "--roi-size", "3",
               "--trials", "1", "--psnr", "80,120"],
 }
-# name -> argv (without --seed and --out) of the many-trials workload, each
-# at the default 20 trials: solved sizes and (image domain, 19-20) marked
-# ones, the image domain also with a ring, and the default noise sweep
+# name -> argv (without --seed and --out) of the many-trials workload: at
+# the default 20 trials, solved sizes and (image domain, 19-20) marked ones,
+# the image domain also with a ring, and the default noise sweep; then size
+# 2 at 130 trials in each domain
 MANY_TRIALS_RUNS = {
     "table-spatial": ["table", "--domain", "spatial", "--sizes", "2-4,19-20"],
     "table-spatial-r2": ["table", "--domain", "spatial", "--sizes", "2-4", "--ring", "2"],
     "table-frequency": ["table", "--domain", "frequency", "--sizes", "2-4,19-20"],
     "noise": ["noise"],
+    **{f"table-{domain}-130": ["table", "--domain", domain, "--sizes", "2", "--trials", "130"]
+       for domain in ("spatial", "frequency")},
 }
 # the scan-field workload's command, run with --domain spatial and frequency
 SCAN_FIELD_ARGV = ["scan", "--sample", "24x24", "--field", "32x32", "--cutoff", "6",
