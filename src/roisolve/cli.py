@@ -38,7 +38,7 @@ from .errors import (
 )
 from .forward import separable_blur
 from .grid import RoiSpec
-from .linear import CONDITION_LIMIT
+from .linear import CONDITION_LIMIT, residual
 from .optics import OtfSpec, PsfKernel, build_otf, build_psf
 from .pipeline import (
     DEFAULT_CUTOFF,
@@ -483,6 +483,7 @@ def cmd_recover(opts: dict) -> int:
         method = module.METHODS[2]
     rhs = module.frame_rhs(system, observed)
     sol = module.solve_system(system, rhs, method, clamp_negative=bool(opts["clamp"]))
+    fit = residual(system, sol.pixels, rhs)  # of the written pixels, clamped or not
 
     recovered = sol.pixels.reshape(roi.shape)
     manifest = {
@@ -490,7 +491,7 @@ def cmd_recover(opts: dict) -> int:
         "roi": f"{roi.top},{roi.left},{roi.k_rows},{roi.l_cols}",
         "domain": domain,
         "method": method,
-        "residual": fileio.format_float(sol.residual),
+        "residual": fileio.format_float(fit),
         "condition": fileio.format_float(system.condition_estimate),
         "negative_count": str(sol.negative_count),
         "min_pixel": fileio.format_float(sol.min_pixel),
@@ -503,7 +504,7 @@ def cmd_recover(opts: dict) -> int:
         ("recover_manifest.txt", fileio.write_manifest, manifest),
     ])
     print(f"recovered {roi.k_rows}x{roi.l_cols} ROI at ({roi.top}, {roi.left}) via {method}")
-    print(f"residual {sol.residual:.6g}, condition {system.condition_estimate:.6g}")
+    print(f"residual {fit:.6g}, condition {system.condition_estimate:.6g}")
     if sol.negative_count:
         print(f"note: {sol.negative_count} negative pixels, most negative {sol.min_pixel:.6g}")
     print(f"wrote {wrote} in {opts['out']}")

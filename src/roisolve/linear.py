@@ -188,7 +188,6 @@ class Solution:
 
     pixels: row-major ROI values (clamped if requested), one column per
         right-hand side for a block.
-    residual: ||A x - y||_2 / (K*L) for the returned pixels.
     imag_leakage: largest imaginary part dropped when projecting a complex
         solution to real pixels, relative to the solution magnitude (0.0 for
         a real system and for the least-squares solver, which stays real).
@@ -196,7 +195,6 @@ class Solution:
     """
 
     pixels: np.ndarray
-    residual: float
     imag_leakage: float
     negative_count: int
     min_pixel: float
@@ -260,8 +258,8 @@ def solve(
 
     rhs is one vector (n,) or a block (n, t) of t vectors sharing the matrix,
     row i observed at system.obs_index[i]. For a block, pixels is (K*L, t),
-    and residual, imag_leakage, negative_count and min_pixel summarize the
-    whole block (residual takes the Frobenius norm).
+    and imag_leakage, negative_count and min_pixel summarize the whole
+    block. No residual is taken: a caller that reports one calls residual.
 
     methods names the domain's three solvers in this order: LU (square
     systems only; in the factors on a full product), least squares
@@ -272,7 +270,7 @@ def solve(
 
     Raises:
         ParameterError, ShapeError: solve_route's refusals; ParameterError
-            also for a solution or residual that overflows float64.
+            also for a solution that overflows float64.
         SingularSystemError: LU found the matrix singular, an SVD did not
             converge, or every singular value fell below the truncation floor.
     """
@@ -306,10 +304,5 @@ def solve(
     min_pixel = float(x.min()) if x.size else 0.0
     if clamp_negative:
         x = np.maximum(x, 0.0)
-    return Solution(
-        pixels=x,
-        residual=residual(system, x, rhs),
-        imag_leakage=leakage,
-        negative_count=negative_count,
-        min_pixel=min_pixel,
-    )
+    return Solution(pixels=x, imag_leakage=leakage, negative_count=negative_count,
+                    min_pixel=min_pixel)

@@ -28,6 +28,7 @@ from roisolve.cli import (
 )
 from roisolve.errors import BoundsError, ParameterError
 from roisolve.fileio import (
+    format_float,
     read_manifest,
     read_pgm16,
     read_raw_matrix,
@@ -37,6 +38,7 @@ from roisolve.fileio import (
 )
 from roisolve.forward import observe_field, observe_spatial, separable_blur
 from roisolve.grid import RoiSpec, scatter_roi
+from roisolve.linear import residual
 from roisolve.optics import OtfSpec, build_psf, passband_mask, structural_rank
 from roisolve.pipeline import make_test_sample
 
@@ -1224,6 +1226,23 @@ def test_a_table_row_whose_error_overflows_fails(tmp_path):
         assert {row["roi_size"]: row["failed"] for row in csv.DictReader(f)} == {"9": "1", "10": "0"}
 
 
+@pytest.mark.parametrize("domain", ["spatial", "frequency"])
+def test_a_table_row_whose_solution_misfits_past_float64_fails(tmp_path, domain):
+    # at -3100 dB with a ring the least-squares solution's residual overflows
+    # float64; the solve takes no residual, and each row fails on its error
+    # against the known pixels, which overflows as well
+    out = tmp_path / "table"
+    code, _, err = _run(["table", "--domain", domain, "--sizes", "2-3", "--trials", "2",
+                         "--ring", "2", *SMALL_ARGS, "--noise-psnr=-3100", "--out", str(out)])
+    assert code == 0, err
+    with open(out / f"trials_{domain}.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 4
+    for row in rows:
+        assert row["error"] == "ParameterError: averaged error overflows float64"
+        assert [row[c] for c in ("ae", "ad", "condition")] == ["nan"] * 3
+
+
 def _tree_bytes(folder):
     return {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
 
@@ -1481,6 +1500,34 @@ def test_recover_takes_every_option_from_config(tmp_path, small_psf):
     assert (tmp_path / "config" / "recovered.raw").read_bytes() == clamped
     assert (tmp_path / "unclamped" / "recovered.raw").read_bytes() != clamped
     assert read_raw_matrix(tmp_path / "config" / "recovered.raw").min() == 0.0
+
+
+@pytest.mark.parametrize("domain", ["spatial", "frequency"])
+def test_recover_clamp_reports_the_residual_of_the_written_pixels(tmp_path, small_psf, domain):
+    # the solution holds a negative pixel: --clamp writes it as 0 and reports
+    # the residual of the pixels it wrote, not of the solve's own
+    pixels = np.array([[120.0, -30.0], [80.0, 250.0]])
+    roi = RoiSpec(20, 22, 2, 2)
+    observed = observe_spatial(scatter_roi(pixels.ravel(), roi, 48, 48), small_psf)
+    path = tmp_path / "observed.raw"
+    write_raw_matrix(path, observed)
+    argv = ["recover", "--observed", str(path), "--size", "2x2", "--roi", "20,22",
+            "--cutoff", "10", "--psf-crop", "47", "--domain", domain]
+    assert main([*argv, "--out", str(tmp_path / "raw")]) == 0
+    assert main([*argv, "--clamp", "--out", str(tmp_path / "clamped")]) == 0
+    spec = OtfSpec(48, 48, 10.0)
+    blur = spatial.simulated_blur(spec, 2, 2, 0, 47) if domain == "spatial" else spec
+    system = pipeline.roi_problem(domain, roi, (48, 48), blur, 0)
+    rhs = pipeline.DOMAIN_MODULES[domain].frame_rhs(system, observed)
+    reported = {}
+    for name in ("raw", "clamped"):
+        written = read_raw_matrix(tmp_path / name / "recovered.raw").ravel()
+        manifest = read_manifest(tmp_path / name / "recover_manifest.txt")
+        assert manifest["negative_count"] == "1"
+        assert (written.min() == 0.0) == (name == "clamped")
+        assert manifest["residual"] == format_float(residual(system, written, rhs))
+        reported[name] = manifest["residual"]
+    assert reported["clamped"] != reported["raw"]
 
 
 @pytest.mark.parametrize("by_config", [False, True])

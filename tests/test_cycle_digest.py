@@ -172,7 +172,8 @@ def test_located_workload_hashes_every_frame_at_each_seed(tool):
 
 def test_solvers_workload_hashes_every_spelling_in_each_domain_once(tool):
     # every --solver spelling through table, scan and recover; a name the
-    # domain lacks is refused (exit 2, nothing written)
+    # domain lacks is refused (exit 2, nothing written); and recover --clamp
+    # in each domain
     assert "solvers" in tool.WORKLOADS
     digests = tool.digest(["solvers"], [205])
     own = {"spatial": {"direct", "lsq", "truncated", "least_squares"},
@@ -190,6 +191,11 @@ def test_solvers_workload_hashes_every_spelling_in_each_domain_once(tool):
                 expected |= {f"{key}/{what}" for what in ("exit", "stdout", "stderr", *written)}
                 code = b"0" if solver in own[domain] else b"2"
                 assert digests[f"{key}/exit"] == tool._hash(code)
+    assert set(tool.CLAMP_RUNS) == {"recover-spatial-clamp", "recover-frequency-clamp"}
+    for name in tool.CLAMP_RUNS:
+        expected |= {f"solvers/{name}/{what}" for what in ("exit", "stdout", "stderr",
+                                                           *files["recover"])}
+        assert digests[f"solvers/{name}/exit"] == tool._hash(b"0")
     assert set(digests) == expected
     assert tool.digest(["solvers"], []) == digests
 

@@ -14,7 +14,7 @@ from roisolve import frequency, spatial
 from roisolve.errors import ParameterError, ShapeError, SingularSystemError
 from roisolve.forward import observe_spatial, observe_spectrum
 from roisolve.grid import RoiSpec, centered_roi, scatter_roi
-from roisolve.linear import Solution
+from roisolve.linear import Solution, residual
 from roisolve.optics import OtfSpec, build_otf
 from roisolve.pipeline import DOMAIN_MODULES as MODULES
 from roisolve.pipeline import noisy_rhs, roi_problem
@@ -127,13 +127,17 @@ def test_solve_refuses_a_solution_that_overflows(domain, value, small_psf):
 @pytest.mark.parametrize("domain", list(MODULES))
 def test_solve_refuses_a_residual_that_overflows(domain, small_psf):
     # the same pattern at 1e300 leaves a finite solution, but the residual's
-    # squares overflow float64: refused rather than reported as inf
+    # squares overflow float64: the solve takes no residual and returns it,
+    # and linear.residual, which recover calls next, refuses rather than
+    # reports inf
     system, _ = _built(domain, small_psf)
     rhs = 1e300 * np.array([1.0, -1.0, -1.0, 1.0])
     for method in MODULES[domain].METHODS:
         for clamp in (False, True):
+            sol = MODULES[domain].solve_system(system, rhs, method, clamp_negative=clamp)
+            assert np.isfinite(sol.pixels).all()
             with pytest.raises(ParameterError, match="residual overflows"):
-                MODULES[domain].solve_system(system, rhs, method, clamp_negative=clamp)
+                residual(system, sol.pixels, rhs)
 
 
 @pytest.mark.parametrize("domain", list(MODULES))

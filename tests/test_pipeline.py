@@ -2,12 +2,13 @@
 
 import inspect
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from roisolve import forward, frequency, pipeline, spatial
+from roisolve import forward, frequency, linear, pipeline, spatial
 from roisolve.frequency import effective_cutoff
 from roisolve.errors import (
     BoundsError,
@@ -527,6 +528,69 @@ def test_make_test_sample_deterministic_and_bounded():
     assert not np.array_equal(a, make_test_sample(32, 40, seed=4))
     with pytest.raises(ParameterError):
         make_test_sample(0, 4)
+
+
+def _count_forward_work(monkeypatch):
+    """Lists that grow at every linear.residual call, wherever the name is
+    bound, and at every system @ x product."""
+    calls = {"residual": [], "product": []}
+
+    def counted_residual(*args, _original=linear.residual):
+        calls["residual"].append(None)
+        return _original(*args)
+
+    def counted_product(system, x, _original=linear.LinearSystem.__matmul__):
+        calls["product"].append(np.shape(x))
+        return _original(system, x)
+
+    bound = [m for n, m in sys.modules.items()
+             if n.startswith("roisolve") and getattr(m, "residual", None) is linear.residual]
+    for module in bound:
+        monkeypatch.setattr(module, "residual", counted_residual)
+    monkeypatch.setattr(linear.LinearSystem, "__matmul__", counted_product)
+    return calls
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_a_solve_takes_no_residual_and_only_recover_reports_one(domain, monkeypatch, tmp_path,
+                                                                small_psf, small_spec):
+    # a solve forms no A x of its own: scan pays for its tiles' forward
+    # product alone, the table and the sweep for one residual per AD they
+    # record, and recover for the one residual it reports
+    calls = _count_forward_work(monkeypatch)
+    system = _small_system(domain, small_psf, small_spec, ring=0)
+    rhs = system @ np.arange(1.0, 10.0)
+    calls["product"].clear()
+    for method in DOMAIN_MODULES[domain].METHODS:
+        for clamp in (False, True):
+            DOMAIN_MODULES[domain].solve_system(system, rhs, method, clamp_negative=clamp)
+    assert calls == {"residual": [], "product": []}
+
+    scan_reconstruct(make_test_sample(24, 24), (3, 3), (24, 24), 6.0, 23, domain=domain)
+    assert calls == {"residual": [], "product": [(9, 64)]}
+
+    calls["product"].clear()
+    table = run_table_experiment(domain, sizes=(2, 3), trials_per_size=3, root_seed=17,
+                                 noise_psnr_db=40.0, **SMALL)
+    assert all(t.error is None and math.isfinite(t.ad) for t in table.trials)
+    assert len(calls["residual"]) == len(table.trials) == 6
+    calls["residual"].clear()
+    sweep = noise_sweep(roi_size=3, psnr_grid=(40.0, 80.0), trials_per_level=3, root_seed=17,
+                        domains=(domain,), **SMALL)
+    assert all(p.failed == 0 for p in sweep.points)
+    assert len(calls["residual"]) == len(sweep.points) * 3 == 9
+
+    roi = RoiSpec(20, 22, 2, 2)
+    observed = observe_spatial(scatter_roi(np.array([40.0, 200.0, 120.0, 10.0]), roi, 48, 48),
+                               small_psf)
+    frame = tmp_path / "observed.raw"
+    write_raw_matrix(frame, observed)
+    for clamp in ([], ["--clamp"]):
+        calls["residual"].clear()
+        assert main(["recover", "--observed", str(frame), "--size", "2x2", "--roi", "20,22",
+                     "--cutoff", "10", "--domain", domain, *clamp,
+                     "--out", str(tmp_path / f"rec{len(clamp)}")]) == 0
+        assert len(calls["residual"]) == 1
 
 
 def test_scan_recovers_sample_spatial():

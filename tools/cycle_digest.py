@@ -14,7 +14,9 @@ hashes each subcommand's --help at 80 columns; the others run the command
 lines of the tables below, some once whatever the seeds.
 
 Some outputs no bench cycle reaches, so they have their own workloads:
-"noisy-table" gates `table --noise-psnr`; "failed-trials" gates summary rows
+"noisy-table" gates `table --noise-psnr`; "solvers" gates every --solver
+spelling through table, scan and recover, and recover --clamp of a solution
+with negative pixels; "failed-trials" gates summary rows
 whose trials failed (a kernel too small for the system reads nan);
 "located" gates recover without --roi, at and across every border of the
 circular field and on finite frames whose solve or centroid overflows;
@@ -129,6 +131,14 @@ SOLVER_RUNS = {
     "scan": ["scan", "--sample", "24x24", "--cutoff", "6", "--tile", "3x3"],
     "recover": ["recover", "--observed", SOLVER_FRAME, "--size", "2x2", "--roi", "20,22",
                 "--cutoff", "6"],
+}
+# name -> argv (without --out) of the solvers workload's recover --clamp runs:
+# the 2x2 ROI one column left of SOLVER_FRAME's block, whose light outside it
+# drives two recovered pixels negative, in each domain
+CLAMP_RUNS = {
+    f"recover-{domain}-clamp": ["recover", "--observed", SOLVER_FRAME, "--size", "2x2",
+                                "--roi", "20,21", "--cutoff", "6", "--domain", domain, "--clamp"]
+    for domain in ("spatial", "frequency")
 }
 # 400 digits: more than any array dimension or float64 can take
 _HUGE = "9" * 400
@@ -317,9 +327,10 @@ SEEDLESS = {
     "scan-field": lambda tmp: _with_out(tmp, {
         domain: [*SCAN_FIELD_ARGV, "--domain", domain] for domain in ("spatial", "frequency")}),
     "solvers": lambda tmp: _frame_runs(tmp, {
-        f"{command}-{domain}-{solver}": [*argv, "--domain", domain, "--solver", solver]
-        for command, argv in SOLVER_RUNS.items()
-        for domain in ("spatial", "frequency") for solver in SOLVER_SPELLINGS}),
+        **{f"{command}-{domain}-{solver}": [*argv, "--domain", domain, "--solver", solver]
+           for command, argv in SOLVER_RUNS.items()
+           for domain in ("spatial", "frequency") for solver in SOLVER_SPELLINGS},
+        **CLAMP_RUNS}),
     "refusals": lambda tmp: _frame_runs(tmp, REFUSAL_RUNS),
     "singular": lambda tmp: _frame_runs(tmp, SINGULAR_RUNS),
 }
