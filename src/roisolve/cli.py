@@ -293,8 +293,6 @@ def cmd_table(opts: dict) -> int:
         "noise_psnr_db": "" if opts["noise_psnr"] is None else repr(opts["noise_psnr"]),
         "sizes": ",".join(map(str, sizes)),
     }
-    for size, cut in sorted(report.effective_cutoffs.items()):
-        manifest[f"effective_cutoff_{size}"] = repr(cut)
     wrote = _write_files(opts["out"], [
         (f"trials_{domain}.csv", _write_records, pipeline.TrialResult, report.trials),
         (f"ae_{domain}.csv", fileio.write_table_csv, ["roi_size", "mean_ae", "std_ae", "failed"],

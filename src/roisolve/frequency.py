@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .forward import (
 )
 from .grid import RoiSpec
 from .linear import KroneckerFactors, LinearSystem, Solution, finite_condition, solve
-from .optics import OtfSpec, in_passband
+from .optics import OtfSpec, in_passband, wrap_distance
 
 # Imaginary residue allowed on recovered pixels, relative to their magnitude.
 IMAG_RTOL = 1e-9
@@ -116,12 +115,6 @@ def solve_two_point_1d(
     return (float(x_a.real), float(x_b.real))
 
 
-def effective_cutoff(base: float, k_rows: int, l_cols: int) -> float:
-    """Smallest cutoff that keeps a K x L corner block of the spectrum in the
-    passband; never below the base cutoff."""
-    return max(base, math.hypot(k_rows - 1, l_cols - 1))
-
-
 def require_block(k_rows: int, l_cols: int, ring: int, field_shape: tuple[int, int]) -> None:
     """BoundsError unless the (K+ring) x (L+ring) block a K x L region's
     system reads fits a field_shape spectrum."""
@@ -136,21 +129,12 @@ def require_block(k_rows: int, l_cols: int, ring: int, field_shape: tuple[int, i
 def simulated_blur(
     spec: OtfSpec, k_rows: int, l_cols: int, ring: int, psf_crop: int
 ) -> OtfSpec:
-    """The transfer spec a simulated K x L region's system reads: spec with
-    its cutoff raised to keep the (K+ring) x (L+ring) block observation_index
-    selects inside the passband. BoundsError if the block exceeds the field,
-    or if that cutoff reaches half the smaller field dimension, past every
-    passband the field holds. psf_crop is not read."""
+    """The transfer spec a simulated K x L region's system reads: spec itself,
+    the optics as given, once the (K+ring) x (L+ring) block observation_index
+    selects is found to fit the field (else BoundsError). psf_crop is not
+    read."""
     require_block(k_rows, l_cols, ring, spec.shape)
-    cutoff = effective_cutoff(spec.cutoff_radius, k_rows + ring, l_cols + ring)
-    limit = min(spec.shape) / 2.0
-    if cutoff >= limit:
-        raise BoundsError(
-            f"the {k_rows}x{l_cols} region at ring {ring} reads a spectrum block that needs "
-            f"cutoff {cutoff:.6g}; a {spec.field_rows}x{spec.field_cols} field's passband "
-            f"stays below {limit:g}"
-        )
-    return replace(spec, cutoff_radius=cutoff)
+    return spec
 
 
 def observation_index(roi: RoiSpec, field_shape: tuple[int, int], ring: int) -> np.ndarray:
@@ -161,14 +145,22 @@ def observation_index(roi: RoiSpec, field_shape: tuple[int, int], ring: int) -> 
     return np.column_stack([uu.ravel(), vv.ravel()])
 
 
+def structurally_singular(spec: OtfSpec, roi: RoiSpec, ring: int) -> bool:
+    """Whether the block observation_index selects for the ROI at ring holds
+    an entry outside spec's passband, whose row reads 0 (build_system)."""
+    idx = observation_index(roi, spec.shape, ring)
+    return not in_passband(spec, idx[:, 0], idx[:, 1]).all()
+
+
 def _factors(
-    roi: RoiSpec, idx: np.ndarray, rows: int, cols: int, gain: float
+    roi: RoiSpec, idx: np.ndarray, rows: int, cols: int, gain: float, outside: np.ndarray | None
 ) -> tuple[KroneckerFactors, bool]:
     """idx's factors, over its distinct u and v, and whether idx is their
     product U x V (each entry once, |U| >= K, |V| >= L). Row i of the matrix
     is gain/(rows*cols) * F_U[u_i] kron F_V[v_i], F_U[u, k] =
     exp(-2j*pi*u*(top+k)/rows) over U x the ROI rows, F_V the same over
-    columns. The factors record whether idx lists that product row-major."""
+    columns; 0 on the rows outside marks. The factors record whether idx
+    lists that product row-major."""
     us, u_at, vs, v_at = _axes(idx)
     n = idx.shape[0]
     flat = u_at * vs.size + v_at
@@ -177,7 +169,7 @@ def _factors(
     row_major = product and np.array_equal(flat, np.arange(n))
     f_u = _twiddles(us, roi.top + np.arange(roi.k_rows), rows, -1)
     f_v = _twiddles(vs, roi.left + np.arange(roi.l_cols), cols, -1)
-    return KroneckerFactors(f_u, f_v, us, vs, u_at, v_at, gain / (rows * cols), row_major), product
+    return KroneckerFactors(f_u, f_v, us, vs, u_at, v_at, gain / (rows * cols), row_major, outside), product
 
 
 def build_system(
@@ -200,12 +192,13 @@ def build_system(
         roi: region holding the unknown pixels.
         obs_index: (n, 2) spectrum indices to use; needs at least
             roi.pixel_count of them (more gives an overdetermined system).
-        otf_spec: the transfer spec on field_shape (else ShapeError); every
-            index must sit inside its passband, otherwise SelectionError
-            (entries outside carry no signal after the low-pass filter).
+        otf_spec: the transfer spec on field_shape (else ShapeError); an
+            entry outside its passband carries no signal, so its row reads 0.
         estimate_condition: compute a 2-norm condition estimate: from the two
             factors on a full product, else from an SVD of the whole matrix;
-            an infinite estimate raises SingularSystemError.
+            an infinite estimate raises SingularSystemError, an entry outside
+            the passband SelectionError naming the smallest cutoff that holds
+            the selection. Without it (the table's marked sizes) it is nan.
     """
     if not isinstance(otf_spec, OtfSpec):
         raise ParameterError(f"transform domain reads an OtfSpec, got {type(otf_spec).__name__}")
@@ -224,13 +217,15 @@ def build_system(
     if otf_spec.shape != (rows, cols):
         raise ShapeError(f"transfer spec field {otf_spec.shape} does not match {rows}x{cols}")
     outside = ~in_passband(otf_spec, idx[:, 0], idx[:, 1])
-    if outside.any():
-        bad = idx[outside][0]
+    if estimate_condition and outside.any():
+        bad, needed = idx[outside][0], float(wrap_distance(otf_spec, idx[:, 0], idx[:, 1]).max())
         raise SelectionError(
             f"selected entry (u={bad[0]}, v={bad[1]}) lies outside the passband "
-            f"(cutoff {otf_spec.cutoff_radius}); it carries no signal"
+            f"(cutoff {otf_spec.cutoff_radius}); it carries no signal, and the "
+            f"selection needs cutoff {needed!r}"
         )
-    factors, product = _factors(roi, idx, rows, cols, otf_spec.passband_gain)
+    mask = outside if outside.any() else None  # None: every row carries signal
+    factors, product = _factors(roi, idx, rows, cols, otf_spec.passband_gain, mask)
     a = None if product else factors.dense()
     cond = float("nan")
     if estimate_condition:

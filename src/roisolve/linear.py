@@ -43,7 +43,9 @@ class KroneckerFactors(NamedTuple):
     row_major: the rows list the product in its own row-major order, as
     observation_index gives them; decided once, where the factors are built.
     rows, apply and solve then reshape in place of gathering and scattering.
-    us, vs: the sorted distinct u and v, which u_at and v_at index."""
+    us, vs: the sorted distinct u and v, which u_at and v_at index.
+    outside: None, or True on each row past the passband, which carries no
+    signal: rows and dense read it as 0, and solve refuses the factors."""
 
     f_u: np.ndarray
     f_v: np.ndarray
@@ -53,13 +55,17 @@ class KroneckerFactors(NamedTuple):
     v_at: np.ndarray
     scale: float
     row_major: bool = False
+    outside: np.ndarray | None = None
 
     def rows(self, block: np.ndarray) -> np.ndarray:
         """A (|U|, |V|, ...) block over U x V in A's row order: a reshape on
-        a row-major product, else the gather block[u_at, v_at]."""
-        if self.row_major:
-            return block.reshape(self.u_at.size, *block.shape[2:])
-        return block[self.u_at, self.v_at]
+        a row-major product, else the gather block[u_at, v_at]; rows outside
+        are set to 0, in the block itself on a reshape."""
+        n = self.u_at.size
+        out = block.reshape(n, *block.shape[2:]) if self.row_major else block[self.u_at, self.v_at]
+        if self.outside is not None:
+            out[self.outside] = 0
+        return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A @ x for x (K*L,) or (K*L, t): scale * F_U X F_V^T, each column X as K x L."""
@@ -73,13 +79,18 @@ class KroneckerFactors(NamedTuple):
         """A itself, (n, K*L): row i is scale * (F_U[u_at[i]] kron F_V[v_at[i]])."""
         rows = self.f_u[self.u_at][:, :, None] * self.f_v[self.v_at][:, None, :]
         rows *= self.scale
+        if self.outside is not None:
+            rows[self.outside] = 0
         return rows.reshape(self.u_at.size, -1)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """x with A x = y, square factors only: F_U^-1 Y F_V^-T / scale, each
         inverse an LU against the identity, applied as a matrix product. y is
         read, never written: a row-major product reshapes it as the block Y,
-        any other order scatters it into a fresh one."""
+        any other order scatters it into a fresh one. SingularSystemError
+        when rows lie outside: they read 0, so A is singular."""
+        if self.outside is not None:
+            raise SingularSystemError("rows outside the passband read 0", float("inf"))
         (n_u, k), n_v, t = self.f_u.shape, self.f_v.shape[0], y.size // y.shape[0]
         if self.row_major:
             block = y.astype(complex, copy=False)

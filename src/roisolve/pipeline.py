@@ -33,13 +33,12 @@ DEFAULT_CUTOFF = 6.0
 DEFAULT_PSF_CROP = 501
 SIZES_DEFAULT = range(2, 21)
 # Each domain's simulated_blur (the kernel or transfer spec a simulated run
-# reads), observation_index, build_system, readers (a system's NoiselessRows,
-# frame_rhs and a noisy trial's unit_rows) and solve_system, and its METHODS.
-# A built system records its key as its domain; each module's readers and
-# solver refuse the other's systems. Only the table's cutoff record and its
-# structural-rank mark branch on the name itself. Callers look functions up
-# on the module at call time, so wrappers installed on the module attribute
-# see every call.
+# reads), observation_index, structurally_singular (the table's mark),
+# build_system, readers (a system's NoiselessRows, frame_rhs and a noisy
+# trial's unit_rows) and solve_system, and its METHODS. A built system
+# records its key as its domain; each module's readers and solver refuse the
+# other's systems. Callers look functions up on the module at call time, so
+# wrappers installed on the module attribute see every call.
 DOMAIN_MODULES = {"spatial": spatial, "frequency": frequency}
 DOMAINS = tuple(DOMAIN_MODULES)
 
@@ -249,11 +248,9 @@ def summarize(trials: Sequence[TrialResult]) -> Summary:
 
 @dataclass
 class ExperimentReport:
-    """What one table run found: the method it solved with, the transform
-    domain's effective cutoff per size, and every trial row."""
+    """What one table run found: the method it solved with and every trial row."""
 
     solver: str
-    effective_cutoffs: dict[int, float] = dataclass_field(default_factory=dict)
     trials: list[TrialResult] = dataclass_field(default_factory=list)
 
     def summaries(self) -> dict[int, Summary]:
@@ -291,21 +288,22 @@ def roi_problem(
 
     The image domain observes the ROI cells plus the cells within ring of
     them, through the kernel blur. The transform domain reads the
-    (K+ring) x (L+ring) spectrum block at the origin, every entry of which
-    must lie inside the passband of the transfer spec blur and the block
-    inside the field. The system carries its condition estimate, nan when
-    estimate_condition is False (the table's structurally singular sizes).
+    (K+ring) x (L+ring) spectrum block at the origin of the transfer spec
+    blur. The system carries its condition estimate, nan when
+    estimate_condition is False (the table's marked sizes).
 
     Raises:
         ParameterError: unknown domain, ring < 0, or a blur the domain does
             not read (a PsfKernel for the image domain, an OtfSpec for the
             transform domain).
         BoundsError: a transform-domain block larger than the field.
+        SelectionError: with the estimate, a transform-domain block that
+            leaves the passband, naming the cutoff it needs.
         SingularSystemError: the condition estimate is infinite, or (image
             domain, kernel built from a transfer spec) the passband leaves
             the system structurally singular, found before any SVD
-            (spatial.build_system). scan, recover and noise refuse such a
-            system through this call, whatever the solver.
+            (spatial.build_system). scan, recover and noise refuse such
+            systems through this call, whatever the solver.
     """
     module = domain_module(domain)
     if ring < 0:
@@ -378,18 +376,19 @@ def _run_size(
     row it reaches: a failed build fails every row of the size, a failed
     noisy_rhs every row of its trial, and a failed solve its own row.
 
-    The table charts which sizes resolve, so with mark_singular an
-    image-domain size that spatial.structurally_singular finds below full
-    rank has no unique solution. It is marked, not failed: its system is
-    built without the estimate (no SVD), and each row meets the solve's
-    refusals of its inputs (linear.solve_route), is not solved, and records
-    AD alone, AE nan and condition inf. Without mark_singular (the noise
-    sweep) the build refuses that size, and every row records the refusal.
+    The table charts which sizes resolve, so with mark_singular a size the
+    domain's structurally_singular finds has no unique solution. It is
+    marked, not failed: its system is built without the estimate (no SVD;
+    transform-domain rows outside the passband read 0), and each row meets
+    the solve's refusals of its inputs (linear.solve_route), is not solved,
+    and records AD alone, AE nan and condition inf. Without mark_singular
+    (the noise sweep) the build refuses that size, and every row records the
+    refusal.
     """
     size, module = roi.k_rows, DOMAIN_MODULES[domain]
     out: list[list[TrialResult]] = [[] for _ in levels]
     system, reader, failure = None, None, None
-    singular = mark_singular and domain == "spatial" and spatial.structurally_singular(blur, roi)
+    singular = mark_singular and module.structurally_singular(blur, roi, extra_ring)
     try:
         system = roi_problem(domain, roi, field_shape, blur, extra_ring, not singular)
         reader = module.NoiselessRows(system)
@@ -446,18 +445,16 @@ def run_table_experiment(
     the middle of an otherwise dark field, observes through the low-pass
     model, builds the domain's system and solves it, recording averaged error
     against the known pixels and averaged difference of the system itself.
-    A structurally singular image-domain size (at the default setup 10-20)
-    has no unique solution: it is marked, not failed or solved, and records
-    AD alone, AE nan and condition inf (_run_size).
+    Every size runs the optics given. A size with no unique solution (at the
+    default setup image-domain 10-20, structurally singular, and transform
+    6-20, whose block leaves the passband) is marked, not failed or solved,
+    and records AD alone, AE nan and condition inf (_run_size).
 
     extra_ring widens the observation set: in the image domain it appends the
     ring of cells within that Chebyshev distance of the ROI; in the transform
     domain it grows the selected spectrum block by the same amount per axis.
     Either way the default solver switches to the least-squares variant.
     solver is any spelling resolve_solver takes.
-
-    In the transform domain the cutoff is raised per size to keep the selected
-    block inside the passband; the report records the effective value used.
 
     Every trial of a size shares one system (matrix and condition estimate)
     and reads its rows through noisy_rhs at the one level noise_psnr_db
@@ -481,8 +478,6 @@ def run_table_experiment(
             raise ParameterError(f"ROI size must be >= 1, got {size}")
         blurs.append(module.simulated_blur(spec, size, size, extra_ring, psf_crop))
     for size, blur in zip(sizes, blurs):
-        if domain == "frequency":
-            report.effective_cutoffs[size] = blur.cutoff_radius
         draws = [_trial_pixels(root_seed, size, trial) for trial in range(trials_per_size)]
         (trials,) = _run_size(
             domain, centered_roi(rows, cols, size, size), (rows, cols), blur, extra_ring,

@@ -120,10 +120,10 @@ def observation_index(roi: RoiSpec, field_shape: tuple[int, int], ring: int) -> 
     return cells
 
 
-def structurally_singular(psf: PsfKernel, roi: RoiSpec) -> bool:
-    """Whether the kernel's passband leaves the ROI's system, at any ring,
-    below full rank (optics.structural_rank). A kernel read from a file has
-    no passband to count, so its systems never are."""
+def structurally_singular(psf: PsfKernel, roi: RoiSpec, ring: int = 0) -> bool:
+    """Whether the kernel's passband leaves the ROI's system, at any ring
+    (not read), below full rank (optics.structural_rank). A kernel read from
+    a file has no passband to count, so its systems never are."""
     return psf.spec is not None and structural_rank(psf.spec, *roi.shape) < roi.pixel_count
 
 

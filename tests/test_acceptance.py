@@ -125,8 +125,10 @@ def test_criterion_05_model_fidelity_all_sizes():
 
 
 def _spot_check(domain, sizes):
-    # one table trial per size: the image domain marks these sizes and
-    # solves none, the transform domain solves them in their factors
+    # one table trial per size: both domains mark these sizes and solve
+    # none (image-domain systems below full rank, transform-domain blocks
+    # that leave the passband); the transform AD is read in the factors, over
+    # the block's entries inside the passband, with no dense matrix formed
     report = run_table_experiment(
         domain, sizes=sizes, trials_per_size=1,
         field_shape=FIELD, cutoff_radius=CUTOFF, psf_crop=CROP,

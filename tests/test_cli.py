@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from roisolve import cli, pipeline, spatial
+from roisolve import cli, frequency, pipeline, spatial
 from roisolve.cli import (
     expand_sizes,
     main,
@@ -287,7 +287,8 @@ def test_table_command_frequency_solver_alias(tmp_path):
     assert rc == 0
     manifest = read_manifest(tmp_path / "manifest_frequency.txt")
     assert manifest["solver"] == "direct_complex"
-    assert "effective_cutoff_2" in manifest
+    assert manifest["base_cutoff"] == "10.0"
+    assert not any(key.startswith("effective_cutoff") for key in manifest)
 
 
 def test_table_config_precedence(tmp_path):
@@ -1181,31 +1182,41 @@ def test_noise_records_a_structurally_singular_system_as_failed(tmp_path):
         )
 
 
+_LU_WITH_A_RING = ["--field", "48x48", "--cutoff", "0", "--sizes", "2", "--ring", "1",
+                   "--solver", "direct"]
+
+
 @pytest.mark.parametrize(
-    "argv, reason",
-    [(["--sizes", "9-10", "--noise-psnr=-7000"],
+    "domain, argv, reason",
+    [("spatial", ["--sizes", "9-10", "--noise-psnr=-7000"],
       "ParameterError: system matrix or right-hand side holds NaN or Inf"),
-     (["--sizes", "9-10", "--noise-psnr=-6000"], "ParameterError: "),
-     (["--field", "48x48", "--cutoff", "0", "--sizes", "2", "--ring", "1", "--solver", "direct"],
-      "ShapeError: direct needs a square system")],
-    ids=["infinite-sigma", "overflow", "lu-with-ring"],
+     ("spatial", ["--sizes", "9-10", "--noise-psnr=-6000"], "ParameterError: "),
+     ("spatial", _LU_WITH_A_RING, "ShapeError: direct needs a square system"),
+     ("frequency", ["--sizes", "5-6", "--noise-psnr=-7000"],
+      "ParameterError: system matrix or right-hand side holds NaN or Inf"),
+     ("frequency", ["--sizes", "5-6", "--noise-psnr=-6000"], "ParameterError: "),
+     ("frequency", _LU_WITH_A_RING, "ShapeError: direct_complex needs a square system")],
+    ids=["infinite-sigma", "overflow", "lu-with-ring",
+         "frequency-infinite-sigma", "frequency-overflow", "frequency-lu-with-ring"],
 )
-def test_a_marked_table_size_fails_where_the_solve_would(tmp_path, argv, reason):
+def test_a_marked_table_size_fails_where_the_solve_would(tmp_path, domain, argv, reason):
     # 10x10 at the default setup and 2x2 at cutoff 0 are structurally
-    # singular: the table marks them, yet their rows refuse what a solve
-    # refuses (an infinite sigma, finite observations that overflow, LU with
-    # a ring), as the rows of 9x9 do, with every metric nan
+    # singular, and a transform-domain 6x6 block at the default setup and 3x3
+    # block at cutoff 0 leave the passband: the table marks them, yet their
+    # rows refuse what a solve refuses (an infinite sigma, finite
+    # observations that overflow, LU with a ring), as the rows of the solved
+    # 9x9 and 5x5 do, with every metric nan
     out = tmp_path / "table"
-    code, stdout, err = _run(["table", "--domain", "spatial", "--trials", "1", *argv,
+    code, stdout, err = _run(["table", "--domain", domain, "--trials", "1", *argv,
                               "--out", str(out)])
     assert code == 0, err
-    with open(out / "trials_spatial.csv", newline="") as f:
+    with open(out / f"trials_{domain}.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert rows
     for row in rows:
         assert row["error"].startswith(reason), row
         assert [row[c] for c in ("ae", "ad", "condition")] == ["nan"] * 3
-    with open(out / "ae_spatial.csv", newline="") as f:
+    with open(out / f"ae_{domain}.csv", newline="") as f:
         assert all(row["failed"] == "1" for row in csv.DictReader(f))
 
 
@@ -1582,7 +1593,7 @@ def _refused(argv: list[str], out, capsys) -> str:
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # the frequency ring used to overflow math.hypot in effective_cutoff
+        # a frequency ring past the field is refused before any block is formed
         (["--domain", "frequency", *SMALL_ARGS, "--ring", HUGE], "spectrum block beyond the 48x48"),
         # the field used to overflow in optics.in_passband
         (["--domain", "spatial", "--field", f"{HUGE}x48"], "exceeds any complex128 array"),
@@ -1603,32 +1614,47 @@ def test_noise_refuses_a_ring_no_spectrum_block_can_carry(tmp_path, capsys):
     assert "spectrum block beyond the 48x48 field" in _refused(argv, out, capsys)
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        # sizes 2-17 used to run before size 18 was refused, naming only a cutoff
-        (["table", "--domain", "frequency", "--field", "48x48", "--cutoff", "10",
-          "--sizes", "2-20", "--trials", "1"],
-         "the 18x18 region at ring 0 reads a spectrum block that needs cutoff 24.0416; "
-         "a 48x48 field's passband stays below 24"),
-        (["scan", "--sample", "48x48", "--tile", "24x24", "--domain", "frequency",
-          "--cutoff", "6"],
-         "the 24x24 region at ring 0 reads a spectrum block that needs cutoff 32.5269; "
-         "a 48x48 field's passband stays below 24"),
-        (["noise", "--domains", "frequency", "--ring", "40", "--field", "48x48",
-          "--cutoff", "10"],
-         "the 3x3 region at ring 40 reads a spectrum block that needs cutoff 59.397; "
-         "a 48x48 field's passband stays below 24"),
-    ],
-    ids=["table", "scan", "noise"],
-)
-def test_a_region_whose_block_needs_a_cutoff_past_the_field_is_named(
-    tmp_path, capsys, argv, message
-):
-    # refused before any trial or tile, naming the region rather than a
-    # cutoff the command line never gave
+@pytest.mark.parametrize("command", ["table", "scan", "noise"])
+def test_a_region_whose_block_needs_a_cutoff_past_the_field_is_named(tmp_path, capsys, command):
+    # every command runs the cutoff it was given; a block that leaves the
+    # passband is marked by the table and refused by scan and noise, naming
+    # the smallest cutoff that holds the whole block, here past any passband
+    # a 48x48 field holds (below 24)
     out = tmp_path / "out"
-    assert _refused([*argv, "--out", str(out)], out, capsys) == f"error: {message}"
+    if command == "table":
+        assert main(["table", "--domain", "frequency", "--field", "48x48", "--cutoff", "10",
+                     "--sizes", "2-20", "--trials", "1", "--out", str(out)]) == 0
+        with open(out / "trials_frequency.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        # from 9x9 up the block reaches past cutoff 10 (hypot(8, 8) = 11.3)
+        assert [row["roi_size"] for row in rows] == [str(size) for size in range(2, 21)]
+        for row in rows:
+            marked = int(row["roi_size"]) >= 9
+            assert row["error"] == ""
+            assert math.isnan(float(row["ae"])) == marked
+            assert (row["condition"] == "inf") == marked
+            assert float(row["ad"]) <= 1e-12
+    elif command == "scan":
+        argv = ["scan", "--sample", "48x48", "--tile", "24x24", "--domain", "frequency",
+                "--cutoff", "6", "--out", str(out)]
+        assert _refused(argv, out, capsys) == (
+            "error: selected entry (u=0, v=7) lies outside the passband (cutoff 6.0); it "
+            "carries no signal, and the selection needs cutoff 32.526911934581186"
+        )
+    else:
+        assert main(["noise", "--domains", "frequency", "--ring", "40", "--field", "48x48",
+                     "--cutoff", "10", "--trials", "2", "--psnr", "80",
+                     "--out", str(out)]) == 0
+        with open(out / "noise_sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [row["psnr_db"] for row in rows] == ["inf", "80"]
+        for row in rows:
+            assert row["failed"] == "2" and row["mean_ae"] == "nan"
+            assert row["error"] == (
+                "SelectionError: selected entry (u=0, v=11) lies outside the passband "
+                "(cutoff 10.0); it carries no signal, and the selection needs cutoff "
+                f"{math.hypot(24, 24)!r}"
+            )
 
 
 def test_recover_refuses_a_spectrum_block_beyond_the_frame(tmp_path, observed_file, capsys):
@@ -1763,9 +1789,12 @@ def _table_values(draw):
 
 
 # below cutoff 1 the passband leaves an image-domain 2x2 structurally
-# singular: the table keeps its rows unsolved, AE nan and condition inf
+# singular, and a transform-domain 2x2 block leaves it: the table keeps
+# their rows unsolved, AE nan and condition inf
 @example(values={"domain": "spatial", "field": "48x48", "cutoff": "0.0", "trials": "1",
                  "sizes": "2", "solver": "lsq"})
+@example(values={"domain": "frequency", "field": "48x48", "cutoff": "0.0", "trials": "1",
+                 "sizes": "2"})
 @settings(max_examples=40, deadline=None)
 @given(values=_table_values())
 def test_table_flags_never_crash_and_config_gives_the_same_run(tmp_path_factory, values):
@@ -1777,7 +1806,10 @@ def test_table_flags_never_crash_and_config_gives_the_same_run(tmp_path_factory,
 
         def marked(row):
             size = int(row["roi_size"])
-            return row["domain"] == "spatial" and structural_rank(spec, size, size) < size * size
+            if row["domain"] == "spatial":
+                return structural_rank(spec, size, size) < size * size
+            roi = RoiSpec(0, 0, size, size)
+            return frequency.structurally_singular(spec, roi, int(values.get("ring", 0)))
 
         _finite_unless_failed(trials, ("ad",), lambda row: row["error"])
         _finite_unless_failed(trials, ("ae", "condition"),

@@ -217,28 +217,54 @@ def test_refusals_workload_hashes_every_run_once(tool):
     assert tool.digest(["refusals"], []) == digests
 
 
+def _table_files(domain):
+    return tuple(f"{what}_{domain}.{ext}" for what, ext in
+                 (("trials", "csv"), ("ae", "csv"), ("ad", "csv"), ("manifest", "txt")))
+
+
 def test_singular_workload_hashes_every_run_once(tool):
-    # the table marks its structurally singular sizes and writes every file;
-    # noise records each level as failed; recover and scan refuse (exit 4,
-    # nothing written)
+    # the table marks its structurally singular sizes, and its transform
+    # blocks that leave the passband, and writes every file; noise records
+    # each level as failed; recover and scan refuse (exit 4 for a singular
+    # system, 2 for a block outside the passband; nothing written)
     assert "singular" in tool.WORKLOADS
     digests = tool.digest(["singular"], [205])
+    noise = ("noise_sweep.csv", "noise_manifest.txt")
     written = {
-        "table-9-11": ("trials_spatial.csv", "ae_spatial.csv", "ad_spatial.csv",
-                       "manifest_spatial.txt"),
-        "noise-cutoff-0.5": ("noise_sweep.csv", "noise_manifest.txt"),
-        "recover-10x10": (),
-        "scan-cutoff-0.5": (),
+        "table-9-11": (_table_files("spatial"), "0"),
+        "noise-cutoff-0.5": (noise, "0"),
+        "recover-10x10": ((), "4"),
+        "scan-cutoff-0.5": ((), "4"),
+        "table-frequency-5-7": (_table_files("frequency"), "0"),
+        "noise-frequency-4-r2": (noise, "0"),
+        "recover-frequency-6x6": ((), "2"),
+        "scan-frequency-6x6": ((), "2"),
     }
     assert set(written) == set(tool.SINGULAR_RUNS)
     assert set(digests) == {
         f"singular/{name}/{what}"
-        for name, files in written.items()
+        for name, (files, _) in written.items()
         for what in ("exit", "stdout", "stderr", *files)
     }
-    for name, files in written.items():
-        assert digests[f"singular/{name}/exit"] == tool._hash(b"0" if files else b"4")
+    for name, (_, code) in written.items():
+        assert digests[f"singular/{name}/exit"] == tool._hash(code.encode())
     assert tool.digest(["singular"], []) == digests
+
+
+def test_loud_workload_hashes_every_table_once(tool):
+    # every row of these tables fails (the digests pin how), and each table
+    # still exits 0 and writes every file
+    assert "loud" in tool.WORKLOADS
+    digests = tool.digest(["loud"], [205])
+    assert set(digests) == {
+        f"loud/{name}/{what}"
+        for name, argv in tool.LOUD_RUNS.items()
+        for what in ("exit", "stdout", "stderr", *_table_files(argv[argv.index("--domain") + 1]))
+    }
+    assert {name.split("-")[1] for name in tool.LOUD_RUNS} == {"spatial", "frequency"}
+    for name in tool.LOUD_RUNS:
+        assert digests[f"loud/{name}/exit"] == tool._hash(b"0")
+    assert tool.digest(["loud"], []) == digests
 
 
 def test_many_trials_workload_runs_a_table_past_numpys_pairwise_block(tool, monkeypatch):

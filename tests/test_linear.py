@@ -305,3 +305,21 @@ def test_a_solved_system_is_freed_without_the_cycle_collector(domain, small_psf)
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_factored_solve_refuses_rows_outside_the_passband():
+    # the table builds a 6x6 block at cutoff 6 without the estimate: its three
+    # corner entries past hypot(5, 3) carry no signal, so their rows read 0
+    # and the factored LU, which would invert the unmasked factors, refuses
+    spec = OtfSpec(48, 48, 6.0)
+    system = roi_problem("frequency", centered_roi(48, 48, 6, 6), spec.shape, spec, 0,
+                         estimate_condition=False)
+    assert np.count_nonzero(system.factors.outside) == 3
+    rhs = system @ np.arange(36.0)
+    refusal = "rows outside the passband read 0"
+    with pytest.raises(SingularSystemError, match=refusal) as info:
+        system.factors.solve(rhs)
+    assert info.value.condition == math.inf
+    with pytest.raises(SingularSystemError, match=refusal):
+        frequency.solve_system(system, rhs, "direct_complex")
+    assert np.isfinite(system.factors._replace(outside=None).solve(rhs)).all()

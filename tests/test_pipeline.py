@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 import sys
 import tracemalloc
 
@@ -9,12 +10,12 @@ import numpy as np
 import pytest
 
 from roisolve import forward, frequency, linear, pipeline, spatial
-from roisolve.frequency import effective_cutoff
 from roisolve.errors import (
     BoundsError,
     DegenerateInputError,
     NoSignalError,
     ParameterError,
+    SelectionError,
     ShapeError,
     SingularSystemError,
 )
@@ -22,7 +23,7 @@ from roisolve.cli import main
 from roisolve.fileio import read_manifest, read_raster, write_pgm16, write_raw_matrix
 from roisolve.forward import NoiseSpec, observe_field, observe_field_at, observe_spatial
 from roisolve.grid import RoiSpec, centered_roi, scatter_roi
-from roisolve.optics import OtfSpec, PsfKernel, build_psf
+from roisolve.optics import OtfSpec, PsfKernel, build_psf, in_passband
 from roisolve.pipeline import (
     DEFAULT_PSNR_GRID,
     DOMAIN_MODULES,
@@ -375,12 +376,6 @@ def test_noise_seed_independent_of_pixel_stream():
     assert noise_stream_seed(7, 3, 0) == noise_state
 
 
-def test_effective_cutoff():
-    assert effective_cutoff(6.0, 3, 3) == 6.0
-    assert effective_cutoff(6.0, 10, 10) == pytest.approx(math.hypot(9, 9))
-    assert effective_cutoff(6.0, 20, 2) == pytest.approx(math.hypot(19, 1))
-
-
 def test_report_aggregates_skip_failed_trials(tmp_path, capsys):
     ok = [
         TrialResult("spatial", 3, t, 100 + t, ae=float(t + 1), ad=0.5 * (t + 1), condition=10.0)
@@ -438,19 +433,23 @@ def test_table_experiment_aggregates_match_manual():
     assert row.max_ad == float(ads.max())
 
 
-def test_table_experiment_frequency_records_cutoffs(tmp_path, capsys):
+def test_table_experiment_frequency_runs_the_cutoff_it_was_given(tmp_path, capsys):
+    # size 2 solves at cutoff 10; the 12x12 block reaches past it, so size 12
+    # is marked at that same cutoff, and the manifest records the one cutoff
     report = run_table_experiment(
         "frequency", sizes=(2, 12), trials_per_size=2, root_seed=3, **SMALL
     )
-    assert report.effective_cutoffs[2] == 10.0
-    assert report.effective_cutoffs[12] == pytest.approx(math.hypot(11, 11))
     for t in report.trials[:2]:
         assert t.roi_size == 2
         assert t.error is None
         assert t.ae < 1e-6
+    for t in report.trials[2:]:
+        assert t.roi_size == 12 and t.error is None
+        assert math.isnan(t.ae) and t.condition == math.inf
     manifest = _run_manifest(tmp_path, "manifest_frequency.txt", "table", "--domain", "frequency",
                              "--sizes", "2,12", "--trials", "2", "--seed", "3")
-    assert manifest["effective_cutoff_12"] == repr(math.hypot(11.0, 11.0))
+    assert manifest["base_cutoff"] == "10.0"
+    assert not any(key.startswith("effective_cutoff") for key in manifest)
 
 
 def test_table_experiment_ring_widens_spatial_system():
@@ -488,13 +487,13 @@ def test_table_experiment_validation():
 
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_a_sizes_trials_do_not_depend_on_the_runs_other_sizes(domain):
-    # each size builds its own kernel (or widens its own cutoff)
+    # each size builds its own kernel (or, in the transform domain, reads its
+    # own block of the one spectrum)
     kwargs = dict(trials_per_size=2, root_seed=13, **SMALL)
     both = run_table_experiment(domain, sizes=(2, 5), **kwargs)
     alone = [run_table_experiment(domain, sizes=(size,), **kwargs) for size in (2, 5)]
     assert all(t.error is None for t in both.trials)
     assert both.trials == alone[0].trials + alone[1].trials
-    assert both.effective_cutoffs == {**alone[0].effective_cutoffs, **alone[1].effective_cutoffs}
 
 
 @pytest.mark.parametrize("domain, cutoff", [("spatial", 10.0), ("frequency", 10.0),
@@ -772,7 +771,7 @@ def test_noisy_rhs_is_frame_rhs_of_each_noisy_frame(domain, shape, cutoff):
     rows, cols = shape
     size, ring = 3, 2
     roi = centered_roi(rows, cols, size, size)
-    spec = OtfSpec(rows, cols, effective_cutoff(cutoff, size + ring, size + ring))
+    spec = OtfSpec(rows, cols, cutoff)
     blur = build_psf(spec, 2 * (size + ring) + 1) if domain == "spatial" else spec
     system = roi_problem(domain, roi, shape, blur, ring)
     pixels = np.random.default_rng(5).uniform(0.0, 256.0, size * size)
@@ -1014,8 +1013,8 @@ def test_every_entry_point_refuses_an_unknown_domain(small_psf):
 
 
 # what pipeline looks up on a domain module
-DOMAIN_INTERFACE = ("simulated_blur", "observation_index", "build_system", "NoiselessRows",
-                    "unit_rows", "frame_rhs", "solve_system")
+DOMAIN_INTERFACE = ("simulated_blur", "observation_index", "structurally_singular",
+                    "build_system", "NoiselessRows", "unit_rows", "frame_rhs", "solve_system")
 
 
 def test_domain_modules_share_one_interface(small_spec):
@@ -1042,10 +1041,13 @@ def test_simulated_blur_is_the_domains_layout(domain, small_spec):
         assert blur.crop_size == 9
         assert blur.grid.tobytes() == build_psf(small_spec, 47).window(5, 5).tobytes()
     else:
-        # the 5x4 block stays inside the passband; no crop is read
-        assert blur == OtfSpec(48, 48, max(10.0, math.hypot(4, 3)))
-        wide = DOMAIN_MODULES[domain].simulated_blur(small_spec, 12, 9, 1, -1)
-        assert wide.cutoff_radius == math.hypot(12, 9)
+        # the optics as given, whether the block stays inside the passband
+        # (5x4) or not (13x10); no crop is read, and only a block past the
+        # field is refused
+        assert blur is small_spec
+        assert DOMAIN_MODULES[domain].simulated_blur(small_spec, 12, 9, 1, -1) is small_spec
+        with pytest.raises(BoundsError, match="beyond the 48x48 field"):
+            DOMAIN_MODULES[domain].simulated_blur(small_spec, 46, 2, 3, 47)
 
 
 def _small_system(domain, small_psf, small_spec, ring=1):
@@ -1142,6 +1144,53 @@ def test_table_marks_an_exactly_singular_system(monkeypatch):
     psf = build_psf(OtfSpec(48, 48, 0.0), 47)
     with pytest.raises(SingularSystemError, match=refusal):
         roi_problem("spatial", RoiSpec(20, 20, 3, 3), (48, 48), psf, 0)
+
+
+def test_table_marks_a_transform_block_that_leaves_the_passband(monkeypatch):
+    # 48x48 at cutoff 6: the 5x5 block stays inside the passband (its corner
+    # at hypot(4, 4) = 5.66), the 6x6 and 7x7 blocks reach past it. The table
+    # runs that one cutoff: it solves size 5 and marks 6 and 7, with no
+    # solve, AE nan, condition inf and an AD read over the entries that carry
+    # signal, since the rows outside the passband read exactly 0 in the
+    # system and in the reader; noise, scan and recover refuse those blocks,
+    # naming the cutoff each needs
+    setup = dict(field_shape=(48, 48), cutoff_radius=6.0, psf_crop=47)
+    solves = []
+    solve = pipeline.frequency.solve_system
+
+    def counted_solve(system, *args):
+        solves.append(system.roi.k_rows)
+        return solve(system, *args)
+
+    monkeypatch.setattr(pipeline.frequency, "solve_system", counted_solve)
+    report = run_table_experiment("frequency", sizes=(5, 6, 7), trials_per_size=2, **setup)
+    assert solves == [5, 5]
+    assert [t.roi_size for t in report.trials] == [5, 5, 6, 6, 7, 7]
+    for t in report.trials:
+        assert t.error is None and t.ad <= 1e-10
+        assert math.isnan(t.ae) == (t.condition == math.inf) == (t.roi_size > 5)
+    spec = OtfSpec(48, 48, 6.0)
+    for size in (5, 6, 7):
+        roi = centered_roi(48, 48, size, size)
+        assert frequency.structurally_singular(spec, roi, 0) == (size > 5)
+        if size == 5:
+            continue
+        system = roi_problem("frequency", roi, (48, 48), spec, 0, estimate_condition=False)
+        outside = ~in_passband(spec, system.obs_index[:, 0], system.obs_index[:, 1])
+        assert system.matrix is None and system.shape == (size * size,) * 2
+        assert np.array_equal(system.factors.outside, outside)
+        pixels = pipeline._trial_pixels(pipeline.DEFAULT_SEED, size, 0)[1]
+        reader = frequency.NoiselessRows(system)
+        for rows in (system @ pixels, reader(pixels), system.a_matrix):
+            assert np.all(rows[outside] == 0) and np.any(rows[~outside] != 0)
+        needed = re.escape(repr(math.hypot(size - 1, size - 1)))
+        with pytest.raises(SelectionError, match=f"outside the passband .* needs cutoff {needed}$"):
+            roi_problem("frequency", roi, (48, 48), spec, 0)
+    sweep = noise_sweep(roi_size=6, psnr_grid=(80.0,), trials_per_level=2,
+                        domains=("frequency",), **setup)
+    assert all(p.failed == 2 and "lies outside the passband" in p.error for p in sweep.points)
+    with pytest.raises(SelectionError, match="needs cutoff 7.07"):
+        scan_reconstruct(make_test_sample(48, 48), (6, 6), (48, 48), 6.0, 47, domain="frequency")
 
 
 def test_table_skips_the_svd_of_structurally_singular_sizes(monkeypatch):
@@ -1424,7 +1473,7 @@ def test_condition_estimate_leaves_every_trial_alone(domain, ring):
     rng = np.random.default_rng(5)
     for size in (2, 3, 4):
         roi = centered_roi(48, 48, size, size)
-        spec = OtfSpec(48, 48, effective_cutoff(10.0, size + ring, size + ring))
+        spec = OtfSpec(48, 48, 10.0)
         blur = build_psf(spec, 47) if domain == "spatial" else spec
         idx = module.observation_index(roi, (48, 48), ring)
         with_cond, without = (

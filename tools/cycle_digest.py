@@ -22,8 +22,11 @@ whose trials failed (a kernel too small for the system reads nan);
 circular field and on finite frames whose solve or centroid overflows;
 "refusals" gates integer flags too large for any array or float64 (exit 2,
 nothing written) and passband gains at the float64 limits; "singular" gates
-image-domain systems whose passband leaves them structurally singular,
-which the table marks and does not solve and noise, recover and scan refuse;
+image-domain systems whose passband leaves them structurally singular, and
+transform-domain blocks that leave the passband, which the table marks and
+does not solve and noise, recover and scan refuse; "loud" gates table rows
+whose noise is loud enough that a solution's error overflows float64, or
+whose sigma does, on solved and marked sizes in each domain;
 "many-trials" gates table and noise at the default of 20 trials per size,
 where every trial past the first reuses its size's system and reader, and
 a table of 130 trials, past the 128-element block of numpy's pairwise sum
@@ -61,7 +64,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf", "noisy-table", "failed-trials",
-             "scan-field", "located", "solvers", "refusals", "singular", "many-trials")
+             "scan-field", "located", "solvers", "refusals", "singular", "loud", "many-trials")
 SEEDS = (111, 205, 12345)
 # (field, cutoff, crop, gain) of the psf workload: the benchmark's kernel,
 # the scan kernel, an odd non-square field and a crop spanning most columns
@@ -167,7 +170,9 @@ REFUSAL_RUNS = {
 }
 # name -> argv (without --out) of the singular workload: at cutoff 6 a 48x48
 # field leaves 10x10 rank 95 and 11x11 rank 109, and below cutoff 1 every
-# system has rank one. recover reads SOLVER_FRAME.
+# system has rank one; in the transform domain a 6x6 block (a 6x6 region, or
+# 4x4 with a ring of 2) reaches hypot(5, 5) = 7.07, past cutoff 6. recover
+# reads SOLVER_FRAME.
 SINGULAR_RUNS = {
     "table-9-11": ["table", "--domain", "spatial", "--field", "48x48", "--cutoff", "6",
                    "--sizes", "9-11"],
@@ -176,6 +181,31 @@ SINGULAR_RUNS = {
     "recover-10x10": ["recover", "--observed", SOLVER_FRAME, "--size", "10x10", "--roi", "16,16",
                       "--cutoff", "6"],
     "scan-cutoff-0.5": ["scan", "--sample", "24x24", "--cutoff", "0.5"],
+    "table-frequency-5-7": ["table", "--domain", "frequency", "--field", "48x48", "--cutoff", "6",
+                            "--sizes", "5-7"],
+    "noise-frequency-4-r2": ["noise", "--field", "48x48", "--cutoff", "6", "--roi-size", "4",
+                             "--ring", "2", "--trials", "2", "--psnr", "80",
+                             "--domains", "frequency"],
+    "recover-frequency-6x6": ["recover", "--observed", SOLVER_FRAME, "--size", "6x6",
+                              "--roi", "18,20", "--cutoff", "6", "--domain", "frequency"],
+    "scan-frequency-6x6": ["scan", "--sample", "24x24", "--cutoff", "6", "--tile", "6x6",
+                           "--domain", "frequency"],
+}
+# name -> argv (without --out) of the loud workload, on the singular
+# workload's 48x48 field at cutoff 6: at -3100 dB with a ring of 2 every row
+# of sizes 2-5 fails, a solved row on its error against the known pixels
+# and a marked one (the transform domain's 4 and 5, whose blocks leave the
+# passband) on its AD, each past float64; at -7000 dB sigma itself
+# overflows, on solved and marked sizes alike
+_LOUD_FIELD = ["--field", "48x48", "--cutoff", "6", "--trials", "2"]
+LOUD_RUNS = {
+    **{f"table-{domain}-r2-3100": ["table", "--domain", domain, *_LOUD_FIELD, "--sizes", "2-5",
+                                   "--ring", "2", "--noise-psnr=-3100"]
+       for domain in ("spatial", "frequency")},
+    "table-spatial-9-11-7000": ["table", "--domain", "spatial", *_LOUD_FIELD, "--sizes", "9-11",
+                                "--noise-psnr=-7000"],
+    "table-frequency-5-7-7000": ["table", "--domain", "frequency", *_LOUD_FIELD, "--sizes", "5-7",
+                                 "--noise-psnr=-7000"],
 }
 MASK = "<tmp>"
 BLAS_THREADS_KEY = "blas_threads"
@@ -333,6 +363,7 @@ SEEDLESS = {
         **CLAMP_RUNS}),
     "refusals": lambda tmp: _frame_runs(tmp, REFUSAL_RUNS),
     "singular": lambda tmp: _frame_runs(tmp, SINGULAR_RUNS),
+    "loud": lambda tmp: _with_out(tmp, LOUD_RUNS),
 }
 PER_SEED = {
     "noisy-table": lambda tmp, seed: _with_out(tmp, {
