@@ -36,7 +36,7 @@ class SingularSystemError(RoiSolveError):
 
 
 class SelectionError(RoiSolveError):
-    """A spectrum selection is invalid (outside the passband, bad indices)."""
+    """A spectrum selection is invalid (bad indices, or too few passband entries)."""
 
 
 class DegenerateInputError(RoiSolveError):

@@ -3,7 +3,7 @@
 Each selected spectrum entry of an isolated frame is a known complex linear
 mix of the ROI pixels: the row for frequency (u, v) and column for unknown
 cell (r, c) holds g*exp(-2j*pi*(r*u/M + c*v/N)) / (M*N), g the passband
-gain. Picking at least as many in-passband entries as unknowns gives a
+gain. In-passband entries whose rank reaches the unknowns give a
 solvable dense complex system. Its one coefficient generator is a pair of
 1-D twiddle factors, each phase reduced modulo the field before exp; the
 dense matrix, where a route needs it, is gathered from them.
@@ -33,7 +33,7 @@ from .forward import (
 )
 from .grid import RoiSpec
 from .linear import KroneckerFactors, LinearSystem, Solution, finite_condition, solve
-from .optics import OtfSpec, in_passband, wrap_distance
+from .optics import OtfSpec, in_passband, staircase_rank
 
 # Imaginary residue allowed on recovered pixels, relative to their magnitude.
 IMAG_RTOL = 1e-9
@@ -146,21 +146,21 @@ def observation_index(roi: RoiSpec, field_shape: tuple[int, int], ring: int) -> 
 
 
 def structurally_singular(spec: OtfSpec, roi: RoiSpec, ring: int) -> bool:
-    """Whether the block observation_index selects for the ROI at ring holds
-    an entry outside spec's passband, whose row reads 0 (build_system)."""
+    """Whether the rows build_system keeps of the ROI's block at ring, its
+    passband entries, have a complex rank (optics.staircase_rank) below K*L."""
     idx = observation_index(roi, spec.shape, ring)
-    return not in_passband(spec, idx[:, 0], idx[:, 1]).all()
+    inside = in_passband(spec, idx[:, 0], idx[:, 1])
+    return not inside.all() and staircase_rank(idx[inside, 0], *roi.shape) < roi.pixel_count
 
 
 def _factors(
-    roi: RoiSpec, idx: np.ndarray, rows: int, cols: int, gain: float, outside: np.ndarray | None
+    roi: RoiSpec, idx: np.ndarray, rows: int, cols: int, gain: float
 ) -> tuple[KroneckerFactors, bool]:
     """idx's factors, over its distinct u and v, and whether idx is their
     product U x V (each entry once, |U| >= K, |V| >= L). Row i of the matrix
     is gain/(rows*cols) * F_U[u_i] kron F_V[v_i], F_U[u, k] =
     exp(-2j*pi*u*(top+k)/rows) over U x the ROI rows, F_V the same over
-    columns; 0 on the rows outside marks. The factors record whether idx
-    lists that product row-major."""
+    columns. The factors record whether idx lists that product row-major."""
     us, u_at, vs, v_at = _axes(idx)
     n = idx.shape[0]
     flat = u_at * vs.size + v_at
@@ -169,7 +169,7 @@ def _factors(
     row_major = product and np.array_equal(flat, np.arange(n))
     f_u = _twiddles(us, roi.top + np.arange(roi.k_rows), rows, -1)
     f_v = _twiddles(vs, roi.left + np.arange(roi.l_cols), cols, -1)
-    return KroneckerFactors(f_u, f_v, us, vs, u_at, v_at, gain / (rows * cols), row_major, outside), product
+    return KroneckerFactors(f_u, f_v, us, vs, u_at, v_at, gain / (rows * cols), row_major), product
 
 
 def build_system(
@@ -181,24 +181,28 @@ def build_system(
 ) -> LinearSystem:
     """Assemble the transform-domain system for an isolated ROI.
 
-    The system is complex, one row per (u, v) spectrum index of obs_index,
-    and carries its two partial DFT factors. On a full product U x V (any
-    order, each entry once, |U| >= K, |V| >= L) its matrix is None until
-    a_matrix forms it from the factors; any other selection gathers the
-    dense matrix at build, for its dense routes and condition SVD.
+    The system is complex, one row per (u, v) spectrum index of obs_index
+    inside the passband (an entry past it carries no signal), in order, and
+    carries its two partial DFT factors; its obs_index holds those entries.
+    On a full product U x V (any order, each entry once, |U| >= K, |V| >= L)
+    its matrix is None until a_matrix forms it from the factors; any other
+    selection gathers the dense matrix at build, for its dense routes and
+    condition SVD.
 
     Args:
         field_shape: (rows, cols) of the frame the spectrum is taken on.
         roi: region holding the unknown pixels.
         obs_index: (n, 2) spectrum indices to use; needs at least
             roi.pixel_count of them (more gives an overdetermined system).
-        otf_spec: the transfer spec on field_shape (else ShapeError); an
-            entry outside its passband carries no signal, so its row reads 0.
+        otf_spec: the transfer spec on field_shape (else ShapeError), whose
+            passband decides the entries kept.
         estimate_condition: compute a 2-norm condition estimate: from the two
             factors on a full product, else from an SVD of the whole matrix;
-            an infinite estimate raises SingularSystemError, an entry outside
-            the passband SelectionError naming the smallest cutoff that holds
-            the selection. Without it (the table's marked sizes) it is nan.
+            an infinite estimate raises SingularSystemError, and before any
+            SVD a selection that lost entries SelectionError if the distinct
+            ones kept have an optics.staircase_rank below K*L. Without it
+            (the table's marked sizes) it is nan, and the kept rows are
+            built however few.
     """
     if not isinstance(otf_spec, OtfSpec):
         raise ParameterError(f"transform domain reads an OtfSpec, got {type(otf_spec).__name__}")
@@ -216,16 +220,18 @@ def build_system(
         )
     if otf_spec.shape != (rows, cols):
         raise ShapeError(f"transfer spec field {otf_spec.shape} does not match {rows}x{cols}")
-    outside = ~in_passband(otf_spec, idx[:, 0], idx[:, 1])
-    if estimate_condition and outside.any():
-        bad, needed = idx[outside][0], float(wrap_distance(otf_spec, idx[:, 0], idx[:, 1]).max())
-        raise SelectionError(
-            f"selected entry (u={bad[0]}, v={bad[1]}) lies outside the passband "
-            f"(cutoff {otf_spec.cutoff_radius}); it carries no signal, and the "
-            f"selection needs cutoff {needed!r}"
-        )
-    mask = outside if outside.any() else None  # None: every row carries signal
-    factors, product = _factors(roi, idx, rows, cols, otf_spec.passband_gain, mask)
+    inside = in_passband(otf_spec, idx[:, 0], idx[:, 1])
+    if not inside.all():
+        idx = idx[inside]
+        if estimate_condition:  # the distinct entries' rows: a repeated one adds no rank
+            rank = staircase_rank(np.unique(idx, axis=0)[:, 0], *roi.shape)
+            if rank < roi.pixel_count:
+                raise SelectionError(
+                    f"the {idx.shape[0]} of {inside.size} selected entries inside the "
+                    f"passband (cutoff {otf_spec.cutoff_radius}) have rank {rank} of "
+                    f"{roi.pixel_count} unknowns; the others carry no signal"
+                )
+    factors, product = _factors(roi, idx, rows, cols, otf_spec.passband_gain)
     a = None if product else factors.dense()
     cond = float("nan")
     if estimate_condition:

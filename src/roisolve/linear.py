@@ -36,16 +36,15 @@ def finite_condition(cond: float) -> float:
 
 class KroneckerFactors(NamedTuple):
     """A = scale * (F_U kron F_V), rows selected: row i of A is row
-    (u_at[i], v_at[i]) of the product (F_U is |U| x K, F_V |V| x L). apply
-    and solve hold only for a full product U x V (each pair once), solve a
-    square one; LinearSystem calls them only when its matrix is None.
+    (u_at[i], v_at[i]) of the product (F_U is |U| x K, F_V |V| x L). rows,
+    apply and dense hold for any selection inside U x V; solve only for a
+    square full product U x V (each pair once). LinearSystem calls apply
+    and solve only when its matrix is None.
 
     row_major: the rows list the product in its own row-major order, as
     observation_index gives them; decided once, where the factors are built.
     rows, apply and solve then reshape in place of gathering and scattering.
-    us, vs: the sorted distinct u and v, which u_at and v_at index.
-    outside: None, or True on each row past the passband, which carries no
-    signal: rows and dense read it as 0, and solve refuses the factors."""
+    us, vs: the sorted distinct u and v, which u_at and v_at index."""
 
     f_u: np.ndarray
     f_v: np.ndarray
@@ -55,17 +54,13 @@ class KroneckerFactors(NamedTuple):
     v_at: np.ndarray
     scale: float
     row_major: bool = False
-    outside: np.ndarray | None = None
 
     def rows(self, block: np.ndarray) -> np.ndarray:
         """A (|U|, |V|, ...) block over U x V in A's row order: a reshape on
-        a row-major product, else the gather block[u_at, v_at]; rows outside
-        are set to 0, in the block itself on a reshape."""
-        n = self.u_at.size
-        out = block.reshape(n, *block.shape[2:]) if self.row_major else block[self.u_at, self.v_at]
-        if self.outside is not None:
-            out[self.outside] = 0
-        return out
+        a row-major product, else the gather block[u_at, v_at]."""
+        if self.row_major:
+            return block.reshape(self.u_at.size, *block.shape[2:])
+        return block[self.u_at, self.v_at]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A @ x for x (K*L,) or (K*L, t): scale * F_U X F_V^T, each column X as K x L."""
@@ -79,18 +74,13 @@ class KroneckerFactors(NamedTuple):
         """A itself, (n, K*L): row i is scale * (F_U[u_at[i]] kron F_V[v_at[i]])."""
         rows = self.f_u[self.u_at][:, :, None] * self.f_v[self.v_at][:, None, :]
         rows *= self.scale
-        if self.outside is not None:
-            rows[self.outside] = 0
         return rows.reshape(self.u_at.size, -1)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """x with A x = y, square factors only: F_U^-1 Y F_V^-T / scale, each
         inverse an LU against the identity, applied as a matrix product. y is
         read, never written: a row-major product reshapes it as the block Y,
-        any other order scatters it into a fresh one. SingularSystemError
-        when rows lie outside: they read 0, so A is singular."""
-        if self.outside is not None:
-            raise SingularSystemError("rows outside the passband read 0", float("inf"))
+        any other order scatters it into a fresh one."""
         (n_u, k), n_v, t = self.f_u.shape, self.f_v.shape[0], y.size // y.shape[0]
         if self.row_major:
             block = y.astype(complex, copy=False)
@@ -225,7 +215,7 @@ def solve_route(
 ) -> tuple[int, KroneckerFactors | None, np.ndarray | None]:
     """solve's refusals of its inputs (ParameterError: an unknown method, or
     NaN or Inf in rhs or in what the route reads of A; ShapeError: rhs not
-    one row per observation, or LU of a non-square system), then the
+    one row per observation, or LU of more rows than unknowns), then the
     method's position in methods and what its route reads: the factors (LU
     on a full product, matrix None) or else the dense matrix. A is checked
     once per system, rhs on every call."""
@@ -241,7 +231,7 @@ def solve_route(
     finite = system.matrix_finite if factors is None else system.factors_finite
     if not (finite and np.isfinite(rhs).all()):
         raise ParameterError("system matrix or right-hand side holds NaN or Inf")
-    if kind == 0 and system.shape != (n, n):
+    if kind == 0 and n > system.shape[1]:
         raise ShapeError(
             f"{method} needs a square system, got {system.shape}; "
             f"use {methods[1]} for extra observations"

@@ -63,19 +63,15 @@ def passband_mask(spec: OtfSpec) -> np.ndarray:
     return wrap_distance_grid(spec.field_rows, spec.field_cols) <= spec.cutoff_radius
 
 
-def wrap_distance(spec: OtfSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """wrap_distance_grid at each (u, v) index wrapped modulo the field, by
-    its float operations; u broadcasts against v, and only they are read."""
+def in_passband(spec: OtfSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each (u, v) index, wrapped modulo the field, lies inside the
+    passband: its wrap_distance_grid distance, by the same float operations,
+    classified exactly as passband_mask classifies it. u broadcasts against
+    v, and only they are read."""
     u, v = np.asarray(u) % spec.field_rows, np.asarray(v) % spec.field_cols
     du = np.minimum(u, spec.field_rows - u).astype(float)
     dv = np.minimum(v, spec.field_cols - v).astype(float)
-    return np.sqrt(du**2 + dv**2)
-
-
-def in_passband(spec: OtfSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Whether each (u, v) index lies inside the passband, classified by its
-    wrap_distance exactly as passband_mask classifies it."""
-    return wrap_distance(spec, u, v) <= spec.cutoff_radius
+    return np.sqrt(du**2 + dv**2) <= spec.cutoff_radius
 
 
 def passband_box(spec: OtfSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -92,21 +88,27 @@ def passband_box(spec: OtfSpec) -> tuple[np.ndarray, np.ndarray]:
     return freqs, np.where(inside, spec.passband_gain, 0.0)
 
 
-def structural_rank(spec: OtfSpec, k_rows: int, l_cols: int) -> int:
-    """Rank of the passband exponentials at the cells of a K x L region.
+def staircase_rank(rows: np.ndarray, k_rows: int, l_cols: int) -> int:
+    """Rank of the exponentials of a K x L region's cells at distinct
+    frequency nodes, rows[i] >= 0 the integer row of node i.
 
     Up to unit-modulus scalings these are the monomials x^k y^l (k < K,
-    l < L) at the passband's nodes (x, y), distinct roots of unity along
-    each axis. With V_u the passband columns of box row u, the rank is
-    sum_{j=1..L} min(K, #{u : min(|V_u|, L) >= j}): integer work on the
-    passband box, no SVD. Every image-domain system of the region, at any
-    ring, factors through these exponentials, so a count below K*L makes it
-    singular.
+    l < L) at the nodes (x, y), distinct roots of unity along each axis.
+    With V_u the nodes of row u, the count is sum_{j=1..L} min(K, #{u :
+    min(|V_u|, L) >= j}): integer work, no SVD. It is the rank on the
+    passband and on a spectrum block the passband cuts, elsewhere only a
+    lower bound.
     """
-    _, gain = passband_box(spec)
-    widths = np.minimum(np.count_nonzero(gain, axis=1), l_cols)
+    widths = np.minimum(np.bincount(rows), l_cols)
     heights = np.count_nonzero(widths[:, None] >= np.arange(1, l_cols + 1), axis=0)
     return int(np.minimum(heights, k_rows).sum())
+
+
+def structural_rank(spec: OtfSpec, k_rows: int, l_cols: int) -> int:
+    """staircase_rank of the passband: every image-domain system of a K x L
+    region, at any ring, factors through the exponentials at its nodes, so
+    a count below K*L makes it singular."""
+    return staircase_rank(np.nonzero(passband_box(spec)[1])[0], k_rows, l_cols)
 
 
 def build_otf(spec: OtfSpec) -> np.ndarray:

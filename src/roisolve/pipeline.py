@@ -287,9 +287,9 @@ def roi_problem(
     supplies only a right-hand side.
 
     The image domain observes the ROI cells plus the cells within ring of
-    them, through the kernel blur. The transform domain reads the
-    (K+ring) x (L+ring) spectrum block at the origin of the transfer spec
-    blur. The system carries its condition estimate, nan when
+    them, through the kernel blur. The transform domain reads the passband
+    entries of the (K+ring) x (L+ring) spectrum block at the origin of the
+    transfer spec blur. The system carries its condition estimate, nan when
     estimate_condition is False (the table's marked sizes).
 
     Raises:
@@ -297,8 +297,8 @@ def roi_problem(
             not read (a PsfKernel for the image domain, an OtfSpec for the
             transform domain).
         BoundsError: a transform-domain block larger than the field.
-        SelectionError: with the estimate, a transform-domain block that
-            leaves the passband, naming the cutoff it needs.
+        SelectionError: with the estimate, a transform-domain block whose
+            passband entries have a rank below K*L (frequency.build_system).
         SingularSystemError: the condition estimate is infinite, or (image
             domain, kernel built from a transfer spec) the passband leaves
             the system structurally singular, found before any SVD
@@ -379,11 +379,11 @@ def _run_size(
     The table charts which sizes resolve, so with mark_singular a size the
     domain's structurally_singular finds has no unique solution. It is
     marked, not failed: its system is built without the estimate (no SVD;
-    transform-domain rows outside the passband read 0), and each row meets
-    the solve's refusals of its inputs (linear.solve_route), is not solved,
-    and records AD alone, AE nan and condition inf. Without mark_singular
-    (the noise sweep) the build refuses that size, and every row records the
-    refusal.
+    a transform-domain one keeps its passband entries, which can be fewer
+    than the unknowns), and each row meets the solve's refusals of its
+    inputs (linear.solve_route), is not solved, and records AD alone, AE
+    nan and condition inf. Without mark_singular (the noise sweep) the
+    build refuses that size, and every row records the refusal.
     """
     size, module = roi.k_rows, DOMAIN_MODULES[domain]
     out: list[list[TrialResult]] = [[] for _ in levels]
@@ -446,9 +446,9 @@ def run_table_experiment(
     model, builds the domain's system and solves it, recording averaged error
     against the known pixels and averaged difference of the system itself.
     Every size runs the optics given. A size with no unique solution (at the
-    default setup image-domain 10-20, structurally singular, and transform
-    6-20, whose block leaves the passband) is marked, not failed or solved,
-    and records AD alone, AE nan and condition inf (_run_size).
+    default setup image-domain 10-20 and transform 6-20, whose passband
+    leaves the system structurally singular) is marked, not failed or
+    solved, and records AD alone, AE nan and condition inf (_run_size).
 
     extra_ring widens the observation set: in the image domain it appends the
     ring of cells within that Chebyshev distance of the ROI; in the transform

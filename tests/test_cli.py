@@ -1184,6 +1184,10 @@ def test_noise_records_a_structurally_singular_system_as_failed(tmp_path):
 
 _LU_WITH_A_RING = ["--field", "48x48", "--cutoff", "0", "--sizes", "2", "--ring", "1",
                    "--solver", "direct"]
+# the 5x5 block of a 4x4 region at ring 1 keeps 17 passband entries at
+# cutoff 4, of rank 15: more rows than unknowns, yet marked
+_FREQUENCY_LU_WITH_A_RING = ["--field", "48x48", "--cutoff", "4", "--sizes", "4", "--ring", "1",
+                             "--solver", "direct"]
 
 
 @pytest.mark.parametrize(
@@ -1195,14 +1199,16 @@ _LU_WITH_A_RING = ["--field", "48x48", "--cutoff", "0", "--sizes", "2", "--ring"
      ("frequency", ["--sizes", "5-6", "--noise-psnr=-7000"],
       "ParameterError: system matrix or right-hand side holds NaN or Inf"),
      ("frequency", ["--sizes", "5-6", "--noise-psnr=-6000"], "ParameterError: "),
-     ("frequency", _LU_WITH_A_RING, "ShapeError: direct_complex needs a square system")],
+     ("frequency", _FREQUENCY_LU_WITH_A_RING,
+      "ShapeError: direct_complex needs a square system")],
     ids=["infinite-sigma", "overflow", "lu-with-ring",
          "frequency-infinite-sigma", "frequency-overflow", "frequency-lu-with-ring"],
 )
 def test_a_marked_table_size_fails_where_the_solve_would(tmp_path, domain, argv, reason):
     # 10x10 at the default setup and 2x2 at cutoff 0 are structurally
-    # singular, and a transform-domain 6x6 block at the default setup and 3x3
-    # block at cutoff 0 leave the passband: the table marks them, yet their
+    # singular, and so are the passband entries of a transform-domain 6x6
+    # block at the default setup and of 4x4 at cutoff 4, ring 1 (rank 33 of
+    # 36 and 15 of 16): the table marks them, yet their
     # rows refuse what a solve refuses (an infinite sigma, finite
     # observations that overflow, LU with a ring), as the rows of the solved
     # 9x9 and 5x5 do, with every metric nan
@@ -1616,10 +1622,12 @@ def test_noise_refuses_a_ring_no_spectrum_block_can_carry(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["table", "scan", "noise"])
 def test_a_region_whose_block_needs_a_cutoff_past_the_field_is_named(tmp_path, capsys, command):
-    # every command runs the cutoff it was given; a block that leaves the
-    # passband is marked by the table and refused by scan and noise, naming
-    # the smallest cutoff that holds the whole block, here past any passband
-    # a 48x48 field holds (below 24)
+    # every command runs the cutoff it was given, and a system keeps the
+    # passband entries of its block: one whose kept entries fall short of
+    # the region's rank is marked by the table and refused by scan and
+    # noise, naming how many entries it kept and their rank, even where the
+    # whole block would need a cutoff past any passband a 48x48 field holds
+    # (below 24); one whose kept entries determine the region solves
     out = tmp_path / "out"
     if command == "table":
         assert main(["table", "--domain", "frequency", "--field", "48x48", "--cutoff", "10",
@@ -1638,23 +1646,105 @@ def test_a_region_whose_block_needs_a_cutoff_past_the_field_is_named(tmp_path, c
         argv = ["scan", "--sample", "48x48", "--tile", "24x24", "--domain", "frequency",
                 "--cutoff", "6", "--out", str(out)]
         assert _refused(argv, out, capsys) == (
-            "error: selected entry (u=0, v=7) lies outside the passband (cutoff 6.0); it "
-            "carries no signal, and the selection needs cutoff 32.526911934581186"
+            "error: the 35 of 576 selected entries inside the passband (cutoff 6.0) have "
+            "rank 35 of 576 unknowns; the others carry no signal"
         )
     else:
-        assert main(["noise", "--domains", "frequency", "--ring", "40", "--field", "48x48",
-                     "--cutoff", "10", "--trials", "2", "--psnr", "80",
-                     "--out", str(out)]) == 0
-        with open(out / "noise_sweep.csv", newline="") as f:
-            rows = list(csv.DictReader(f))
-        assert [row["psnr_db"] for row in rows] == ["inf", "80"]
-        for row in rows:
-            assert row["failed"] == "2" and row["mean_ae"] == "nan"
-            assert row["error"] == (
-                "SelectionError: selected entry (u=0, v=11) lies outside the passband "
-                "(cutoff 10.0); it carries no signal, and the selection needs cutoff "
-                f"{math.hypot(24, 24)!r}"
-            )
+        # the 3x3 region at ring 40 keeps 156 entries of its 43x43 block, and
+        # solves; a 6x6 region at ring 2 keeps 35 of its 8x8 block, of rank 33
+        for name, argv in (("solved", ["--ring", "40", "--cutoff", "10"]),
+                           ("refused", ["--roi-size", "6", "--cutoff", "6"])):
+            assert main(["noise", "--domains", "frequency", "--field", "48x48", *argv,
+                         "--trials", "2", "--psnr", "80", "--out", str(out / name)]) == 0
+        for name in ("solved", "refused"):
+            with open(out / name / "noise_sweep.csv", newline="") as f:
+                rows = list(csv.DictReader(f))
+            assert [row["psnr_db"] for row in rows] == ["inf", "80"]
+            for row in rows:
+                if name == "solved":
+                    assert row["failed"] == "0" and row["error"] == ""
+                    assert float(row["mean_ae"]) <= (1e-12 if row["psnr_db"] == "inf" else 1.0)
+                    continue
+                assert row["failed"] == "2" and row["mean_ae"] == "nan"
+                assert row["error"] == (
+                    "SelectionError: the 35 of 64 selected entries inside the passband "
+                    "(cutoff 6.0) have rank 33 of 36 unknowns; the others carry no signal"
+                )
+
+
+# At the paper's setup (768x768, cutoff 6) the passband keeps 33 entries of
+# a 6x6 spectrum block, of rank 33: a 4x4 region at ring 2 is determined by
+# them, a 6x6 region at ring 0 is not.
+_RINGED_4X4 = RoiSpec(300, 410, 4, 4)
+
+
+@pytest.fixture()
+def ringed_frame(tmp_path):
+    """A raw 768x768 frame holding a 4x4 block at _RINGED_4X4, blurred at cutoff 6."""
+    pixels = np.random.default_rng(4).uniform(0.0, 256.0, _RINGED_4X4.pixel_count)
+    path = tmp_path / "frame.raw"
+    write_raw_matrix(path, observe_field(scatter_roi(pixels, _RINGED_4X4, 768, 768),
+                                         OtfSpec(768, 768, 6.0)))
+    return path, pixels
+
+
+def test_the_transform_table_solves_a_ringed_block_from_its_passband_entries(tmp_path):
+    out = tmp_path / "table"
+    assert main(["table", "--domain", "frequency", "--ring", "2", "--sizes", "2-6",
+                 "--trials", "5", "--out", str(out)]) == 0
+    with open(out / "trials_frequency.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert not any(row["error"] for row in rows)
+    for size in range(2, 7):
+        mine = [row for row in rows if row["roi_size"] == str(size)]
+        assert len(mine) == 5
+        assert all(math.isnan(float(row["ae"])) == (size == 6) for row in mine), size
+        assert all((row["condition"] == "inf") == (size == 6) for row in mine), size
+        assert all(float(row["ad"]) <= 1e-10 for row in mine)
+    # size 4 resolves: its mean AE is within 1% of the trials' mean pixel
+    draws = [pipeline._trial_pixels(pipeline.DEFAULT_SEED, 4, trial)[1] for trial in range(5)]
+    mean_ae = sum(float(row["ae"]) for row in rows if row["roi_size"] == "4") / 5
+    assert mean_ae <= 0.01 * float(np.mean(draws))
+
+
+def test_recover_solves_a_ringed_transform_block(tmp_path, ringed_frame):
+    path, pixels = ringed_frame
+    out = tmp_path / "rec"
+    assert main(["recover", "--observed", str(path), "--size", "4x4",
+                 "--roi", f"{_RINGED_4X4.top},{_RINGED_4X4.left}", "--domain", "frequency",
+                 "--ring", "2", "--out", str(out)]) == 0
+    recovered = read_raw_matrix(out / "recovered.raw").ravel()
+    assert pipeline.averaged_error(recovered, pixels) <= 0.01 * float(pixels.mean())
+
+
+def test_noise_solves_a_ringed_transform_block(tmp_path):
+    out = tmp_path / "noise"
+    assert main(["noise", "--roi-size", "4", "--ring", "2", "--domains", "frequency",
+                 "--trials", "2", "--psnr", "80,300", "--out", str(out)]) == 0
+    with open(out / "noise_sweep.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["psnr_db"] for row in rows] == ["inf", "80", "300"]
+    for row in rows:
+        assert row["failed"] == "0" and row["error"] == ""
+        assert math.isfinite(float(row["mean_ae"]))
+
+
+def test_a_6x6_transform_block_at_ring_0_stays_marked_and_refused(tmp_path, capsys, ringed_frame):
+    out = tmp_path / "table"
+    assert main(["table", "--domain", "frequency", "--sizes", "6", "--trials", "2",
+                 "--out", str(out)]) == 0
+    with open(out / "trials_frequency.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(row["ae"], row["condition"], row["error"]) for row in rows] == [("nan", "inf", "")] * 2
+    capsys.readouterr()
+    refusal = ("error: the 33 of 36 selected entries inside the passband (cutoff 6.0) have "
+               "rank 33 of 36 unknowns; the others carry no signal")
+    path, _ = ringed_frame
+    for argv in (["scan", "--sample", "768x768", "--tile", "6x6", "--domain", "frequency"],
+                 ["recover", "--observed", str(path), "--size", "6x6", "--roi", "299,409",
+                  "--domain", "frequency"]):
+        out = tmp_path / argv[0]
+        assert _refused([*argv, "--out", str(out)], out, capsys) == refusal
 
 
 def test_recover_refuses_a_spectrum_block_beyond_the_frame(tmp_path, observed_file, capsys):

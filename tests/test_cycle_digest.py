@@ -2,11 +2,19 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "cycle_digest.py"
+# every output byte of every workload at one OpenBLAS thread, as
+#   OPENBLAS_NUM_THREADS=1 python3 tools/cycle_digest.py --out tests/data/digest.json
+# writes it; a change that moves output bytes rewrites it in the same commit
+DIGEST_PATH = Path(__file__).resolve().parent / "data" / "digest.json"
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +63,9 @@ def test_a_written_digest_records_the_blas_thread_count(tool, tmp_path, capsys):
     assert tool.main(["--workloads", "help", "--out", str(path)]) == 0
     written = json.loads(path.read_text())
     key = tool.BLAS_THREADS_KEY
-    assert set(written) == {key, *tool.digest(["help"], [])}
+    assert set(written) == {*tool.ENVIRONMENT_KEYS, *tool.digest(["help"], [])}
+    assert {k: written[k] for k in tool.ENVIRONMENT_KEYS} == tool.environment()
+    assert written["numpy"] == np.__version__
     count = tool.blas_threads()
     assert count is None or count >= 1
     assert written[key] == str(count)
@@ -66,6 +76,26 @@ def test_a_written_digest_records_the_blas_thread_count(tool, tmp_path, capsys):
     assert tool.main(["--compare", str(path), str(other)]) == 1
     assert capsys.readouterr().out.split() == [key]
     assert tool.compare({k: v for k, v in written.items() if k != key}, written) == [key]
+
+
+def test_the_outputs_match_the_committed_digest(tool, tmp_path):
+    # byte identity of every seeded output: the whole digest, taken in a
+    # fresh process at one OpenBLAS thread, equals the committed one. Under
+    # another numpy, OpenBLAS or core the last bits of a product may move,
+    # so a mismatch there fails on its own, naming both
+    committed = json.loads(DIGEST_PATH.read_text(encoding="utf-8"))
+    out = tmp_path / "digest.json"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, str(TOOL_PATH), "--out", str(out)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    written = json.loads(out.read_text(encoding="utf-8"))
+    for key in tool.ENVIRONMENT_KEYS:
+        if written.get(key) != committed.get(key):
+            pytest.fail(f"{DIGEST_PATH.name} was taken at {key} {committed.get(key)}, "
+                        f"this run is at {key} {written.get(key)}")
+    moved = tool.compare(committed, written)
+    assert not moved, f"{len(moved)} keys differ from {DIGEST_PATH.name}: {moved}"
 
 
 def test_help_workload_hashes_every_subcommand(tool):
@@ -224,9 +254,11 @@ def _table_files(domain):
 
 def test_singular_workload_hashes_every_run_once(tool):
     # the table marks its structurally singular sizes, and its transform
-    # blocks that leave the passband, and writes every file; noise records
-    # each level as failed; recover and scan refuse (exit 4 for a singular
-    # system, 2 for a block outside the passband; nothing written)
+    # blocks whose passband entries fall short of the region's rank, and
+    # writes every file; noise records each level as failed; recover and
+    # scan refuse (exit 4 for a singular system, 2 for such a block; nothing
+    # written). A ringed 4x4 block keeps passband entries enough: table,
+    # noise and recover solve it
     assert "singular" in tool.WORKLOADS
     digests = tool.digest(["singular"], [205])
     noise = ("noise_sweep.csv", "noise_manifest.txt")
@@ -236,7 +268,10 @@ def test_singular_workload_hashes_every_run_once(tool):
         "recover-10x10": ((), "4"),
         "scan-cutoff-0.5": ((), "4"),
         "table-frequency-5-7": (_table_files("frequency"), "0"),
+        "table-frequency-4-6-r2": (_table_files("frequency"), "0"),
         "noise-frequency-4-r2": (noise, "0"),
+        "recover-frequency-4x4-r2": (("recovered.raw", "recovered.pgm", "recover_manifest.txt"),
+                                     "0"),
         "recover-frequency-6x6": ((), "2"),
         "scan-frequency-6x6": ((), "2"),
     }
@@ -253,17 +288,21 @@ def test_singular_workload_hashes_every_run_once(tool):
 
 def test_loud_workload_hashes_every_table_once(tool):
     # every row of these tables fails (the digests pin how), and each table
-    # still exits 0 and writes every file
+    # still exits 0 and writes every file; a scan whose error overflows is
+    # refused (exit 2, nothing written)
     assert "loud" in tool.WORKLOADS
     digests = tool.digest(["loud"], [205])
+    tables = {name for name, argv in tool.LOUD_RUNS.items() if argv[0] == "table"}
     assert set(digests) == {
         f"loud/{name}/{what}"
         for name, argv in tool.LOUD_RUNS.items()
-        for what in ("exit", "stdout", "stderr", *_table_files(argv[argv.index("--domain") + 1]))
+        for what in ("exit", "stdout", "stderr",
+                     *(_table_files(argv[argv.index("--domain") + 1]) if name in tables else ()))
     }
     assert {name.split("-")[1] for name in tool.LOUD_RUNS} == {"spatial", "frequency"}
+    assert set(tool.LOUD_RUNS) - tables == {"scan-spatial-1e200", "scan-frequency-1e200"}
     for name in tool.LOUD_RUNS:
-        assert digests[f"loud/{name}/exit"] == tool._hash(b"0")
+        assert digests[f"loud/{name}/exit"] == tool._hash(b"0" if name in tables else b"2")
     assert tool.digest(["loud"], []) == digests
 
 

@@ -24,9 +24,9 @@ from roisolve.frequency import (
     solve_system,
     solve_two_point_1d,
 )
-from roisolve.grid import RoiSpec, scatter_roi
+from roisolve.grid import RoiSpec, centered_roi, scatter_roi
 from roisolve.linear import KroneckerFactors, LinearSystem, solve_route
-from roisolve.optics import OtfSpec, build_otf
+from roisolve.optics import OtfSpec, build_otf, in_passband, staircase_rank
 from roisolve.pipeline import DOMAIN_MODULES, averaged_error, roi_problem
 from roisolve.spatial import simulated_blur
 
@@ -338,6 +338,67 @@ def test_build_system_passband_validation(rng):
         build_system((rows, cols), roi, inside, None)
 
 
+def _kept(spec, k_rows, l_cols, ring):
+    """The system a K x L region's block at ring keeps, built without the estimate."""
+    roi = centered_roi(*spec.shape, k_rows, l_cols)
+    return roi, build_system(spec.shape, roi, observation_index(roi, spec.shape, ring), spec,
+                             estimate_condition=False)
+
+
+def test_the_staircase_count_is_the_rank_of_the_kept_block():
+    # every cutoff 0.5-6, region 1x1-5x7 and ring 0-4 on a 24x24 field: the
+    # staircase count of the block's passband entries is the SVD rank of the
+    # rows kept, so structurally_singular marks exactly the rank-deficient
+    # blocks; a plain count of the entries kept misjudges some of them
+    deficient = miscounted = 0
+    for cutoff in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0):
+        spec = OtfSpec(24, 24, cutoff)
+        for k in range(1, 6):
+            for l in range(1, 8):
+                for ring in range(5):
+                    roi, system = _kept(spec, k, l, ring)
+                    rank = int(np.linalg.matrix_rank(system.a_matrix))
+                    nodes = in_passband(spec, np.arange(k + ring)[:, None],
+                                        np.arange(l + ring)[None, :])
+                    case = (cutoff, k, l, ring)
+                    assert staircase_rank(np.nonzero(nodes)[0], k, l) == rank, case
+                    singular = frequency.structurally_singular(spec, roi, ring)
+                    assert singular == (rank < k * l), case
+                    deficient += singular
+                    miscounted += (system.shape[0] < k * l) != singular
+    assert deficient > 0 and miscounted > 0
+
+
+@pytest.mark.parametrize("cutoff, k_rows, l_cols, ring, kept, rank",
+                         [(4.0, 4, 4, 1, 17, 15), (6.0, 2, 7, 3, 30, 13)])
+def test_a_block_can_keep_more_entries_than_its_rank(cutoff, k_rows, l_cols, ring, kept, rank):
+    # more rows than unknowns, yet rank-deficient: the table marks the block,
+    # and a build with the estimate refuses it before any SVD
+    spec = OtfSpec(24, 24, cutoff)
+    roi, system = _kept(spec, k_rows, l_cols, ring)
+    assert system.shape == (kept, k_rows * l_cols)
+    assert np.linalg.matrix_rank(system.a_matrix) == rank
+    assert frequency.structurally_singular(spec, roi, ring)
+    with pytest.raises(SelectionError, match=f"the {kept} of .* have rank {rank} of "):
+        roi_problem("frequency", roi, spec.shape, spec, ring)
+
+
+def test_the_staircase_count_refuses_only_a_selection_that_lost_entries():
+    # off a block the count is only a lower bound: these four entries, one
+    # per row and column, have rank 4 for a 2x2 region against a count of 2.
+    # Inside the passband they build and solve; with an entry past it added,
+    # the count alone decides, and the selection is refused
+    spec, roi = OtfSpec(24, 24, 6.0), RoiSpec(10, 10, 2, 2)
+    idx = np.array([[0, 0], [1, 2], [2, 1], [3, 3]])
+    assert staircase_rank(idx[:, 0], 2, 2) == 2
+    system = build_system(spec.shape, roi, idx, spec)
+    assert np.linalg.matrix_rank(system.a_matrix) == 4 and np.isfinite(system.condition_estimate)
+    pixels = np.array([3.0, 1.0, 4.0, 1.5])
+    assert np.allclose(solve_system(system, system @ pixels).pixels, pixels, rtol=0, atol=1e-9)
+    with pytest.raises(SelectionError, match="the 4 of 5 selected entries .* have rank 2 of 4"):
+        build_system(spec.shape, roi, np.vstack([idx, [[0, 7]]]), spec)
+
+
 # ---------------------------------------------------------------------------
 # the Kronecker factors and the condition estimate
 
@@ -537,15 +598,23 @@ def test_a_full_products_lu_refuses_non_finite_factors(rng):
 
 
 def test_the_frequency_table_never_forms_the_dense_matrix(monkeypatch, tmp_path):
-    def refuse(*args):
-        raise AssertionError("dense transform-domain matrix formed")
+    # the solved sizes 2-5 form none; a marked size (6-20 at the default
+    # setup) forms only the rows it keeps, at most the origin quadrant's 35
+    # passband entries, once per size
+    formed, dense = [], KroneckerFactors.dense
 
-    monkeypatch.setattr(KroneckerFactors, "dense", refuse)
+    def counted(factors):
+        formed.append((factors.f_u.shape[1], factors.u_at.size))
+        return dense(factors)
+
+    monkeypatch.setattr(KroneckerFactors, "dense", counted)
     out = tmp_path / "out"
     assert cli.main(["table", "--domain", "frequency", "--sizes", "2-20", "--trials", "2",
                      "--out", str(out)]) == 0
     rows = list(csv.DictReader((out / "trials_frequency.csv").read_text().splitlines()))
     assert len(rows) == 38 and not any(row["error"] for row in rows)
+    assert [size for size, _ in formed] == list(range(6, 21))
+    assert all(kept <= 35 for _, kept in formed)
 
 
 def test_dense_routes_still_form_the_matrix(monkeypatch, tmp_path):

@@ -2,7 +2,6 @@
 
 import inspect
 import math
-import re
 import sys
 import tracemalloc
 
@@ -1148,12 +1147,12 @@ def test_table_marks_an_exactly_singular_system(monkeypatch):
 
 def test_table_marks_a_transform_block_that_leaves_the_passband(monkeypatch):
     # 48x48 at cutoff 6: the 5x5 block stays inside the passband (its corner
-    # at hypot(4, 4) = 5.66), the 6x6 and 7x7 blocks reach past it. The table
-    # runs that one cutoff: it solves size 5 and marks 6 and 7, with no
-    # solve, AE nan, condition inf and an AD read over the entries that carry
-    # signal, since the rows outside the passband read exactly 0 in the
-    # system and in the reader; noise, scan and recover refuse those blocks,
-    # naming the cutoff each needs
+    # at hypot(4, 4) = 5.66), the 6x6 and 7x7 blocks reach past it. A system
+    # keeps the block's passband entries: 33 of the 6x6 block, of rank 33,
+    # and the origin quadrant's 35 of the 7x7 one, fewer than 49 unknowns.
+    # The table solves size 5 and marks 6 and 7, with no solve, AE nan,
+    # condition inf and an AD read over the kept rows; noise, scan and
+    # recover refuse those blocks, naming the entries kept and their rank
     setup = dict(field_shape=(48, 48), cutoff_radius=6.0, psf_crop=47)
     solves = []
     solve = pipeline.frequency.solve_system
@@ -1169,27 +1168,30 @@ def test_table_marks_a_transform_block_that_leaves_the_passband(monkeypatch):
     for t in report.trials:
         assert t.error is None and t.ad <= 1e-10
         assert math.isnan(t.ae) == (t.condition == math.inf) == (t.roi_size > 5)
-    spec = OtfSpec(48, 48, 6.0)
-    for size in (5, 6, 7):
+    spec, wide = OtfSpec(48, 48, 6.0), OtfSpec(48, 48, 12.0)
+    for size, kept, rank in ((5, 25, 25), (6, 33, 33), (7, 35, 35)):
         roi = centered_roi(48, 48, size, size)
         assert frequency.structurally_singular(spec, roi, 0) == (size > 5)
         if size == 5:
             continue
         system = roi_problem("frequency", roi, (48, 48), spec, 0, estimate_condition=False)
-        outside = ~in_passband(spec, system.obs_index[:, 0], system.obs_index[:, 1])
-        assert system.matrix is None and system.shape == (size * size,) * 2
-        assert np.array_equal(system.factors.outside, outside)
+        # the rows of the whole block, formed at a cutoff that holds it, that
+        # lie inside the passband, in the block's order, to the bit
+        block = roi_problem("frequency", roi, (48, 48), wide, 0, estimate_condition=False)
+        inside = in_passband(spec, block.obs_index[:, 0], block.obs_index[:, 1])
+        assert system.shape == (kept, size * size) and system.matrix is not None
+        assert np.array_equal(system.obs_index, block.obs_index[inside])
+        assert np.array_equal(system.a_matrix, block.a_matrix[inside])
         pixels = pipeline._trial_pixels(pipeline.DEFAULT_SEED, size, 0)[1]
-        reader = frequency.NoiselessRows(system)
-        for rows in (system @ pixels, reader(pixels), system.a_matrix):
-            assert np.all(rows[outside] == 0) and np.any(rows[~outside] != 0)
-        needed = re.escape(repr(math.hypot(size - 1, size - 1)))
-        with pytest.raises(SelectionError, match=f"outside the passband .* needs cutoff {needed}$"):
+        np.testing.assert_allclose(frequency.NoiselessRows(system)(pixels), system @ pixels,
+                                   rtol=0, atol=1e-10)
+        with pytest.raises(SelectionError, match=f"the {kept} of {size * size} selected entries "
+                           rf"inside the passband \(cutoff 6.0\) have rank {rank} of "):
             roi_problem("frequency", roi, (48, 48), spec, 0)
     sweep = noise_sweep(roi_size=6, psnr_grid=(80.0,), trials_per_level=2,
                         domains=("frequency",), **setup)
-    assert all(p.failed == 2 and "lies outside the passband" in p.error for p in sweep.points)
-    with pytest.raises(SelectionError, match="needs cutoff 7.07"):
+    assert all(p.failed == 2 and "have rank 33 of 36 unknowns" in p.error for p in sweep.points)
+    with pytest.raises(SelectionError, match="have rank 33 of 36 unknowns"):
         scan_reconstruct(make_test_sample(48, 48), (6, 6), (48, 48), 6.0, 47, domain="frequency")
 
 

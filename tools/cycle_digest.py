@@ -22,11 +22,14 @@ whose trials failed (a kernel too small for the system reads nan);
 circular field and on finite frames whose solve or centroid overflows;
 "refusals" gates integer flags too large for any array or float64 (exit 2,
 nothing written) and passband gains at the float64 limits; "singular" gates
-image-domain systems whose passband leaves them structurally singular, and
-transform-domain blocks that leave the passband, which the table marks and
-does not solve and noise, recover and scan refuse; "loud" gates table rows
-whose noise is loud enough that a solution's error overflows float64, or
-whose sigma does, on solved and marked sizes in each domain;
+systems whose passband leaves them structurally singular (image-domain
+regions, and transform-domain blocks whose passband entries fall short of
+the region's rank), which the table marks and does not solve and noise,
+recover and scan refuse, and ringed transform-domain blocks whose passband
+entries still determine the region, which table, noise and recover solve;
+"loud" gates table rows whose noise is loud enough that a solution's error
+overflows float64, or whose sigma does, on solved and marked sizes in each
+domain, and scans of samples too large for their error to fit float64;
 "many-trials" gates table and noise at the default of 20 trials per size,
 where every trial past the first reuses its size's system and reader, and
 a table of 130 trials, past the 128-element block of numpy's pairwise sum
@@ -35,10 +38,12 @@ that each size's summary takes.
 --compare lists the keys that differ between two digests (or sit in one
 only) and exits 1 if there are any; on stderr it counts the identical
 entries, then the differing keys of each workload and final path part
-("located stdout 18"). A written digest records under BLAS_THREADS_KEY the
-OpenBLAS thread count it ran at: the transform-domain scan manifests of
-seeds 111 and 205 differ between 1 and 2 threads, so compare digests taken
-at one count. The recovered pixels are the same bytes at both counts; what
+("located stdout 18"). A written digest records what it ran on under
+ENVIRONMENT_KEYS: numpy's version, the version and CPU core of the OpenBLAS
+numpy runs on (its kernels, picked per core, decide the last bits of a
+product), and the OpenBLAS thread count: the transform-domain scan
+manifests of seeds 111 and 205 differ between 1 and 2 threads, so compare
+digests taken at one count. The recovered pixels are the same bytes at both counts; what
 moves is the last bit of the manifest's relative error, whose norm
 (pipeline.averaged_error) is a BLAS dot product that OpenBLAS splits across
 threads over the 90,000 entries of a 300x300 scan.
@@ -170,9 +175,11 @@ REFUSAL_RUNS = {
 }
 # name -> argv (without --out) of the singular workload: at cutoff 6 a 48x48
 # field leaves 10x10 rank 95 and 11x11 rank 109, and below cutoff 1 every
-# system has rank one; in the transform domain a 6x6 block (a 6x6 region, or
-# 4x4 with a ring of 2) reaches hypot(5, 5) = 7.07, past cutoff 6. recover
-# reads SOLVER_FRAME.
+# system has rank one; in the transform domain the passband keeps 33
+# entries of a 6x6 block, of rank 33, so a 6x6 region at ring 0 is marked or
+# refused, while a 4x4 region at ring 2 solves from them. At ring 2 the 7x7
+# and 8x8 blocks keep 35 entries: 5x5 solves, 6x6 (rank 33) stays marked.
+# recover reads SOLVER_FRAME.
 SINGULAR_RUNS = {
     "table-9-11": ["table", "--domain", "spatial", "--field", "48x48", "--cutoff", "6",
                    "--sizes", "9-11"],
@@ -183,32 +190,47 @@ SINGULAR_RUNS = {
     "scan-cutoff-0.5": ["scan", "--sample", "24x24", "--cutoff", "0.5"],
     "table-frequency-5-7": ["table", "--domain", "frequency", "--field", "48x48", "--cutoff", "6",
                             "--sizes", "5-7"],
+    "table-frequency-4-6-r2": ["table", "--domain", "frequency", "--field", "48x48",
+                               "--cutoff", "6", "--sizes", "4-6", "--ring", "2",
+                               "--trials", "2"],
     "noise-frequency-4-r2": ["noise", "--field", "48x48", "--cutoff", "6", "--roi-size", "4",
                              "--ring", "2", "--trials", "2", "--psnr", "80",
                              "--domains", "frequency"],
+    "recover-frequency-4x4-r2": ["recover", "--observed", SOLVER_FRAME, "--size", "4x4",
+                                 "--roi", "18,20", "--cutoff", "6", "--domain", "frequency",
+                                 "--ring", "2"],
     "recover-frequency-6x6": ["recover", "--observed", SOLVER_FRAME, "--size", "6x6",
                               "--roi", "18,20", "--cutoff", "6", "--domain", "frequency"],
     "scan-frequency-6x6": ["scan", "--sample", "24x24", "--cutoff", "6", "--tile", "6x6",
                            "--domain", "frequency"],
 }
 # name -> argv (without --out) of the loud workload, on the singular
-# workload's 48x48 field at cutoff 6: at -3100 dB with a ring of 2 every row
-# of sizes 2-5 fails, a solved row on its error against the known pixels
-# and a marked one (the transform domain's 4 and 5, whose blocks leave the
-# passband) on its AD, each past float64; at -7000 dB sigma itself
-# overflows, on solved and marked sizes alike
+# workload's 48x48 field at cutoff 6: at -3100 dB every row fails, past
+# float64, a solved row (sizes 2-5 at ring 2) on its error against the known
+# pixels and a marked one (the transform domain's 6 and 7 at ring 0) on its
+# AD; at -7000 dB sigma itself overflows, on solved and marked sizes alike. The
+# scans read LOUD_SAMPLE, make_test_sample(24, 24) scaled by LOUD_SCALE,
+# whose error overflows float64 in each domain.
 _LOUD_FIELD = ["--field", "48x48", "--cutoff", "6", "--trials", "2"]
+LOUD_SAMPLE = "<sample>"
+LOUD_SCALE = 1e200
 LOUD_RUNS = {
     **{f"table-{domain}-r2-3100": ["table", "--domain", domain, *_LOUD_FIELD, "--sizes", "2-5",
                                    "--ring", "2", "--noise-psnr=-3100"]
        for domain in ("spatial", "frequency")},
+    "table-frequency-5-7-3100": ["table", "--domain", "frequency", *_LOUD_FIELD, "--sizes", "5-7",
+                                 "--noise-psnr=-3100"],
     "table-spatial-9-11-7000": ["table", "--domain", "spatial", *_LOUD_FIELD, "--sizes", "9-11",
                                 "--noise-psnr=-7000"],
     "table-frequency-5-7-7000": ["table", "--domain", "frequency", *_LOUD_FIELD, "--sizes", "5-7",
                                  "--noise-psnr=-7000"],
+    **{f"scan-{domain}-1e200": ["scan", "--input", LOUD_SAMPLE, "--cutoff", "6", "--tile", "3x3",
+                                "--domain", domain]
+       for domain in ("spatial", "frequency")},
 }
 MASK = "<tmp>"
 BLAS_THREADS_KEY = "blas_threads"
+ENVIRONMENT_KEYS = ("numpy", "openblas", "openblas_core", BLAS_THREADS_KEY)
 
 
 def _hash(data: bytes) -> str:
@@ -261,10 +283,12 @@ def _runs_digest(prefix: str, runs, *args) -> dict[str, str]:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _with_out(base: str, runs: dict[str, list[str]], frame: str = "") -> dict[str, list[str]]:
-    """runs with SOLVER_FRAME read as frame, each command writing into
-    base/<name> (two-point takes no --out)."""
-    return {name: [frame if a == SOLVER_FRAME else a for a in argv]
+def _with_out(base: str, runs: dict[str, list[str]], frame: str = "",
+              sample: str = "") -> dict[str, list[str]]:
+    """runs with SOLVER_FRAME read as frame and LOUD_SAMPLE as sample, each
+    command writing into base/<name> (two-point takes no --out)."""
+    inputs = {SOLVER_FRAME: frame, LOUD_SAMPLE: sample}
+    return {name: [inputs.get(a, a) for a in argv]
             + ([] if argv[0] == "two-point" else ["--out", os.path.join(base, name)])
             for name, argv in runs.items()}
 
@@ -337,6 +361,17 @@ def _frame_runs(tmp: str, runs: dict[str, list[str]]) -> dict[str, list[str]]:
     return _with_out(os.path.join(tmp, "out"), runs, frame)
 
 
+def _loud_runs(tmp: str) -> dict[str, list[str]]:
+    """LOUD_RUNS writing into tmp/<name>, LOUD_SAMPLE read as a raw sample
+    written into tmp."""
+    import workloads
+    from roisolve.pipeline import make_test_sample
+
+    sample = os.path.join(tmp, "loud-sample.raw")
+    workloads.write_raw(sample, make_test_sample(24, 24) * LOUD_SCALE)
+    return _with_out(tmp, LOUD_RUNS, sample=sample)
+
+
 def help_digest() -> dict[str, str]:
     """Digests of every subcommand's --help at a fixed terminal width."""
     import roisolve.cli as cli
@@ -363,7 +398,7 @@ SEEDLESS = {
         **CLAMP_RUNS}),
     "refusals": lambda tmp: _frame_runs(tmp, REFUSAL_RUNS),
     "singular": lambda tmp: _frame_runs(tmp, SINGULAR_RUNS),
-    "loud": lambda tmp: _with_out(tmp, LOUD_RUNS),
+    "loud": _loud_runs,
 }
 PER_SEED = {
     "noisy-table": lambda tmp, seed: _with_out(tmp, {
@@ -414,6 +449,34 @@ def blas_threads() -> int | None:
     return _blas_threads()
 
 
+def environment() -> dict[str, str]:
+    """ENVIRONMENT_KEYS of this process: numpy's version, the version and
+    core each OpenBLAS loaded reports through ctypes (joined by commas;
+    "None" when numpy loaded none) and blas_threads()."""
+    import ctypes
+
+    import numpy
+
+    with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
+    versions, cores = [], []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
+            if hasattr(lib, f"{prefix}_get_config{suffix}"):
+                for name, seen in (("config", versions), ("corename", cores)):
+                    fn = getattr(lib, f"{prefix}_get_{name}{suffix}")
+                    fn.restype = ctypes.c_char_p
+                    seen.append(fn().decode())
+                break
+    return dict(zip(ENVIRONMENT_KEYS, (
+        numpy.__version__,
+        ",".join(config.split()[1] for config in versions) or "None",
+        ",".join(cores) or "None",
+        str(blas_threads()),
+    )))
+
+
 def compare(a: dict[str, str], b: dict[str, str]) -> list[str]:
     """Keys whose digests differ, or that only one side has, sorted."""
     return sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
@@ -450,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # before anything runs
         parser.error(str(exc))
     result = digest(names, seeds)
-    result[BLAS_THREADS_KEY] = str(blas_threads())
+    result.update(environment())
     text = json.dumps(result, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
