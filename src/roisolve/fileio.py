@@ -167,7 +167,8 @@ def write_pgm16(path: str, image: np.ndarray) -> None:
     else:
         # a subnormal peak: PGM_MAXVAL / peak overflows, the ratios to it do not
         np.multiply(np.divide(counts, peak, out=counts), PGM_MAXVAL, out=counts)
-    np.floor(np.add(counts, 0.5, out=counts), out=counts)
+    # counts + 0.5 lies in [0.5, 65535.5], where the cast's truncation rounds down
+    np.add(counts, 0.5, out=counts)
     with _rewrite(path, "wb") as fh:
         fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n{PGM_MAXVAL}\n".encode("ascii"))
         fh.write(counts.astype(">u2", order="C"))

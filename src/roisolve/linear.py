@@ -185,10 +185,12 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class Solution:
-    """Solver output: real recovered pixels plus bookkeeping.
+    """Solver output: real recovered pixels, and a report computed when first read.
 
     pixels: row-major ROI values (clamped if requested), one column per
         right-hand side for a block.
+    solved: the array the solve route returned, complex in the transform
+        domain's LU and truncated routes; the report describes it.
     imag_leakage: largest imaginary part dropped when projecting a complex
         solution to real pixels, relative to the solution magnitude (0.0 for
         a real system and for the least-squares solver, which stays real).
@@ -196,9 +198,20 @@ class Solution:
     """
 
     pixels: np.ndarray
-    imag_leakage: float
-    negative_count: int
-    min_pixel: float
+    solved: np.ndarray
+
+    @cached_property
+    def imag_leakage(self) -> float:
+        scale = float(np.abs(self.solved).max()) if self.solved.size else 0.0
+        return float(np.abs(self.solved.imag).max() / scale) if scale > 0 else 0.0
+
+    @cached_property
+    def negative_count(self) -> int:
+        return int(np.count_nonzero(self.solved.real < 0))
+
+    @cached_property
+    def min_pixel(self) -> float:
+        return float(self.solved.real.min()) if self.solved.size else 0.0
 
 
 def _truncated_lstsq(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -260,7 +273,8 @@ def solve(
     rhs is one vector (n,) or a block (n, t) of t vectors sharing the matrix,
     row i observed at system.obs_index[i]. For a block, pixels is (K*L, t),
     and imag_leakage, negative_count and min_pixel summarize the whole
-    block. No residual is taken: a caller that reports one calls residual.
+    block. Neither a residual nor that report is taken here: a caller that
+    reports a residual calls residual, and the report is computed when read.
 
     methods names the domain's three solvers in this order: LU (square
     systems only; in the factors on a full product), least squares
@@ -296,14 +310,5 @@ def solve(
         ) from exc
     if not np.isfinite(z).all():
         raise ParameterError("solution holds NaN or Inf: the observations overflow the solve")
-    x, leakage = z, 0.0  # every route returns a fresh z
-    if np.iscomplexobj(z):
-        scale = float(np.abs(z).max()) if z.size else 0.0
-        leakage = float(np.abs(z.imag).max() / scale) if scale > 0 else 0.0
-        x = z.real.copy()
-    negative_count = int(np.count_nonzero(x < 0))
-    min_pixel = float(x.min()) if x.size else 0.0
-    if clamp_negative:
-        x = np.maximum(x, 0.0)
-    return Solution(pixels=x, imag_leakage=leakage, negative_count=negative_count,
-                    min_pixel=min_pixel)
+    x = z.real.copy() if np.iscomplexobj(z) else z  # every route returns a fresh z
+    return Solution(pixels=np.maximum(x, 0.0) if clamp_negative else x, solved=z)

@@ -561,8 +561,13 @@ def scan_reconstruct(
     tiles = arr.reshape(down, k_rows, across, l_cols).transpose(1, 3, 0, 2)
     rhs = system @ tiles.reshape(k_rows * l_cols, -1)
     sol = module.solve_system(system, rhs, resolve_solver(domain, solver, 0))
-    recovered = sol.pixels.reshape(k_rows, l_cols, down, across).transpose(2, 0, 3, 1)
-    return recovered.reshape(rows, cols)
+    # one plane per tile cell: a transposing reshape would read its source
+    # down*across values apart for every value it writes
+    planes = sol.pixels.reshape(k_rows, l_cols, down, across)
+    recovered = np.empty((rows, cols))
+    for k, l in np.ndindex(k_rows, l_cols):
+        recovered[k::k_rows, l::l_cols] = planes[k, l]
+    return recovered
 
 
 # ---------------------------------------------------------------------------

@@ -160,15 +160,21 @@ def test_failed_trials_workload_hashes_every_run_at_each_seed(tool):
 
 def test_scan_field_workload_hashes_both_domains_once(tool):
     # a field other than the sample's: the image domain solves with that
-    # field's kernel, the transform domain refuses it
+    # field's kernel, the transform domain refuses it; on the sample's own
+    # field both domains scan in 2x3 tiles and write the blurred preview too
     assert "scan-field" in tool.WORKLOADS
     digests = tool.digest(["scan-field"], [205])
     spatial = ("exit", "stdout", "stderr", "sample.raw", "sample.pgm", "recovered.raw",
                "recovered.pgm", "scan_manifest.txt")
     assert set(digests) == ({f"scan-field/spatial/{what}" for what in spatial}
-                            | {f"scan-field/frequency/{what}" for what in spatial[:3]})
+                            | {f"scan-field/frequency/{what}" for what in spatial[:3]}
+                            | {f"scan-field/{domain}-2x3/{what}"
+                               for domain in ("spatial", "frequency")
+                               for what in (*spatial, "blurred.pgm")})
     assert digests["scan-field/spatial/exit"] == tool._hash(b"0")
     assert digests["scan-field/frequency/exit"] == tool._hash(b"2")
+    assert {digests[f"scan-field/{domain}-2x3/exit"]
+            for domain in ("spatial", "frequency")} == {tool._hash(b"0")}
     assert tool.digest(["scan-field"], []) == digests
 
 

@@ -89,14 +89,23 @@ def test_solve_rejects_non_finite_systems(domain, field, bad, small_psf):
 )
 def test_block_rhs_solves_each_column_as_alone(domain, method, small_psf):
     system, _ = _built(domain, small_psf)
-    truth = np.column_stack([PIXELS, PIXELS[::-1], 0.5 * PIXELS + 3.0])
+    # the last column solves to two negative pixels, -70 and -20
+    truth = np.column_stack([PIXELS, PIXELS[::-1], 0.5 * PIXELS + 3.0, PIXELS - 100.0])
     block = system.a_matrix @ truth
     solve = MODULES[domain].solve_system
     sol = solve(system, block, method)
     assert sol.pixels.shape == truth.shape
-    for j in range(truth.shape[1]):
-        alone = solve(system, block[:, j], method)
-        assert np.abs(sol.pixels[:, j] - alone.pixels).max() <= 1e-9
+    alone = [solve(system, block[:, j], method) for j in range(truth.shape[1])]
+    for j, column in enumerate(alone):
+        assert np.abs(sol.pixels[:, j] - column.pixels).max() <= 1e-9
+    # the report summarizes the whole block, and the unclamped solution
+    assert sol.negative_count == sum(column.negative_count for column in alone) == 2
+    assert sol.min_pixel == pytest.approx(min(column.min_pixel for column in alone), abs=1e-9)
+    assert sol.min_pixel == pytest.approx(-70.0, abs=1e-6)
+    clamped = solve(system, block, method, clamp_negative=True)
+    assert clamped.pixels.min() == 0.0
+    assert ((clamped.negative_count, clamped.min_pixel, clamped.imag_leakage)
+            == (sol.negative_count, sol.min_pixel, sol.imag_leakage))
     block[1, 2] = np.nan
     with pytest.raises(ParameterError, match="NaN or Inf"):
         solve(system, block, method)

@@ -528,10 +528,14 @@ def test_make_test_sample_deterministic_and_bounded():
         make_test_sample(0, 4)
 
 
+REPORT = ("imag_leakage", "negative_count", "min_pixel")
+
+
 def _count_forward_work(monkeypatch):
     """Lists that grow at every linear.residual call, wherever the name is
-    bound, and at every system @ x product."""
-    calls = {"residual": [], "product": []}
+    bound, at every system @ x product, and by name at every computation of
+    a Solution report value."""
+    calls = {"residual": [], "product": [], "report": []}
 
     def counted_residual(*args, _original=linear.residual):
         calls["residual"].append(None)
@@ -546,15 +550,24 @@ def _count_forward_work(monkeypatch):
     for module in bound:
         monkeypatch.setattr(module, "residual", counted_residual)
     monkeypatch.setattr(linear.LinearSystem, "__matmul__", counted_product)
+    for name in REPORT:
+        prop = vars(linear.Solution)[name]
+
+        def counted_report(sol, _name=name, _original=prop.func):
+            calls["report"].append(_name)
+            return _original(sol)
+
+        monkeypatch.setattr(prop, "func", counted_report)
     return calls
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_a_solve_takes_no_residual_and_only_recover_reports_one(domain, monkeypatch, tmp_path,
                                                                 small_psf, small_spec):
-    # a solve forms no A x of its own: scan pays for its tiles' forward
-    # product alone, the table and the sweep for one residual per AD they
-    # record, and recover for the one residual it reports
+    # a solve forms no A x of its own and computes no report: scan pays for
+    # its tiles' forward product alone, the table and the sweep for one
+    # residual per AD they record, and recover for the one residual and the
+    # one report it writes
     calls = _count_forward_work(monkeypatch)
     system = _small_system(domain, small_psf, small_spec, ring=0)
     rhs = system @ np.arange(1.0, 10.0)
@@ -562,10 +575,10 @@ def test_a_solve_takes_no_residual_and_only_recover_reports_one(domain, monkeypa
     for method in DOMAIN_MODULES[domain].METHODS:
         for clamp in (False, True):
             DOMAIN_MODULES[domain].solve_system(system, rhs, method, clamp_negative=clamp)
-    assert calls == {"residual": [], "product": []}
+    assert calls == {"residual": [], "product": [], "report": []}
 
     scan_reconstruct(make_test_sample(24, 24), (3, 3), (24, 24), 6.0, 23, domain=domain)
-    assert calls == {"residual": [], "product": [(9, 64)]}
+    assert calls == {"residual": [], "product": [(9, 64)], "report": []}
 
     calls["product"].clear()
     table = run_table_experiment(domain, sizes=(2, 3), trials_per_size=3, root_seed=17,
@@ -577,32 +590,45 @@ def test_a_solve_takes_no_residual_and_only_recover_reports_one(domain, monkeypa
                         domains=(domain,), **SMALL)
     assert all(p.failed == 0 for p in sweep.points)
     assert len(calls["residual"]) == len(sweep.points) * 3 == 9
+    assert calls["report"] == []
 
     roi = RoiSpec(20, 22, 2, 2)
     observed = observe_spatial(scatter_roi(np.array([40.0, 200.0, 120.0, 10.0]), roi, 48, 48),
                                small_psf)
     frame = tmp_path / "observed.raw"
     write_raw_matrix(frame, observed)
+    # each read once, imag_leakage in the transform domain only: the
+    # image-domain manifest has no such key
+    report = sorted(REPORT if domain == "frequency" else REPORT[1:])
     for clamp in ([], ["--clamp"]):
         calls["residual"].clear()
+        calls["report"].clear()
         assert main(["recover", "--observed", str(frame), "--size", "2x2", "--roi", "20,22",
                      "--cutoff", "10", "--domain", domain, *clamp,
                      "--out", str(tmp_path / f"rec{len(clamp)}")]) == 0
         assert len(calls["residual"]) == 1
+        assert sorted(calls["report"]) == report
+
+
+# square and non-square tiles: a stitch that swapped a tile's rows and
+# columns would still pass on 3x3
+TILES = ((3, 3), (2, 3), (3, 2))
 
 
 def test_scan_recovers_sample_spatial():
     sample = make_test_sample(48, 48, seed=1)
-    rec = scan_reconstruct(sample, (3, 3), **SMALL, domain="spatial")
-    assert np.abs(rec - sample).max() <= 1e-9
+    for tile in TILES:
+        rec = scan_reconstruct(sample, tile, **SMALL, domain="spatial")
+        assert np.abs(rec - sample).max() <= 1e-9, tile
 
 
 def test_scan_recovers_sample_frequency():
     # the corner-block systems run a few decades worse conditioned than the
     # image-domain ones on this field, so the bar is looser here
     sample = make_test_sample(48, 48, seed=1)
-    rec = scan_reconstruct(sample, (3, 3), **SMALL, domain="frequency")
-    assert np.abs(rec - sample).max() <= 1e-7
+    for tile in TILES:
+        rec = scan_reconstruct(sample, tile, **SMALL, domain="frequency")
+        assert np.abs(rec - sample).max() <= 1e-7, tile
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -630,14 +656,17 @@ def test_scan_explicit_solver_matches_shared_factorization(domain, solver):
 
 def test_scan_edit_one_tile_changes_only_that_tile():
     sample = make_test_sample(48, 48, seed=6)
-    base = scan_reconstruct(sample, (3, 3), **SMALL)
-    edited = sample.copy()
-    edited[9:12, 12:15] += 37.0
-    rec = scan_reconstruct(edited, (3, 3), **SMALL)
-    changed = np.zeros((48, 48), dtype=bool)
-    changed[9:12, 12:15] = True
-    np.testing.assert_array_equal(rec[~changed], base[~changed])
-    assert np.abs(rec[changed] - base[changed]).max() > 1.0
+    for k, l in TILES:
+        base = scan_reconstruct(sample, (k, l), **SMALL)
+        # the tile at tile row 3, tile column 4
+        cell = (slice(3 * k, 4 * k), slice(4 * l, 5 * l))
+        edited = sample.copy()
+        edited[cell] += 37.0
+        rec = scan_reconstruct(edited, (k, l), **SMALL)
+        changed = np.zeros((48, 48), dtype=bool)
+        changed[cell] = True
+        np.testing.assert_array_equal(rec[~changed], base[~changed])
+        assert np.abs(rec[changed] - base[changed]).max() > 1.0
 
 
 def test_scan_validation():

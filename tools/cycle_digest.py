@@ -104,9 +104,12 @@ MANY_TRIALS_RUNS = {
     **{f"table-{domain}-130": ["table", "--domain", domain, "--sizes", "2", "--trials", "130"]
        for domain in ("spatial", "frequency")},
 }
-# the scan-field workload's command, run with --domain spatial and frequency
+# the scan-field workload's commands, each run with --domain spatial and
+# frequency: a field other than the sample's, and a tile with fewer rows than
+# columns (scan stitches a tile's rows and columns back separately)
 SCAN_FIELD_ARGV = ["scan", "--sample", "24x24", "--field", "32x32", "--cutoff", "6",
                    "--tile", "3x3"]
+SCAN_TILE_ARGV = ["scan", "--sample", "24x24", "--cutoff", "6", "--tile", "2x3"]
 # name -> (field, ROI size, anchor, format, domain, ring) of the located
 # workload. An anchor names a border ("top" is row 1, "bottom" one row above
 # the last fit, "left" and "right" likewise) or a corner, the other
@@ -390,7 +393,9 @@ SEEDLESS = {
                                             "--psf-crop", crop, f"--gain={gain}"]
         for field, cutoff, crop, gain in PSF_SETTINGS}),
     "scan-field": lambda tmp: _with_out(tmp, {
-        domain: [*SCAN_FIELD_ARGV, "--domain", domain] for domain in ("spatial", "frequency")}),
+        f"{domain}{suffix}": [*argv, "--domain", domain]
+        for suffix, argv in (("", SCAN_FIELD_ARGV), ("-2x3", SCAN_TILE_ARGV))
+        for domain in ("spatial", "frequency")}),
     "solvers": lambda tmp: _frame_runs(tmp, {
         **{f"{command}-{domain}-{solver}": [*argv, "--domain", domain, "--solver", solver]
            for command, argv in SOLVER_RUNS.items()
