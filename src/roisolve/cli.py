@@ -480,10 +480,11 @@ def cmd_recover(opts: dict) -> int:
         )
         method = module.METHODS[2]
     rhs = module.frame_rhs(system, observed)
-    sol = module.solve_system(system, rhs, method, clamp_negative=bool(opts["clamp"]))
-    fit = residual(system, sol.pixels, rhs)  # of the written pixels, clamped or not
+    sol = module.solve_system(system, rhs, method)
+    pixels = np.maximum(sol.pixels, 0.0) if opts["clamp"] else sol.pixels
+    fit = residual(system, pixels, rhs)  # of the written pixels, clamped or not
 
-    recovered = sol.pixels.reshape(roi.shape)
+    recovered = pixels.reshape(roi.shape)
     manifest = {
         "observed": opts["observed"],
         "roi": f"{roi.top},{roi.left},{roi.k_rows},{roi.l_cols}",

@@ -156,20 +156,17 @@ def structurally_singular(spec: OtfSpec, roi: RoiSpec, ring: int) -> bool:
 def _factors(
     roi: RoiSpec, idx: np.ndarray, rows: int, cols: int, gain: float
 ) -> tuple[KroneckerFactors, bool]:
-    """idx's factors, over its distinct u and v, and whether idx is their
-    product U x V (each entry once, |U| >= K, |V| >= L). Row i of the matrix
-    is gain/(rows*cols) * F_U[u_i] kron F_V[v_i], F_U[u, k] =
-    exp(-2j*pi*u*(top+k)/rows) over U x the ROI rows, F_V the same over
-    columns. The factors record whether idx lists that product row-major."""
+    """idx's factors, over its distinct u and v, and whether idx lists all of
+    their product U x V row-major (|U| >= K, |V| >= L), as observation_index
+    does. Row i of the matrix is gain/(rows*cols) * F_U[u_i] kron F_V[v_i],
+    F_U[u, k] = exp(-2j*pi*u*(top+k)/rows) over U x the ROI rows, F_V the
+    same over columns."""
     us, u_at, vs, v_at = _axes(idx)
-    n = idx.shape[0]
-    flat = u_at * vs.size + v_at
     product = (us.size >= roi.k_rows and vs.size >= roi.l_cols
-               and n == us.size * vs.size == np.unique(flat).size)
-    row_major = product and np.array_equal(flat, np.arange(n))
+               and np.array_equal(u_at * vs.size + v_at, np.arange(us.size * vs.size)))
     f_u = _twiddles(us, roi.top + np.arange(roi.k_rows), rows, -1)
     f_v = _twiddles(vs, roi.left + np.arange(roi.l_cols), cols, -1)
-    return KroneckerFactors(f_u, f_v, us, vs, u_at, v_at, gain / (rows * cols), row_major), product
+    return KroneckerFactors(f_u, f_v, us, vs, u_at, v_at, gain / (rows * cols)), product
 
 
 def build_system(
@@ -184,10 +181,10 @@ def build_system(
     The system is complex, one row per (u, v) spectrum index of obs_index
     inside the passband (an entry past it carries no signal), in order, and
     carries its two partial DFT factors; its obs_index holds those entries.
-    On a full product U x V (any order, each entry once, |U| >= K, |V| >= L)
-    its matrix is None until a_matrix forms it from the factors; any other
-    selection gathers the dense matrix at build, for its dense routes and
-    condition SVD.
+    On the square product U x V listed row-major (|U| = K, |V| = L, as
+    observation_index gives it at ring 0) its matrix is None, and LU and
+    A x run in the factors; any other selection, a taller product or one in
+    another order included, forms the dense matrix at build.
 
     Args:
         field_shape: (rows, cols) of the frame the spectrum is taken on.
@@ -197,7 +194,8 @@ def build_system(
         otf_spec: the transfer spec on field_shape (else ShapeError), whose
             passband decides the entries kept.
         estimate_condition: compute a 2-norm condition estimate: from the two
-            factors on a full product, else from an SVD of the whole matrix;
+            factors on a product listed row-major, square or taller, else
+            from an SVD of the whole matrix;
             an infinite estimate raises SingularSystemError, and before any
             SVD a selection that lost entries SelectionError if the distinct
             ones kept have an optics.staircase_rank below K*L. Without it
@@ -232,7 +230,7 @@ def build_system(
                     f"{roi.pixel_count} unknowns; the others carry no signal"
                 )
     factors, product = _factors(roi, idx, rows, cols, otf_spec.passband_gain)
-    a = None if product else factors.dense()
+    a = None if product and idx.shape[0] == roi.pixel_count else factors.dense()
     cond = float("nan")
     if estimate_condition:
         # a Kronecker product's singular values are the products of its factors'
@@ -288,16 +286,15 @@ def solve_system(
     system: LinearSystem,
     rhs: np.ndarray,
     method: str = "direct_complex",
-    clamp_negative: bool = False,
 ) -> Solution:
     """Solve a built transform-domain system for an observation rhs and report
     the recovered ROI.
 
-    Methods: "direct_complex" (LU, square only; in the two factors on a
-    product block, the ring-0 system of table, scan and recover),
+    Methods: "direct_complex" (LU, square only; in the two factors when the
+    matrix is None, the ring-0 system of table, scan and recover),
     "stacked_real_lsq" (real least squares on [Re; Im] stacking, works for
     overdetermined selections), "truncated" (complex SVD with a singular value
     floor); these two form the dense matrix. Pixels are the real part;
     Solution.imag_leakage reports the imaginary part dropped.
     """
-    return solve(system.require_domain("frequency"), rhs, method, METHODS, clamp_negative)
+    return solve(system.require_domain("frequency"), rhs, method, METHODS)

@@ -36,14 +36,10 @@ def finite_condition(cond: float) -> float:
 
 class KroneckerFactors(NamedTuple):
     """A = scale * (F_U kron F_V), rows selected: row i of A is row
-    (u_at[i], v_at[i]) of the product (F_U is |U| x K, F_V |V| x L). rows,
-    apply and dense hold for any selection inside U x V; solve only for a
-    square full product U x V (each pair once). LinearSystem calls apply
-    and solve only when its matrix is None.
-
-    row_major: the rows list the product in its own row-major order, as
-    observation_index gives them; decided once, where the factors are built.
-    rows, apply and solve then reshape in place of gathering and scattering.
+    (u_at[i], v_at[i]) of the product (F_U is |U| x K, F_V |V| x L). rows and
+    dense hold for any selection inside U x V; apply and solve only for the
+    square product U x V listed row-major (|U| = K, |V| = L), the one system
+    LinearSystem leaves without a matrix and calls them on.
     us, vs: the sorted distinct u and v, which u_at and v_at index."""
 
     f_u: np.ndarray
@@ -53,22 +49,19 @@ class KroneckerFactors(NamedTuple):
     u_at: np.ndarray
     v_at: np.ndarray
     scale: float
-    row_major: bool = False
 
     def rows(self, block: np.ndarray) -> np.ndarray:
-        """A (|U|, |V|, ...) block over U x V in A's row order: a reshape on
-        a row-major product, else the gather block[u_at, v_at]."""
-        if self.row_major:
-            return block.reshape(self.u_at.size, *block.shape[2:])
+        """A (|U|, |V|) block over U x V in A's row order: block[u_at, v_at]."""
         return block[self.u_at, self.v_at]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for x (K*L,) or (K*L, t): scale * F_U X F_V^T, each column X as K x L."""
+        """A @ x for x (K*L,) or (K*L, t): scale * F_U X F_V^T, each column X
+        as K x L, whose row-major entries are A's rows."""
         k, l = self.f_u.shape[1], self.f_v.shape[1]
         t = x.size // (k * l)
-        y = self.f_v @ (self.f_u @ x.reshape(k, l * t)).reshape(self.f_u.shape[0], l, t)
-        y *= self.scale  # y is fresh; scaling before the gather gives the same bits
-        return self.rows(y).reshape(self.u_at.size, *x.shape[1:])
+        y = self.f_v @ (self.f_u @ x.reshape(k, l * t)).reshape(k, l, t)
+        y *= self.scale
+        return y.reshape(x.shape)
 
     def dense(self) -> np.ndarray:
         """A itself, (n, K*L): row i is scale * (F_U[u_at[i]] kron F_V[v_at[i]])."""
@@ -77,18 +70,12 @@ class KroneckerFactors(NamedTuple):
         return rows.reshape(self.u_at.size, -1)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        """x with A x = y, square factors only: F_U^-1 Y F_V^-T / scale, each
-        inverse an LU against the identity, applied as a matrix product. y is
-        read, never written: a row-major product reshapes it as the block Y,
-        any other order scatters it into a fresh one."""
-        (n_u, k), n_v, t = self.f_u.shape, self.f_v.shape[0], y.size // y.shape[0]
-        if self.row_major:
-            block = y.astype(complex, copy=False)
-        else:
-            block = np.empty((n_u, n_v, t), complex)
-            block[self.u_at, self.v_at] = y.reshape(y.shape[0], t)
-        x = np.linalg.inv(self.f_u) @ block.reshape(n_u, n_v * t)
-        x = np.linalg.inv(self.f_v) @ x.reshape(k, n_v, t)
+        """x with A x = y: F_U^-1 Y F_V^-T / scale, each inverse an LU against
+        the identity, applied as a matrix product, Y each column of y
+        reshaped as K x L. y is read, never written."""
+        k, l, t = self.f_u.shape[1], self.f_v.shape[1], y.size // y.shape[0]
+        x = np.linalg.inv(self.f_u) @ y.astype(complex, copy=False).reshape(k, l * t)
+        x = np.linalg.inv(self.f_v) @ x.reshape(k, l, t)
         return np.divide(x, self.scale, out=x).reshape(y.shape)
 
 
@@ -111,9 +98,9 @@ class LinearSystem:
     frame_rhs reads it off a frame, its NoiselessRows from known pixels.
 
     factors: a transform-domain system's Kronecker factors (None in the
-    image domain). matrix is A, or None on a full product U x V, which forms
-    A from its factors when a_matrix is first read and takes its LU and, if
-    square, A x (system @ x) in them.
+    image domain). matrix is A, or None on the square product U x V listed
+    row-major, which takes its LU and A x (system @ x) in its factors and
+    forms A from them only when a_matrix is first read.
 
     Making a system makes its matrix and factors read-only, so what it
     derives from them once (a_matrix, the verdicts solve_route reads,
@@ -158,10 +145,8 @@ class LinearSystem:
         return (self.obs_index.shape[0], self.roi.pixel_count)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """A @ x: in the factors on a square full product, as its LU is; a
-        taller one is solved dense, so its dense product serves."""
-        square = self.matrix is None and self.shape[0] == self.shape[1]
-        return self.factors.apply(x) if square else self.a_matrix @ x
+        """A @ x: in the factors when matrix is None, as its LU is."""
+        return self.factors.apply(x) if self.matrix is None else self.matrix @ x
 
     def require_domain(self, name: str) -> LinearSystem:
         """The system itself when domain name built it, else ParameterError."""
@@ -187,14 +172,14 @@ class LinearSystem:
 class Solution:
     """Solver output: real recovered pixels, and a report computed when first read.
 
-    pixels: row-major ROI values (clamped if requested), one column per
-        right-hand side for a block.
+    pixels: row-major ROI values, one column per right-hand side for a
+        block.
     solved: the array the solve route returned, complex in the transform
         domain's LU and truncated routes; the report describes it.
     imag_leakage: largest imaginary part dropped when projecting a complex
         solution to real pixels, relative to the solution magnitude (0.0 for
         a real system and for the least-squares solver, which stays real).
-    negative_count / min_pixel: nonnegativity report, taken before clamping.
+    negative_count / min_pixel: nonnegativity report of the solution.
     """
 
     pixels: np.ndarray
@@ -230,7 +215,7 @@ def solve_route(
     NaN or Inf in rhs or in what the route reads of A; ShapeError: rhs not
     one row per observation, or LU of more rows than unknowns), then the
     method's position in methods and what its route reads: the factors (LU
-    on a full product, matrix None) or else the dense matrix. A is checked
+    on a system whose matrix is None) or else the dense matrix. A is checked
     once per system, rhs on every call."""
     if method not in methods:
         raise ParameterError(f"unknown method {method!r}, expected one of {methods}")
@@ -266,7 +251,6 @@ def solve(
     rhs: np.ndarray,
     method: str,
     methods: tuple[str, str, str],
-    clamp_negative: bool = False,
 ) -> Solution:
     """Solve A x = rhs with one of a domain's method names.
 
@@ -277,7 +261,7 @@ def solve(
     reports a residual calls residual, and the report is computed when read.
 
     methods names the domain's three solvers in this order: LU (square
-    systems only; in the factors on a full product), least squares
+    systems only; in the factors when the matrix is None), least squares
     (numpy's LAPACK gelsd, singular values below machine epsilon of the
     largest discarded; a complex A is stacked as [Re; Im], once per
     system, so the solution stays real) and truncated SVD (singular values
@@ -311,4 +295,4 @@ def solve(
     if not np.isfinite(z).all():
         raise ParameterError("solution holds NaN or Inf: the observations overflow the solve")
     x = z.real.copy() if np.iscomplexobj(z) else z  # every route returns a fresh z
-    return Solution(pixels=np.maximum(x, 0.0) if clamp_negative else x, solved=z)
+    return Solution(pixels=x, solved=z)

@@ -90,7 +90,7 @@ def averaged_error(recovered: np.ndarray, ideal: np.ndarray) -> float:
 
 def averaged_difference(system: LinearSystem, x: np.ndarray, y: np.ndarray) -> float:
     """||A x - y||_2 divided by the unknown count, as linear.residual takes
-    it (system @ x: in its factors when it is a square full product);
+    it (system @ x: in its factors when its matrix is None);
     complex-safe, ParameterError when it overflows float64."""
     x = np.asarray(x).ravel()
     y = np.asarray(y).ravel()

@@ -228,7 +228,6 @@ def solve_system(
     system: LinearSystem,
     rhs: np.ndarray,
     method: str = "direct",
-    clamp_negative: bool = False,
 ) -> Solution:
     """Solve a built system for an observation rhs and report the recovered ROI.
 
@@ -236,4 +235,4 @@ def solve_system(
     square and overdetermined), "truncated" (SVD with singular values below
     linear.TRUNCATION_RTOL of the largest discarded).
     """
-    return solve(system.require_domain("spatial"), rhs, method, METHODS, clamp_negative)
+    return solve(system.require_domain("spatial"), rhs, method, METHODS)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "cycle_digest.py"
 #   OPENBLAS_NUM_THREADS=1 python3 tools/cycle_digest.py --out tests/data/digest.json
 # writes it; a change that moves output bytes rewrites it in the same commit
 DIGEST_PATH = Path(__file__).resolve().parent / "data" / "digest.json"
+README_PATH = TOOL_PATH.parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +98,18 @@ def test_the_outputs_match_the_committed_digest(tool, tmp_path):
                         f"this run is at {key} {written.get(key)}")
     moved = tool.compare(committed, written)
     assert not moved, f"{len(moved)} keys differ from {DIGEST_PATH.name}: {moved}"
+
+
+def test_the_readme_states_the_digests_counts(tool):
+    # README "Tests" gives the workload count, the seeds and the committed
+    # digest's key count, its environment entries aside
+    text = " ".join(README_PATH.read_text(encoding="utf-8").split())
+    found = re.search(r"It covers (\d+) workloads at seeds ([^:]+): ([\d,]+) keys, plus", text)
+    assert found, "README no longer states the digest's counts"
+    committed = json.loads(DIGEST_PATH.read_text(encoding="utf-8"))
+    assert int(found[1]) == len(tool.WORKLOADS)
+    assert re.findall(r"\d+", found[2]) == [str(seed) for seed in tool.SEEDS]
+    assert int(found[3].replace(",", "")) == len(set(committed) - set(tool.ENVIRONMENT_KEYS))
 
 
 def test_help_workload_hashes_every_subcommand(tool):
@@ -329,6 +343,36 @@ def test_many_trials_workload_runs_a_table_past_numpys_pairwise_block(tool, monk
     assert set(digests) == {f"many-trials/205/{name}/{what.format(domain)}"
                             for name, domain in long.items() for what in whats}
     assert {digests[f"many-trials/205/{name}/exit"] for name in long} == {tool._hash(b"0")}
+
+
+def test_cli_paths_workload_hashes_every_run_once(tool, monkeypatch):
+    # two-point's closed forms, the --config branch of the option fold and
+    # recover's kernel file, which no other run reaches; every run exits 0,
+    # and the recover that reads its flags from a config writes the bytes
+    # of the solvers workload's recover given them as flags
+    assert "cli-paths" in tool.WORKLOADS
+    digests = tool.digest(["cli-paths"], [205])
+    recover = ("recovered.raw", "recovered.pgm", "recover_manifest.txt")
+    written = {
+        "two-point-spatial": (),
+        "two-point-frequency": (),
+        "table-config": _table_files("frequency"),
+        "recover-config": recover,
+        "psf": ("psf.raw", "psf.pgm", "otf.raw", "psf_manifest.txt"),
+        "recover-psf": recover,
+    }
+    assert list(tool.CLI_PATH_RUNS) == list(written)
+    assert set(digests) == {f"cli-paths/{name}/{what}"
+                            for name, files in written.items()
+                            for what in ("exit", "stdout", "stderr", *files)}
+    assert len(digests) == 32
+    assert {digests[f"cli-paths/{name}/exit"] for name in written} == {tool._hash(b"0")}
+    assert tool.digest(["cli-paths"], []) == digests
+    monkeypatch.setattr(tool, "SOLVER_RUNS", {})
+    flags = tool.digest(["solvers"], [])
+    for what in recover:
+        assert (digests[f"cli-paths/recover-config/{what}"]
+                == flags[f"solvers/recover-spatial-clamp/{what}"])
 
 
 @pytest.fixture

@@ -468,15 +468,15 @@ def test_one_reader_serves_every_trial_of_a_table_size(domain, size, ring):
 def test_the_transform_reader_reads_the_systems_factors(monkeypatch, rng):
     # every built system carries its factors, and its reader builds no
     # twiddles, index split or passband mask of its own; matrix is None
-    # exactly on a full product U x V
+    # exactly on the square product U x V listed row-major
     spec = OtfSpec(97, 130, 9.0, 0.7)
     roi = RoiSpec(60, 21, 3, 4)
     ring2 = frequency.observation_index(roi, spec.shape, 2)
     shuffled = ring2[rng.permutation(ring2.shape[0])]
     selections = {
         "ring 0": (frequency.observation_index(roi, spec.shape, 0), True),
-        "ring 2": (ring2, True),
-        "shuffled": (shuffled, True),
+        "ring 2": (ring2, False),
+        "shuffled": (shuffled, False),
         "duplicated": (np.vstack([shuffled, shuffled[:5]]), False),
         "one entry short": (shuffled[1:], False),
     }

@@ -265,16 +265,19 @@ def test_matrix_entries_brute_force(rng):
 def test_matrix_entries_bit_for_bit_on_a_shuffled_selection(rng):
     # row i is g/(R*C) times the outer product of exp(-2j*pi*(u*r mod R)/R)
     # over the ROI rows r and exp(-2j*pi*(v*c mod C)/C) over its columns c,
-    # each phase reduced modulo the field before exp, exactly; on a product
-    # set and on a selection that repeats entries alike
+    # each phase reduced modulo the field before exp, exactly; on the square
+    # block listed row-major, whose matrix a_matrix forms from its factors,
+    # and on a shuffled product set and a selection that repeats entries,
+    # whose matrices are formed at build
     rows, cols, gain = 97, 130, 0.7
     roi = RoiSpec(90, 3, 4, 5)
     spec = OtfSpec(rows, cols, 8.0, gain)
+    block = observation_index(roi, (rows, cols), 0)
     idx = observation_index(roi, (rows, cols), 2)
     idx = idx[rng.permutation(idx.shape[0])]
-    for sel in (idx, np.vstack([idx, idx[:3]])):
+    for sel in (block, idx, np.vstack([idx, idx[:3]])):
         system = build_system((rows, cols), roi, sel, spec)
-        assert (system.matrix is not None) == (sel is not idx)
+        assert (system.matrix is None) == (sel is block)
         f_u = np.exp(-2j * np.pi / rows * (np.outer(sel[:, 0], roi.top + np.arange(4)) % rows))
         f_v = np.exp(-2j * np.pi / cols * (np.outer(sel[:, 1], roi.left + np.arange(5)) % cols))
         want = gain / (rows * cols) * (f_u[:, :, None] * f_v[:, None, :]).reshape(len(sel), 20)
@@ -453,27 +456,66 @@ def test_factor_condition_reads_past_the_full_svd_saturation():
     assert 1 / np.finfo(float).eps < full <= estimate / 10
 
 
-def test_a_product_selection_in_any_order_gives_the_same_estimate(rng):
-    roi = RoiSpec(7, 9, 3, 2)
-    idx = observation_index(roi, (32, 32), 1)
-    spec = _widest_spec(32, 32)
-    ordered = build_system((32, 32), roi, idx, spec).condition_estimate
-    shuffled = build_system((32, 32), roi, idx[rng.permutation(len(idx))], spec).condition_estimate
-    assert shuffled == ordered
+@pytest.mark.parametrize("field", [(48, 48), (97, 130), (300, 300)])
+def test_the_origin_block_is_factored_at_ring_0_and_dense_past_it(field):
+    # observation_index's block at a cutoff that holds it: the square one
+    # keeps no matrix, a taller one forms it at build, and both estimate
+    # their condition from the factors
+    checked = 0
+    for k in range(1, 5):
+        for l in range(1, 6):
+            for ring in (0, 1, 2):
+                roi = RoiSpec(field[0] // 3, field[1] // 2, k, l)
+                spec = OtfSpec(*field, float(np.hypot(k + ring, l + ring)))
+                system = build_system(field, roi, observation_index(roi, field, ring), spec)
+                f = system.factors
+                assert (f.f_u.shape, f.f_v.shape) == ((k + ring, k), (l + ring, l))
+                assert (system.matrix is None) == (ring == 0)
+                if ring:
+                    assert system.matrix.tobytes() == f.dense().tobytes()
+                want = float(np.linalg.cond(f.f_u)) * float(np.linalg.cond(f.f_v))
+                assert system.condition_estimate == want
+                checked += 1
+    assert checked == 60
 
 
-@pytest.mark.parametrize("edit", ["swap one entry", "repeat one entry", "short factor"])
+@pytest.mark.parametrize("edit", ["swap one entry", "repeat one entry", "short factor",
+                                  "permuted", "drop the last entry", "passband cut"])
 def test_other_selections_take_the_full_svd(edit):
     roi = RoiSpec(7, 9, 3, 3)
     idx = observation_index(roi, (32, 32), 1).copy()  # 4 x 4 block
-    if edit == "swap one entry":
+    spec = _widest_spec(32, 32)
+    if edit == "permuted":  # the whole product, in another order
+        idx = idx[::-1]
+    elif edit == "swap one entry":
         idx[-1] = (5, 0)
     elif edit == "repeat one entry":
         idx[-1] = idx[0]
+    elif edit == "drop the last entry":  # row-major, but one short of U x V
+        idx = idx[:-1]
+    elif edit == "passband cut":  # the disk drops the block's far corner (3, 3)
+        spec = OtfSpec(32, 32, 4.0, 1.0)
     else:  # a 2 x 8 product cannot determine 3 rows of unknowns
         idx = np.column_stack([np.repeat(np.arange(2), 8), np.tile(np.arange(8), 2)])
-    system = build_system((32, 32), roi, idx, _widest_spec(32, 32))
+    system = build_system((32, 32), roi, idx, spec)
+    if edit in ("drop the last entry", "passband cut"):
+        assert system.obs_index.shape[0] == 15
+    assert system.matrix is not None
     assert system.condition_estimate == float(np.linalg.cond(system.a_matrix))
+
+
+def test_a_product_cut_short_to_k_times_l_entries_is_dense():
+    # the first four entries of the 2 x 3 product, row-major: as many as the
+    # 2 x 2 region's unknowns, but not U x V, so the matrix is formed, and its
+    # estimate is the full SVD's, which sees its rank of three
+    roi = RoiSpec(7, 9, 2, 2)
+    idx = np.array([[0, 0], [0, 1], [0, 2], [1, 0]])
+    system = build_system((32, 32), roi, idx, _widest_spec(32, 32))
+    assert system.matrix is not None and system.matrix.shape == (4, 4)
+    assert system.matrix.tobytes() == system.factors.dense().tobytes()
+    assert system.condition_estimate == float(np.linalg.cond(system.a_matrix)) > 1e15
+    x = np.arange(1.0, 5.0)
+    assert (system @ x).tobytes() == (system.matrix @ x).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -487,38 +529,40 @@ def test_other_selections_take_the_full_svd(edit):
     ((97, 130), RoiSpec(40, 100, 2, 2), 0.7, True),
 ])
 def test_factored_lu_agrees_with_dense_lu(field, roi, gain, shuffle, rng):
+    # the dense side is the same system with its matrix given, or under
+    # shuffle the same block in another order, which build_system makes dense
     spec = OtfSpec(*field, 10.0 if field == (48, 48) else 8.0, gain)
     idx = observation_index(roi, field, 0)
-    if shuffle:
-        idx = idx[rng.permutation(idx.shape[0])]
+    perm = rng.permutation(idx.shape[0]) if shuffle else np.arange(idx.shape[0])
     system = build_system(field, roi, idx, spec)
-    assert system.factors is not None and system.shape == (roi.pixel_count,) * 2
-    # every route reads the matrix
-    dense_system = dataclasses.replace(system, matrix=system.a_matrix, factors=None)
+    assert system.matrix is None and system.shape == (roi.pixel_count,) * 2
+    dense_system = (build_system(field, roi, idx[perm], spec) if shuffle
+                    else dataclasses.replace(system, matrix=system.a_matrix, factors=None))
+    assert dense_system.matrix is not None
     pixels = rng.uniform(0, 256, (roi.pixel_count, 3))
     reader = NoiselessRows(system)
     rhs = np.column_stack([reader(p) for p in pixels.T])
     for y in (rhs[:, 0], rhs):
         factored = solve_system(system, y, "direct_complex").pixels
-        dense = solve_system(dense_system, y, "direct_complex").pixels
+        dense = solve_system(dense_system, y[perm], "direct_complex").pixels
         assert np.abs(factored - dense).max() <= 1e-9
         assert np.abs(factored - pixels[:, 0] if y.ndim == 1 else factored - pixels).max() <= 1e-9
 
 
 @pytest.mark.parametrize("ring", [0, 2])
 def test_factored_product_equals_the_dense_one(ring, rng):
+    # observation_index's block: the square one takes A x in its factors,
+    # a taller one (solved dense) in the matrix formed at build
     field, roi = (97, 130), RoiSpec(60, 21, 3, 4)
-    idx = observation_index(roi, field, ring)
-    system = build_system(field, roi, idx[rng.permutation(idx.shape[0])], OtfSpec(*field, 9.0, 0.7))
-    assert system.factors is not None
+    system = build_system(field, roi, observation_index(roi, field, ring),
+                          OtfSpec(*field, 9.0, 0.7))
+    assert (system.matrix is None) == (ring == 0)
     for x in (rng.uniform(0, 256, roi.pixel_count), rng.uniform(0, 256, (roi.pixel_count, 5))):
         dense = system.a_matrix @ x
-        factored = system.factors.apply(x)
-        assert factored.shape == dense.shape
-        assert np.abs(factored - dense).max() <= 1e-13 * np.abs(dense).max()
-        # a square system takes A x in its factors, a taller one (solved
-        # dense) in its matrix
-        assert np.array_equal(system @ x, factored if ring == 0 else dense)
+        got = system @ x
+        assert got.shape == dense.shape
+        assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert np.array_equal(got, system.factors.apply(x) if ring == 0 else dense)
 
 
 def _same_bits(a, b):
@@ -533,33 +577,28 @@ def _same_bits(a, b):
     ((300, 300), RoiSpec(0, 0, 3, 3), 6.0, 1.0),
 ])
 @pytest.mark.parametrize("ring", [0, 2])
-def test_a_row_major_product_reads_in_place_to_the_gathers_bits(field, roi, cutoff, gain,
-                                                                 ring, rng):
-    # observation_index lists the product row-major, so its system reshapes
-    # where the same system on a permuted index gathers and scatters; row i
-    # of the permuted system is row perm[i] of the row-major one
+def test_a_permuted_product_is_a_dense_system(field, roi, cutoff, gain, ring, rng):
+    # observation_index's block in another order: its matrix is formed at
+    # build, row i holding the bits of row perm[i] of the row-major system's,
+    # and its readers read the row-major system's entries in that order bit
+    # for bit; its A x, in that matrix, agrees with the row-major system's,
+    # in the factors at ring 0 (test_factored_lu_agrees_with_dense_lu
+    # compares the two LUs)
     spec = OtfSpec(*field, cutoff, gain)
     idx = observation_index(roi, field, ring)
     perm = rng.permutation(idx.shape[0])
     assert not np.array_equal(perm, np.arange(perm.size))
     ordered = build_system(field, roi, idx, spec)
     permuted = build_system(field, roi, idx[perm], spec)
-    assert ordered.factors.row_major and not permuted.factors.row_major
-    assert ordered.matrix is None and permuted.matrix is None
+    assert (ordered.matrix is None) == (ring == 0) and permuted.matrix is not None
+    assert _same_bits(ordered.a_matrix[perm], permuted.matrix)
     x = rng.uniform(0, 256, (roi.pixel_count, 4))
     for v in (x[:, 0], x):
-        assert _same_bits(ordered.factors.apply(v)[perm], permuted.factors.apply(v))
-        assert _same_bits((ordered @ v)[perm], permuted @ v)
+        want = (ordered @ v)[perm]
+        assert np.abs(permuted @ v - want).max() <= 1e-9 * np.abs(want).max()
     assert _same_bits(NoiselessRows(ordered)(x[:, 0])[perm], NoiselessRows(permuted)(x[:, 0]))
-    if ring:
-        return
-    rhs = ordered @ x
-    for y in (rhs[:, 0], rhs):
-        got = solve_system(ordered, y, "direct_complex")
-        want = solve_system(permuted, y[perm], "direct_complex")
-        assert _same_bits(got.pixels, want.pixels)
-        assert got.imag_leakage == want.imag_leakage
-        assert _same_bits(ordered.factors.solve(y), permuted.factors.solve(y[perm]))
+    frame = rng.uniform(0, 256, field)
+    assert _same_bits(frame_rhs(ordered, frame)[perm], frame_rhs(permuted, frame))
 
 
 def test_a_square_selection_that_is_no_product_keeps_the_dense_routes(rng):

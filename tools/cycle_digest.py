@@ -33,7 +33,9 @@ domain, and scans of samples too large for their error to fit float64;
 "many-trials" gates table and noise at the default of 20 trials per size,
 where every trial past the first reuses its size's system and reader, and
 a table of 130 trials, past the 128-element block of numpy's pairwise sum
-that each size's summary takes.
+that each size's summary takes; "cli-paths" gates the README's two-point
+examples, a table and a recover that read their flags from a --config
+file, and recover --psf on a kernel file the psf command wrote.
 
 --compare lists the keys that differ between two digests (or sit in one
 only) and exits 1 if there are any; on stderr it counts the identical
@@ -69,7 +71,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 WORKLOADS = ("table", "noise", "scan", "recover", "help", "psf", "noisy-table", "failed-trials",
-             "scan-field", "located", "solvers", "refusals", "singular", "loud", "many-trials")
+             "scan-field", "located", "solvers", "refusals", "singular", "loud", "many-trials",
+             "cli-paths")
 SEEDS = (111, 205, 12345)
 # (field, cutoff, crop, gain) of the psf workload: the benchmark's kernel,
 # the scan kernel, an odd non-square field and a crop spanning most columns
@@ -231,6 +234,31 @@ LOUD_RUNS = {
                                 "--domain", domain]
        for domain in ("spatial", "frequency")},
 }
+# name -> argv (without --out) of the cli-paths workload, run in this order:
+# the README's two two-point examples; a table and a recover whose flags all
+# come from CONFIG_FILE, written per run from CLI_PATH_CONFIGS (the recover
+# clamps SOLVER_FRAME's 2x2 ROI one column left of its block, like
+# CLAMP_RUNS); and recover --psf on PSF_FILE, the kernel of SOLVER_FRAME's
+# field that the psf run before it writes
+CONFIG_FILE = "<config>"
+PSF_FILE = "<psf>"
+CLI_PATH_CONFIGS = {
+    "table-config": {"domain": "frequency", "field": "48x48", "cutoff": "10", "sizes": "2-3",
+                     "trials": "2", "seed": "7"},
+    "recover-config": {"observed": SOLVER_FRAME, "size": "2x2", "roi": "20,21", "cutoff": "6",
+                       "clamp": "true"},
+}
+CLI_PATH_RUNS = {
+    "two-point-spatial": ["two-point", "--domain", "spatial", "--p", "1", "--qa", "0.9981",
+                          "--qb", "0.9981", "--ya", "4.59354", "--yb", "4.59772"],
+    "two-point-frequency": ["two-point", "--domain", "frequency", "--length", "8", "--pos-a",
+                            "3", "--pos-b", "4", "--freq-c", "0", "--freq-d", "1", "--xc", "15.6",
+                            "--xd=-13.6376-4.7376i", "--imag-tol", "1e-3"],
+    **{name: [name.split("-")[0], "--config", CONFIG_FILE] for name in CLI_PATH_CONFIGS},
+    "psf": ["psf", "--field", "48x48", "--cutoff", "6", "--psf-crop", "47"],
+    "recover-psf": ["recover", "--observed", SOLVER_FRAME, "--size", "2x2", "--roi", "20,22",
+                    "--cutoff", "6", "--psf", PSF_FILE],
+}
 MASK = "<tmp>"
 BLAS_THREADS_KEY = "blas_threads"
 ENVIRONMENT_KEYS = ("numpy", "openblas", "openblas_core", BLAS_THREADS_KEY)
@@ -375,6 +403,23 @@ def _loud_runs(tmp: str) -> dict[str, list[str]]:
     return _with_out(tmp, LOUD_RUNS, sample=sample)
 
 
+def _cli_path_runs(tmp: str) -> dict[str, list[str]]:
+    """CLI_PATH_RUNS as _frame_runs gives them, with PSF_FILE read as the psf
+    run's psf.raw and CONFIG_FILE as tmp/<name>.cfg, written here from the
+    run's CLI_PATH_CONFIGS entries."""
+    runs = _frame_runs(tmp, CLI_PATH_RUNS)
+    frame = os.path.join(tmp, "frame.raw")  # as _frame_runs wrote it
+    psf = os.path.join(tmp, "out", "psf", "psf.raw")
+    for name, argv in runs.items():
+        config = os.path.join(tmp, f"{name}.cfg")
+        runs[name] = [config if a == CONFIG_FILE else psf if a == PSF_FILE else a for a in argv]
+    for name, entries in CLI_PATH_CONFIGS.items():
+        with open(os.path.join(tmp, f"{name}.cfg"), "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key} = {frame if value == SOLVER_FRAME else value}\n"
+                          for key, value in entries.items())
+    return runs
+
+
 def help_digest() -> dict[str, str]:
     """Digests of every subcommand's --help at a fixed terminal width."""
     import roisolve.cli as cli
@@ -404,6 +449,7 @@ SEEDLESS = {
     "refusals": lambda tmp: _frame_runs(tmp, REFUSAL_RUNS),
     "singular": lambda tmp: _frame_runs(tmp, SINGULAR_RUNS),
     "loud": _loud_runs,
+    "cli-paths": _cli_path_runs,
 }
 PER_SEED = {
     "noisy-table": lambda tmp, seed: _with_out(tmp, {
