@@ -6,7 +6,8 @@ cell (r, c) holds g*exp(-2j*pi*(r*u/M + c*v/N)) / (M*N), g the passband
 gain. In-passband entries whose rank reaches the unknowns give a
 solvable dense complex system. Its one coefficient generator is a pair of
 1-D twiddle factors, each phase reduced modulo the field before exp; the
-dense matrix, where a route needs it, is gathered from them.
+dense matrix is gathered from them at build. The pixels are real, so the
+default solve is the real least-squares one on [Re A; Im A].
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ _EXACT_INTEGER_LIMIT = 2**53
 
 # LU, least squares, truncated: the order linear.solve reads them in.
 METHODS = ("direct_complex", "stacked_real_lsq", "truncated")
+# The method a default solve takes at ring 0 and at a ring: least squares
+# at both, since it uses both the real and the imaginary part of every entry.
+DEFAULTS = (METHODS[1], METHODS[1])
 
 
 def solve_two_point_1d(
@@ -180,11 +184,8 @@ def build_system(
 
     The system is complex, one row per (u, v) spectrum index of obs_index
     inside the passband (an entry past it carries no signal), in order, and
-    carries its two partial DFT factors; its obs_index holds those entries.
-    On the square product U x V listed row-major (|U| = K, |V| = L, as
-    observation_index gives it at ring 0) its matrix is None, and LU and
-    A x run in the factors; any other selection, a taller product or one in
-    another order included, forms the dense matrix at build.
+    carries its dense matrix and its two partial DFT factors; its obs_index
+    holds those entries.
 
     Args:
         field_shape: (rows, cols) of the frame the spectrum is taken on.
@@ -230,7 +231,7 @@ def build_system(
                     f"{roi.pixel_count} unknowns; the others carry no signal"
                 )
     factors, product = _factors(roi, idx, rows, cols, otf_spec.passband_gain)
-    a = None if product and idx.shape[0] == roi.pixel_count else factors.dense()
+    a = factors.dense()
     cond = float("nan")
     if estimate_condition:
         # a Kronecker product's singular values are the products of its factors'
@@ -285,16 +286,16 @@ def unit_rows(system: LinearSystem, seed: int) -> np.ndarray:
 def solve_system(
     system: LinearSystem,
     rhs: np.ndarray,
-    method: str = "direct_complex",
+    method: str = DEFAULTS[0],
 ) -> Solution:
     """Solve a built transform-domain system for an observation rhs and report
     the recovered ROI.
 
-    Methods: "direct_complex" (LU, square only; in the two factors when the
-    matrix is None, the ring-0 system of table, scan and recover),
-    "stacked_real_lsq" (real least squares on [Re; Im] stacking, works for
-    overdetermined selections), "truncated" (complex SVD with a singular value
-    floor); these two form the dense matrix. Pixels are the real part;
-    Solution.imag_leakage reports the imaginary part dropped.
+    Methods: "stacked_real_lsq" (the default: real least squares on the
+    [Re; Im] stacking, through the system's solve operator, formed once;
+    square or overdetermined), "direct_complex" (complex LU, square only),
+    "truncated" (complex SVD with a singular value floor). Pixels are the
+    real part; Solution.imag_leakage reports the imaginary part dropped, 0
+    on the real route.
     """
     return solve(system.require_domain("frequency"), rhs, method, METHODS)

@@ -36,11 +36,9 @@ def finite_condition(cond: float) -> float:
 
 class KroneckerFactors(NamedTuple):
     """A = scale * (F_U kron F_V), rows selected: row i of A is row
-    (u_at[i], v_at[i]) of the product (F_U is |U| x K, F_V |V| x L). rows and
-    dense hold for any selection inside U x V; apply and solve only for the
-    square product U x V listed row-major (|U| = K, |V| = L), the one system
-    LinearSystem leaves without a matrix and calls them on.
-    us, vs: the sorted distinct u and v, which u_at and v_at index."""
+    (u_at[i], v_at[i]) of the product (F_U is |U| x K, F_V |V| x L), for any
+    selection inside U x V. us, vs: the sorted distinct u and v, which u_at
+    and v_at index."""
 
     f_u: np.ndarray
     f_v: np.ndarray
@@ -54,34 +52,15 @@ class KroneckerFactors(NamedTuple):
         """A (|U|, |V|) block over U x V in A's row order: block[u_at, v_at]."""
         return block[self.u_at, self.v_at]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for x (K*L,) or (K*L, t): scale * F_U X F_V^T, each column X
-        as K x L, whose row-major entries are A's rows."""
-        k, l = self.f_u.shape[1], self.f_v.shape[1]
-        t = x.size // (k * l)
-        y = self.f_v @ (self.f_u @ x.reshape(k, l * t)).reshape(k, l, t)
-        y *= self.scale
-        return y.reshape(x.shape)
-
     def dense(self) -> np.ndarray:
         """A itself, (n, K*L): row i is scale * (F_U[u_at[i]] kron F_V[v_at[i]])."""
         rows = self.f_u[self.u_at][:, :, None] * self.f_v[self.v_at][:, None, :]
         rows *= self.scale
         return rows.reshape(self.u_at.size, -1)
 
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        """x with A x = y: F_U^-1 Y F_V^-T / scale, each inverse an LU against
-        the identity, applied as a matrix product, Y each column of y
-        reshaped as K x L. y is read, never written."""
-        k, l, t = self.f_u.shape[1], self.f_v.shape[1], y.size // y.shape[0]
-        x = np.linalg.inv(self.f_u) @ y.astype(complex, copy=False).reshape(k, l * t)
-        x = np.linalg.inv(self.f_v) @ x.reshape(k, l, t)
-        return np.divide(x, self.scale, out=x).reshape(y.shape)
 
-
-def _read_only(array: np.ndarray | None) -> np.ndarray | None:
-    if array is not None:
-        array.flags.writeable = False
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
     return array
 
 
@@ -97,18 +76,17 @@ class LinearSystem:
     file). The observation y is not part of the system: each domain's
     frame_rhs reads it off a frame, its NoiselessRows from known pixels.
 
-    factors: a transform-domain system's Kronecker factors (None in the
-    image domain). matrix is A, or None on the square product U x V listed
-    row-major, which takes its LU and A x (system @ x) in its factors and
-    forms A from them only when a_matrix is first read.
+    a_matrix: A, dense in both domains. factors: a transform-domain system's
+    Kronecker factors (None in the image domain), which its readers and its
+    condition estimate read.
 
     Making a system makes its matrix and factors read-only, so what it
-    derives from them once (a_matrix, the verdicts solve_route reads,
-    lsq_matrix) never goes stale. None of these refers back to the system.
+    derives from them once (the verdict solve_route reads, lsq_operator)
+    never goes stale. Neither refers back to the system.
     """
 
     domain: str
-    matrix: np.ndarray | None
+    a_matrix: np.ndarray
     roi: RoiSpec
     obs_index: np.ndarray
     condition_estimate: float
@@ -117,36 +95,32 @@ class LinearSystem:
     factors: KroneckerFactors | None = None
 
     def __post_init__(self) -> None:
-        _read_only(self.matrix)
+        _read_only(self.a_matrix)
         if self.factors is not None:
             _read_only(self.factors.f_u)
             _read_only(self.factors.f_v)
 
     @cached_property
-    def a_matrix(self) -> np.ndarray:
-        return _read_only(self.factors.dense()) if self.matrix is None else self.matrix
-
-    @cached_property
     def matrix_finite(self) -> bool:
-        return bool(np.isfinite(self.a_matrix).all())
+        return _all_finite(self.a_matrix)
 
     @cached_property
-    def factors_finite(self) -> bool:
-        return bool(np.isfinite(self.factors.f_u).all() and np.isfinite(self.factors.f_v).all())
-
-    @cached_property
-    def lsq_matrix(self) -> np.ndarray:
-        """The real matrix least squares solves: a_matrix, as [Re; Im] if complex."""
+    def lsq_operator(self) -> np.ndarray:
+        """The real solve operator of a complex A: x = lsq_operator @ [Re y; Im y]
+        is the least-squares solution of [Re A; Im A] x = [Re y; Im y]. It is
+        formed from one SVD of that stacked matrix, singular values at or
+        below machine epsilon of the largest dropped, as gelsd drops them;
+        np.linalg.LinAlgError when the SVD does not converge."""
         a = self.a_matrix
-        return _read_only(np.vstack([a.real, a.imag])) if np.iscomplexobj(a) else a
+        u, s, vt = _svd_above(np.vstack([a.real, a.imag]), np.finfo(float).eps)
+        return _read_only((vt.T / s) @ u.T)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.obs_index.shape[0], self.roi.pixel_count)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """A @ x: in the factors when matrix is None, as its LU is."""
-        return self.factors.apply(x) if self.matrix is None else self.matrix @ x
+        return self.a_matrix @ x
 
     def require_domain(self, name: str) -> LinearSystem:
         """The system itself when domain name built it, else ParameterError."""
@@ -199,42 +173,51 @@ class Solution:
         return float(self.solved.real.min()) if self.solved.size else 0.0
 
 
-def _truncated_lstsq(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether x holds no NaN or Inf; a complex x is read as its float view,
+    one pass over its parts."""
+    if np.iscomplexobj(x):
+        x = np.ascontiguousarray(x).view(x.real.dtype)
+    return bool(np.isfinite(x).all())
+
+
+def _svd_above(a: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a's thin SVD u, s, vt, kept to the singular values above rtol times the largest."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > TRUNCATION_RTOL * s[0] if s.size else np.zeros(0, dtype=bool)
-    if not keep.any():
+    keep = s > rtol * s[0] if s.size else np.zeros(0, dtype=bool)
+    return u[:, keep], s[keep], vt[keep]
+
+
+def _truncated_lstsq(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    u, s, vt = _svd_above(a, TRUNCATION_RTOL)
+    if not s.size:
         raise SingularSystemError("every singular value fell below the truncation floor")
-    coeff = (u[:, keep].conj().T @ rhs) / (s[keep] if rhs.ndim == 1 else s[keep, None])
-    return vt[keep].conj().T @ coeff
+    coeff = (u.conj().T @ rhs) / (s if rhs.ndim == 1 else s[:, None])
+    return vt.conj().T @ coeff
 
 
 def solve_route(
     system: LinearSystem, rhs: np.ndarray, method: str, methods: tuple[str, str, str]
-) -> tuple[int, KroneckerFactors | None, np.ndarray | None]:
+) -> int:
     """solve's refusals of its inputs (ParameterError: an unknown method, or
-    NaN or Inf in rhs or in what the route reads of A; ShapeError: rhs not
-    one row per observation, or LU of more rows than unknowns), then the
-    method's position in methods and what its route reads: the factors (LU
-    on a system whose matrix is None) or else the dense matrix. A is checked
-    once per system, rhs on every call."""
+    NaN or Inf in A or rhs; ShapeError: rhs not one row per observation, or
+    LU of more rows than unknowns), then the method's position in methods.
+    A is checked once per system, rhs on every call."""
     if method not in methods:
         raise ParameterError(f"unknown method {method!r}, expected one of {methods}")
     rhs = np.asarray(rhs)
     n = system.shape[0]
     if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
         raise ShapeError(f"right-hand side {rhs.shape} does not match {n} observations")
-    kind = methods.index(method)
-    factors = system.factors if kind == 0 and system.matrix is None else None
-    a = system.a_matrix if factors is None else None
-    finite = system.matrix_finite if factors is None else system.factors_finite
-    if not (finite and np.isfinite(rhs).all()):
+    if not (system.matrix_finite and _all_finite(rhs)):
         raise ParameterError("system matrix or right-hand side holds NaN or Inf")
+    kind = methods.index(method)
     if kind == 0 and n > system.shape[1]:
         raise ShapeError(
             f"{method} needs a square system, got {system.shape}; "
             f"use {methods[1]} for extra observations"
         )
-    return kind, factors, a
+    return kind
 
 
 def residual(system: LinearSystem, x: np.ndarray, rhs: np.ndarray) -> float:
@@ -261,11 +244,11 @@ def solve(
     reports a residual calls residual, and the report is computed when read.
 
     methods names the domain's three solvers in this order: LU (square
-    systems only; in the factors when the matrix is None), least squares
-    (numpy's LAPACK gelsd, singular values below machine epsilon of the
-    largest discarded; a complex A is stacked as [Re; Im], once per
-    system, so the solution stays real) and truncated SVD (singular values
-    below TRUNCATION_RTOL of the largest discarded).
+    systems only), least squares (singular values at or below machine
+    epsilon of the largest discarded: numpy's LAPACK gelsd on a real A; on
+    a complex A one real product of the system's lsq_operator with
+    [Re rhs; Im rhs], so the solution stays real) and truncated SVD
+    (singular values below TRUNCATION_RTOL of the largest discarded).
 
     Raises:
         ParameterError, ShapeError: solve_route's refusals; ParameterError
@@ -274,17 +257,17 @@ def solve(
             converge, or every singular value fell below the truncation floor.
     """
     rhs = np.asarray(rhs)
-    kind, factors, a = solve_route(system, rhs, method, methods)
+    kind = solve_route(system, rhs, method, methods)
+    a = system.a_matrix
     try:
         # overflow leaves NaN or Inf in z, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            if factors is not None:
-                z = factors.solve(rhs)
-            elif kind == 0:
+            if kind == 0:
                 z = np.linalg.solve(a, rhs)
+            elif kind == 1 and np.iscomplexobj(a):
+                z = system.lsq_operator @ np.concatenate([rhs.real, rhs.imag])
             elif kind == 1:
-                y_ls = np.concatenate([rhs.real, rhs.imag]) if np.iscomplexobj(a) else rhs
-                z = np.linalg.lstsq(system.lsq_matrix, y_ls, rcond=np.finfo(float).eps)[0]
+                z = np.linalg.lstsq(a, rhs, rcond=np.finfo(float).eps)[0]
             else:
                 z = _truncated_lstsq(a, rhs)
     except np.linalg.LinAlgError as exc:

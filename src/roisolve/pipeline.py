@@ -35,10 +35,10 @@ SIZES_DEFAULT = range(2, 21)
 # Each domain's simulated_blur (the kernel or transfer spec a simulated run
 # reads), observation_index, structurally_singular (the table's mark),
 # build_system, readers (a system's NoiselessRows, frame_rhs and a noisy
-# trial's unit_rows) and solve_system, and its METHODS. A built system
-# records its key as its domain; each module's readers and solver refuse the
-# other's systems. Callers look functions up on the module at call time, so
-# wrappers installed on the module attribute see every call.
+# trial's unit_rows) and solve_system, and its METHODS and DEFAULTS. A built
+# system records its key as its domain; each module's readers and solver
+# refuse the other's systems. Callers look functions up on the module at call
+# time, so wrappers installed on the module attribute see every call.
 DOMAIN_MODULES = {"spatial": spatial, "frequency": frequency}
 DOMAINS = tuple(DOMAIN_MODULES)
 
@@ -55,13 +55,15 @@ def resolve_solver(domain: str, solver: str | None, ring: int) -> str:
 
     The generic spellings direct, lsq and truncated name their position in
     METHODS, the domain's own method names pass through, and None is the
-    default: LU for a square system (ring 0), least squares for a ring. Any
+    domain's default (DEFAULTS) at ring 0 or at a ring: LU and least squares
+    in the image domain, least squares at both in the transform domain. Any
     other name, the other domain's method names included, is a
     ParameterError.
     """
-    methods = domain_module(domain).METHODS
+    module = domain_module(domain)
+    methods = module.METHODS
     if solver is None:
-        return methods[ring > 0]
+        return module.DEFAULTS[ring > 0]
     method = dict(zip(("direct", "lsq", "truncated"), methods)).get(solver, solver)
     if method not in methods:
         raise ParameterError(
@@ -90,8 +92,7 @@ def averaged_error(recovered: np.ndarray, ideal: np.ndarray) -> float:
 
 def averaged_difference(system: LinearSystem, x: np.ndarray, y: np.ndarray) -> float:
     """||A x - y||_2 divided by the unknown count, as linear.residual takes
-    it (system @ x: in its factors when its matrix is None);
-    complex-safe, ParameterError when it overflows float64."""
+    it (system @ x); complex-safe, ParameterError when it overflows float64."""
     x = np.asarray(x).ravel()
     y = np.asarray(y).ravel()
     if system.shape != (y.size, x.size):
@@ -453,8 +454,9 @@ def run_table_experiment(
     extra_ring widens the observation set: in the image domain it appends the
     ring of cells within that Chebyshev distance of the ROI; in the transform
     domain it grows the selected spectrum block by the same amount per axis.
-    Either way the default solver switches to the least-squares variant.
-    solver is any spelling resolve_solver takes.
+    Either way the default solver is then the least-squares variant, as it
+    is at every ring in the transform domain. solver is any spelling
+    resolve_solver takes.
 
     Every trial of a size shares one system (matrix and condition estimate)
     and reads its rows through noisy_rhs at the one level noise_psnr_db
@@ -539,7 +541,8 @@ def scan_reconstruct(
     solve, so the origin-anchored system is reused the same way; there the
     field must be the sample's (else ShapeError). Every tile is one
     right-hand-side column of a single solve with solver, any spelling
-    resolve_solver takes (None: LU), resolved once the system is built.
+    resolve_solver takes (None: the domain's ring-0 default), resolved once
+    the system is built.
     """
     module = domain_module(domain)
     arr = np.asarray(sample, dtype=float)

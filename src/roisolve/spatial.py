@@ -20,6 +20,8 @@ from .optics import OtfSpec, PsfKernel, build_psf, passband_box, structural_rank
 
 # LU, least squares, truncated: the order linear.solve reads them in.
 METHODS = ("direct", "least_squares", "truncated")
+# The method a default solve takes at ring 0 (a square system) and at a ring.
+DEFAULTS = (METHODS[0], METHODS[1])
 
 
 def solve_two_point_1d(
@@ -227,7 +229,7 @@ def unit_rows(system: LinearSystem, seed: int) -> np.ndarray:
 def solve_system(
     system: LinearSystem,
     rhs: np.ndarray,
-    method: str = "direct",
+    method: str = DEFAULTS[0],
 ) -> Solution:
     """Solve a built system for an observation rhs and report the recovered ROI.
 

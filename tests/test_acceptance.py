@@ -105,6 +105,23 @@ def test_criterion_04_frequency_table_small_sizes():
         assert mean <= bound
 
 
+def test_the_real_solve_beats_the_complex_lu_on_the_default_table():
+    # the default transform-domain solve, real least squares on [Re A; Im A],
+    # fits both parts of every entry; the complex LU fits the complex system
+    # and drops the imaginary part of its answer
+    reports = {
+        solver: run_table_experiment(
+            "frequency", sizes=(3, 4, 5), trials_per_size=20, solver=solver,
+            field_shape=FIELD, cutoff_radius=CUTOFF, psf_crop=CROP,
+        ).summaries()
+        for solver in (None, "direct_complex")
+    }
+    for size in (3, 4, 5):
+        real, lu = reports[None][size].mean_ae, reports["direct_complex"][size].mean_ae
+        print(f"{size}x{size}: mean AE {real:.3e} real, {lu:.3e} complex LU")
+        assert real < lu
+
+
 def test_criterion_05_model_fidelity_all_sizes():
     # AD is solver-independent, so the SVD-backed solvers keep every trial
     # alive even where the square systems are hopeless to invert
@@ -127,8 +144,8 @@ def test_criterion_05_model_fidelity_all_sizes():
 def _spot_check(domain, sizes):
     # one table trial per size: both domains mark these sizes and solve
     # none (image-domain systems below full rank, transform-domain blocks
-    # that leave the passband); the transform AD is read in the factors, over
-    # the block's entries inside the passband, with no dense matrix formed
+    # that leave the passband); the transform AD is read over the block's
+    # entries inside the passband, the only rows its matrix holds
     report = run_table_experiment(
         domain, sizes=sizes, trials_per_size=1,
         field_shape=FIELD, cutoff_radius=CUTOFF, psf_crop=CROP,

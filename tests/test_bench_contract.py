@@ -78,5 +78,30 @@ def test_traced_scan_counts_one_solve(spans, tmp_path, domain):
             ]
         )
     assert rc == 0
-    method = pipeline.DOMAIN_MODULES[domain].METHODS[0]
+    method = pipeline.DOMAIN_MODULES[domain].DEFAULTS[0]
     assert tracer.counts[f"{domain}.solve_system.calls.{method}"] == 1
+
+
+def test_traced_transform_table_counts_the_matrices_untraced_systems_hold(spans, tmp_path,
+                                                                       monkeypatch):
+    # every transform-domain system holds its dense matrix from build on, so
+    # the tracer, which reads a_matrix after each build, forms nothing an
+    # untraced run does not: sizes 2-5 solved, 6 and 7 marked, keeping 33
+    # and 35 passband entries
+    argv = ["table", "--domain", "frequency", "--sizes", "2-7", "--trials", "1",
+            "--field", "48x48", "--cutoff", "6"]
+    held, build = [], frequency.build_system
+
+    def recorded(*args, **kwargs):
+        system = build(*args, **kwargs)
+        held.append(vars(system)["a_matrix"].size)  # the field set at build
+        return system
+
+    with monkeypatch.context() as patch:
+        patch.setattr(frequency, "build_system", recorded)
+        assert cli.main([*argv, "--out", str(tmp_path / "untraced")]) == 0
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert cli.main([*argv, "--out", str(tmp_path / "traced")]) == 0
+    assert held == [4 * 4, 9 * 9, 16 * 16, 25 * 25, 33 * 36, 35 * 49]
+    assert tracer.counts["frequency.build_system.matrix_entries"] == sum(held)

@@ -212,8 +212,12 @@ def test_resolve_solver_aliases():
         # the domain's own names pass through
         for name in module.METHODS:
             assert resolve(domain, name, 2) == name
-        assert resolve(domain, None, 0) == module.METHODS[0]
-        assert resolve(domain, None, 2) == module.METHODS[1]
+        assert resolve(domain, None, 0) == module.DEFAULTS[0]
+        assert resolve(domain, None, 2) == module.DEFAULTS[1]
+    # the default: LU on a square image-domain system, least squares on a
+    # ring, and the real least squares at every transform-domain ring
+    assert [resolve("spatial", None, ring) for ring in (0, 2)] == ["direct", "least_squares"]
+    assert [resolve("frequency", None, ring) for ring in (0, 2)] == ["stacked_real_lsq"] * 2
     assert resolve("spatial", "lsq", 0) == "least_squares"
     assert resolve("frequency", "direct", 0) == "direct_complex"
     assert resolve("frequency", "lsq", 0) == "stacked_real_lsq"
@@ -608,11 +612,13 @@ def test_recover_non_square_ringed(tmp_path, small_psf, domain, ring, kernel_fil
 
 @pytest.mark.parametrize("domain", ["spatial", "frequency"])
 def test_recover_failed_least_squares_exits_4(tmp_path, observed_file, capsys, monkeypatch, domain):
-    # gelsd's SVD failing to converge is a singular system, not a traceback
+    # the SVD failing to converge is a singular system, not a traceback: in
+    # gelsd on an image-domain system, in the SVD that forms the transform
+    # domain's real solve operator
     def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+    monkeypatch.setattr(np.linalg, "lstsq" if domain == "spatial" else "svd", no_convergence)
     path, roi, _ = observed_file
     out = tmp_path / "rec"
     argv = ["recover", "--observed", str(path), "--size", "3x3", "--roi", f"{roi.top},{roi.left}",
@@ -620,6 +626,29 @@ def test_recover_failed_least_squares_exits_4(tmp_path, observed_file, capsys, m
     assert main(argv) == 4
     assert "singular system: least-squares solve failed: SVD did not converge" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_recover_residual_flags_a_clamped_pgm_frame(tmp_path):
+    # one ROI's blurred frame, written raw and as a PGM preview, which clamps
+    # its negative lobes to 0 and quantizes the rest: the transform domain's
+    # real solve leaves no imaginary part to show the clamp, and its
+    # residual shows it by at least six orders
+    spec, roi = OtfSpec(96, 96, 6.0), RoiSpec(40, 45, 3, 3)
+    pixels = np.random.default_rng(5).uniform(1, 256, roi.pixel_count)
+    frame = observe_field(scatter_roi(pixels, roi, *spec.shape), spec)
+    assert frame.min() < 0
+    residuals = {}
+    for name, write in (("frame.raw", write_raw_matrix), ("frame.pgm", write_pgm16)):
+        write(tmp_path / name, frame)
+        out = tmp_path / name.replace(".", "_")
+        assert main(["recover", "--observed", str(tmp_path / name), "--size", "3x3",
+                     "--roi", "40,45", "--domain", "frequency", "--cutoff", "6",
+                     "--out", str(out)]) == 0
+        manifest = read_manifest(out / "recover_manifest.txt")
+        assert manifest["method"] == "stacked_real_lsq"
+        assert float(manifest["imag_leakage"]) == 0.0
+        residuals[name] = float(manifest["residual"])
+    assert residuals["frame.pgm"] >= 1e6 * residuals["frame.raw"]
 
 
 @pytest.fixture()
@@ -728,13 +757,14 @@ def test_recover_non_finite_frame_exits_3(tmp_path, fill, cell, extra):
         (1.7e308, ["--roi", "10,10", "--domain", "spatial"], "solution holds NaN or Inf"),
         (1.7e308, ["--roi", "10,10", "--domain", "frequency"], "holds NaN or Inf"),
         (1e307, ["--roi", "10,10", "--domain", "spatial"], "residual overflows"),
-        (1e307, ["--roi", "10,10", "--domain", "frequency"], "residual overflows"),
+        (1e307, ["--roi", "10,10", "--domain", "frequency"], "solution holds NaN or Inf"),
     ],
 )
 def test_recover_refuses_finite_values_that_overflow(tmp_path, capsys, value, extra, message):
     # located, the centroid overflows at 1.7e308 and the residual at 1e307;
     # anchored, the solve or its residual does, or the transform-domain
-    # observation itself
+    # observation itself; at 1e307 the transform domain's real solve, one
+    # product with its operator, overflows before its residual would
     frame = np.zeros((32, 32))
     frame[10:13, 10:13] = value
     path = tmp_path / "frame.raw"
@@ -988,8 +1018,9 @@ def test_scan_command_synthetic(tmp_path):
     [
         ("spatial", None, "direct"),
         ("spatial", "lsq", "least_squares"),
-        ("frequency", None, "direct_complex"),
+        ("frequency", None, "stacked_real_lsq"),
         ("frequency", "lsq", "stacked_real_lsq"),
+        ("frequency", "direct", "direct_complex"),
         ("frequency", "truncated", "truncated"),
     ],
 )

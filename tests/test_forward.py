@@ -334,7 +334,8 @@ def _rows(domain, roi, spec, index):
     if domain == "frequency":
         system = frequency.build_system(spec.shape, roi, index, spec, estimate_condition=False)
         return frequency.NoiselessRows(system)
-    system = LinearSystem(domain, None, roi, index, math.nan, spec.shape, spec)
+    matrix = np.zeros((index.shape[0], roi.pixel_count))  # the reader does not read it
+    system = LinearSystem(domain, matrix, roi, index, math.nan, spec.shape, spec)
     return spatial.NoiselessRows(system)
 
 
@@ -467,25 +468,23 @@ def test_one_reader_serves_every_trial_of_a_table_size(domain, size, ring):
 
 def test_the_transform_reader_reads_the_systems_factors(monkeypatch, rng):
     # every built system carries its factors, and its reader builds no
-    # twiddles, index split or passband mask of its own; matrix is None
-    # exactly on the square product U x V listed row-major
+    # twiddles, index split or passband mask of its own
     spec = OtfSpec(97, 130, 9.0, 0.7)
     roi = RoiSpec(60, 21, 3, 4)
     ring2 = frequency.observation_index(roi, spec.shape, 2)
     shuffled = ring2[rng.permutation(ring2.shape[0])]
     selections = {
-        "ring 0": (frequency.observation_index(roi, spec.shape, 0), True),
-        "ring 2": (ring2, False),
-        "shuffled": (shuffled, False),
-        "duplicated": (np.vstack([shuffled, shuffled[:5]]), False),
-        "one entry short": (shuffled[1:], False),
+        "ring 0": frequency.observation_index(roi, spec.shape, 0),
+        "ring 2": ring2,
+        "shuffled": shuffled,
+        "duplicated": np.vstack([shuffled, shuffled[:5]]),
+        "one entry short": shuffled[1:],
     }
     pixels = rng.uniform(0, 256, roi.pixel_count)
     systems, want = {}, {}
-    for name, (index, product) in selections.items():
+    for name, index in selections.items():
         systems[name] = frequency.build_system(spec.shape, roi, index, spec)
         assert systems[name].factors is not None
-        assert (systems[name].matrix is None) == product, name
         want[name] = _spectrum_rows(pixels, roi, spec, index)
 
     def refused(*args, **kwargs):

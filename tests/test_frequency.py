@@ -266,9 +266,8 @@ def test_matrix_entries_bit_for_bit_on_a_shuffled_selection(rng):
     # row i is g/(R*C) times the outer product of exp(-2j*pi*(u*r mod R)/R)
     # over the ROI rows r and exp(-2j*pi*(v*c mod C)/C) over its columns c,
     # each phase reduced modulo the field before exp, exactly; on the square
-    # block listed row-major, whose matrix a_matrix forms from its factors,
-    # and on a shuffled product set and a selection that repeats entries,
-    # whose matrices are formed at build
+    # block listed row-major, a shuffled product set and a selection that
+    # repeats entries, each matrix formed at build
     rows, cols, gain = 97, 130, 0.7
     roi = RoiSpec(90, 3, 4, 5)
     spec = OtfSpec(rows, cols, 8.0, gain)
@@ -277,7 +276,6 @@ def test_matrix_entries_bit_for_bit_on_a_shuffled_selection(rng):
     idx = idx[rng.permutation(idx.shape[0])]
     for sel in (block, idx, np.vstack([idx, idx[:3]])):
         system = build_system((rows, cols), roi, sel, spec)
-        assert (system.matrix is None) == (sel is block)
         f_u = np.exp(-2j * np.pi / rows * (np.outer(sel[:, 0], roi.top + np.arange(4)) % rows))
         f_v = np.exp(-2j * np.pi / cols * (np.outer(sel[:, 1], roi.left + np.arange(5)) % cols))
         want = gain / (rows * cols) * (f_u[:, :, None] * f_v[:, None, :]).reshape(len(sel), 20)
@@ -457,10 +455,10 @@ def test_factor_condition_reads_past_the_full_svd_saturation():
 
 
 @pytest.mark.parametrize("field", [(48, 48), (97, 130), (300, 300)])
-def test_the_origin_block_is_factored_at_ring_0_and_dense_past_it(field):
-    # observation_index's block at a cutoff that holds it: the square one
-    # keeps no matrix, a taller one forms it at build, and both estimate
-    # their condition from the factors
+def test_the_origin_block_is_dense_and_estimated_from_its_factors(field):
+    # observation_index's block at a cutoff that holds it, square or taller:
+    # its matrix is formed from its factors at build, and its condition is
+    # estimated from the factors
     checked = 0
     for k in range(1, 5):
         for l in range(1, 6):
@@ -470,9 +468,7 @@ def test_the_origin_block_is_factored_at_ring_0_and_dense_past_it(field):
                 system = build_system(field, roi, observation_index(roi, field, ring), spec)
                 f = system.factors
                 assert (f.f_u.shape, f.f_v.shape) == ((k + ring, k), (l + ring, l))
-                assert (system.matrix is None) == (ring == 0)
-                if ring:
-                    assert system.matrix.tobytes() == f.dense().tobytes()
+                assert system.a_matrix.tobytes() == f.dense().tobytes()
                 want = float(np.linalg.cond(f.f_u)) * float(np.linalg.cond(f.f_v))
                 assert system.condition_estimate == want
                 checked += 1
@@ -500,26 +496,36 @@ def test_other_selections_take_the_full_svd(edit):
     system = build_system((32, 32), roi, idx, spec)
     if edit in ("drop the last entry", "passband cut"):
         assert system.obs_index.shape[0] == 15
-    assert system.matrix is not None
+    assert system.a_matrix.shape == (system.obs_index.shape[0], roi.pixel_count)
     assert system.condition_estimate == float(np.linalg.cond(system.a_matrix))
 
 
 def test_a_product_cut_short_to_k_times_l_entries_is_dense():
     # the first four entries of the 2 x 3 product, row-major: as many as the
-    # 2 x 2 region's unknowns, but not U x V, so the matrix is formed, and its
-    # estimate is the full SVD's, which sees its rank of three
+    # 2 x 2 region's unknowns, but not U x V, so its estimate is the full
+    # SVD's, which sees its rank of three
     roi = RoiSpec(7, 9, 2, 2)
     idx = np.array([[0, 0], [0, 1], [0, 2], [1, 0]])
     system = build_system((32, 32), roi, idx, _widest_spec(32, 32))
-    assert system.matrix is not None and system.matrix.shape == (4, 4)
-    assert system.matrix.tobytes() == system.factors.dense().tobytes()
+    assert system.a_matrix.shape == (4, 4)
+    assert system.a_matrix.tobytes() == system.factors.dense().tobytes()
     assert system.condition_estimate == float(np.linalg.cond(system.a_matrix)) > 1e15
     x = np.arange(1.0, 5.0)
-    assert (system @ x).tobytes() == (system.matrix @ x).tobytes()
+    assert (system @ x).tobytes() == (system.a_matrix @ x).tobytes()
 
 
 # ---------------------------------------------------------------------------
-# the factored route
+# the dense routes against the factors
+
+def _factored_lu(factors, y):
+    """x with A x = y on a square block listed row-major, in its factors:
+    F_U^-1 Y F_V^-T / scale, Y each column of y as K x L."""
+    k, l = factors.f_u.shape[1], factors.f_v.shape[1]
+    t = y.size // y.shape[0]
+    x = np.linalg.solve(factors.f_u, y.reshape(k, l * t))
+    x = np.linalg.solve(factors.f_v, x.reshape(k, l, t))
+    return (x / factors.scale).reshape(y.shape)
+
 
 # well conditioned: the estimates read 9.3e2, 1.6e4, 2.4e5 and 5.1e3
 @pytest.mark.parametrize("field, roi, gain, shuffle", [
@@ -529,40 +535,42 @@ def test_a_product_cut_short_to_k_times_l_entries_is_dense():
     ((97, 130), RoiSpec(40, 100, 2, 2), 0.7, True),
 ])
 def test_factored_lu_agrees_with_dense_lu(field, roi, gain, shuffle, rng):
-    # the dense side is the same system with its matrix given, or under
-    # shuffle the same block in another order, which build_system makes dense
+    # the LU in the factors of the row-major block agrees with the dense
+    # complex LU and the real solve of the same block, or under shuffle of
+    # the same block in another order
     spec = OtfSpec(*field, 10.0 if field == (48, 48) else 8.0, gain)
     idx = observation_index(roi, field, 0)
     perm = rng.permutation(idx.shape[0]) if shuffle else np.arange(idx.shape[0])
-    system = build_system(field, roi, idx, spec)
-    assert system.matrix is None and system.shape == (roi.pixel_count,) * 2
-    dense_system = (build_system(field, roi, idx[perm], spec) if shuffle
-                    else dataclasses.replace(system, matrix=system.a_matrix, factors=None))
-    assert dense_system.matrix is not None
+    ordered = build_system(field, roi, idx, spec)
+    system = build_system(field, roi, idx[perm], spec)
     pixels = rng.uniform(0, 256, (roi.pixel_count, 3))
-    reader = NoiselessRows(system)
+    reader = NoiselessRows(ordered)
     rhs = np.column_stack([reader(p) for p in pixels.T])
     for y in (rhs[:, 0], rhs):
-        factored = solve_system(system, y, "direct_complex").pixels
-        dense = solve_system(dense_system, y[perm], "direct_complex").pixels
-        assert np.abs(factored - dense).max() <= 1e-9
+        factored = _factored_lu(ordered.factors, y).real
+        for method in ("direct_complex", "stacked_real_lsq"):
+            dense = solve_system(system, y[perm], method).pixels
+            assert np.abs(factored - dense).max() <= 1e-9
         assert np.abs(factored - pixels[:, 0] if y.ndim == 1 else factored - pixels).max() <= 1e-9
 
 
 @pytest.mark.parametrize("ring", [0, 2])
 def test_factored_product_equals_the_dense_one(ring, rng):
-    # observation_index's block: the square one takes A x in its factors,
-    # a taller one (solved dense) in the matrix formed at build
+    # observation_index's block, square or taller: A x in the factors,
+    # scale * F_U X F_V^T read off in row order, agrees with system @ x, the
+    # product of the matrix formed at build
     field, roi = (97, 130), RoiSpec(60, 21, 3, 4)
     system = build_system(field, roi, observation_index(roi, field, ring),
                           OtfSpec(*field, 9.0, 0.7))
-    assert (system.matrix is None) == (ring == 0)
+    f = system.factors
     for x in (rng.uniform(0, 256, roi.pixel_count), rng.uniform(0, 256, (roi.pixel_count, 5))):
-        dense = system.a_matrix @ x
+        t = x.size // x.shape[0]
+        block = f.f_v @ (f.f_u @ x.reshape(3, 4 * t)).reshape(3 + ring, 4, t)
+        factored = f.scale * f.rows(block).reshape(-1, *x.shape[1:])
         got = system @ x
-        assert got.shape == dense.shape
-        assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
-        assert np.array_equal(got, system.factors.apply(x) if ring == 0 else dense)
+        assert got.shape == factored.shape
+        assert np.abs(got - factored).max() <= 1e-13 * np.abs(factored).max()
+        assert np.array_equal(got, system.a_matrix @ x)
 
 
 def _same_bits(a, b):
@@ -581,17 +589,14 @@ def test_a_permuted_product_is_a_dense_system(field, roi, cutoff, gain, ring, rn
     # observation_index's block in another order: its matrix is formed at
     # build, row i holding the bits of row perm[i] of the row-major system's,
     # and its readers read the row-major system's entries in that order bit
-    # for bit; its A x, in that matrix, agrees with the row-major system's,
-    # in the factors at ring 0 (test_factored_lu_agrees_with_dense_lu
-    # compares the two LUs)
+    # for bit; its A x agrees with the row-major system's
     spec = OtfSpec(*field, cutoff, gain)
     idx = observation_index(roi, field, ring)
     perm = rng.permutation(idx.shape[0])
     assert not np.array_equal(perm, np.arange(perm.size))
     ordered = build_system(field, roi, idx, spec)
     permuted = build_system(field, roi, idx[perm], spec)
-    assert (ordered.matrix is None) == (ring == 0) and permuted.matrix is not None
-    assert _same_bits(ordered.a_matrix[perm], permuted.matrix)
+    assert _same_bits(ordered.a_matrix[perm], permuted.a_matrix)
     x = rng.uniform(0, 256, (roi.pixel_count, 4))
     for v in (x[:, 0], x):
         want = (ordered @ v)[perm]
@@ -610,12 +615,11 @@ def test_a_square_selection_that_is_no_product_keeps_the_dense_routes(rng):
     idx = idx[rng.permutation(idx.shape[0])[:roi.pixel_count]]
     system = build_system(field, roi, idx, OtfSpec(*field, 9.0, 0.7))
     assert np.unique(idx[:, 0]).size > roi.k_rows and np.unique(idx[:, 1]).size > roi.l_cols
-    assert system.factors is not None and system.matrix is not None
+    assert system.factors is not None
     assert system.shape == (roi.pixel_count,) * 2
     pixels = rng.uniform(0, 256, roi.pixel_count)
     rhs = NoiselessRows(system)(pixels)
-    kind, factors, a = solve_route(system, rhs, "direct_complex", frequency.METHODS)
-    assert (kind, factors) == (0, None) and a is system.a_matrix
+    assert solve_route(system, rhs, "direct_complex", frequency.METHODS) == 0
     sol = solve_system(system, rhs, "direct_complex")
     assert np.array_equal(sol.pixels, np.linalg.solve(system.a_matrix, rhs).real)
     for x in (pixels, rng.uniform(0, 256, (roi.pixel_count, 3))):
@@ -623,23 +627,24 @@ def test_a_square_selection_that_is_no_product_keeps_the_dense_routes(rng):
 
 
 def test_a_full_products_lu_refuses_non_finite_factors(rng):
-    # LU on a full product reads the factors, not a matrix it never forms
+    # LU on a full product reads the matrix formed at build; a non-finite
+    # factor reaches it through the rows the system's reader reads
     field, roi = (97, 130), RoiSpec(60, 21, 3, 4)
     system = build_system(field, roi, observation_index(roi, field, 0), OtfSpec(*field, 9.0))
-    assert system.matrix is None
-    rhs = NoiselessRows(system)(rng.uniform(0, 256, roi.pixel_count))
+    pixels = rng.uniform(0, 256, roi.pixel_count)
     for name in ("f_u", "f_v"):
         bad = getattr(system.factors, name).copy()
         bad.flat[1] = np.nan
         broken = dataclasses.replace(system, factors=system.factors._replace(**{name: bad}))
+        rhs = NoiselessRows(broken)(pixels)
         with pytest.raises(ParameterError, match="NaN or Inf"):
             solve_system(broken, rhs, "direct_complex")
 
 
-def test_the_frequency_table_never_forms_the_dense_matrix(monkeypatch, tmp_path):
-    # the solved sizes 2-5 form none; a marked size (6-20 at the default
-    # setup) forms only the rows it keeps, at most the origin quadrant's 35
-    # passband entries, once per size
+def test_the_frequency_table_forms_each_sizes_matrix_once(monkeypatch, tmp_path):
+    # once per size, at build: the solved sizes 2-5 their K*K rows, a marked
+    # size (6-20 at the default setup) only the rows it keeps, at most the
+    # origin quadrant's 35 passband entries
     formed, dense = [], KroneckerFactors.dense
 
     def counted(factors):
@@ -652,8 +657,9 @@ def test_the_frequency_table_never_forms_the_dense_matrix(monkeypatch, tmp_path)
                      "--out", str(out)]) == 0
     rows = list(csv.DictReader((out / "trials_frequency.csv").read_text().splitlines()))
     assert len(rows) == 38 and not any(row["error"] for row in rows)
-    assert [size for size, _ in formed] == list(range(6, 21))
-    assert all(kept <= 35 for _, kept in formed)
+    assert [size for size, _ in formed] == list(range(2, 21))
+    assert [kept for _, kept in formed[:4]] == [4, 9, 16, 25]
+    assert all(kept <= 35 for _, kept in formed[4:])
 
 
 def test_dense_routes_still_form_the_matrix(monkeypatch, tmp_path):
@@ -789,7 +795,7 @@ def test_truncated_and_singular(small_spec):
     roi = RoiSpec(0, 0, 2, 2)
     system = LinearSystem(
         domain="frequency",
-        matrix=np.zeros((4, 4), dtype=complex),
+        a_matrix=np.zeros((4, 4), dtype=complex),
         roi=roi,
         obs_index=np.zeros((4, 2), dtype=int),
         condition_estimate=np.inf,

@@ -78,7 +78,7 @@ def test_solve_rejects_non_finite_systems(domain, field, bad, small_psf):
     else:
         values = system.a_matrix.copy()
         values.flat[1] = bad
-        system = dataclasses.replace(system, matrix=values)
+        system = dataclasses.replace(system, a_matrix=values)
     for method in MODULES[domain].METHODS:
         with pytest.raises(ParameterError, match="NaN or Inf"):
             MODULES[domain].solve_system(system, rhs, method)
@@ -156,29 +156,50 @@ def test_a_truncated_svd_that_does_not_converge_is_a_singular_system(domain, sma
         MODULES[domain].solve_system(system, rhs, "truncated")
 
 
-@pytest.mark.parametrize("domain", list(MODULES))
-@pytest.mark.parametrize(
-    "roi", [centered_roi(768, 768, 3, 3), RoiSpec(128, 301, 2, 2), RoiSpec(517, 140, 3, 3)]
-)
-def test_least_squares_is_scipy_gelsd_bit_for_bit(domain, roi):
-    # the ring-2 systems of the benchmark's noise (centred 3x3) and recover
-    # (2x2 and 3x3) ops on its 768x768 field at cutoff 6 and crop 501, each
-    # with one vector and one block of observations; kept at these sizes
-    # because with more than one BLAS thread numpy's and scipy's OpenBLAS
-    # builds part in the last bits from about 400 unknowns up
-    scipy_linalg = pytest.importorskip("scipy.linalg")
+# the ring-2 systems of the benchmark's noise (centred 3x3) and recover (2x2
+# and 3x3) ops on its 768x768 field at cutoff 6 and crop 501, each with one
+# vector and one block of observations; kept at these sizes because with more
+# than one BLAS thread numpy's and scipy's OpenBLAS builds part in the last
+# bits from about 400 unknowns up
+LSQ_ROIS = [centered_roi(768, 768, 3, 3), RoiSpec(128, 301, 2, 2), RoiSpec(517, 140, 3, 3)]
+
+
+def _ring2_rows(domain, roi):
+    """A ring-2 system on roi and its rows at four noise levels."""
     module = MODULES[domain]
     size, spec = roi.k_rows, OtfSpec(768, 768, 6.0)
     system = roi_problem(domain, roi, spec.shape, module.simulated_blur(spec, size, size, 2, 501), 2)
     pixels = np.random.default_rng(roi.top).integers(1, 256, roi.pixel_count).astype(float)
-    rows = noisy_rhs(module.NoiselessRows(system), pixels, 7, [40.0, 120.0, 250.0, math.inf])
-    a = system.a_matrix
+    return system, noisy_rhs(module.NoiselessRows(system), pixels, 7, [40.0, 120.0, 250.0, math.inf])
+
+
+@pytest.mark.parametrize("domain", ["spatial"])
+@pytest.mark.parametrize("roi", LSQ_ROIS)
+def test_least_squares_is_scipy_gelsd_bit_for_bit(domain, roi):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    system, rows = _ring2_rows(domain, roi)
     for rhs in (*rows, rows.T):
-        a_ls, y_ls = a, rhs
-        if np.iscomplexobj(a):
-            a_ls, y_ls = np.vstack([a.real, a.imag]), np.concatenate([rhs.real, rhs.imag])
-        expected = scipy_linalg.lstsq(a_ls, y_ls, lapack_driver="gelsd")[0]
-        assert np.array_equal(module.solve_system(system, rhs, module.METHODS[1]).pixels, expected)
+        expected = scipy_linalg.lstsq(system.a_matrix, rhs, lapack_driver="gelsd")[0]
+        assert np.array_equal(spatial.solve_system(system, rhs, "least_squares").pixels, expected)
+
+
+@pytest.mark.parametrize("roi", LSQ_ROIS)
+def test_transform_least_squares_is_the_scipy_svd_operator_bit_for_bit(roi):
+    # one real product of V S^+ U^T, from scipy's gesdd SVD of [Re A; Im A]
+    # at gelsd's floor, with [Re y; Im y]; and within cond * eps of gelsd
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    system, rows = _ring2_rows("frequency", roi)
+    a = system.a_matrix
+    u, s, vt = scipy_linalg.svd(np.vstack([a.real, a.imag]), full_matrices=False)
+    keep = s > np.finfo(float).eps * s[0]
+    operator = (vt[keep].T / s[keep]) @ u[:, keep].T
+    for rhs in (*rows, rows.T):
+        y = np.concatenate([rhs.real, rhs.imag])
+        got = frequency.solve_system(system, rhs, "stacked_real_lsq").pixels
+        assert np.array_equal(got, operator @ y)
+        gelsd = scipy_linalg.lstsq(np.vstack([a.real, a.imag]), y, lapack_driver="gelsd")[0]
+        assert np.abs(got - gelsd).max() <= 1e2 * s[0] / s[-1] * np.finfo(float).eps * np.abs(
+            gelsd).max()
 
 
 @pytest.mark.parametrize("domain", list(MODULES))
@@ -208,36 +229,61 @@ def _same_bits(a, b):
 
 
 def test_factored_routes_leave_their_inputs_alone():
-    # scan's system: a 3x3 tile on its 300x300 sample, row-major at ring 0,
-    # so apply reshapes its product and solve reshapes the rhs it is given
+    # scan's system: a 3x3 tile on its 300x300 sample at ring 0. The routes
+    # through its factors, its two readers, leave pixels and frame alone;
+    # every solve returns a fresh array, and the real route reads a strided
+    # right-hand side as its contiguous copy, bit for bit
     spec = OtfSpec(300, 300, 6.0)
     roi = RoiSpec(0, 0, 3, 3)
     blur = frequency.simulated_blur(spec, 3, 3, 0, 0)
     system = roi_problem("frequency", roi, spec.shape, blur, 0)
-    factors = system.factors
-    assert system.matrix is None
     x = np.random.default_rng(3).uniform(0, 256, (roi.pixel_count, 6))
-    for v in (x, x[:, 0], x[:, 2], x.T.copy().T):
-        kept = v.copy()
-        assert _same_bits(factors.apply(v), factors.apply(kept))
-        assert _same_bits(v, kept)
+    frame = np.random.default_rng(4).uniform(0, 256, spec.shape)
+    kept_x, kept_frame = x.copy(), frame.copy()
+    frequency.NoiselessRows(system)(x[:, 2])
+    frequency.frame_rhs(system, frame)
+    assert _same_bits(x, kept_x) and _same_bits(frame, kept_frame)
     rhs = system @ x
     # complex and real; a block, strided columns and a strided block
     for y in (rhs, rhs[:, 0], rhs[:, 3], rhs[:, ::2], rhs.real.copy(), rhs.real[:, 1]):
         kept = y.copy()
-        z = factors.solve(y)
-        assert _same_bits(y, kept) and not np.shares_memory(z, y)
-        assert _same_bits(z, factors.solve(np.array(y, dtype=complex)))
         for method in frequency.METHODS:
-            frequency.solve_system(system, y, method)
-            assert _same_bits(y, kept)
+            z = frequency.solve_system(system, y, method).solved
+            assert _same_bits(y, kept) and not np.shares_memory(z, y)
+        z = frequency.solve_system(system, y, "stacked_real_lsq").solved
+        assert _same_bits(z, frequency.solve_system(system, kept, "stacked_real_lsq").solved)
+
+
+@pytest.mark.parametrize("ring", [0, 2])
+def test_the_real_solve_operator_is_formed_once_per_system(ring, monkeypatch):
+    # one SVD of [Re A; Im A] on the first real solve, none on later ones,
+    # vector or block; a new system forms its own
+    spec = OtfSpec(97, 130, 9.0, 0.7)
+    roi = RoiSpec(60, 21, 3, 4)
+    calls, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    pixels = np.random.default_rng(ring).uniform(0, 256, (roi.pixel_count, 4))
+    for _ in range(2):
+        system = roi_problem("frequency", roi, spec.shape, spec, ring, estimate_condition=False)
+        rhs = system @ pixels
+        for y, want in ((rhs[:, 0], pixels[:, 0]), (rhs, pixels), (rhs[:, 1], pixels[:, 1])):
+            sol = frequency.solve_system(system, y, "stacked_real_lsq")
+            assert np.abs(sol.pixels - want).max() <= 1e-4
+        assert not system.lsq_operator.flags.writeable
+    n = 2 * (3 + ring) * (4 + ring)
+    assert calls == [(n, roi.pixel_count)] * 2
 
 
 @pytest.mark.parametrize("field", [(48, 48), (97, 130), (300, 300), (768, 768)])
 @pytest.mark.parametrize("gain", [1.0, 0.7, 0.5, 2.5, -1.0])
 def test_dividing_in_place_is_numpys_complex_division(field, gain):
-    # the factored solve divides its result by gain/(R*C) in place: the same
-    # ufunc as x / scale, so every bit and every signed zero stays
+    # dividing a complex array by a transform-domain scale gain/(R*C) in
+    # place is the same ufunc as x / scale: every bit and signed zero stays
     scale = gain / (field[0] * field[1])
     rng = np.random.default_rng(field[1])
     parts = np.concatenate([rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64),
@@ -251,8 +297,8 @@ def test_dividing_in_place_is_numpys_complex_division(field, gain):
 
 
 # ---------------------------------------------------------------------------
-# what a system derives from its arrays once: a_matrix, the finiteness
-# verdicts and the matrix least squares solves
+# what a system derives from its arrays once: the finiteness verdict and
+# the real solve operator
 
 def _solved(domain, small_psf):
     """A built system and its observation, solved once by every method so
@@ -267,10 +313,8 @@ def _solved(domain, small_psf):
 def test_a_built_systems_arrays_are_read_only(domain, small_psf):
     system, _ = _solved(domain, small_psf)
     held = [system.a_matrix]
-    if system.matrix is not None:
-        held.append(system.matrix)
     if system.factors is not None:
-        held += [system.factors.f_u, system.factors.f_v, system.lsq_matrix]
+        held += [system.factors.f_u, system.factors.f_v, system.lsq_operator]
     for array in held:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -282,17 +326,21 @@ def test_a_built_systems_arrays_are_read_only(domain, small_psf):
 ])
 def test_a_solved_systems_verdicts_do_not_reach_a_replaced_one(domain, part, small_psf):
     system, rhs = _solved(domain, small_psf)
+    broken_rhs = rhs
     if part == "matrix":
         values = system.a_matrix.copy()
         values.flat[1] = np.nan
-        broken = dataclasses.replace(system, matrix=values)
+        broken = dataclasses.replace(system, a_matrix=values)
     else:
         bad = getattr(system.factors, part).copy()
         bad.flat[1] = np.nan
         broken = dataclasses.replace(system, factors=system.factors._replace(**{part: bad}))
+        # the solve reads the matrix; a factor reaches it through the rows
+        # the system's reader reads
+        broken_rhs = frequency.NoiselessRows(broken)(PIXELS)
     for method in MODULES[domain].METHODS:
         with pytest.raises(ParameterError, match="NaN or Inf"):
-            MODULES[domain].solve_system(broken, rhs, method)
+            MODULES[domain].solve_system(broken, broken_rhs, method)
         # the solved system keeps its own verdict
         MODULES[domain].solve_system(system, rhs, method)
 

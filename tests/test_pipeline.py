@@ -1207,7 +1207,7 @@ def test_table_marks_a_transform_block_that_leaves_the_passband(monkeypatch):
         # lie inside the passband, in the block's order, to the bit
         block = roi_problem("frequency", roi, (48, 48), wide, 0, estimate_condition=False)
         inside = in_passband(spec, block.obs_index[:, 0], block.obs_index[:, 1])
-        assert system.shape == (kept, size * size) and system.matrix is not None
+        assert system.shape == system.a_matrix.shape == (kept, size * size)
         assert np.array_equal(system.obs_index, block.obs_index[inside])
         assert np.array_equal(system.a_matrix, block.a_matrix[inside])
         pixels = pipeline._trial_pixels(pipeline.DEFAULT_SEED, size, 0)[1]

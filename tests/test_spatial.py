@@ -265,7 +265,7 @@ def test_singular_direct_and_truncated():
     roi = RoiSpec(0, 0, 2, 2)
     system = LinearSystem(
         domain="spatial",
-        matrix=np.zeros((4, 4)),
+        a_matrix=np.zeros((4, 4)),
         roi=roi,
         obs_index=roi.cells(),
         condition_estimate=np.inf,
@@ -283,7 +283,7 @@ def test_truncated_handles_rank_deficiency():
     a = np.array([[1.0, 1.0], [2.0, 2.0]])  # rank one
     system = LinearSystem(
         domain="spatial",
-        matrix=a,
+        a_matrix=a,
         roi=roi,
         obs_index=roi.cells(),
         condition_estimate=np.inf,
@@ -310,7 +310,7 @@ def test_residual_normalization():
     a = np.eye(4)
     system = LinearSystem(
         domain="spatial",
-        matrix=a,
+        a_matrix=a,
         roi=roi,
         obs_index=roi.cells(),
         condition_estimate=1.0,

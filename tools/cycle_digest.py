@@ -44,7 +44,7 @@ entries, then the differing keys of each workload and final path part
 ENVIRONMENT_KEYS: numpy's version, the version and CPU core of the OpenBLAS
 numpy runs on (its kernels, picked per core, decide the last bits of a
 product), and the OpenBLAS thread count: the transform-domain scan
-manifests of seeds 111 and 205 differ between 1 and 2 threads, so compare
+manifests of all three default seeds differ between 1 and 2 threads, so compare
 digests taken at one count. The recovered pixels are the same bytes at both counts; what
 moves is the last bit of the manifest's relative error, whose norm
 (pipeline.averaged_error) is a BLAS dot product that OpenBLAS splits across
